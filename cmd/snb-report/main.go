@@ -1,6 +1,6 @@
 // snb-report regenerates every table and figure of the paper's evaluation
-// in one run and prints them as ASCII tables, with the expected-shape
-// notes from DESIGN.md attached to each.
+// in one run and prints them as ASCII tables, with a note on the shape
+// the paper reports attached to each.
 //
 // Usage:
 //

@@ -11,10 +11,11 @@
 //
 // On the view path the report also breaks view acquisition into
 // refresh-vs-rebuild latency and prints the store's view-maintenance
-// counters (delta refreshes, rebuilds, era bumps, ring overflows), so the
-// residual rebuild tax is observable from the CLI;
-// -view-compact-threshold tunes how much copy-on-write overlay a refreshed
-// view chain may accumulate before recompacting.
+// counters and gauges (delta refreshes, inline rebuilds, era bumps, ring
+// overflows; overlay size against the compaction trigger, background
+// compactions started/swapped/discarded), so what readers pay for view
+// maintenance is observable from the CLI; -view-compact-threshold
+// overrides the overlay size at which the background compaction starts.
 //
 // The optional BI analyst lane (-bi) runs the eight graph-wide BI queries
 // (bi.Registry) alongside the Interactive mix with their own latency
@@ -164,9 +165,9 @@ func main() {
 	biClients := flag.Int("bi-clients", 1, "concurrent BI analyst clients when -bi is set")
 	biRounds := flag.Int("bi-rounds", 1, "passes each BI client makes over the eight templates")
 	compactThreshold := flag.Int("view-compact-threshold", -1,
-		"view-maintenance compaction threshold: max copy-on-write overlay entries a refreshed view chain "+
-			"may accumulate before the next advance recompacts (0 = recompact on every advance, "+
-			"-1 = store default)")
+		"view-maintenance compaction trigger: overlay entries a refreshed view chain may accumulate "+
+			"before a background compaction folds them into a new base (0 = no refreshing, every advance "+
+			"recompacts inline; -1 = store default, a quarter of the base's adjacency entries)")
 	dataDir := flag.String("data-dir", "",
 		"durable mode: open or recover a data directory (segmented WAL + checkpoints); empty = in-memory run")
 	walSync := flag.String("wal-sync", "none",
@@ -369,6 +370,9 @@ func main() {
 		vs := env.Store.ViewStats()
 		fmt.Printf("view maintenance: %d delta refreshes, %d rebuilds, %d era bumps, %d ring overflows\n",
 			vs.Refreshes, vs.Rebuilds, vs.EraBumps, vs.Overflows)
+		fmt.Printf("  overlay: %d entries (compaction trigger %d)   background compactions: %d started, %d swapped, %d discarded, last caught up %d commits\n",
+			vs.OverlayEntries, vs.CompactTrigger, vs.CompactionsStarted, vs.CompactionsSwapped,
+			vs.CompactionsDiscarded, vs.CatchUpCommits)
 	}
 	if rep.Commit.Count > 0 {
 		fmt.Printf("write lane: %d commits, latency mean %v p95 %v max %v\n",

@@ -15,8 +15,8 @@ import (
 	"ldbcsnb/internal/xrand"
 )
 
-// Ablation experiments for the design choices DESIGN.md §4 calls out
-// (beyond the Figure 4 join ablation).
+// Ablation experiments for the paper's design choices (windowed execution,
+// time-ordered IDs, curated parameters) beyond the Figure 4 join ablation.
 
 // AblationWindowed — sequential/windowed vs per-dependent synchronisation:
 // replay the same update stream in parallel mode (every dependent waits on

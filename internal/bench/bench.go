@@ -1,6 +1,6 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (§5 plus the figures of §2 and §4.1), using the scaled-down
-// datasets DESIGN.md documents. Each experiment returns a Result that
+// datasets README.md describes. Each experiment returns a Result that
 // renders as an ASCII table; bench_test.go exposes one testing.B benchmark
 // per experiment and cmd/snb-report prints them all.
 package bench

@@ -335,14 +335,18 @@ func refreshCommit(tb testing.TB, env *Env, anchor ids.ID) {
 // the cost the first reader after an update pays on the incremental
 // maintenance path, where BenchmarkViewRebuild is what it paid before.
 //
-//   - 1commit / 16commits: CurrentView applies the pending delta(s)
-//     copy-on-write. The mean includes the periodic compactions the
-//     threshold forces (the amortised steady state), so it is an upper
-//     bound on the pure refresh cost.
+//   - 1commit / 16commits: CurrentView applies the pending delta(s) onto
+//     the persistent overlay. Compaction runs in the background at the
+//     store's default trigger, so the mean is what a reader pays in the
+//     steady state.
 //   - overflow: the delta ring is too small for the burst, so CurrentView
-//     must recompact — the degenerate case, equal to a full rebuild (of
-//     the refresh env as grown by the earlier sub-benchmarks' commits, so
-//     compare against BenchmarkViewRebuild only by order of magnitude).
+//     must recompact — the degenerate case, equal to a full rebuild
+//     (BenchmarkViewRebuild).
+//   - overlay=1K / 16K / 64K: the 1commit case with compaction off and the
+//     era's overlay held between that many entries and twice as many (it is
+//     rebuilt away and regrown, off the clock, whenever it gets there).
+//     ns/op and B/op must be flat across the three: a refresh costs what
+//     its delta costs, not what the overlay holds.
 func BenchmarkViewRefresh(b *testing.B) {
 	run := func(commits int) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -363,11 +367,19 @@ func BenchmarkViewRefresh(b *testing.B) {
 	}
 	b.Run("1commit", run(1))
 	b.Run("16commits", run(16))
+	// The cases below start from a store of the same size every time: each
+	// iteration adds a person, and the shared refresh env has grown by as
+	// many as the cases above ran.
+	fresh := func(b *testing.B) (*Env, ids.ID) {
+		env, err := NewEnv(250, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return env, benchPerson(b, env)
+	}
 	b.Run("overflow", func(b *testing.B) {
-		env := refreshBenchEnv(b)
-		anchor := benchPerson(b, env)
+		env, anchor := fresh(b)
 		env.Store.SetViewDeltaCap(1)
-		defer env.Store.SetViewDeltaCap(1024)
 		env.Store.CurrentView()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -379,6 +391,37 @@ func BenchmarkViewRefresh(b *testing.B) {
 			env.Store.CurrentView()
 		}
 	})
+	overlay := func(entries int64) func(b *testing.B) {
+		return func(b *testing.B) {
+			env, anchor := fresh(b)
+			st := env.Store
+			regrow := func() {
+				st.SetViewCompactThreshold(0) // the next advance rebuilds inline: empty overlay
+				refreshCommit(b, env, anchor)
+				st.CurrentView()
+				st.SetViewCompactThreshold(1 << 30)
+				for st.ViewStats().OverlayEntries < entries {
+					refreshCommit(b, env, anchor)
+					st.CurrentView()
+				}
+			}
+			regrow()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if st.ViewStats().OverlayEntries >= 2*entries {
+					regrow()
+				}
+				refreshCommit(b, env, anchor)
+				b.StartTimer()
+				st.CurrentView()
+			}
+		}
+	}
+	b.Run("overlay=1K", overlay(1<<10))
+	b.Run("overlay=16K", overlay(16<<10))
+	b.Run("overlay=64K", overlay(64<<10))
 }
 
 // TestViewAdjacencyZeroAlloc pins the acceptance bar that `make bench`

@@ -8,10 +8,10 @@
 // dictionary exposes an ordered view per correlation parameter, and the
 // generator samples an index from the shared skewed distribution.
 //
-// This is the documented substitution for the DBpedia source data (see
-// DESIGN.md §1): the correlation machinery is identical; only the raw
-// strings are synthetic. The German and Chinese first-name heads match the
-// paper's Table 2 so the experiment reproduces verbatim.
+// This is the substitution for the DBpedia source data: the correlation
+// machinery is identical; only the raw strings are synthetic. The German
+// and Chinese first-name heads match the paper's Table 2 so the experiment
+// reproduces verbatim.
 package dict
 
 // Country is a dimension entity: persons are assigned a country (their

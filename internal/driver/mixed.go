@@ -121,9 +121,11 @@ type MixedReport struct {
 	// the complex query and again before the short-read walk, so the walk
 	// serves the freshest epoch). ViewRefresh and ViewRebuild split the
 	// same samples by the maintenance work the acquisition performed:
-	// cache hits and incremental delta refreshes land in ViewRefresh, full
-	// recompactions (era bumps) in ViewRebuild — the residual rebuild tax
-	// of the read path.
+	// cache hits and incremental delta refreshes land in ViewRefresh,
+	// compactions the reader ran itself in ViewRebuild. Overlay compaction
+	// runs on a background goroutine of the store, so ViewRebuild only sees
+	// the run's first view build and delta-ring overflows; a steady-state
+	// run has one sample in it.
 	ViewAcquire LatencyStats
 	ViewRefresh LatencyStats
 	ViewRebuild LatencyStats

@@ -2,6 +2,7 @@ package store
 
 import (
 	"maps"
+	"math"
 
 	"ldbcsnb/internal/ids"
 )
@@ -11,20 +12,64 @@ import (
 // Every committed transaction appends one CommitDelta — a compact record of
 // the nodes it created, the property lists it replaced, and the adjacency
 // entries it inserted or tombstoned — to a bounded in-memory ring alongside
-// the WAL append. When CurrentView finds the cached view behind the commit
-// watermark it applies the pending deltas copy-on-write onto the cached
-// view (see applyDeltas) instead of recompacting the whole dataset: cost
-// proportional to the delta plus the overlay accumulated this era, not to
-// the number of visible nodes and edges.
+// the WAL append. When AcquireView finds the cached view behind the commit
+// watermark it applies the pending deltas onto the cached view (applyDeltas)
+// instead of recompacting the whole dataset. The refreshed view is a new
+// immutable value that shares its predecessor's base and, through a
+// persistent overlay, everything of the predecessor's overlay the deltas did
+// not touch: a refresh costs what its deltas cost, whatever the size of the
+// dataset or of the overlay accumulated in the era.
 //
-// Two conditions force a full rebuild (a new era, ordinals reassigned):
+// # The overlay
 //
-//   - the ring overflowed (more than the ring capacity of commits landed
-//     since the last view advance), so the delta chain has a gap;
-//   - the accumulated overlay size would cross the compaction threshold
-//     (SetViewCompactThreshold) — unbounded overlays would slowly tax every
-//     read with overlay-map lookups, so the view periodically recompacts
-//     back into flat CSR form.
+// The overlay (view.go) is a two-level page table indexed by ordinal. A
+// refresh copies the top-level pointer slice, the pages holding a touched
+// ordinal and those ordinals' nodeOver entries — path copying, so the
+// predecessor's table is never written. Adjacency rows, the appended-ordinal
+// list nodesOver and the per-kind scan lists are not copied at all:
+//
+// # Append-sharing
+//
+// Maintenance is a single lineage. Every view of an era is derived, under
+// viewMu, from the newest view of that era, so for each of those slices the
+// newest view holds the longest prefix of one shared backing array and every
+// older view a shorter prefix of the same array. A refresh appends in place,
+// into the spare capacity beyond every published length, and publishes a
+// slice header with the new length in its own (copied) nodeOver or view
+// struct; once capacity runs out, append reallocates (growing geometrically,
+// so appends stay amortised O(1)) and the lineage moves to the new array.
+// Readers index a row only below the length in the header their own view
+// handed them, so the maintainer's writes and any reader's reads never touch
+// the same element: there is no race to synchronise, and the atomic store
+// that publishes the view orders the element writes before any read through
+// the new header. Only what cannot be expressed as an append copies: a
+// tombstone rewrites its row into a fresh array, and the first touch of a
+// base row in an era decodes it out of the slab.
+//
+// What would break it: deriving two successors from one view (both would
+// write the same spare slot — a background compaction therefore never
+// refreshes a published view, it catches up on its own unpublished lineage),
+// a reader appending to or re-slicing a row it was handed (snblint's
+// viewalias pass forbids it), or applying a delta in place onto a row some
+// published header already covers (hence tombstones copy).
+//
+// # Compaction
+//
+// Overlay rows are decoded (16 bytes an entry against ~7 in the slab) and
+// cost readers one extra indirection, so the overlay is folded back into a
+// flat base once it holds more than a fixed fraction of the base's entries
+// (compactTrigger, viewCompactFraction). No reader does that work: the refresh that crosses the
+// trigger starts one background goroutine (compact) which builds the next
+// base at that refresh's timestamp off to the side, catches up on the
+// commits that landed meanwhile by applying the ring's deltas to its own
+// unpublished view, and under viewMu swaps it in for the cached view at the
+// same timestamp — a new era: ordinals are reassigned. While it runs the
+// ring keeps the deltas since its base timestamp.
+//
+// A reader rebuilds inline (ViewRebuilt) only when there is nothing to
+// refresh from: no view yet, the ring overflowed (more than the ring
+// capacity of commits landed since the last view advance, so the delta chain
+// has a gap), or SetViewCompactThreshold(0) turned refreshing off.
 //
 // Commit timestamps are consecutive integers (Commit assigns clock+1 under
 // commitMu), which makes ring continuity a pure index computation.
@@ -77,33 +122,62 @@ type CommitDelta struct {
 	dels  []deltaDel
 }
 
-// cost is the delta's contribution towards the compaction threshold: the
-// number of overlay entries applying it can touch.
+// cost is the delta's contribution to the overlay size the compaction
+// trigger is compared against: the number of overlay entries applying it
+// creates or rewrites.
 func (d *CommitDelta) cost() int {
 	return len(d.nodes) + len(d.props) + len(d.edges) + len(d.dels)
 }
 
-// Default view-maintenance knobs; see the Set* methods on Store. The ring
-// must absorb the commit burst a mixed run lands between two read
-// acquisitions, and the threshold caps the overlay a refresh chain drags
-// along (every refresh clones the live overlay, and overlay rows cost an
-// extra map probe on reads), so both trade refresh reach against per-
-// refresh and per-read cost.
+// View-maintenance constants; see the Set* methods on Store for the two
+// that tests and ablations override.
 const (
-	defaultViewDeltaCap         = 4096
-	defaultViewCompactThreshold = 4096
+	// defaultViewDeltaCap must absorb the commit burst a mixed run lands
+	// between two read acquisitions.
+	defaultViewDeltaCap = 4096
+
+	// viewCompactFraction sets the compaction trigger: the overlay is folded
+	// back into the base once it holds more than 1/viewCompactFraction of
+	// the base's adjacency entries. Measured on the 1000-person dataset
+	// (757 K base entries, a 17 MiB view in a 190 MiB store): a compaction
+	// costs ~0.2 us per base entry (150-180 ms), so at 1/4 the background
+	// work amortises to ~0.9 us per overlay entry — what the commit that
+	// produced the entry cost — where 1/16 would spend more CPU compacting
+	// than committing and refreshing together. The overlay weighs 10 MiB at
+	// 71 K entries (most of it the one-off decode of the hub rows every
+	// update touches) and 21 MiB at 221 K, so at the trigger it is about the
+	// size of the base view, a tenth of the store.
+	viewCompactFraction = 4
+
+	// minViewCompactTrigger floors the trigger (it was the fixed trigger
+	// before the trigger followed the base): a store of a few thousand
+	// entries would otherwise start a goroutine every few commits to fold
+	// an overlay that costs nobody anything.
+	minViewCompactTrigger = 4096
+
+	autoCompactThreshold = -1 // compactThreshold: no explicit override
+	noCompaction         = math.MaxInt64
 )
 
-// SetViewCompactThreshold bounds the overlay a refreshed view chain may
-// accumulate before CurrentView recompacts (full rebuild, era bump).
-// Higher values favour cheap refreshes under sustained updates at the cost
-// of overlay-map lookups on reads of touched rows; n <= 0 disables
-// refreshing entirely (every view advance recompacts — mainly for tests and
-// ablations).
+// SetViewCompactThreshold overrides the compaction trigger: the background
+// compaction starts once the overlay of the cached view's era holds more
+// than n entries, where the default is a fixed fraction of the base's size
+// (viewCompactFraction). n <= 0 disables refreshing entirely: every view
+// advance recompacts inline — for tests and ablations.
 func (s *Store) SetViewCompactThreshold(n int) {
-	s.viewMu.Lock()
-	s.compactThreshold = n
-	s.viewMu.Unlock()
+	s.compactThreshold.Store(int64(max(n, 0)))
+}
+
+// compactTrigger is the overlay size, in entries, beyond which the era of
+// view v is due for compaction.
+func (s *Store) compactTrigger(v *SnapshotView) int64 {
+	if n := s.compactThreshold.Load(); n != autoCompactThreshold {
+		return n
+	}
+	if v == nil {
+		return minViewCompactTrigger
+	}
+	return int64(max(minViewCompactTrigger, v.base.entries/viewCompactFraction))
 }
 
 // SetViewDeltaCap bounds the delta ring: if more than n commits accumulate
@@ -117,28 +191,51 @@ func (s *Store) SetViewDeltaCap(n int) {
 	s.deltaMu.Unlock()
 }
 
-// ViewStatsSnapshot reports the store's view-maintenance counters.
+// ViewStatsSnapshot reports the store's view-maintenance counters and
+// gauges.
 type ViewStatsSnapshot struct {
 	// Refreshes counts CurrentView advances served by applying deltas.
 	Refreshes int64
-	// Rebuilds counts full compactions by CurrentView (including the first
-	// build; ViewAt calls are not counted).
+	// Rebuilds counts full compactions run inline by CurrentView (including
+	// the first build; ViewAt calls and background compactions are not
+	// counted).
 	Rebuilds int64
-	// EraBumps counts rebuilds that replaced an existing cached view, i.e.
-	// recompactions that invalidated ordinal-keyed caller state.
+	// EraBumps counts compactions, inline or background, that replaced an
+	// existing cached view and so invalidated ordinal-keyed caller state.
 	EraBumps int64
-	// Overflows counts deltas dropped because the ring was full.
+	// Overflows counts the times the ring was dropped because it was full.
 	Overflows int64
+
+	// OverlayEntries is the size of the cached era's overlay in delta
+	// entries, CompactTrigger the size beyond which a background compaction
+	// starts (0: refreshing is disabled).
+	OverlayEntries int64
+	CompactTrigger int64
+	// Background compactions: every one started ends up swapped in or
+	// discarded (ring gap at swap time, lineage replaced by an inline
+	// rebuild, store closed, GC past its base timestamp).
+	CompactionsStarted   int64
+	CompactionsSwapped   int64
+	CompactionsDiscarded int64
+	// CatchUpCommits is the number of commits the last swapped compaction
+	// had to apply on top of its base: how far the store moved while it ran.
+	CatchUpCommits int64
 }
 
 // ViewStats returns the view-maintenance counters (monotonic since store
-// construction).
+// construction) and gauges.
 func (s *Store) ViewStats() ViewStatsSnapshot {
 	return ViewStatsSnapshot{
-		Refreshes: s.viewRefreshes.Load(),
-		Rebuilds:  s.viewRebuilds.Load(),
-		EraBumps:  s.viewEraBumps.Load(),
-		Overflows: s.viewOverflows.Load(),
+		Refreshes:            s.viewRefreshes.Load(),
+		Rebuilds:             s.viewRebuilds.Load(),
+		EraBumps:             s.viewEraBumps.Load(),
+		Overflows:            s.viewOverflows.Load(),
+		OverlayEntries:       s.overlayEntries.Load(),
+		CompactTrigger:       s.compactTrigger(s.view.Load()),
+		CompactionsStarted:   s.compactionsStarted.Load(),
+		CompactionsSwapped:   s.compactionsSwapped.Load(),
+		CompactionsDiscarded: s.compactionsDiscarded.Load(),
+		CatchUpCommits:       s.catchUpCommits.Load(),
 	}
 }
 
@@ -147,15 +244,18 @@ func (s *Store) ViewStats() ViewStatsSnapshot {
 // watermark every delta up to it is in the ring.
 func (s *Store) recordDelta(d *CommitDelta) {
 	s.deltaMu.Lock()
-	if len(s.deltas) >= s.deltaCap {
+	// The cap counts the deltas the cached view has not applied yet; those a
+	// background compaction keeps alive behind it do not count, so a
+	// compaction in flight cannot overflow the ring by itself.
+	if n := len(s.deltas); n > 0 && s.deltas[n-1].ts-max(s.deltaSeen, s.deltas[0].ts-1) >= int64(s.deltaCap) {
 		// Ring full: the chain up to the cached view is broken either way,
-		// so drop everything pending and let the next advance rebuild.
-		// Dropping must abandon the backing array (not re-slice to [:0]):
-		// an in-flight refresh may still be reading a subslice handed out
-		// by pendingLocked, and reusing the slots would hand it foreign
-		// deltas mid-application.
+		// so drop everything pending and let the next advance rebuild (the
+		// gap shows in pendingLocked's continuity check). Dropping must
+		// abandon the backing array (not re-slice to [:0]): an in-flight
+		// refresh may still be reading a subslice handed out by
+		// pendingLocked, and reusing the slots would hand it foreign deltas
+		// mid-application.
 		s.deltas = nil
-		s.deltaDropped = true
 		s.viewOverflows.Add(1)
 	}
 	s.deltas = append(s.deltas, d)
@@ -171,7 +271,7 @@ func (s *Store) recordDelta(d *CommitDelta) {
 //
 //snb:locked deltaMu
 func (s *Store) pendingLocked(after, upto int64) ([]*CommitDelta, bool) {
-	if s.deltaDropped || len(s.deltas) == 0 {
+	if len(s.deltas) == 0 {
 		return nil, false
 	}
 	first := s.deltas[0].ts
@@ -187,12 +287,24 @@ func (s *Store) pendingLocked(after, upto int64) ([]*CommitDelta, bool) {
 	return s.deltas[lo : hi+1], true
 }
 
-// trimDeltas drops deltas already folded into the cached view (ts and
-// older).
+// trimDeltas tells the ring that the cached view now covers every commit up
+// to ts and drops the deltas nobody needs any more.
 func (s *Store) trimDeltas(ts int64) {
 	s.deltaMu.Lock()
+	s.deltaSeen = ts
+	s.trimLocked()
+	s.deltaMu.Unlock()
+}
+
+// trimLocked drops the deltas both consumers are past: the cached view
+// (deltaSeen) and, while one is in flight, the background compaction
+// (compactFrom, the timestamp of the base it is building).
+//
+//snb:locked deltaMu
+func (s *Store) trimLocked() {
+	keep := min(s.deltaSeen, s.compactFrom)
 	i := 0
-	for i < len(s.deltas) && s.deltas[i].ts <= ts {
+	for i < len(s.deltas) && s.deltas[i].ts <= keep {
 		i++
 	}
 	if i == len(s.deltas) {
@@ -200,167 +312,237 @@ func (s *Store) trimDeltas(ts int64) {
 	} else {
 		s.deltas = s.deltas[i:]
 	}
-	s.deltaMu.Unlock()
-}
-
-// resetDeltas re-arms the ring after a full rebuild at ts: everything the
-// rebuild folded in is dropped and the overflow marker cleared. The
-// appliedCost reset belongs to the maintenance path, so the caller (the
-// rebuild branch of AcquireView/CurrentView) holds viewMu.
-//
-//snb:locked viewMu
-func (s *Store) resetDeltas(ts int64) {
-	s.deltaMu.Lock()
-	i := 0
-	for i < len(s.deltas) && s.deltas[i].ts <= ts {
-		i++
-	}
-	if i == len(s.deltas) {
-		s.deltas = nil
-	} else {
-		s.deltas = append([]*CommitDelta(nil), s.deltas[i:]...)
-	}
-	s.deltaDropped = false
-	s.appliedCost = 0
-	s.deltaMu.Unlock()
 }
 
 // refreshView derives a view at ts from the cached view by applying the
 // pending deltas, or reports ok=false when the caller must rebuild (ring
-// gap, or the accumulated overlay would cross the compaction threshold).
-// Called under viewMu.
+// gap, or refreshing disabled). Called under viewMu.
 //
 //snb:locked viewMu
 func (s *Store) refreshView(old *SnapshotView, ts int64) (*SnapshotView, bool) {
+	if s.compactTrigger(old) == 0 {
+		return nil, false
+	}
 	s.deltaMu.Lock()
 	ds, ok := s.pendingLocked(old.ts, ts)
 	s.deltaMu.Unlock()
 	if !ok {
 		return nil, false
 	}
-	cost := 0
-	for _, d := range ds {
-		cost += d.cost()
-	}
-	if s.compactThreshold <= 0 || s.appliedCost+cost > s.compactThreshold {
-		return nil, false
-	}
-	nv := applyDeltas(old, ds, ts)
-	s.appliedCost += cost
+	nv, cost := applyDeltas(old, ds, ts)
+	s.overlayEntries.Add(int64(cost))
 	s.trimDeltas(ts)
 	return nv, true
 }
 
-// applyDeltas derives a new view from old by applying consecutive commit
-// deltas copy-on-write. The new view shares old's viewBase (same era); the
-// overlay maps are cloned (bounded by the compaction threshold) and only
-// rows touched by the deltas are copied and rewritten, so old — and every
-// earlier view of the chain — stays frozen for concurrent readers.
-func applyDeltas(old *SnapshotView, ds []*CommitDelta, ts int64) *SnapshotView {
+// startCompaction starts the background compaction of v's era when v, the
+// view just published, carries an overlay past the trigger and no
+// compaction is in flight.
+//
+//snb:locked viewMu
+func (s *Store) startCompaction(v *SnapshotView) {
+	if s.compactDone != nil || s.overlayEntries.Load() <= s.compactTrigger(v) || s.closed.Load() {
+		return
+	}
+	s.compactDone = make(chan struct{})
+	s.deltaMu.Lock()
+	s.compactFrom = v.ts
+	s.deltaMu.Unlock()
+	s.compactionsStarted.Add(1)
+	go s.compact(v.ts, v.era, s.compactDone)
+}
+
+// waitCompaction returns once no background compaction is in flight.
+func (s *Store) waitCompaction() {
+	s.viewMu.Lock()
+	done := s.compactDone
+	s.viewMu.Unlock()
+	if done != nil {
+		<-done
+	}
+}
+
+// compact is the background compaction of the era the cached view had at
+// timestamp from: build the next era's base at from, catch up with the
+// cached view, swap. It closes done on the way out, after it has let go of
+// viewMu.
+func (s *Store) compact(from int64, era uint64, done chan struct{}) {
+	defer close(done)
+	var nv *SnapshotView
+	var cost int
+	if !s.closed.Load() {
+		// Catch up off the lock first: a build takes long enough for
+		// hundreds of commits to land, and applying them here leaves the
+		// locked section below the few that land during this call.
+		nv, cost = s.catchUp(s.buildView(from), era)
+	}
+
+	s.viewMu.Lock()
+	defer s.viewMu.Unlock()
+	nv, c := s.catchUp(nv, era) // the cached view cannot move now
+	cost += c
+	// A GC past from may have reclaimed state the build was reading.
+	if nv != nil && from >= s.gcHorizon {
+		s.view.Store(nv)
+		s.overlayEntries.Store(int64(cost))
+		s.viewEraBumps.Add(1)
+		s.compactionsSwapped.Add(1)
+		s.catchUpCommits.Store(nv.ts - from)
+	} else {
+		s.compactionsDiscarded.Add(1)
+	}
+	s.compactDone = nil
+	s.deltaMu.Lock()
+	s.compactFrom = noCompaction
+	s.trimLocked()
+	s.deltaMu.Unlock()
+}
+
+// catchUp advances nv, the compaction's unpublished view, to the cached
+// view's timestamp by applying the ring's deltas in between, and returns it
+// with the overlay entries that took. It returns nil when the compaction has
+// lost its purpose: an inline rebuild replaced the era it set out to
+// compact, or the ring overflowed and no longer covers the range — the next
+// AcquireView then rebuilds inline, as after any overflow.
+func (s *Store) catchUp(nv *SnapshotView, era uint64) (*SnapshotView, int) {
+	cur := s.view.Load()
+	if nv == nil || cur.era != era {
+		return nil, 0
+	}
+	if cur.ts == nv.ts {
+		return nv, 0
+	}
+	s.deltaMu.Lock()
+	ds, ok := s.pendingLocked(nv.ts, cur.ts)
+	s.deltaMu.Unlock()
+	if !ok {
+		return nil, 0
+	}
+	return applyDeltas(nv, ds, cur.ts)
+}
+
+// applyDeltas derives the view at ts from old, the newest view of its
+// lineage, by applying consecutive commit deltas, and returns it with the
+// number of overlay entries applied. The new view shares old's viewBase
+// (same era) and overlay; see "Append-sharing" above for what is copied,
+// what is appended in place, and why old — and every earlier view of the
+// chain — stays frozen for concurrent readers.
+func applyDeltas(old *SnapshotView, ds []*CommitDelta, ts int64) (*SnapshotView, int) {
 	nv := &SnapshotView{
 		ts:        ts,
 		era:       old.era,
 		base:      old.base,
-		nodesOver: append([]ids.ID(nil), old.nodesOver...),
-		ordOver:   maps.Clone(old.ordOver),
-		propsOver: maps.Clone(old.propsOver),
-		edgeOver:  maps.Clone(old.edgeOver),
-		byKind:    maps.Clone(old.byKind), // never nil: buildView always allocates it
+		nodesOver: old.nodesOver,
+		ordOver:   old.ordOver,
+		byKind:    old.byKind, // never nil: buildView always allocates it
 	}
 	n0 := int32(len(nv.base.nodes))
 
-	// owned marks overlay rows copied by THIS application; only owned rows
-	// may be mutated in place (rows inherited from old's overlay are shared
-	// with published views).
-	var owned map[edgeKey]bool
-	ownRow := func(ord int32, t EdgeType, in bool) edgeKey {
-		key := makeEdgeKey(ord, t, in)
-		if owned[key] {
-			return key
+	// The top level of the page table is the one copy whose size follows
+	// the dataset rather than the delta: a pointer per overPageSize nodes.
+	newNodes := 0
+	for _, d := range ds {
+		newNodes += len(d.nodes)
+	}
+	pages := (old.NumNodes() + newNodes + overPageSize - 1) >> overPageBits
+	nv.over = make([]*overPage, pages)
+	copy(nv.over, old.over)
+
+	// own returns the ordinal's overlay entry, writable by this application:
+	// pages and entries allocated by an earlier one (owner != ts) are shared
+	// with published views and copied first.
+	own := func(ord int32) *nodeOver {
+		p := nv.over[int(ord)>>overPageBits]
+		if p == nil {
+			p = &overPage{owner: ts}
+		} else if p.owner != ts {
+			cp := *p
+			cp.owner = ts
+			p = &cp
 		}
-		// Materialise the row copy-on-write. Overlay rows copy directly; a
-		// base row is decoded out of the varint/delta slab here, on first
-		// touch by a refresh, so the compact representation only pays the
-		// decode for rows the update stream actually modifies.
-		var row []Edge
-		if src, had := nv.edgeOver[key]; had {
-			row = make([]Edge, len(src), len(src)+2)
-			copy(row, src)
-		} else if b := nv.base; b.spill != nil && b.spill[key] != nil {
-			src := b.spill[key]
-			row = append(make([]Edge, 0, len(src)+2), src...)
-		} else if in {
-			row = b.in[t].appendRow(make([]Edge, 0, b.in[t].degreeAt(ord)+2), ord, b.nodes)
-		} else {
-			row = b.out[t].appendRow(make([]Edge, 0, b.out[t].degreeAt(ord)+2), ord, b.nodes)
+		nv.over[int(ord)>>overPageBits] = p
+		slot := &p.slots[ord&(overPageSize-1)]
+		if n := *slot; n == nil {
+			*slot = &nodeOver{owner: ts}
+		} else if n.owner != ts {
+			cp := *n
+			cp.owner = ts
+			cp.rows = append(make([]overRow, 0, len(n.rows)+1), n.rows...)
+			*slot = &cp
 		}
-		if nv.edgeOver == nil {
-			nv.edgeOver = make(map[edgeKey][]Edge)
+		return *slot
+	}
+	// ownRow returns the ordinal's overlay row for one (type, direction). A
+	// row no commit of the era has touched yet is decoded out of the base
+	// here, so the compact representation only pays the decode for rows the
+	// update stream actually modifies, and once per era; the spare capacity
+	// lets the appends that follow share the array.
+	ownRow := func(ord int32, t EdgeType, in bool) *overRow {
+		n := own(ord)
+		key := rowKey(t, in)
+		for i := range n.rows {
+			if n.rows[i].key == key {
+				return &n.rows[i]
+			}
 		}
-		nv.edgeOver[key] = row
-		if owned == nil {
-			owned = make(map[edgeKey]bool)
-		}
-		owned[key] = true
-		return key
+		deg := nv.degreeAt(ord, t, in) // of the base row: the overlay has none yet
+		row := nv.appendEdges(make([]Edge, 0, deg+deg/8+2), ord, t, in)
+		n.rows = append(n.rows, overRow{key: key, edges: row})
+		return &n.rows[len(n.rows)-1]
 	}
 
+	cost := 0
+	kindsOwned := false
 	for _, d := range ds {
+		cost += d.cost()
 		for _, dn := range d.nodes {
 			if _, ok := nv.Ord(dn.id); ok {
 				continue // already visible (defensive; cannot happen for committed state)
 			}
 			ord := n0 + int32(len(nv.nodesOver))
 			nv.nodesOver = append(nv.nodesOver, dn.id)
-			if nv.ordOver == nil {
-				nv.ordOver = make(map[ids.ID]int32)
-			}
-			nv.ordOver[dn.id] = ord
-			if nv.propsOver == nil {
-				nv.propsOver = make(map[int32]Props)
-			}
-			// Every appended ordinal gets a props entry (possibly nil for
+			nv.ordOver = nv.ordOver.insert(nv.nodesOver)
+			// Every appended ordinal gets overlay props (possibly nil for
 			// bare endpoint records) — propsAt relies on it.
-			nv.propsOver[ord] = dn.props
+			n := own(ord)
+			n.hasProps, n.props = true, dn.props
 			if dn.inKindList {
+				if !kindsOwned {
+					nv.byKind, kindsOwned = maps.Clone(nv.byKind), true
+				}
 				k := dn.id.Kind()
 				nv.byKind[k] = append(nv.byKind[k], dn.id)
 			}
 		}
 		for _, dp := range d.props {
-			ord, ok := nv.Ord(dp.id)
-			if !ok {
-				continue
+			if ord, ok := nv.Ord(dp.id); ok {
+				n := own(ord)
+				n.hasProps, n.props = true, dp.props
 			}
-			if nv.propsOver == nil {
-				nv.propsOver = make(map[int32]Props)
-			}
-			nv.propsOver[ord] = dp.props
 		}
 		for _, de := range d.edges {
-			ord, ok := nv.Ord(de.owner)
-			if !ok {
-				continue
+			if ord, ok := nv.Ord(de.owner); ok {
+				r := ownRow(ord, de.t, de.in)
+				r.edges = append(r.edges, Edge{To: de.peer, Stamp: de.stamp})
 			}
-			key := ownRow(ord, de.t, de.in)
-			nv.edgeOver[key] = append(nv.edgeOver[key], Edge{To: de.peer, Stamp: de.stamp})
 		}
 		for _, dd := range d.dels {
 			ord, ok := nv.Ord(dd.owner)
 			if !ok {
 				continue
 			}
-			key := ownRow(ord, dd.t, dd.in)
-			row := nv.edgeOver[key]
+			r := ownRow(ord, dd.t, dd.in)
 			// Rows are insertion-ordered, so the last (peer, stamp) match is
-			// the newest — the entry Commit tombstoned.
-			for i := len(row) - 1; i >= 0; i-- {
-				if row[i].To == dd.peer && row[i].Stamp == dd.stamp {
-					nv.edgeOver[key] = append(row[:i], row[i+1:]...)
+			// the newest — the entry Commit tombstoned. Removing it is not an
+			// append: the row moves to an array of its own.
+			for i := len(r.edges) - 1; i >= 0; i-- {
+				if r.edges[i].To == dd.peer && r.edges[i].Stamp == dd.stamp {
+					row := make([]Edge, 0, len(r.edges)+1)
+					r.edges = append(append(row, r.edges[:i]...), r.edges[i+1:]...)
 					break
 				}
 			}
 		}
 	}
-	return nv
+	return nv, cost
 }

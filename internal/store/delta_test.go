@@ -1,6 +1,11 @@
 package store
 
 import (
+	"fmt"
+	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ldbcsnb/internal/ids"
@@ -12,52 +17,64 @@ import (
 // epoch, ordinals must stay stable within an era, and the maintenance
 // counters must prove which path ran.
 
-// assertViewMatchesRebuild compares a (possibly delta-refreshed) view
-// against a from-scratch compaction at the same timestamp: same node set,
-// consistent ordinal<->ID mapping, identical adjacency rows, props and
-// kind lists. Ordinal values themselves may differ (refresh appends, a
-// rebuild sorts), so the comparison is keyed by node ID.
-func assertViewMatchesRebuild(t *testing.T, v, ref *SnapshotView) {
-	t.Helper()
-	if v.Timestamp() != ref.Timestamp() {
-		t.Fatalf("timestamps diverge: %d vs %d", v.Timestamp(), ref.Timestamp())
+// viewDiff compares a (possibly delta-refreshed) view against a from-scratch
+// compaction at the same timestamp: same node set, consistent ordinal<->ID
+// mapping, identical adjacency rows, props and kind lists. Ordinal values
+// themselves may differ (refresh appends, a rebuild sorts), so the
+// comparison is keyed by node ID. It returns the first difference, so that
+// goroutines other than the test's own can report one.
+func viewDiff(v, ref *SnapshotView) error {
+	ts := v.Timestamp()
+	if ts != ref.Timestamp() {
+		return fmt.Errorf("timestamps diverge: %d vs %d", ts, ref.Timestamp())
 	}
 	if v.NumNodes() != ref.NumNodes() {
-		t.Fatalf("node counts diverge: %d vs %d", v.NumNodes(), ref.NumNodes())
+		return fmt.Errorf("ts %d: node counts diverge: %d vs %d", ts, v.NumNodes(), ref.NumNodes())
 	}
 	for o := int32(0); o < int32(ref.NumNodes()); o++ {
 		id := ref.IDAt(o)
 		vo, ok := v.Ord(id)
 		if !ok {
-			t.Fatalf("node %v missing from refreshed view", id)
+			return fmt.Errorf("ts %d: node %v missing from refreshed view", ts, id)
 		}
 		if back := v.IDAt(vo); back != id {
-			t.Fatalf("ordinal mapping broken: Ord(%v)=%d but IDAt(%d)=%v", id, vo, vo, back)
+			return fmt.Errorf("ts %d: ordinal mapping broken: Ord(%v)=%d but IDAt(%d)=%v", ts, id, vo, vo, back)
 		}
 		for _, et := range viewEdgeTypes {
 			if got, want := v.Out(id, et), ref.Out(id, et); !edgesEqual(got, want) {
-				t.Fatalf("Out(%v, %v): refreshed %v rebuild %v", id, et, got, want)
+				return fmt.Errorf("ts %d: Out(%v, %v): refreshed %v rebuild %v", ts, id, et, got, want)
 			}
 			if got, want := v.In(id, et), ref.In(id, et); !edgesEqual(got, want) {
-				t.Fatalf("In(%v, %v): refreshed %v rebuild %v", id, et, got, want)
+				return fmt.Errorf("ts %d: In(%v, %v): refreshed %v rebuild %v", ts, id, et, got, want)
+			}
+			if got, want := v.InDegree(id, et), len(ref.In(id, et)); got != want {
+				return fmt.Errorf("ts %d: InDegree(%v, %v): refreshed %d rebuild %d", ts, id, et, got, want)
 			}
 		}
 		gotPs, _ := v.Props(id)
 		wantPs, _ := ref.Props(id)
 		if !propsEqual(gotPs, wantPs) {
-			t.Fatalf("Props(%v): refreshed %v rebuild %v", id, gotPs, wantPs)
+			return fmt.Errorf("ts %d: Props(%v): refreshed %v rebuild %v", ts, id, gotPs, wantPs)
 		}
 	}
 	for _, kind := range []ids.Kind{ids.KindPerson, ids.KindPost, ids.KindComment} {
 		got, want := v.NodesOfKind(kind), ref.NodesOfKind(kind)
 		if len(got) != len(want) {
-			t.Fatalf("NodesOfKind(%v): refreshed %d rebuild %d", kind, len(got), len(want))
+			return fmt.Errorf("ts %d: NodesOfKind(%v): refreshed %d rebuild %d", ts, kind, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("NodesOfKind(%v)[%d]: refreshed %v rebuild %v", kind, i, got[i], want[i])
+				return fmt.Errorf("ts %d: NodesOfKind(%v)[%d]: refreshed %v rebuild %v", ts, kind, i, got[i], want[i])
 			}
 		}
+	}
+	return nil
+}
+
+func assertViewMatchesRebuild(t *testing.T, v, ref *SnapshotView) {
+	t.Helper()
+	if err := viewDiff(v, ref); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -76,11 +93,16 @@ func refreshEquivalenceSweep(t *testing.T, seed uint64, steps int, tune func(*St
 	var pop []ids.ID
 	for step := 1; step <= steps; step++ {
 		pop = randomGraphStep(t, s, r, pop, step)
-		v := s.CurrentView()
-		assertViewMatchesRebuild(t, v, s.ViewAt(v.Timestamp()))
-		tx := s.Begin()
-		tx.readonly = true
-		assertViewMatchesTxn(t, s, v, tx, pop)
+		// Once as acquired, and once more after any background compaction
+		// the acquisition started has swapped its era in at this timestamp.
+		for pass := 0; pass < 2; pass++ {
+			v := s.CurrentView()
+			assertViewMatchesRebuild(t, v, s.ViewAt(v.Timestamp()))
+			tx := s.Begin()
+			tx.readonly = true
+			assertViewMatchesTxn(t, s, v, tx, pop)
+			s.waitCompaction()
+		}
 	}
 	return s.ViewStats()
 }
@@ -104,19 +126,386 @@ func TestViewRefreshEquivalenceRandomised(t *testing.T) {
 
 // TestViewRefreshEquivalenceAcrossEraBumps forces frequent recompactions
 // (a tiny compaction threshold) so the sweep crosses era bumps: refresh
-// chains, rebuilds and the transitions between them must all stay
-// equivalent.
+// chains, background compactions and the swaps between them must all stay
+// equivalent, and no reader may be made to compact.
 func TestViewRefreshEquivalenceAcrossEraBumps(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		st := refreshEquivalenceSweep(t, seed, 30, func(s *Store) {
 			s.SetViewCompactThreshold(20)
 		})
-		if st.EraBumps == 0 {
-			t.Fatalf("sweep never bumped the era: %+v", st)
+		if st.EraBumps == 0 || st.EraBumps != st.CompactionsSwapped {
+			t.Fatalf("era bumps must all come from background swaps: %+v", st)
+		}
+		if st.Rebuilds != 1 {
+			t.Fatalf("a reader compacted inline past the first build: %+v", st)
 		}
 		if st.Refreshes == 0 {
 			t.Fatalf("sweep never refreshed between bumps: %+v", st)
 		}
+	}
+}
+
+// TestViewLineageUnderReaders is the append-sharing property under the race
+// detector: readers hold old views of a lineage and keep comparing them with
+// from-scratch compactions at their own timestamps while later refreshes
+// append into the rows, ordinal list and kind lists those views share, and
+// while background compactions (a small explicit threshold) swap new eras
+// in. The newest view is checked against ViewAt and a Txn at every epoch as
+// in the sweeps above.
+func TestViewLineageUnderReaders(t *testing.T) {
+	const steps, readers = 150, 3
+	r := xrand.New(21)
+	s := New()
+	s.SetViewCompactThreshold(60)
+
+	type held struct{ v, ref *SnapshotView }
+	var (
+		mu      sync.Mutex
+		views   []held
+		stop    atomic.Bool
+		readErr atomic.Pointer[error]
+		wg      sync.WaitGroup
+	)
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for k := i; !stop.Load(); k += 7 {
+				mu.Lock()
+				var h held
+				if len(views) > 0 {
+					h = views[k%len(views)]
+				}
+				mu.Unlock()
+				if h.v == nil {
+					continue
+				}
+				if err := viewDiff(h.v, h.ref); err != nil {
+					readErr.CompareAndSwap(nil, &err)
+				}
+			}
+		}(i)
+	}
+
+	var pop []ids.ID
+	var lastEra uint64
+	for step := 1; (step <= steps || s.ViewStats().CompactionsSwapped < 3) && readErr.Load() == nil; step++ {
+		pop = randomGraphStep(t, s, r, pop, step)
+		v, ev := s.AcquireView()
+		if (ev == ViewRebuilt) != (step == 1) {
+			t.Fatalf("step %d: acquisition event %v", step, ev)
+		}
+		if v.Era() < lastEra {
+			t.Fatalf("step %d: era went back from %d to %d", step, lastEra, v.Era())
+		}
+		lastEra = v.Era()
+		ref := s.ViewAt(v.Timestamp())
+		assertViewMatchesRebuild(t, v, ref)
+		tx := s.Begin()
+		tx.readonly = true
+		assertViewMatchesTxn(t, s, v, tx, pop)
+		mu.Lock()
+		views = append(views, held{v, ref})
+		mu.Unlock()
+		if step > steps {
+			s.waitCompaction() // bounds the loop; the first 150 steps never wait
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	s.waitCompaction()
+	if err := readErr.Load(); err != nil {
+		t.Fatalf("held view diverged from its epoch: %v", *err)
+	}
+
+	st := s.ViewStats()
+	if st.Overflows != 0 || st.Rebuilds != 1 {
+		t.Fatalf("readers were made to rebuild: %+v", st)
+	}
+	if st.CompactionsSwapped < 3 || st.CompactionsStarted != st.CompactionsSwapped+st.CompactionsDiscarded {
+		t.Fatalf("background compactions: %+v", st)
+	}
+	if last, first := s.CurrentView().Era(), views[0].v.Era(); last < first+uint64(st.CompactionsSwapped) {
+		t.Fatalf("eras did not advance with the swaps: first %d last %d, %+v", first, last, st)
+	}
+	// Every held view, those of long-gone eras included, still reads its own
+	// epoch now that all maintenance is over.
+	for _, h := range views {
+		assertViewMatchesRebuild(t, h.v, h.ref)
+	}
+}
+
+// stallCompaction makes every buildView (a background compaction's
+// included) block until the returned function is called, by holding the
+// write lock of a shard no test node lives in: randomGraphStep's IDs carry
+// sequence numbers 0..2 and a node's shard is its ID modulo shardCount.
+func stallCompaction(s *Store) (release func()) {
+	sh := &s.shards[shardCount-1]
+	sh.mu.Lock()
+	return sh.mu.Unlock
+}
+
+// TestCompactionRingRetention pins the ring's side of a background
+// compaction with the build held up: the deltas it will catch up on are
+// retained past the ring's capacity without counting as overflow, and the
+// swap applies exactly those.
+func TestCompactionRingRetention(t *testing.T) {
+	r := xrand.New(31)
+	s := New()
+	s.SetViewDeltaCap(2)
+	s.SetViewCompactThreshold(1)
+	var pop []ids.ID
+	pop = randomGraphStep(t, s, r, pop, 1)
+	s.CurrentView()
+
+	release := stallCompaction(s)
+	const behind = 9
+	var pre *SnapshotView
+	for step := 2; step < 2+1+behind; step++ {
+		pop = randomGraphStep(t, s, r, pop, step)
+		v, ev := s.AcquireView()
+		if ev != ViewRefreshed {
+			t.Fatalf("step %d: %v, want refresh", step, ev)
+		}
+		pre = v
+	}
+	if st := s.ViewStats(); st.CompactionsStarted != 1 || st.CompactionsSwapped != 0 || st.Overflows != 0 {
+		t.Fatalf("with the build stalled: %+v", st)
+	}
+	release()
+	s.waitCompaction()
+	st := s.ViewStats()
+	if st.CompactionsSwapped != 1 || st.CatchUpCommits != behind || st.Overflows != 0 || st.Rebuilds != 1 {
+		t.Fatalf("after the swap: %+v", st)
+	}
+	v, ev := s.AcquireView()
+	if ev != ViewHit || v.Era() == pre.Era() || v.Timestamp() != pre.Timestamp() {
+		t.Fatalf("swap must replace the era at the same timestamp: %v, era %d -> %d, ts %d -> %d",
+			ev, pre.Era(), v.Era(), pre.Timestamp(), v.Timestamp())
+	}
+	ref := s.ViewAt(v.Timestamp())
+	assertViewMatchesRebuild(t, v, ref)
+	assertViewMatchesRebuild(t, pre, ref) // the replaced view is still whole
+	s.deltaMu.Lock()
+	left := len(s.deltas)
+	s.deltaMu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d deltas still retained after the compaction ended", left)
+	}
+}
+
+// TestCompactionRingGapAtSwap overflows the ring while a compaction is in
+// flight and the cached view has moved past its base: the catch-up range has
+// a gap, so the new base must be discarded and the next acquisition fall
+// back to the inline rebuild.
+func TestCompactionRingGapAtSwap(t *testing.T) {
+	r := xrand.New(41)
+	s := New()
+	s.SetViewDeltaCap(2)
+	s.SetViewCompactThreshold(1)
+	var pop []ids.ID
+	pop = randomGraphStep(t, s, r, pop, 1)
+	s.CurrentView()
+
+	release := stallCompaction(s)
+	step := 2
+	for ; step <= 3; step++ { // the first refresh starts the compaction, the second moves past its base
+		pop = randomGraphStep(t, s, r, pop, step)
+		if _, ev := s.AcquireView(); ev != ViewRefreshed {
+			t.Fatalf("step %d: %v, want refresh", step, ev)
+		}
+	}
+	for ; step <= 6; step++ { // a burst nobody reads: the ring overflows
+		pop = randomGraphStep(t, s, r, pop, step)
+	}
+	release()
+	s.waitCompaction()
+	if st := s.ViewStats(); st.Overflows == 0 || st.CompactionsDiscarded != 1 || st.CompactionsSwapped != 0 {
+		t.Fatalf("gap at swap time: %+v", st)
+	}
+	v, ev := s.AcquireView()
+	if ev != ViewRebuilt {
+		t.Fatalf("acquisition after the gap: %v, want rebuild", ev)
+	}
+	assertViewMatchesRebuild(t, v, s.ViewAt(v.Timestamp()))
+
+	// The store is back to normal: refreshes, and a compaction that swaps.
+	for ; step <= 9; step++ {
+		pop = randomGraphStep(t, s, r, pop, step)
+		if _, ev = s.AcquireView(); ev != ViewRefreshed {
+			t.Fatalf("step %d: %v, want refresh", step, ev)
+		}
+		s.waitCompaction()
+	}
+	if st := s.ViewStats(); st.CompactionsSwapped == 0 {
+		t.Fatalf("no compaction swapped after the fallback: %+v", st)
+	}
+	v = s.CurrentView()
+	assertViewMatchesRebuild(t, v, s.ViewAt(v.Timestamp()))
+}
+
+// TestGCDiscardsOlderCompaction pins the one way GC and view maintenance
+// meet: a background compaction reads the store at the timestamp it started
+// from, so a GC at a later horizon makes it discard what it built.
+func TestGCDiscardsOlderCompaction(t *testing.T) {
+	r := xrand.New(61)
+	s := New()
+	s.SetViewCompactThreshold(1)
+	var pop []ids.ID
+	pop = randomGraphStep(t, s, r, pop, 1)
+	s.CurrentView()
+	release := stallCompaction(s)
+	pop = randomGraphStep(t, s, r, pop, 2)
+	s.CurrentView() // starts the compaction, at this timestamp
+	pop = randomGraphStep(t, s, r, pop, 3)
+	horizon := s.LastCommit()
+
+	gcDone := make(chan struct{})
+	go func() {
+		s.GC(horizon) // records the horizon, then waits for the stalled shard
+		close(gcDone)
+	}()
+	for recorded := false; !recorded; runtime.Gosched() {
+		s.viewMu.Lock()
+		recorded = s.gcHorizon == horizon
+		s.viewMu.Unlock()
+	}
+	release()
+	<-gcDone
+	s.waitCompaction()
+	if st := s.ViewStats(); st.CompactionsDiscarded != 1 || st.CompactionsSwapped != 0 {
+		t.Fatalf("compaction from below the GC horizon: %+v", st)
+	}
+	// The next refresh starts a compaction at or past the horizon.
+	v, ev := s.AcquireView()
+	if ev != ViewRefreshed {
+		t.Fatalf("acquisition after GC: %v, want refresh", ev)
+	}
+	s.waitCompaction()
+	if st := s.ViewStats(); st.CompactionsSwapped != 1 {
+		t.Fatalf("compaction from past the GC horizon: %+v", st)
+	}
+	assertViewMatchesRebuild(t, s.CurrentView(), s.ViewAt(v.Timestamp()))
+}
+
+// TestMarkClosedWaitsForCompaction pins that closing the store does not
+// leave the compaction goroutine behind.
+func TestMarkClosedWaitsForCompaction(t *testing.T) {
+	r := xrand.New(51)
+	s := New()
+	s.SetViewCompactThreshold(1)
+	var pop []ids.ID
+	pop = randomGraphStep(t, s, r, pop, 1)
+	s.CurrentView()
+	release := stallCompaction(s)
+	randomGraphStep(t, s, r, pop, 2)
+	s.CurrentView()
+
+	closed := make(chan struct{})
+	go func() {
+		s.MarkClosed()
+		close(closed)
+	}()
+	for !s.Closed() {
+		runtime.Gosched()
+	}
+	release()
+	<-closed
+	// Either the compaction was already building when the flag went up, and
+	// MarkClosed waited for its swap, or it saw the flag first and discarded
+	// itself; in both cases it is over by now.
+	s.viewMu.Lock()
+	inFlight := s.compactDone != nil
+	s.viewMu.Unlock()
+	if st := s.ViewStats(); inFlight || st.CompactionsStarted != 1 || st.CompactionsSwapped+st.CompactionsDiscarded != 1 {
+		t.Fatalf("after MarkClosed: in flight %v, %+v", inFlight, st)
+	}
+	v := s.CurrentView() // views stay acquirable; a closed store starts no compaction
+	assertViewMatchesRebuild(t, v, s.ViewAt(v.Timestamp()))
+	if st := s.ViewStats(); st.CompactionsStarted != 1 {
+		t.Fatalf("a closed store started a compaction: %+v", st)
+	}
+}
+
+// TestRefreshCostIndependentOfOverlay is the O(delta) contract in counts:
+// with compaction off, refreshing one commit onto an overlay of ~50 K
+// entries allocates no more than twice the bytes and objects the same
+// refresh allocates onto ~100 entries — and the commit appends to a hub row
+// of more than 10 K entries, which a copy-on-write row would re-copy whole.
+func TestRefreshCostIndependentOfOverlay(t *testing.T) {
+	s := New()
+	s.SetViewCompactThreshold(1 << 30)
+	hub := ids.Compose(ids.KindPlace, 0, 1)
+	const fans = 10_500
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	person := func(i int) ids.ID { return ids.Compose(ids.KindPerson, int64(1+i/1000), uint32(i%1000)) }
+	tx := s.Begin()
+	must(tx.CreateNode(hub, nil))
+	for i := 0; i < fans; i++ {
+		must(tx.CreateNode(person(i), Props{{PropCreationDate, Int64(int64(i))}}))
+		must(tx.AddEdge(person(i), EdgeIsLocatedIn, hub, int64(i)))
+	}
+	must(tx.Commit())
+	s.CurrentView()
+
+	// commit lands one transaction of the Interactive update shape: a new
+	// node with an edge onto the hub and an edge onto an existing node.
+	seq := 0
+	commit := func() {
+		seq++
+		p := person(fans + seq)
+		tx := s.Begin()
+		must(tx.CreateNode(p, Props{{PropCreationDate, Int64(int64(seq))}}))
+		must(tx.AddEdge(p, EdgeIsLocatedIn, hub, int64(seq)))
+		must(tx.AddKnows(p, person(seq*7%fans), int64(seq)))
+		must(tx.Commit())
+	}
+	// refreshCost is the cheapest of a few single-commit refreshes, which
+	// keeps the occasional geometric regrowth of a shared array out of the
+	// comparison (that cost is amortised, not per refresh).
+	refreshCost := func() (bytes, objects uint64) {
+		bytes, objects = math.MaxUint64, math.MaxUint64
+		var m0, m1 runtime.MemStats
+		for i := 0; i < 8; i++ {
+			commit()
+			runtime.ReadMemStats(&m0)
+			_, ev := s.AcquireView()
+			runtime.ReadMemStats(&m1)
+			if ev != ViewRefreshed {
+				t.Fatalf("acquisition: %v, want refresh", ev)
+			}
+			bytes = min(bytes, m1.TotalAlloc-m0.TotalAlloc)
+			objects = min(objects, m1.Mallocs-m0.Mallocs)
+		}
+		return bytes, objects
+	}
+	growTo := func(entries int64) {
+		for s.ViewStats().OverlayEntries < entries {
+			commit()
+			s.CurrentView()
+		}
+	}
+
+	growTo(100)
+	smallBytes, smallObjs := refreshCost()
+	growTo(50_000)
+	bigBytes, bigObjs := refreshCost()
+	t.Logf("one-commit refresh: %d B / %d objects at ~100 overlay entries, %d B / %d objects at ~50K",
+		smallBytes, smallObjs, bigBytes, bigObjs)
+	if bigBytes > 2*smallBytes || bigObjs > 2*smallObjs {
+		t.Fatalf("refresh cost grew with the overlay: %d B / %d objects at ~100 entries, %d B / %d objects at ~50K",
+			smallBytes, smallObjs, bigBytes, bigObjs)
+	}
+	if got := len(s.CurrentView().In(hub, EdgeIsLocatedIn)); got != fans+seq {
+		t.Fatalf("hub row has %d entries, want %d", got, fans+seq)
+	}
+	if st := s.ViewStats(); st.EraBumps != 0 || st.Rebuilds != 1 {
+		t.Fatalf("the test must not compact: %+v", st)
 	}
 }
 

@@ -19,9 +19,13 @@ package store
 // correct after GC. The same holds for the delta refresh path — pending
 // CommitDeltas carry the committed property lists and edge descriptors
 // themselves, not references into version chains — so CurrentView's
-// incremental maintenance is GC-safe at any horizon. Only ViewAt (and
-// Begin) at a timestamp below the horizon can observe reclaimed state,
-// which is why the horizon must cover them.
+// incremental maintenance is GC-safe at any horizon. The background
+// compaction of the cached view (delta.go) does read the store, at the
+// timestamp of the refresh that started it; GC records its horizon first,
+// and a compaction that started below a recorded horizon discards what it
+// built instead of swapping it in (the next refresh starts another). Only
+// ViewAt (and Begin) at a timestamp below the horizon can observe reclaimed
+// state, which is why the horizon must cover them.
 //
 // # The horizon and durability
 //
@@ -50,6 +54,12 @@ package store
 //
 // It returns the total number of reclaimed versions and edge records.
 func (s *Store) GC(horizon int64) int {
+	// A background view compaction reads the store at the timestamp it
+	// started from; one that started below the horizon discards its result.
+	s.viewMu.Lock()
+	s.gcHorizon = max(s.gcHorizon, horizon)
+	s.viewMu.Unlock()
+
 	reclaimed := 0
 	for i := range s.shards {
 		sh := &s.shards[i]

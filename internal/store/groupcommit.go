@@ -46,8 +46,13 @@ const (
 	// rotation, explicit Flush/Sync barriers, checkpoints and Close. A
 	// process crash can lose the buffered tail.
 	SyncClose WALSyncMode = iota
-	// SyncFlush writes every batch to the OS (no fsync): a process crash
-	// cannot lose a committed record, a machine crash can.
+	// SyncFlush has the lane's flusher write every batch to the OS (no
+	// fsync). Commit still returns at deposit, before that write, so a
+	// process crash loses the committed records the flusher had not written
+	// yet — the batch with the batcher, at most what commits while one
+	// write (or an inline rotation fsync) is in progress — and none it had;
+	// a machine crash can lose any record not yet fsynced by a rotation,
+	// checkpoint or Sync barrier.
 	SyncFlush
 	// SyncCommit fsyncs every batch and holds Commit until the record is
 	// durable: Commit returned => the transaction survives a machine crash.

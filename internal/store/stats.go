@@ -124,15 +124,29 @@ func (v *SnapshotView) MemStats() ViewMem {
 		m.KindBytes += int64(len(list)) * 8
 	}
 
-	// Overlay state: refresh-appended ordinals, touched property rows and
-	// decoded adjacency rows, plus any spill rows the encoder kept raw.
-	m.OverlayBytes += int64(len(v.nodesOver))*8 + int64(len(v.ordOver))*mapEntryBytes
-	for _, ps := range v.propsOver {
-		m.OverlayBytes += mapEntryBytes + sliceHdrBytes + int64(len(ps))*propSize
+	// Overlay state: refresh-appended ordinals and their ID table, the page
+	// table, touched property rows and decoded adjacency rows (at capacity:
+	// append-shared rows hold their spare slots), plus any spill rows the
+	// encoder kept raw.
+	m.OverlayBytes += int64(cap(v.nodesOver))*8 + int64(len(v.over))*8
+	if v.ordOver != nil {
+		m.OverlayBytes += int64(len(v.ordOver.slots)) * 4
 	}
-	for _, row := range v.edgeOver {
-		m.Edges += len(row)
-		m.OverlayBytes += mapEntryBytes + sliceHdrBytes + int64(len(row))*viewEdgeBytes
+	for _, p := range v.over {
+		if p == nil {
+			continue
+		}
+		m.OverlayBytes += int64(unsafe.Sizeof(*p))
+		for _, n := range p.slots {
+			if n == nil {
+				continue
+			}
+			m.OverlayBytes += int64(unsafe.Sizeof(*n)) + int64(len(n.props))*propSize
+			for _, r := range n.rows {
+				m.Edges += len(r.edges)
+				m.OverlayBytes += int64(unsafe.Sizeof(r)) + int64(cap(r.edges))*viewEdgeBytes
+			}
+		}
 	}
 	for _, row := range b.spill {
 		m.Edges += len(row)

@@ -55,26 +55,35 @@ type Store struct {
 	aborts  atomic.Int64
 
 	// view caches the frozen snapshot at the current clock (see
-	// CurrentView); viewMu serialises maintenance (delta refreshes and
-	// rebuilds), never reads.
+	// CurrentView); viewMu serialises maintenance (delta refreshes, inline
+	// rebuilds and the swap that ends a background compaction), never reads.
 	view   atomic.Pointer[SnapshotView]
 	viewMu sync.Mutex
+	// compactDone is non-nil while a background compaction is in flight and
+	// closed when its goroutine is done (delta.go).
+	compactDone chan struct{} // guarded by viewMu
+	gcHorizon   int64         // guarded by viewMu; highest horizon any GC has run at
 
-	// Incremental view maintenance (delta.go): the ring of pending commit
-	// deltas plus the refresh accounting.
-	deltaMu      sync.Mutex
-	deltas       []*CommitDelta // guarded by deltaMu; pending commit deltas, consecutive ts
-	deltaDropped bool           // guarded by deltaMu; ring overflowed since the last rebuild
-	deltaCap     int            // guarded by deltaMu
-	// Only the maintenance path (refresh/rebuild) touches the next two.
-	compactThreshold int // guarded by viewMu
-	appliedCost      int // guarded by viewMu; overlay entries accumulated in the cached era
+	// Incremental view maintenance (delta.go): the ring of commit deltas
+	// and its two consumers' positions.
+	deltaMu     sync.Mutex
+	deltas      []*CommitDelta // guarded by deltaMu; consecutive ts
+	deltaCap    int            // guarded by deltaMu
+	deltaSeen   int64          // guarded by deltaMu; timestamp of the cached view
+	compactFrom int64          // guarded by deltaMu; base timestamp of the compaction in flight, or noCompaction
 
-	viewEra       atomic.Uint64
-	viewRefreshes atomic.Int64
-	viewRebuilds  atomic.Int64
-	viewEraBumps  atomic.Int64
-	viewOverflows atomic.Int64
+	compactThreshold atomic.Int64 // explicit compaction trigger, or autoCompactThreshold
+	overlayEntries   atomic.Int64 // delta entries applied in the cached era; written under viewMu
+
+	viewEra              atomic.Uint64
+	viewRefreshes        atomic.Int64
+	viewRebuilds         atomic.Int64
+	viewEraBumps         atomic.Int64
+	viewOverflows        atomic.Int64
+	compactionsStarted   atomic.Int64
+	compactionsSwapped   atomic.Int64
+	compactionsDiscarded atomic.Int64
+	catchUpCommits       atomic.Int64
 
 	// wal, when attached, receives a redo record per committed
 	// transaction, in commit order (appends happen under commitMu). gwal
@@ -95,10 +104,11 @@ type Store struct {
 //snb:locked mu
 func New() *Store {
 	s := &Store{
-		byKind:           make(map[ids.Kind][]ids.ID),
-		deltaCap:         defaultViewDeltaCap,
-		compactThreshold: defaultViewCompactThreshold,
+		byKind:      make(map[ids.Kind][]ids.ID),
+		deltaCap:    defaultViewDeltaCap,
+		compactFrom: noCompaction,
 	}
+	s.compactThreshold.Store(autoCompactThreshold)
 	for i := range s.shards {
 		s.shards[i].nodes = make(map[ids.ID]*nodeRec)
 	}
@@ -142,11 +152,16 @@ func (s *Store) LastCommit() int64 { return s.clock.Load() }
 // critical section finish (and reach the WAL lanes) before MarkClosed
 // returns, and commits that arrive after it observe the flag before
 // touching a lane. Persistent.Close calls this before draining the lanes;
-// servers over an in-memory store call it directly. Idempotent.
+// servers over an in-memory store call it directly. A background view
+// compaction in flight is waited for (none starts once the flag is up), so
+// the store has no goroutine of its own left when MarkClosed returns.
+// Idempotent.
 func (s *Store) MarkClosed() {
 	s.commitMu.Lock()
 	s.closed.Store(true)
 	s.commitMu.Unlock()
+
+	s.waitCompaction()
 }
 
 // Closed reports whether MarkClosed (or Persistent.Close) has run.

@@ -42,19 +42,24 @@
 //
 // # Incremental view maintenance
 //
-// The view epoch advances in time proportional to the delta, not the
-// dataset: every commit records a compact CommitDelta (created nodes,
-// replaced property lists, inserted and tombstoned adjacency entries) in
-// a bounded in-memory ring, and the first CurrentView call after a commit
-// applies the pending deltas copy-on-write onto the cached view — only
-// the touched CSR rows, property entries and kind lists are copied
-// (delta.go). New nodes receive appended ordinals, so existing ordinals
-// stay stable within an era (SnapshotView.Era) and ordinal-keyed caller
-// state survives refreshes. A full recompaction — sorted IDs, dense
-// reassigned ordinals, a fresh era — runs only when the accumulated
-// overlay crosses the compaction threshold (SetViewCompactThreshold) or
-// the delta ring overflows (SetViewDeltaCap); ViewStats counts refreshes,
-// rebuilds, era bumps and overflows.
+// The view epoch advances in time proportional to the delta, neither the
+// dataset nor the overlay already accumulated: every commit records a
+// compact CommitDelta (created nodes, replaced property lists, inserted
+// and tombstoned adjacency entries) in a bounded in-memory ring, and the
+// first CurrentView call after a commit applies the pending deltas onto
+// the cached view through a persistent overlay — the page-table path to
+// each touched ordinal is copied, adjacency rows and kind lists are
+// appended to in place beyond every published length (delta.go). New
+// nodes receive appended ordinals, so existing ordinals stay stable
+// within an era (SnapshotView.Era) and ordinal-keyed caller state
+// survives refreshes. The full recompaction — sorted IDs, dense
+// reassigned ordinals, a fresh era — runs on a background goroutine once
+// the overlay outgrows a fixed fraction of the base
+// (SetViewCompactThreshold overrides the trigger) and is swapped in when
+// it has caught up; a reader compacts inline only for the first view and
+// after a delta-ring overflow (SetViewDeltaCap). ViewStats counts
+// refreshes, rebuilds, era bumps, overflows and background compactions,
+// and reports the overlay's size against the trigger.
 package store
 
 import (

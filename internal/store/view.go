@@ -1,7 +1,9 @@
 package store
 
 import (
+	"math/bits"
 	"sort"
+	"sync/atomic"
 
 	"ldbcsnb/internal/ids"
 )
@@ -32,13 +34,19 @@ import (
 //   - Delta refresh: a new view is derived from the cached one by applying
 //     the commit deltas of the intervening transactions (internal/store
 //     delta.go). The refreshed view shares the predecessor's viewBase and
-//     copy-on-writes only the touched adjacency rows (decoded from the slab
-//     into plain []Edge overlay rows on first touch), property entries and
-//     kind lists; new nodes receive ordinals appended after the existing
-//     ones. Cost is proportional to the delta, not the dataset.
-//   - Full rebuild (compaction): the whole visible state is recompacted
-//     into a fresh viewBase — node IDs sorted, ordinals reassigned densely,
-//     adjacency re-encoded — and the view's era counter is bumped.
+//     its persistent overlay: an ordinal-indexed page table of which only
+//     the pages the delta touches are copied, over adjacency rows (decoded
+//     from the slab into plain []Edge rows on first touch in the era) that
+//     later refreshes append to in place; new nodes receive ordinals
+//     appended after the existing ones. Cost is proportional to the delta,
+//     neither to the dataset nor to the overlay accumulated so far.
+//   - Compaction: the whole visible state is recompacted into a fresh
+//     viewBase — node IDs sorted, ordinals reassigned densely, adjacency
+//     re-encoded — and the view's era counter is bumped. Once the overlay
+//     outgrows a fixed fraction of the base, a background goroutine builds
+//     the next base off to the side and swaps it in (delta.go); readers
+//     only ever run a compaction themselves for the first view, after a
+//     delta-ring overflow, or when SetViewCompactThreshold(0) asks for it.
 //
 // Ordinals are dense indices 0..NumNodes()-1. Within one era they are
 // stable: a delta refresh never reassigns an existing node's ordinal, it
@@ -61,17 +69,18 @@ type SnapshotView struct {
 	era  uint64
 	base *viewBase
 
-	// Copy-on-write overlays, all nil/empty on a freshly compacted view.
-	// A refreshed view clones its predecessor's overlay maps (cost bounded
-	// by the compaction threshold) and rewrites only the touched entries,
-	// so predecessor views stay frozen.
-	nodesOver []ids.ID           // ordinal len(base.nodes)+i -> appended node ID
-	ordOver   map[ids.ID]int32   // appended node ID -> ordinal
-	propsOver map[int32]Props    // touched/appended ordinal -> property list
-	edgeOver  map[edgeKey][]Edge // touched (ordinal, type, dir) -> replacement row
+	// The overlay, all nil/empty on a freshly compacted view. It is
+	// persistent: a refreshed view shares everything its delta did not touch
+	// with its predecessor, and what it did touch it either path-copies (the
+	// page table) or appends to beyond the predecessor's length (nodesOver,
+	// the kind lists, the adjacency rows) — see "Append-sharing" in
+	// delta.go for why neither disturbs a reader of an older view.
+	nodesOver []ids.ID    // ordinal len(base.nodes)+i -> appended node ID
+	ordOver   *ordTable   // appended node ID -> index into nodesOver
+	over      []*overPage // ordinal>>overPageBits -> page of touched ordinals, nil if none
 
-	// byKind is per-view (not per-era): refreshes clone the map and append
-	// to the touched kinds' lists.
+	// byKind is per-view (not per-era): a refresh that creates nodes clones
+	// the (nine-entry) map and appends to the touched kinds' lists.
 	byKind map[ids.Kind][]ids.ID
 
 	// cancel, when non-nil, makes Out/In/Prop poll a request context and
@@ -105,10 +114,149 @@ type viewBase struct {
 	// without an ordinal — impossible for a consistent view, kept as a
 	// correctness backstop rather than a panic on the build path).
 	spill map[edgeKey][]Edge
+
+	// entries is the number of adjacency direction-entries compacted into
+	// the base, the size the overlay is measured against (compactTrigger).
+	entries int
 }
 
-// edgeKey identifies one overlay adjacency row: ordinal, edge type and
-// direction packed into one map key.
+// The overlay's page table: ordinals are dense, so the touched ones are
+// found by index, not by hashing. A page covers overPageSize consecutive
+// ordinals. The fan-out is a constant that balances the two copies a refresh
+// makes: the top-level slice (8 bytes per page, so 64 bytes per thousand
+// nodes) and one 1 KiB page per touched ordinal range — a refresh of the
+// Interactive mix touches about fifteen. Replaying that mix on the
+// 1000-person dataset (60 K nodes), fan-outs of 64 and 128 refresh equally
+// fast and 256 and 512 a third slower; the larger of the fast pair keeps the
+// top level small on larger datasets.
+const (
+	overPageBits = 7
+	overPageSize = 1 << overPageBits
+)
+
+// overPage holds the overlay entries of one ordinal range. owner is the
+// timestamp of the view whose refresh allocated this copy: that refresh may
+// write the page, every later one copies it first.
+type overPage struct {
+	owner int64
+	slots [overPageSize]*nodeOver
+}
+
+// nodeOver is the overlay of one ordinal: its replacement property list, if
+// a commit of this era set one (always, for appended ordinals), and a
+// replacement row for every (type, direction) a commit of this era touched
+// — a handful, so a linear scan finds one. owner as in overPage.
+type nodeOver struct {
+	owner    int64
+	hasProps bool
+	props    Props
+	rows     []overRow
+}
+
+type overRow struct {
+	key   uint8 // rowKey(type, direction)
+	edges []Edge
+}
+
+func rowKey(t EdgeType, in bool) uint8 {
+	if in {
+		return uint8(t)<<1 | 1
+	}
+	return uint8(t) << 1
+}
+
+// overAt returns the overlay entry of an ordinal, nil when no commit of the
+// era touched it: an index and a nil check for an untouched page.
+//
+//snb:noalloc
+func (v *SnapshotView) overAt(ord int32) *nodeOver {
+	if i := int(ord) >> overPageBits; i < len(v.over) {
+		if p := v.over[i]; p != nil {
+			return p.slots[ord&(overPageSize-1)]
+		}
+	}
+	return nil
+}
+
+// row returns the ordinal's replacement row for one (type, direction); ok
+// tells a replaced-by-empty row (every entry tombstoned) from an untouched
+// one.
+//
+//snb:noalloc
+func (n *nodeOver) row(key uint8) (row []Edge, ok bool) {
+	for i := range n.rows {
+		if n.rows[i].key == key {
+			return n.rows[i].edges, true
+		}
+	}
+	return nil, false
+}
+
+// ordTable maps the IDs of an era's appended nodes to their position in
+// nodesOver: an insert-only open-addressed table that stores positions, not
+// keys (the keys are nodesOver itself). One table serves every view of a
+// lineage until it has to grow: the maintainer inserts with atomic stores,
+// and a reader that meets a position at or beyond its own view's
+// len(nodesOver) has met a node appended after its view — with linear
+// probing and no deletions everything inserted earlier sits earlier in any
+// probe sequence, so it can stop there.
+type ordTable struct {
+	slots []atomic.Int32 // position+1; 0 = empty; len is a power of two
+	shift uint           // 64 - log2(len(slots))
+	used  int            // maintainer only
+}
+
+// home is the Fibonacci hash of an ID: IDs of one kind differ in their
+// middle (time) bits, which the multiplication spreads into the top ones.
+func (t *ordTable) home(id ids.ID) int {
+	return int((uint64(id) * 0x9E3779B97F4A7C15) >> t.shift)
+}
+
+// lookup finds id among nodes, the looking view's nodesOver.
+//
+//snb:noalloc
+func (t *ordTable) lookup(id ids.ID, nodes []ids.ID) (int, bool) {
+	for h := t.home(id); ; h = (h + 1) & (len(t.slots) - 1) {
+		pos := int(t.slots[h].Load()) - 1
+		if pos < 0 || pos >= len(nodes) {
+			return 0, false
+		}
+		if nodes[pos] == id {
+			return pos, true
+		}
+	}
+}
+
+// insert records that nodes[len(nodes)-1] was just appended and returns the
+// table to publish with it: t itself, or a table of twice the size (filled
+// in position order, which keeps older-before-newer) once t is half full.
+// Views published earlier keep the table they were published with.
+func (t *ordTable) insert(nodes []ids.ID) *ordTable {
+	if t == nil || 2*(t.used+1) > len(t.slots) {
+		size := 64
+		if t != nil {
+			size = 2 * len(t.slots)
+		}
+		t = &ordTable{slots: make([]atomic.Int32, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
+		for pos := range nodes[:len(nodes)-1] {
+			t.place(nodes[pos], pos)
+		}
+	}
+	t.place(nodes[len(nodes)-1], len(nodes)-1)
+	return t
+}
+
+func (t *ordTable) place(id ids.ID, pos int) {
+	h := t.home(id)
+	for t.slots[h].Load() != 0 {
+		h = (h + 1) & (len(t.slots) - 1)
+	}
+	t.slots[h].Store(int32(pos + 1))
+	t.used++
+}
+
+// edgeKey identifies one spill row: ordinal, edge type and direction packed
+// into one map key.
 type edgeKey uint64
 
 func makeEdgeKey(ord int32, t EdgeType, in bool) edgeKey {
@@ -139,8 +287,9 @@ func (v *SnapshotView) Ord(id ids.ID) (int32, bool) {
 		return o, true
 	}
 	if v.ordOver != nil {
-		o, ok := v.ordOver[id]
-		return o, ok
+		if pos, ok := v.ordOver.lookup(id, v.nodesOver); ok {
+			return int32(len(v.base.nodes) + pos), true
+		}
 	}
 	return 0, false
 }
@@ -164,8 +313,8 @@ func (v *SnapshotView) Exists(id ids.ID) bool {
 //
 //snb:noalloc
 func (v *SnapshotView) edgesAt(ord int32, t EdgeType, in bool) []Edge {
-	if v.edgeOver != nil {
-		if row, ok := v.edgeOver[makeEdgeKey(ord, t, in)]; ok {
+	if n := v.overAt(ord); n != nil {
+		if row, ok := n.row(rowKey(t, in)); ok {
 			return row
 		}
 	}
@@ -185,8 +334,8 @@ func (v *SnapshotView) edgesAt(ord int32, t EdgeType, in bool) []Edge {
 // touching the decode cache: the row-materialisation path for full-store
 // walks (checkpoint serialisation) that must not inflate the cache.
 func (v *SnapshotView) appendEdges(dst []Edge, ord int32, t EdgeType, in bool) []Edge {
-	if v.edgeOver != nil {
-		if row, ok := v.edgeOver[makeEdgeKey(ord, t, in)]; ok {
+	if n := v.overAt(ord); n != nil {
+		if row, ok := n.row(rowKey(t, in)); ok {
 			return append(dst, row...)
 		}
 	}
@@ -240,8 +389,12 @@ func (v *SnapshotView) degree(id ids.ID, t EdgeType, in bool) int {
 	if !ok {
 		return 0
 	}
-	if v.edgeOver != nil {
-		if row, ok := v.edgeOver[makeEdgeKey(o, t, in)]; ok {
+	return v.degreeAt(o, t, in)
+}
+
+func (v *SnapshotView) degreeAt(o int32, t EdgeType, in bool) int {
+	if n := v.overAt(o); n != nil {
+		if row, ok := n.row(rowKey(t, in)); ok {
 			return len(row)
 		}
 	}
@@ -268,13 +421,11 @@ func (v *SnapshotView) InDegree(id ids.ID, t EdgeType) int {
 }
 
 // propsAt returns the property list of a visible ordinal. Every appended
-// ordinal has a propsOver entry (written when the refresh created it), so
-// the slab fallback only runs for compacted ordinals.
+// ordinal has overlay props (written when the refresh created it), so the
+// slab fallback only runs for compacted ordinals.
 func (v *SnapshotView) propsAt(ord int32) Props {
-	if v.propsOver != nil {
-		if ps, ok := v.propsOver[ord]; ok {
-			return ps
-		}
+	if n := v.overAt(ord); n != nil && n.hasProps {
+		return n.props
 	}
 	b := v.base
 	row := b.props[b.propOff[ord]:b.propOff[ord+1]]
@@ -340,11 +491,13 @@ const (
 	// (or another reader advanced it first): a pointer load.
 	ViewHit ViewEvent = iota
 	// ViewRefreshed means the call advanced the cached view by applying
-	// pending commit deltas copy-on-write — cost proportional to the delta.
+	// pending commit deltas — cost proportional to the delta. A refresh that
+	// leaves the overlay past the compaction trigger also starts the
+	// background compaction, which the caller does not wait for.
 	ViewRefreshed
-	// ViewRebuilt means the call paid a full recompaction — the delta ring
-	// overflowed, the compaction threshold was crossed, or no view existed
-	// yet. Rebuilds that replace a cached view bump the era.
+	// ViewRebuilt means the call itself paid a full recompaction — no view
+	// existed yet, the delta ring overflowed, or SetViewCompactThreshold(0)
+	// is in force. Rebuilds that replace a cached view bump the era.
 	ViewRebuilt
 )
 
@@ -368,12 +521,14 @@ func (e ViewEvent) String() string {
 // locking on the read path.
 //
 // The first reader after a commit advances the view incrementally when it
-// can: the pending commit deltas are applied copy-on-write onto the cached
-// view (cost proportional to the delta — see delta.go), keeping existing
-// ordinals stable within the era. A full O(visible nodes + edges) rebuild
-// runs only when the accumulated overlay crosses the compaction threshold
-// (SetViewCompactThreshold), the delta ring overflowed, or no cached view
-// exists; it starts a new era.
+// can: the pending commit deltas are applied onto the cached view (cost
+// proportional to the delta — see delta.go), keeping existing ordinals
+// stable within the era. The O(visible nodes + edges) recompaction that
+// folds the overlay back into a flat base runs on a background goroutine
+// once the overlay crosses the compaction trigger, and is swapped in as a
+// new era at the timestamp the cached view has reached by then. The caller
+// compacts inline only when no cached view exists, the delta ring
+// overflowed, or SetViewCompactThreshold(0) disabled refreshing.
 func (s *Store) CurrentView() *SnapshotView {
 	v, _ := s.AcquireView()
 	return v
@@ -381,8 +536,9 @@ func (s *Store) CurrentView() *SnapshotView {
 
 // AcquireView is CurrentView plus the maintenance event the call performed
 // (hit, delta refresh or full rebuild), letting callers attribute the
-// acquisition latency they just paid. Store-wide totals are available from
-// ViewStats.
+// acquisition latency they just paid. The view it returns is frozen at the
+// commit clock the call observed, so a caller always reads its own earlier
+// commits. Store-wide totals are available from ViewStats.
 func (s *Store) AcquireView() (*SnapshotView, ViewEvent) {
 	ts := s.clock.Load()
 	if v := s.view.Load(); v != nil && v.ts == ts {
@@ -401,6 +557,7 @@ func (s *Store) AcquireView() (*SnapshotView, ViewEvent) {
 		if nv, ok := s.refreshView(old, ts); ok {
 			s.view.Store(nv)
 			s.viewRefreshes.Add(1)
+			s.startCompaction(nv)
 			return nv, ViewRefreshed
 		}
 	}
@@ -410,7 +567,8 @@ func (s *Store) AcquireView() (*SnapshotView, ViewEvent) {
 	if old != nil {
 		s.viewEraBumps.Add(1)
 	}
-	s.resetDeltas(ts)
+	s.overlayEntries.Store(0)
+	s.trimDeltas(ts)
 	return nv, ViewRebuilt
 }
 
@@ -618,6 +776,7 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 			r := ranges[1][t]
 			b.in[t].data = slab[r.start:r.end]
 		}
+		b.entries += b.out[t].entries + b.in[t].entries
 	}
 
 	// Pack the property rows into the dense slab.

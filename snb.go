@@ -5,8 +5,8 @@
 // driver, the parameter-curation pipeline, and a harness regenerating
 // every table and figure of the paper's evaluation.
 //
-// See README.md for a tour and DESIGN.md for the system inventory; the
-// runnable entry points are under cmd/ and examples/.
+// See README.md for a tour and docs/ARCHITECTURE.md for how the subsystems
+// fit together; the runnable entry points are under cmd/ and examples/.
 package snb
 
 // Version identifies the reproduction release.

@@ -91,15 +91,16 @@ bench-recovery:
 
 # Memory-footprint sweep over the compact frozen representation: bytes per
 # node / per adjacency entry of the snapshot view (delta+varint CSR, dense
-# property columns, interned strings) against the uncompressed baseline, at
-# 250 / 1000 / 2500 persons through the streamed generate+load pipeline.
+# property columns, interned strings) against the uncompressed baseline,
+# plus the same two numbers for the mutable MVCC side, at 250 / 1000 / 2500
+# persons through the streamed generate+load pipeline.
 # ns/op doubles as end-to-end load latency at each scale. Emits
 # BENCH_memory.json; the report stamps cpus/gomaxprocs/cpu model so
 # cross-machine numbers are never compared blind.
 bench-mem:
 	$(GO) test ./internal/bench/ -run xxx -bench 'BenchmarkMemory' -benchtime 1x -timeout 30m > $(BENCH_TMP)
 	$(GO) run ./cmd/benchjson -out BENCH_memory.json \
-		-note "resident footprint of the frozen snapshot view at 250/1000/2500 persons (streamed load): viewbytes/node, adjbytes/edge vs rawadjbytes/edge (16-byte-Edge baseline; adjcompression is their ratio, acceptance bar >= 2.5x at 250p), intern table bytes, process heap; ns/op is the full generate+split+load+view-build latency; regenerate with \`make bench-mem\`" \
+		-note "resident footprint of the frozen snapshot view at 250/1000/2500 persons (streamed load): viewbytes/node, adjbytes/edge vs rawadjbytes/edge (16-byte-Edge baseline; adjcompression is their ratio, acceptance bar >= 2.5x at 250p), intern table bytes, the mutable MVCC side's mutbytes/node (before adjacency lists) and mutbytes/entry (32-byte entries plus append slack), process heap with the store live; ns/op is the full generate+split+load+view-build latency; regenerate with \`make bench-mem\`" \
 		< $(BENCH_TMP)
 	@rm -f $(BENCH_TMP)
 

@@ -374,6 +374,7 @@ func main() {
 			vs.OverlayEntries, vs.CompactTrigger, vs.CompactionsStarted, vs.CompactionsSwapped,
 			vs.CompactionsDiscarded, vs.CatchUpCommits)
 	}
+	fmt.Printf("memory: %s\n", bench.MemoryLine(env.Store.ComputeStats()))
 	if rep.Commit.Count > 0 {
 		fmt.Printf("write lane: %d commits, latency mean %v p95 %v max %v\n",
 			rep.Commit.Count, rep.Commit.Mean(), rep.Commit.Percentile(95), rep.Commit.Max)

@@ -12,10 +12,11 @@ import (
 // representation at increasing scale: bytes per node and per adjacency
 // entry of the snapshot view (delta+varint CSR, dense property columns,
 // interned strings), the uncompressed baseline the codec is measured
-// against, and process heap. One iteration is the full streamed
-// generate+split+load pipeline plus a view build, so ns/op doubles as the
-// end-to-end load latency at that scale. Emitted to BENCH_memory.json by
-// `make bench-mem`.
+// against, the mutable MVCC side's bytes per node and per adjacency entry,
+// and process heap with the environment still live. One iteration is the
+// full streamed generate+split+load pipeline plus a view build, so ns/op
+// doubles as the end-to-end load latency at that scale. Emitted to
+// BENCH_memory.json by `make bench-mem`.
 func BenchmarkMemory(b *testing.B) {
 	for _, persons := range []int{250, 1000, 2500} {
 		b.Run(fmt.Sprintf("sf=%dp", persons), func(b *testing.B) {
@@ -32,6 +33,7 @@ func BenchmarkMemory(b *testing.B) {
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
 				heap = ms.HeapAlloc
+				runtime.KeepAlive(env) // or the heap read above is of a store already collected
 			}
 			v := st.View
 			if v.Edges == 0 {
@@ -41,6 +43,8 @@ func BenchmarkMemory(b *testing.B) {
 			b.ReportMetric(v.BytesPerEdge(), "adjbytes/edge")
 			b.ReportMetric(float64(v.UncompressedAdjBytes)/float64(v.Edges), "rawadjbytes/edge")
 			b.ReportMetric(float64(v.UncompressedAdjBytes)/float64(v.AdjBytes), "adjcompression")
+			b.ReportMetric(st.MutableBytesPerNode(), "mutbytes/node")
+			b.ReportMetric(st.MutableBytesPerEntry(), "mutbytes/entry")
 			b.ReportMetric(float64(st.InternBytes), "internbytes")
 			b.ReportMetric(float64(v.Nodes), "nodes")
 			b.ReportMetric(float64(v.Edges)/2, "edges")

@@ -11,6 +11,7 @@ import (
 	"ldbcsnb/internal/dict"
 	"ldbcsnb/internal/driver"
 	"ldbcsnb/internal/schema"
+	"ldbcsnb/internal/store"
 	"ldbcsnb/internal/workload"
 	"ldbcsnb/internal/xrand"
 )
@@ -230,6 +231,16 @@ func TableBI(rep *driver.MixedReport) *Result {
 	return res
 }
 
+// MemoryLine is the store's footprint in one line: the mutable MVCC side
+// per node and per adjacency entry, next to the same two numbers for the
+// cached snapshot view.
+func MemoryLine(st store.Stats) string {
+	const mib = 1 << 20
+	return fmt.Sprintf("mutable side %.1f MiB (%.0f B/node, %.1f B/adjacency entry); view %.1f MiB (%.0f B/node, %.1f B/adjacency entry)",
+		float64(st.MutableBytes)/mib, st.MutableBytesPerNode(), st.MutableBytesPerEntry(),
+		float64(st.View.TotalBytes())/mib, st.View.BytesPerNode(), st.View.BytesPerEdge())
+}
+
 // Table8 — sizes of the largest tables and indexes after bulk load.
 func Table8(env *Env) *Result {
 	st := env.Store.ComputeStats()
@@ -237,7 +248,8 @@ func Table8(env *Env) *Result {
 		ID:     "Table 8",
 		Title:  "Largest tables and indexes (approximate bytes)",
 		Header: []string{"kind", "name", "rows", "bytes"},
-		Notes:  "paper (Virtuoso SF300): post is the largest table, its creationDate-family index the largest index; the same ordering must hold",
+		Notes: "paper (Virtuoso SF300): post is the largest table, its creationDate-family index the largest index; the same ordering must hold\n" +
+			"memory: " + MemoryLine(st),
 	}
 	for i, t := range st.Tables {
 		if i >= 5 {

@@ -484,6 +484,7 @@ func loadCheckpoint(s *Store, path string) (int64, error) {
 		verArena  []nodeVersion
 		propArena []Prop
 		edgeArena []edgeRec
+		rowArena  []adjRow
 	)
 	const arenaChunk = 1 << 14
 	allocEdges := func(n int) []edgeRec {
@@ -536,14 +537,26 @@ func loadCheckpoint(s *Store, path string) (int64, error) {
 		rec.versions = verArena[:1:1]
 		verArena = verArena[1:]
 		rec.versions[0] = nodeVersion{commit: clock, props: props}
+		// nLists precedes the lists: carve the row table at exactly that size.
 		nLists := int(d.u8())
+		if nLists > 2*(int(edgeTypeMax)-1) {
+			return 0, fmt.Errorf("%w: checkpoint %s: %d adjacency lists on one node", ErrCorrupt, base, nLists)
+		}
+		if nLists > len(rowArena) {
+			rowArena = make([]adjRow, arenaChunk)
+		}
+		rec.adj.rows = rowArena[:nLists:nLists]
+		rowArena = rowArena[nLists:]
+		var seen uint32 // row keys read so far on this node
 		for j := 0; j < nLists && d.err == nil; j++ {
 			t := EdgeType(d.u8())
 			dir := d.u8()
 			count := int(d.u32())
-			if t == 0 || t >= edgeTypeMax || dir > 1 {
-				return 0, fmt.Errorf("%w: checkpoint %s: bad adjacency list header", ErrCorrupt, base)
+			key := rowKey(t, dir == 1)
+			if t == 0 || t >= edgeTypeMax || dir > 1 || seen&(1<<key) != 0 {
+				return 0, fmt.Errorf("%w: checkpoint %s: bad or repeated adjacency list header", ErrCorrupt, base)
 			}
+			seen |= 1 << key
 			if count > len(d.b)-d.pos {
 				// Each entry costs at least 2 bytes; cheap sanity bound
 				// before the arena allocation (varint decode below bounds-
@@ -562,11 +575,7 @@ func loadCheckpoint(s *Store, path string) (int64, error) {
 			if d.err != nil {
 				return 0, fmt.Errorf("%w: checkpoint %s: adjacency list overruns file", ErrCorrupt, base)
 			}
-			if dir == 0 {
-				rec.adj.out[t] = list
-			} else {
-				rec.adj.in[t] = list
-			}
+			rec.adj.rows[j] = adjRow{key: key, list: list}
 		}
 		if d.err == nil {
 			s.shards[shardIndex(id)].nodes[id] = rec

@@ -66,9 +66,8 @@ func (s *Store) GC(horizon int64) int {
 		sh.mu.Lock()
 		for _, rec := range sh.nodes {
 			reclaimed += gcVersions(rec, horizon)
-			for t := EdgeType(1); t < edgeTypeMax; t++ {
-				reclaimed += gcEdges(&rec.adj.out[t], horizon)
-				reclaimed += gcEdges(&rec.adj.in[t], horizon)
+			for j := range rec.adj.rows {
+				reclaimed += gcEdges(&rec.adj.rows[j].list, horizon)
 			}
 		}
 		sh.mu.Unlock()
@@ -143,14 +142,9 @@ func (s *Store) TombstoneCount() int {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for _, rec := range sh.nodes {
-			for t := EdgeType(1); t < edgeTypeMax; t++ {
-				for j := range rec.adj.out[t] {
-					if rec.adj.out[t][j].del != 0 {
-						n++
-					}
-				}
-				for j := range rec.adj.in[t] {
-					if rec.adj.in[t][j].del != 0 {
+			for _, r := range rec.adj.rows {
+				for j := range r.list {
+					if r.list[j].del != 0 {
 						n++
 					}
 				}

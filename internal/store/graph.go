@@ -79,15 +79,67 @@ type nodeVersion struct {
 	props  Props
 }
 
-// adjacency holds the typed in/out edge lists of one node. Lists are
-// append-ordered; commit timestamps gate visibility.
+// adjacency holds the typed in/out edge lists of one node as a sparse row
+// table: one adjRow per (type, direction) the node has had an edge on —
+// about five of thirty — keyed like the view overlay's overRow, so both
+// sides of the store describe a node's adjacency one way. Lists are
+// append-ordered; commit timestamps gate visibility. Rows are in creation
+// order and never removed.
 type adjacency struct {
-	out [edgeTypeMax][]edgeRec
-	in  [edgeTypeMax][]edgeRec
+	rows []adjRow
 }
 
-// nodeRec is one stored node: a version chain (newest last) plus adjacency.
-// The owning shard's lock guards all fields.
+type adjRow struct {
+	key  uint8 // rowKey(type, direction)
+	list []edgeRec
+}
+
+func (r *adjRow) edgeType() EdgeType { return EdgeType(r.key >> 1) }
+func (r *adjRow) in() bool           { return r.key&1 != 0 }
+
+// minRows is a row table's first capacity. Every message has creator,
+// location, container-or-parent and tag rows: at 1000 persons 93 % of nodes
+// reach four; the rest waste 115 KB, for three reallocations saved per node.
+const minRows = 4
+
+// find returns the row with the given key, or nil: a scan of ~5 one-byte keys.
+func (a *adjacency) find(key uint8) *adjRow {
+	for i := range a.rows {
+		if a.rows[i].key == key {
+			return &a.rows[i]
+		}
+	}
+	return nil
+}
+
+// get returns the node's list for one (type, direction), or nil.
+func (a *adjacency) get(t EdgeType, in bool) []edgeRec {
+	if r := a.find(rowKey(t, in)); r != nil {
+		return r.list
+	}
+	return nil
+}
+
+// ref returns the list header for one (type, direction) for writing,
+// creating the row on a miss. The pointer dies at the next ref on the same
+// node — a new row may move the table — so never hold two. A node gains a
+// row at most thirty times in its life, so past minRows the table grows
+// exact-fit, not by doubling (7 MB against 9.8 MB for 60 K nodes).
+func (a *adjacency) ref(t EdgeType, in bool) *[]edgeRec {
+	key := rowKey(t, in)
+	if r := a.find(key); r != nil {
+		return &r.list
+	}
+	n := len(a.rows)
+	if n == cap(a.rows) {
+		a.rows = append(make([]adjRow, 0, max(n+1, minRows)), a.rows...)
+	}
+	a.rows = append(a.rows, adjRow{key: key})
+	return &a.rows[n].list
+}
+
+// nodeRec is one stored node: a version chain (newest last) plus adjacency,
+// 56 bytes (TestNodeRecLayout). The owning shard's lock guards all fields.
 type nodeRec struct {
 	id       ids.ID
 	versions []nodeVersion

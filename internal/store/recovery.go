@@ -324,6 +324,11 @@ func decodeTxnPayload(d *walDecoder, start, end int64) (*decodedTxn, error) {
 			to := ids.ID(d.u64())
 			stamp := int64(d.u64())
 			sym := d.u8() == 1
+			if dtx.edges == nil {
+				// One allocation per record: the ops left are edges and
+				// deletions, an edge op is 27 bytes.
+				dtx.edges = make([]pendingEdge, 0, min(n-i, 1+(int(end)-d.pos)/27))
+			}
 			dtx.edges = append(dtx.edges, pendingEdge{from: from, to: to, t: t, stamp: stamp, sym: sym})
 		case 4:
 			from := ids.ID(d.u64())

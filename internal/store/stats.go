@@ -36,11 +36,38 @@ type Stats struct {
 	// here rather than per occurrence under Tables.
 	InternBytes int64
 
+	// MutableBytes is the heap the mutable MVCC side holds, the sum of
+	// Tables[i].Bytes: per node, the shard-map entry, the record, its row
+	// table and its version chain with the property lists; per adjacency
+	// entry, the lists at capacity (append slack is real memory), which is
+	// MutableAdjBytes over MutableEntries (each logical edge counts twice).
+	MutableBytes    int64
+	MutableAdjBytes int64
+	MutableEntries  int
+
 	// View is the footprint of the store's cached snapshot view (zero if no
 	// view has been built yet). It is era-aware: overlay rows accumulated by
 	// delta refreshes since the era's compaction are counted, not just the
 	// frozen base — a store serving a long refresh chain carries both.
 	View ViewMem
+}
+
+// MutableBytesPerNode is the mutable side's node cost (everything but the
+// adjacency lists) divided over stored nodes.
+func (st Stats) MutableBytesPerNode() float64 {
+	if st.Nodes == 0 {
+		return 0
+	}
+	return float64(st.MutableBytes-st.MutableAdjBytes) / float64(st.Nodes)
+}
+
+// MutableBytesPerEntry is the mutable side's cost per stored adjacency
+// direction-entry: 32-byte edgeRecs plus the lists' append slack.
+func (st Stats) MutableBytesPerEntry() float64 {
+	if st.MutableEntries == 0 {
+		return 0
+	}
+	return float64(st.MutableAdjBytes) / float64(st.MutableEntries)
 }
 
 // ViewMem breaks down the resident footprint of one SnapshotView.
@@ -155,11 +182,7 @@ func (v *SnapshotView) MemStats() ViewMem {
 	return m
 }
 
-const (
-	nodeOverheadBytes = 64 // map entry + record header + version header
-	edgeBytes         = 32 // edgeRec: peer + stamp + commit + del
-	indexEntryBytes   = 24 // btree.Entry
-)
+const indexEntryBytes = 24 // btree.Entry
 
 // ComputeStats scans the store and reports per-table and per-index sizes.
 // It takes shard read locks briefly per shard; sizes are approximate heap
@@ -170,40 +193,42 @@ func (s *Store) ComputeStats() Stats {
 	kindBytes := map[ids.Kind]int64{}
 	edgeRows := map[EdgeType]int{}
 	edgeBytesBy := map[EdgeType]int64{}
-	totalNodes, totalEdges := 0, 0
+	var st Stats
 
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for id, rec := range sh.nodes {
-			totalNodes++
+			st.Nodes++
 			k := id.Kind()
 			kindRows[k]++
-			b := int64(nodeOverheadBytes)
+			// Measured sizes at capacity, not nominal ones: the record, its
+			// row table and version chain, every version's property list.
+			b := mapEntryBytes + int64(unsafe.Sizeof(*rec)) +
+				int64(cap(rec.adj.rows))*int64(unsafe.Sizeof(adjRow{})) +
+				int64(cap(rec.versions))*int64(unsafe.Sizeof(nodeVersion{}))
 			for _, v := range rec.versions {
-				b += int64(v.props.bytes())
+				b += int64(cap(v.props)) * int64(unsafe.Sizeof(Prop{}))
 			}
 			kindBytes[k] += b
-			for t := EdgeType(1); t < edgeTypeMax; t++ {
-				n := len(rec.adj.out[t])
-				if n > 0 {
-					totalEdges += n
-					edgeRows[t] += n
-					edgeBytesBy[t] += int64(n * edgeBytes)
-				}
+			st.MutableBytes += b
+			for _, r := range rec.adj.rows {
 				// In-edges are the reverse adjacency of the same logical
 				// edge; count their space under the same table.
-				if m := len(rec.adj.in[t]); m > 0 {
-					edgeBytesBy[t] += int64(m * edgeBytes)
+				lb := int64(cap(r.list)) * int64(unsafe.Sizeof(edgeRec{}))
+				edgeBytesBy[r.edgeType()] += lb
+				st.MutableAdjBytes += lb
+				st.MutableEntries += len(r.list)
+				if !r.in() && len(r.list) > 0 {
+					st.Edges += len(r.list)
+					edgeRows[r.edgeType()] += len(r.list)
 				}
 			}
 		}
 		sh.mu.RUnlock()
 	}
 
-	var st Stats
-	st.Nodes = totalNodes
-	st.Edges = totalEdges
+	st.MutableBytes += st.MutableAdjBytes
 	for k, rows := range kindRows {
 		st.Tables = append(st.Tables, TableStat{Name: k.String(), Rows: rows, Bytes: kindBytes[k]})
 	}

@@ -11,7 +11,8 @@ import (
 const shardCount = 64
 
 // shard holds a partition of the node map. The shard lock guards the map
-// and every nodeRec it owns (property versions and adjacency lists).
+// and every nodeRec it owns (property versions, the adjacency row table and
+// its lists).
 type shard struct {
 	mu    sync.RWMutex
 	nodes map[ids.ID]*nodeRec // guarded by mu

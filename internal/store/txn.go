@@ -118,6 +118,9 @@ func (tx *Txn) addEdge(from ids.ID, t EdgeType, to ids.ID, stamp int64, sym bool
 	if tx.readonly {
 		return errors.New("store: write in read-only transaction")
 	}
+	if t == 0 || t >= edgeTypeMax {
+		return fmt.Errorf("store: invalid edge type %d", uint8(t))
+	}
 	if tx.edgeIndex == nil {
 		tx.edgeIndex = make(map[ids.ID][]int)
 	}
@@ -248,10 +251,7 @@ func (tx *Txn) degree(id ids.ID, t EdgeType, in bool) int {
 	sh := tx.s.shardFor(id)
 	sh.mu.RLock()
 	if rec := sh.nodes[id]; rec != nil {
-		list := rec.adj.out[t]
-		if in {
-			list = rec.adj.in[t]
-		}
+		list := rec.adj.get(t, in)
 		for i := range list {
 			if list[i].visibleAt(tx.snapshot) {
 				n++
@@ -280,12 +280,7 @@ func (tx *Txn) neighbours(id ids.ID, t EdgeType, in bool) []Edge {
 	sh := tx.s.shardFor(id)
 	sh.mu.RLock()
 	if rec := sh.nodes[id]; rec != nil {
-		var list []edgeRec
-		if in {
-			list = rec.adj.in[t]
-		} else {
-			list = rec.adj.out[t]
-		}
+		list := rec.adj.get(t, in)
 		out = make([]Edge, 0, len(list))
 		for i := range list {
 			if e := &list[i]; e.visibleAt(tx.snapshot) {
@@ -587,11 +582,8 @@ func (s *Store) installEdge(delta *CommitDelta, from ids.ID, t EdgeType, to ids.
 			delta.nodes = append(delta.nodes, deltaNode{id: from})
 		}
 	}
-	if reverse {
-		rec.adj.in[t] = append(rec.adj.in[t], edgeRec{peer: to, stamp: stamp, commit: ts})
-	} else {
-		rec.adj.out[t] = append(rec.adj.out[t], edgeRec{peer: to, stamp: stamp, commit: ts})
-	}
+	list := rec.adj.ref(t, reverse)
+	*list = append(*list, edgeRec{peer: to, stamp: stamp, commit: ts})
 	sh.mu.Unlock()
 	if delta != nil {
 		delta.edges = append(delta.edges, deltaEdge{owner: from, peer: to, stamp: stamp, t: t, in: reverse})
@@ -609,7 +601,7 @@ func (s *Store) applyDelete(delta *CommitDelta, pd pendingDel, ts int64) {
 	sh := s.shardFor(pd.from)
 	sh.mu.Lock()
 	if rec := sh.nodes[pd.from]; rec != nil {
-		list := rec.adj.out[pd.t]
+		list := rec.adj.get(pd.t, false)
 		for i := len(list) - 1; i >= 0; i-- {
 			if e := &list[i]; e.peer == pd.to && e.del == 0 {
 				e.del = ts
@@ -644,13 +636,13 @@ func (s *Store) applyDelete(delta *CommitDelta, pd pendingDel, ts int64) {
 // node: the in-list entry (directed edges) or, failing that, the out-list
 // entry with the same insertion commit (symmetric knows edges).
 func mirrorEdge(rec *nodeRec, t EdgeType, peer ids.ID, commit int64) (*edgeRec, bool) {
-	list := rec.adj.in[t]
+	list := rec.adj.get(t, true)
 	for i := len(list) - 1; i >= 0; i-- {
 		if e := &list[i]; e.peer == peer && e.commit == commit && e.del == 0 {
 			return e, true
 		}
 	}
-	list = rec.adj.out[t]
+	list = rec.adj.get(t, false)
 	for i := len(list) - 1; i >= 0; i-- {
 		if e := &list[i]; e.peer == peer && e.commit == commit && e.del == 0 {
 			return e, false

@@ -14,7 +14,8 @@
 //   - hash primary indexes plus ordered (B+tree) secondary indexes on
 //     date-like attributes, like Virtuoso's l_creationdate index (Table 8);
 //   - adjacency lists per (node, edge type, direction) — the materialised
-//     neighbourhoods §5 mentions for Sparksee.
+//     neighbourhoods §5 mentions for Sparksee — held per node as a sparse
+//     row table: a node pays for the lists it has (graph.go).
 //
 // # Read paths
 //
@@ -203,13 +204,6 @@ func (v Value) GoString() string {
 	}
 }
 
-// bytes approximates the heap footprint of the value, for Stats (Table 8).
-// String payloads live in the shared intern arena and are accounted once,
-// under Stats.InternBytes — not per occurrence here.
-func (v Value) bytes() int {
-	return 16 // fixed-width tagged union
-}
-
 // Prop is one (key, value) property pair.
 type Prop struct {
 	Key PropKey
@@ -240,12 +234,4 @@ func (ps Props) with(k PropKey, v Value) Props {
 		}
 	}
 	return append(out, Prop{k, v})
-}
-
-func (ps Props) bytes() int {
-	n := 0
-	for _, p := range ps {
-		n += 1 + p.Val.bytes()
-	}
-	return n
 }

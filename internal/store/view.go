@@ -646,15 +646,15 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 		offsets []int32
 		edges   []Edge
 	}
-	var rawOut, rawIn [edgeTypeMax]rawCSR
+	var raw [2 * edgeTypeMax]rawCSR // indexed by rowKey
 	rawProps := make([]Props, n)
 
 	// Pass 1: per-node visible edge counts into the (future) offset
 	// arrays, plus the property rows. Offsets are allocated for every edge
-	// type up front and dropped again for types that turn out empty.
-	for t := EdgeType(1); t < edgeTypeMax; t++ {
-		rawOut[t].offsets = make([]int32, n+1)
-		rawIn[t].offsets = make([]int32, n+1)
+	// type up front and dropped again for types that turn out empty. Both
+	// passes walk the rows a node has, not the thirty it could have.
+	for k := rowKey(1, false); int(k) < len(raw); k++ {
+		raw[k].offsets = make([]int32, n+1)
 	}
 	for si := range s.shards {
 		sh := &s.shards[si]
@@ -663,9 +663,8 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 			rec := sh.nodes[b.nodes[ord]]
 			ps, _ := rec.visibleProps(ts)
 			rawProps[ord] = ps
-			for t := EdgeType(1); t < edgeTypeMax; t++ {
-				rawOut[t].offsets[ord+1] = int32(countVisible(rec.adj.out[t], ts))
-				rawIn[t].offsets[ord+1] = int32(countVisible(rec.adj.in[t], ts))
+			for _, r := range rec.adj.rows {
+				raw[r.key].offsets[ord+1] = int32(countVisible(r.list, ts))
 			}
 		}
 		sh.mu.RUnlock()
@@ -682,9 +681,8 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 			c.offsets = nil
 		}
 	}
-	for t := EdgeType(1); t < edgeTypeMax; t++ {
-		finishRaw(&rawOut[t])
-		finishRaw(&rawIn[t])
+	for k := rowKey(1, false); int(k) < len(raw); k++ {
+		finishRaw(&raw[k])
 	}
 
 	// Pass 2: fill the transient slabs by offset position — order-
@@ -695,12 +693,9 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 		sh.mu.RLock()
 		for _, ord := range ordsByShard[si] {
 			rec := sh.nodes[b.nodes[ord]]
-			for t := EdgeType(1); t < edgeTypeMax; t++ {
-				if c := &rawOut[t]; c.offsets != nil {
-					fillVisible(c.edges[c.offsets[ord]:c.offsets[ord+1]], rec.adj.out[t], ts)
-				}
-				if c := &rawIn[t]; c.offsets != nil {
-					fillVisible(c.edges[c.offsets[ord]:c.offsets[ord+1]], rec.adj.in[t], ts)
+			for _, r := range rec.adj.rows {
+				if c := &raw[r.key]; c.offsets != nil {
+					fillVisible(c.edges[c.offsets[ord]:c.offsets[ord+1]], r.list, ts)
 				}
 			}
 		}
@@ -763,8 +758,8 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 		}
 	}
 	for t := EdgeType(1); t < edgeTypeMax; t++ {
-		encode(&rawOut[t], &b.out[t], t, 0)
-		encode(&rawIn[t], &b.in[t], t, 1)
+		encode(&raw[rowKey(t, false)], &b.out[t], t, 0)
+		encode(&raw[rowKey(t, true)], &b.in[t], t, 1)
 	}
 	b.slab = slab
 	for t := EdgeType(1); t < edgeTypeMax; t++ {

@@ -77,15 +77,15 @@ bench-bi:
 	@rm -f $(BENCH_TMP)
 
 # Recovery-path comparison: restart the 250-person environment from the
-# newest checkpoint plus the WAL tail (serial and parallel decode) vs full
-# replay of the whole log from the first commit, emitted as
-# BENCH_recovery.json. The acceptance bar for the persistence subsystem is
-# checkpoint+tail >= 3x faster at this scale (the decode-then-apply
-# recovery rewrite sped up full replay itself ~2x, narrowing the ratio).
+# newest checkpoint plus the WAL tail vs full replay of the whole log from
+# the first commit, emitted as BENCH_recovery.json. The acceptance bar for
+# the persistence subsystem is checkpoint+tail >= 3x faster at this scale
+# (the lean replay path sped up full replay itself ~2x, narrowing the
+# ratio).
 bench-recovery:
-	$(GO) test ./internal/bench/ -run xxx -bench 'BenchmarkRecovery' -benchtime 10x > $(BENCH_TMP)
+	$(GO) test ./internal/bench/ -run xxx -bench 'BenchmarkRecovery' -benchtime 10x -benchmem > $(BENCH_TMP)
 	$(GO) run ./cmd/benchjson -out BENCH_recovery.json \
-		-note "restart latency at 250 persons: newest checkpoint + WAL tail replay (last ~2% of commits, serial decode) and its parallel-decode twin (checkpoint+tail-par, GOMAXPROCS workers — equal to serial on a single-core host) vs full WAL replay from the first commit; the 'commits' metric is the recovered commit clock (identical on all paths by construction); regenerate with \`make bench-recovery\`" \
+		-note "restart latency at 250 persons: newest checkpoint + WAL tail replay (last ~2% of commits) vs full WAL replay from the first commit, each record applied as it is decoded; the 'commits' metric is the recovered commit clock (identical on both paths by construction); regenerate with \`make bench-recovery\`" \
 		< $(BENCH_TMP)
 	@rm -f $(BENCH_TMP)
 
@@ -105,15 +105,14 @@ bench-mem:
 	@rm -f $(BENCH_TMP)
 
 # Durable commit throughput through the group-commit pipeline: 1/2/4/8
-# concurrent writers x WAL sync mode (none/flush/commit), plus lane
-# striping at the hottest cell, emitted as BENCH_write.json. The
-# fsyncs/commit metric is the batcher's amortisation; the acceptance bar
-# (< 0.3 at sync=commit/8 writers) assumes a multi-core host — single-core
-# runs record the standing caveat.
+# concurrent writers x WAL sync mode (none/flush/commit), emitted as
+# BENCH_write.json. The fsyncs/commit metric is the batcher's amortisation;
+# the acceptance bar (< 0.3 at sync=commit/8 writers) assumes a multi-core
+# host — single-core runs record the standing caveat.
 bench-write:
 	$(GO) test ./internal/bench/ -run xxx -bench 'BenchmarkWrite' -benchtime 500x > $(BENCH_TMP)
 	$(GO) run ./cmd/benchjson -out BENCH_write.json \
-		-note "durable commit throughput: N concurrent writers of minimal insert transactions per WAL sync mode; commits/s is throughput, fsyncs/commit the group-commit amortisation (acceptance bar < 0.3 at sync=commit/writers=8 on a multi-core host; single-core containers schedule writers and flushers on one CPU, so batching and the bar are understated there), recs/batch the mean batch size; lanes=N stripes the WAL over independent flusher lanes; regenerate with \`make bench-write\`" \
+		-note "durable commit throughput: N concurrent writers of minimal insert transactions per WAL sync mode; commits/s is throughput, fsyncs/commit the group-commit amortisation (acceptance bar < 0.3 at sync=commit/writers=8 on a multi-core host; single-core containers schedule writers and flushers on one CPU, so batching and the bar are understated there), recs/batch the mean batch size; regenerate with \`make bench-write\`" \
 		< $(BENCH_TMP)
 	@rm -f $(BENCH_TMP)
 

@@ -38,9 +38,8 @@
 // that wrote the directory; re-applying it would double-create entities).
 // -wal-sync selects the durability mode (none|flush|commit); commits go
 // through the group-commit batcher, so fsync-on-commit amortises one fsync
-// over every commit in a batch. -wal-lanes stripes the WAL over per-shard
-// lanes with independent flushers, and -wal-batch caps records per batch.
-// See store.PersistOptions for the exact guarantee of each mode.
+// over every commit in a batch. See store.WALSyncMode for the exact
+// guarantee of each mode.
 //
 // -write-clients adds a dedicated write lane to the mixed run: concurrent
 // clients issuing small insert transactions back to back, reported as an
@@ -49,7 +48,7 @@
 // SIGINT/SIGTERM interrupt a run gracefully: read, write and BI lanes
 // stop at their next operation boundary, started update transactions
 // finish (so dependency holds release), and durable mode still runs the
-// clean-shutdown path — final checkpoint, group-commit lanes flushed, WAL
+// clean-shutdown path — final checkpoint, group-commit batcher drained, WAL
 // synced — so everything Commit acknowledged before the signal survives
 // recovery.
 //
@@ -66,7 +65,7 @@
 //
 //	snb-run -sf 0.05 [-streams 4] [-readclients 2] [-pertype 3] [-uniform] [-readpath txn|view]
 //	        [-view-compact-threshold N] [-bi] [-bi-workers N] [-bi-clients N] [-bi-rounds N]
-//	        [-data-dir DIR] [-wal-sync none|flush|commit] [-wal-lanes N] [-wal-batch N]
+//	        [-data-dir DIR] [-wal-sync none|flush|commit]
 //	        [-wal-segment-bytes N] [-checkpoint-bytes N] [-checkpoint-commits N]
 //	        [-write-clients N] [-write-ops N]
 //	snb-run -serve-addr HOST:PORT -arrival-rate N [-serve-duration DUR]
@@ -173,10 +172,6 @@ func main() {
 	walSync := flag.String("wal-sync", "none",
 		"with -data-dir: WAL durability mode — 'none' (flush on close), 'flush' (flush each batch), "+
 			"'commit' (fsync each group-commit batch; Commit returns only once durable)")
-	walLanes := flag.Int("wal-lanes", 0,
-		"with -data-dir: number of WAL lanes with independent group-commit flushers (0 = 1 lane)")
-	walBatch := flag.Int("wal-batch", 0,
-		"with -data-dir: max records per group-commit batch (0 = unbounded)")
 	segmentBytes := flag.Int64("wal-segment-bytes", 0,
 		"with -data-dir: WAL segment rotation threshold in bytes (0 = default 4 MiB)")
 	ckptBytes := flag.Int64("checkpoint-bytes", 0,
@@ -231,12 +226,10 @@ func main() {
 	recovered := false
 	if *dataDir != "" {
 		opts := store.PersistOptions{
-			SegmentBytes:       *segmentBytes,
-			WALSync:            syncMode,
-			WALLanes:           *walLanes,
-			GroupCommitRecords: *walBatch,
-			CheckpointBytes:    *ckptBytes,
-			CheckpointCommits:  *ckptCommits,
+			SegmentBytes:      *segmentBytes,
+			WALSync:           syncMode,
+			CheckpointBytes:   *ckptBytes,
+			CheckpointCommits: *ckptCommits,
 		}
 		p, info, err := store.Open(*dataDir, opts, schema.RegisterIndexes)
 		if err != nil {
@@ -337,8 +330,7 @@ func main() {
 	if *writeClients > 0 {
 		mixed.WriteClients = *writeClients
 		mixed.WriteOps = *writeOps
-		fmt.Printf("write lane: %d client(s), wal-sync=%s, lanes=%d\n",
-			*writeClients, syncMode, *walLanes)
+		fmt.Printf("write lane: %d client(s), wal-sync=%s\n", *writeClients, syncMode)
 	}
 	rep := driver.RunMixed(mixed)
 	// Stop relaying signals: a second ^C during shutdown kills the process

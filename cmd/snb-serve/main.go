@@ -3,9 +3,10 @@
 // curate the parameter pools, and serve the length-prefixed binary
 // protocol until SIGINT/SIGTERM — at which point the server drains:
 // accepting stops, queued and new requests are answered RETRY_AFTER,
-// in-flight requests finish (bounded by -drain-timeout), and the
-// group-commit WAL lanes are flushed so every acknowledged write is
-// durable before the process exits.
+// in-flight requests finish (bounded by -drain-timeout), and the WAL is
+// drained and fsynced so every acknowledged write is durable before the
+// process exits. A background checkpoint that failed while serving is
+// reported after the drain and fails the exit status.
 //
 // Requests name a query class and number; the server binds concrete
 // parameters itself from the same curated pools the in-process driver
@@ -70,7 +71,6 @@ func main() {
 		"durable mode: open or recover a data directory; empty = in-memory")
 	walSync := flag.String("wal-sync", "none",
 		"with -data-dir: WAL durability mode — none|flush|commit")
-	walLanes := flag.Int("wal-lanes", 0, "with -data-dir: WAL lanes (0 = 1)")
 	iaSlots := flag.Int("interactive-slots", 4, "interactive class: concurrent execution slots")
 	iaQueue := flag.Int("interactive-queue", 8, "interactive class: admission queue capacity")
 	queueTick := flag.Duration("queue-tick", 20*time.Millisecond,
@@ -100,7 +100,7 @@ func main() {
 
 	var persist *store.Persistent
 	if *dataDir != "" {
-		opts := store.PersistOptions{WALSync: syncMode, WALLanes: *walLanes}
+		opts := store.PersistOptions{WALSync: syncMode}
 		p, info, err := store.Open(*dataDir, opts, schema.RegisterIndexes)
 		if err != nil {
 			log.Fatalf("open %s: %v", *dataDir, err)
@@ -170,5 +170,15 @@ func main() {
 	st := srv.Stats()
 	fmt.Printf("drained: %d conns accepted (%d rejected), %d requests served — %d shed, %d timed out, %d errored, %d bad frames\n",
 		st.Accepted, st.Rejected, st.Served, st.Shed, st.TimedOut, st.Errored, st.BadFrames)
-	fmt.Println("clean shutdown: WAL lanes flushed")
+	if persist != nil {
+		// Shutdown drained and synced the WAL either way; a failed
+		// checkpoint means the log was not truncated and the next open
+		// replays all of it.
+		if err := persist.Err(); err != nil {
+			log.Fatalf("background checkpoint failed: %v (WAL synced; not truncated)", err)
+		}
+		fmt.Println("clean shutdown: WAL drained and synced")
+		return
+	}
+	fmt.Println("clean shutdown")
 }

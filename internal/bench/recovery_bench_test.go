@@ -133,7 +133,7 @@ func copyTreeSkip(src, dst string, skip func(string) bool) error {
 	return nil
 }
 
-func benchRecover(b *testing.B, dir string, wantCheckpoint bool, workers int) {
+func benchRecover(b *testing.B, dir string, wantCheckpoint bool) {
 	b.Helper()
 	var clock int64
 	for i := 0; i < b.N; i++ {
@@ -143,8 +143,7 @@ func benchRecover(b *testing.B, dir string, wantCheckpoint bool, workers int) {
 		b.StopTimer()
 		runtime.GC()
 		b.StartTimer()
-		p, info, err := store.Open(dir,
-			store.PersistOptions{CheckpointBytes: -1, RecoveryWorkers: workers}, schema.RegisterIndexes)
+		p, info, err := store.Open(dir, store.PersistOptions{CheckpointBytes: -1}, schema.RegisterIndexes)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -168,16 +167,10 @@ func benchRecover(b *testing.B, dir string, wantCheckpoint bool, workers int) {
 
 func BenchmarkRecovery(b *testing.B) {
 	ckptDir, fullDir := setupRecoveryDirs(b)
-	// Serial decode (RecoveryWorkers 1) keeps the sub-bench comparable with
-	// the numbers recorded before parallel recovery existed; the -par twin
-	// runs the same directory with GOMAXPROCS decode workers.
 	b.Run("checkpoint+tail", func(b *testing.B) {
-		benchRecover(b, ckptDir, true, 1)
-	})
-	b.Run("checkpoint+tail-par", func(b *testing.B) {
-		benchRecover(b, ckptDir, true, 0)
+		benchRecover(b, ckptDir, true)
 	})
 	b.Run("fullreplay", func(b *testing.B) {
-		benchRecover(b, fullDir, false, 1)
+		benchRecover(b, fullDir, false)
 	})
 }

@@ -19,19 +19,15 @@ import (
 // the fsync across concurrent committers; the acceptance bar at 8 writers
 // is < 0.3) and recs/batch (mean batch size). `make bench-write` converts
 // the output into BENCH_write.json.
-//
-// The lanes=N variants stripe the WAL over independent flusher lanes at
-// the highest contention point (sync=commit, 8 writers); on a single-core
-// host they mostly measure goroutine scheduling, not parallel IO.
 
 // writeBucket keeps benchmark entity IDs far above generated datasets'
 // minute buckets (the directory is fresh per sub-benchmark, so collisions
 // are impossible anyway; the floor just keeps IDs well-formed at any N).
 const writeBucket = 1 << 32
 
-func benchWriters(b *testing.B, mode store.WALSyncMode, writers, lanes int) {
+func benchWriters(b *testing.B, mode store.WALSyncMode, writers int) {
 	dir := b.TempDir()
-	opts := store.PersistOptions{CheckpointBytes: -1, WALSync: mode, WALLanes: lanes}
+	opts := store.PersistOptions{CheckpointBytes: -1, WALSync: mode}
 	p, _, err := store.Open(dir, opts, schema.RegisterIndexes)
 	if err != nil {
 		b.Fatal(err)
@@ -88,14 +84,8 @@ func BenchmarkWrite(b *testing.B) {
 	for _, mode := range []store.WALSyncMode{store.SyncClose, store.SyncFlush, store.SyncCommit} {
 		for _, writers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("sync=%s/writers=%d", mode, writers), func(b *testing.B) {
-				benchWriters(b, mode, writers, 1)
+				benchWriters(b, mode, writers)
 			})
 		}
-	}
-	// Lane striping at the highest-contention cell.
-	for _, lanes := range []int{2, 4} {
-		b.Run(fmt.Sprintf("sync=commit/writers=8/lanes=%d", lanes), func(b *testing.B) {
-			benchWriters(b, store.SyncCommit, 8, lanes)
-		})
 	}
 }

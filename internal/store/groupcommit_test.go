@@ -2,22 +2,20 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"ldbcsnb/internal/ids"
-	"ldbcsnb/internal/xrand"
 )
 
-// Group-commit and multi-lane WAL tests: the recovered-equals-live
-// equivalence sweep over a lane-striped log, crash injection at the
-// group-commit boundaries (batch written but not fsynced, torn record
-// mid-batch, lanes unevenly advanced), fsync-on-commit durability without
-// a clean shutdown, and concurrent-writer stress for the race detector.
+// Group-commit tests: crash injection at the group-commit boundaries (batch
+// written but not fsynced, torn record mid-batch, a record missing from the
+// middle of the log), fsync-on-commit durability without a clean shutdown,
+// and concurrent-writer stress for the race detector.
 
 // commitPersonErr commits one transaction creating person n (commit
 // timestamp n when commits are sequential).
@@ -38,25 +36,6 @@ func commitPerson(t *testing.T, s *Store, n int) {
 	if err := commitPersonErr(s, n); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// laneFile returns the path of lane's newest segment in dir's WAL.
-func laneFile(t *testing.T, dir string, lane int) string {
-	t.Helper()
-	segs, err := scanSegments(filepath.Join(dir, "wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := ""
-	for _, sf := range segs {
-		if sf.lane == lane {
-			path = sf.path
-		}
-	}
-	if path == "" {
-		t.Fatalf("no segments for lane %d", lane)
-	}
-	return path
 }
 
 type segRec struct {
@@ -104,61 +83,13 @@ func assertPersonPrefix(t *testing.T, s *Store, k, n int) {
 	})
 }
 
-// TestMultiLaneEquivalenceEveryEpoch is the multi-lane twin of
-// TestPersistEquivalenceEveryEpoch: a 3-lane WAL under a randomised update
-// stream with frequent rotation and periodic checkpoints, crash-copied and
-// recovered at EVERY epoch, asserting the recovered store equals the live
-// one on every read primitive. The reopen deliberately omits WALLanes:
-// recovery must adopt the on-disk lane count (and a single-lane v1 layout
-// stays recoverable the same way).
-func TestMultiLaneEquivalenceEveryEpoch(t *testing.T) {
-	dir := t.TempDir()
-	opts := manualOpts()
-	opts.SegmentBytes = 512 // force frequent rotation
-	opts.WALLanes = 3
-	p, _, err := Open(dir, opts, registerTestIndexes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	live := New()
-	registerTestIndexes(live)
-	rl, rd := xrand.New(17), xrand.New(17)
-	var pop []ids.ID
-	for step := 1; step <= 24; step++ {
-		pop = growBoth(t, live, p.Store, rl, rd, pop, step)
-		if step%9 == 0 {
-			if err := p.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := p.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		crash := filepath.Join(t.TempDir(), "crash")
-		copyDir(t, dir, crash)
-		re, info := reopen(t, crash, manualOpts())
-		if info.Clock != live.LastCommit() {
-			t.Fatalf("step %d: recovered clock %d, live %d (%+v)", step, info.Clock, live.LastCommit(), info)
-		}
-		assertStoresEqual(t, live, re.Store, pop)
-		re.Close()
-	}
-	if st := p.Stats(); st.WALRotations == 0 || st.Checkpoints == 0 || st.Batches == 0 {
-		t.Fatalf("sweep never rotated, checkpointed or batched: %+v", st)
-	}
-}
-
-// multiLaneFixture commits n sequential single-person transactions over a
-// 2-lane WAL and returns a crash image of the closed directory. Odd
-// timestamps land in lane 0, even in lane 1.
-func multiLaneFixture(t *testing.T, n int) (crash string, opts PersistOptions) {
+// crashFixture commits n sequential single-person transactions (commit
+// timestamps 1..n, all in one segment) and returns a crash image of the
+// closed directory plus the path of its segment.
+func crashFixture(t *testing.T, n int) (crash, seg string) {
 	t.Helper()
 	dir := t.TempDir()
-	opts = manualOpts()
-	opts.WALLanes = 2
-	p, _, err := Open(dir, opts, registerTestIndexes)
+	p, _, err := Open(dir, manualOpts(), registerTestIndexes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,143 +101,118 @@ func multiLaneFixture(t *testing.T, n int) (crash string, opts PersistOptions) {
 	}
 	crash = filepath.Join(t.TempDir(), "crash")
 	copyDir(t, dir, crash)
-	return crash, opts
+	return crash, lastSegment(t, crash)
 }
 
-// TestCrashLaneBatchWrittenNotSynced: one lane's whole tail batch
-// vanishes (the crash landed between the batch write and its fsync, and
-// the OS never flushed the pages). Every commit above the resulting gap is
-// un-acknowledged, so recovery truncates back to the last gapless prefix.
+// TestCrashLaneBatchWrittenNotSynced: the log's whole tail batch vanishes
+// (the crash landed between the batch write and its fsync, and the OS never
+// flushed the pages). Recovery keeps the prefix that reached the disk, and
+// the prefix is a fully working store.
 func TestCrashLaneBatchWrittenNotSynced(t *testing.T) {
-	const n = 9
-	crash, opts := multiLaneFixture(t, n)
-	truncAt(t, laneFile(t, crash, 1), segHeaderSize) // lane 1 loses ts 2,4,6,8
-	re, info := reopen(t, crash, opts)
-	if info.Clock != 1 || info.Discarded != 4 {
-		t.Fatalf("want clock 1 with 4 discards, got %+v", info)
+	const n, kept = 9, 4
+	crash, seg := crashFixture(t, n)
+	truncAt(t, seg, readSegRecords(t, seg)[kept].off) // the batch holding ts 5..9 is gone
+	re, info := reopen(t, crash, manualOpts())
+	if info.Clock != kept || info.Replayed != kept || info.TornBytes != 0 {
+		t.Fatalf("want clock %d off a clean cut, got %+v", kept, info)
 	}
-	assertPersonPrefix(t, re.Store, 1, n)
+	assertPersonPrefix(t, re.Store, kept, n)
 
-	// The surviving prefix is a fully working store: recommit and recover.
-	commitPerson(t, re.Store, 2)
+	commitPerson(t, re.Store, kept+1)
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re2, info2 := reopen(t, crash, opts)
-	if info2.Clock != 2 || info2.Discarded != 0 {
-		t.Fatalf("want clean clock-2 recovery after recommit, got %+v", info2)
+	re2, info2 := reopen(t, crash, manualOpts())
+	if info2.Clock != kept+1 {
+		t.Fatalf("want clock %d after recommit, got %+v", kept+1, info2)
 	}
-	assertPersonPrefix(t, re2.Store, 2, n)
-	re2.Close()
+	assertPersonPrefix(t, re2.Store, kept+1, n)
 }
 
-// TestCrashTornRecordMidBatch: a record in the middle of one lane's last
-// batch is torn (partial write). The lane's clean prefix ends there; the
-// other lane's records merge in as long as the timestamp sequence stays
-// gapless.
+// TestCrashTornRecordMidBatch: the last record of the final batch is torn
+// (partial write). The clean prefix ends there.
 func TestCrashTornRecordMidBatch(t *testing.T) {
 	const n = 9
-	crash, opts := multiLaneFixture(t, n)
-	lane0 := laneFile(t, crash, 0)
-	recs := readSegRecords(t, lane0) // ts 1,3,5,7,9
-	last := recs[len(recs)-1]
-	truncAt(t, lane0, last.off+5) // tear ts 9 mid-record
-	re, info := reopen(t, crash, opts)
-	defer re.Close()
-	if info.Clock != n-1 || info.TornBytes == 0 || info.Discarded != 0 {
-		t.Fatalf("want clock %d with torn tail, got %+v", n-1, info)
+	crash, seg := crashFixture(t, n)
+	recs := readSegRecords(t, seg)
+	truncAt(t, seg, recs[len(recs)-1].off+5) // tear ts 9 mid-record
+	re, info := reopen(t, crash, manualOpts())
+	if info.Clock != n-1 || info.TornBytes != 5 {
+		t.Fatalf("want clock %d with a 5-byte torn tail, got %+v", n-1, info)
 	}
 	assertPersonPrefix(t, re.Store, n-1, n)
 }
 
-// TestCrashLanesUnevenlyAdvanced: lane 1 lost a clean suffix of records
-// (ts 6,8) while lane 0 kept later ones (7,9). The merged sequence gaps at
-// 6; 7 and 9 were never acknowledged (the watermark cannot pass 5), so
-// recovery discards them and truncates both lanes' files — durably, so a
-// second recovery sees a clean log.
-func TestCrashLanesUnevenlyAdvanced(t *testing.T) {
-	const n = 9
-	crash, opts := multiLaneFixture(t, n)
-	lane1 := laneFile(t, crash, 1)
-	recs := readSegRecords(t, lane1) // ts 2,4,6,8
-	truncAt(t, lane1, recs[2].off)   // keep 2,4; drop 6,8
-	re, info := reopen(t, crash, opts)
-	if info.Clock != 5 || info.Discarded != 2 {
-		t.Fatalf("want clock 5 with 2 discards (ts 7,9), got %+v", info)
-	}
-	assertPersonPrefix(t, re.Store, 5, n)
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second recovery of the truncated image is clean, and the store
-	// catches back up through the normal commit path.
-	re2, info2 := reopen(t, crash, opts)
-	if info2.Clock != 5 || info2.Discarded != 0 || info2.Replayed != 5 {
-		t.Fatalf("want clean clock-5 recovery, got %+v", info2)
-	}
-	for i := 6; i <= n; i++ {
-		commitPerson(t, re2.Store, i)
-	}
-	if err := re2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re3, info3 := reopen(t, crash, opts)
-	defer re3.Close()
-	if info3.Clock != n {
-		t.Fatalf("want clock %d after recommit, got %+v", n, info3)
-	}
-	assertPersonPrefix(t, re3.Store, n, n)
-}
-
-// TestCrashMissingRecordSameLane: a hole in a lane that still holds later
-// records cannot be a crash artifact (per-lane timestamps are monotone and
-// tears only eat suffixes) — recovery must refuse with ErrCorrupt rather
+// TestCrashMissingRecordSameLane: commit timestamps are consecutive and
+// tears only eat a suffix, so a hole in the sequence cannot be a crash
+// artifact — recovery must refuse with ErrCorrupt naming the segment rather
 // than silently truncate acknowledged commits.
 func TestCrashMissingRecordSameLane(t *testing.T) {
-	const n = 9
-	crash, opts := multiLaneFixture(t, n)
-	lane1 := laneFile(t, crash, 1)
-	recs := readSegRecords(t, lane1) // ts 2,4,6,8
-	data, err := os.ReadFile(lane1)
+	crash, seg := crashFixture(t, 9)
+	recs := readSegRecords(t, seg)
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Splice record ts 4 out of the middle of lane 1.
-	spliced := append([]byte(nil), data[:recs[1].off]...)
-	spliced = append(spliced, data[recs[2].off:]...)
-	if err := os.WriteFile(lane1, spliced, 0o644); err != nil {
+	// Splice record ts 4 out of the middle of the log.
+	spliced := append([]byte(nil), data[:recs[3].off]...)
+	spliced = append(spliced, data[recs[4].off:]...)
+	if err := os.WriteFile(seg, spliced, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open(crash, opts, registerTestIndexes); !errorsIsCorrupt(err) {
-		t.Fatalf("want ErrCorrupt for same-lane hole, got %v", err)
+	_, _, err = Open(crash, manualOpts(), registerTestIndexes)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), filepath.Base(seg)) {
+		t.Fatalf("want ErrCorrupt naming %s for a hole at ts 4, got %v", filepath.Base(seg), err)
 	}
 }
 
-func errorsIsCorrupt(err error) bool {
-	for ; err != nil; err = unwrapOnce(err) {
-		if err == ErrCorrupt {
-			return true
+// TestOpenRejectsMultiLane: the log has one lane. A directory holding a
+// lane-qualified segment would replay with that lane's commits missing, so
+// Open refuses it — before touching any file — and refuses a request for
+// more than one lane the same way; WALLanes 0 and 1 both mean the log.
+func TestOpenRejectsMultiLane(t *testing.T) {
+	crash, _ := crashFixture(t, 3)
+	for _, lanes := range []int{0, 1} {
+		opts := manualOpts()
+		opts.WALLanes = lanes
+		re, info := reopen(t, crash, opts)
+		if info.Clock != 3 || info.Replayed != 3 {
+			t.Fatalf("WALLanes=%d: want 3 commits replayed, got %+v", lanes, info)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	return false
-}
+	opts := manualOpts()
+	opts.WALLanes = 2
+	if _, _, err := Open(crash, opts, registerTestIndexes); !errors.Is(err, ErrMultiLaneWAL) {
+		t.Fatalf("WALLanes=2: want ErrMultiLaneWAL, got %v", err)
+	}
 
-func unwrapOnce(err error) error {
-	type single interface{ Unwrap() error }
-	type multi interface{ Unwrap() []error }
-	switch e := err.(type) {
-	case single:
-		return e.Unwrap()
-	case multi:
-		for _, u := range e.Unwrap() {
-			if errorsIsCorrupt(u) {
-				return ErrCorrupt
-			}
+	// A stale checkpoint temp and a torn tail are what Open cleans up first;
+	// both must survive the refusal.
+	stray := filepath.Join(crash, "wal", "wal-1-000001.seg")
+	tmp := filepath.Join(crash, ckptPrefix+"7"+ckptTmpSuffix)
+	seg := lastSegment(t, crash)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := append(data, 1, 2, 3)
+	for path, content := range map[string][]byte{stray: []byte("lane 1"), tmp: []byte("tmp"), seg: torn} {
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	default:
-		return nil
+	}
+	_, _, err = Open(crash, manualOpts(), registerTestIndexes)
+	if !errors.Is(err, ErrMultiLaneWAL) || !strings.Contains(err.Error(), filepath.Base(stray)) {
+		t.Fatalf("want ErrMultiLaneWAL naming %s, got %v", filepath.Base(stray), err)
+	}
+	if _, err := os.Stat(tmp); err != nil {
+		t.Fatalf("refused Open removed the checkpoint temp: %v", err)
+	}
+	if after, err := os.ReadFile(seg); err != nil || len(after) != len(torn) {
+		t.Fatalf("refused Open truncated the segment: %d bytes, want %d (%v)", len(after), len(torn), err)
 	}
 }
 
@@ -319,7 +225,6 @@ func TestSyncCommitDurableWithoutClose(t *testing.T) {
 	const writers, commits = 4, 32
 	dir := t.TempDir()
 	opts := manualOpts()
-	opts.WALLanes = 2
 	opts.WALSync = SyncCommit
 	p, _, err := Open(dir, opts, registerTestIndexes)
 	if err != nil {
@@ -368,15 +273,14 @@ func TestSyncCommitDurableWithoutClose(t *testing.T) {
 	}
 }
 
-// TestGroupCommitConcurrentStress drives many writers over a 4-lane WAL
-// with frequent rotation, racing Stats, Sync and a checkpoint against the
-// flushers — primarily race-detector coverage for the batcher's locking.
+// TestGroupCommitConcurrentStress drives many writers over the WAL with
+// frequent rotation, racing Stats, Sync and a checkpoint against the
+// flusher — primarily race-detector coverage for the batcher's locking.
 func TestGroupCommitConcurrentStress(t *testing.T) {
 	const writers, commits = 8, 200
 	dir := t.TempDir()
 	opts := manualOpts()
 	opts.SegmentBytes = 512
-	opts.WALLanes = 4
 	opts.WALSync = SyncFlush
 	p, _, err := Open(dir, opts, registerTestIndexes)
 	if err != nil {
@@ -435,39 +339,4 @@ func TestGroupCommitConcurrentStress(t *testing.T) {
 		t.Fatalf("recovered clock %d want %d (%+v)", info.Clock, commits, info)
 	}
 	assertPersonPrefix(t, re.Store, commits, commits)
-}
-
-// TestParallelRecoveryMatchesSerial: the same multi-segment directory
-// recovered with serial and parallel segment decode yields identical
-// stores.
-func TestParallelRecoveryMatchesSerial(t *testing.T) {
-	dir := t.TempDir()
-	opts := manualOpts()
-	opts.SegmentBytes = 512
-	opts.WALLanes = 2
-	p, _, err := Open(dir, opts, registerTestIndexes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rl := xrand.New(23)
-	var pop []ids.ID
-	for step := 1; step <= 24; step++ {
-		pop = randomGraphStep(t, p.Store, rl, pop, step)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	serialOpts := opts
-	serialOpts.RecoveryWorkers = 1
-	parOpts := opts
-	parOpts.RecoveryWorkers = 4
-	ser, serInfo := reopen(t, dir, serialOpts)
-	defer ser.Close()
-	par, parInfo := reopen(t, dir, parOpts)
-	defer par.Close()
-	if serInfo.Clock != parInfo.Clock || serInfo.Replayed != parInfo.Replayed {
-		t.Fatalf("serial %+v vs parallel %+v", serInfo, parInfo)
-	}
-	assertStoresEqual(t, ser.Store, par.Store, pop)
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,42 +22,26 @@ import (
 //
 //	<dir>/
 //	  ckpt-<clock>.ckpt          checkpoints, newest wins (checkpoint.go)
-//	  wal/wal-<seq>.seg          lane 0 WAL segments, ascending (segment.go)
-//	  wal/wal-<lane>-<seq>.seg   lane >= 1 segments (WALLanes > 1)
+//	  wal/wal-<seq>.seg          WAL segments, ascending (segment.go)
 
 // PersistOptions configures Open. The zero value is usable: 4 MiB
-// segments, one WAL lane, flush-on-close durability, auto-checkpoint every
-// 32 MiB of WAL, two checkpoints retained.
+// segments, flush-on-close durability, auto-checkpoint every 32 MiB of WAL,
+// two checkpoints retained.
 type PersistOptions struct {
 	// SegmentBytes is the WAL rotation threshold: the active segment is
 	// sealed once appending would push it past this size (default 4 MiB).
 	SegmentBytes int64
-	// WALLanes is the number of WAL lanes (default 1). Commits distribute
-	// round-robin over lanes by commit timestamp, each lane flushed and
-	// fsynced by its own goroutine, so durability barriers proceed in
-	// parallel. Opening a directory written with more lanes than requested
-	// keeps the on-disk count (lanes never vanish under an existing log);
-	// single-lane directories are byte-for-byte the v1 layout.
+	// WALLanes is a vestige of the retired multi-lane log.
+	//
+	// Deprecated: the log has one lane; 0 and 1 are accepted, anything else
+	// fails Open with ErrMultiLaneWAL.
 	WALLanes int
 	// WALSync selects the per-batch durability barrier (see WALSyncMode).
+	// The default, SyncClose, is flush-on-close: a machine crash may lose
+	// the records buffered since the last SyncWAL/Close/checkpoint rotation
+	// (process death alone loses at most the in-process buffers, which
+	// SyncWAL and Close drain).
 	WALSync WALSyncMode
-	// SyncOnCommit is the pre-lane spelling of WALSync == SyncCommit, kept
-	// as a compatibility alias: every commit is acknowledged only after
-	// its redo record is fsynced. Without either, the durability contract
-	// is flush-on-close — a machine crash may lose the records buffered
-	// since the last SyncWAL/Close/checkpoint rotation (process death
-	// alone loses at most the in-process buffers, which SyncWAL and Close
-	// drain).
-	SyncOnCommit bool
-	// GroupCommitRecords caps how many records one group-commit batch may
-	// coalesce (0 = unbounded: drain everything pending). Mostly a test
-	// and ablation knob; the cap trades fsync amortisation for bounded
-	// worst-case commit latency.
-	GroupCommitRecords int
-	// RecoveryWorkers is the segment-decode parallelism at Open: 0 uses
-	// GOMAXPROCS, 1 forces serial decode (the apply stage is always a
-	// single timestamp-ordered pass).
-	RecoveryWorkers int
 	// CheckpointBytes triggers a background checkpoint once this many WAL
 	// bytes accumulate since the last one (0 = default 32 MiB, negative =
 	// never trigger by bytes).
@@ -92,13 +77,8 @@ type RecoveryInfo struct {
 	// checkpoint clock inside the boundary segment.
 	Replayed, Skipped int
 	// TornBytes is the size of the incomplete records discarded from the
-	// tails of each lane's last segment (crash mid-append).
+	// tail of the last segment (crash mid-append).
 	TornBytes int64
-	// Discarded counts intact records dropped above a multi-lane crash
-	// gap: a crash with lanes unevenly advanced leaves a hole in the
-	// merged timestamp sequence, and everything above the hole is
-	// un-acknowledged by construction (see recovery.go).
-	Discarded int
 	// Clock is the store's commit clock after recovery.
 	Clock int64
 }
@@ -170,8 +150,17 @@ type Persistent struct {
 // The returned RecoveryInfo is valid even when err != nil is not returned;
 // on error the store is unusable and no background work is running.
 func Open(dir string, opts PersistOptions, register func(*Store)) (*Persistent, *RecoveryInfo, error) {
+	if opts.WALLanes < 0 || opts.WALLanes > 1 {
+		return nil, nil, fmt.Errorf("%w: WALLanes = %d", ErrMultiLaneWAL, opts.WALLanes)
+	}
 	walDir := filepath.Join(dir, "wal")
 	if err := os.MkdirAll(walDir, 0o755); err != nil {
+		return nil, nil, err
+	}
+	// Scanned before anything in dir is removed or truncated: a directory
+	// this build cannot replay in full is refused untouched.
+	segs, err := scanSegments(walDir)
+	if err != nil {
 		return nil, nil, err
 	}
 	s := New()
@@ -203,24 +192,8 @@ func Open(dir string, opts PersistOptions, register func(*Store)) (*Persistent, 
 		info.BadCheckpoints = append(info.BadCheckpoints, filepath.Base(ck.path))
 	}
 
-	// Replay the WAL tail above the checkpoint clock (parallel segment
-	// decode, serial timestamp-ordered apply; recovery.go). The effective
-	// lane count is the larger of the requested count and what the
-	// directory already holds, so lanes never vanish under an existing log.
-	segs, err := scanSegments(walDir)
-	if err != nil {
-		return nil, info, err
-	}
-	lanes := opts.WALLanes
-	if lanes < 1 {
-		lanes = 1
-	}
-	for _, sf := range segs {
-		if sf.lane+1 > lanes {
-			lanes = sf.lane + 1
-		}
-	}
-	validLens, err := s.recoverSegments(segs, info.CheckpointTS, opts.RecoveryWorkers, lanes, info)
+	// Replay the WAL tail above the checkpoint clock (recovery.go).
+	validLen, err := s.recoverSegments(segs, info.CheckpointTS, info)
 	if err != nil {
 		return nil, info, err
 	}
@@ -243,23 +216,12 @@ func Open(dir string, opts PersistOptions, register func(*Store)) (*Persistent, 
 	}
 	p.lastCkptTS.Store(info.CheckpointTS)
 
-	// One active segment per lane, then the group-commit batcher over them.
-	laneSegs := make(map[int][]segmentFile)
-	for _, sf := range segs {
-		laneSegs[sf.lane] = append(laneSegs[sf.lane], sf)
+	// The active segment, then the group-commit batcher over it.
+	seg, err := openActiveSegment(walDir, opts.SegmentBytes, segs, validLen, info.Clock+1)
+	if err != nil {
+		return nil, info, err
 	}
-	wsegs := make([]*walSegments, lanes)
-	for l := 0; l < lanes; l++ {
-		wsegs[l], err = openActiveSegment(walDir, l, opts.SegmentBytes, laneSegs[l], validLens[l], s.clock.Load()+1)
-		if err != nil {
-			return nil, info, err
-		}
-	}
-	mode := opts.WALSync
-	if opts.SyncOnCommit && mode == SyncClose {
-		mode = SyncCommit
-	}
-	s.gwal = newGroupWAL(mode, wsegs, opts.GroupCommitRecords, s.clock.Load(), p.onAppend)
+	s.gwal = newGroupWAL(opts.WALSync, seg, info.Clock, p.onAppend)
 
 	p.wg.Add(1)
 	go p.checkpointLoop()
@@ -283,7 +245,7 @@ func removeStaleTemps(dir string) {
 
 // onAppend is the WAL append hook: account the record and wake the
 // background checkpointer when a trigger threshold is crossed. Runs on the
-// lane flusher goroutines — cheap atomics and a non-blocking send only.
+// flusher goroutine — cheap atomics and a non-blocking send only.
 func (p *Persistent) onAppend(n int) {
 	p.walBytes.Add(int64(n))
 	b := p.bytesSince.Add(int64(n))
@@ -409,38 +371,33 @@ func (p *Persistent) Err() error {
 
 // Stats snapshots the durability counters.
 func (p *Persistent) Stats() PersistStats {
-	st := PersistStats{
+	gw := p.Store.gwal
+	return PersistStats{
 		Checkpoints:      p.checkpoints.Load(),
 		LastCheckpointTS: p.lastCkptTS.Load(),
 		WALBytes:         p.walBytes.Load(),
+		WALRotations:     gw.seg.rotations.Load(),
 		SegmentsRemoved:  p.segsRemoved.Load(),
+		Fsyncs:           gw.fsyncs.Load(),
+		Batches:          gw.batches.Load(),
+		BatchedRecords:   gw.batched.Load(),
 	}
-	if gw := p.Store.gwal; gw != nil {
-		st.WALRotations = gw.rotationCount()
-		st.Fsyncs = gw.fsyncs.Load()
-		st.Batches = gw.batches.Load()
-		st.BatchedRecords = gw.batched.Load()
-	}
-	return st
 }
 
-// Close stops the background checkpointer, drains and fsyncs every WAL
-// lane and closes the active segments: a clean shutdown, after which Open
-// recovers every committed transaction. Close does not checkpoint — call
+// Close stops the background checkpointer, drains and fsyncs the WAL and
+// closes the active segment: a clean shutdown, after which Open recovers
+// every committed transaction. Close does not checkpoint — call
 // Checkpoint first when the next Open should skip tail replay. Idempotent.
 func (p *Persistent) Close() error {
 	if !p.closed.CompareAndSwap(false, true) {
 		return nil
 	}
 	// Fence the commit path first: MarkClosed waits for in-flight critical
-	// sections (their lane deposits land before the drain below) and makes
-	// every later Commit fail with ErrStoreClosed instead of racing the
-	// closing lanes.
+	// sections (their deposits land before the drain below) and makes every
+	// later Commit fail with ErrStoreClosed instead of racing the closing
+	// log.
 	p.Store.MarkClosed()
 	close(p.stop)
 	p.wg.Wait()
-	if gw := p.Store.gwal; gw != nil {
-		return gw.close()
-	}
-	return nil
+	return p.Store.gwal.close()
 }

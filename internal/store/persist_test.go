@@ -1,8 +1,6 @@
 package store
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"math"
 	"os"
@@ -369,24 +367,6 @@ func lastSegment(t *testing.T, dir string) string {
 	return segs[len(segs)-1].path
 }
 
-// countRecords counts the complete records in one segment file.
-func countRecords(t *testing.T, path string) int {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, err := f.Seek(segHeaderSize, 0); err != nil {
-		t.Fatal(err)
-	}
-	n, _, err := scanRecords(bufio.NewReader(f), func([]byte) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
 // TestTornRecordAtSegmentBoundary simulates a crash while appending the
 // record whose arrival forced a rotation: the record opens a fresh final
 // segment and is torn mid-write. Recovery must apply every record of the
@@ -422,7 +402,7 @@ func TestTornRecordAtSegmentBoundary(t *testing.T) {
 	if info.Size() <= segHeaderSize {
 		t.Fatalf("final segment empty; rotation threshold too large for the workload")
 	}
-	lost := countRecords(t, last)
+	lost := len(readSegRecords(t, last))
 	if lost == 0 {
 		t.Fatal("final segment holds no records to tear")
 	}
@@ -673,10 +653,10 @@ func TestBadCheckpointFallsBack(t *testing.T) {
 	assertStoresEqual(t, live, re.Store, pop)
 }
 
-// TestSyncOnCommit pins the fsync-on-commit durability mode: every
-// committed record is on disk before Commit returns, with no flush call.
-// The buffered mode keeps records in the process until FlushWAL/Sync.
-func TestSyncOnCommit(t *testing.T) {
+// TestSyncCommitWritesThrough pins the fsync-on-commit durability mode:
+// every committed record is on disk before Commit returns, with no flush
+// call. The buffered mode keeps records in the process until FlushWAL/Sync.
+func TestSyncCommitWritesThrough(t *testing.T) {
 	walSize := func(dir string) int64 {
 		var total int64
 		segs, _ := scanSegments(filepath.Join(dir, "wal"))
@@ -697,7 +677,7 @@ func TestSyncOnCommit(t *testing.T) {
 
 	dir := t.TempDir()
 	opts := manualOpts()
-	opts.SyncOnCommit = true
+	opts.WALSync = SyncCommit
 	p, _, err := Open(dir, opts, registerTestIndexes)
 	if err != nil {
 		t.Fatal(err)
@@ -872,20 +852,5 @@ func TestOpenMissingSegmentPrefix(t *testing.T) {
 	_, _, err = Open(dir, manualOpts(), registerTestIndexes)
 	if err == nil || !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("missing tail segment not detected: %v", err)
-	}
-}
-
-// TestRecoverStreamStillWorks pins that the segmented subsystem did not
-// change the plain io.Writer WAL contract (AttachWAL + Recover).
-func TestRecoverStreamStillWorks(t *testing.T) {
-	logBytes, orig := buildLogged(t)
-	re := New()
-	re.RegisterOrderedIndex(ids.KindPost, PropCreationDate)
-	n, err := re.Recover(bytes.NewReader(logBytes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(n) != orig.Commits() {
-		t.Fatalf("replayed %d, want %d", n, orig.Commits())
 	}
 }

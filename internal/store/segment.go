@@ -30,53 +30,50 @@ import (
 //	record   := len:u32 crc:u32 payload          (identical to wal.go)
 //
 // firstTS is the commit timestamp of the first record appended to the
-// segment. Commit timestamps within one lane are strictly increasing, and
-// a lane rotates with a firstTS above every record of the segment it
-// seals, so every record of lane segment N has a timestamp below
-// firstTS(N+1) of the same lane: whether a sealed segment is wholly
-// covered by a checkpoint at timestamp C is a pure header computation —
-// firstTS(N+1) <= C+1 implies every record of N is <= C — with no record
-// scan. (In the single-lane layout timestamps are consecutive integers
-// and the rule is exact: lastTS(N) = firstTS(N+1)-1.)
+// segment. Commit timestamps in the log are consecutive, and a rotation
+// stamps the new segment with a firstTS above every record of the segment
+// it seals, so lastTS(N) = firstTS(N+1)-1: whether a sealed segment is
+// wholly covered by a checkpoint at timestamp C is a pure header
+// computation — firstTS(N+1) <= C+1 — with no record scan.
 const (
 	segMagic      = 0x4C415753 // "SWAL"
 	segVersion    = 1
 	segHeaderSize = 16
 )
 
-// segPrefix/segSuffix name segment files. Lane 0 keeps the original
-// single-lane name wal-<seq>.seg (a single-lane directory is byte-for-byte
-// a v1 layout); lanes >= 1 are named wal-<lane>-<seq>.seg. seq is a
-// per-lane monotone counter, zero-padded so lexical order equals numeric
-// order within a lane.
+// segPrefix/segSuffix name segment files wal-<seq>.seg. seq is a monotone
+// counter, zero-padded so lexical order equals numeric order.
 const (
 	segPrefix = "wal-"
 	segSuffix = ".seg"
 )
 
-func segName(lane int, seq uint64) string {
-	if lane == 0 {
-		return fmt.Sprintf("%s%06d%s", segPrefix, seq, segSuffix)
-	}
-	return fmt.Sprintf("%s%d-%06d%s", segPrefix, lane, seq, segSuffix)
+func segName(seq uint64) string {
+	return fmt.Sprintf("%s%06d%s", segPrefix, seq, segSuffix)
 }
+
+// ErrMultiLaneWAL reports a WAL directory (or a request for more than one
+// lane) from the retired multi-lane layout, whose wal-<lane>-<seq>.seg
+// files interleave with wal-<seq>.seg by commit timestamp. The log has one
+// lane; replaying only the files this build understands would drop the
+// commits held in the others, so Open refuses.
+var ErrMultiLaneWAL = errors.New("store: multi-lane WAL is not supported")
 
 // segmentFile describes one on-disk WAL segment.
 type segmentFile struct {
-	lane    int
 	seq     uint64
 	firstTS int64
 	path    string
 	size    int64
 }
 
-// scanSegments lists the WAL directory's segment files ordered by (lane,
-// sequence) and parses their headers. Both the single-lane name
-// wal-<seq>.seg (read as lane 0) and the lane-qualified wal-<lane>-<seq>.seg
-// are accepted; files that match neither are ignored. A file too short to
-// hold a header, or holding an invalid one, is reported with firstTS < 0
-// and left to the caller's policy (a lane's final segment may legitimately
-// be a crash remnant; an earlier one is corruption).
+// scanSegments lists the WAL directory's segment files in sequence order
+// and parses their headers. A lane-qualified name wal-<lane>-<seq>.seg (a
+// '-' in the stem) fails with ErrMultiLaneWAL; other names that do not
+// parse are ignored. A file too short to hold a header, or holding an
+// invalid one, is reported with firstTS < 0 and left to the caller's policy
+// (the final segment may legitimately be a crash remnant; an earlier one is
+// corruption).
 func scanSegments(dir string) ([]segmentFile, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -89,19 +86,14 @@ func scanSegments(dir string) ([]segmentFile, error) {
 			continue
 		}
 		stem := strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix)
-		lane := 0
-		if i := strings.IndexByte(stem, '-'); i >= 0 {
-			l, err := strconv.Atoi(stem[:i])
-			if err != nil || l < 0 {
-				continue
-			}
-			lane, stem = l, stem[i+1:]
+		if strings.Contains(stem, "-") {
+			return nil, fmt.Errorf("%w: segment %s", ErrMultiLaneWAL, name)
 		}
 		seq, err := strconv.ParseUint(stem, 10, 64)
 		if err != nil {
 			continue
 		}
-		sf := segmentFile{lane: lane, seq: seq, firstTS: -1, path: filepath.Join(dir, name)}
+		sf := segmentFile{seq: seq, firstTS: -1, path: filepath.Join(dir, name)}
 		if info, err := e.Info(); err == nil {
 			sf.size = info.Size()
 		}
@@ -110,12 +102,7 @@ func scanSegments(dir string) ([]segmentFile, error) {
 		}
 		segs = append(segs, sf)
 	}
-	sort.Slice(segs, func(i, j int) bool {
-		if segs[i].lane != segs[j].lane {
-			return segs[i].lane < segs[j].lane
-		}
-		return segs[i].seq < segs[j].seq
-	})
+	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
 	return segs, nil
 }
 
@@ -150,14 +137,12 @@ func writeSegHeader(f *os.File, firstTS int64) error {
 	return err
 }
 
-// walSegments is the file-backed sink of one WAL lane: the lane's active
-// segment plus rotation state. All mutating methods are called from the
-// lane's single flusher goroutine (or, before the flushers start, from
-// Open), so there is no internal locking; rotations is atomic because
-// Stats reads it concurrently.
+// walSegments is the file-backed sink of the log: the active segment plus
+// rotation state. All mutating methods are called from the flusher
+// goroutine (or, before it starts, from Open), so there is no internal
+// locking; rotations is atomic because Stats reads it concurrently.
 type walSegments struct {
 	dir   string
-	lane  int
 	limit int64 // rotation threshold in bytes (logical, including header)
 
 	f    *os.File
@@ -172,16 +157,16 @@ type walSegments struct {
 // short, large enough that rotation fsyncs stay rare.
 const defaultSegmentBytes = 4 << 20
 
-// openActiveSegment opens one lane's last scanned segment for appending
-// after recovery truncated its torn tail to validLen, or creates segment 1
-// when the lane is empty. segs must hold only this lane's segments in
-// sequence order. nextTS is a commit timestamp above every recovered
-// record (the recovered clock + 1), used for fresh headers.
-func openActiveSegment(dir string, lane int, limit int64, segs []segmentFile, validLen int64, nextTS int64) (*walSegments, error) {
+// openActiveSegment opens the last scanned segment for appending after
+// recovery truncated its torn tail to validLen, or creates segment 1 when
+// the directory is empty. segs is scanSegments' listing. nextTS is a commit
+// timestamp above every recovered record (the recovered clock + 1), used
+// for fresh headers.
+func openActiveSegment(dir string, limit int64, segs []segmentFile, validLen int64, nextTS int64) (*walSegments, error) {
 	if limit <= 0 {
 		limit = defaultSegmentBytes
 	}
-	ws := &walSegments{dir: dir, lane: lane, limit: limit}
+	ws := &walSegments{dir: dir, limit: limit}
 	if len(segs) == 0 {
 		ws.seq = 1
 		return ws, ws.create(nextTS)
@@ -216,7 +201,7 @@ func openActiveSegment(dir string, lane int, limit int64, segs []segmentFile, va
 // create opens a fresh active segment file ws.seq with the given firstTS
 // and makes its directory entry durable.
 func (ws *walSegments) create(firstTS int64) error {
-	path := filepath.Join(ws.dir, segName(ws.lane, ws.seq))
+	path := filepath.Join(ws.dir, segName(ws.seq))
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return err
@@ -282,29 +267,26 @@ func (ws *walSegments) close(bw *bufio.Writer) error {
 }
 
 // removeCoveredSegments deletes sealed segments wholly covered by a durable
-// checkpoint at timestamp ckptTS: within each lane, segment i is removable
-// when segment i+1 of the same lane exists and starts at or before ckptTS+1
-// (per-lane monotone timestamps make the header comparison sound). A lane's
-// active segment is never removed. Deletion runs in sequence order per
-// lane, so a crash mid-way leaves each lane a contiguous suffix — recovery
-// never sees a gap. Returns the number removed.
+// checkpoint at timestamp ckptTS: segment i is removable when segment i+1
+// exists and starts at or before ckptTS+1. The active segment is never
+// removed. Deletion runs in sequence order, so a crash mid-way leaves a
+// contiguous suffix — recovery never sees a gap. Returns the number
+// removed.
 func removeCoveredSegments(dir string, ckptTS int64) (int, error) {
 	segs, err := scanSegments(dir)
 	if err != nil {
 		return 0, err
 	}
 	removed := 0
-	for _, lane := range segmentLanes(segs) {
-		for i := 0; i+1 < len(lane); i++ {
-			next := lane[i+1]
-			if next.firstTS < 0 || next.firstTS > ckptTS+1 {
-				break
-			}
-			if err := os.Remove(lane[i].path); err != nil {
-				return removed, err
-			}
-			removed++
+	for i := 0; i+1 < len(segs); i++ {
+		next := segs[i+1]
+		if next.firstTS < 0 || next.firstTS > ckptTS+1 {
+			break
 		}
+		if err := os.Remove(segs[i].path); err != nil {
+			return removed, err
+		}
+		removed++
 	}
 	if removed > 0 {
 		if err := syncDir(dir); err != nil {
@@ -312,21 +294,6 @@ func removeCoveredSegments(dir string, ckptTS int64) (int, error) {
 		}
 	}
 	return removed, nil
-}
-
-// segmentLanes splits a (lane, seq)-ordered scanSegments listing into
-// per-lane runs, preserving order.
-func segmentLanes(segs []segmentFile) [][]segmentFile {
-	var lanes [][]segmentFile
-	for i := 0; i < len(segs); {
-		j := i
-		for j < len(segs) && segs[j].lane == segs[i].lane {
-			j++
-		}
-		lanes = append(lanes, segs[i:j])
-		i = j
-	}
-	return lanes
 }
 
 // syncDir fsyncs a directory so renames and removals within it are durable.

@@ -86,15 +86,14 @@ type Store struct {
 	compactionsDiscarded atomic.Int64
 	catchUpCommits       atomic.Int64
 
-	// wal, when attached, receives a redo record per committed
-	// transaction, in commit order (appends happen under commitMu). gwal
-	// is the durable path's group-commit batcher (groupcommit.go); at most
-	// one of the two is set, and gwal wins when both are.
-	wal  *walWriter
+	// gwal, set by Open, receives a redo record per committed transaction,
+	// in commit order (deposits happen under commitMu): the group-commit
+	// batcher over the segmented log (groupcommit.go). Nil on a store that
+	// is not durable.
 	gwal *groupWAL
 
 	// closed is raised by MarkClosed (Persistent.Close does it before the
-	// WAL lanes drain). Commits and checked view acquisition observe it and
+	// WAL drains). Commits and checked view acquisition observe it and
 	// return ErrStoreClosed instead of racing the shutdown.
 	closed atomic.Bool
 }
@@ -150,13 +149,12 @@ func (s *Store) LastCommit() int64 { return s.clock.Load() }
 // MarkClosed transitions the store into the closed state: every later
 // Commit and AcquireViewChecked returns ErrStoreClosed. Taking commitMu to
 // flip the flag is the shutdown fence — commits already inside their
-// critical section finish (and reach the WAL lanes) before MarkClosed
-// returns, and commits that arrive after it observe the flag before
-// touching a lane. Persistent.Close calls this before draining the lanes;
-// servers over an in-memory store call it directly. A background view
-// compaction in flight is waited for (none starts once the flag is up), so
-// the store has no goroutine of its own left when MarkClosed returns.
-// Idempotent.
+// critical section finish (and reach the WAL) before MarkClosed returns,
+// and commits that arrive after it observe the flag before depositing.
+// Persistent.Close calls this before draining the WAL; servers over an
+// in-memory store call it directly. A background view compaction in flight
+// is waited for (none starts once the flag is up), so the store has no
+// goroutine of its own left when MarkClosed returns. Idempotent.
 func (s *Store) MarkClosed() {
 	s.commitMu.Lock()
 	s.closed.Store(true)

@@ -20,10 +20,10 @@ var ErrExists = errors.New("store: node already exists")
 // ErrStoreClosed is returned by Commit and AcquireViewChecked once the
 // store has been closed (Persistent.Close, or MarkClosed on an in-memory
 // store). It replaces the pre-close race where a commit could deposit into
-// a draining WAL lane and be silently dropped in non-SyncCommit modes: the
-// closed flag is raised under commitMu before the lanes shut down, so
-// every commit either fully precedes Close (its record reaches the lanes
-// before they drain) or observes the flag and fails with this sentinel.
+// a draining WAL and be silently dropped in non-SyncCommit modes: the
+// closed flag is raised under commitMu before the WAL shuts down, so every
+// commit either fully precedes Close (its record reaches the WAL before it
+// drains) or observes the flag and fails with this sentinel.
 var ErrStoreClosed = errors.New("store: closed")
 
 // pendingNode is a buffered node creation.
@@ -378,7 +378,7 @@ func (tx *Txn) Abort() {
 // ErrExists if a created node ID was concurrently taken.
 //
 // The critical section under commitMu is short: validate, install, claim
-// the commit timestamp and serialise the redo record into its WAL lane's
+// the commit timestamp and serialise the redo record into the WAL's
 // pending buffer. The durability wait — in fsync-on-commit mode — happens
 // after commitMu is released, parked on the group-commit batcher's
 // watermark, so concurrent committers share fsyncs instead of serialising
@@ -418,7 +418,7 @@ func (tx *Txn) commitLocked() (int64, error) {
 	s := tx.s
 
 	// Closed stores fail before validation: a deposit past this point would
-	// race the draining WAL lanes (MarkClosed flips the flag under commitMu,
+	// race the draining WAL (MarkClosed flips the flag under commitMu,
 	// so the read here is ordered against the shutdown fence).
 	if s.closed.Load() {
 		s.aborts.Add(1)
@@ -517,20 +517,11 @@ func (tx *Txn) commitLocked() (int64, error) {
 	// refresh observing the new watermark always finds its deltas.
 	s.recordDelta(delta)
 
-	// Hand the redo record to its WAL lane before publishing the commit
-	// (still under commitMu, so deposits preserve commit order — the
-	// invariant behind the durability watermark). The plain io.Writer WAL
-	// keeps the direct synchronous append.
+	// Hand the redo record to the WAL before publishing the commit (still
+	// under commitMu, so deposits preserve commit order — the invariant
+	// behind the durability watermark).
 	if s.gwal != nil {
 		s.gwal.deposit(ts, created, tx.propSets, tx.newEdges, tx.edgeDels)
-	} else if s.wal != nil {
-		if err := s.logCommit(ts, created, tx.propSets, tx.newEdges, tx.edgeDels); err != nil {
-			// The in-memory install already happened; surface the log
-			// failure but keep the store consistent.
-			s.clock.Store(ts)
-			s.commits.Add(1)
-			return ts, fmt.Errorf("store: commit logged partially: %w", err)
-		}
 	}
 
 	// Advance the watermark: the transaction becomes visible atomically.

@@ -1,21 +1,16 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
-
-	"ldbcsnb/internal/ids"
 )
 
 // Write-ahead commit log. Virtuoso and Sparksee are durable systems; the
 // benchmark's update stream is replayed against committed state, so the
 // engine provides an append-only redo log: every committed transaction is
-// serialised (length-prefixed, CRC-protected) in commit order, and Recover
+// serialised (length-prefixed, CRC-protected) in commit order, and Open
 // rebuilds a store by replaying the log, stopping cleanly at a torn tail
 // (e.g. after a crash mid-append).
 //
@@ -30,81 +25,49 @@ import (
 //	  kind 4 del-edge:    from:u64 type:u8 to:u64
 //	prop    := key:u8 valKind:u8 (int:u64 | len:u32 bytes)
 //
-// The log has two sinks. AttachWAL streams records to one caller-owned
-// io.Writer through this walWriter (tests, ablations, piping to external
-// storage); the durable path (Open in persist.go) instead wires the
-// group-commit batcher (groupcommit.go), which coalesces records into
-// per-lane segmented files (segment.go) with batched fsync barriers and
-// checkpoint truncation.
-type walWriter struct {
-	mu  sync.Mutex
-	w   *bufio.Writer
-	buf []byte // guarded by mu; pooled record-assembly scratch
-}
+// This file holds the record codec: appendCommitRecord is the one encoder
+// (called by the group-commit batcher, groupcommit.go) and walDecoder the
+// byte reader under the one decoder (decodeTxnPayload, recovery.go). The
+// log itself lives in segment files (segment.go) that Open (persist.go)
+// attaches and recovers.
 
 // ErrCorrupt reports a CRC mismatch mid-log (not a clean torn tail).
 var ErrCorrupt = errors.New("store: corrupt WAL record")
 
-// AttachWAL directs every subsequent commit's redo record to w. Attach
-// before loading data; the store serialises log appends in commit order.
-//
-// Durability guarantee: none by itself. Records are buffered; FlushWAL
-// pushes them to w, and whether bytes written to w survive a crash is the
-// caller's concern (w may be a file the caller fsyncs, a network sink, or
-// an in-memory buffer). For on-disk durability with explicit guarantees use
-// Open (persist.go), which attaches a segmented file-backed WAL with
-// flush-on-close or fsync-on-commit semantics.
-func (s *Store) AttachWAL(w io.Writer) {
-	s.wal = &walWriter{w: bufio.NewWriterSize(w, 1<<16)}
-}
-
-// FlushWAL flushes buffered log records to the underlying writer (the
-// attached io.Writer, or every lane's active segment file).
+// FlushWAL flushes buffered log records to the active segment file. A
+// store without a log (New, not Open) has nothing to flush.
 //
 // Durability guarantee: flushed records have left the process but are NOT
 // fsynced — after FlushWAL a crash of the process cannot lose them, but a
 // crash of the machine can. SyncWAL (or PersistOptions.WALSync=SyncCommit)
 // adds the fsync barrier.
 func (s *Store) FlushWAL() error {
-	if s.gwal != nil {
-		return s.gwal.barrier(laneBarrier{flush: true})
-	}
-	if s.wal == nil {
+	if s.gwal == nil {
 		return nil
 	}
-	s.wal.mu.Lock()
-	defer s.wal.mu.Unlock()
-	return s.wal.w.Flush()
+	return s.gwal.barrier(walBarrier{flush: true})
 }
 
-// SyncWAL flushes buffered log records and, on a segmented file-backed WAL,
-// fsyncs every lane's active segment: when it returns nil, every commit
-// that completed before the call is durable on disk. On a plain io.Writer
-// WAL it is equivalent to FlushWAL (the store cannot fsync a writer it
-// does not own).
+// SyncWAL flushes buffered log records and fsyncs the active segment: when
+// it returns nil, every commit that completed before the call is durable on
+// disk.
 func (s *Store) SyncWAL() error {
-	if s.gwal != nil {
-		return s.gwal.barrier(laneBarrier{sync: true})
-	}
-	if s.wal == nil {
+	if s.gwal == nil {
 		return nil
 	}
-	s.wal.mu.Lock()
-	defer s.wal.mu.Unlock()
-	return s.wal.w.Flush()
+	return s.gwal.barrier(walBarrier{sync: true})
 }
 
-// rotateWAL seals every lane's active WAL segment and opens the next one,
-// so that every previously logged record lives in a sealed (immutable,
-// fsynced) segment. Used by the checkpointer: a checkpoint taken after
-// rotation covers every sealed segment, making them truncatable. No-op
-// when the WAL is not segmented; a lane whose active segment is still
-// empty keeps it.
+// rotateWAL seals the active WAL segment and opens the next one, so that
+// every previously logged record lives in a sealed (immutable, fsynced)
+// segment. Used by the checkpointer: a checkpoint taken after rotation
+// covers every sealed segment, making them truncatable. An active segment
+// that is still empty is kept.
 func (s *Store) rotateWAL() error {
 	if s.gwal == nil {
 		return nil
 	}
-	return s.gwal.barrier(laneBarrier{rotate: true})
+	return s.gwal.barrier(walBarrier{rotate: true})
 }
 
 func appendU16(b []byte, v uint16) []byte { return append(b, byte(v), byte(v>>8)) }
@@ -137,11 +100,9 @@ func appendProp(b []byte, p Prop) []byte {
 
 // appendCommitRecord serialises one committed transaction onto b — 8-byte
 // length/CRC header plus payload, header patched in once the payload is
-// complete — and returns the grown slice. It is the single encoder shared
-// by the plain walWriter (logCommit) and the group-commit batcher
-// (deposit): both sinks emit byte-identical records. Appending into a
-// caller-pooled buffer keeps the hot commit path allocation-free once the
-// buffer has warmed to the largest record size.
+// complete — and returns the grown slice. Appending into the batcher's
+// pending buffer keeps the hot commit path allocation-free once the buffer
+// has warmed (groupcommit_test.go pins this on deposit).
 //
 //snb:noalloc
 func appendCommitRecord(buf []byte, ts int64, created []*pendingNode, sets []pendingProp, edges []pendingEdge, dels []pendingDel) []byte {
@@ -184,76 +145,6 @@ func appendCommitRecord(buf []byte, ts int64, created []*pendingNode, sets []pen
 	binary.LittleEndian.PutUint32(b[start:start+4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(b[start+4:start+8], crc32.ChecksumIEEE(payload))
 	return b
-}
-
-// logCommit serialises one committed transaction to the plain attached
-// writer. Called under commitMu, so records land in commit order. One
-// commit costs a single buffered Write and zero allocations once the
-// pooled buffer has warmed (wal_test.go pins this; BenchmarkWALLogCommit
-// tracks it with -benchmem).
-//
-//snb:noalloc
-func (s *Store) logCommit(ts int64, created []*pendingNode, sets []pendingProp, edges []pendingEdge, dels []pendingDel) error {
-	w := s.wal
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	b := appendCommitRecord(w.buf[:0], ts, created, sets, edges, dels)
-	w.buf = b
-	_, err := w.w.Write(b)
-	return err
-}
-
-// Recover replays a WAL into the store (which must be freshly constructed,
-// with indexes registered). It returns the number of transactions applied.
-// A truncated final record (torn write) ends recovery without error; a CRC
-// mismatch on a complete record returns ErrCorrupt.
-//
-// Recover consumes the single-stream format AttachWAL produces. Segmented
-// on-disk logs written by Open recover through Open itself (checkpoint +
-// tail replay); both share this record format and scan loop.
-func (s *Store) Recover(r io.Reader) (int, error) {
-	n, _, err := scanRecords(bufio.NewReaderSize(r, 1<<16), s.applyRecord)
-	return n, err
-}
-
-// scanRecords reads length-prefixed records from br and calls fn with each
-// complete, CRC-valid payload. It returns the number of records delivered
-// and the clean length: the byte offset just past the last valid record. A
-// torn tail — an incomplete header or payload at EOF — ends the scan
-// without error (the torn bytes are excluded from the clean length); a CRC
-// mismatch or implausible length on a complete record returns ErrCorrupt.
-func scanRecords(br *bufio.Reader, fn func(payload []byte) error) (int, int64, error) {
-	applied := 0
-	clean := int64(0)
-	var hdr [8]byte
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-				return applied, clean, nil // clean end or torn header
-			}
-			return applied, clean, err
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if length > 1<<30 {
-			return applied, clean, fmt.Errorf("%w: implausible record length %d", ErrCorrupt, length)
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-				return applied, clean, nil // torn payload
-			}
-			return applied, clean, err
-		}
-		if crc32.ChecksumIEEE(payload) != want {
-			return applied, clean, ErrCorrupt
-		}
-		if err := fn(payload); err != nil {
-			return applied, clean, err
-		}
-		applied++
-		clean += 8 + int64(length)
-	}
 }
 
 type walDecoder struct {
@@ -407,67 +298,4 @@ func (d *walDecoder) propsInto(dst Props) {
 		}
 	}
 	d.pos = pos
-}
-
-// applyRecord replays one committed transaction through the normal commit
-// path, preserving semantics (indexes, adjacency, versions).
-func (s *Store) applyRecord(payload []byte) error {
-	d := &walDecoder{b: payload}
-	_ = d.u64() // original commit timestamp; replay assigns fresh ones
-	n := int(d.u32())
-	tx := s.Begin()
-	for i := 0; i < n && d.err == nil; i++ {
-		switch d.u8() {
-		case 1:
-			id := ids.ID(d.u64())
-			np := int(d.u16())
-			props := make(Props, 0, np)
-			for j := 0; j < np; j++ {
-				props = append(props, d.prop())
-			}
-			if err := tx.CreateNode(id, props); err != nil {
-				tx.Abort()
-				return err
-			}
-		case 2:
-			id := ids.ID(d.u64())
-			p := d.prop()
-			if err := tx.SetProp(id, p.Key, p.Val); err != nil {
-				tx.Abort()
-				return err
-			}
-		case 3:
-			from := ids.ID(d.u64())
-			t := EdgeType(d.u8())
-			to := ids.ID(d.u64())
-			stamp := int64(d.u64())
-			sym := d.u8() == 1
-			var err error
-			if sym {
-				err = tx.AddKnows(from, to, stamp)
-			} else {
-				err = tx.AddEdge(from, t, to, stamp)
-			}
-			if err != nil {
-				tx.Abort()
-				return err
-			}
-		case 4:
-			from := ids.ID(d.u64())
-			t := EdgeType(d.u8())
-			to := ids.ID(d.u64())
-			if err := tx.DeleteEdge(from, t, to); err != nil {
-				tx.Abort()
-				return err
-			}
-		default:
-			tx.Abort()
-			return fmt.Errorf("%w: unknown op kind", ErrCorrupt)
-		}
-	}
-	if d.err != nil {
-		tx.Abort()
-		return fmt.Errorf("%w: %v", ErrCorrupt, d.err)
-	}
-	return tx.Commit()
 }

@@ -1,142 +1,21 @@
 package store
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
-	"io"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"ldbcsnb/internal/ids"
 	"ldbcsnb/internal/xrand"
 )
-
-// buildLogged creates a store with a WAL and writes a small graph through
-// several transactions, returning the log bytes.
-func buildLogged(t *testing.T) ([]byte, *Store) {
-	t.Helper()
-	var log bytes.Buffer
-	st := New()
-	st.RegisterOrderedIndex(ids.KindPost, PropCreationDate)
-	st.AttachWAL(&log)
-
-	p := personID(500)
-	tx := st.Begin()
-	if err := tx.CreateNode(p, Props{{PropFirstName, String("Karl")}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	for i := uint32(0); i < 25; i++ {
-		tx := st.Begin()
-		m := postID(500 + i)
-		tx.CreateNode(m, Props{
-			{PropCreationDate, Int64(int64(i) * 10)},
-			{PropContent, String("hello wal")},
-		})
-		tx.AddEdge(m, EdgeHasCreator, p, int64(i)*10)
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tx = st.Begin()
-	tx.SetProp(p, PropFirstName, String("Karl II"))
-	tx.AddKnows(p, personID(501), 77)
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// One edge deletion, so recovery replays tombstones too.
-	tx = st.Begin()
-	if err := tx.DeleteEdge(postID(500), EdgeHasCreator, p); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.FlushWAL(); err != nil {
-		t.Fatal(err)
-	}
-	return log.Bytes(), st
-}
-
-func TestWALRecoverRoundTrip(t *testing.T) {
-	logBytes, orig := buildLogged(t)
-	if len(logBytes) == 0 {
-		t.Fatal("empty WAL")
-	}
-	re := New()
-	re.RegisterOrderedIndex(ids.KindPost, PropCreationDate)
-	n, err := re.Recover(bytes.NewReader(logBytes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 28 {
-		t.Fatalf("replayed %d txns, want 28", n)
-	}
-	// The recovered store answers queries identically.
-	p := personID(500)
-	re.View(func(tx *Txn) {
-		if got := tx.Prop(p, PropFirstName).Str(); got != "Karl II" {
-			t.Fatalf("recovered name %q", got)
-		}
-		// One hasCreator edge was tombstoned by the final logged txn.
-		if got := len(tx.In(p, EdgeHasCreator)); got != 24 {
-			t.Fatalf("recovered messages %d", got)
-		}
-		if got := len(tx.Out(postID(500), EdgeHasCreator)); got != 0 {
-			t.Fatalf("tombstoned edge visible after recovery: %d", got)
-		}
-		if got := len(tx.Out(p, EdgeKnows)); got != 1 {
-			t.Fatalf("recovered knows %d", got)
-		}
-		count := 0
-		if err := tx.AscendIndex(ids.KindPost, PropCreationDate, 0, func(int64, ids.ID) bool {
-			count++
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if count != 25 {
-			t.Fatalf("recovered index entries %d", count)
-		}
-	})
-	// Stats parity (same logical content).
-	so, sr := orig.ComputeStats(), re.ComputeStats()
-	if so.Nodes != sr.Nodes || so.Edges != sr.Edges {
-		t.Fatalf("stats diverge: %d/%d vs %d/%d", so.Nodes, so.Edges, sr.Nodes, sr.Edges)
-	}
-}
-
-func TestWALTornTail(t *testing.T) {
-	logBytes, _ := buildLogged(t)
-	// Truncate mid-record: recovery must apply the clean prefix and stop
-	// without error (crash-consistent redo).
-	for _, cut := range []int{1, 7, len(logBytes) / 2, len(logBytes) - 3} {
-		re := New()
-		re.RegisterOrderedIndex(ids.KindPost, PropCreationDate)
-		n, err := re.Recover(bytes.NewReader(logBytes[:cut]))
-		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		if n < 0 || n > 27 {
-			t.Fatalf("cut %d: applied %d", cut, n)
-		}
-	}
-}
-
-func TestWALCorruptPayload(t *testing.T) {
-	logBytes, _ := buildLogged(t)
-	bad := append([]byte(nil), logBytes...)
-	bad[12] ^= 0xFF // flip a payload byte of the first record
-	re := New()
-	_, err := re.Recover(bytes.NewReader(bad))
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt, got %v", err)
-	}
-}
 
 // TestWALCorruptInsideRotatedSegment extends the torn-write coverage to
 // the segmented on-disk log: a CRC failure inside a sealed (rotated,
@@ -184,49 +63,134 @@ func TestWALCorruptInsideRotatedSegment(t *testing.T) {
 	}
 }
 
-func TestWALEmptyLog(t *testing.T) {
-	re := New()
-	n, err := re.Recover(bytes.NewReader(nil))
-	if err != nil || n != 0 {
-		t.Fatalf("empty log: n=%d err=%v", n, err)
-	}
-}
-
+// TestWALOrderPreservesVersions: two SetProps in separate transactions
+// must replay in commit order.
 func TestWALOrderPreservesVersions(t *testing.T) {
-	// Two SetProps in separate transactions must replay in order.
-	var log bytes.Buffer
-	st := New()
-	st.AttachWAL(&log)
-	p := personID(600)
-	tx := st.Begin()
-	tx.CreateNode(p, Props{{PropFirstName, String("v1")}})
+	dir := t.TempDir()
+	p, _, err := Open(dir, manualOpts(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := personID(600)
+	tx := p.Begin()
+	tx.CreateNode(id, Props{{PropFirstName, String("v1")}})
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range []string{"v2", "v3", "v4"} {
-		tx := st.Begin()
-		tx.SetProp(p, PropFirstName, String(v))
+		tx := p.Begin()
+		tx.SetProp(id, PropFirstName, String(v))
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := st.FlushWAL(); err != nil {
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re := New()
-	if _, err := re.Recover(bytes.NewReader(log.Bytes())); err != nil {
+	re, _, err := Open(dir, manualOpts(), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer re.Close()
 	re.View(func(tx *Txn) {
-		if got := tx.Prop(p, PropFirstName).Str(); got != "v4" {
+		if got := tx.Prop(id, PropFirstName).Str(); got != "v4" {
 			t.Fatalf("final version %q", got)
 		}
 	})
 }
 
+// edgeLogFixture writes a log of one record per segment — ts 1, 2: two
+// persons; ts 3: a knows edge between them; ts 4: its deletion; ts 5: a
+// third person — stopping after the first n, and returns the closed
+// directory and its segments.
+func edgeLogFixture(t *testing.T, n int) (string, []segmentFile) {
+	t.Helper()
+	dir := t.TempDir()
+	opts := manualOpts()
+	opts.SegmentBytes = segHeaderSize + 1 // every record after the first rotates
+	p, _, err := Open(dir, opts, registerTestIndexes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := personID(1), personID(2)
+	steps := []func(tx *Txn) error{
+		func(tx *Txn) error { return tx.CreateNode(a, nil) },
+		func(tx *Txn) error { return tx.CreateNode(b, nil) },
+		func(tx *Txn) error { return tx.AddEdge(a, EdgeLikes, b, 7) },
+		func(tx *Txn) error { return tx.DeleteEdge(a, EdgeLikes, b) },
+		func(tx *Txn) error { return tx.CreateNode(personID(3), nil) },
+	}
+	for _, step := range steps[:n] {
+		tx := p.Begin()
+		if err := step(tx); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := scanSegments(filepath.Join(dir, "wal"))
+	if err != nil || len(segs) != n {
+		t.Fatalf("want %d one-record segments, got %d (%v)", n, len(segs), err)
+	}
+	return dir, segs
+}
+
+// edgeTypeOff is the offset of the edge-type byte in a payload whose first
+// op is an add-edge or del-edge: ts:u64 nOps:u32 kind:u8 from:u64 type:u8.
+const edgeTypeOff = 8 + 4 + 1 + 8
+
+// patchEdgeType overwrites the edge type of the first op of the segment's
+// first record and re-stamps the record's CRC: a record only the decoder's
+// own validation can reject.
+func patchEdgeType(t *testing.T, path string, typ byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := data[segHeaderSize:]
+	payload := rec[8 : 8+binary.LittleEndian.Uint32(rec)]
+	payload[edgeTypeOff] = typ
+	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(payload))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplayRejectsBadEdgeType: a CRC-valid record whose edge type is
+// outside the schema must not be installed — replay bypasses Txn.addEdge's
+// check, and the first view build would index past the adjacency tables.
+// Mid-chain it is corruption naming the segment; in the final segment it
+// ends the log like any undecodable tail.
+func TestReplayRejectsBadEdgeType(t *testing.T) {
+	for _, typ := range []byte{0, byte(edgeTypeMax), 200} {
+		for _, victim := range []int{2, 3} { // the add-edge and del-edge records
+			dir, segs := edgeLogFixture(t, 5)
+			patchEdgeType(t, segs[victim].path, typ)
+			_, _, err := Open(dir, manualOpts(), registerTestIndexes)
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), filepath.Base(segs[victim].path)) {
+				t.Fatalf("type %d in record %d: want ErrCorrupt naming the segment, got %v", typ, victim+1, err)
+			}
+		}
+		dir, segs := edgeLogFixture(t, 3)
+		patchEdgeType(t, segs[2].path, typ)
+		re, info := reopen(t, dir, manualOpts())
+		if info.Clock != 2 || info.TornBytes == 0 {
+			t.Fatalf("type %d in the final record: want clock 2 and a dropped tail, got %+v", typ, info)
+		}
+		if v := re.CurrentView(); len(v.Out(personID(1), EdgeLikes)) != 0 {
+			t.Fatalf("type %d: the rejected edge was installed", typ)
+		}
+	}
+}
+
 // walPendings builds one representative committed-transaction shape (a
 // node with properties, a property update, a symmetric edge and an edge
-// tombstone) for exercising logCommit directly.
+// tombstone) for exercising the record codec directly.
 func walPendings() ([]*pendingNode, []pendingProp, []pendingEdge, []pendingDel) {
 	created := []*pendingNode{{id: personID(1), props: Props{
 		{Key: PropFirstName, Val: String("Ada")},
@@ -238,36 +202,98 @@ func walPendings() ([]*pendingNode, []pendingProp, []pendingEdge, []pendingDel) 
 	return created, sets, edges, dels
 }
 
-// TestLogCommitZeroAlloc pins the write path's pooled-encode contract:
-// once the writer's record buffer has warmed to the record size, logging
-// a commit allocates nothing — the whole record (header + payload) is
-// assembled in the reused buffer and written with a single buffered Write.
-func TestLogCommitZeroAlloc(t *testing.T) {
-	st := New()
-	st.AttachWAL(io.Discard)
+// idleBatcher returns a group-commit batcher with no flusher behind it, so
+// a test owns the pending buffer.
+func idleBatcher() *groupWAL {
+	gw := &groupWAL{oldestUnsynced: math.MaxInt64}
+	gw.work = sync.NewCond(&gw.mu)
+	gw.durable = sync.NewCond(&gw.mu)
+	return gw
+}
+
+// TestDepositZeroAlloc pins the write path's pooled-encode contract: once
+// the pending buffer has warmed to the record size, depositing a commit
+// allocates nothing — the whole record (header + payload) is assembled in
+// the reused buffer.
+func TestDepositZeroAlloc(t *testing.T) {
+	gw := idleBatcher()
 	created, sets, edges, dels := walPendings()
-	logOne := func() {
-		if err := st.logCommit(9, created, sets, edges, dels); err != nil {
-			t.Fatal(err)
-		}
+	depositOne := func() {
+		gw.pending, gw.count = gw.pending[:0], 0 // the flusher's swap
+		gw.deposit(9, created, sets, edges, dels)
 	}
-	logOne() // warm the pooled buffer
-	if allocs := testing.AllocsPerRun(100, logOne); allocs != 0 {
-		t.Fatalf("logCommit allocates %.1f times per record, want 0", allocs)
+	depositOne() // warm the pending buffer
+	if allocs := testing.AllocsPerRun(100, depositOne); allocs != 0 {
+		t.Fatalf("deposit allocates %.1f times per record, want 0", allocs)
 	}
 }
 
-// BenchmarkWALLogCommit measures the redo-record encode+append cost per
+// BenchmarkWALDeposit measures the redo-record encode+append cost per
 // commit in isolation (run with -benchmem; steady state must report
 // 0 allocs/op).
-func BenchmarkWALLogCommit(b *testing.B) {
-	st := New()
-	st.AttachWAL(io.Discard)
+func BenchmarkWALDeposit(b *testing.B) {
+	gw := idleBatcher()
 	created, sets, edges, dels := walPendings()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := st.logCommit(int64(i), created, sets, edges, dels); err != nil {
-			b.Fatal(err)
-		}
+		gw.pending, gw.count = gw.pending[:0], 0
+		gw.deposit(int64(i), created, sets, edges, dels)
 	}
+}
+
+// walDecodeAllocCeiling is the most decodeTxnPayload may allocate for an
+// n-byte payload: every pre-sized slice is bounded by the bytes left (a
+// 24-byte Prop per 2 payload bytes is the densest), appended slices at
+// most double, and the string arena copies the input at most twice. The
+// constant absorbs what the fuzzing engine's own goroutines allocate
+// meanwhile (TotalAlloc is process-wide).
+func walDecodeAllocCeiling(n int) uint64 { return 32*uint64(n) + 64<<10 }
+
+// FuzzWALRecord feeds arbitrary payload bytes to the one redo-record
+// decoder: it returns an error, or a transaction whose re-encoding decodes
+// to the same transaction — never a panic, never an allocation above
+// walDecodeAllocCeiling.
+func FuzzWALRecord(f *testing.F) {
+	created, sets, edges, dels := walPendings()
+	f.Add(appendCommitRecord(nil, 9, created, sets, edges, dels)[8:])
+	f.Add(appendCommitRecord(nil, 1, nil, nil, nil, nil)[8:])
+	for _, typ := range []byte{0, byte(edgeTypeMax), 200} {
+		bad := appendCommitRecord(nil, 3, nil, nil, edges, nil)[8:]
+		bad[edgeTypeOff] = typ
+		f.Add(bad)
+	}
+	// A create-node claiming 65535 props it does not carry.
+	f.Add(append(appendCommitRecord(nil, 4, []*pendingNode{{id: personID(1)}}, nil, nil, nil)[8:29], 0xFF, 0xFF))
+
+	decode := func(b []byte, start int) (*decodedTxn, error) {
+		dtx := &decodedTxn{}
+		return dtx, decodeTxnPayload(&walDecoder{b: b}, int64(start), int64(len(b)), dtx)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		// The first decode interns the payload's strings (the interner is
+		// process-wide and grows by amortised doubling); the measured one
+		// allocates only what the decoder itself does.
+		decode(payload, 0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		dtx, err := decode(payload, 0)
+		runtime.ReadMemStats(&after)
+		if got, max := after.TotalAlloc-before.TotalAlloc, walDecodeAllocCeiling(len(payload)); got > max {
+			t.Fatalf("decoding %d bytes allocated %d, ceiling %d", len(payload), got, max)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("unnamed decode error: %v", err)
+			}
+			return
+		}
+		rec := appendCommitRecord(nil, dtx.ts, dtx.created, dtx.sets, dtx.edges, dtx.dels)
+		again, err := decode(rec, 8)
+		if err != nil {
+			t.Fatalf("re-encoded record does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(dtx, again) {
+			t.Fatalf("round trip diverged:\n%+v\n%+v", dtx, again)
+		}
+	})
 }

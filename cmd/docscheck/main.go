@@ -5,7 +5,11 @@
 //   - relative link targets exist on disk (relative to the linking file);
 //   - fragment links (#section, file.md#section) resolve to a heading in
 //     the target file, using GitHub's heading-to-anchor slug rules;
-//   - in-repo links do not use absolute filesystem paths.
+//   - in-repo links do not use absolute filesystem paths;
+//   - the package table (the first table under a heading that starts with
+//     "internal/") names, in its first column, exactly the directories of
+//     Go files under internal/ beside the file — no row for a package that
+//     is gone, no package without a row.
 //
 // External schemes (http, https, mailto) are deliberately not fetched —
 // CI must not depend on the network — so only their syntax is accepted.
@@ -20,9 +24,11 @@ package main
 import (
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -36,6 +42,13 @@ var headingRE = regexp.MustCompile(`(?m)^#{1,6}\s+(.+?)\s*#*\s*$`)
 // fenceRE strips fenced code blocks so example links and #-comments inside
 // them are not checked.
 var fenceRE = regexp.MustCompile("(?s)```.*?```")
+
+// pkgHeadingRE finds the heading the package table sits under; codeRE
+// extracts backticked names from a table cell.
+var (
+	pkgHeadingRE = regexp.MustCompile(`(?m)^#{1,6}\s+internal/`)
+	codeRE       = regexp.MustCompile("`([^`]+)`")
+)
 
 // slug converts a heading to its GitHub anchor: lowercase, markup
 // stripped, punctuation dropped, spaces to hyphens.
@@ -79,6 +92,53 @@ func anchorsOf(path string) (map[string]bool, error) {
 	return anchors, nil
 }
 
+// checkPackageTable holds file's package table, if it has one, to the
+// directories of Go files under internal/ beside file.
+func checkPackageTable(file, body string, fail func(file, format string, args ...any)) {
+	loc := pkgHeadingRE.FindStringIndex(body)
+	if loc == nil {
+		return
+	}
+	listed := map[string]bool{}
+	inTable := false
+	for _, line := range strings.Split(body[loc[1]:], "\n")[1:] {
+		line = strings.TrimSpace(line)
+		if !strings.HasPrefix(line, "|") {
+			if inTable || strings.HasPrefix(line, "#") {
+				break
+			}
+			continue
+		}
+		inTable = true
+		first := strings.SplitN(line, "|", 3)[1]
+		for _, m := range codeRE.FindAllStringSubmatch(first, -1) {
+			listed[m[1]] = true
+		}
+	}
+	root := filepath.Join(filepath.Dir(file), "internal")
+	ents, err := os.ReadDir(root)
+	if err != nil {
+		fail(file, "package table: %v", err)
+		return
+	}
+	pkgs := map[string]bool{}
+	for _, e := range ents {
+		if gos, _ := filepath.Glob(filepath.Join(root, e.Name(), "*.go")); e.IsDir() && len(gos) > 0 {
+			pkgs[e.Name()] = true
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(listed)) {
+		if !pkgs[name] {
+			fail(file, "package table lists %q, which is not a package under %s", name, root)
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(pkgs)) {
+		if !listed[name] {
+			fail(file, "package %s/%s has no row in the package table", root, name)
+		}
+	}
+}
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -103,6 +163,7 @@ func run(files []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		body := fenceRE.ReplaceAllString(string(data), "")
+		checkPackageTable(file, body, fail)
 		for _, m := range linkRE.FindAllStringSubmatch(body, -1) {
 			target := m[1]
 			switch {

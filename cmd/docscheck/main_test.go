@@ -58,3 +58,26 @@ func TestNoArgsIsUsageError(t *testing.T) {
 		t.Fatalf("exit %d, want 2", code)
 	}
 }
+
+func TestPackageTableMatchesTree(t *testing.T) {
+	code, _, stderr := runOn(t, "pkgtable/good.md")
+	if code != 0 {
+		t.Fatalf("exit %d, want 0; stderr:\n%s", code, stderr)
+	}
+}
+
+func TestPackageTableDrift(t *testing.T) {
+	code, _, stderr := runOn(t, "pkgtable/bad.md")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr)
+	}
+	for _, want := range []string{
+		`package table lists "gamma", which is not a package`,
+		"pkgtable/internal/beta has no row in the package table",
+		"2 problem(s)",
+	} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("missing %q in:\n%s", want, stderr)
+		}
+	}
+}

@@ -88,7 +88,6 @@ import (
 	"ldbcsnb/internal/datagen"
 	"ldbcsnb/internal/driver"
 	"ldbcsnb/internal/query"
-	"ldbcsnb/internal/schema"
 	"ldbcsnb/internal/server/client"
 	"ldbcsnb/internal/store"
 	"ldbcsnb/internal/xrand"
@@ -231,7 +230,7 @@ func main() {
 			CheckpointBytes:   *ckptBytes,
 			CheckpointCommits: *ckptCommits,
 		}
-		p, info, err := store.Open(*dataDir, opts, schema.RegisterIndexes)
+		p, info, err := store.Open(*dataDir, opts, nil)
 		if err != nil {
 			log.Fatalf("open %s: %v", *dataDir, err)
 		}
@@ -266,7 +265,6 @@ func main() {
 		}
 	} else {
 		st := store.New()
-		schema.RegisterIndexes(st)
 		if err := env.LoadInto(st); err != nil {
 			log.Fatal(err)
 		}

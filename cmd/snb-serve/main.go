@@ -42,7 +42,6 @@ import (
 	"ldbcsnb/internal/bench"
 	"ldbcsnb/internal/datagen"
 	"ldbcsnb/internal/driver"
-	"ldbcsnb/internal/schema"
 	"ldbcsnb/internal/server"
 	"ldbcsnb/internal/store"
 )
@@ -101,7 +100,7 @@ func main() {
 	var persist *store.Persistent
 	if *dataDir != "" {
 		opts := store.PersistOptions{WALSync: syncMode}
-		p, info, err := store.Open(*dataDir, opts, schema.RegisterIndexes)
+		p, info, err := store.Open(*dataDir, opts, nil)
 		if err != nil {
 			log.Fatalf("open %s: %v", *dataDir, err)
 		}
@@ -120,7 +119,6 @@ func main() {
 		}
 	} else {
 		st := store.New()
-		schema.RegisterIndexes(st)
 		if err := env.LoadInto(st); err != nil {
 			log.Fatal(err)
 		}

@@ -20,7 +20,6 @@ func main() {
 
 	out := datagen.Generate(datagen.Config{Seed: 17, Persons: 300, Workers: 2})
 	st := store.New()
-	schema.RegisterIndexes(st)
 	if err := schema.LoadDimensions(st); err != nil {
 		log.Fatal(err)
 	}

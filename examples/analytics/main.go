@@ -34,7 +34,6 @@ func main() {
 	c := out.Data.Counts()
 	fmt.Printf("generated %d persons, %d messages, %d forums\n", c.Persons, c.Messages(), c.Forums)
 	st := store.New()
-	schema.RegisterIndexes(st)
 	if err := schema.LoadDimensions(st); err != nil {
 		log.Fatal(err)
 	}

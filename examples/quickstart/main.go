@@ -32,7 +32,6 @@ func main() {
 
 	// 2. Load it into the transactional graph store.
 	st := store.New()
-	schema.RegisterIndexes(st)
 	if err := schema.LoadDimensions(st); err != nil {
 		log.Fatal(err)
 	}

@@ -25,7 +25,6 @@ func main() {
 
 	out := datagen.Generate(datagen.Config{Seed: 3, Persons: 300, Workers: 2})
 	st := store.New()
-	schema.RegisterIndexes(st)
 	if err := schema.LoadDimensions(st); err != nil {
 		log.Fatal(err)
 	}

@@ -22,7 +22,6 @@ func testGraph(t *testing.T) (*Graph, *schema.Dataset) {
 	gOnce.Do(func() {
 		out := datagen.Generate(datagen.Config{Seed: 31, Persons: 250, Workers: 2})
 		st := store.New()
-		schema.RegisterIndexes(st)
 		if err := schema.LoadDimensions(st); err != nil {
 			panic(err)
 		}

@@ -87,7 +87,6 @@ const DefaultPersons = 400
 func NewEnv(persons int, seed uint64) (*Env, error) {
 	e := NewEnvData(persons, seed)
 	st := store.New()
-	schema.RegisterIndexes(st)
 	if err := e.LoadInto(st); err != nil {
 		return nil, err
 	}
@@ -139,7 +138,6 @@ func NewEnvStreamed(persons int, seed uint64) (*Env, error) {
 	}
 	cfg := datagen.Config{Seed: seed, Persons: persons, Workers: loadWorkers(), Events: true}
 	st := store.New()
-	schema.RegisterIndexes(st)
 	if err := schema.LoadDimensions(st); err != nil {
 		return nil, err
 	}
@@ -171,9 +169,8 @@ func NewEnvStreamed(persons int, seed uint64) (*Env, error) {
 }
 
 // LoadInto bulk-loads the environment's dimension tables and bulk split
-// into st — which must already have its indexes registered
-// (schema.RegisterIndexes) and, for durable stores, its WAL attached so
-// the load is logged — and adopts st as the environment's store.
+// into st — for durable stores, with its WAL attached so the load is
+// logged — and adopts st as the environment's store.
 func (e *Env) LoadInto(st *store.Store) error {
 	if err := schema.LoadDimensions(st); err != nil {
 		return err

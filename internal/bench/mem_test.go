@@ -5,13 +5,12 @@ import (
 	"testing"
 
 	"ldbcsnb/internal/intern"
-	"ldbcsnb/internal/schema"
 	"ldbcsnb/internal/store"
 )
 
 // TestMutableBytesAccounting holds Stats.MutableBytes to the heap: after a
-// 250-person bulk load the accounted footprint (mutable side, secondary
-// indexes, strings interned by the load) must be within 15 % of the
+// 250-person bulk load the accounted footprint (mutable side, strings
+// interned by the load) must be within 15 % of the
 // HeapAlloc the load added, and a node must cost at most 450 B before its
 // adjacency lists — 434 B measured (24 B map entry, 56 B record, ~4.5 rows
 // of 32 B, one 32 B version, ~7 props of 24 B); the dense [edgeTypeMax]
@@ -26,11 +25,6 @@ func TestMutableBytesAccounting(t *testing.T) {
 	}
 	e := NewEnvData(250, 42)
 	st := store.New()
-	schema.RegisterIndexes(st)
-	// A one-delta ring: the commit deltas a bulk load leaves behind until
-	// the first view trims them (21 MB at 1000 persons) are view-maintenance
-	// state, not the mutable side.
-	st.SetViewDeltaCap(1)
 	before, internBefore := heapAlloc(), intern.Default.Bytes()
 	if err := e.LoadInto(st); err != nil {
 		t.Fatal(err)
@@ -43,9 +37,6 @@ func TestMutableBytesAccounting(t *testing.T) {
 		t.Errorf("mutable side costs %.0f B/node before adjacency lists, want <= 450", perNode)
 	}
 	accounted := stats.MutableBytes + stats.InternBytes - internBefore
-	for _, ix := range stats.Indexes {
-		accounted += ix.Bytes
-	}
 	measured := int64(after - before)
 	if diff := float64(accounted-measured) / float64(measured); diff < -0.15 || diff > 0.15 {
 		t.Errorf("accounted %d B (mutable side %d B) vs %d B of heap added by the load: %+.1f%%, want within 15%%",

@@ -133,7 +133,7 @@ func testRecoveredStoreServesWorkload(t *testing.T, persons int) {
 	pp := persistPools(liveEnv)
 
 	dir := filepath.Join(t.TempDir(), "data")
-	p, info, err := store.Open(dir, store.PersistOptions{CheckpointBytes: -1, SegmentBytes: 1 << 20}, schema.RegisterIndexes)
+	p, info, err := store.Open(dir, store.PersistOptions{CheckpointBytes: -1, SegmentBytes: 1 << 20}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func testRecoveredStoreServesWorkload(t *testing.T, persons int) {
 	// Crash image: recover a copy while the original keeps running.
 	crash := filepath.Join(t.TempDir(), "crash")
 	copyTree(t, dir, crash)
-	re, rinfo, err := store.Open(crash, store.PersistOptions{CheckpointBytes: -1}, schema.RegisterIndexes)
+	re, rinfo, err := store.Open(crash, store.PersistOptions{CheckpointBytes: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func testRecoveredStoreServesWorkload(t *testing.T, persons int) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re2, _, err := store.Open(dir, store.PersistOptions{CheckpointBytes: -1}, schema.RegisterIndexes)
+	re2, _, err := store.Open(dir, store.PersistOptions{CheckpointBytes: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"ldbcsnb/internal/driver"
-	"ldbcsnb/internal/schema"
 	"ldbcsnb/internal/store"
 )
 
@@ -47,7 +46,7 @@ func setupRecoveryDirs(b *testing.B) (ckptDir, fullDir string) {
 		}
 		ckptDir = filepath.Join(base, "ckpt")
 		opts := store.PersistOptions{CheckpointBytes: -1, KeepSegments: true}
-		p, _, err := store.Open(ckptDir, opts, schema.RegisterIndexes)
+		p, _, err := store.Open(ckptDir, opts, nil)
 		if err != nil {
 			recoveryDirs.err = err
 			return
@@ -143,7 +142,7 @@ func benchRecover(b *testing.B, dir string, wantCheckpoint bool) {
 		b.StopTimer()
 		runtime.GC()
 		b.StartTimer()
-		p, info, err := store.Open(dir, store.PersistOptions{CheckpointBytes: -1}, schema.RegisterIndexes)
+		p, info, err := store.Open(dir, store.PersistOptions{CheckpointBytes: -1}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -48,7 +48,6 @@ func serveFixture(b *testing.B) (*Env, *workload.ParamPools) {
 func benchServe(b *testing.B, rate float64, deadlineMs uint32, retries int, faults client.FaultConfig, mut func(*server.Config)) {
 	env, pools := serveFixture(b)
 	st := store.New()
-	schema.RegisterIndexes(st)
 	if err := schema.LoadDimensions(st); err != nil {
 		b.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ldbcsnb/internal/ids"
-	"ldbcsnb/internal/schema"
 	"ldbcsnb/internal/store"
 )
 
@@ -28,7 +27,7 @@ const writeBucket = 1 << 32
 func benchWriters(b *testing.B, mode store.WALSyncMode, writers int) {
 	dir := b.TempDir()
 	opts := store.PersistOptions{CheckpointBytes: -1, WALSync: mode}
-	p, _, err := store.Open(dir, opts, schema.RegisterIndexes)
+	p, _, err := store.Open(dir, opts, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

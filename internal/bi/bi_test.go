@@ -21,7 +21,6 @@ func setup(t *testing.T) (*store.Store, *schema.Dataset) {
 	once.Do(func() {
 		out := datagen.Generate(datagen.Config{Seed: 41, Persons: 200, Workers: 2})
 		st = store.New()
-		schema.RegisterIndexes(st)
 		if err := schema.LoadDimensions(st); err != nil {
 			panic(err)
 		}

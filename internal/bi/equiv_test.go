@@ -100,7 +100,6 @@ func TestBIPathsAgreeUnderInterleavedUpdates(t *testing.T) {
 	out := datagen.Generate(datagen.Config{Seed: 43, Persons: 120, Workers: 2, Events: true})
 	bulk, updates := datagen.Split(out.Data, datagen.UpdateCut)
 	st := store.New()
-	schema.RegisterIndexes(st)
 	if err := schema.LoadDimensions(st); err != nil {
 		t.Fatal(err)
 	}

@@ -204,7 +204,6 @@ func TestRunRespectsDependencies(t *testing.T) {
 func TestRunAgainstStore(t *testing.T) {
 	full, bulk, updates := genUpdates(t, 200)
 	st := store.New()
-	schema.RegisterIndexes(st)
 	if err := schema.LoadDimensions(st); err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +297,6 @@ func TestLatencyStats(t *testing.T) {
 func TestRunMixedProducesAllTables(t *testing.T) {
 	full, bulk, updates := genUpdates(t, 200)
 	st := store.New()
-	schema.RegisterIndexes(st)
 	if err := schema.LoadDimensions(st); err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +444,6 @@ func TestRunMixedTxnReadPath(t *testing.T) {
 	// the MVCC transaction path, without ever acquiring a snapshot view.
 	full, bulk, updates := genUpdates(t, 200)
 	st := store.New()
-	schema.RegisterIndexes(st)
 	if err := schema.LoadDimensions(st); err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +490,6 @@ func TestRunMixedBILane(t *testing.T) {
 	}
 	for _, readPath := range []string{ReadPathView, ReadPathTxn} {
 		st := store.New()
-		schema.RegisterIndexes(st)
 		if err := schema.LoadDimensions(st); err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,7 @@ func TestRunMixedWriteLaneCancelDurability(t *testing.T) {
 	full, bulk, updates := genUpdates(t, 150)
 	dir := t.TempDir()
 	opts := store.PersistOptions{CheckpointBytes: -1, WALSync: store.SyncCommit}
-	p, _, err := store.Open(dir, opts, schema.RegisterIndexes)
+	p, _, err := store.Open(dir, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRunMixedWriteLaneCancelDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p2, _, err := store.Open(dir, opts, schema.RegisterIndexes)
+	p2, _, err := store.Open(dir, opts, nil)
 	if err != nil {
 		t.Fatalf("recovery after aborted run: %v", err)
 	}

@@ -607,7 +607,6 @@ func snbEnv(t *testing.T) (*store.Store, *schema.Dataset) {
 	snbOnce.Do(func() {
 		out := datagen.Generate(datagen.Config{Seed: 7, Persons: 100, Workers: 2})
 		st := store.New()
-		schema.RegisterIndexes(st)
 		if err := schema.LoadDimensions(st); err != nil {
 			return
 		}

@@ -10,15 +10,11 @@ import (
 	"ldbcsnb/internal/store"
 )
 
-// RegisterIndexes installs the secondary indexes the Interactive workload
-// expects on a store: ordered creationDate indexes on messages (the
-// l_creationdate-style indexes of Table 8) and a hash index on person
-// first names (Query 1).
-func RegisterIndexes(st *store.Store) {
-	st.RegisterOrderedIndex(ids.KindPost, store.PropCreationDate)
-	st.RegisterOrderedIndex(ids.KindComment, store.PropCreationDate)
-	st.RegisterHashIndex(ids.KindPerson, store.PropFirstName)
-}
+// RegisterIndexes does nothing.
+//
+// Deprecated: the store has no secondary indexes; kept only for
+// benchmark/'s call sites.
+func RegisterIndexes(*store.Store) {}
 
 // LoadDimensions bulk-loads the dimension tables (tags, tag classes,
 // places, organisations) shared by every dataset.
@@ -90,8 +86,7 @@ func PlaceNodeID(countryIdx int) ids.ID { return ids.DimensionID(ids.KindPlace, 
 // enough to amortise commit cost, small enough to bound txn buffers.
 const loadBatch = 2000
 
-// Load bulk-loads a dataset into the store. Call RegisterIndexes and
-// LoadDimensions first.
+// Load bulk-loads a dataset into the store. Call LoadDimensions first.
 func Load(st *store.Store, d *Dataset) error {
 	return LoadParallel(st, d, 1)
 }

@@ -28,7 +28,6 @@ var loadEdgeTypes = []store.EdgeType{
 func loadWithWorkers(t *testing.T, d *schema.Dataset, workers int) *store.Store {
 	t.Helper()
 	st := store.New()
-	schema.RegisterIndexes(st)
 	if err := schema.LoadDimensions(st); err != nil {
 		t.Fatal(err)
 	}

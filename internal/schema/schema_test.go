@@ -56,7 +56,6 @@ func tinyDataset() *Dataset {
 func freshStore(t *testing.T, d *Dataset) *store.Store {
 	t.Helper()
 	st := store.New()
-	RegisterIndexes(st)
 	if err := LoadDimensions(st); err != nil {
 		t.Fatal(err)
 	}

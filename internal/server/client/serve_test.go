@@ -39,7 +39,6 @@ func fixture(t testing.TB) (*bench.Env, *workload.ParamPools) {
 func newTestStore(t testing.TB, env *bench.Env) *store.Store {
 	t.Helper()
 	st := store.New()
-	schema.RegisterIndexes(st)
 	if err := schema.LoadDimensions(st); err != nil {
 		t.Fatal(err)
 	}

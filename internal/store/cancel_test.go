@@ -147,7 +147,7 @@ func TestMarkClosedFailsCommitsAndCheckedViews(t *testing.T) {
 // records were silently dropped by the draining lanes.
 func TestCommitVsCloseDurability(t *testing.T) {
 	dir := t.TempDir()
-	p, _, err := Open(dir, PersistOptions{CheckpointBytes: -1}, registerTestIndexes)
+	p, _, err := Open(dir, PersistOptions{CheckpointBytes: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestCommitVsCloseDurability(t *testing.T) {
 		t.Fatal("no commits were acknowledged before Close; race not exercised")
 	}
 
-	rec, _, err := Open(dir, PersistOptions{CheckpointBytes: -1}, registerTestIndexes)
+	rec, _, err := Open(dir, PersistOptions{CheckpointBytes: -1}, nil)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

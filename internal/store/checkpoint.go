@@ -7,14 +7,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 
-	"ldbcsnb/internal/btree"
 	"ldbcsnb/internal/ids"
 	"ldbcsnb/internal/intern"
 )
@@ -22,7 +20,7 @@ import (
 // Durable checkpoints. A checkpoint is the visible state of the store at
 // one commit timestamp C, serialised to a single versioned, CRC-protected
 // file: every visible node with its property list and adjacency, the
-// per-kind scan lists, the secondary-index contents, and the commit clock.
+// per-kind scan lists, and the commit clock.
 // Recovery (Open in persist.go) loads the newest valid checkpoint and
 // replays only the WAL records with timestamps above C — the "checkpoint +
 // tail" path that replaces full log replay.
@@ -47,7 +45,7 @@ import (
 // no later reader can observe the difference. The WAL tail then re-creates
 // history above C record by record.
 //
-// # On-disk format (version 2)
+// # On-disk format (version 3)
 //
 // docs/FORMATS.md is the authoritative byte-level spec. Summary
 // (little-endian):
@@ -57,17 +55,12 @@ import (
 //	           dict
 //	           nNodes:u32 node*
 //	           nKinds:u16 kindList*
-//	           nOrdered:u16 orderedIdx*
-//	           nHashed:u16 hashedIdx*
 //	dict    := count:u32 (len:u32 bytes)*
 //	node    := id:u64 | nProps:u16 prop2* | nLists:u8 list2*
 //	prop2   := key:u8 | valKind:u8 | (int: u64 | string: dictIdx:u32)
 //	list2   := type:u8 | dir:u8 | count:u32 | entry*
 //	entry   := uvarint(zigzag(peer delta)) uvarint(zigzag(stamp delta))
 //	kindList:= kind:u8 | count:u32 | id:u64*
-//	orderedIdx := kind:u8 | prop:u8 | entries:u32 | (key:u64 sub:u64 val:u64)*
-//	hashedIdx  := kind:u8 | prop:u8 | keys:u32 |
-//	              (len:u32 bytes | count:u32 | id:u64*)*
 //
 // The dictionary carries every distinct property string once; prop2 string
 // values name their string by dense dictionary index, and restore re-interns
@@ -87,14 +80,12 @@ import (
 // loaders refuse versions they do not know — but refusal is fallback-
 // eligible (errCkptVersion), so a store upgraded across a version bump
 // recovers from an older readable checkpoint or, failing that, full WAL
-// replay of v1-era segments (the WAL format carries strings inline and is
+// replay of older segments (the WAL format carries strings inline and is
 // unchanged). Unknown section trailers are an error (the format has no
-// skippable extensions yet); a checkpoint naming a secondary index that the
-// opening store did not register fails recovery — register the same indexes
-// before Open that were registered when the checkpoint was written.
+// skippable extensions yet).
 const (
 	ckptMagic   = 0x504B4353 // "SCKP"
-	ckptVersion = 2
+	ckptVersion = 3
 )
 
 // errCkptVersion marks a checkpoint written in a format version this build
@@ -142,13 +133,12 @@ func scanCheckpoints(dir string) ([]checkpointFile, error) {
 	return cks, nil
 }
 
-// writeCheckpoint serialises the view (plus the store's secondary-index
-// contents filtered to the view's visibility) into dir, atomically: the
-// bytes are written to a temp file, fsynced, renamed into place and the
+// writeCheckpoint serialises the view into dir, atomically: the bytes are
+// written to a temp file, fsynced, renamed into place and the
 // directory entry fsynced, so a crash leaves either the complete new
 // checkpoint or none. hookBeforeRename, when non-nil, runs between the temp
 // fsync and the rename (crash-injection tests).
-func writeCheckpoint(dir string, v *SnapshotView, s *Store, hookBeforeRename func()) (string, error) {
+func writeCheckpoint(dir string, v *SnapshotView, hookBeforeRename func()) (string, error) {
 	tmp := filepath.Join(dir, ckptName(v.Timestamp())+ckptTmpSuffix)
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -163,7 +153,7 @@ func writeCheckpoint(dir string, v *SnapshotView, s *Store, hookBeforeRename fun
 	// dropping the close error: a failed close can be the kernel's first
 	// (and only) report of a writeback failure.
 	fail := func(e error) (string, error) { return "", errors.Join(e, f.Close()) }
-	if err := encodeCheckpoint(w, v, s); err != nil {
+	if err := encodeCheckpoint(w, v); err != nil {
 		return fail(err)
 	}
 	var sum [4]byte
@@ -195,7 +185,7 @@ func writeCheckpoint(dir string, v *SnapshotView, s *Store, hookBeforeRename fun
 
 // encodeCheckpoint writes header and body (everything the trailing CRC
 // covers) to w.
-func encodeCheckpoint(w io.Writer, v *SnapshotView, s *Store) error {
+func encodeCheckpoint(w io.Writer, v *SnapshotView) error {
 	buf := make([]byte, 0, 1<<16)
 	flush := func() error {
 		if len(buf) == 0 {
@@ -323,112 +313,15 @@ func encodeCheckpoint(w io.Writer, v *SnapshotView, s *Store) error {
 			}
 		}
 	}
-	if err := flush(); err != nil {
-		return err
-	}
-
-	// Secondary indexes, filtered to the view's visibility. Index entries
-	// are only ever added at node creation, so the live index is a superset
-	// of the state at the view's timestamp and the visibility filter makes
-	// the dump exact; dumping (not rebuilding at recovery) preserves the
-	// engine's creation-time index values for nodes whose indexed property
-	// was later overwritten.
-	//
-	// Each index lock is held only long enough to snapshot the raw
-	// contents — Commit takes these locks per created node, so filtering
-	// and encoding (O(index size) work) must happen outside them or every
-	// checkpoint would stall the write path it promises not to stop.
-	buf = appendU16(buf, uint16(len(s.ordered)))
-	for _, oi := range s.ordered {
-		oi.mu.RLock()
-		entries := make([]btree.Entry, 0, oi.tree.Len())
-		oi.tree.Ascend(math.MinInt64, 0, func(e btree.Entry) bool {
-			entries = append(entries, e)
-			return true
-		})
-		oi.mu.RUnlock()
-		vis := entries[:0]
-		for _, e := range entries {
-			if v.Exists(ids.ID(e.Val)) {
-				vis = append(vis, e)
-			}
-		}
-		buf = append(buf, byte(oi.kind), byte(oi.prop))
-		buf = appendU32(buf, uint32(len(vis)))
-		for _, e := range vis {
-			buf = appendU64(buf, uint64(e.Key))
-			buf = appendU64(buf, e.Sub)
-			buf = appendU64(buf, e.Val)
-			if len(buf) >= 1<<16 {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-		}
-		if err := flush(); err != nil {
-			return err
-		}
-	}
-
-	buf = appendU16(buf, uint16(len(s.hashed)))
-	for _, hi := range s.hashed {
-		// Snapshot under the lock: key strings plus slice headers. The ID
-		// lists are append-only under the index lock, and an in-place
-		// append never mutates the [0:len) prefix a cloned header sees, so
-		// the headers stay safe to read after release.
-		type hkey struct {
-			key string
-			ids []ids.ID
-		}
-		hi.mu.RLock()
-		dump := make([]hkey, 0, len(hi.m))
-		for k, list := range hi.m {
-			dump = append(dump, hkey{k, list})
-		}
-		hi.mu.RUnlock()
-		sort.Slice(dump, func(i, j int) bool { return dump[i].key < dump[j].key })
-		out := dump[:0]
-		for _, d := range dump {
-			var vis []ids.ID
-			for _, id := range d.ids {
-				if v.Exists(id) {
-					vis = append(vis, id)
-				}
-			}
-			if len(vis) > 0 {
-				out = append(out, hkey{d.key, vis})
-			}
-		}
-		buf = append(buf, byte(hi.kind), byte(hi.prop))
-		buf = appendU32(buf, uint32(len(out)))
-		for _, d := range out {
-			buf = appendU32(buf, uint32(len(d.key)))
-			buf = append(buf, d.key...)
-			buf = appendU32(buf, uint32(len(d.ids)))
-			for _, id := range d.ids {
-				buf = appendU64(buf, uint64(id))
-			}
-			if len(buf) >= 1<<16 {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-		}
-		if err := flush(); err != nil {
-			return err
-		}
-	}
 	return flush()
 }
 
 // loadCheckpoint validates path (magic, version, CRC) and installs its
-// contents into s, which must be freshly constructed with the same
-// secondary indexes registered as when the checkpoint was written. It
-// returns the checkpoint's commit clock. Validation errors (wrapped
-// ErrCorrupt) leave the caller free to fall back to an older checkpoint;
-// an unregistered index is a configuration error and is returned as-is.
+// contents into s, which must be freshly constructed. It returns the
+// checkpoint's commit clock. Validation errors (wrapped ErrCorrupt or
+// errCkptVersion) leave the caller free to fall back to an older checkpoint.
 //
-// Installation is direct (shard maps, adjacency, kind lists, indexes — no
+// Installation is direct (shard maps, adjacency, kind lists — no
 // transactions): every restored fact carries commit timestamp C, the
 // checkpoint clock. Open is single-threaded and the store unpublished, so
 // no locks are taken.
@@ -596,60 +489,6 @@ func loadCheckpoint(s *Store, path string) (int64, error) {
 		}
 		d.pos += count * 8
 		s.byKind[k] = list
-	}
-
-	nOrdered := int(d.u16())
-	for i := 0; i < nOrdered && d.err == nil; i++ {
-		kind, prop := ids.Kind(d.u8()), PropKey(d.u8())
-		var oi *orderedIndex
-		for _, idx := range s.ordered {
-			if idx.kind == kind && idx.prop == prop {
-				oi = idx
-				break
-			}
-		}
-		count := int(d.u32())
-		if oi == nil {
-			return 0, fmt.Errorf("store: checkpoint %s: ordered index on %v.%v not registered (register the writing store's indexes before Open)", base, kind, prop)
-		}
-		if d.err != nil || d.pos+count*24 > len(d.b) {
-			return 0, fmt.Errorf("%w: checkpoint %s: ordered index overruns file", ErrCorrupt, base)
-		}
-		raw := d.b[d.pos : d.pos+count*24]
-		for j := 0; j < count; j++ {
-			oi.tree.Insert(
-				int64(binary.LittleEndian.Uint64(raw[j*24:])),
-				binary.LittleEndian.Uint64(raw[j*24+8:]),
-				binary.LittleEndian.Uint64(raw[j*24+16:]))
-		}
-		d.pos += count * 24
-	}
-
-	nHashed := int(d.u16())
-	for i := 0; i < nHashed && d.err == nil; i++ {
-		kind, prop := ids.Kind(d.u8()), PropKey(d.u8())
-		var hi *hashIndex
-		for _, idx := range s.hashed {
-			if idx.kind == kind && idx.prop == prop {
-				hi = idx
-				break
-			}
-		}
-		keys := int(d.u32())
-		if hi == nil {
-			return 0, fmt.Errorf("store: checkpoint %s: hash index on %v.%v not registered (register the writing store's indexes before Open)", base, kind, prop)
-		}
-		for j := 0; j < keys && d.err == nil; j++ {
-			key := d.str(int(d.u32()))
-			count := int(d.u32())
-			list := make([]ids.ID, 0, count)
-			for k := 0; k < count; k++ {
-				list = append(list, ids.ID(d.u64()))
-			}
-			if d.err == nil {
-				hi.m[key] = list
-			}
-		}
 	}
 
 	if d.err != nil {

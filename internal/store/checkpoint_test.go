@@ -5,8 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
-	"strings"
+	"path/filepath"
 	"testing"
 
 	"ldbcsnb/internal/ids"
@@ -14,10 +15,10 @@ import (
 	"ldbcsnb/internal/xrand"
 )
 
-// Checkpoint v2 format tests: the string dictionary (stored once, indexed
-// by dense file-local indexes, independent of process symbol assignment)
-// and the version-refusal fallback that keeps v1-era directories openable
-// through full WAL replay.
+// Checkpoint format tests: the string dictionary (stored once, indexed by
+// dense file-local indexes, independent of process symbol assignment) and
+// the version-refusal fallback that keeps directories written by older
+// format versions openable through full WAL replay.
 
 // TestCheckpointDictionaryRoundTrip writes a store whose nodes share one
 // highly repeated string value plus per-node unique ones, and pins the two
@@ -28,7 +29,7 @@ import (
 // right string.
 func TestCheckpointDictionaryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	p, _, err := Open(dir, manualOpts(), registerTestIndexes)
+	p, _, err := Open(dir, manualOpts(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,8 +37,6 @@ func TestCheckpointDictionaryRoundTrip(t *testing.T) {
 	const nPersons = 50
 	for i := 1; i <= nPersons; i++ {
 		tx := p.Begin()
-		// Unindexed prop keys only: hash-index keys are serialised verbatim
-		// in the index section, which would legitimately repeat the string.
 		if err := tx.CreateNode(personID(uint32(i)), Props{
 			{PropBrowserUsed, String(shared)},
 			{PropLastName, String(fmt.Sprintf("zz-dict-unique-%03d", i))},
@@ -106,19 +105,51 @@ func TestCheckpointDictionaryRoundTrip(t *testing.T) {
 }
 
 // TestCheckpointV1VersionFallsBack simulates opening a directory whose
-// newest checkpoint was written by the previous format version: the loader
-// must refuse it as errCkptVersion (not corruption), report it, and recover
-// the full state from WAL replay alone — the WAL format is version-stable.
+// newest checkpoint was written by format version 1: the loader must refuse
+// it as errCkptVersion (not corruption), report it, and recover the full
+// state from WAL replay alone — the WAL format is version-stable. The CRC is
+// left stale too, but version is validated first and must win the error
+// report.
 func TestCheckpointV1VersionFallsBack(t *testing.T) {
+	olderCheckpointFallsBack(t, 1, false)
+}
+
+// TestCheckpointV2VersionFallsBack is the same for version 2, the format
+// that still carried secondary-index sections, with its CRC re-stamped so the
+// version is the only thing wrong with the file. The store recovered by full
+// replay then writes a version-3 checkpoint, and a reopen from that
+// checkpoint must equal the live store too.
+func TestCheckpointV2VersionFallsBack(t *testing.T) {
+	re, live, pop := olderCheckpointFallsBack(t, 2, true)
+	if err := re.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	dir := re.dir
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re3, info := reopen(t, dir, manualOpts())
+	if info.CheckpointTS != live.LastCommit() || len(info.BadCheckpoints) != 0 || info.Replayed != 0 {
+		t.Fatalf("reopen from the version-3 checkpoint: %+v", info)
+	}
+	assertStoresEqual(t, live, re3.Store, pop)
+}
+
+// olderCheckpointFallsBack writes a directory with one checkpoint and its
+// covered segments, stamps the checkpoint with an older format version
+// (re-stamping the CRC when restampCRC is set), and checks that Open refuses
+// it and recovers by full WAL replay into a store equal to the live one,
+// which it returns open together with the live store and its population.
+func olderCheckpointFallsBack(t *testing.T, version uint16, restampCRC bool) (*Persistent, *Store, []ids.ID) {
+	t.Helper()
 	dir := t.TempDir()
 	opts := manualOpts()
-	opts.KeepSegments = true // a v1-era log must stay fully replayable
-	p, _, err := Open(dir, opts, registerTestIndexes)
+	opts.KeepSegments = true // the covered segments stay for the full replay
+	p, _, err := Open(dir, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	live := New()
-	registerTestIndexes(live)
 	rl, rd := xrand.New(21), xrand.New(21)
 	var pop []ids.ID
 	for step := 1; step <= 8; step++ {
@@ -134,8 +165,6 @@ func TestCheckpointV1VersionFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rewrite the checkpoint's version field to 1. The CRC is left stale
-	// too, but version is validated first and must win the error report.
 	cks, err := scanCheckpoints(dir)
 	if err != nil || len(cks) != 1 {
 		t.Fatalf("want 1 checkpoint, got %d (%v)", len(cks), err)
@@ -144,21 +173,22 @@ func TestCheckpointV1VersionFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint16(data[4:6], 1)
+	binary.LittleEndian.PutUint16(data[4:6], version)
+	if restampCRC {
+		binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+	}
 	if err := os.WriteFile(cks[0].path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	s := New()
-	registerTestIndexes(s)
-	if _, err := loadCheckpoint(s, cks[0].path); !errors.Is(err, errCkptVersion) {
-		t.Fatalf("version-1 file: err = %v, want errCkptVersion", err)
+	if _, err := loadCheckpoint(New(), cks[0].path); !errors.Is(err, errCkptVersion) {
+		t.Fatalf("version-%d file: err = %v, want errCkptVersion", version, err)
 	} else if errors.Is(err, ErrCorrupt) {
 		t.Fatalf("version refusal reported as corruption: %v", err)
 	}
 
 	re, info := reopen(t, dir, opts)
-	if len(info.BadCheckpoints) != 1 || !strings.Contains(info.BadCheckpoints[0], ckptPrefix) {
+	if len(info.BadCheckpoints) != 1 || info.BadCheckpoints[0] != filepath.Base(cks[0].path) {
 		t.Fatalf("refused checkpoint not reported: %+v", info)
 	}
 	if info.CheckpointTS != 0 {
@@ -168,4 +198,5 @@ func TestCheckpointV1VersionFallsBack(t *testing.T) {
 		t.Fatalf("replayed %d records, live clock %d", info.Replayed, live.LastCommit())
 	}
 	assertStoresEqual(t, live, re.Store, pop)
+	return re, live, pop
 }

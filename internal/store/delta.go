@@ -12,7 +12,10 @@ import (
 // Every committed transaction appends one CommitDelta — a compact record of
 // the nodes it created, the property lists it replaced, and the adjacency
 // entries it inserted or tombstoned — to a bounded in-memory ring alongside
-// the WAL append. When AcquireView finds the cached view behind the commit
+// the WAL append, from the first inline view build on (Store.recording):
+// before it there is no view to apply a delta to, and a bulk load would
+// otherwise park every one of its deltas in the ring until that build
+// dropped them. When AcquireView finds the cached view behind the commit
 // watermark it applies the pending deltas onto the cached view (applyDeltas)
 // instead of recompacting the whole dataset. The refreshed view is a new
 // immutable value that shares its predecessor's base and, through a
@@ -241,7 +244,8 @@ func (s *Store) ViewStats() ViewStatsSnapshot {
 
 // recordDelta appends one commit's delta to the ring. Called under commitMu
 // before the commit clock advances, so by the time a refresh observes a
-// watermark every delta up to it is in the ring.
+// watermark every delta up to it is in the ring; commits before the first
+// view build record nothing (commitLocked builds no delta).
 func (s *Store) recordDelta(d *CommitDelta) {
 	s.deltaMu.Lock()
 	// The cap counts the deltas the cached view has not applied yet; those a

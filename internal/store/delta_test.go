@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -539,6 +540,7 @@ func TestViewRefreshEquivalenceRingOverflow(t *testing.T) {
 func TestRingOverflowDoesNotAliasPendingDeltas(t *testing.T) {
 	s := New()
 	s.SetViewDeltaCap(2)
+	s.CurrentView() // commits record deltas from the first view on
 	for i := 0; i < 2; i++ {
 		tx := s.Begin()
 		if err := tx.CreateNode(personID(830+uint32(i)), nil); err != nil {
@@ -667,6 +669,106 @@ func TestViewRefreshCounters(t *testing.T) {
 	st = s.ViewStats()
 	if st.Rebuilds != 2 || st.EraBumps != 1 {
 		t.Fatalf("counters after forced recompaction: %+v", st)
+	}
+}
+
+func deltaCount(s *Store) int {
+	s.deltaMu.Lock()
+	defer s.deltaMu.Unlock()
+	return len(s.deltas)
+}
+
+// TestNoDeltasBeforeFirstView pins that a loaded store nobody has read holds
+// no commit deltas: there is no view to apply them to, and the first build
+// would throw them away. From the first view on, commits record deltas and
+// the next acquisition refreshes from them.
+func TestNoDeltasBeforeFirstView(t *testing.T) {
+	r := xrand.New(71)
+	s := New()
+	var pop []ids.ID
+	for step := 1; step <= 20; step++ {
+		pop = randomGraphStep(t, s, r, pop, step)
+	}
+	if n := deltaCount(s); n != 0 {
+		t.Fatalf("a store with no view holds %d deltas", n)
+	}
+	if _, ev := s.AcquireView(); ev != ViewRebuilt {
+		t.Fatalf("first acquisition: %v, want rebuild", ev)
+	}
+	pop = randomGraphStep(t, s, r, pop, 21)
+	if n := deltaCount(s); n != 1 {
+		t.Fatalf("after the first view a commit recorded %d deltas, want 1", n)
+	}
+	v, ev := s.AcquireView()
+	if ev != ViewRefreshed {
+		t.Fatalf("acquisition after the first view: %v, want refresh", ev)
+	}
+	assertViewMatchesRebuild(t, v, s.ViewAt(v.Timestamp()))
+	tx := s.Begin()
+	tx.readonly = true
+	assertViewMatchesTxn(t, s, v, tx, pop)
+}
+
+// TestFirstViewRacesCommitters builds the first view while four committers
+// run: each commit lands either at or below the build's timestamp or in the
+// ring, so every later acquisition refreshes without a gap.
+func TestFirstViewRacesCommitters(t *testing.T) {
+	const writers, perWriter = 4, 150
+	s := New()
+	tx := s.Begin()
+	for i := uint32(1); i <= 2000; i++ {
+		if err := tx.CreateNode(personID(i), Props{{PropCreationDate, Int64(int64(i))}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.AddKnows(personID(i), personID(1+i%2000), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				tx := s.Begin()
+				id := ids.Compose(ids.KindPost, int64(i+1), uint32(w))
+				err := errors.Join(
+					tx.CreateNode(id, Props{{PropCreationDate, Int64(int64(i))}}),
+					tx.AddEdge(id, EdgeHasCreator, personID(uint32(1+i)), int64(i)),
+					tx.Commit())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for s.LastCommit() < 1+writers { // let the committers get going
+		runtime.Gosched()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		v := s.CurrentView()
+		assertViewMatchesRebuild(t, v, s.ViewAt(v.Timestamp()))
+	}
+	if v := s.CurrentView(); v.Timestamp() != 1+writers*perWriter {
+		t.Fatalf("final view at %d, want %d", v.Timestamp(), 1+writers*perWriter)
+	}
+	if st := s.ViewStats(); st.Rebuilds != 1 || st.Overflows != 0 {
+		t.Fatalf("the first build must be the only one: %+v", st)
 	}
 }
 

@@ -89,7 +89,7 @@ func assertPersonPrefix(t *testing.T, s *Store, k, n int) {
 func crashFixture(t *testing.T, n int) (crash, seg string) {
 	t.Helper()
 	dir := t.TempDir()
-	p, _, err := Open(dir, manualOpts(), registerTestIndexes)
+	p, _, err := Open(dir, manualOpts(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestCrashMissingRecordSameLane(t *testing.T) {
 	if err := os.WriteFile(seg, spliced, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = Open(crash, manualOpts(), registerTestIndexes)
+	_, _, err = Open(crash, manualOpts(), nil)
 	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), filepath.Base(seg)) {
 		t.Fatalf("want ErrCorrupt naming %s for a hole at ts 4, got %v", filepath.Base(seg), err)
 	}
@@ -185,7 +185,7 @@ func TestOpenRejectsMultiLane(t *testing.T) {
 	}
 	opts := manualOpts()
 	opts.WALLanes = 2
-	if _, _, err := Open(crash, opts, registerTestIndexes); !errors.Is(err, ErrMultiLaneWAL) {
+	if _, _, err := Open(crash, opts, nil); !errors.Is(err, ErrMultiLaneWAL) {
 		t.Fatalf("WALLanes=2: want ErrMultiLaneWAL, got %v", err)
 	}
 
@@ -204,7 +204,7 @@ func TestOpenRejectsMultiLane(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, _, err = Open(crash, manualOpts(), registerTestIndexes)
+	_, _, err = Open(crash, manualOpts(), nil)
 	if !errors.Is(err, ErrMultiLaneWAL) || !strings.Contains(err.Error(), filepath.Base(stray)) {
 		t.Fatalf("want ErrMultiLaneWAL naming %s, got %v", filepath.Base(stray), err)
 	}
@@ -226,7 +226,7 @@ func TestSyncCommitDurableWithoutClose(t *testing.T) {
 	dir := t.TempDir()
 	opts := manualOpts()
 	opts.WALSync = SyncCommit
-	p, _, err := Open(dir, opts, registerTestIndexes)
+	p, _, err := Open(dir, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestGroupCommitConcurrentStress(t *testing.T) {
 	opts := manualOpts()
 	opts.SegmentBytes = 512
 	opts.WALSync = SyncFlush
-	p, _, err := Open(dir, opts, registerTestIndexes)
+	p, _, err := Open(dir, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,14 +138,16 @@ type Persistent struct {
 	hookBeforeRename func()
 }
 
-// Open opens (or creates) a durable store in dir. register, when non-nil,
-// runs on the fresh Store before any data is loaded — it must register the
-// same secondary indexes the directory was written with (indexes are part
-// of the checkpoint format; see loadCheckpoint). Recovery loads the newest
+// Open opens (or creates) a durable store in dir. Recovery loads the newest
 // valid checkpoint, falls back through older ones (and ultimately to full
 // WAL replay) on validation failures, replays the WAL tail, truncates any
 // torn record off the last segment, and reattaches the segmented WAL for
 // new commits.
+//
+// register, when non-nil, runs on the fresh Store before recovery. It is
+// deprecated: the store has no secondary indexes, so there is nothing left
+// to register; pass nil. The parameter is kept only for benchmark/'s call
+// sites.
 //
 // The returned RecoveryInfo is valid even when err != nil is not returned;
 // on error the store is unusable and no background work is running.
@@ -185,9 +187,10 @@ func Open(dir string, opts PersistOptions, register func(*Store)) (*Persistent, 
 		}
 		// Corruption and format-version mismatches both fall back to the
 		// next older checkpoint (ultimately to full WAL replay — the WAL
-		// format is version-stable, so v1-era logs replay under v2 builds).
+		// format is version-stable, so logs written beside older checkpoint
+		// versions replay unchanged).
 		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, errCkptVersion) {
-			return nil, info, err // configuration error (indexes)
+			return nil, info, err // the file could not be read
 		}
 		info.BadCheckpoints = append(info.BadCheckpoints, filepath.Base(ck.path))
 	}
@@ -314,7 +317,7 @@ func (p *Persistent) Checkpoint() error {
 		p.commitsSince.Store(0)
 		return nil
 	}
-	if _, err := writeCheckpoint(p.dir, v, p.Store, p.hookBeforeRename); err != nil {
+	if _, err := writeCheckpoint(p.dir, v, p.hookBeforeRename); err != nil {
 		return err
 	}
 	p.lastCkptTS.Store(ts)

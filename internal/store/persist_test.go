@@ -1,8 +1,8 @@
 package store
 
 import (
+	"bytes"
 	"errors"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,14 +18,6 @@ import (
 // the checkpoint sequence, torn and corrupt segments, fsync-on-commit
 // semantics, and the recovered-equals-live equivalence property at every
 // epoch of a randomised update stream.
-
-// registerTestIndexes registers the secondary indexes the persistence
-// tests exercise, on both the live and the recovering store (indexes are
-// part of the checkpoint format).
-func registerTestIndexes(s *Store) {
-	s.RegisterOrderedIndex(ids.KindPerson, PropCreationDate)
-	s.RegisterHashIndex(ids.KindPerson, PropFirstName)
-}
 
 // copyDir simulates the surviving disk image at a crash point: a recursive
 // file copy of the data directory.
@@ -55,8 +47,9 @@ func copyDir(t *testing.T, src, dst string) {
 }
 
 // assertStoresEqual compares two stores' full visible state at their
-// current clocks: every read primitive over the union population, kind
-// lists, and both secondary indexes.
+// current clocks: every read primitive over the union population, and the
+// checkpoint encodings of their views — byte-equal exactly when every node,
+// property, adjacency row (all types, both directions) and kind list is.
 func assertStoresEqual(t *testing.T, live, rec *Store, pop []ids.ID) {
 	t.Helper()
 	if lc, rc := live.LastCommit(), rec.LastCommit(); lc != rc {
@@ -67,48 +60,12 @@ func assertStoresEqual(t *testing.T, live, rec *Store, pop []ids.ID) {
 	rec.View(func(tx *Txn) {
 		assertViewMatchesTxn(t, rec, lv, tx, pop)
 	})
-	assertIndexesEqual(t, live, rec)
-}
-
-func assertIndexesEqual(t *testing.T, live, rec *Store) {
-	t.Helper()
-	dumpOrdered := func(s *Store) []int64 {
-		var out []int64
-		s.View(func(tx *Txn) {
-			if err := tx.AscendIndex(ids.KindPerson, PropCreationDate, math.MinInt64, func(key int64, id ids.ID) bool {
-				out = append(out, key, int64(id))
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-		})
-		return out
+	var lb, rb bytes.Buffer
+	if err := errors.Join(encodeCheckpoint(&lb, lv), encodeCheckpoint(&rb, rv)); err != nil {
+		t.Fatal(err)
 	}
-	lo, ro := dumpOrdered(live), dumpOrdered(rec)
-	if len(lo) != len(ro) {
-		t.Fatalf("ordered index sizes diverge: live %d recovered %d", len(lo)/2, len(ro)/2)
-	}
-	for i := range lo {
-		if lo[i] != ro[i] {
-			t.Fatalf("ordered index entry %d diverges: live %d recovered %d", i/2, lo[i], ro[i])
-		}
-	}
-	for _, name := range []string{"ada", "bob", "eve"} {
-		var lids, rids []ids.ID
-		live.View(func(tx *Txn) {
-			lids, _ = tx.LookupHash(ids.KindPerson, PropFirstName, name)
-		})
-		rec.View(func(tx *Txn) {
-			rids, _ = tx.LookupHash(ids.KindPerson, PropFirstName, name)
-		})
-		if len(lids) != len(rids) {
-			t.Fatalf("LookupHash(%q) sizes diverge: live %d recovered %d", name, len(lids), len(rids))
-		}
-		for i := range lids {
-			if lids[i] != rids[i] {
-				t.Fatalf("LookupHash(%q)[%d]: live %v recovered %v", name, i, lids[i], rids[i])
-			}
-		}
+	if !bytes.Equal(lb.Bytes(), rb.Bytes()) {
+		t.Fatalf("checkpoint encodings diverge: live %d B, recovered %d B", lb.Len(), rb.Len())
 	}
 }
 
@@ -130,7 +87,7 @@ func growBoth(t *testing.T, live, dur *Store, rl, rd *xrand.Rand, pop []ids.ID, 
 // handle plus recovery info, failing the test on error.
 func reopen(t *testing.T, dir string, opts PersistOptions) (*Persistent, *RecoveryInfo) {
 	t.Helper()
-	p, info, err := Open(dir, opts, registerTestIndexes)
+	p, info, err := Open(dir, opts, nil)
 	if err != nil {
 		t.Fatalf("reopen %s: %v", dir, err)
 	}
@@ -146,7 +103,7 @@ func manualOpts() PersistOptions {
 
 func TestPersistRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	p, info, err := Open(dir, manualOpts(), registerTestIndexes)
+	p, info, err := Open(dir, manualOpts(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +112,6 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 
 	live := New()
-	registerTestIndexes(live)
 	rl, rd := xrand.New(7), xrand.New(7)
 	var pop []ids.ID
 	for step := 1; step <= 20; step++ {
@@ -202,12 +158,11 @@ func TestPersistRoundTrip(t *testing.T) {
 
 func TestPersistFullReplayFallback(t *testing.T) {
 	dir := t.TempDir()
-	p, _, err := Open(dir, manualOpts(), registerTestIndexes)
+	p, _, err := Open(dir, manualOpts(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	live := New()
-	registerTestIndexes(live)
 	rl, rd := xrand.New(3), xrand.New(3)
 	var pop []ids.ID
 	for step := 1; step <= 15; step++ {
@@ -233,14 +188,13 @@ func TestPersistEquivalenceEveryEpoch(t *testing.T) {
 	dir := t.TempDir()
 	opts := manualOpts()
 	opts.SegmentBytes = 512 // force frequent rotation
-	p, _, err := Open(dir, opts, registerTestIndexes)
+	p, _, err := Open(dir, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 
 	live := New()
-	registerTestIndexes(live)
 	rl, rd := xrand.New(11), xrand.New(11)
 	var pop []ids.ID
 	for step := 1; step <= 24; step++ {
@@ -275,12 +229,11 @@ func TestPersistEquivalenceEveryEpoch(t *testing.T) {
 func TestCrashBetweenRotationAndCheckpoint(t *testing.T) {
 	for _, withPrior := range []bool{false, true} {
 		dir := t.TempDir()
-		p, _, err := Open(dir, manualOpts(), registerTestIndexes)
+		p, _, err := Open(dir, manualOpts(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		live := New()
-		registerTestIndexes(live)
 		rl, rd := xrand.New(5), xrand.New(5)
 		var pop []ids.ID
 		for step := 1; step <= 8; step++ {
@@ -322,12 +275,11 @@ func TestCrashBetweenRotationAndCheckpoint(t *testing.T) {
 // checkpoint. Recovery must ignore the temp file.
 func TestCrashBeforeCheckpointRename(t *testing.T) {
 	dir := t.TempDir()
-	p, _, err := Open(dir, manualOpts(), registerTestIndexes)
+	p, _, err := Open(dir, manualOpts(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	live := New()
-	registerTestIndexes(live)
 	rl, rd := xrand.New(6), xrand.New(6)
 	var pop []ids.ID
 	for step := 1; step <= 10; step++ {
@@ -376,12 +328,11 @@ func TestTornRecordAtSegmentBoundary(t *testing.T) {
 	dir := t.TempDir()
 	opts := manualOpts()
 	opts.SegmentBytes = 256 // every record of this workload forces a rotation
-	p, _, err := Open(dir, opts, registerTestIndexes)
+	p, _, err := Open(dir, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	live := New()
-	registerTestIndexes(live)
 	rl, rd := xrand.New(9), xrand.New(9)
 	var pop []ids.ID
 	for step := 1; step <= 6; step++ {
@@ -446,12 +397,11 @@ func TestTornRecordAtSegmentBoundary(t *testing.T) {
 func TestGarbageTailInLastSegment(t *testing.T) {
 	for _, shape := range []string{"zeros", "garbage"} {
 		dir := t.TempDir()
-		p, _, err := Open(dir, manualOpts(), registerTestIndexes)
+		p, _, err := Open(dir, manualOpts(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		live := New()
-		registerTestIndexes(live)
 		rl, rd := xrand.New(37), xrand.New(37)
 		var pop []ids.ID
 		for step := 1; step <= 6; step++ {
@@ -510,7 +460,7 @@ func TestCorruptMidChainSegment(t *testing.T) {
 	dir := t.TempDir()
 	opts := manualOpts()
 	opts.SegmentBytes = 256
-	p, _, err := Open(dir, opts, registerTestIndexes)
+	p, _, err := Open(dir, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +487,7 @@ func TestCorruptMidChainSegment(t *testing.T) {
 	}
 	f.Close()
 
-	_, _, err = Open(dir, manualOpts(), registerTestIndexes)
+	_, _, err = Open(dir, manualOpts(), nil)
 	if err == nil {
 		t.Fatal("recovery replayed past a mid-chain hole")
 	}
@@ -557,7 +507,7 @@ func TestCheckpointTruncatesSegments(t *testing.T) {
 	opts := manualOpts()
 	opts.SegmentBytes = 256
 	opts.RetainCheckpoints = 1
-	p, _, err := Open(dir, opts, registerTestIndexes)
+	p, _, err := Open(dir, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,12 +550,11 @@ func TestCheckpointTruncatesSegments(t *testing.T) {
 // plus the longer WAL tail that truncation deliberately kept for it.
 func TestBadCheckpointFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	p, _, err := Open(dir, manualOpts(), registerTestIndexes)
+	p, _, err := Open(dir, manualOpts(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	live := New()
-	registerTestIndexes(live)
 	rl, rd := xrand.New(13), xrand.New(13)
 	var pop []ids.ID
 	for step := 1; step <= 6; step++ {
@@ -678,7 +627,7 @@ func TestSyncCommitWritesThrough(t *testing.T) {
 	dir := t.TempDir()
 	opts := manualOpts()
 	opts.WALSync = SyncCommit
-	p, _, err := Open(dir, opts, registerTestIndexes)
+	p, _, err := Open(dir, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -689,7 +638,7 @@ func TestSyncCommitWritesThrough(t *testing.T) {
 	p.Close()
 
 	dir2 := t.TempDir()
-	p2, _, err := Open(dir2, manualOpts(), registerTestIndexes)
+	p2, _, err := Open(dir2, manualOpts(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -711,7 +660,7 @@ func TestSyncCommitWritesThrough(t *testing.T) {
 func TestBackgroundCheckpointer(t *testing.T) {
 	dir := t.TempDir()
 	opts := PersistOptions{CheckpointBytes: -1, CheckpointCommits: 10, SegmentBytes: 512}
-	p, _, err := Open(dir, opts, registerTestIndexes)
+	p, _, err := Open(dir, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -748,7 +697,7 @@ func TestBackgroundCheckpointer(t *testing.T) {
 // make race) and verifies a final recovery sees every commit.
 func TestCheckpointConcurrentWithCommits(t *testing.T) {
 	dir := t.TempDir()
-	p, _, err := Open(dir, manualOpts(), registerTestIndexes)
+	p, _, err := Open(dir, manualOpts(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -789,7 +738,7 @@ func TestCheckpointConcurrentWithCommits(t *testing.T) {
 // no-op, and re-checkpointing without new commits writes nothing new.
 func TestCheckpointEmptyAndIdempotent(t *testing.T) {
 	dir := t.TempDir()
-	p, _, err := Open(dir, manualOpts(), registerTestIndexes)
+	p, _, err := Open(dir, manualOpts(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -823,7 +772,7 @@ func TestOpenMissingSegmentPrefix(t *testing.T) {
 	opts := manualOpts()
 	opts.SegmentBytes = 256
 	opts.KeepSegments = true
-	p, _, err := Open(dir, opts, registerTestIndexes)
+	p, _, err := Open(dir, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -849,7 +798,7 @@ func TestOpenMissingSegmentPrefix(t *testing.T) {
 	if err := os.Remove(segs[len(segs)-2].path); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = Open(dir, manualOpts(), registerTestIndexes)
+	_, _, err = Open(dir, manualOpts(), nil)
 	if err == nil || !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("missing tail segment not detected: %v", err)
 	}

@@ -16,11 +16,10 @@ import (
 // surviving tail is walked in sequence order, one record at a time: check
 // the CRC, decode (decodeTxnPayload — the only decoder of redo records),
 // check that the commit timestamp extends the recovered clock by exactly
-// one, and apply through the lean replay path — the same installs,
-// kind-list and index maintenance as Commit, minus validation (the log was
-// validated when written), WAL re-append and delta recording (no cached
-// view exists during recovery, so the first CurrentView does a full rebuild
-// regardless).
+// one, and apply through the lean replay path — the same installs and
+// kind-list maintenance as Commit, minus validation (the log was validated
+// when written), WAL re-append and delta recording (no cached view exists
+// during recovery, so the first CurrentView does a full rebuild regardless).
 //
 // Commit timestamps in the log are consecutive and torn writes only eat a
 // suffix of the final segment, so a record that does not carry the next
@@ -207,10 +206,9 @@ func (d *walDecoder) edgeType() EdgeType {
 }
 
 // applyDecoded installs one decoded redo record through the lean replay
-// path: the same shard installs, kind-list appends, adjacency writes and
-// secondary-index maintenance as Commit's critical section, minus
-// validation, WAL append and delta recording. Runs in timestamp order on a
-// store no reader observes yet.
+// path: the same shard installs, kind-list appends and adjacency writes as
+// Commit's critical section, minus validation, WAL append and delta
+// recording. Runs in timestamp order on a store no reader observes yet.
 func (s *Store) applyDecoded(dtx *decodedTxn) error {
 	ts := dtx.ts
 	// Created nodes were serialised in sorted ID order by Commit, so the
@@ -252,7 +250,6 @@ func (s *Store) applyDecoded(dtx *decodedTxn) error {
 	for _, pd := range dtx.dels {
 		s.applyDelete(nil, pd, ts)
 	}
-	s.indexNewNodes(dtx.created)
 	s.clock.Store(ts)
 	s.commits.Add(1)
 	return nil

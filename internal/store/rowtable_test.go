@@ -152,7 +152,7 @@ func TestRowTableMatchesDenseReference(t *testing.T) {
 	dir := t.TempDir()
 	opts := manualOpts()
 	opts.KeepSegments = true
-	p, _, err := Open(dir, opts, registerTestIndexes)
+	p, _, err := Open(dir, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,12 +262,11 @@ func TestRowTableMatchesDenseReference(t *testing.T) {
 		model.check(t, "rebuilt view", view, pool, ts)
 
 		ckDir := t.TempDir()
-		path, err := writeCheckpoint(ckDir, view, s, nil)
+		path, err := writeCheckpoint(ckDir, view, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		restored := New()
-		registerTestIndexes(restored)
 		if _, err := loadCheckpoint(restored, path); err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +317,7 @@ func TestCheckpointRejectsBadRowTable(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	path, err := writeCheckpoint(t.TempDir(), s.CurrentView(), s, nil)
+	path, err := writeCheckpoint(t.TempDir(), s.CurrentView(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

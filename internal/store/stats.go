@@ -16,19 +16,11 @@ type TableStat struct {
 	Bytes int64
 }
 
-// IndexStat describes one secondary index.
-type IndexStat struct {
-	Name    string
-	Entries int
-	Bytes   int64
-}
-
 // Stats is a storage-size report.
 type Stats struct {
-	Nodes   int
-	Edges   int
-	Tables  []TableStat // sorted by Bytes descending
-	Indexes []IndexStat // sorted by Bytes descending
+	Nodes  int
+	Edges  int
+	Tables []TableStat // sorted by Bytes descending
 
 	// InternBytes is the footprint of the process-wide string intern table
 	// (arena payload plus index). String property values everywhere in the
@@ -182,9 +174,7 @@ func (v *SnapshotView) MemStats() ViewMem {
 	return m
 }
 
-const indexEntryBytes = 24 // btree.Entry
-
-// ComputeStats scans the store and reports per-table and per-index sizes.
+// ComputeStats scans the store and reports per-table sizes.
 // It takes shard read locks briefly per shard; sizes are approximate heap
 // footprints (the analogue of Virtuoso's allocated database pages in
 // Table 8).
@@ -236,32 +226,6 @@ func (s *Store) ComputeStats() Stats {
 		st.Tables = append(st.Tables, TableStat{Name: t.String(), Rows: rows, Bytes: edgeBytesBy[t]})
 	}
 	sort.Slice(st.Tables, func(i, j int) bool { return st.Tables[i].Bytes > st.Tables[j].Bytes })
-
-	for _, oi := range s.ordered {
-		oi.mu.RLock()
-		n := oi.tree.Len()
-		oi.mu.RUnlock()
-		st.Indexes = append(st.Indexes, IndexStat{
-			Name:    oi.kind.String() + "." + oi.prop.String(),
-			Entries: n,
-			Bytes:   int64(n * indexEntryBytes),
-		})
-	}
-	for _, hi := range s.hashed {
-		hi.mu.RLock()
-		n, b := 0, int64(0)
-		for key, list := range hi.m {
-			n += len(list)
-			b += int64(len(key)) + int64(len(list)*8) + 48
-		}
-		hi.mu.RUnlock()
-		st.Indexes = append(st.Indexes, IndexStat{
-			Name:    hi.kind.String() + "." + hi.prop.String(),
-			Entries: n,
-			Bytes:   b,
-		})
-	}
-	sort.Slice(st.Indexes, func(i, j int) bool { return st.Indexes[i].Bytes > st.Indexes[j].Bytes })
 
 	st.InternBytes = intern.Default.Bytes()
 	// Measure the cached view as it is — era, overlays and all. Loading the

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ldbcsnb/internal/btree"
 	"ldbcsnb/internal/ids"
 )
 
@@ -18,22 +17,6 @@ type shard struct {
 	nodes map[ids.ID]*nodeRec // guarded by mu
 }
 
-// orderedIndex is a B+tree secondary index over an int64 node property.
-type orderedIndex struct {
-	kind ids.Kind
-	prop PropKey
-	mu   sync.RWMutex
-	tree btree.Tree
-}
-
-// hashIndex is an equality index over a string node property.
-type hashIndex struct {
-	kind ids.Kind
-	prop PropKey
-	mu   sync.RWMutex
-	m    map[string][]ids.ID
-}
-
 // Store is the graph database. Construct with New; a Store must not be
 // copied after first use.
 type Store struct {
@@ -41,16 +24,17 @@ type Store struct {
 
 	// commitMu serialises the commit protocol: validation, installation
 	// and watermark advance happen atomically with respect to other
-	// commits. Readers never take it.
+	// commits. Readers take it once: the first view build, to raise
+	// recording.
 	commitMu sync.Mutex
 	// clock is the last fully committed timestamp; snapshots read it.
 	clock atomic.Int64
+	// recording makes commits record view-maintenance deltas (delta.go);
+	// the first view build raises it, and nothing lowers it.
+	recording bool // guarded by commitMu
 
 	kindMu sync.RWMutex
 	byKind map[ids.Kind][]ids.ID // guarded by kindMu
-
-	ordered []*orderedIndex
-	hashed  []*hashIndex
 
 	commits atomic.Int64
 	aborts  atomic.Int64
@@ -123,18 +107,6 @@ func shardIndex(id ids.ID) int {
 
 func (s *Store) shardFor(id ids.ID) *shard {
 	return &s.shards[shardIndex(id)]
-}
-
-// RegisterOrderedIndex adds a B+tree index over an int64 property of one
-// node kind (e.g. Post.creationDate). Must be called before data is loaded.
-func (s *Store) RegisterOrderedIndex(kind ids.Kind, prop PropKey) {
-	s.ordered = append(s.ordered, &orderedIndex{kind: kind, prop: prop})
-}
-
-// RegisterHashIndex adds an equality index over a string property of one
-// node kind (e.g. Person.firstName). Must be called before data is loaded.
-func (s *Store) RegisterHashIndex(kind ids.Kind, prop PropKey) {
-	s.hashed = append(s.hashed, &hashIndex{kind: kind, prop: prop, m: make(map[string][]ids.ID)})
 }
 
 // Commits returns the number of committed transactions.

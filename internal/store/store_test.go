@@ -223,70 +223,6 @@ func TestNodesOfKindVisibility(t *testing.T) {
 	})
 }
 
-func TestOrderedIndex(t *testing.T) {
-	s := New()
-	s.RegisterOrderedIndex(ids.KindPost, PropCreationDate)
-	tx := s.Begin()
-	for i := uint32(0); i < 50; i++ {
-		tx.CreateNode(postID(i), Props{{PropCreationDate, Int64(int64(1000 - i))}})
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	s.View(func(tx *Txn) {
-		var keys []int64
-		err := tx.AscendIndex(ids.KindPost, PropCreationDate, 975, func(k int64, id ids.ID) bool {
-			keys = append(keys, k)
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(keys) != 26 { // 975..1000
-			t.Fatalf("got %d keys", len(keys))
-		}
-		for i := 1; i < len(keys); i++ {
-			if keys[i] < keys[i-1] {
-				t.Fatal("index scan out of order")
-			}
-		}
-	})
-	// Missing index errors.
-	s.View(func(tx *Txn) {
-		if err := tx.AscendIndex(ids.KindComment, PropCreationDate, 0, nil); err == nil {
-			t.Fatal("expected error for unregistered index")
-		}
-	})
-}
-
-func TestHashIndex(t *testing.T) {
-	s := New()
-	s.RegisterHashIndex(ids.KindPerson, PropFirstName)
-	tx := s.Begin()
-	tx.CreateNode(personID(11), Props{{PropFirstName, String("Karl")}})
-	tx.CreateNode(personID(12), Props{{PropFirstName, String("Karl")}})
-	tx.CreateNode(personID(13), Props{{PropFirstName, String("Hans")}})
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	s.View(func(tx *Txn) {
-		karls, err := tx.LookupHash(ids.KindPerson, PropFirstName, "Karl")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(karls) != 2 {
-			t.Fatalf("got %d Karls", len(karls))
-		}
-		none, _ := tx.LookupHash(ids.KindPerson, PropFirstName, "Nobody")
-		if len(none) != 0 {
-			t.Fatal("phantom hash hits")
-		}
-		if _, err := tx.LookupHash(ids.KindPost, PropContent, "x"); err == nil {
-			t.Fatal("expected error for unregistered hash index")
-		}
-	})
-}
-
 func TestConcurrentInsertersAndReaders(t *testing.T) {
 	s := New()
 	const writers = 4
@@ -387,7 +323,6 @@ func TestCreateTwiceInTxn(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	s := New()
-	s.RegisterOrderedIndex(ids.KindPost, PropCreationDate)
 	tx := s.Begin()
 	p := personID(30)
 	tx.CreateNode(p, Props{{PropFirstName, String("Karl")}})
@@ -406,14 +341,11 @@ func TestStats(t *testing.T) {
 	if st.Edges != 20 {
 		t.Fatalf("edges = %d", st.Edges)
 	}
-	if len(st.Tables) == 0 || len(st.Indexes) != 1 {
-		t.Fatalf("tables=%d indexes=%d", len(st.Tables), len(st.Indexes))
+	if len(st.Tables) == 0 {
+		t.Fatal("no tables")
 	}
 	if st.Tables[0].Name != "Post" {
 		t.Fatalf("largest table should be Post, got %s", st.Tables[0].Name)
-	}
-	if st.Indexes[0].Entries != 20 {
-		t.Fatalf("index entries = %d", st.Indexes[0].Entries)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"ldbcsnb/internal/btree"
 	"ldbcsnb/internal/ids"
 )
 
@@ -316,55 +315,6 @@ func (tx *Txn) NodesOfKind(kind ids.Kind) []ids.ID {
 	return tx.s.nodesOfKind(kind, tx.snapshot)
 }
 
-// AscendIndex iterates an ordered secondary index from fromKey upward,
-// calling fn with (property value, node ID) for visible nodes until fn
-// returns false. Registering the index is the caller's responsibility.
-func (tx *Txn) AscendIndex(kind ids.Kind, prop PropKey, fromKey int64, fn func(key int64, id ids.ID) bool) error {
-	var oi *orderedIndex
-	for _, idx := range tx.s.ordered {
-		if idx.kind == kind && idx.prop == prop {
-			oi = idx
-			break
-		}
-	}
-	if oi == nil {
-		return fmt.Errorf("store: no ordered index on %v.%v", kind, prop)
-	}
-	// Stream under the index read lock; visibility checks take shard read
-	// locks, which are always acquired after index locks (writers never
-	// hold both), so the order is deadlock-free. fn must not write.
-	oi.mu.RLock()
-	defer oi.mu.RUnlock()
-	oi.tree.Ascend(fromKey, 0, func(e btree.Entry) bool {
-		id := ids.ID(e.Val)
-		if !tx.Exists(id) {
-			return true
-		}
-		return fn(e.Key, id)
-	})
-	return nil
-}
-
-// LookupHash returns the visible node IDs with the given string property
-// value, using a registered hash index.
-func (tx *Txn) LookupHash(kind ids.Kind, prop PropKey, val string) ([]ids.ID, error) {
-	for _, hi := range tx.s.hashed {
-		if hi.kind == kind && hi.prop == prop {
-			hi.mu.RLock()
-			list := append([]ids.ID(nil), hi.m[val]...)
-			hi.mu.RUnlock()
-			out := list[:0]
-			for _, id := range list {
-				if tx.Exists(id) {
-					out = append(out, id)
-				}
-			}
-			return out, nil
-		}
-	}
-	return nil, fmt.Errorf("store: no hash index on %v.%v", kind, prop)
-}
-
 // Abort discards the transaction.
 func (tx *Txn) Abort() {
 	if !tx.done {
@@ -414,6 +364,8 @@ func (tx *Txn) Commit() error {
 // commitLocked runs Commit's critical section under commitMu: validation,
 // installation, timestamp claim and WAL deposit. It returns the claimed
 // commit timestamp (0 when validation failed).
+//
+//snb:locked commitMu
 func (tx *Txn) commitLocked() (int64, error) {
 	s := tx.s
 
@@ -455,8 +407,12 @@ func (tx *Txn) commitLocked() (int64, error) {
 
 	ts := s.clock.Load() + 1
 	// The commit's view-maintenance delta, recorded alongside the WAL
-	// append so CurrentView can advance the cached view incrementally.
-	delta := &CommitDelta{ts: ts}
+	// append so CurrentView can advance the cached view incrementally —
+	// once there is a cached view to advance (Store.recording).
+	var delta *CommitDelta
+	if s.recording {
+		delta = &CommitDelta{ts: ts}
+	}
 
 	// Install node creations in deterministic ID order so the per-kind
 	// scan lists are reproducible.
@@ -470,7 +426,9 @@ func (tx *Txn) commitLocked() (int64, error) {
 		sh.mu.Lock()
 		sh.nodes[n.id] = &nodeRec{id: n.id, versions: []nodeVersion{{commit: ts, props: n.props}}}
 		sh.mu.Unlock()
-		delta.nodes = append(delta.nodes, deltaNode{id: n.id, props: n.props, inKindList: true})
+		if delta != nil {
+			delta.nodes = append(delta.nodes, deltaNode{id: n.id, props: n.props, inKindList: true})
+		}
 	}
 	if len(created) > 0 {
 		s.kindMu.Lock()
@@ -489,7 +447,9 @@ func (tx *Txn) commitLocked() (int64, error) {
 		next := last.props.with(set.key, set.val)
 		rec.versions = append(rec.versions, nodeVersion{commit: ts, props: next})
 		sh.mu.Unlock()
-		delta.props = append(delta.props, deltaProp{id: set.id, props: next})
+		if delta != nil {
+			delta.props = append(delta.props, deltaProp{id: set.id, props: next})
+		}
 	}
 
 	// Edge insertions. Auto-create is not supported: dangling endpoints
@@ -510,12 +470,11 @@ func (tx *Txn) commitLocked() (int64, error) {
 		s.applyDelete(delta, pd, ts)
 	}
 
-	// Secondary index maintenance for created nodes.
-	s.indexNewNodes(created)
-
 	// Record the view-maintenance delta before the clock advances so a
 	// refresh observing the new watermark always finds its deltas.
-	s.recordDelta(delta)
+	if delta != nil {
+		s.recordDelta(delta)
+	}
 
 	// Hand the redo record to the WAL before publishing the commit (still
 	// under commitMu, so deposits preserve commit order — the invariant
@@ -530,38 +489,11 @@ func (tx *Txn) commitLocked() (int64, error) {
 	return ts, nil
 }
 
-// indexNewNodes inserts created nodes into the registered secondary
-// indexes. Shared by Commit and recovery's lean replay (recovery.go).
-func (s *Store) indexNewNodes(created []*pendingNode) {
-	for _, n := range created {
-		for _, oi := range s.ordered {
-			if oi.kind != n.id.Kind() {
-				continue
-			}
-			if v := n.props.Get(oi.prop); !v.IsZero() {
-				oi.mu.Lock()
-				oi.tree.Insert(v.Int(), uint64(n.id), uint64(n.id))
-				oi.mu.Unlock()
-			}
-		}
-		for _, hi := range s.hashed {
-			if hi.kind != n.id.Kind() {
-				continue
-			}
-			if v := n.props.Get(hi.prop); !v.IsZero() {
-				hi.mu.Lock()
-				hi.m[v.Str()] = append(hi.m[v.Str()], n.id)
-				hi.mu.Unlock()
-			}
-		}
-	}
-}
-
 // installEdge appends one adjacency entry; reverse=true stores it in the
 // peer's in-list instead of the out-list. The install is mirrored into the
 // commit delta, including any bare node record materialised for a missing
-// endpoint; recovery's lean replay passes delta == nil (no cached view
-// exists to maintain).
+// endpoint; delta is nil when no cached view exists to maintain (recovery's
+// lean replay, and every commit before the first view).
 func (s *Store) installEdge(delta *CommitDelta, from ids.ID, t EdgeType, to ids.ID, stamp, ts int64, reverse bool) {
 	sh := s.shardFor(from)
 	sh.mu.Lock()
@@ -585,7 +517,7 @@ func (s *Store) installEdge(delta *CommitDelta, from ids.ID, t EdgeType, to ids.
 // counterpart on the peer: the reverse-adjacency entry for directed edges,
 // or the mirrored out-entry for symmetric (knows) edges — identified by
 // sharing the original insertion's commit timestamp. A miss is a no-op.
-// delta may be nil (recovery's lean replay).
+// delta may be nil, as for installEdge.
 func (s *Store) applyDelete(delta *CommitDelta, pd pendingDel, ts int64) {
 	var matchCommit, matchStamp int64
 	found := false

@@ -11,8 +11,6 @@
 // Design, in the spirit of the two vendor systems of §5:
 //   - property graph data model (nodes with typed properties, typed directed
 //     edges carrying one timestamp-like attribute), like Sparksee;
-//   - hash primary indexes plus ordered (B+tree) secondary indexes on
-//     date-like attributes, like Virtuoso's l_creationdate index (Table 8);
 //   - adjacency lists per (node, edge type, direction) — the materialised
 //     neighbourhoods §5 mentions for Sparksee — held per node as a sparse
 //     row table: a node pays for the lists it has (graph.go).

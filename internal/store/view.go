@@ -560,6 +560,15 @@ func (s *Store) AcquireView() (*SnapshotView, ViewEvent) {
 			s.startCompaction(nv)
 			return nv, ViewRefreshed
 		}
+	} else {
+		// First build: commits record deltas from here on. Raising the flag
+		// and reading the clock under one commitMu hold puts every commit
+		// either at or below ts (in the build) or in the ring. Lock order is
+		// viewMu -> commitMu; no path takes viewMu while holding commitMu.
+		s.commitMu.Lock()
+		s.recording = true
+		ts = s.clock.Load()
+		s.commitMu.Unlock()
 	}
 	nv := s.buildView(ts)
 	s.view.Store(nv)

@@ -108,7 +108,7 @@ func edgeLogFixture(t *testing.T, n int) (string, []segmentFile) {
 	dir := t.TempDir()
 	opts := manualOpts()
 	opts.SegmentBytes = segHeaderSize + 1 // every record after the first rotates
-	p, _, err := Open(dir, opts, registerTestIndexes)
+	p, _, err := Open(dir, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestReplayRejectsBadEdgeType(t *testing.T) {
 		for _, victim := range []int{2, 3} { // the add-edge and del-edge records
 			dir, segs := edgeLogFixture(t, 5)
 			patchEdgeType(t, segs[victim].path, typ)
-			_, _, err := Open(dir, manualOpts(), registerTestIndexes)
+			_, _, err := Open(dir, manualOpts(), nil)
 			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), filepath.Base(segs[victim].path)) {
 				t.Fatalf("type %d in record %d: want ErrCorrupt naming the segment, got %v", typ, victim+1, err)
 			}

@@ -242,7 +242,6 @@ func TestViewQueriesMatchUnderInterleavedUpdates(t *testing.T) {
 	_, d := setup(t)
 	bulk, updates := datagen.Split(d, datagen.UpdateCut)
 	st := store.New()
-	schema.RegisterIndexes(st)
 	if err := schema.LoadDimensions(st); err != nil {
 		t.Fatal(err)
 	}

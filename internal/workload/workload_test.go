@@ -26,7 +26,6 @@ func setup(t *testing.T) (*store.Store, *schema.Dataset) {
 	setupOnce.Do(func() {
 		out := datagen.Generate(datagen.Config{Seed: 99, Persons: 250, Workers: 2})
 		st := store.New()
-		schema.RegisterIndexes(st)
 		if err := schema.LoadDimensions(st); err != nil {
 			panic(err)
 		}
@@ -700,7 +699,6 @@ func TestApplyUpdates(t *testing.T) {
 	// Fresh store loaded with bulk part; replay all updates.
 	bulk, updates := datagen.Split(d, datagen.UpdateCut)
 	st := store.New()
-	schema.RegisterIndexes(st)
 	if err := schema.LoadDimensions(st); err != nil {
 		t.Fatal(err)
 	}

@@ -37,29 +37,38 @@ import (
 // messageKinds are the two fact-table node kinds every message scan walks.
 var messageKinds = [2]ids.Kind{ids.KindPost, ids.KindComment}
 
-// monthBucketer buckets simulation timestamps into (year, month) with a
-// one-entry range cache: the [lo, hi) millisecond span of the last month
-// resolved is kept, and only timestamps outside it pay the time.Date
-// calendar math. Message scans touch creation dates in near-sorted runs
-// (node IDs correlate with creation time), so BI1's scan loop — the only
-// calendar-bucketing kernel; BI2/BI3 compare raw milliseconds — hits the
-// cache almost always instead of calling time.UnixMilli per row. Each
+// monthBucketer buckets simulation timestamps into BI1's per-month counter
+// blocks with a one-entry cache: the [lo, hi) millisecond span of the last
+// month resolved and a pointer to that month's block. Only a timestamp
+// outside the span pays the time.Date calendar math and the lookup in
+// months, the table keyed by month. Message scans touch creation dates in
+// near-sorted runs (node IDs correlate with creation time), so BI1's scan
+// loop — the only calendar-bucketing kernel; BI2/BI3 compare raw
+// milliseconds — hits the cache almost always and updates a counter
+// through the cached pointer, with no lookup at all for the row. Each
 // partial aggregate owns one — never share a bucketer across workers.
 type monthBucketer struct {
-	lo, hi int64 // cached month's [lo, hi) span; hi==0 means empty
-	year   int
-	month  time.Month
+	lo, hi int64              // cached month's [lo, hi) span
+	cur    *bi1Month          // cached month's counters; nil means empty
+	months keyTable[bi1Month] // keyed by monthKey
 }
 
-func (mb *monthBucketer) bucket(millis int64) (int, time.Month) {
-	if mb.hi == 0 || millis < mb.lo || millis >= mb.hi {
+func (mb *monthBucketer) counters(millis int64) *bi1Month {
+	if mb.cur == nil || millis < mb.lo || millis >= mb.hi {
 		t := time.UnixMilli(millis).UTC()
-		mb.year, mb.month = t.Year(), t.Month()
-		mb.lo = time.Date(mb.year, mb.month, 1, 0, 0, 0, 0, time.UTC).UnixMilli()
-		mb.hi = time.Date(mb.year, mb.month+1, 1, 0, 0, 0, 0, time.UTC).UnixMilli()
+		y, m := t.Year(), t.Month()
+		mb.lo = time.Date(y, m, 1, 0, 0, 0, 0, time.UTC).UnixMilli()
+		mb.hi = time.Date(y, m+1, 1, 0, 0, 0, 0, time.UTC).UnixMilli()
+		mb.cur = mb.months.at(monthKey(y, m))
 	}
-	return mb.year, mb.month
+	return mb.cur
 }
+
+// monthKey packs a calendar month into a table key: the year above four
+// bits of month. keyMonth unpacks it.
+func monthKey(year int, month time.Month) uint64 { return uint64(int64(year))<<4 | uint64(month) }
+
+func keyMonth(k uint64) (int, time.Month) { return int(int64(k) >> 4), time.Month(k & 15) }
 
 // BI1 — posting summary.
 
@@ -73,13 +82,6 @@ type BI1Row struct {
 	AvgLength    float64
 }
 
-type bi1Key struct {
-	y  int
-	m  time.Month
-	c  bool
-	lc int
-}
-
 // bi1Agg accumulates one group. Lengths are summed as integers so the
 // average is independent of scan order — float accumulation would make the
 // parallel merge order observable in the last bits.
@@ -88,12 +90,12 @@ type bi1Agg struct {
 	lenSum int
 }
 
-type bi1Partial struct {
-	groups map[bi1Key]bi1Agg
-	mb     monthBucketer
-}
+// bi1Month holds one month's groups, indexed [is comment][length class].
+type bi1Month [2][3]bi1Agg
 
-func (p *bi1Partial) init() { p.groups = make(map[bi1Key]bi1Agg) }
+type bi1Partial struct {
+	mb monthBucketer
+}
 
 // bi1Add is the BI1 kernel: classify one message into its
 // (year, month, kind, length class) group.
@@ -108,33 +110,43 @@ func bi1Add[R store.Reader](r R, p *bi1Partial, id ids.ID) {
 	case length >= 40:
 		lc = 1
 	}
-	y, m := p.mb.bucket(r.Prop(id, store.PropCreationDate).Int())
-	k := bi1Key{y, m, id.Kind() == ids.KindComment, lc}
-	agg := p.groups[k]
+	c := 0
+	if id.Kind() == ids.KindComment {
+		c = 1
+	}
+	agg := &p.mb.counters(r.Prop(id, store.PropCreationDate).Int())[c][lc]
 	agg.count++
 	agg.lenSum += length
-	p.groups[k] = agg
 }
 
 //snb:deterministic
 func bi1Finalize(parts []bi1Partial) []BI1Row {
-	groups := parts[0].groups
+	merged := &parts[0].mb.months
 	for _, part := range parts[1:] {
-		//snb:mapiter-ok commutative merge of disjoint-scan partials
-		for k, g := range part.groups {
-			agg := groups[k]
-			agg.count += g.count
-			agg.lenSum += g.lenSum
-			groups[k] = agg
+		for i, k := range part.mb.months.keys {
+			dst := merged.at(k)
+			for c, groups := range part.mb.months.vals[i] {
+				for lc, g := range groups {
+					dst[c][lc].count += g.count
+					dst[c][lc].lenSum += g.lenSum
+				}
+			}
 		}
 	}
-	out := make([]BI1Row, 0, len(groups))
-	//snb:mapiter-ok collect-then-sort: order is discarded below
-	for k, g := range groups {
-		out = append(out, BI1Row{
-			Year: k.y, Month: k.m, IsComment: k.c, LengthClass: k.lc,
-			MessageCount: g.count, AvgLength: float64(g.lenSum) / float64(g.count),
-		})
+	var out []BI1Row
+	for i, k := range merged.keys {
+		year, month := keyMonth(k)
+		for c, groups := range merged.vals[i] {
+			for lc, g := range groups {
+				if g.count == 0 {
+					continue
+				}
+				out = append(out, BI1Row{
+					Year: year, Month: month, IsComment: c == 1, LengthClass: lc,
+					MessageCount: g.count, AvgLength: float64(g.lenSum) / float64(g.count),
+				})
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -157,7 +169,6 @@ func bi1Finalize(parts []bi1Partial) []BI1Row {
 // multi-dimension group-by of the BI workload.
 func BI1[R store.Reader](r R) []BI1Row {
 	var part bi1Partial
-	part.init()
 	for _, kind := range messageKinds {
 		for _, m := range r.NodesOfKind(kind) {
 			bi1Add(r, &part, m)
@@ -278,49 +289,49 @@ type BI3Row struct {
 	Count   int
 }
 
-type bi3Key struct {
-	country int
-	tag     ids.ID
-}
-
 type bi3Partial struct {
-	counts map[bi3Key]int
+	byCountry keyTable[keyTable[int]] // country -> tag ID -> messages
 }
-
-func (p *bi3Partial) init() { p.counts = make(map[bi3Key]int) }
 
 // bi3Add is the BI3 kernel: count one message's tags under its country
-// dimension.
+// dimension. The country's tag counter is resolved once per message; each
+// tag then bumps its ID's count.
 //
 //snb:deterministic
 func bi3Add[R store.Reader](r R, p *bi3Partial, id ids.ID) {
-	country := int(r.Prop(id, store.PropCountry).Int())
-	for _, te := range r.Out(id, store.EdgeHasTag) {
-		p.counts[bi3Key{country, te.To}]++
+	tags := r.Out(id, store.EdgeHasTag)
+	if len(tags) == 0 {
+		return
+	}
+	counts := p.byCountry.at(uint64(r.Prop(id, store.PropCountry).Int()))
+	for _, te := range tags {
+		*counts.at(uint64(te.To))++
 	}
 }
 
 //snb:deterministic
 func bi3Finalize(parts []bi3Partial) []BI3Row {
-	counts := parts[0].counts
+	merged := &parts[0].byCountry
 	for _, part := range parts[1:] {
-		//snb:mapiter-ok commutative merge of disjoint-scan partials
-		for k, c := range part.counts {
-			counts[k] += c
+		for i, country := range part.byCountry.keys {
+			dst, src := merged.at(country), &part.byCountry.vals[i]
+			for j, tag := range src.keys {
+				*dst.at(tag) += src.vals[j]
+			}
 		}
 	}
-	best := map[int]BI3Row{}
-	//snb:mapiter-ok argmax with a total tie-break (count, then tag): any visit order picks the same winner
-	for k, c := range counts {
-		cur, ok := best[k.country]
-		if !ok || c > cur.Count || (c == cur.Count && k.tag < cur.Tag) {
-			best[k.country] = BI3Row{Country: k.country, Tag: k.tag, Count: c}
+	out := make([]BI3Row, 0, len(merged.keys))
+	for i, country := range merged.keys {
+		best := BI3Row{Country: int(int64(country))}
+		counts := &merged.vals[i]
+		for j, tag := range counts.keys {
+			// Argmax with a total tie-break (count, then tag): the winner
+			// does not depend on first-seen order.
+			if c := counts.vals[j]; c > best.Count || (c == best.Count && ids.ID(tag) < best.Tag) {
+				best.Tag, best.Count = ids.ID(tag), c
+			}
 		}
-	}
-	out := make([]BI3Row, 0, len(best))
-	//snb:mapiter-ok collect-then-sort: order is discarded below
-	for _, r := range best {
-		out = append(out, r)
+		out = append(out, best)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Country < out[j].Country })
 	return out
@@ -330,7 +341,6 @@ func bi3Finalize(parts []bi3Partial) []BI3Row {
 // country dimension; top tag per country.
 func BI3[R store.Reader](r R) []BI3Row {
 	var part bi3Partial
-	part.init()
 	for _, kind := range messageKinds {
 		for _, m := range r.NodesOfKind(kind) {
 			bi3Add(r, &part, m)
@@ -355,10 +365,8 @@ type bi4Agg struct {
 }
 
 type bi4Partial struct {
-	rows map[ids.ID]bi4Agg
+	byCreator keyTable[bi4Agg] // creator ID -> aggregate
 }
-
-func (p *bi4Partial) init() { p.rows = make(map[ids.ID]bi4Agg) }
 
 // bi4Add is the BI4 kernel: credit one message (and the likes/replies it
 // received) to its creator.
@@ -369,32 +377,28 @@ func bi4Add[R store.Reader](r R, p *bi4Partial, id ids.ID) {
 	if len(creators) == 0 {
 		return
 	}
-	creator := creators[0]
-	agg := p.rows[creator.To]
+	agg := p.byCreator.at(uint64(creators[0].To))
 	agg.messages++
 	agg.likes += r.InDegree(id, store.EdgeLikes)
 	agg.replies += r.InDegree(id, store.EdgeReplyOf)
-	p.rows[creator.To] = agg
 }
 
 //snb:deterministic
 func bi4Finalize(parts []bi4Partial, limit int) []BI4Row {
-	rows := parts[0].rows
+	merged := &parts[0].byCreator
 	for _, part := range parts[1:] {
-		//snb:mapiter-ok commutative merge of disjoint-scan partials
-		for p, a := range part.rows {
-			agg := rows[p]
+		for i, person := range part.byCreator.keys {
+			a, agg := part.byCreator.vals[i], merged.at(person)
 			agg.messages += a.messages
 			agg.likes += a.likes
 			agg.replies += a.replies
-			rows[p] = agg
 		}
 	}
-	out := make([]BI4Row, 0, len(rows))
-	//snb:mapiter-ok collect-then-sort: order is discarded below
-	for p, a := range rows {
+	out := make([]BI4Row, 0, len(merged.keys))
+	for i, person := range merged.keys {
+		a := merged.vals[i]
 		out = append(out, BI4Row{
-			Person: p, Messages: a.messages, Likes: a.likes, Replies: a.replies,
+			Person: ids.ID(person), Messages: a.messages, Likes: a.likes, Replies: a.replies,
 			Score: a.messages + 2*a.likes + 2*a.replies,
 		})
 	}
@@ -415,7 +419,6 @@ func bi4Finalize(parts []bi4Partial, limit int) []BI4Row {
 // 2*replies. A whole-graph aggregation joining three fact relations.
 func BI4[R store.Reader](r R, limit int) []BI4Row {
 	var part bi4Partial
-	part.init()
 	for _, kind := range messageKinds {
 		for _, m := range r.NodesOfKind(kind) {
 			bi4Add(r, &part, m)
@@ -434,29 +437,36 @@ type BI5Row struct {
 }
 
 type bi5Partial struct {
-	direct map[ids.ID]int
+	tags keyTable[int] // tag ID -> messages carrying it
 }
 
-func (p *bi5Partial) init() { p.direct = make(map[ids.ID]int) }
-
-// bi5Add is the BI5 kernel: count one message under the class of each of
-// its tags.
+// bi5Add is the BI5 kernel: count one message under each of its tags. The
+// tags' classes are resolved in finalize, once per distinct tag.
+//
+//snb:deterministic
 func bi5Add[R store.Reader](r R, p *bi5Partial, id ids.ID) {
 	for _, te := range r.Out(id, store.EdgeHasTag) {
-		if types := r.Out(te.To, store.EdgeHasType); len(types) > 0 {
-			p.direct[types[0].To]++
-		}
+		*p.tags.at(uint64(te.To))++
 	}
 }
 
-// bi5Finalize rolls the merged direct counts up the isSubclassOf hierarchy
-// (the recursion dimension of the BI workload). The rollup itself is
-// serial: the class hierarchy is dimension-sized, not fact-sized.
+// bi5Finalize resolves each counted tag's class and rolls the direct class
+// counts up the isSubclassOf hierarchy (the recursion dimension of the BI
+// workload). Both are serial: tags and the class hierarchy are
+// dimension-sized, not fact-sized.
+//
+//snb:deterministic
 func bi5Finalize[R store.Reader](r R, parts []bi5Partial) []BI5Row {
-	direct := parts[0].direct
+	tags := &parts[0].tags
 	for _, part := range parts[1:] {
-		for cls, c := range part.direct {
-			direct[cls] += c
+		for i, tag := range part.tags.keys {
+			*tags.at(tag) += part.tags.vals[i]
+		}
+	}
+	direct := map[ids.ID]int{}
+	for i, tag := range tags.keys {
+		if types := r.Out(ids.ID(tag), store.EdgeHasType); len(types) > 0 {
+			direct[types[0].To] += tags.vals[i]
 		}
 	}
 	total := map[ids.ID]int{}
@@ -473,6 +483,7 @@ func bi5Finalize[R store.Reader](r R, parts []bi5Partial) []BI5Row {
 		}
 	}
 	out := make([]BI5Row, 0, len(total))
+	//snb:mapiter-ok collect-then-sort: order is discarded below
 	for cls, c := range total {
 		if c == 0 {
 			continue
@@ -495,7 +506,6 @@ func bi5Finalize[R store.Reader](r R, parts []bi5Partial) []BI5Row {
 // the isSubclassOf hierarchy to the roots.
 func BI5[R store.Reader](r R) []BI5Row {
 	var part bi5Partial
-	part.init()
 	for _, kind := range messageKinds {
 		for _, m := range r.NodesOfKind(kind) {
 			bi5Add(r, &part, m)

@@ -63,9 +63,6 @@ func scanMessages[P any](v *store.SnapshotView, par exec.Config, parts []P,
 // BI1Par is BI1 on the morsel-parallel view path.
 func BI1Par(v *store.SnapshotView, par exec.Config) []BI1Row {
 	parts := make([]bi1Partial, par.NumWorkers())
-	for i := range parts {
-		parts[i].init()
-	}
 	scanMessages(v, par, parts, bi1Add[*store.SnapshotView])
 	return bi1Finalize(parts)
 }
@@ -85,9 +82,6 @@ func BI2Par(v *store.SnapshotView, par exec.Config, windowStart, windowLen int64
 // BI3Par is BI3 on the morsel-parallel view path.
 func BI3Par(v *store.SnapshotView, par exec.Config) []BI3Row {
 	parts := make([]bi3Partial, par.NumWorkers())
-	for i := range parts {
-		parts[i].init()
-	}
 	scanMessages(v, par, parts, bi3Add[*store.SnapshotView])
 	return bi3Finalize(parts)
 }
@@ -95,9 +89,6 @@ func BI3Par(v *store.SnapshotView, par exec.Config) []BI3Row {
 // BI4Par is BI4 on the morsel-parallel view path.
 func BI4Par(v *store.SnapshotView, par exec.Config, limit int) []BI4Row {
 	parts := make([]bi4Partial, par.NumWorkers())
-	for i := range parts {
-		parts[i].init()
-	}
 	scanMessages(v, par, parts, bi4Add[*store.SnapshotView])
 	return bi4Finalize(parts, limit)
 }
@@ -106,9 +97,6 @@ func BI4Par(v *store.SnapshotView, par exec.Config, limit int) []BI4Row {
 // dimension-sized class hierarchy stays serial).
 func BI5Par(v *store.SnapshotView, par exec.Config) []BI5Row {
 	parts := make([]bi5Partial, par.NumWorkers())
-	for i := range parts {
-		parts[i].init()
-	}
 	scanMessages(v, par, parts, bi5Add[*store.SnapshotView])
 	return bi5Finalize(v, parts)
 }

@@ -37,17 +37,18 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 // unzigzag is the inverse of zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// appendAdjRow encodes one adjacency row onto dst. ord resolves a neighbour
-// ID to its view ordinal; ok=false (with dst unchanged) means some
-// neighbour had no ordinal and the caller must keep the row uncompressed —
-// defensive only, every edge endpoint of a consistent view is visible and
-// ordinal-mapped.
-func appendAdjRow(dst []byte, row []Edge, ord map[ids.ID]int32) ([]byte, bool) {
+// appendAdjRow encodes one adjacency row onto dst. Neighbour IDs resolve to
+// view ordinals through ord, the base's position table over nodes — the
+// same lookup SnapshotView.Ord makes; ok=false (with dst unchanged) means
+// some neighbour had no ordinal and the caller must keep the row
+// uncompressed — defensive only, every edge endpoint of a consistent view
+// is visible and ordinal-mapped.
+func appendAdjRow(dst []byte, row []Edge, ord *ordTable, nodes []ids.ID) ([]byte, bool) {
 	mark := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(row)))
 	prevOrd, prevStamp := int64(0), int64(0)
 	for _, e := range row {
-		o, ok := ord[e.To]
+		o, ok := ord.lookup(e.To, nodes)
 		if !ok {
 			return dst[:mark], false
 		}

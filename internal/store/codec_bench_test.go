@@ -17,10 +17,6 @@ func benchRow(n int) ([]Edge, csr, []ids.ID) {
 	for i := range nodes {
 		nodes[i] = ids.Compose(ids.KindPerson, int64(i), 0)
 	}
-	ord := make(map[ids.ID]int32, len(nodes))
-	for i, id := range nodes {
-		ord[id] = int32(i)
-	}
 	row := make([]Edge, n)
 	stamp := int64(1_300_000_000_000)
 	for i := range row {
@@ -37,7 +33,7 @@ func benchRow(n int) ([]Edge, csr, []ids.ID) {
 	c.lo = 0
 	c.offsets = make([]uint32, 2)
 	var ok bool
-	c.data, ok = appendAdjRow(nil, row, ord)
+	c.data, ok = appendAdjRow(nil, row, newOrdTable(nodes), nodes)
 	if !ok {
 		panic("row refused")
 	}

@@ -15,20 +15,16 @@ import (
 // both directions) and a fuzz target walks randomised rows.
 
 // codecFixture builds an ordinal world of n nodes with the given IDs.
-func codecFixture(nodeIDs []ids.ID) (nodes []ids.ID, ord map[ids.ID]int32) {
-	ord = make(map[ids.ID]int32, len(nodeIDs))
-	for i, id := range nodeIDs {
-		ord[id] = int32(i)
-	}
-	return nodeIDs, ord
+func codecFixture(nodeIDs []ids.ID) (nodes []ids.ID, ord *ordTable) {
+	return nodeIDs, newOrdTable(nodeIDs)
 }
 
 // encodeDecode round-trips one row through the codec's production read
 // path, both cold (first decode, publishing to the cache) and hot (served
 // from the cache), and requires the two to agree.
-func encodeDecode(t *testing.T, row []Edge, nodes []ids.ID, ord map[ids.ID]int32) []Edge {
+func encodeDecode(t *testing.T, row []Edge, nodes []ids.ID, ord *ordTable) []Edge {
 	t.Helper()
-	buf, ok := appendAdjRow(nil, row, ord)
+	buf, ok := appendAdjRow(nil, row, ord, nodes)
 	if !ok {
 		t.Fatalf("appendAdjRow refused a fully-mapped row")
 	}
@@ -92,7 +88,7 @@ func TestAdjRowUnmappedPeerRollsBack(t *testing.T) {
 	nodes, ord := codecFixture([]ids.ID{personID(1), personID(2)})
 	dst := append([]byte(nil), 0xAA, 0xBB, 0xCC)
 	row := []Edge{{To: nodes[1], Stamp: 1}, {To: personID(99), Stamp: 2}}
-	out, ok := appendAdjRow(dst, row, ord)
+	out, ok := appendAdjRow(dst, row, ord, nodes)
 	if ok {
 		t.Fatal("row with unmapped peer was encoded")
 	}
@@ -114,7 +110,7 @@ func TestAdjRowCompression(t *testing.T) {
 	for i := range row {
 		row[i] = Edge{To: nodes[i*2], Stamp: int64(1_000_000 + i*3)}
 	}
-	buf, ok := appendAdjRow(nil, row, ord)
+	buf, ok := appendAdjRow(nil, row, ord, nodes)
 	if !ok {
 		t.Fatal("encode refused")
 	}

@@ -72,7 +72,7 @@ type ViewMem struct {
 
 	AdjBytes     int64 // encoded adjacency: shared varint slab + per-row offset indexes
 	PropBytes    int64 // dense property slab + row offset index
-	NodeBytes    int64 // ordinal tables: ordinal->ID slice and ID->ordinal map
+	NodeBytes    int64 // base ordinal tables: ordinal->ID slice and ID->ordinal position table
 	KindBytes    int64 // per-kind scan lists
 	OverlayBytes int64 // copy-on-write refresh state: touched rows, props, appended ordinals, spill
 
@@ -138,7 +138,7 @@ func (v *SnapshotView) MemStats() ViewMem {
 		}
 	}
 	m.PropBytes = int64(len(b.props))*propSize + int64(len(b.propOff))*4
-	m.NodeBytes = int64(len(b.nodes))*8 + int64(len(b.ord))*mapEntryBytes
+	m.NodeBytes = int64(len(b.nodes))*8 + int64(len(b.ord.slots))*4
 	for _, list := range v.byKind {
 		m.KindBytes += int64(len(list)) * 8
 	}

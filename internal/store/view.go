@@ -92,12 +92,16 @@ type SnapshotView struct {
 
 // viewBase is the compacted, era-shared bulk of one or more snapshot views:
 // the encoded CSR slabs, the dense property slab and the ordinal mapping of
-// every node visible when the era was compacted. It is immutable after
-// buildView returns; delta refreshes layer overlays on top without touching
-// it.
+// every node visible when the era was compacted. The mapping is nodes, the
+// ordinal -> ID list, plus ord, an ordTable over it: an ordinal is a
+// position in nodes, so the same position table that resolves the overlay's
+// appended nodes resolves the base's, and a lookup touches one int32 slot
+// and one nodes entry rather than hashing into a Go map. It is immutable
+// after buildView returns; delta refreshes layer overlays on top without
+// touching it.
 type viewBase struct {
-	nodes []ids.ID         // ordinal -> node ID, ascending
-	ord   map[ids.ID]int32 // node ID -> ordinal
+	nodes []ids.ID  // ordinal -> node ID, ascending
+	ord   *ordTable // node ID -> position in nodes, i.e. ordinal
 
 	// Dense property storage: the property rows of all ordinals packed
 	// back to back in one slab. Row of ordinal o is
@@ -192,18 +196,39 @@ func (n *nodeOver) row(key uint8) (row []Edge, ok bool) {
 	return nil, false
 }
 
-// ordTable maps the IDs of an era's appended nodes to their position in
-// nodesOver: an insert-only open-addressed table that stores positions, not
-// keys (the keys are nodesOver itself). One table serves every view of a
-// lineage until it has to grow: the maintainer inserts with atomic stores,
-// and a reader that meets a position at or beyond its own view's
-// len(nodesOver) has met a node appended after its view — with linear
-// probing and no deletions everything inserted earlier sits earlier in any
-// probe sequence, so it can stop there.
+// ordTable maps node IDs to their position in a node list: an insert-only
+// open-addressed table that stores positions, not keys (the keys are the
+// list itself), keyed by Fibonacci hash, probed linearly and kept at most
+// half full. It is the view's one ID -> ordinal mechanism, in two roles:
+//
+//   - viewBase.ord over base.nodes, filled once by buildView and never
+//     written again;
+//   - SnapshotView.ordOver over nodesOver, the era's appended nodes. One
+//     table serves every view of a lineage until it has to grow: the
+//     maintainer inserts with atomic stores, and a reader that meets a
+//     position at or beyond its own view's len(nodesOver) has met a node
+//     appended after its view — with linear probing and no deletions
+//     everything inserted earlier sits earlier in any probe sequence, so it
+//     can stop there.
 type ordTable struct {
 	slots []atomic.Int32 // position+1; 0 = empty; len is a power of two
 	shift uint           // 64 - log2(len(slots))
 	used  int            // maintainer only
+}
+
+// newOrdTable returns a table over nodes, filled in position order (which
+// keeps older-before-newer in every probe sequence), with at least 64 slots
+// and at most half of them used.
+func newOrdTable(nodes []ids.ID) *ordTable {
+	size := 64
+	for size < 2*len(nodes) {
+		size *= 2
+	}
+	t := &ordTable{slots: make([]atomic.Int32, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
+	for pos, id := range nodes {
+		t.place(id, pos)
+	}
+	return t
 }
 
 // home is the Fibonacci hash of an ID: IDs of one kind differ in their
@@ -212,7 +237,8 @@ func (t *ordTable) home(id ids.ID) int {
 	return int((uint64(id) * 0x9E3779B97F4A7C15) >> t.shift)
 }
 
-// lookup finds id among nodes, the looking view's nodesOver.
+// lookup finds id among nodes: base.nodes for a base table, the looking
+// view's nodesOver for the overlay's.
 //
 //snb:noalloc
 func (t *ordTable) lookup(id ids.ID, nodes []ids.ID) (int, bool) {
@@ -228,19 +254,12 @@ func (t *ordTable) lookup(id ids.ID, nodes []ids.ID) (int, bool) {
 }
 
 // insert records that nodes[len(nodes)-1] was just appended and returns the
-// table to publish with it: t itself, or a table of twice the size (filled
-// in position order, which keeps older-before-newer) once t is half full.
-// Views published earlier keep the table they were published with.
+// table to publish with it: t itself, or a new table of twice the size over
+// all of nodes once t is half full. Views published earlier keep the table
+// they were published with.
 func (t *ordTable) insert(nodes []ids.ID) *ordTable {
 	if t == nil || 2*(t.used+1) > len(t.slots) {
-		size := 64
-		if t != nil {
-			size = 2 * len(t.slots)
-		}
-		t = &ordTable{slots: make([]atomic.Int32, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
-		for pos := range nodes[:len(nodes)-1] {
-			t.place(nodes[pos], pos)
-		}
+		return newOrdTable(nodes)
 	}
 	t.place(nodes[len(nodes)-1], len(nodes)-1)
 	return t
@@ -281,10 +300,14 @@ func (v *SnapshotView) Era() uint64 { return v.era }
 func (v *SnapshotView) NumNodes() int { return len(v.base.nodes) + len(v.nodesOver) }
 
 // Ord returns the compact ordinal of a node, or false if the node is not
-// visible in the view.
+// visible in the view: a probe of the base's table, then of the overlay's.
+// Every view read by ID (Out, In, Prop, the degrees, ordinal visited sets)
+// pays one.
+//
+//snb:noalloc
 func (v *SnapshotView) Ord(id ids.ID) (int32, bool) {
-	if o, ok := v.base.ord[id]; ok {
-		return o, true
+	if pos, ok := v.base.ord.lookup(id, v.base.nodes); ok {
+		return int32(pos), true
 	}
 	if v.ordOver != nil {
 		if pos, ok := v.ordOver.lookup(id, v.nodesOver); ok {
@@ -638,10 +661,7 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 	sort.Slice(b.nodes, func(i, j int) bool { return b.nodes[i] < b.nodes[j] })
 
 	n := len(b.nodes)
-	b.ord = make(map[ids.ID]int32, n)
-	for i, id := range b.nodes {
-		b.ord[id] = int32(i)
-	}
+	b.ord = newOrdTable(b.nodes)
 
 	// Group ordinals by owning shard so each pass locks every shard once
 	// instead of paying two lock round-trips per node.
@@ -746,7 +766,7 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 			if len(row) == 0 {
 				continue
 			}
-			next, ok := appendAdjRow(slab, row, b.ord)
+			next, ok := appendAdjRow(slab, row, b.ord, b.nodes)
 			if !ok {
 				// A neighbour without an ordinal: keep the raw row.
 				if b.spill == nil {

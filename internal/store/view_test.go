@@ -246,3 +246,135 @@ func TestViewOrdinalsDense(t *testing.T) {
 		}
 	}
 }
+
+// chainEndID returns an ID that no view holds whose home slot in tab is the
+// first slot of tab's longest run of occupied slots: looking it up walks the
+// whole run, comparing against every node on it, before the empty slot that
+// ends the run says it is absent.
+func chainEndID(t *testing.T, tab *ordTable) ids.ID {
+	t.Helper()
+	n := len(tab.slots)
+	used := func(h int) bool { return tab.slots[h%n].Load() != 0 }
+	start, longest := 0, 0
+	for h := 0; h < n; h++ {
+		if !used(h) || used(h+n-1) {
+			continue // not the first slot of a run
+		}
+		l := 0
+		for used(h + l) {
+			l++
+		}
+		if l > longest {
+			start, longest = h, l
+		}
+	}
+	if longest == 0 {
+		t.Fatalf("empty %d-slot table", n)
+	}
+	// Minute buckets from 2^30 on are never created by the tests.
+	for m := int64(1 << 30); m < 1<<30+1<<22; m++ {
+		if id := ids.Compose(ids.KindPerson, m, 0); tab.home(id) == start {
+			return id
+		}
+	}
+	t.Fatalf("no ID homes at slot %d", start)
+	return 0
+}
+
+// assertOrdContract checks the ID -> ordinal contract on one view: every
+// ordinal resolves back to itself, and absent IDs — among them one at the
+// end of the longest probe run of the base's and of the overlay's table —
+// resolve to nothing.
+func assertOrdContract(t *testing.T, v *SnapshotView) {
+	t.Helper()
+	for o := int32(0); o < int32(v.NumNodes()); o++ {
+		if back, ok := v.Ord(v.IDAt(o)); !ok || back != o {
+			t.Fatalf("Ord(IDAt(%d)) = %d, %v", o, back, ok)
+		}
+	}
+	absent := []ids.ID{0, ids.Compose(ids.KindForum, 1, 0), chainEndID(t, v.base.ord)}
+	if v.ordOver != nil {
+		absent = append(absent, chainEndID(t, v.ordOver))
+	}
+	for _, id := range absent {
+		if o, ok := v.Ord(id); ok {
+			t.Fatalf("absent %v resolved to ordinal %d", id, o)
+		}
+	}
+}
+
+// TestOrdTableContract pins SnapshotView.Ord over its one mechanism, the
+// position table, in every state a view reaches: a fresh base, a refreshed
+// overlay (growing its table, and sharing it with a held view that must not
+// see what is appended after it), and the base a background compaction
+// swaps in.
+func TestOrdTableContract(t *testing.T) {
+	r := xrand.New(13)
+	s := New()
+	s.SetViewCompactThreshold(1 << 30)
+	var pop []ids.ID
+	step := 1
+	for ; step <= 30; step++ {
+		pop = randomGraphStep(t, s, r, pop, step)
+	}
+	v, ev := s.AcquireView()
+	if ev != ViewRebuilt || v.ordOver != nil {
+		t.Fatalf("first view: %v, overlay table %v", ev, v.ordOver)
+	}
+	assertOrdContract(t, v)
+
+	// Refreshes append ordinals; enough of them to regrow the overlay table.
+	for ; step <= 60; step++ {
+		pop = randomGraphStep(t, s, r, pop, step)
+		if v, ev = s.AcquireView(); ev != ViewRefreshed {
+			t.Fatalf("step %d: %v, want refresh", step, ev)
+		}
+		assertOrdContract(t, v)
+	}
+	if len(v.ordOver.slots) == 64 {
+		t.Fatal("the overlay table never grew")
+	}
+
+	// A node appended after a held view lands in the table the held view
+	// still reads, at a position beyond the held view's nodesOver.
+	held := v
+	late := ids.Compose(ids.KindPerson, int64(step), 0)
+	tx := s.Begin()
+	if err := tx.CreateNode(late, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	step++
+	v, _ = s.AcquireView()
+	if v.ordOver != held.ordOver {
+		t.Fatal("the refresh regrew the table; the held view no longer shares it")
+	}
+	if o, ok := v.Ord(late); !ok || int(o) != v.NumNodes()-1 {
+		t.Fatalf("Ord(late) = %d, %v on the refreshed view", o, ok)
+	}
+	if o, ok := held.Ord(late); ok {
+		t.Fatalf("held view resolves a node appended after it to ordinal %d", o)
+	}
+	assertOrdContract(t, held)
+	assertOrdContract(t, v)
+
+	// A background compaction folds the overlay into a new base.
+	s.SetViewCompactThreshold(1)
+	pop = randomGraphStep(t, s, r, pop, step)
+	if _, ev = s.AcquireView(); ev != ViewRefreshed {
+		t.Fatalf("refresh before compaction: %v", ev)
+	}
+	s.waitCompaction()
+	c, ev := s.AcquireView()
+	if ev != ViewHit || c.Era() == v.Era() || c.ordOver != nil {
+		t.Fatalf("after the compaction: %v, era %d -> %d, overlay table %v", ev, v.Era(), c.Era(), c.ordOver)
+	}
+	assertOrdContract(t, c)
+	for _, id := range append(pop, late) {
+		if !c.Exists(id) {
+			t.Fatalf("compacted view lost %v", id)
+		}
+	}
+}

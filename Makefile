@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: check fmt vet build test harness race lint bench bench-bi bench-recovery bench-mem bench-write bench-serve bench-query bench-smoke serve-smoke docs-check
 
-check: fmt vet build test harness lint
+check: fmt vet build test harness lint docs-check
 
 # The whole module under the race detector. The hottest surfaces are the
 # incremental view maintenance racing commits, the BI lane's morsel
@@ -100,7 +100,7 @@ bench-recovery:
 bench-mem:
 	$(GO) test ./internal/bench/ -run xxx -bench 'BenchmarkMemory' -benchtime 1x -timeout 30m > $(BENCH_TMP)
 	$(GO) run ./cmd/benchjson -out BENCH_memory.json \
-		-note "resident footprint of the frozen snapshot view at 250/1000/2500 persons (streamed load): viewbytes/node, adjbytes/edge vs rawadjbytes/edge (16-byte-Edge baseline; adjcompression is their ratio, acceptance bar >= 2.5x at 250p), intern table bytes, the mutable MVCC side's mutbytes/node (before adjacency lists) and mutbytes/entry (32-byte entries plus append slack), process heap with the store live; ns/op is the full generate+split+load+view-build latency; regenerate with \`make bench-mem\`" \
+		-note "resident footprint of the frozen snapshot view at 250/1000/2500 persons (streamed load): viewbytes/node, adjbytes/edge vs rawadjbytes/edge (16-byte-Edge baseline; adjcompression is their ratio, acceptance bar >= 2.5x at 250p), intern table bytes, the mutable MVCC side's mutbytes/node (before adjacency lists) and mutbytes/entry (24-byte entries plus append slack), process heap with the store live; ns/op is the full generate+split+load+view-build latency; regenerate with \`make bench-mem\`" \
 		< $(BENCH_TMP)
 	@rm -f $(BENCH_TMP)
 

@@ -19,8 +19,8 @@ import (
 // MVCC transaction, serial frozen view and morsel-parallel frozen view.
 // These tests pin that all paths return identical results at the same
 // snapshot timestamp, on the generated SNB graph, under interleaved
-// updates, and on randomised schema-shaped graphs with edge deletions and
-// forced view recompactions (era bumps).
+// updates, and on randomised schema-shaped graphs with forced view
+// recompactions (era bumps).
 
 // parConfigs are the worker fan-outs the parallel path is swept with; the
 // small morsel size forces real multi-morsel scheduling even on the small
@@ -129,13 +129,6 @@ type biRandGraph struct {
 	messages []ids.ID
 	forums   []ids.ID
 	tags     []ids.ID
-	// liveEdges tracks deletable (from, type, to) triples committed so far.
-	liveEdges []biEdge
-}
-
-type biEdge struct {
-	from, to ids.ID
-	t        store.EdgeType
 }
 
 // loadBIRandomDimensions commits the dimension side: places, a small
@@ -168,17 +161,14 @@ func loadBIRandomDimensions(t *testing.T, st *store.Store, g *biRandGraph) {
 }
 
 // biRandomStep applies one random committed transaction: persons, knows
-// edges, forums with members, tagged posts, reply comments, likes — and,
-// unlike the Interactive random sweep, also tombstones a couple of
-// previously committed edges, since BI scans aggregate over exactly the
-// surviving facts.
+// edges, forums with members, tagged posts, reply comments, likes.
 func biRandomStep(t *testing.T, st *store.Store, r *xrand.Rand, g *biRandGraph, step int) {
 	t.Helper()
 	tx := st.Begin()
 	now := int64(step) * 100000
 	addEdge := func(from ids.ID, et store.EdgeType, to ids.ID, stamp int64) {
-		if err := tx.AddEdge(from, et, to, stamp); err == nil {
-			g.liveEdges = append(g.liveEdges, biEdge{from, to, et})
+		if err := tx.AddEdge(from, et, to, stamp); err != nil {
+			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 1+r.Intn(2); i++ {
@@ -249,20 +239,14 @@ func biRandomStep(t *testing.T, st *store.Store, r *xrand.Rand, g *biRandGraph, 
 		addEdge(g.persons[r.Intn(len(g.persons))], store.EdgeLikes,
 			g.messages[r.Intn(len(g.messages))], now+int64(80+i))
 	}
-	// Tombstone up to two committed edges; a later step may re-delete an
-	// already-dead triple, which DeleteEdge treats as a no-op.
-	for i := 0; i < 2 && len(g.liveEdges) > 0; i++ {
-		e := g.liveEdges[r.Intn(len(g.liveEdges))]
-		_ = tx.DeleteEdge(e.from, e.t, e.to)
-	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestBIPathsAgreeOnRandomGraphs grows random schema-shaped graphs with
-// interleaved commits, edge deletions and periodically forced view
-// recompactions, asserting three-path equivalence at every epoch. The
+// interleaved commits and periodically forced view recompactions,
+// asserting three-path equivalence at every epoch. The
 // forced era bumps exercise the pooled scratches' ordinal invalidation
 // (stale bits after a recompaction would silently corrupt BI7's reach).
 func TestBIPathsAgreeOnRandomGraphs(t *testing.T) {

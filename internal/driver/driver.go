@@ -120,8 +120,8 @@ type Report struct {
 	Wall       time.Duration
 	// OpsPerSec is the executed operation throughput (the Table 5 metric).
 	OpsPerSec float64
-	// MaxTGCLag is the largest observed gap between a dependent's wait
-	// point and TGC at wait time, in simulation millis (diagnostic).
+	// Errors counts the operations whose Connector.Execute returned an
+	// error; they are included in Operations.
 	Errors int
 }
 

@@ -749,7 +749,7 @@ func TestDeclarativeMatchesHandwritten(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Randomized schema-shaped graphs with interleaved updates and deletes
+// Randomized schema-shaped graphs under an interleaved update stream
 // ---------------------------------------------------------------------------
 
 type randGraph struct {
@@ -796,8 +796,7 @@ func seedRandDims(t *testing.T, st *store.Store, g *randGraph) {
 
 // randStep applies one schema-shaped update transaction: new persons with
 // properties and relationships, a forum every other step, posts, comments,
-// likes — plus occasional edge deletions so tombstones flow through both
-// read paths mid-suite.
+// likes.
 func randStep(t *testing.T, st *store.Store, rnd *xrand.Rand, g *randGraph, step int) {
 	t.Helper()
 	tx := st.Begin()
@@ -863,42 +862,13 @@ func randStep(t *testing.T, st *store.Store, rnd *xrand.Rand, g *randGraph, step
 		must(tx.AddEdge(g.persons[rnd.Intn(len(g.persons))], store.EdgeLikes,
 			g.messages[rnd.Intn(len(g.messages))], now+int64(30+i)))
 	}
-	// Tombstone an existing edge now and then (knows on both directions
-	// half the time, so asymmetric deletions are covered too).
-	if rnd.Bool(0.5) && len(g.persons) > 1 {
-		owner := g.persons[rnd.Intn(len(g.persons))]
-		var peer ids.ID
-		st.View(func(rt *store.Txn) {
-			if es := rt.Out(owner, store.EdgeKnows); len(es) > 0 {
-				peer = es[rnd.Intn(len(es))].To
-			}
-		})
-		if peer != 0 {
-			must(tx.DeleteEdge(owner, store.EdgeKnows, peer))
-			if rnd.Bool(0.5) {
-				must(tx.DeleteEdge(peer, store.EdgeKnows, owner))
-			}
-		}
-	}
-	if rnd.Bool(0.3) && len(g.messages) > 0 {
-		m := g.messages[rnd.Intn(len(g.messages))]
-		var creator ids.ID
-		st.View(func(rt *store.Txn) {
-			if es := rt.Out(m, store.EdgeHasCreator); len(es) > 0 {
-				creator = es[0].To
-			}
-		})
-		if creator != 0 {
-			must(tx.DeleteEdge(m, store.EdgeHasCreator, creator))
-		}
-	}
 	must(tx.Commit())
 }
 
 // TestDifferentialRandomGraphs evolves small schema-shaped graphs through
-// interleaved inserts and deletes, forcing full view recompactions (era
-// bumps) mid-run, and checks the whole corpus against the reference
-// evaluator after every step — with scratches reused across all of it.
+// interleaved inserts, forcing full view recompactions (era bumps)
+// mid-run, and checks the whole corpus against the reference evaluator
+// after every step — with scratches reused across all of it.
 func TestDifferentialRandomGraphs(t *testing.T) {
 	const steps = 8
 	for seed := uint64(1); seed <= 2; seed++ {

@@ -356,10 +356,3 @@ func AddComment(tx *store.Txn, c *Comment) error {
 	}
 	return nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -39,10 +39,11 @@ import (
 //
 // Restoring a checkpoint rebuilds the store as if every visible fact had
 // committed at timestamp C: MVCC history below C (superseded property
-// versions, tombstoned edges) is not in the file and cannot be recovered
-// from it. That is exactly the Store.GC contract with horizon C — any read
-// at a snapshot >= C is unaffected — and recovery sets the clock to C, so
-// no later reader can observe the difference. The WAL tail then re-creates
+// versions, the commit at which each node and edge appeared) is not in the
+// file and cannot be recovered from it. That is exactly the Store.GC
+// contract with horizon C — any read at a snapshot >= C is unaffected — and
+// recovery sets the clock to C, so no later reader can observe the
+// difference. The WAL tail then re-creates
 // history above C record by record.
 //
 // # On-disk format (version 3)

@@ -11,7 +11,7 @@ import (
 //
 // Every committed transaction appends one CommitDelta — a compact record of
 // the nodes it created, the property lists it replaced, and the adjacency
-// entries it inserted or tombstoned — to a bounded in-memory ring alongside
+// entries it inserted — to a bounded in-memory ring alongside
 // the WAL append, from the first inline view build on (Store.recording):
 // before it there is no view to apply a delta to, and a bulk load would
 // otherwise park every one of its deltas in the ring until that build
@@ -45,16 +45,16 @@ import (
 // handed them, so the maintainer's writes and any reader's reads never touch
 // the same element: there is no race to synchronise, and the atomic store
 // that publishes the view orders the element writes before any read through
-// the new header. Only what cannot be expressed as an append copies: a
-// tombstone rewrites its row into a fresh array, and the first touch of a
-// base row in an era decodes it out of the slab.
+// the new header. Edges are insert-only, so every delta is an append; the one
+// copy is the first touch of a base row in an era, which decodes it out of the
+// slab.
 //
 // What would break it: deriving two successors from one view (both would
 // write the same spare slot — a background compaction therefore never
 // refreshes a published view, it catches up on its own unpublished lineage),
 // a reader appending to or re-slicing a row it was handed (snblint's
-// viewalias pass forbids it), or applying a delta in place onto a row some
-// published header already covers (hence tombstones copy).
+// viewalias pass forbids it), or a delta that rewrites an element some
+// published header already covers instead of appending past it.
 //
 // # Compaction
 //
@@ -105,16 +105,6 @@ type deltaEdge struct {
 	in    bool
 }
 
-// deltaDel is one tombstoned adjacency entry: the newest live (peer, stamp)
-// match in the owning node's list became invisible at the delta's commit.
-type deltaDel struct {
-	owner ids.ID
-	peer  ids.ID
-	stamp int64
-	t     EdgeType
-	in    bool
-}
-
 // CommitDelta is the view-maintenance record of one committed transaction.
 // It is immutable once recorded.
 type CommitDelta struct {
@@ -122,14 +112,13 @@ type CommitDelta struct {
 	nodes []deltaNode
 	props []deltaProp
 	edges []deltaEdge
-	dels  []deltaDel
 }
 
 // cost is the delta's contribution to the overlay size the compaction
 // trigger is compared against: the number of overlay entries applying it
 // creates or rewrites.
 func (d *CommitDelta) cost() int {
-	return len(d.nodes) + len(d.props) + len(d.edges) + len(d.dels)
+	return len(d.nodes) + len(d.props) + len(d.edges)
 }
 
 // View-maintenance constants; see the Set* methods on Store for the two
@@ -528,23 +517,6 @@ func applyDeltas(old *SnapshotView, ds []*CommitDelta, ts int64) (*SnapshotView,
 			if ord, ok := nv.Ord(de.owner); ok {
 				r := ownRow(ord, de.t, de.in)
 				r.edges = append(r.edges, Edge{To: de.peer, Stamp: de.stamp})
-			}
-		}
-		for _, dd := range d.dels {
-			ord, ok := nv.Ord(dd.owner)
-			if !ok {
-				continue
-			}
-			r := ownRow(ord, dd.t, dd.in)
-			// Rows are insertion-ordered, so the last (peer, stamp) match is
-			// the newest — the entry Commit tombstoned. Removing it is not an
-			// append: the row moves to an array of its own.
-			for i := len(r.edges) - 1; i >= 0; i-- {
-				if r.edges[i].To == dd.peer && r.edges[i].Stamp == dd.stamp {
-					row := make([]Edge, 0, len(r.edges)+1)
-					r.edges = append(append(row, r.edges[:i]...), r.edges[i+1:]...)
-					break
-				}
 			}
 		}
 	}

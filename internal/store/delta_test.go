@@ -110,7 +110,7 @@ func refreshEquivalenceSweep(t *testing.T, seed uint64, steps int, tune func(*St
 
 // TestViewRefreshEquivalenceRandomised is the delta-vs-full equivalence
 // property: under an interleaved update stream (creations, property
-// updates, edge insertions and deletions), the refreshed view chain must
+// updates, edge insertions), the refreshed view chain must
 // be indistinguishable from from-scratch compactions and from the MVCC
 // read path at every epoch.
 func TestViewRefreshEquivalenceRandomised(t *testing.T) {
@@ -769,115 +769,5 @@ func TestFirstViewRacesCommitters(t *testing.T) {
 	}
 	if st := s.ViewStats(); st.Rebuilds != 1 || st.Overflows != 0 {
 		t.Fatalf("the first build must be the only one: %+v", st)
-	}
-}
-
-// TestDeleteEdgeVisibility pins tombstone semantics on both read paths:
-// the deleting commit hides the edge from later snapshots while earlier
-// snapshots and retained views keep seeing it.
-func TestDeleteEdgeVisibility(t *testing.T) {
-	s := New()
-	a, b := personID(810), personID(811)
-	m := ids.Compose(ids.KindPost, 810, 0)
-	tx := s.Begin()
-	tx.CreateNode(a, nil)
-	tx.CreateNode(b, nil)
-	tx.CreateNode(m, nil)
-	tx.AddKnows(a, b, 5)
-	tx.AddEdge(a, EdgeLikes, m, 7)
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	oldView := s.CurrentView()
-	oldTxn := s.Begin()
-
-	tx = s.Begin()
-	tx.DeleteEdge(a, EdgeLikes, m)
-	tx.DeleteEdge(a, EdgeKnows, b)
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Old snapshots still see both edges.
-	if len(oldView.Out(a, EdgeLikes)) != 1 || len(oldView.Out(a, EdgeKnows)) != 1 {
-		t.Fatal("retained view lost a tombstoned edge")
-	}
-	if len(oldTxn.Out(a, EdgeLikes)) != 1 || len(oldTxn.In(m, EdgeLikes)) != 1 {
-		t.Fatal("old snapshot lost a tombstoned edge")
-	}
-
-	// New snapshots see neither, on either path, in either direction.
-	cur := s.CurrentView()
-	s.View(func(rt *Txn) {
-		for name, got := range map[string]int{
-			"txn Out likes":   len(rt.Out(a, EdgeLikes)),
-			"txn In likes":    len(rt.In(m, EdgeLikes)),
-			"txn Out knows a": len(rt.Out(a, EdgeKnows)),
-			"txn Out knows b": len(rt.Out(b, EdgeKnows)),
-			"view Out likes":  len(cur.Out(a, EdgeLikes)),
-			"view In likes":   len(cur.In(m, EdgeLikes)),
-			"view knows a":    len(cur.Out(a, EdgeKnows)),
-			"view knows b":    len(cur.Out(b, EdgeKnows)),
-		} {
-			if got != 0 {
-				t.Fatalf("%s = %d after delete", name, got)
-			}
-		}
-	})
-
-	// Deleting a non-existent edge is a committed no-op.
-	tx = s.Begin()
-	tx.DeleteEdge(a, EdgeLikes, m)
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDeleteEdgeNewestOfDuplicates pins which duplicate a delete removes:
-// the newest live insertion, on both read paths (the refresh path removes
-// the last row occurrence, which must match the txn path's tombstone).
-func TestDeleteEdgeNewestOfDuplicates(t *testing.T) {
-	s := New()
-	a, m := personID(820), ids.Compose(ids.KindPost, 820, 0)
-	tx := s.Begin()
-	tx.CreateNode(a, nil)
-	tx.CreateNode(m, nil)
-	tx.AddEdge(a, EdgeLikes, m, 1)
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	tx = s.Begin()
-	tx.AddEdge(a, EdgeLikes, m, 2)
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	v0 := s.CurrentView() // chain root so the delete arrives via refresh
-	if len(v0.Out(a, EdgeLikes)) != 2 {
-		t.Fatal("setup: want 2 duplicate edges")
-	}
-
-	tx = s.Begin()
-	tx.DeleteEdge(a, EdgeLikes, m)
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	want := []Edge{{To: m, Stamp: 1}}
-	cur := s.CurrentView()
-	if got := cur.Out(a, EdgeLikes); !edgesEqual(got, want) {
-		t.Fatalf("refreshed view after delete: %v, want %v", got, want)
-	}
-	s.View(func(rt *Txn) {
-		if got := rt.Out(a, EdgeLikes); !edgesEqual(got, want) {
-			t.Fatalf("txn after delete: %v, want %v", got, want)
-		}
-		if got := rt.In(m, EdgeLikes); !edgesEqual(got, []Edge{{To: a, Stamp: 1}}) {
-			t.Fatalf("txn reverse after delete: %v", got)
-		}
-	})
-	if ev := func() ViewEvent { _, e := s.AcquireView(); return e }(); ev != ViewHit {
-		t.Fatalf("expected cached view, got %v", ev)
-	}
-	if st := s.ViewStats(); st.Refreshes == 0 {
-		t.Fatalf("delete was not served by refresh: %+v", st)
 	}
 }

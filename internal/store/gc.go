@@ -1,9 +1,9 @@
 package store
 
-// MVCC garbage collection. Property updates append node versions (SetProp)
-// and edge deletions leave tombstones (DeleteEdge); long runs against a
-// mutating workload must be able to reclaim what no active snapshot can
-// see.
+// MVCC garbage collection. Property updates append node versions (SetProp);
+// long runs against a mutating workload must be able to reclaim the versions
+// no active snapshot can see. Adjacency entries need no collection: edges are
+// insert-only, so every stored entry stays visible from its commit on.
 //
 // # The horizon and retained snapshot views
 //
@@ -41,18 +41,10 @@ package store
 // checkpoint's clock — history below it is flattened into single-version
 // records (see checkpoint.go, "What restoring flattens").
 
-// GC prunes MVCC debris invisible to every snapshot taken at or after
-// horizon:
-//
-//   - node property versions: for each node, the newest version with
-//     commit <= horizon is kept (it is what such snapshots read) and all
-//     older versions are dropped;
-//   - edge tombstones: adjacency entries whose deletion committed at or
-//     before the horizon (del <= horizon) are invisible to every snapshot
-//     >= horizon and are physically removed, preserving the insertion
-//     order of the surviving entries.
-//
-// It returns the total number of reclaimed versions and edge records.
+// GC prunes the node property versions invisible to every snapshot taken at
+// or after horizon: for each node, the newest version with commit <= horizon
+// is kept (it is what such snapshots read) and all older versions are
+// dropped. It returns the number of reclaimed versions.
 func (s *Store) GC(horizon int64) int {
 	// A background view compaction reads the store at the timestamp it
 	// started from; one that started below the horizon discards its result.
@@ -66,9 +58,6 @@ func (s *Store) GC(horizon int64) int {
 		sh.mu.Lock()
 		for _, rec := range sh.nodes {
 			reclaimed += gcVersions(rec, horizon)
-			for j := range rec.adj.rows {
-				reclaimed += gcEdges(&rec.adj.rows[j].list, horizon)
-			}
 		}
 		sh.mu.Unlock()
 	}
@@ -95,30 +84,6 @@ func gcVersions(rec *nodeRec, horizon int64) int {
 	return keep
 }
 
-// gcEdges removes tombstoned entries dead at the horizon from one
-// adjacency list, in place (the caller holds the shard's write lock; no
-// concurrent reader aliases the backing array — views copy at build time).
-func gcEdges(list *[]edgeRec, horizon int64) int {
-	l := *list
-	n := 0
-	for i := range l {
-		if l[i].del != 0 && l[i].del <= horizon {
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	out := l[:0]
-	for i := range l {
-		if !(l[i].del != 0 && l[i].del <= horizon) {
-			out = append(out, l[i])
-		}
-	}
-	*list = out
-	return n
-}
-
 // VersionCount reports the total number of stored node versions
 // (diagnostic; used by GC tests and capacity planning).
 func (s *Store) VersionCount() int {
@@ -128,27 +93,6 @@ func (s *Store) VersionCount() int {
 		sh.mu.RLock()
 		for _, rec := range sh.nodes {
 			n += len(rec.versions)
-		}
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// TombstoneCount reports the number of tombstoned adjacency entries not
-// yet reclaimed (diagnostic for GC tests and capacity planning).
-func (s *Store) TombstoneCount() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, rec := range sh.nodes {
-			for _, r := range rec.adj.rows {
-				for j := range r.list {
-					if r.list[j].del != 0 {
-						n++
-					}
-				}
-			}
 		}
 		sh.mu.RUnlock()
 	}

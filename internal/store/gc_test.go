@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -63,93 +64,34 @@ func TestGCKeepsVersionsAboveHorizon(t *testing.T) {
 	}
 }
 
-func TestGCReclaimsEdgeTombstones(t *testing.T) {
-	s := New()
-	a, b := personID(710), personID(711)
-	tx := s.Begin()
-	tx.CreateNode(a, nil)
-	tx.CreateNode(b, nil)
-	tx.AddKnows(a, b, 1)
-	tx.AddEdge(a, EdgeLikes, b, 2)
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	tx = s.Begin()
-	tx.DeleteEdge(a, EdgeKnows, b)
-	tx.DeleteEdge(a, EdgeLikes, b)
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// Each logical edge is stored twice (out + mirror): 4 tombstones.
-	if got := s.TombstoneCount(); got != 4 {
-		t.Fatalf("tombstones before GC: %d, want 4", got)
-	}
-	if reclaimed := s.GC(s.LastCommit()); reclaimed != 4 {
-		t.Fatalf("reclaimed %d, want 4", reclaimed)
-	}
-	if got := s.TombstoneCount(); got != 0 {
-		t.Fatalf("tombstones after GC: %d", got)
-	}
-	// Current reads are unchanged: the edges were already invisible.
-	s.View(func(rt *Txn) {
-		if len(rt.Out(a, EdgeKnows)) != 0 || len(rt.Out(a, EdgeLikes)) != 0 {
-			t.Fatal("reclaimed edges visible")
-		}
-	})
-}
-
-func TestGCKeepsTombstonesAboveHorizon(t *testing.T) {
-	s := New()
-	a, b := personID(712), personID(713)
-	tx := s.Begin()
-	tx.CreateNode(a, nil)
-	tx.CreateNode(b, nil)
-	tx.AddKnows(a, b, 1)
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	oldSnap := s.Begin() // must keep seeing the edge
-	horizon := oldSnap.Snapshot()
-	tx = s.Begin()
-	tx.DeleteEdge(a, EdgeKnows, b)
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if reclaimed := s.GC(horizon); reclaimed != 0 {
-		t.Fatalf("reclaimed %d edges still visible at the horizon", reclaimed)
-	}
-	if got := len(oldSnap.Out(a, EdgeKnows)); got != 1 {
-		t.Fatalf("old snapshot lost the edge after GC: %d", got)
-	}
-	// Advancing the horizon past the delete reclaims both sides.
-	if reclaimed := s.GC(s.LastCommit()); reclaimed != 2 {
-		t.Fatalf("reclaimed %d at the new horizon, want 2", reclaimed)
-	}
-}
-
-// TestGCPreservesSurvivingEdgeOrder pins that physically removing
-// tombstones keeps the insertion order of surviving entries — the order
-// both read paths report.
+// TestGCPreservesSurvivingEdgeOrder pins that GC touches only version
+// chains: every adjacency entry of a node whose versions it prunes survives,
+// in insertion order — the order both read paths report.
 func TestGCPreservesSurvivingEdgeOrder(t *testing.T) {
 	s := New()
 	a := personID(714)
 	peers := []ids.ID{personID(715), personID(716), personID(717)}
 	tx := s.Begin()
-	tx.CreateNode(a, nil)
-	for i, p := range peers {
+	tx.CreateNode(a, Props{{PropFirstName, String("v0")}})
+	for _, p := range peers {
 		tx.CreateNode(p, nil)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	var want []Edge
+	for i, p := range peers {
+		tx := s.Begin()
 		tx.AddEdge(a, EdgeLikes, p, int64(i))
+		tx.SetProp(a, PropFirstName, String(fmt.Sprint("v", i+1)))
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, Edge{To: p, Stamp: int64(i)})
 	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
+	if reclaimed := s.GC(s.LastCommit()); reclaimed != len(peers) {
+		t.Fatalf("reclaimed %d, want the %d superseded versions", reclaimed, len(peers))
 	}
-	tx = s.Begin()
-	tx.DeleteEdge(a, EdgeLikes, peers[1])
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	s.GC(s.LastCommit())
-	want := []Edge{{To: peers[0], Stamp: 0}, {To: peers[2], Stamp: 2}}
 	s.View(func(rt *Txn) {
 		if got := rt.Out(a, EdgeLikes); !edgesEqual(got, want) {
 			t.Fatalf("post-GC order: %v, want %v", got, want)

@@ -56,21 +56,19 @@ type Edge struct {
 	Stamp int64
 }
 
-// edgeRec is the stored adjacency entry: Edge plus MVCC visibility. A
-// deletion does not remove the entry — it stamps del (a tombstone), so
-// older snapshots keep seeing the edge; Store.GC reclaims tombstones no
-// retained snapshot can see.
+// edgeRec is the stored adjacency entry: Edge plus the commit timestamp
+// that makes it visible, 24 bytes (TestNodeRecLayout). Edges are
+// insert-only — the update stream never deletes one — so an entry, once
+// installed, is visible to every snapshot at or after its commit.
 type edgeRec struct {
 	peer   ids.ID
 	stamp  int64
-	commit int64 // commit timestamp; math.MaxInt64 while uncommitted
-	del    int64 // deletion commit timestamp; 0 while live
+	commit int64
 }
 
-// visibleAt reports whether the edge is visible to a snapshot at ts:
-// inserted at or before ts and not yet deleted at ts.
+// visibleAt reports whether the edge is visible to a snapshot at ts.
 func (e *edgeRec) visibleAt(ts int64) bool {
-	return e.commit <= ts && (e.del == 0 || e.del > ts)
+	return e.commit <= ts
 }
 
 // nodeVersion is one MVCC version of a node's property list.

@@ -170,7 +170,6 @@ func Open(dir string, opts PersistOptions, register func(*Store)) (*Persistent, 
 		register(s)
 	}
 	info := &RecoveryInfo{}
-	removeStaleTemps(dir)
 
 	// Newest valid checkpoint, falling back through invalid ones. A
 	// validation failure taints nothing — loadCheckpoint validates the
@@ -200,6 +199,7 @@ func Open(dir string, opts PersistOptions, register func(*Store)) (*Persistent, 
 	if err != nil {
 		return nil, info, err
 	}
+	removeStaleTemps(dir)
 	info.Clock = s.clock.Load()
 	info.Fresh = info.CheckpointTS == 0 && info.Clock == 0
 

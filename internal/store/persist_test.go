@@ -180,7 +180,7 @@ func TestPersistFullReplayFallback(t *testing.T) {
 
 // TestPersistEquivalenceEveryEpoch is the recovery equivalence property:
 // at every epoch of a randomised interleaved update stream (creations,
-// prop updates, edge inserts and deletes), a crash image synced at that
+// prop updates, edge inserts), a crash image synced at that
 // epoch recovers to exactly the live store's state at the same clock —
 // through checkpoints taken mid-stream, across segment rotations, on both
 // the view and MVCC read paths, indexes included.

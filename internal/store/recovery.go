@@ -39,7 +39,6 @@ type decodedTxn struct {
 	created []*pendingNode
 	sets    []pendingProp
 	edges   []pendingEdge
-	dels    []pendingDel
 }
 
 // recoverSegments replays the records of segs (scanSegments order) whose
@@ -84,10 +83,11 @@ func (s *Store) recoverSegments(segs []segmentFile, ckptTS int64, info *Recovery
 // timestamp is the payload's first field, so skipping costs no decode). It
 // returns the clean length: header plus every valid record. last marks the
 // final segment, whose tail is allowed to be torn: a power loss can leave
-// the unsynced tail short, zero-filled or garbage, so any undecodable
-// suffix of the LAST segment ends the scan cleanly at the last valid
-// record. Anywhere else an undecodable byte is corruption (rotation fsyncs
-// a segment before its successor exists).
+// the unsynced tail short, zero-filled or garbage, so a short record or a
+// length/CRC failure in the LAST segment ends the scan cleanly at the last
+// valid record. Anywhere else such a record is corruption (rotation fsyncs a
+// segment before its successor exists), and so, in every segment, is a
+// CRC-valid record the decoder rejects.
 func (s *Store) replaySegment(sf segmentFile, ckptTS int64, last bool, info *RecoveryInfo) (int64, error) {
 	data, err := os.ReadFile(sf.path)
 	if err != nil {
@@ -106,21 +106,22 @@ func (s *Store) replaySegment(sf segmentFile, ckptTS int64, last bool, info *Rec
 			break // torn payload; mid-chain tears surface below as trailing bytes
 		}
 		payload := data[off+8 : end]
-		var err error
-		switch {
-		case length < 8 || length > 1<<30 || crc32.ChecksumIEEE(payload) != want:
-			err = ErrCorrupt
-		case int64(binary.LittleEndian.Uint64(payload)) <= ckptTS:
-			info.Skipped++
-			cleanLen = end
-			continue
-		default:
-			err = decodeTxnPayload(d, off+8, end, dtx)
-		}
-		if err != nil {
+		if length < 8 || length > 1<<30 || crc32.ChecksumIEEE(payload) != want {
 			if last {
 				break
 			}
+			return 0, fmt.Errorf("segment %s: record %d: %w", base, n, ErrCorrupt)
+		}
+		if int64(binary.LittleEndian.Uint64(payload)) <= ckptTS {
+			info.Skipped++
+			cleanLen = end
+			continue
+		}
+		// A tear truncates or garbles bytes; it does not produce a matching
+		// CRC. A CRC-valid record the decoder rejects was written that way,
+		// so it is corruption in the final segment too — ending the log
+		// there would silently drop it and every acknowledged commit after.
+		if err := decodeTxnPayload(d, off+8, end, dtx); err != nil {
 			return 0, fmt.Errorf("segment %s: record %d: %w", base, n, err)
 		}
 		if next := s.clock.Load() + 1; dtx.ts != next {
@@ -149,7 +150,7 @@ func decodeTxnPayload(d *walDecoder, start, end int64, dtx *decodedTxn) error {
 	d.pos = int(start)
 	d.err = nil
 	dtx.ts = int64(d.u64())
-	dtx.created, dtx.sets, dtx.edges, dtx.dels = dtx.created[:0], dtx.sets[:0], dtx.edges[:0], dtx.dels[:0]
+	dtx.created, dtx.sets, dtx.edges = dtx.created[:0], dtx.sets[:0], dtx.edges[:0]
 	n := int(d.u32())
 	for i := 0; i < n && d.err == nil; i++ {
 		switch d.u8() {
@@ -175,11 +176,6 @@ func decodeTxnPayload(d *walDecoder, start, end int64, dtx *decodedTxn) error {
 			stamp := int64(d.u64())
 			sym := d.u8() == 1
 			dtx.edges = append(dtx.edges, pendingEdge{from: from, to: to, t: t, stamp: stamp, sym: sym})
-		case 4:
-			from := ids.ID(d.u64())
-			t := d.edgeType()
-			to := ids.ID(d.u64())
-			dtx.dels = append(dtx.dels, pendingDel{from: from, to: to, t: t})
 		default:
 			return fmt.Errorf("%w: unknown op kind", ErrCorrupt)
 		}
@@ -246,9 +242,6 @@ func (s *Store) applyDecoded(dtx *decodedTxn) error {
 		} else {
 			s.installEdge(nil, pe.to, pe.t, pe.from, pe.stamp, ts, true)
 		}
-	}
-	for _, pd := range dtx.dels {
-		s.applyDelete(nil, pd, ts)
 	}
 	s.clock.Store(ts)
 	s.commits.Add(1)

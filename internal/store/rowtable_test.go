@@ -24,11 +24,16 @@ func TestNodeRecLayout(t *testing.T) {
 	if n := unsafe.Sizeof(adjRow{}); n != 32 {
 		t.Fatalf("adjRow is %d bytes, want 32", n)
 	}
+	// Edges are insert-only, so an entry is peer, stamp and commit and no
+	// deletion timestamp: every adjacency entry pays for each field.
+	if n := unsafe.Sizeof(edgeRec{}); n != 24 {
+		t.Fatalf("edgeRec is %d bytes, want 24", n)
+	}
 }
 
 // denseModel is the layout the row table replaced — one list per (type,
-// direction) slot for every node, indexed by rowKey — with the install,
-// delete and GC rules written directly against it. It is the reference
+// direction) slot for every node, indexed by rowKey — with the install rule
+// written directly against it. It is the reference
 // TestRowTableMatchesDenseReference compares every read path to.
 type denseModel map[ids.ID]*[2 * edgeTypeMax][]edgeRec
 
@@ -44,52 +49,6 @@ func (m denseModel) node(id ids.ID) *[2 * edgeTypeMax][]edgeRec {
 func (m denseModel) install(from ids.ID, t EdgeType, to ids.ID, stamp, ts int64, in bool) {
 	l := &m.node(from)[rowKey(t, in)]
 	*l = append(*l, edgeRec{peer: to, stamp: stamp, commit: ts})
-}
-
-// newestLive returns the newest untombstoned entry for peer (inserted at
-// commit, when commit != 0), or nil.
-func newestLive(list []edgeRec, peer ids.ID, commit int64) *edgeRec {
-	for i := len(list) - 1; i >= 0; i-- {
-		if e := &list[i]; e.peer == peer && e.del == 0 && (commit == 0 || e.commit == commit) {
-			return e
-		}
-	}
-	return nil
-}
-
-func (m denseModel) delete(from ids.ID, t EdgeType, to ids.ID, ts int64) {
-	n := m[from]
-	if n == nil {
-		return
-	}
-	e := newestLive(n[rowKey(t, false)], to, 0)
-	if e == nil {
-		return
-	}
-	e.del = ts
-	if p := m[to]; p != nil {
-		mir := newestLive(p[rowKey(t, true)], from, e.commit)
-		if mir == nil {
-			mir = newestLive(p[rowKey(t, false)], from, e.commit)
-		}
-		if mir != nil {
-			mir.del = ts
-		}
-	}
-}
-
-func (m denseModel) gc(horizon int64) {
-	for _, n := range m {
-		for k, list := range n {
-			var kept []edgeRec
-			for _, e := range list {
-				if e.del == 0 || e.del > horizon {
-					kept = append(kept, e)
-				}
-			}
-			n[k] = kept
-		}
-	}
 }
 
 func (m denseModel) visible(id ids.ID, t EdgeType, in bool, ts int64) []Edge {
@@ -139,11 +98,11 @@ func (m denseModel) check(t *testing.T, what string, r adjReader, pool []ids.ID,
 }
 
 // TestRowTableMatchesDenseReference drives a seeded history of edge
-// installs, deletions and GC passes over all fifteen types in both
-// directions through a durable store, and after every commit compares the
-// row tables with the dense reference on each path that reads or rebuilds
-// them: Txn reads, a rebuilt view, a checkpoint -> restore round trip (the
-// arena-carved tables) and recovery's lean replay of the whole WAL. The
+// installs and GC passes over all fifteen types in both directions through
+// a durable store, and after every commit compares the row tables with the
+// dense reference on each path that reads or rebuilds them: Txn reads, a
+// rebuilt view, a checkpoint -> restore round trip (the arena-carved
+// tables) and recovery's lean replay of the whole WAL. The
 // history holds what the sparse layout can get wrong: parallel edges,
 // symmetric and directed knows, a node gaining several rows inside one
 // commit (each new row moves the table under ref), and endpoints that were
@@ -175,15 +134,10 @@ func TestRowTableMatchesDenseReference(t *testing.T) {
 	model := denseModel{}
 	r := xrand.New(18)
 	pick := func() ids.ID { return pool[r.Intn(len(pool))] }
-	type triple struct {
-		from, to ids.ID
-		t        EdgeType
-	}
-	tombstones := 0
+	parallel := 0
 	for step := 0; step < 40; step++ {
 		ts := s.LastCommit() + 1
 		tx := s.Begin()
-		added := map[triple]bool{} // a delete must not target an edge of its own transaction
 		add := func(from ids.ID, et EdgeType, to ids.ID, sym bool) {
 			stamp := int64(r.Intn(1000))
 			var err error
@@ -191,7 +145,6 @@ func TestRowTableMatchesDenseReference(t *testing.T) {
 				err = tx.AddKnows(from, to, stamp)
 				model.install(from, et, to, stamp, ts, false)
 				model.install(to, et, from, stamp, ts, false)
-				added[triple{to, from, et}] = true
 			} else {
 				err = tx.AddEdge(from, et, to, stamp)
 				model.install(from, et, to, stamp, ts, false)
@@ -200,7 +153,6 @@ func TestRowTableMatchesDenseReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			added[triple{from, to, et}] = true
 		}
 		for i := 0; i < 1+r.Intn(5); i++ {
 			switch from, to := pick(), pick(); r.Intn(4) {
@@ -215,46 +167,19 @@ func TestRowTableMatchesDenseReference(t *testing.T) {
 				et := EdgeType(1 + r.Intn(int(edgeTypeMax)-1))
 				add(from, et, to, false)
 				add(from, et, to, false)
+				parallel++
 			default:
 				add(from, EdgeType(1+r.Intn(int(edgeTypeMax)-1)), to, false)
 			}
 		}
-		var dels []triple
-		for i := 0; i < r.Intn(3); i++ {
-			d := triple{from: pick(), to: pick(), t: EdgeType(1 + r.Intn(int(edgeTypeMax)-1))}
-			for k := 0; k < int(edgeTypeMax) && r.Bool(0.9); k++ { // mostly hits; the rest are misses
-				et := EdgeType(1 + (int(d.t)+k)%(int(edgeTypeMax)-1))
-				if live := model.visible(d.from, et, false, ts-1); len(live) > 0 {
-					d.t, d.to = et, live[r.Intn(len(live))].To
-					break
-				}
-			}
-			if added[d] {
-				continue
-			}
-			if err := tx.DeleteEdge(d.from, d.t, d.to); err != nil {
-				t.Fatal(err)
-			}
-			dels = append(dels, d)
-		}
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
-		}
-		for _, d := range dels { // deletions resolve after all of the commit's installs
-			model.delete(d.from, d.t, d.to, ts)
-		}
-		if step%5 == 3 {
-			tombstones += s.TombstoneCount() // GC runs at the next step
 		}
 		if got := s.LastCommit(); got != ts {
 			t.Fatalf("step %d: clock %d, want %d", step, got, ts)
 		}
 		if step%5 == 4 {
-			s.GC(ts)
-			model.gc(ts)
-			if got := s.TombstoneCount(); got != 0 {
-				t.Fatalf("step %d: %d tombstones survive GC at the clock", step, got)
-			}
+			s.GC(ts) // prunes versions only: the model's rows stay as they are
 		}
 
 		s.View(func(rt *Txn) { model.check(t, "txn", rt, pool, ts) })
@@ -289,8 +214,8 @@ func TestRowTableMatchesDenseReference(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(model) != len(pool) || tombstones < 20 {
-		t.Fatalf("thin history: touched %d of %d nodes, %d tombstones", len(model), len(pool), tombstones)
+	if len(model) != len(pool) || parallel < 5 {
+		t.Fatalf("thin history: touched %d of %d nodes, %d parallel pairs", len(model), len(pool), parallel)
 	}
 }
 

@@ -46,13 +46,6 @@ type pendingEdge struct {
 	sym      bool // also insert the mirrored edge (knows)
 }
 
-// pendingDel is a buffered edge deletion: at commit, the newest live
-// matching edge (and its reverse/mirror entry) is tombstoned.
-type pendingDel struct {
-	from, to ids.ID
-	t        EdgeType
-}
-
 // Txn is a transaction. Reads observe the snapshot taken at Begin plus the
 // transaction's own writes. Txn is not safe for concurrent use by multiple
 // goroutines.
@@ -65,7 +58,6 @@ type Txn struct {
 	newNodes  map[ids.ID]*pendingNode
 	propSets  []pendingProp
 	newEdges  []pendingEdge
-	edgeDels  []pendingDel
 	edgeIndex map[ids.ID][]int // from-node -> indices into newEdges, for own-write reads
 }
 
@@ -129,29 +121,6 @@ func (tx *Txn) addEdge(from ids.ID, t EdgeType, to ids.ID, stamp int64, sym bool
 	if sym {
 		tx.edgeIndex[to] = append(tx.edgeIndex[to], idx)
 	}
-	return nil
-}
-
-// DeleteEdge buffers deletion of a directed edge. At commit, the newest
-// live edge from -> to of the given type is tombstoned together with its
-// reverse-adjacency entry (or its mirrored entry for symmetric knows
-// edges); older snapshots and views keep seeing the edge, and Store.GC
-// reclaims the tombstone once no retained snapshot can. Deleting an edge
-// that does not exist at commit time is a no-op. Unlike insertions,
-// buffered deletions are not overlaid on the transaction's own reads; they
-// take effect at commit (mirroring how NodesOfKind excludes buffered
-// creations).
-//
-// Buffered deletions resolve after ALL of the same transaction's edge
-// insertions, not in program order: deleting and re-adding the same
-// (from, type, to) edge within one transaction is unsupported — the
-// delete would tombstone the just-inserted edge. Split such a swap across
-// two transactions.
-func (tx *Txn) DeleteEdge(from ids.ID, t EdgeType, to ids.ID) error {
-	if tx.readonly {
-		return errors.New("store: write in read-only transaction")
-	}
-	tx.edgeDels = append(tx.edgeDels, pendingDel{from: from, to: to, t: t})
 	return nil
 }
 
@@ -338,7 +307,7 @@ func (tx *Txn) Commit() error {
 		return errors.New("store: transaction finished")
 	}
 	tx.done = true
-	if tx.readonly || (len(tx.newNodes) == 0 && len(tx.propSets) == 0 && len(tx.newEdges) == 0 && len(tx.edgeDels) == 0) {
+	if tx.readonly || (len(tx.newNodes) == 0 && len(tx.propSets) == 0 && len(tx.newEdges) == 0) {
 		tx.s.commits.Add(1)
 		return nil
 	}
@@ -465,11 +434,6 @@ func (tx *Txn) commitLocked() (int64, error) {
 		}
 	}
 
-	// Edge deletions: tombstone the newest live match and its mirror.
-	for _, pd := range tx.edgeDels {
-		s.applyDelete(delta, pd, ts)
-	}
-
 	// Record the view-maintenance delta before the clock advances so a
 	// refresh observing the new watermark always finds its deltas.
 	if delta != nil {
@@ -480,7 +444,7 @@ func (tx *Txn) commitLocked() (int64, error) {
 	// under commitMu, so deposits preserve commit order — the invariant
 	// behind the durability watermark).
 	if s.gwal != nil {
-		s.gwal.deposit(ts, created, tx.propSets, tx.newEdges, tx.edgeDels)
+		s.gwal.deposit(ts, created, tx.propSets, tx.newEdges)
 	}
 
 	// Advance the watermark: the transaction becomes visible atomically.
@@ -511,65 +475,4 @@ func (s *Store) installEdge(delta *CommitDelta, from ids.ID, t EdgeType, to ids.
 	if delta != nil {
 		delta.edges = append(delta.edges, deltaEdge{owner: from, peer: to, stamp: stamp, t: t, in: reverse})
 	}
-}
-
-// applyDelete tombstones the newest live from->to edge of one type plus its
-// counterpart on the peer: the reverse-adjacency entry for directed edges,
-// or the mirrored out-entry for symmetric (knows) edges — identified by
-// sharing the original insertion's commit timestamp. A miss is a no-op.
-// delta may be nil, as for installEdge.
-func (s *Store) applyDelete(delta *CommitDelta, pd pendingDel, ts int64) {
-	var matchCommit, matchStamp int64
-	found := false
-	sh := s.shardFor(pd.from)
-	sh.mu.Lock()
-	if rec := sh.nodes[pd.from]; rec != nil {
-		list := rec.adj.get(pd.t, false)
-		for i := len(list) - 1; i >= 0; i-- {
-			if e := &list[i]; e.peer == pd.to && e.del == 0 {
-				e.del = ts
-				matchCommit, matchStamp = e.commit, e.stamp
-				found = true
-				break
-			}
-		}
-	}
-	sh.mu.Unlock()
-	if !found {
-		return
-	}
-	if delta != nil {
-		delta.dels = append(delta.dels, deltaDel{owner: pd.from, peer: pd.to, stamp: matchStamp, t: pd.t, in: false})
-	}
-
-	sh = s.shardFor(pd.to)
-	sh.mu.Lock()
-	if rec := sh.nodes[pd.to]; rec != nil {
-		if e, in := mirrorEdge(rec, pd.t, pd.from, matchCommit); e != nil {
-			e.del = ts
-			if delta != nil {
-				delta.dels = append(delta.dels, deltaDel{owner: pd.to, peer: pd.from, stamp: e.stamp, t: pd.t, in: in})
-			}
-		}
-	}
-	sh.mu.Unlock()
-}
-
-// mirrorEdge finds the live counterpart of a tombstoned edge on the peer
-// node: the in-list entry (directed edges) or, failing that, the out-list
-// entry with the same insertion commit (symmetric knows edges).
-func mirrorEdge(rec *nodeRec, t EdgeType, peer ids.ID, commit int64) (*edgeRec, bool) {
-	list := rec.adj.get(t, true)
-	for i := len(list) - 1; i >= 0; i-- {
-		if e := &list[i]; e.peer == peer && e.commit == commit && e.del == 0 {
-			return e, true
-		}
-	}
-	list = rec.adj.get(t, false)
-	for i := len(list) - 1; i >= 0; i-- {
-		if e := &list[i]; e.peer == peer && e.commit == commit && e.del == 0 {
-			return e, false
-		}
-	}
-	return nil, false
 }

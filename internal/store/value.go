@@ -10,7 +10,8 @@
 //
 // Design, in the spirit of the two vendor systems of §5:
 //   - property graph data model (nodes with typed properties, typed directed
-//     edges carrying one timestamp-like attribute), like Sparksee;
+//     edges carrying one timestamp-like attribute), like Sparksee; edges are
+//     insert-only, as in the paper's update stream (U1–U8 are all inserts);
 //   - adjacency lists per (node, edge type, direction) — the materialised
 //     neighbourhoods §5 mentions for Sparksee — held per node as a sparse
 //     row table: a node pays for the lists it has (graph.go).
@@ -44,7 +45,7 @@
 // The view epoch advances in time proportional to the delta, neither the
 // dataset nor the overlay already accumulated: every commit records a
 // compact CommitDelta (created nodes, replaced property lists, inserted
-// and tombstoned adjacency entries) in a bounded in-memory ring, and the
+// adjacency entries) in a bounded in-memory ring, and the
 // first CurrentView call after a commit applies the pending deltas onto
 // the cached view through a persistent overlay — the page-table path to
 // each touched ordinal is copied, adjacency rows and kind lists are

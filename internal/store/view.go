@@ -182,9 +182,9 @@ func (v *SnapshotView) overAt(ord int32) *nodeOver {
 	return nil
 }
 
-// row returns the ordinal's replacement row for one (type, direction); ok
-// tells a replaced-by-empty row (every entry tombstoned) from an untouched
-// one.
+// row returns the ordinal's replacement row for one (type, direction) — the
+// base row plus the era's appends — and ok=false for a row the era has not
+// touched, which the base still serves.
 //
 //snb:noalloc
 func (n *nodeOver) row(key uint8) (row []Edge, ok bool) {

@@ -41,22 +41,6 @@ func randomGraphStep(t *testing.T, s *Store, r *xrand.Rand, pop []ids.ID, step i
 			_ = tx.AddEdge(a, et, b, int64(step))
 		}
 	}
-	// Occasionally tombstone an existing edge so the equivalence sweeps
-	// cover deletions on every path (txn filtering, view compaction, delta
-	// refresh).
-	if r.Bool(0.4) {
-		owner := pop[r.Intn(len(pop))]
-		et := viewEdgeTypes[r.Intn(len(viewEdgeTypes))]
-		var peer ids.ID
-		s.View(func(rt *Txn) {
-			if es := rt.Out(owner, et); len(es) > 0 {
-				peer = es[r.Intn(len(es))].To
-			}
-		})
-		if peer != 0 {
-			_ = tx.DeleteEdge(owner, et, peer)
-		}
-	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}

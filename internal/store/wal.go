@@ -22,7 +22,8 @@ import (
 //	  kind 1 create-node: id:u64 nProps:u16 prop*
 //	  kind 2 set-prop:    id:u64 prop
 //	  kind 3 add-edge:    from:u64 type:u8 to:u64 stamp:u64 sym:u8
-//	  kind 4 del-edge:    from:u64 type:u8 to:u64
+//	  (kind 4, del-edge, is retired: edges are insert-only, and the decoder
+//	  rejects it like any unknown kind)
 //	prop    := key:u8 valKind:u8 (int:u64 | len:u32 bytes)
 //
 // This file holds the record codec: appendCommitRecord is the one encoder
@@ -105,11 +106,11 @@ func appendProp(b []byte, p Prop) []byte {
 // has warmed (groupcommit_test.go pins this on deposit).
 //
 //snb:noalloc
-func appendCommitRecord(buf []byte, ts int64, created []*pendingNode, sets []pendingProp, edges []pendingEdge, dels []pendingDel) []byte {
+func appendCommitRecord(buf []byte, ts int64, created []*pendingNode, sets []pendingProp, edges []pendingEdge) []byte {
 	start := len(buf)
 	b := append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // header placeholder
 	b = appendU64(b, uint64(ts))
-	b = appendU32(b, uint32(len(created)+len(sets)+len(edges)+len(dels)))
+	b = appendU32(b, uint32(len(created)+len(sets)+len(edges)))
 	for _, n := range created {
 		b = append(b, 1)
 		b = appendU64(b, uint64(n.id))
@@ -134,12 +135,6 @@ func appendCommitRecord(buf []byte, ts int64, created []*pendingNode, sets []pen
 			sym = 1
 		}
 		b = append(b, sym)
-	}
-	for _, d := range dels {
-		b = append(b, 4)
-		b = appendU64(b, uint64(d.from))
-		b = append(b, byte(d.t))
-		b = appendU64(b, uint64(d.to))
 	}
 	payload := b[start+8:]
 	binary.LittleEndian.PutUint32(b[start:start+4], uint32(len(payload)))

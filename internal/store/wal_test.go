@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -100,9 +101,9 @@ func TestWALOrderPreservesVersions(t *testing.T) {
 }
 
 // edgeLogFixture writes a log of one record per segment — ts 1, 2: two
-// persons; ts 3: a knows edge between them; ts 4: its deletion; ts 5: a
-// third person — stopping after the first n, and returns the closed
-// directory and its segments.
+// persons; ts 3: a likes edge between them; ts 4: a knows edge between
+// them; ts 5: a third person — stopping after the first n, and returns the
+// closed directory and its segments.
 func edgeLogFixture(t *testing.T, n int) (string, []segmentFile) {
 	t.Helper()
 	dir := t.TempDir()
@@ -117,7 +118,7 @@ func edgeLogFixture(t *testing.T, n int) (string, []segmentFile) {
 		func(tx *Txn) error { return tx.CreateNode(a, nil) },
 		func(tx *Txn) error { return tx.CreateNode(b, nil) },
 		func(tx *Txn) error { return tx.AddEdge(a, EdgeLikes, b, 7) },
-		func(tx *Txn) error { return tx.DeleteEdge(a, EdgeLikes, b) },
+		func(tx *Txn) error { return tx.AddKnows(a, b, 8) },
 		func(tx *Txn) error { return tx.CreateNode(personID(3), nil) },
 	}
 	for _, step := range steps[:n] {
@@ -140,7 +141,7 @@ func edgeLogFixture(t *testing.T, n int) (string, []segmentFile) {
 }
 
 // edgeTypeOff is the offset of the edge-type byte in a payload whose first
-// op is an add-edge or del-edge: ts:u64 nOps:u32 kind:u8 from:u64 type:u8.
+// op is an add-edge: ts:u64 nOps:u32 kind:u8 from:u64 type:u8.
 const edgeTypeOff = 8 + 4 + 1 + 8
 
 // patchEdgeType overwrites the edge type of the first op of the segment's
@@ -161,45 +162,98 @@ func patchEdgeType(t *testing.T, path string, typ byte) {
 	}
 }
 
+// dirImage reads every file under dir into a path -> contents map, so a
+// test can tell whether a failed Open left the directory as it found it.
+func dirImage(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	img := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		img[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// openRejects asserts that Open fails on dir with ErrCorrupt naming the
+// segment and record, and leaves every file in dir untouched.
+func openRejects(t *testing.T, what, dir string, seg segmentFile) {
+	t.Helper()
+	before := dirImage(t, dir)
+	_, _, err := Open(dir, manualOpts(), nil)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), filepath.Base(seg.path)+": record 1") {
+		t.Fatalf("%s: want ErrCorrupt naming the segment and record, got %v", what, err)
+	}
+	if after := dirImage(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("%s: the failed Open changed the directory", what)
+	}
+}
+
 // TestReplayRejectsBadEdgeType: a CRC-valid record whose edge type is
 // outside the schema must not be installed — replay bypasses Txn.addEdge's
 // check, and the first view build would index past the adjacency tables.
-// Mid-chain it is corruption naming the segment; in the final segment it
-// ends the log like any undecodable tail.
+// A tear does not produce a matching CRC, so it is corruption naming the
+// segment wherever it sits, the final record included.
 func TestReplayRejectsBadEdgeType(t *testing.T) {
 	for _, typ := range []byte{0, byte(edgeTypeMax), 200} {
-		for _, victim := range []int{2, 3} { // the add-edge and del-edge records
+		for _, victim := range []int{2, 3} { // the directed and the symmetric add-edge
 			dir, segs := edgeLogFixture(t, 5)
 			patchEdgeType(t, segs[victim].path, typ)
-			_, _, err := Open(dir, manualOpts(), nil)
-			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), filepath.Base(segs[victim].path)) {
-				t.Fatalf("type %d in record %d: want ErrCorrupt naming the segment, got %v", typ, victim+1, err)
-			}
+			openRejects(t, fmt.Sprintf("type %d in record %d", typ, victim+1), dir, segs[victim])
 		}
 		dir, segs := edgeLogFixture(t, 3)
 		patchEdgeType(t, segs[2].path, typ)
-		re, info := reopen(t, dir, manualOpts())
-		if info.Clock != 2 || info.TornBytes == 0 {
-			t.Fatalf("type %d in the final record: want clock 2 and a dropped tail, got %+v", typ, info)
+		openRejects(t, fmt.Sprintf("type %d in the final record", typ), dir, segs[2])
+	}
+}
+
+// delEdgePayload hand-encodes a one-op payload of the retired kind 4
+// (del-edge: from:u64 type:u8 to:u64).
+func delEdgePayload(ts int64, from ids.ID, t EdgeType, to ids.ID) []byte {
+	b := appendU32(appendU64(nil, uint64(ts)), 1)
+	b = appendU64(append(b, 4), uint64(from))
+	return appendU64(append(b, byte(t)), uint64(to))
+}
+
+// TestReplayRejectsRetiredDelEdge: edges are insert-only, and a CRC-valid
+// del-edge record fails Open with ErrCorrupt like any unknown op kind —
+// mid-chain and as the final record — instead of being taken for a torn
+// tail that silently drops it and every acknowledged commit after it.
+func TestReplayRejectsRetiredDelEdge(t *testing.T) {
+	for _, n := range []int{5, 4} { // record 4 mid-chain, then final
+		dir, segs := edgeLogFixture(t, n)
+		victim := segs[3]
+		data, err := os.ReadFile(victim.path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if v := re.CurrentView(); len(v.Out(personID(1), EdgeLikes)) != 0 {
-			t.Fatalf("type %d: the rejected edge was installed", typ)
+		payload := delEdgePayload(4, personID(1), EdgeLikes, personID(2))
+		rec := appendU32(appendU32(nil, uint32(len(payload))), crc32.ChecksumIEEE(payload))
+		data = append(append(data[:segHeaderSize:segHeaderSize], rec...), payload...)
+		if err := os.WriteFile(victim.path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
+		openRejects(t, fmt.Sprintf("del-edge as record 4 of %d", n), dir, victim)
 	}
 }
 
 // walPendings builds one representative committed-transaction shape (a
-// node with properties, a property update, a symmetric edge and an edge
-// tombstone) for exercising the record codec directly.
-func walPendings() ([]*pendingNode, []pendingProp, []pendingEdge, []pendingDel) {
+// node with properties, a property update and a symmetric edge) for
+// exercising the record codec directly.
+func walPendings() ([]*pendingNode, []pendingProp, []pendingEdge) {
 	created := []*pendingNode{{id: personID(1), props: Props{
 		{Key: PropFirstName, Val: String("Ada")},
 		{Key: PropCreationDate, Val: Int64(7)},
 	}}}
 	sets := []pendingProp{{id: personID(1), key: PropLastName, val: String("L")}}
 	edges := []pendingEdge{{from: personID(1), to: personID(2), t: EdgeKnows, stamp: 3, sym: true}}
-	dels := []pendingDel{{from: personID(1), to: personID(2), t: EdgeKnows}}
-	return created, sets, edges, dels
+	return created, sets, edges
 }
 
 // idleBatcher returns a group-commit batcher with no flusher behind it, so
@@ -217,10 +271,10 @@ func idleBatcher() *groupWAL {
 // the reused buffer.
 func TestDepositZeroAlloc(t *testing.T) {
 	gw := idleBatcher()
-	created, sets, edges, dels := walPendings()
+	created, sets, edges := walPendings()
 	depositOne := func() {
 		gw.pending, gw.count = gw.pending[:0], 0 // the flusher's swap
-		gw.deposit(9, created, sets, edges, dels)
+		gw.deposit(9, created, sets, edges)
 	}
 	depositOne() // warm the pending buffer
 	if allocs := testing.AllocsPerRun(100, depositOne); allocs != 0 {
@@ -233,11 +287,11 @@ func TestDepositZeroAlloc(t *testing.T) {
 // 0 allocs/op).
 func BenchmarkWALDeposit(b *testing.B) {
 	gw := idleBatcher()
-	created, sets, edges, dels := walPendings()
+	created, sets, edges := walPendings()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		gw.pending, gw.count = gw.pending[:0], 0
-		gw.deposit(int64(i), created, sets, edges, dels)
+		gw.deposit(int64(i), created, sets, edges)
 	}
 }
 
@@ -252,23 +306,28 @@ func walDecodeAllocCeiling(n int) uint64 { return 32*uint64(n) + 64<<10 }
 // FuzzWALRecord feeds arbitrary payload bytes to the one redo-record
 // decoder: it returns an error, or a transaction whose re-encoding decodes
 // to the same transaction — never a panic, never an allocation above
-// walDecodeAllocCeiling.
+// walDecodeAllocCeiling. The retired del-edge kind is a seed that must
+// come back ErrCorrupt.
 func FuzzWALRecord(f *testing.F) {
-	created, sets, edges, dels := walPendings()
-	f.Add(appendCommitRecord(nil, 9, created, sets, edges, dels)[8:])
-	f.Add(appendCommitRecord(nil, 1, nil, nil, nil, nil)[8:])
-	for _, typ := range []byte{0, byte(edgeTypeMax), 200} {
-		bad := appendCommitRecord(nil, 3, nil, nil, edges, nil)[8:]
-		bad[edgeTypeOff] = typ
-		f.Add(bad)
-	}
-	// A create-node claiming 65535 props it does not carry.
-	f.Add(append(appendCommitRecord(nil, 4, []*pendingNode{{id: personID(1)}}, nil, nil, nil)[8:29], 0xFF, 0xFF))
-
 	decode := func(b []byte, start int) (*decodedTxn, error) {
 		dtx := &decodedTxn{}
 		return dtx, decodeTxnPayload(&walDecoder{b: b}, int64(start), int64(len(b)), dtx)
 	}
+	created, sets, edges := walPendings()
+	f.Add(appendCommitRecord(nil, 9, created, sets, edges)[8:])
+	f.Add(appendCommitRecord(nil, 1, nil, nil, nil)[8:])
+	for _, typ := range []byte{0, byte(edgeTypeMax), 200} {
+		bad := appendCommitRecord(nil, 3, nil, nil, edges)[8:]
+		bad[edgeTypeOff] = typ
+		f.Add(bad)
+	}
+	// A create-node claiming 65535 props it does not carry.
+	f.Add(append(appendCommitRecord(nil, 4, []*pendingNode{{id: personID(1)}}, nil, nil)[8:29], 0xFF, 0xFF))
+	del := delEdgePayload(5, personID(1), EdgeKnows, personID(2))
+	if _, err := decode(del, 0); !errors.Is(err, ErrCorrupt) {
+		f.Fatalf("retired del-edge op decoded: err = %v, want ErrCorrupt", err)
+	}
+	f.Add(del)
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		// The first decode interns the payload's strings (the interner is
 		// process-wide and grows by amortised doubling); the measured one
@@ -287,7 +346,7 @@ func FuzzWALRecord(f *testing.F) {
 			}
 			return
 		}
-		rec := appendCommitRecord(nil, dtx.ts, dtx.created, dtx.sets, dtx.edges, dtx.dels)
+		rec := appendCommitRecord(nil, dtx.ts, dtx.created, dtx.sets, dtx.edges)
 		again, err := decode(rec, 8)
 		if err != nil {
 			t.Fatalf("re-encoded record does not decode: %v", err)

@@ -43,7 +43,7 @@ func benchPerson(tb testing.TB, env *Env) ids.ID {
 
 // benchPartner picks a second connected person distinct from p (for the
 // path queries Q13/Q14).
-func benchPartner(b *testing.B, env *Env, p ids.ID) ids.ID {
+func benchPartner(b testing.TB, env *Env, p ids.ID) ids.ID {
 	b.Helper()
 	var partner ids.ID
 	env.Store.View(func(tx *store.Txn) {
@@ -314,8 +314,8 @@ func refreshBenchEnv(tb testing.TB) *Env {
 
 // refreshCommit lands one sparse update transaction: a new person plus a
 // knows edge onto an existing person — the delta shape of the Interactive
-// mix's U1/U8 updates.
-func refreshCommit(tb testing.TB, env *Env, anchor ids.ID) {
+// mix's U1/U8 updates. It returns the new person.
+func refreshCommit(tb testing.TB, env *Env, anchor ids.ID) ids.ID {
 	tb.Helper()
 	refreshSeq++
 	tx := env.Store.Begin()
@@ -329,6 +329,7 @@ func refreshCommit(tb testing.TB, env *Env, anchor ids.ID) {
 	if err := tx.Commit(); err != nil {
 		tb.Fatal(err)
 	}
+	return p
 }
 
 // BenchmarkViewRefresh measures advancing the cached view after commits —
@@ -425,8 +426,9 @@ func BenchmarkViewRefresh(b *testing.B) {
 }
 
 // TestViewAdjacencyZeroAlloc pins the acceptance bar that `make bench`
-// reports informally: the generic 2-hop adjacency iteration, instantiated
-// with the frozen view, must not allocate once the scratch is warm — on a
+// reports informally: the generic 2-hop adjacency iteration and Q13's
+// bidirectional search, instantiated with the frozen view, must not allocate
+// once the scratch is warm, and Q14 allocates only its result — on a
 // freshly compacted view AND on a delta-refreshed view whose hot rows live
 // in the copy-on-write overlay.
 func TestViewAdjacencyZeroAlloc(t *testing.T) {
@@ -452,6 +454,8 @@ func TestViewAdjacencyZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("view 2-hop expansion allocates %.1f times per run, want 0", allocs)
 	}
+	partner := benchPartner(t, env, p)
+	assertPathAllocs(t, "view", v, sc, p, partner)
 
 	// The refreshed-view half mutates its store, so it runs on the private
 	// refresh env — the shared env above must stay pristine for the other
@@ -459,10 +463,13 @@ func TestViewAdjacencyZeroAlloc(t *testing.T) {
 	renv := refreshBenchEnv(t)
 	rp := benchPerson(t, renv)
 	rsc := workload.NewScratch()
+	rpartner := benchPartner(t, renv, rp)
 	rv0 := renv.Store.CurrentView()
+	workload.Q13(rv0, rsc, rp, rpartner) // size the scratch to rv0
 	// Commit a sparse update touching rp's own adjacency row, so the
-	// refreshed view serves rp's knows list from the overlay.
-	refreshCommit(t, renv, rp)
+	// refreshed view serves rp's knows list from the overlay, and adding a
+	// person whose ordinal lies beyond the scratch's distance arrays.
+	added := refreshCommit(t, renv, rp)
 	rv, ev := renv.Store.AcquireView()
 	if ev != store.ViewRefreshed {
 		t.Fatalf("post-commit acquisition: %v, want refresh", ev)
@@ -476,5 +483,22 @@ func TestViewAdjacencyZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("refreshed-view 2-hop expansion allocates %.1f times per run, want 0", allocs)
+	}
+	assertPathAllocs(t, "refreshed view", rv, rsc, added, rpartner)
+}
+
+// assertPathAllocs requires Q13 from a to b to allocate nothing on a warm
+// scratch, and Q14 no more than its rows and their paths (two allocations).
+// AllocsPerRun's warm-up call is the one that grows the scratch.
+func assertPathAllocs(t *testing.T, name string, v *store.SnapshotView, sc *workload.Scratch, a, b ids.ID) {
+	t.Helper()
+	if workload.Q13(v, sc, a, b) < 1 {
+		t.Fatalf("%s: no path from %v to %v", name, a, b)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { workload.Q13(v, sc, a, b) }); allocs != 0 {
+		t.Fatalf("%s: Q13 allocates %.1f times per run, want 0", name, allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { workload.Q14(v, sc, a, b) }); allocs > 2 {
+		t.Fatalf("%s: Q14 allocates %.1f times per run, want at most 2", name, allocs)
 	}
 }

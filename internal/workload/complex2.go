@@ -1,7 +1,8 @@
 package workload
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"ldbcsnb/internal/ids"
@@ -248,59 +249,23 @@ func Q12[R store.Reader](r R, sc *Scratch, start ids.ID, tagClass ids.ID) []Q12R
 // Q13 — Single shortest path: the length of the shortest knows-path
 // between two persons, or -1 if none exists.
 
-// Q13 runs a bidirectional BFS. The distance maps are node-keyed on both
-// paths (distances, not membership, so the bitset representation does not
-// apply); on the view path the traversal is still lock-free.
+// Q13 runs the bidirectional search Q14 shares (pathBFS). On the view path
+// its distances are ordinal-indexed stamps held by the scratch, so a call on
+// a warm scratch allocates nothing; on the MVCC path they are node-keyed
+// maps.
 func Q13[R store.Reader](r R, sc *Scratch, a, b ids.ID) int {
 	sc.begin(r)
 	if a == b {
 		return 0
 	}
-	distA := map[ids.ID]int{a: 0}
-	distB := map[ids.ID]int{b: 0}
-	frontA := []ids.ID{a}
-	frontB := []ids.ID{b}
-	depth := 0
-	for len(frontA) > 0 && len(frontB) > 0 {
-		// Expand the smaller frontier one full layer; the minimum over all
-		// meets found within the layer is the exact shortest length.
-		if len(frontA) > len(frontB) {
-			distA, distB = distB, distA
-			frontA, frontB = frontB, frontA
-		}
-		depth++
-		best := -1
-		var next []ids.ID
-		for _, p := range frontA {
-			for _, e := range r.Out(p, store.EdgeKnows) {
-				if db, ok := distB[e.To]; ok {
-					if l := distA[p] + 1 + db; best < 0 || l < best {
-						best = l
-					}
-				}
-				if _, ok := distA[e.To]; ok {
-					continue
-				}
-				distA[e.To] = distA[p] + 1
-				next = append(next, e.To)
-			}
-		}
-		if best >= 0 {
-			return best
-		}
-		frontA = next
-		if depth > 64 {
-			break // defensive bound; SNB graphs have tiny diameters
-		}
-	}
-	return -1
+	return searchPaths(r, &sc.paths, a, b)
 }
 
 // Q14 — Weighted paths: all shortest-length knows-paths between two
 // persons, weighted by the message interaction between consecutive pairs:
 // each comment replying to the other's post adds 1.0, each comment
 // replying to the other's comment adds 0.5. Paths are returned sorted by
-// weight descending.
+// weight descending, then element-wise by node ID.
 
 // Q14Row is one path with its weight.
 type Q14Row struct {
@@ -311,94 +276,65 @@ type Q14Row struct {
 // q14PathCap bounds path enumeration on dense graphs.
 const q14PathCap = 256
 
-// Q14 runs the query.
+// Q14 runs the query on Q13's search. Every shortest path passes through
+// exactly one node the search met at; the nodes before it are knows
+// neighbours one layer closer to a, those after it one layer closer to b.
+// Paths are generated meeting node by meeting node, in the order the search
+// reached them, each combining every walk in from a with every walk on to b
+// (walks in before walks on), both taking a node's knows edges in insertion
+// order with parallel edges repeated — so a doubled knows edge doubles the
+// rows through it. Above q14PathCap shortest paths, the first q14PathCap
+// generated are kept, the same ones on both Reader instantiations.
+//
+// Weights are computed per node of the kept paths, not per path step: each
+// node's comments are walked once through replyOf -> hasCreator, a reply to
+// a kept node one layer away credits that pair, and a path sums its steps'
+// credits.
 func Q14[R store.Reader](r R, sc *Scratch, a, b ids.ID) []Q14Row {
 	sc.begin(r)
 	if a == b {
 		return []Q14Row{{Path: []ids.ID{a}, Weight: 0}}
 	}
-	// BFS from a recording parent layers until b is reached.
-	dist := map[ids.ID]int{a: 0}
-	parents := map[ids.ID][]ids.ID{}
-	frontier := []ids.ID{a}
-	found := false
-	for len(frontier) > 0 && !found {
-		var next []ids.ID
-		for _, p := range frontier {
-			for _, e := range r.Out(p, store.EdgeKnows) {
-				d, ok := dist[e.To]
-				if !ok {
-					dist[e.To] = dist[p] + 1
-					parents[e.To] = []ids.ID{p}
-					next = append(next, e.To)
-					if e.To == b {
-						found = true
-					}
-				} else if d == dist[p]+1 {
-					parents[e.To] = append(parents[e.To], p)
-				}
-			}
-		}
-		frontier = next
-	}
-	if !found {
+	k := &sc.paths
+	n := searchPaths(r, k, a, b)
+	if n < 0 {
 		return nil
 	}
-	// Enumerate shortest paths backward from b.
-	var paths [][]ids.ID
-	var walk func(node ids.ID, acc []ids.ID)
-	walk = func(node ids.ID, acc []ids.ID) {
-		if len(paths) >= q14PathCap {
-			return
+	d0, d1 := k.depth[0], k.depth[1]
+	k.walk = slices.Grow(k.walk[:0], n+1)[:n+1]
+	k.flat = k.flat[:0]
+	paths := 0
+	for _, m := range k.meet {
+		if paths == q14PathCap {
+			break
 		}
-		acc = append(acc, node)
-		if node == a {
-			path := make([]ids.ID, len(acc))
-			for i := range acc {
-				path[i] = acc[len(acc)-1-i]
+		left := q14PathCap - paths
+		k.walk[0] = m
+		k.in = walksToRoot(r, k, 0, m, d0, k.walk[:d0+1], k.in[:0], left)
+		k.on = walksToRoot(r, k, 1, m, d1, k.walk[:d1+1], k.on[:0], left)
+		for i := 0; i < len(k.in) && paths < q14PathCap; i += d0 + 1 {
+			for j := 0; j < len(k.on) && paths < q14PathCap; j += d1 + 1 {
+				for q := i + d0; q >= i; q-- {
+					k.flat = append(k.flat, k.in[q])
+				}
+				k.flat = append(k.flat, k.on[j+1:j+d1+1]...)
+				paths++
 			}
-			paths = append(paths, path)
-			return
-		}
-		for _, p := range parents[node] {
-			walk(p, acc)
 		}
 	}
-	walk(b, nil)
 
-	rows := make([]Q14Row, 0, len(paths))
-	for _, path := range paths {
-		w := 0.0
-		for i := 0; i+1 < len(path); i++ {
-			w += interactionWeight(r, path[i], path[i+1])
-		}
-		rows = append(rows, Q14Row{Path: path, Weight: w})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Weight != rows[j].Weight {
-			return rows[i].Weight > rows[j].Weight
-		}
-		return lessPath(rows[i].Path, rows[j].Path)
-	})
-	return rows
-}
-
-func lessPath(a, b []ids.ID) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
+	// Credit every pair of kept nodes one layer apart with their replies.
+	kept := sc.newSeen()
+	k.nodes = k.nodes[:0]
+	for _, x := range k.flat {
+		if kept.tryMark(x) {
+			k.nodes = append(k.nodes, x)
 		}
 	}
-	return len(a) < len(b)
-}
-
-// interactionWeight sums the reply interaction between two persons: 1.0
-// per comment by one replying to a post of the other, 0.5 per comment
-// replying to a comment of the other.
-func interactionWeight[R store.Reader](r R, x, y ids.ID) float64 {
-	w := 0.0
-	pair := func(from, to ids.ID) {
-		for _, m := range messagesOf(r, from) {
+	k.credits = k.credits[:0]
+	for _, x := range k.nodes {
+		px := k.position(x, n)
+		for _, m := range messagesOf(r, x) {
 			if m.To.Kind() != ids.KindComment {
 				continue
 			}
@@ -406,19 +342,250 @@ func interactionWeight[R store.Reader](r R, x, y ids.ID) float64 {
 			if len(parents) == 0 {
 				continue
 			}
-			parent := parents[0].To
-			creators := r.Out(parent, store.EdgeHasCreator)
-			if len(creators) == 0 || creators[0].To != to {
+			creators := r.Out(parents[0].To, store.EdgeHasCreator)
+			if len(creators) == 0 || !kept.has(creators[0].To) {
 				continue
 			}
-			if parent.Kind() == ids.KindPost {
-				w += 1.0
-			} else {
-				w += 0.5
+			if pc := k.position(creators[0].To, n); pc != px-1 && pc != px+1 {
+				continue
 			}
+			w := 0.5
+			if parents[0].To.Kind() == ids.KindPost {
+				w = 1.0
+			}
+			k.credits = append(k.credits, newPairCredit(x, creators[0].To, w))
 		}
 	}
-	pair(x, y)
-	pair(y, x)
-	return w
+	slices.SortFunc(k.credits, comparePairs)
+
+	rows := make([]Q14Row, paths)
+	flat := slices.Clone(k.flat)
+	for i := range rows {
+		p := flat[i*(n+1) : (i+1)*(n+1) : (i+1)*(n+1)]
+		w := 0.0
+		for j := 0; j+1 < len(p); j++ {
+			step := newPairCredit(p[j], p[j+1], 0)
+			at, _ := slices.BinarySearchFunc(k.credits, step, comparePairs)
+			for ; at < len(k.credits) && comparePairs(k.credits[at], step) == 0; at++ {
+				w += k.credits[at].w
+			}
+		}
+		rows[i] = Q14Row{Path: p, Weight: w}
+	}
+	slices.SortFunc(rows, func(x, y Q14Row) int {
+		if c := cmp.Compare(y.Weight, x.Weight); c != 0 {
+			return c
+		}
+		return slices.Compare(x.Path, y.Path)
+	})
+	return rows
+}
+
+// walksToRoot appends to out the walks from x, at distance d on side s, to
+// that side's root: each walk fills walk[len(walk)-d:] with x's knows
+// neighbour at distance d-1, then its neighbour at d-2, and so on to the
+// root, and is appended as all of walk (whose first node is the walk's
+// start). Neighbours come in adjacency order with parallel edges repeated;
+// the walk stops once out holds limit walks.
+func walksToRoot[R store.Reader](r R, k *pathBFS, s int, x ids.ID, d int, walk, out []ids.ID, limit int) []ids.ID {
+	if d == 0 {
+		return append(out, walk...)
+	}
+	i := len(walk) - d
+	for _, e := range r.Out(x, store.EdgeKnows) {
+		if len(out) == limit*len(walk) {
+			break
+		}
+		if dy, ok := k.dist(s, e.To); ok && dy == d-1 {
+			walk[i] = e.To
+			out = walksToRoot(r, k, s, e.To, d-1, walk, out, limit)
+		}
+	}
+	return out
+}
+
+// pairCredit is the reply weight between two persons, keyed by the pair
+// in ID order.
+type pairCredit struct {
+	lo, hi ids.ID
+	w      float64
+}
+
+func newPairCredit(x, y ids.ID, w float64) pairCredit {
+	return pairCredit{lo: min(x, y), hi: max(x, y), w: w}
+}
+
+func comparePairs(x, y pairCredit) int {
+	return cmp.Or(cmp.Compare(x.lo, y.lo), cmp.Compare(x.hi, y.hi))
+}
+
+// pathBFS is the layered bidirectional breadth-first search over knows that
+// Q13 and Q14 share. Side 0 grows from the source, side 1 from the target;
+// each round expands the smaller frontier by one full layer and checks every
+// node it reaches against the other side. The first round to reach the
+// other side ends the search: the nodes it reached there (meet) all lie at
+// depth[0] from the source and depth[1] from the target, whose sum is the
+// shortest length, and both sides' layers are complete up to those depths.
+//
+// Distances take seenSet's dual representation. On the view path they are
+// two generation-stamped arrays indexed by ordinal, 4 bytes per view node
+// and side: a stamp holds gen<<distBits | distance and counts only while
+// gen is current, so a search starts by bumping gen instead of clearing.
+// The arrays are cleared when gen wraps (bind) and when the scratch crosses
+// a view era (invalidate, from Scratch.begin), after which an ordinal names
+// a different node. On the MVCC path distances are node-keyed maps, cleared
+// per search.
+type pathBFS struct {
+	v      *store.SnapshotView
+	gen    uint32
+	stamps [2][]uint32
+	dists  [2]map[ids.ID]int32
+	depth  [2]int
+	front  [2][]ids.ID
+	next   []ids.ID
+	meet   []ids.ID
+
+	// Q14's buffers: the walk in progress, the walks from a meeting node in
+	// from the source and on to the target, the generated paths (all
+	// flattened), their distinct nodes and the pair credits among them.
+	walk, in, on, flat, nodes []ids.ID
+	credits                   []pairCredit
+}
+
+const (
+	distBits   = 8                    // a side's distance is below 1<<distBits
+	maxPathGen = 1<<(32-distBits) - 1 // the last generation before a wrap
+	maxPathLen = 64                   // defensive bound; SNB graphs have tiny diameters
+)
+
+// bind starts a search over v (nil = MVCC path).
+func (k *pathBFS) bind(v *store.SnapshotView) {
+	k.v = v
+	k.depth = [2]int{}
+	k.meet = k.meet[:0]
+	if v == nil {
+		if k.dists[0] == nil {
+			k.dists = [2]map[ids.ID]int32{{}, {}}
+		}
+		clear(k.dists[0])
+		clear(k.dists[1])
+		return
+	}
+	if k.gen == maxPathGen {
+		k.invalidate()
+	}
+	k.gen++
+	n := v.NumNodes()
+	for s := range k.stamps {
+		if len(k.stamps[s]) < n {
+			k.stamps[s] = append(k.stamps[s], make([]uint32, n-len(k.stamps[s]))...)
+		}
+	}
+}
+
+// invalidate drops every stamp and restarts the generations.
+func (k *pathBFS) invalidate() {
+	clear(k.stamps[0])
+	clear(k.stamps[1])
+	k.gen = 0
+}
+
+// ordDist returns an ordinal's distance on one side, if the current search
+// has reached it there.
+//
+//snb:noalloc
+func (k *pathBFS) ordDist(s int, o int32) (int, bool) {
+	st := k.stamps[s][o]
+	return int(st & (1<<distBits - 1)), st>>distBits == k.gen
+}
+
+// ordMark records distance d for an ordinal on one side, reporting whether
+// the current search had not reached it there yet.
+//
+//snb:noalloc
+func (k *pathBFS) ordMark(s int, o int32, d int) bool {
+	st := &k.stamps[s][o]
+	if *st>>distBits == k.gen {
+		return false
+	}
+	*st = k.gen<<distBits | uint32(d)
+	return true
+}
+
+// dist returns a node's distance on one side, if reached.
+func (k *pathBFS) dist(s int, id ids.ID) (int, bool) {
+	if k.v != nil {
+		o, ok := k.v.Ord(id)
+		if !ok {
+			return 0, false
+		}
+		return k.ordDist(s, o)
+	}
+	d, ok := k.dists[s][id]
+	return int(d), ok
+}
+
+// visit marks a node at distance d on side s, reporting whether it was
+// unreached there (fresh) and whether the other side has reached it (meet).
+// Nodes outside the view are never fresh.
+func (k *pathBFS) visit(s int, id ids.ID, d int) (fresh, meet bool) {
+	if k.v != nil {
+		o, ok := k.v.Ord(id)
+		if !ok {
+			return false, false
+		}
+		_, meet = k.ordDist(1-s, o)
+		return k.ordMark(s, o, d), meet
+	}
+	_, meet = k.dists[1-s][id]
+	if _, ok := k.dists[s][id]; ok {
+		return false, meet
+	}
+	k.dists[s][id] = int32(d)
+	return true, meet
+}
+
+// position returns a node's place on a shortest path of length n: its
+// distance from the source within side 0's layers, n minus its distance
+// from the target beyond them.
+func (k *pathBFS) position(id ids.ID, n int) int {
+	if d, ok := k.dist(0, id); ok {
+		return d
+	}
+	d, _ := k.dist(1, id)
+	return n - d
+}
+
+// searchPaths runs the search from a to b (a != b) and returns the shortest
+// path length, or -1 when b is unreachable.
+func searchPaths[R store.Reader](r R, k *pathBFS, a, b ids.ID) int {
+	k.bind(r.Frozen())
+	k.front[0] = append(k.front[0][:0], a)
+	k.front[1] = append(k.front[1][:0], b)
+	k.visit(0, a, 0)
+	k.visit(1, b, 0)
+	for len(k.front[0]) > 0 && len(k.front[1]) > 0 && k.depth[0]+k.depth[1] < maxPathLen {
+		s := 0
+		if len(k.front[0]) > len(k.front[1]) {
+			s = 1
+		}
+		d := k.depth[s] + 1
+		k.next = k.next[:0]
+		for _, p := range k.front[s] {
+			for _, e := range r.Out(p, store.EdgeKnows) {
+				if fresh, meet := k.visit(s, e.To, d); fresh {
+					k.next = append(k.next, e.To)
+					if meet {
+						k.meet = append(k.meet, e.To)
+					}
+				}
+			}
+		}
+		k.depth[s] = d
+		if len(k.meet) > 0 {
+			return k.depth[0] + k.depth[1]
+		}
+		k.front[s], k.next = k.next, k.front[s]
+	}
+	return -1
 }

@@ -1,0 +1,483 @@
+package workload
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"slices"
+	"sync"
+	"testing"
+
+	"ldbcsnb/internal/datagen"
+	"ldbcsnb/internal/ids"
+	"ldbcsnb/internal/params"
+	"ldbcsnb/internal/schema"
+	"ldbcsnb/internal/store"
+	"ldbcsnb/internal/xrand"
+)
+
+// The path-query tests: Q13 and Q14 against a reference built from the raw
+// dataset, their answers pinned by content on the parameter pool, and Q14's
+// path cap on a fixture dense enough to hit it.
+
+// pathFixture is a 200-person dataset loaded twice: fully into fresh, and
+// into refreshed as the bulk part plus the update stream, with the view
+// advanced by delta refreshes only (compaction off), so its answers come
+// from the overlay.
+type pathFixture struct {
+	data      *schema.Dataset
+	fresh     *store.Store
+	refreshed *store.Store
+	pool      []ids.ID // the Q9-curated person pool the driver binds Q13/Q14 from
+	isolated  ids.ID   // a person in both stores with no knows edge
+}
+
+var (
+	pathFixOnce sync.Once
+	pathFix     pathFixture
+	pathFixErr  error
+)
+
+func pathSetup(t *testing.T) *pathFixture {
+	t.Helper()
+	pathFixOnce.Do(func() { pathFixErr = buildPathFixture(&pathFix) })
+	if pathFixErr != nil {
+		t.Fatal(pathFixErr)
+	}
+	return &pathFix
+}
+
+func buildPathFixture(f *pathFixture) error {
+	f.data = datagen.Generate(datagen.Config{Seed: 41, Persons: 200, Workers: 2}).Data
+	f.fresh = store.New()
+	if err := schema.LoadDimensions(f.fresh); err != nil {
+		return err
+	}
+	if err := schema.Load(f.fresh, f.data); err != nil {
+		return err
+	}
+	f.isolated = ids.Compose(ids.KindPerson, 1<<38, 7)
+	if err := addPerson(f.fresh, f.isolated); err != nil {
+		return err
+	}
+	for _, p := range params.BuildQ9Table(f.data).Curate(40) {
+		f.pool = append(f.pool, ids.ID(p))
+	}
+
+	bulk, updates := datagen.Split(f.data, datagen.UpdateCut)
+	f.refreshed = store.New()
+	f.refreshed.SetViewCompactThreshold(1 << 30)
+	if err := schema.LoadDimensions(f.refreshed); err != nil {
+		return err
+	}
+	if err := schema.Load(f.refreshed, bulk); err != nil {
+		return err
+	}
+	f.refreshed.CurrentView()
+	for i := range updates {
+		if err := ApplyUpdate(f.refreshed, &updates[i]); err != nil {
+			return fmt.Errorf("update %d: %w", i, err)
+		}
+		if i%32 == 31 {
+			f.refreshed.CurrentView()
+		}
+		if i == len(updates)/2 {
+			if err := addPerson(f.refreshed, f.isolated); err != nil {
+				return err
+			}
+		}
+	}
+	f.refreshed.CurrentView()
+	if n := f.refreshed.ViewStats().Rebuilds; n != 1 {
+		return fmt.Errorf("refreshed store rebuilt its view %d times, want only the first build", n)
+	}
+	return nil
+}
+
+func addPerson(st *store.Store, p ids.ID) error {
+	tx := st.Begin()
+	if err := tx.CreateNode(p, store.Props{{Key: store.PropFirstName, Val: store.String("Isolde")}}); err != nil {
+		return err
+	}
+	return tx.Commit()
+}
+
+// poolPairs draws 200 (a, b) pairs from the pool the way Q13/Q14's Bind
+// does, so some pairs repeat a person (a == b).
+func poolPairs(pool []ids.ID) [][2]ids.ID {
+	r := xrand.New(25)
+	out := make([][2]ids.ID, 200)
+	for i := range out {
+		out[i] = [2]ids.ID{pool[r.Intn(len(pool))], pool[r.Intn(len(pool))]}
+	}
+	return out
+}
+
+// pathDigest is the hex sha256 of every pool pair's Q13 distance and %+v
+// Q14 rows on one reader.
+func pathDigest[R store.Reader](r R, pairs [][2]ids.ID) string {
+	h := sha256.New()
+	sc := NewScratch()
+	for _, p := range pairs {
+		fmt.Fprintf(h, "%v %v %d %+v\n", p[0], p[1], Q13(r, sc, p[0], p[1]), Q14(r, sc, p[0], p[1]))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// wantPathDigest pins Q13 and Q14 on the pool pairs of pathSetup's fixture.
+// No pool pair there has more than q14PathCap shortest paths, so every Q14
+// row is the full answer.
+const wantPathDigest = "3a90e1e021933f08fae974d6057858c59b5e1a4cda68056ac0e08188c800cf85"
+
+// TestPathRowDigests pins Q13's distances and Q14's full rows by content on
+// the txn path and on the view path.
+func TestPathRowDigests(t *testing.T) {
+	f := pathSetup(t)
+	pairs := poolPairs(f.pool)
+	f.fresh.View(func(tx *store.Txn) {
+		if got := pathDigest(tx, pairs); got != wantPathDigest {
+			t.Errorf("txn path: digest %s, want %s", got, wantPathDigest)
+		}
+	})
+	if got := pathDigest(f.fresh.CurrentView(), pairs); got != wantPathDigest {
+		t.Errorf("view path: digest %s, want %s", got, wantPathDigest)
+	}
+}
+
+// refGraph is the reference model of Q13 and Q14, built from the raw
+// dataset: knows adjacency with one entry per edge (parallel edges
+// repeat), each message's creator and each comment's reply target.
+type refGraph struct {
+	adj      map[ids.ID][]ids.ID
+	creator  map[ids.ID]ids.ID
+	replyOf  map[ids.ID]ids.ID
+	comments map[ids.ID][]ids.ID // person -> the comments they wrote
+}
+
+func newRefGraph(d *schema.Dataset) *refGraph {
+	g := &refGraph{
+		adj:      map[ids.ID][]ids.ID{},
+		creator:  map[ids.ID]ids.ID{},
+		replyOf:  map[ids.ID]ids.ID{},
+		comments: map[ids.ID][]ids.ID{},
+	}
+	for _, k := range d.Knows {
+		g.adj[k.A] = append(g.adj[k.A], k.B)
+		g.adj[k.B] = append(g.adj[k.B], k.A)
+	}
+	for i := range d.Posts {
+		g.creator[d.Posts[i].ID] = d.Posts[i].Creator
+	}
+	for i := range d.Comments {
+		c := &d.Comments[i]
+		g.creator[c.ID] = c.Creator
+		g.replyOf[c.ID] = c.ReplyOf
+		g.comments[c.Creator] = append(g.comments[c.Creator], c.ID)
+	}
+	return g
+}
+
+// dist returns the knows distance of every person reachable from src.
+func (g *refGraph) dist(src ids.ID) map[ids.ID]int {
+	d := map[ids.ID]int{src: 0}
+	for queue := []ids.ID{src}; len(queue) > 0; queue = queue[1:] {
+		for _, y := range g.adj[queue[0]] {
+			if _, ok := d[y]; !ok {
+				d[y] = d[queue[0]] + 1
+				queue = append(queue, y)
+			}
+		}
+	}
+	return d
+}
+
+// paths returns every shortest knows path from a to b, once per choice of
+// parallel edges, or nil when b is unreachable.
+func (g *refGraph) paths(a, b ids.ID) [][]ids.ID {
+	da, db := g.dist(a), g.dist(b)
+	n, ok := da[b]
+	if !ok {
+		return nil
+	}
+	var out [][]ids.ID
+	var walk func(path []ids.ID)
+	walk = func(path []ids.ID) {
+		x := path[len(path)-1]
+		if x == b {
+			out = append(out, slices.Clone(path))
+			return
+		}
+		for _, y := range g.adj[x] {
+			if da[y] == len(path) && db[y] == n-len(path) {
+				walk(append(path, y))
+			}
+		}
+	}
+	walk([]ids.ID{a})
+	return out
+}
+
+// weight is the interaction weight of one step: 1.0 per comment of either
+// person replying to a post of the other, 0.5 per reply to a comment.
+func (g *refGraph) weight(x, y ids.ID) float64 {
+	w := 0.0
+	for _, pair := range [][2]ids.ID{{x, y}, {y, x}} {
+		for _, c := range g.comments[pair[0]] {
+			parent := g.replyOf[c]
+			if g.creator[parent] != pair[1] {
+				continue
+			}
+			if parent.Kind() == ids.KindPost {
+				w += 1.0
+			} else {
+				w += 0.5
+			}
+		}
+	}
+	return w
+}
+
+// q14 is the reference Q14: every shortest path with its weight, heaviest
+// first, ties by path.
+func (g *refGraph) q14(a, b ids.ID) []Q14Row {
+	var rows []Q14Row
+	for _, p := range g.paths(a, b) {
+		w := 0.0
+		for i := 0; i+1 < len(p); i++ {
+			w += g.weight(p[i], p[i+1])
+		}
+		rows = append(rows, Q14Row{Path: p, Weight: w})
+	}
+	sortQ14Rows(rows)
+	return rows
+}
+
+func sortQ14Rows(rows []Q14Row) {
+	slices.SortFunc(rows, func(x, y Q14Row) int {
+		if x.Weight != y.Weight {
+			if x.Weight > y.Weight {
+				return -1
+			}
+			return 1
+		}
+		return slices.Compare(x.Path, y.Path)
+	})
+}
+
+// TestQ14AgainstReference checks Q13 and Q14 against the reference model on
+// the txn path, a fresh view and a delta-refreshed view: every shortest
+// path with its multiplicity and weight, on the pool pairs, on pairs drawn
+// from all persons, on pairs with no path and on a == b.
+func TestQ14AgainstReference(t *testing.T) {
+	f := pathSetup(t)
+	g := newRefGraph(f.data)
+	pairs := poolPairs(f.pool)
+	r := xrand.New(26)
+	for i := 0; i < 100; i++ {
+		pairs = append(pairs, [2]ids.ID{
+			f.data.Persons[r.Intn(len(f.data.Persons))].ID,
+			f.data.Persons[r.Intn(len(f.data.Persons))].ID,
+		})
+	}
+	// A person with no knows edge has no path to anyone else, and neither
+	// has a person the store does not hold.
+	missing := ids.Compose(ids.KindPerson, 1<<38, 8)
+	pairs = append(pairs,
+		[2]ids.ID{f.isolated, f.pool[0]}, [2]ids.ID{f.pool[1], f.isolated},
+		[2]ids.ID{missing, f.pool[2]}, [2]ids.ID{f.pool[3], missing})
+	var noPath, same, maxRows int
+	for _, p := range pairs {
+		ref := g.q14(p[0], p[1])
+		switch {
+		case p[0] == p[1]:
+			same++
+		case len(ref) == 0:
+			noPath++
+		}
+		maxRows = max(maxRows, len(ref))
+	}
+	if noPath == 0 || same == 0 {
+		t.Fatalf("pairs cover %d without a path and %d with a == b, want some of each", noPath, same)
+	}
+	if maxRows > q14PathCap {
+		t.Fatalf("a pair has %d shortest paths, more than the cap %d: the reference no longer gives full rows", maxRows, q14PathCap)
+	}
+	check := func(name string, q13 func(a, b ids.ID) int, q14 func(a, b ids.ID) []Q14Row) {
+		t.Helper()
+		for _, p := range pairs {
+			want := g.q14(p[0], p[1])
+			wantLen := -1
+			if len(want) > 0 {
+				wantLen = len(want[0].Path) - 1
+			}
+			if got := q13(p[0], p[1]); got != wantLen {
+				t.Fatalf("%s: Q13(%v,%v) = %d, want %d", name, p[0], p[1], got, wantLen)
+			}
+			if got := q14(p[0], p[1]); !rowsEqual(t, got, want) {
+				t.Fatalf("%s: Q14(%v,%v) =\n%+v\nwant\n%+v", name, p[0], p[1], got, want)
+			}
+		}
+	}
+	sc := NewScratch()
+	f.fresh.View(func(tx *store.Txn) {
+		check("txn",
+			func(a, b ids.ID) int { return Q13(tx, sc, a, b) },
+			func(a, b ids.ID) []Q14Row { return Q14(tx, sc, a, b) })
+	})
+	for _, c := range []struct {
+		name string
+		v    *store.SnapshotView
+	}{{"fresh view", f.fresh.CurrentView()}, {"refreshed view", f.refreshed.CurrentView()}} {
+		check(c.name,
+			func(a, b ids.ID) int { return Q13(c.v, sc, a, b) },
+			func(a, b ids.ID) []Q14Row { return Q14(c.v, sc, a, b) })
+	}
+}
+
+// TestQ14CapAndParallelEdges runs Q14 where a reaches b through two full
+// layers of 20 persons each, with the knows edge from a to the first
+// person of layer one doubled: 21 × 20 = 420 shortest paths, of which the
+// cap keeps 256. The kept ones are those Q14's doc comment names: per meeting
+// node, every way in from a times every way on to b, each walk taking knows
+// edges in insertion order — here y0..y11 in full (21 each) and y12 through
+// x0, x0, x1, x2.
+func TestQ14CapAndParallelEdges(t *testing.T) {
+	person := func(i int) ids.ID { return ids.Compose(ids.KindPerson, 700, uint32(i)) }
+	a, b := person(0), person(1)
+	var xs, ys []ids.ID
+	for i := 0; i < 20; i++ {
+		xs = append(xs, person(2+i))
+		ys = append(ys, person(22+i))
+	}
+	st := store.New()
+	tx := st.Begin()
+	for _, p := range append([]ids.ID{a, b}, append(xs, ys...)...) {
+		if err := tx.CreateNode(p, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	knows := func(p, q ids.ID) {
+		if err := tx.AddKnows(p, q, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, x := range xs {
+		knows(a, x)
+	}
+	knows(a, xs[0]) // the parallel edge
+	for _, x := range xs {
+		for _, y := range ys {
+			knows(x, y)
+		}
+	}
+	for _, y := range ys {
+		knows(y, b)
+	}
+	// x0 replies to a post of y0 (1.0 on step x0-y0); b replies to a
+	// comment of y1 (0.5 on step y1-b).
+	msg := func(id, creator, replyOf ids.ID) {
+		if err := tx.CreateNode(id, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.AddEdge(id, store.EdgeHasCreator, creator, 1); err != nil {
+			t.Fatal(err)
+		}
+		if replyOf != 0 {
+			if err := tx.AddEdge(id, store.EdgeReplyOf, replyOf, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	post, c1 := ids.Compose(ids.KindPost, 700, 0), ids.Compose(ids.KindComment, 700, 1)
+	msg(post, ys[0], 0)
+	msg(ids.Compose(ids.KindComment, 700, 0), xs[0], post)
+	msg(c1, ys[1], post)
+	msg(ids.Compose(ids.KindComment, 700, 2), b, c1)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	weight := func(p []ids.ID) float64 {
+		w := 0.0
+		if p[1] == xs[0] && p[2] == ys[0] {
+			w += 1.0
+		}
+		if p[2] == ys[1] {
+			w += 0.5
+		}
+		return w
+	}
+	var txRows []Q14Row
+	st.View(func(tx *store.Txn) { txRows = Q14(tx, NewScratch(), a, b) })
+	if len(txRows) != q14PathCap {
+		t.Fatalf("Q14 returned %d rows, want the cap %d", len(txRows), q14PathCap)
+	}
+	perY := map[ids.ID]int{}
+	dups := 0
+	for i, row := range txRows {
+		p := row.Path
+		if len(p) != 4 || p[0] != a || p[3] != b || !slices.Contains(xs, p[1]) || !slices.Contains(ys, p[2]) {
+			t.Fatalf("row %d: %v is not a shortest path from a to b", i, p)
+		}
+		if row.Weight != weight(p) {
+			t.Fatalf("row %d: %v weighs %v, want %v", i, p, row.Weight, weight(p))
+		}
+		if i > 0 {
+			prev := txRows[i-1]
+			if prev.Weight < row.Weight || (prev.Weight == row.Weight && slices.Compare(prev.Path, p) > 0) {
+				t.Fatalf("rows %d and %d out of order", i-1, i)
+			}
+			if slices.Equal(prev.Path, p) {
+				if p[1] != xs[0] {
+					t.Fatalf("row %d repeats %v, which does not use the doubled edge", i, p)
+				}
+				dups++
+			}
+		}
+		perY[p[2]]++
+	}
+	for j, y := range ys {
+		want := 0
+		switch {
+		case j < 12:
+			want = 21
+		case j == 12:
+			want = 4
+		}
+		if perY[y] != want {
+			t.Fatalf("%d kept paths through y%d, want %d", perY[y], j, want)
+		}
+	}
+	if dups != 13 {
+		t.Fatalf("%d repeated rows, want 13 (one per kept meeting node through x0)", dups)
+	}
+	sc := NewScratch()
+	for i := 0; i < 2; i++ {
+		if got := Q14(st.CurrentView(), sc, a, b); !rowsEqual(t, got, txRows) {
+			t.Fatalf("view rows differ from txn rows (run %d)", i)
+		}
+	}
+}
+
+// TestPathStampsWrap runs the view-path search across a wrap of its
+// generation counter: the stamps are cleared there, so stamps left by the
+// searches before the wrap must not read as reached after it.
+func TestPathStampsWrap(t *testing.T) {
+	f := pathSetup(t)
+	pairs := poolPairs(f.pool)[:40]
+	v := f.fresh.CurrentView()
+	sc := NewScratch()
+	want := make([]int, len(pairs))
+	for i, p := range pairs {
+		want[i] = Q13(v, sc, p[0], p[1])
+	}
+	sc.paths.gen = maxPathGen - 3
+	for i, p := range pairs {
+		if got := Q13(v, sc, p[0], p[1]); got != want[i] {
+			t.Fatalf("pair %d, generation %d: Q13 = %d, want %d", i, sc.paths.gen, got, want[i])
+		}
+	}
+	if sc.paths.gen >= maxPathGen-3 {
+		t.Fatalf("generation %d: the counter did not wrap", sc.paths.gen)
+	}
+}

@@ -27,8 +27,9 @@
 // # Scratch and aliasing rules
 //
 // A Scratch carries the reusable traversal state of one executor goroutine:
-// a pool of visited sets and two ID buffers. Queries bind it to their reader
-// on entry, which resets all scratch state. The aliasing rules:
+// a pool of visited sets, two ID buffers and the state of the search Q13
+// and Q14 share. Queries bind it to their reader on entry, which resets all
+// scratch state. The aliasing rules:
 //
 //   - One Scratch serves one goroutine; never share it.
 //   - Slices returned by helpers that traverse (TwoHopEnv) alias the
@@ -36,10 +37,10 @@
 //     Scratch. Copy them to keep them.
 //   - Query results (Q*Row slices) never alias the scratch — they are safe
 //     to retain.
-//   - On the view path, visited sets are keyed by the view's node ordinals,
-//     so a Scratch must not be shared between queries running against
-//     different views concurrently (sequential reuse across views is fine
-//     and is the intended pattern).
+//   - On the view path, visited sets and path distances are keyed by the
+//     view's node ordinals, so a Scratch must not be shared between queries
+//     running against different views concurrently (sequential reuse across
+//     views is fine and is the intended pattern).
 package workload
 
 import (
@@ -49,29 +50,31 @@ import (
 )
 
 // Scratch is the reusable per-executor traversal state of the unified query
-// path: a pool of visited sets plus ID buffers, recycled across queries so
-// the hot BFS loops stay allocation-free on the view path once the buffers
-// have warmed up to the working-set size. See the package documentation for
-// the aliasing rules.
+// path: a pool of visited sets, ID buffers and the path search's state
+// (pathBFS), recycled across queries so the hot BFS loops stay
+// allocation-free on the view path once the buffers have warmed up to the
+// working-set size. See the package documentation for the aliasing rules.
 //
-// Scratch is era-aware: on the view path its visited-set pool is keyed by
-// the view's node ordinals, which the store keeps stable across delta
-// refreshes within one era (store.SnapshotView.Era). Rebinding to a
-// refreshed view of the same era therefore reuses the warm bitsets — no
-// reallocation, capacity only grows. Rebinding across an era bump (a full
-// recompaction reassigned every ordinal) additionally hard-resets the
-// whole pool, including sets the next query never re-binds. Per-query
-// correctness does not depend on this — every set is cleared when handed
-// out — the era reset enforces the pool-wide contract that no
-// ordinal-keyed state survives a recompaction, so future cross-query
-// caches keyed by ordinals inherit a safe boundary.
+// Scratch is era-aware: on the view path its visited-set pool and the path
+// search's distance stamps are keyed by the view's node ordinals, which the
+// store keeps stable across delta refreshes within one era
+// (store.SnapshotView.Era). Rebinding to a refreshed view of the same era
+// therefore reuses the warm bitsets and stamps — no reallocation, capacity
+// only grows. Rebinding across an era bump (a full recompaction reassigned
+// every ordinal) additionally hard-resets the whole pool, including sets the
+// next query never re-binds, and clears the stamps. Per-query correctness
+// does not depend on this — every set is cleared when handed out, every
+// search starts a new stamp generation — the era reset enforces the
+// pool-wide contract that no ordinal-keyed state survives a recompaction,
+// so future cross-query caches keyed by ordinals inherit a safe boundary.
 type Scratch struct {
-	v    *store.SnapshotView // non-nil while bound to a frozen view
-	era  uint64              // era of the last bound view (0 = none yet)
-	sets []*seenSet          // visited-set pool, recycled across queries
-	used int                 // sets handed out since the last begin
-	env  []ids.ID            // primary traversal buffer (friend environments, BFS layers)
-	aux  []ids.ID            // secondary buffer (subtree queues, forum lists)
+	v     *store.SnapshotView // non-nil while bound to a frozen view
+	era   uint64              // era of the last bound view (0 = none yet)
+	sets  []*seenSet          // visited-set pool, recycled across queries
+	used  int                 // sets handed out since the last begin
+	env   []ids.ID            // primary traversal buffer (friend environments, BFS layers)
+	aux   []ids.ID            // secondary buffer (subtree queues, forum lists)
+	paths pathBFS             // Q13/Q14's search state
 }
 
 // NewScratch returns an empty scratch; buffers grow on first use.
@@ -93,6 +96,7 @@ func (sc *Scratch) begin(r store.Reader) {
 		for _, s := range sc.sets {
 			s.invalidate()
 		}
+		sc.paths.invalidate()
 		sc.era = v.Era()
 	}
 	sc.v = v

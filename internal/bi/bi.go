@@ -23,6 +23,11 @@
 // partials. Results are identical on all three paths by construction —
 // every kernel is a pure function of the reader and every ordering
 // tie-breaks on a unique key — and the equivalence property tests pin it.
+//
+// Partials and finalizes keep their keyed state in workload.KeyTable, the
+// query layers' one hashed table, and no Go map: a row pays a multiply and
+// a probe, and a merge walks the tables' first-seen key order, so no
+// finalize depends on a randomised iteration order.
 package bi
 
 import (
@@ -48,9 +53,9 @@ var messageKinds = [2]ids.Kind{ids.KindPost, ids.KindComment}
 // through the cached pointer, with no lookup at all for the row. Each
 // partial aggregate owns one — never share a bucketer across workers.
 type monthBucketer struct {
-	lo, hi int64              // cached month's [lo, hi) span
-	cur    *bi1Month          // cached month's counters; nil means empty
-	months keyTable[bi1Month] // keyed by monthKey
+	lo, hi int64                       // cached month's [lo, hi) span
+	cur    *bi1Month                   // cached month's counters; nil means empty
+	months workload.KeyTable[bi1Month] // keyed by monthKey
 }
 
 func (mb *monthBucketer) counters(millis int64) *bi1Month {
@@ -59,7 +64,7 @@ func (mb *monthBucketer) counters(millis int64) *bi1Month {
 		y, m := t.Year(), t.Month()
 		mb.lo = time.Date(y, m, 1, 0, 0, 0, 0, time.UTC).UnixMilli()
 		mb.hi = time.Date(y, m+1, 1, 0, 0, 0, 0, time.UTC).UnixMilli()
-		mb.cur = mb.months.at(monthKey(y, m))
+		mb.cur, _ = mb.months.At(monthKey(y, m))
 	}
 	return mb.cur
 }
@@ -123,9 +128,9 @@ func bi1Add[R store.Reader](r R, p *bi1Partial, id ids.ID) {
 func bi1Finalize(parts []bi1Partial) []BI1Row {
 	merged := &parts[0].mb.months
 	for _, part := range parts[1:] {
-		for i, k := range part.mb.months.keys {
-			dst := merged.at(k)
-			for c, groups := range part.mb.months.vals[i] {
+		for i, k := range part.mb.months.Keys() {
+			dst, _ := merged.At(k)
+			for c, groups := range part.mb.months.Vals()[i] {
 				for lc, g := range groups {
 					dst[c][lc].count += g.count
 					dst[c][lc].lenSum += g.lenSum
@@ -134,9 +139,9 @@ func bi1Finalize(parts []bi1Partial) []BI1Row {
 		}
 	}
 	var out []BI1Row
-	for i, k := range merged.keys {
+	for i, k := range merged.Keys() {
 		year, month := keyMonth(k)
-		for c, groups := range merged.vals[i] {
+		for c, groups := range merged.Vals()[i] {
 			for lc, g := range groups {
 				if g.count == 0 {
 					continue
@@ -189,66 +194,47 @@ type BI2Row struct {
 }
 
 type bi2Partial struct {
-	a, b map[ids.ID]int
-}
-
-func (p *bi2Partial) init() {
-	p.a = make(map[ids.ID]int)
-	p.b = make(map[ids.ID]int)
+	counts workload.KeyTable[[2]int] // tag ID -> messages in window A, B
 }
 
 // bi2Add is the BI2 kernel: one scan classifies a message into window A or
-// B (or neither) and counts its tags there.
+// B (or neither) and counts its tags there. A tag's two window counts share
+// one entry, so the tag union of the two windows is the table's key list.
 //
 //snb:deterministic
 func bi2Add[R store.Reader](r R, p *bi2Partial, id ids.ID, windowStart, windowLen int64) {
 	created := r.Prop(id, store.PropCreationDate).Int()
-	var counts map[ids.ID]int
+	var w int
 	switch {
 	case created >= windowStart && created < windowStart+windowLen:
-		counts = p.a
+		w = 0
 	case created >= windowStart+windowLen && created < windowStart+2*windowLen:
-		counts = p.b
+		w = 1
 	default:
 		return
 	}
 	for _, te := range r.Out(id, store.EdgeHasTag) {
-		counts[te.To]++
+		c, _ := p.counts.At(uint64(te.To))
+		c[w]++
 	}
 }
 
 //snb:deterministic
 func bi2Finalize[R store.Reader](r R, parts []bi2Partial, limit int) []BI2Row {
-	a, b := parts[0].a, parts[0].b
+	merged := &parts[0].counts
 	for _, part := range parts[1:] {
-		//snb:mapiter-ok commutative merge of disjoint-scan partials
-		for t, c := range part.a {
-			a[t] += c
-		}
-		//snb:mapiter-ok commutative merge of disjoint-scan partials
-		for t, c := range part.b {
-			b[t] += c
+		for i, t := range part.counts.Keys() {
+			c, _ := merged.At(t)
+			c[0] += part.counts.Vals()[i][0]
+			c[1] += part.counts.Vals()[i][1]
 		}
 	}
-	tags := map[ids.ID]bool{}
-	//snb:mapiter-ok building a set: insertion order is irrelevant
-	for t := range a {
-		tags[t] = true
-	}
-	//snb:mapiter-ok building a set: insertion order is irrelevant
-	for t := range b {
-		tags[t] = true
-	}
-	out := make([]BI2Row, 0, len(tags))
-	//snb:mapiter-ok collect-then-sort: order is discarded below
-	for t := range tags {
-		diff := a[t] - b[t]
-		if diff < 0 {
-			diff = -diff
-		}
+	out := make([]BI2Row, 0, len(merged.Keys()))
+	for i, k := range merged.Keys() {
+		t, c := ids.ID(k), merged.Vals()[i]
 		out = append(out, BI2Row{
 			Tag: t, Name: r.Prop(t, store.PropName).Str(),
-			CountA: a[t], CountB: b[t], Difference: diff,
+			CountA: c[0], CountB: c[1], Difference: max(c[0]-c[1], c[1]-c[0]),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -271,7 +257,6 @@ func bi2Finalize[R store.Reader](r R, parts []bi2Partial, limit int) []BI2Row {
 // message scan feeds both windows.
 func BI2[R store.Reader](r R, windowStart, windowLen int64, limit int) []BI2Row {
 	var part bi2Partial
-	part.init()
 	for _, kind := range messageKinds {
 		for _, m := range r.NodesOfKind(kind) {
 			bi2Add(r, &part, m, windowStart, windowLen)
@@ -289,13 +274,25 @@ type BI3Row struct {
 	Count   int
 }
 
+// bi3Partial counts messages per (country, tag) in one flat table keyed by
+// country<<32 | tag position, where the position numbers the partial's
+// distinct tags in first-seen order.
 type bi3Partial struct {
-	byCountry keyTable[keyTable[int]] // country -> tag ID -> messages
+	tags   workload.KeyTable[uint32] // tag ID -> its position
+	counts workload.KeyTable[int]    // country<<32 | tag position -> messages
+}
+
+// tagPos returns the tag's position, numbering it on first sight.
+func (p *bi3Partial) tagPos(tag uint64) uint64 {
+	pos, added := p.tags.At(tag)
+	if added {
+		*pos = uint32(len(p.tags.Keys()) - 1)
+	}
+	return uint64(*pos)
 }
 
 // bi3Add is the BI3 kernel: count one message's tags under its country
-// dimension. The country's tag counter is resolved once per message; each
-// tag then bumps its ID's count.
+// dimension.
 //
 //snb:deterministic
 func bi3Add[R store.Reader](r R, p *bi3Partial, id ids.ID) {
@@ -303,36 +300,41 @@ func bi3Add[R store.Reader](r R, p *bi3Partial, id ids.ID) {
 	if len(tags) == 0 {
 		return
 	}
-	counts := p.byCountry.at(uint64(r.Prop(id, store.PropCountry).Int()))
+	country := uint64(uint32(r.Prop(id, store.PropCountry).Int())) << 32
 	for _, te := range tags {
-		*counts.at(uint64(te.To))++
+		n, _ := p.counts.At(country | p.tagPos(uint64(te.To)))
+		*n++
 	}
 }
 
+// bi3Finalize merges the partials into the first, mapping each other
+// partial's tag positions to tag IDs and those to the first's positions,
+// then takes each country's top tag.
+//
 //snb:deterministic
 func bi3Finalize(parts []bi3Partial) []BI3Row {
-	merged := &parts[0].byCountry
+	merged := &parts[0]
 	for _, part := range parts[1:] {
-		for i, country := range part.byCountry.keys {
-			dst, src := merged.at(country), &part.byCountry.vals[i]
-			for j, tag := range src.keys {
-				*dst.at(tag) += src.vals[j]
-			}
+		for i, k := range part.counts.Keys() {
+			tag := part.tags.Keys()[uint32(k)]
+			n, _ := merged.counts.At(k&^(1<<32-1) | merged.tagPos(tag))
+			*n += part.counts.Vals()[i]
 		}
 	}
-	out := make([]BI3Row, 0, len(merged.keys))
-	for i, country := range merged.keys {
-		best := BI3Row{Country: int(int64(country))}
-		counts := &merged.vals[i]
-		for j, tag := range counts.keys {
-			// Argmax with a total tie-break (count, then tag): the winner
-			// does not depend on first-seen order.
-			if c := counts.vals[j]; c > best.Count || (c == best.Count && ids.ID(tag) < best.Tag) {
-				best.Tag, best.Count = ids.ID(tag), c
-			}
+	var best workload.KeyTable[BI3Row] // country -> its top tag
+	for i, k := range merged.counts.Keys() {
+		tag, c := ids.ID(merged.tags.Keys()[uint32(k)]), merged.counts.Vals()[i]
+		row, added := best.At(k >> 32)
+		if added {
+			row.Country = int(int32(k >> 32))
 		}
-		out = append(out, best)
+		// Argmax with a total tie-break (count, then tag): the winner does
+		// not depend on first-seen order.
+		if c > row.Count || (c == row.Count && tag < row.Tag) {
+			row.Tag, row.Count = tag, c
+		}
 	}
+	out := best.Vals()
 	sort.Slice(out, func(i, j int) bool { return out[i].Country < out[j].Country })
 	return out
 }
@@ -365,7 +367,7 @@ type bi4Agg struct {
 }
 
 type bi4Partial struct {
-	byCreator keyTable[bi4Agg] // creator ID -> aggregate
+	byCreator workload.KeyTable[bi4Agg] // creator ID -> aggregate
 }
 
 // bi4Add is the BI4 kernel: credit one message (and the likes/replies it
@@ -377,7 +379,7 @@ func bi4Add[R store.Reader](r R, p *bi4Partial, id ids.ID) {
 	if len(creators) == 0 {
 		return
 	}
-	agg := p.byCreator.at(uint64(creators[0].To))
+	agg, _ := p.byCreator.At(uint64(creators[0].To))
 	agg.messages++
 	agg.likes += r.InDegree(id, store.EdgeLikes)
 	agg.replies += r.InDegree(id, store.EdgeReplyOf)
@@ -387,16 +389,17 @@ func bi4Add[R store.Reader](r R, p *bi4Partial, id ids.ID) {
 func bi4Finalize(parts []bi4Partial, limit int) []BI4Row {
 	merged := &parts[0].byCreator
 	for _, part := range parts[1:] {
-		for i, person := range part.byCreator.keys {
-			a, agg := part.byCreator.vals[i], merged.at(person)
+		for i, person := range part.byCreator.Keys() {
+			a := part.byCreator.Vals()[i]
+			agg, _ := merged.At(person)
 			agg.messages += a.messages
 			agg.likes += a.likes
 			agg.replies += a.replies
 		}
 	}
-	out := make([]BI4Row, 0, len(merged.keys))
-	for i, person := range merged.keys {
-		a := merged.vals[i]
+	out := make([]BI4Row, 0, len(merged.Keys()))
+	for i, person := range merged.Keys() {
+		a := merged.Vals()[i]
 		out = append(out, BI4Row{
 			Person: ids.ID(person), Messages: a.messages, Likes: a.likes, Replies: a.replies,
 			Score: a.messages + 2*a.likes + 2*a.replies,
@@ -437,7 +440,7 @@ type BI5Row struct {
 }
 
 type bi5Partial struct {
-	tags keyTable[int] // tag ID -> messages carrying it
+	tags workload.KeyTable[int] // tag ID -> messages carrying it
 }
 
 // bi5Add is the BI5 kernel: count one message under each of its tags. The
@@ -446,7 +449,8 @@ type bi5Partial struct {
 //snb:deterministic
 func bi5Add[R store.Reader](r R, p *bi5Partial, id ids.ID) {
 	for _, te := range r.Out(id, store.EdgeHasTag) {
-		*p.tags.at(uint64(te.To))++
+		n, _ := p.tags.At(uint64(te.To))
+		*n++
 	}
 }
 
@@ -459,22 +463,27 @@ func bi5Add[R store.Reader](r R, p *bi5Partial, id ids.ID) {
 func bi5Finalize[R store.Reader](r R, parts []bi5Partial) []BI5Row {
 	tags := &parts[0].tags
 	for _, part := range parts[1:] {
-		for i, tag := range part.tags.keys {
-			*tags.at(tag) += part.tags.vals[i]
+		for i, tag := range part.tags.Keys() {
+			n, _ := tags.At(tag)
+			*n += part.tags.Vals()[i]
 		}
 	}
-	direct := map[ids.ID]int{}
-	for i, tag := range tags.keys {
+	var direct, total workload.KeyTable[int] // class ID -> messages
+	for i, tag := range tags.Keys() {
 		if types := r.Out(ids.ID(tag), store.EdgeHasType); len(types) > 0 {
-			direct[types[0].To] += tags.vals[i]
+			n, _ := direct.At(uint64(types[0].To))
+			*n += tags.Vals()[i]
 		}
 	}
-	total := map[ids.ID]int{}
 	for _, cls := range r.NodesOfKind(ids.KindTagClass) {
-		c := direct[cls]
-		cur := cls
+		n := direct.Find(uint64(cls))
+		if n == nil {
+			continue // no message to roll up
+		}
+		c, cur := *n, cls
 		for depth := 0; depth < 32; depth++ {
-			total[cur] += c
+			n, _ := total.At(uint64(cur))
+			*n += c
 			parents := r.Out(cur, store.EdgeIsSubclassOf)
 			if len(parents) == 0 {
 				break
@@ -482,13 +491,10 @@ func bi5Finalize[R store.Reader](r R, parts []bi5Partial) []BI5Row {
 			cur = parents[0].To
 		}
 	}
-	out := make([]BI5Row, 0, len(total))
-	//snb:mapiter-ok collect-then-sort: order is discarded below
-	for cls, c := range total {
-		if c == 0 {
-			continue
-		}
-		out = append(out, BI5Row{Class: cls, Name: r.Prop(cls, store.PropName).Str(), Messages: c})
+	out := make([]BI5Row, 0, len(total.Keys()))
+	for i, k := range total.Keys() {
+		cls := ids.ID(k)
+		out = append(out, BI5Row{Class: cls, Name: r.Prop(cls, store.PropName).Str(), Messages: total.Vals()[i]})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Messages != out[j].Messages {
@@ -644,64 +650,73 @@ type BI8Row struct {
 }
 
 type bi8Partial struct {
-	memo map[ids.ID]int
-	hist map[int]int
-	path []ids.ID
-}
-
-func (p *bi8Partial) init() {
-	p.memo = make(map[ids.ID]int)
-	p.hist = make(map[int]int)
+	memo workload.KeyTable[int] // replied-to comment ID -> reply depth
+	hist []int                  // comments per depth
 }
 
 // bi8Depth resolves one comment's reply depth by climbing the replyOf
-// chain until a post, a memoised ancestor or a dangling parent, then
-// memoising the climbed path. Depth is a pure function of the graph, so
-// independent memo maps (one per worker) resolve identical values.
+// chain until a post, a memoised ancestor or a dangling parent (a root,
+// like a post). Only the climbed ancestors are memoised — comments some
+// reply climbs through — so the leaves of the reply trees never enter the
+// memo. An ancestor enters it at depth 0 when the climb first reaches it; a
+// dangling one keeps that depth, the others, added side by side in climb
+// order at the end of the memo, get theirs once the climb resolves. Depth
+// is a pure function of the graph, so independent memos (one per worker)
+// resolve identical values.
 func bi8Depth[R store.Reader](r R, p *bi8Partial, c ids.ID) int {
-	path := p.path[:0]
-	cur, base := c, 0
-	for {
-		if cur.Kind() == ids.KindPost {
-			break
-		}
-		if d, ok := p.memo[cur]; ok {
-			base = d
+	if d := p.memo.Find(uint64(c)); d != nil {
+		return *d
+	}
+	parents := r.Out(c, store.EdgeReplyOf)
+	if len(parents) == 0 {
+		return 0
+	}
+	first := len(p.memo.Keys())
+	cur, n, base := parents[0].To, 0, 0
+	for cur.Kind() != ids.KindPost {
+		d, added := p.memo.At(uint64(cur))
+		if !added {
+			base = *d
 			break
 		}
 		parents := r.Out(cur, store.EdgeReplyOf)
 		if len(parents) == 0 {
-			break // dangling reply target: counts as a root, like a post
+			break
 		}
-		path = append(path, cur)
+		n++
 		cur = parents[0].To
 	}
-	d := base
-	for i := len(path) - 1; i >= 0; i-- {
-		d++
-		p.memo[path[i]] = d
+	for i, depths := 0, p.memo.Vals()[first:first+n]; i < n; i++ {
+		depths[i] = base + n - i
 	}
-	p.path = path[:0]
-	return d
+	return base + n + 1
 }
 
 // bi8Add is the BI8 kernel: histogram one comment's depth.
 func bi8Add[R store.Reader](r R, p *bi8Partial, c ids.ID) {
-	p.hist[bi8Depth(r, p, c)]++
+	d := bi8Depth(r, p, c)
+	if d >= len(p.hist) {
+		p.hist = append(p.hist, make([]int, d+1-len(p.hist))...)
+	}
+	p.hist[d]++
 }
 
 func bi8Finalize(parts []bi8Partial) []BI8Row {
 	hist := parts[0].hist
 	for _, part := range parts[1:] {
+		if n := len(part.hist) - len(hist); n > 0 {
+			hist = append(hist, make([]int, n)...)
+		}
 		for d, n := range part.hist {
 			hist[d] += n
 		}
 	}
 	out := make([]BI8Row, 0, len(hist))
 	for d, n := range hist {
-		out = append(out, BI8Row{Depth: d, Comments: n})
+		if n > 0 {
+			out = append(out, BI8Row{Depth: d, Comments: n})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Depth < out[j].Depth })
 	return out
 }
 
@@ -710,7 +725,6 @@ func bi8Finalize(parts []bi8Partial) []BI8Row {
 // to posts" is a §3 choke point).
 func BI8[R store.Reader](r R) []BI8Row {
 	var part bi8Partial
-	part.init()
 	for _, c := range r.NodesOfKind(ids.KindComment) {
 		bi8Add(r, &part, c)
 	}

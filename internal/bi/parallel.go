@@ -70,9 +70,6 @@ func BI1Par(v *store.SnapshotView, par exec.Config) []BI1Row {
 // BI2Par is BI2 on the morsel-parallel view path.
 func BI2Par(v *store.SnapshotView, par exec.Config, windowStart, windowLen int64, limit int) []BI2Row {
 	parts := make([]bi2Partial, par.NumWorkers())
-	for i := range parts {
-		parts[i].init()
-	}
 	scanMessages(v, par, parts, func(v *store.SnapshotView, p *bi2Partial, id ids.ID) {
 		bi2Add(v, p, id, windowStart, windowLen)
 	})
@@ -144,12 +141,9 @@ func BI7Par(v *store.SnapshotView, par exec.Config, limit int) []BI7Row {
 
 // BI8Par is BI8 on the morsel-parallel view path. Workers memoise reply
 // depths independently; depth is a pure function of the frozen graph, so
-// private memo maps resolve identical values without sharing.
+// private memos resolve identical values without sharing.
 func BI8Par(v *store.SnapshotView, par exec.Config) []BI8Row {
 	parts := make([]bi8Partial, par.NumWorkers())
-	for i := range parts {
-		parts[i].init()
-	}
 	par.Scan(v.NumOfKind(ids.KindComment), func(worker, lo, hi int) {
 		part := &parts[worker]
 		for _, c := range v.KindRange(ids.KindComment, lo, hi) {

@@ -12,10 +12,9 @@ import (
 // tests; this pass makes the property auditable at every call site).
 // Inside a marked function the pass forbids:
 //
-//   - ranging over a map — iteration order is randomised per run. A loop
-//     whose effect is order-insensitive (a commutative merge into
-//     another map, a collect-then-sort) is suppressed with
-//     `//snb:mapiter-ok <reason>` on or above the range line.
+//   - ranging over a map — iteration order is randomised per run. There is
+//     no suppression: keep the entries in first-seen order (a
+//     workload.KeyTable) or sort them.
 //   - reading the clock: time.Now, time.Since, time.Until.
 //   - drawing randomness: anything in math/rand or math/rand/v2.
 //   - branching on machine shape: runtime.GOMAXPROCS, runtime.NumCPU.
@@ -47,12 +46,10 @@ func isMapType(t types.Type) bool {
 }
 
 func runDeterministic(pass *Pass) {
-	mapOK := directiveLines(pass, "mapiter-ok")
-	eachFunc(pass, func(file *ast.File, decl *ast.FuncDecl) {
+	eachFunc(pass, func(_ *ast.File, decl *ast.FuncDecl) {
 		if _, ok := funcDirective(decl, "deterministic"); !ok {
 			return
 		}
-		ok := mapOK[file]
 		ast.Inspect(decl.Body, func(n ast.Node) bool {
 			switch st := n.(type) {
 			case *ast.RangeStmt:
@@ -60,10 +57,7 @@ func runDeterministic(pass *Pass) {
 				if !found || !isMapType(tv.Type) {
 					return true
 				}
-				if ok[pass.Fset.Position(st.Range).Line] {
-					return true
-				}
-				pass.Reportf(st.Range, "map iteration in //snb:deterministic function %s; order is randomised per run — sort the keys, or annotate //snb:mapiter-ok with why order cannot matter", decl.Name.Name)
+				pass.Reportf(st.Range, "map iteration in //snb:deterministic function %s; order is randomised per run — keep the entries in first-seen order or sort them", decl.Name.Name)
 			case *ast.CallExpr:
 				fn := calleeFunc(pass.Info, st)
 				if fn == nil || fn.Pkg() == nil {

@@ -196,3 +196,4 @@ func TestLockGuard(t *testing.T)     { runFixture(t, LockGuard, "lockguard", "a"
 func TestPubFreeze(t *testing.T)     { runFixture(t, PubFreeze, "pubfreeze", "a") }
 func TestDeterministic(t *testing.T) { runFixture(t, Deterministic, "deterministic", "a") }
 func TestSyncErr(t *testing.T)       { runFixture(t, SyncErr, "syncerr", "store", "server") }
+func TestNoMap(t *testing.T)         { runFixture(t, NoMap, "nomap", "workload", "query", "store") }

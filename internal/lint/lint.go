@@ -23,13 +23,16 @@
 //     immutable; later writes through it (or passing it to a mutating
 //     callee) in the same function are flagged.
 //   - deterministic: functions marked `//snb:deterministic` must not
-//     iterate maps (unless `//snb:mapiter-ok`), read the clock, draw
-//     random numbers, or branch on GOMAXPROCS/NumCPU.
+//     iterate maps, read the clock, draw random numbers, or branch on
+//     GOMAXPROCS/NumCPU.
 //   - syncerr: in the store's persistence code and the serving layer
 //     (server, client), errors from Sync/Close/Write/Rename and the
 //     net.Conn deadline setters must not be discarded (a dropped fsync
 //     error voids the durability guarantee; a dropped SetDeadline
 //     leaves a connection unguarded) unless `//snb:errok`.
+//   - nomap: the query layers (packages workload and bi, and query's
+//     exec.go) must not construct Go maps in non-test files; their keyed
+//     scratch state lives in workload.KeyTable.
 //   - noalloc: functions marked `//snb:noalloc` are gated against new
 //     heap allocations by cmd/allocbound, which parses the compiler's
 //     -m escape-analysis output (noalloc.go holds the marker scanner).
@@ -97,6 +100,7 @@ var All = []*Analyzer{
 	PubFreeze,
 	Deterministic,
 	SyncErr,
+	NoMap,
 }
 
 // Run executes the given analyzers over pkgs and returns every finding,

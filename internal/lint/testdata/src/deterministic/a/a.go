@@ -3,7 +3,6 @@ package a
 import (
 	"math/rand"
 	"runtime"
-	"sort"
 	"time"
 )
 
@@ -19,20 +18,6 @@ func bad(counts map[string]int) (total int) {
 		total++
 	}
 	return total
-}
-
-// good sorts the keys before iterating in order, and suppresses the
-// collect loop whose order is discarded.
-//
-//snb:deterministic
-func good(counts map[string]int) []string {
-	keys := make([]string, 0, len(counts))
-	//snb:mapiter-ok collect-then-sort: order is discarded below
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // unmarked functions may do anything.

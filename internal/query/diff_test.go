@@ -504,6 +504,11 @@ var diffCorpus = []string{
 	`match ?t : Tag, ?m -hasTag-> ?t return ?t, count(?m) order by count(?m) desc, ?t asc limit 5`,
 	`match ?a -knows-> ?b @ ?d where ?d >= 0, ?a != ?b return count(*)`,
 	`match ?t -hasType-> ?k, ?m -hasTag-> ?t, ?m -hasCreator-> ?p return ?p, count(?m), count(*) order by count(*) desc, ?p asc limit 10`,
+	// Group keys and dedup: a two-column key (a string property and a node
+	// ID) under count and sum, and (node, stamp) pairs, which the random
+	// graphs' parallel knows edges repeat per node with different stamps.
+	`match ?m -hasCreator-> ?p, ?p -isLocatedIn-> ?place return ?p.lastName, ?place, count(?m), sum(?m.length)`,
+	`match ?a : Person, ?a -knows-> ?b @ ?d return ?a, ?b, ?d`,
 }
 
 // checkAgainstRef compiles text (with and without cardinality hints — both

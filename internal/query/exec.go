@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -55,16 +56,15 @@ func (res *Result) String() string {
 // Scratch is the reusable per-goroutine execution state of the query
 // layer, composed over workload.Scratch (same ownership and aliasing
 // rules: one goroutine, sequential reuse across views is the intended
-// pattern). Per-operator deduplication state is epoch-stamped, so resets
-// between prefixes and runs are O(1) and the hot structures stay warm
-// across queries; buffers only grow.
+// pattern). Per-operator deduplication state and aggregation groups live
+// in workload.KeyTables, whose resets are O(1), so the hot structures stay
+// warm across prefixes and queries; buffers only grow.
 type Scratch struct {
 	W *workload.Scratch
 
-	epoch  uint64 // monotonic prefix-epoch counter; never resets
 	states []opState
-	spare  []store.Value // projection buffer, cloned only when a row is kept
-	keyBuf []byte        // group-key encoding buffer
+	spare  []store.Value            // projection buffer, cloned only when a row is kept
+	groups workload.KeyTable[int32] // aggregation: group-key hash -> newest group
 
 	row   []int64       // variable bindings, one slot per variable
 	pv    []store.Value // parameter values by parameter index
@@ -81,37 +81,20 @@ func NewScratch() *Scratch { return WrapScratch(workload.NewScratch()) }
 // (e.g. a server connection's), sharing its era discipline.
 func WrapScratch(w *workload.Scratch) *Scratch { return &Scratch{W: w} }
 
-// opState is the pooled state of one plan position: dedup set, BFS queue
-// and the check-edge stamp buffer. Ops form a linear pipeline, so a
-// position can never re-enter itself recursively and one state per
-// position is safe.
+// opState is the pooled state of one plan position: the dedup set of the
+// values it emits per input prefix, BFS queue and the check-edge stamp
+// buffer. Ops form a linear pipeline, so a position can never re-enter
+// itself recursively and one state per position is safe.
+//
+// The dedup set keys on node IDs (not view ordinals), so it is identical
+// on both read paths and era-agnostic. It keeps the first stamp a node was
+// emitted with; further stamps of the same node, from parallel edges,
+// spill into over.
 type opState struct {
-	dedup  dedupSet
+	seen   workload.KeyTable[int64] // node ID -> first emitted stamp
+	over   []overEntry
 	queue  []ids.ID
 	stamps []int64
-}
-
-// dedupSet deduplicates the values an operator emits per input prefix: an
-// open-addressed hash table keyed by node ID with epoch-stamped slots.
-// beginPrefix bumps the scratch-global epoch and stale slots simply never
-// match, so there is no per-prefix clearing cost and no state survives
-// across eras, views or runs. Keying on IDs (not view ordinals) makes the
-// set identical on both read paths and era-agnostic, and a multiply-shift
-// probe is several times cheaper than a map access on the hot expand path.
-type dedupSet struct {
-	slots []dedupSlot
-	shift uint
-	n     int // slots claimed in the current epoch (growth trigger)
-	epoch uint64
-
-	over      []overEntry // extra stamps for parallel edges to one node
-	overEpoch uint64
-}
-
-type dedupSlot struct {
-	key   uint64
-	epoch uint64
-	stamp int64
 }
 
 type overEntry struct {
@@ -119,93 +102,30 @@ type overEntry struct {
 	stamp int64
 }
 
-const (
-	dedupMinSlots = 256
-	dedupHashMul  = 0x9e3779b97f4a7c15
-)
-
-func (d *dedupSet) beginPrefix(sc *Scratch) {
-	sc.epoch++
-	d.epoch = sc.epoch
-	d.n = 0
-	if d.slots == nil {
-		d.slots = make([]dedupSlot, dedupMinSlots)
-		d.shift = 64 - 8
-	}
-}
-
-// find probes for key: the slot holding it in the current epoch (claimed
-// true), or the first stale slot of its chain (claimed false).
-func (d *dedupSet) find(key uint64) (int, bool) {
-	i := int((key * dedupHashMul) >> d.shift)
-	mask := len(d.slots) - 1
-	for {
-		s := &d.slots[i]
-		if s.epoch != d.epoch {
-			return i, false
-		}
-		if s.key == key {
-			return i, true
-		}
-		i = (i + 1) & mask
-	}
-}
-
-func (d *dedupSet) claim(i int, key uint64, stamp int64) {
-	d.slots[i] = dedupSlot{key: key, epoch: d.epoch, stamp: stamp}
-	d.n++
-	if d.n*2 >= len(d.slots) {
-		d.grow()
-	}
-}
-
-// grow doubles the table and re-seats the current epoch's entries; stale
-// slots are dropped (they were already unreachable).
-func (d *dedupSet) grow() {
-	old := d.slots
-	d.slots = make([]dedupSlot, 2*len(old))
-	d.shift--
-	for i := range old {
-		if old[i].epoch != d.epoch {
-			continue
-		}
-		j, _ := d.find(old[i].key)
-		d.slots[j] = old[i]
-	}
+// beginPrefix empties the dedup set for the next input prefix.
+func (st *opState) beginPrefix() {
+	st.seen.Reset()
+	st.over = st.over[:0]
 }
 
 // tryMark reports whether id is new in the current prefix.
-func (d *dedupSet) tryMark(id ids.ID) bool {
-	i, found := d.find(uint64(id))
-	if found {
-		return false
-	}
-	d.claim(i, uint64(id), 0)
-	return true
+func (st *opState) tryMark(id ids.ID) bool {
+	_, added := st.seen.At(uint64(id))
+	return added
 }
 
 // tryMarkStamp reports whether (id, stamp) is new in the current prefix.
-// The first stamp per id is stored inline; parallel edges spill into a
-// small per-prefix overflow list.
-func (d *dedupSet) tryMarkStamp(id ids.ID, stamp int64) bool {
-	i, found := d.find(uint64(id))
-	if !found {
-		d.claim(i, uint64(id), stamp)
+func (st *opState) tryMarkStamp(id ids.ID, stamp int64) bool {
+	first, added := st.seen.At(uint64(id))
+	if added {
+		*first = stamp
 		return true
 	}
-	if d.slots[i].stamp == stamp {
+	e := overEntry{id: id, stamp: stamp}
+	if *first == stamp || slices.Contains(st.over, e) {
 		return false
 	}
-	if d.overEpoch != d.epoch {
-		d.over = d.over[:0]
-		d.overEpoch = d.epoch
-	}
-	for _, e := range d.over {
-		if e.id == id && e.stamp == stamp {
-			return false
-		}
-	}
-	d.over = append(d.over, overEntry{id: id, stamp: stamp})
+	st.over = append(st.over, e)
 	return true
 }
 
@@ -463,7 +383,7 @@ func (ec *execCtx[R]) execScan(i int, op planOp) error {
 func (ec *execCtx[R]) execExpand(i int, op planOp) error {
 	a := &ec.q.Atoms[op.atom]
 	st := &ec.sc.states[i]
-	st.dedup.beginPrefix(ec.sc)
+	st.beginPrefix()
 	var from int64
 	var toVar int
 	if op.out {
@@ -479,11 +399,11 @@ func (ec *execCtx[R]) execExpand(i int, op planOp) error {
 	}
 	for _, e := range edges {
 		if a.Stamp >= 0 {
-			if !st.dedup.tryMarkStamp(e.To, e.Stamp) {
+			if !st.tryMarkStamp(e.To, e.Stamp) {
 				continue
 			}
 			ec.row[a.Stamp] = e.Stamp
-		} else if !st.dedup.tryMark(e.To) {
+		} else if !st.tryMark(e.To) {
 			continue
 		}
 		ec.row[toVar] = int64(uint64(e.To))
@@ -504,7 +424,7 @@ func (ec *execCtx[R]) execExpand(i int, op planOp) error {
 func (ec *execCtx[R]) execFused(i int, op planOp) error {
 	a := &ec.q.Atoms[op.atom]
 	st := &ec.sc.states[i]
-	st.dedup.beginPrefix(ec.sc)
+	st.beginPrefix()
 	var from int64
 	var toVar int
 	if op.out {
@@ -544,10 +464,10 @@ outer:
 			continue
 		}
 		if a.Stamp >= 0 {
-			if !st.dedup.tryMarkStamp(e.To, e.Stamp) {
+			if !st.tryMarkStamp(e.To, e.Stamp) {
 				continue
 			}
-		} else if !st.dedup.tryMark(e.To) {
+		} else if !st.tryMark(e.To) {
 			continue
 		}
 		ec.snk.addInt(row)
@@ -601,7 +521,7 @@ func (ec *execCtx[R]) execCheckEdge(i int, op planOp) error {
 func (ec *execCtx[R]) execBFS(i int, op planOp) error {
 	a := &ec.q.Atoms[op.atom]
 	st := &ec.sc.states[i]
-	st.dedup.beginPrefix(ec.sc)
+	st.beginPrefix()
 
 	var from, target int64
 	var toVar int
@@ -623,7 +543,7 @@ func (ec *execCtx[R]) execBFS(i int, op planOp) error {
 
 	queue := st.queue[:0]
 	start := ids.ID(uint64(from))
-	if st.dedup.tryMark(start) {
+	if st.tryMark(start) {
 		queue = append(queue, start)
 	}
 	lo, depth := 0, 0
@@ -641,7 +561,7 @@ loop:
 				edges = ec.r.In(n, a.Edge)
 			}
 			for _, e := range edges {
-				if !st.dedup.tryMark(e.To) {
+				if !st.tryMark(e.To) {
 					continue
 				}
 				queue = append(queue, e.To)
@@ -801,8 +721,8 @@ type sink struct {
 	limit  int
 	cols   []string // result column names (shared with the plan)
 	rows   [][]store.Value
-	groups map[string]*aggGroup
-	kb     []byte // group-key encoding buffer
+	groups *workload.KeyTable[int32] // group-key hash -> its newest group
+	glist  []aggGroup                // groups in first-seen order
 
 	// Int fast path (Plan.intSink): result rows are nc int64 columns in
 	// iback; iheap orders arena slots, worst at the root.
@@ -818,9 +738,13 @@ type sink struct {
 	keys []sortKey
 }
 
+// aggGroup is one aggregation group: the projected row that opened it
+// (its non-aggregate columns are the group key) and one accumulator per
+// column. Groups whose key hashes collide are chained through next.
 type aggGroup struct {
 	keys []store.Value
 	accs []int64
+	next int32 // index in glist of an older group with the same hash, or -1
 }
 
 func (s *sink) init(p *Plan, sc *Scratch) {
@@ -829,12 +753,12 @@ func (s *sink) init(p *Plan, sc *Scratch) {
 	s.agg = q.HasAggregates()
 	s.limit = q.Limit
 	s.rows = nil
-	s.groups = nil
 	s.intMode = false
 	s.cols = p.cols
 	s.keys = p.keys
 	if s.agg {
-		s.groups = make(map[string]*aggGroup)
+		sc.groups.Reset()
+		s.groups, s.glist = &sc.groups, nil
 		return
 	}
 	if p.intSink {
@@ -1002,21 +926,31 @@ func (s *sink) pushTopK(q *Query, row []store.Value) {
 	}
 }
 
+// addGroup folds one projected row into its group. Groups are found by a
+// hash of the group key and verified against the group's stored key, so
+// two keys with one hash open two groups.
 func (s *sink) addGroup(q *Query, row []store.Value) error {
-	// Encode the group key: the plain (non-aggregate) return columns.
-	// Symbols are stable within a process, so equal strings encode equal.
-	buf := s.keyEnc(q, row)
-	g, ok := s.groups[string(buf)]
-	if !ok {
-		if len(s.groups) >= MaxResultRows {
-			return fmt.Errorf("query: aggregation exceeds %d groups", MaxResultRows)
+	head, added := s.groups.At(groupHash(q, row))
+	next := int32(-1)
+	if !added {
+		for i := *head; i >= 0; i = s.glist[i].next {
+			if sameGroup(q, s.glist[i].keys, row) {
+				s.glist[i].fold(q, row)
+				return nil
+			}
 		}
-		g = &aggGroup{
-			keys: append([]store.Value(nil), row...),
-			accs: make([]int64, len(q.Returns)),
-		}
-		s.groups[string(buf)] = g
+		next = *head
 	}
+	if len(s.glist) >= MaxResultRows {
+		return fmt.Errorf("query: aggregation exceeds %d groups", MaxResultRows)
+	}
+	*head = int32(len(s.glist))
+	s.glist = append(s.glist, aggGroup{keys: slices.Clone(row), accs: make([]int64, len(row)), next: next})
+	s.glist[len(s.glist)-1].fold(q, row)
+	return nil
+}
+
+func (g *aggGroup) fold(q *Query, row []store.Value) {
 	for i := range q.Returns {
 		it := &q.Returns[i]
 		switch it.Agg {
@@ -1028,35 +962,39 @@ func (s *sink) addGroup(q *Query, row []store.Value) error {
 			g.accs[i] += row[i].Int()
 		}
 	}
-	return nil
 }
 
-func (s *sink) keyEnc(q *Query, row []store.Value) []byte {
-	buf := s.kb[:0]
+// groupHash hashes the group key: the plain (non-aggregate) return
+// columns. Symbols are stable within a process, so equal strings hash
+// equal.
+func groupHash(q *Query, row []store.Value) uint64 {
+	var h uint64
 	for i := range q.Returns {
 		if q.Returns[i].Agg != AggNone {
 			continue
 		}
 		v := row[i]
+		w := uint64(v.Int())
 		switch {
-		case v.IsInt():
-			buf = append(buf, 'i')
-			u := uint64(v.Int())
-			for b := 0; b < 8; b++ {
-				buf = append(buf, byte(u>>(8*b)))
-			}
 		case v.IsStr():
-			buf = append(buf, 's')
-			u := uint64(v.Sym())
-			for b := 0; b < 8; b++ {
-				buf = append(buf, byte(u>>(8*b)))
-			}
-		default:
-			buf = append(buf, 'n')
+			w = uint64(v.Sym()) ^ 1<<63
+		case v.IsZero():
+			w = 1<<63 - 1
+		}
+		h = (h ^ w) * 0xff51afd7ed558ccd
+		h ^= h >> 32
+	}
+	return h
+}
+
+// sameGroup reports whether two projected rows share a group key.
+func sameGroup(q *Query, a, b []store.Value) bool {
+	for i := range q.Returns {
+		if q.Returns[i].Agg == AggNone && a[i] != b[i] {
+			return false
 		}
 	}
-	s.kb = buf
-	return buf
+	return true
 }
 
 func (s *sink) finalize() *Result {
@@ -1077,17 +1015,15 @@ func (s *sink) finalize() *Result {
 		return res
 	}
 	if s.agg {
-		rows := make([][]store.Value, 0, len(s.groups))
-		for _, g := range s.groups {
-			row := make([]store.Value, len(q.Returns))
+		// A group's key row becomes its result row: the run owns it.
+		rows := make([][]store.Value, 0, len(s.glist))
+		for _, g := range s.glist {
 			for i := range q.Returns {
-				if q.Returns[i].Agg == AggNone {
-					row[i] = g.keys[i]
-				} else {
-					row[i] = store.Int64(g.accs[i])
+				if q.Returns[i].Agg != AggNone {
+					g.keys[i] = store.Int64(g.accs[i])
 				}
 			}
-			rows = append(rows, row)
+			rows = append(rows, g.keys)
 		}
 		s.rows = rows
 	}

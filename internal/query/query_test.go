@@ -310,7 +310,7 @@ func TestMissingAndMistypedParams(t *testing.T) {
 }
 
 // TestScratchReuse runs different plans, paths and eras through one
-// scratch: the epoch-stamped dedup state must never leak matches across
+// scratch: the generation-stamped dedup state must never leak matches across
 // runs, and an era bump (fresh ordinals) must not confuse the view-path
 // arrays.
 func TestScratchReuse(t *testing.T) {
@@ -479,5 +479,37 @@ func TestConcurrentViewExecution(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestAggGroupsChainOnHashCollision points a second group key at the
+// first key's group, as a 64-bit hash collision would: the sink must check
+// the stored key, open a second group chained behind the first, and fold
+// every later row into its own group.
+func TestAggGroupsChainOnHashCollision(t *testing.T) {
+	q, err := Parse(`match ?p : Person return ?p, count(*)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s sink
+	s.init(p, NewScratch())
+	a, b := []store.Value{store.Int64(1), {}}, []store.Value{store.Int64(2), {}}
+	if err := s.add(q, a); err != nil {
+		t.Fatal(err)
+	}
+	head, _ := s.groups.At(groupHash(q, b))
+	*head = 0 // b's hash now leads to a's group
+	for _, row := range [][]store.Value{b, a, b, b} {
+		if err := s.add(q, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := [][]store.Value{{store.Int64(1), store.Int64(2)}, {store.Int64(2), store.Int64(3)}}
+	if got := s.finalize().Rows; !reflect.DeepEqual(got, want) {
+		t.Fatalf("groups = %v, want %v", got, want)
 	}
 }

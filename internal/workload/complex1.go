@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"cmp"
+	"strings"
+
 	"ldbcsnb/internal/ids"
 	"ldbcsnb/internal/store"
 )
@@ -23,17 +26,10 @@ type Q1Row struct {
 // distance 3 with candidates streaming through a bounded top-20 heap;
 // university/company lookups run only for the rows that survive the limit.
 func Q1[R store.Reader](r R, sc *Scratch, start ids.ID, firstName string) []Q1Row {
-	const limit = 20
-	less := func(a, b Q1Row) bool {
-		if a.Distance != b.Distance {
-			return a.Distance < b.Distance
-		}
-		if a.LastName != b.LastName {
-			return a.LastName < b.LastName
-		}
-		return a.Person < b.Person
-	}
-	top := newTopK(limit, less)
+	top := newTopK(20, func(a, b Q1Row) int {
+		return cmp.Or(cmp.Compare(a.Distance, b.Distance),
+			strings.Compare(a.LastName, b.LastName), cmp.Compare(a.Person, b.Person))
+	})
 
 	// Layered BFS in one growing buffer: sc.env[head:layerEnd] is the
 	// frontier of the current depth, discoveries append behind it.
@@ -90,20 +86,17 @@ func Q2[R store.Reader](r R, sc *Scratch, start ids.ID, maxDate int64) []Message
 	return topMessagesOf(r, friendsOf(r, sc, start), maxDate, 20)
 }
 
-// messageRowLess is the (date desc, message asc) result order of Q2/Q9 — a
-// total order, since message IDs are unique.
-func messageRowLess(a, b MessageRow) bool {
-	if a.CreationDate != b.CreationDate {
-		return a.CreationDate > b.CreationDate
-	}
-	return a.Message < b.Message
+// compareMessageRows is the (date desc, message asc) result order of Q2/Q9
+// — a total order, since message IDs are unique.
+func compareMessageRows(a, b MessageRow) int {
+	return cmp.Or(cmp.Compare(b.CreationDate, a.CreationDate), cmp.Compare(a.Message, b.Message))
 }
 
 // topMessagesOf returns the newest messages of a person set before maxDate,
 // sorted (date desc, id asc), capped at limit by a bounded top-k heap.
 // Shared by Q2 (1-hop) and Q9 (2-hop).
 func topMessagesOf[R store.Reader](r R, persons []ids.ID, maxDate int64, limit int) []MessageRow {
-	top := newTopK(limit, messageRowLess)
+	top := newTopK(limit, compareMessageRows)
 	for _, p := range persons {
 		for _, m := range messagesOf(r, p) {
 			if m.Stamp <= maxDate {
@@ -130,12 +123,8 @@ type Q3Row struct {
 func Q3[R store.Reader](r R, sc *Scratch, start ids.ID, countryX, countryY int, startDate, durationMillis int64) []Q3Row {
 	sc.begin(r)
 	end := startDate + durationMillis
-	top := newTopK(20, func(a, b Q3Row) bool {
-		ta, tb := a.CountX+a.CountY, b.CountX+b.CountY
-		if ta != tb {
-			return ta > tb
-		}
-		return a.Person < b.Person
+	top := newTopK(20, func(a, b Q3Row) int {
+		return cmp.Or(cmp.Compare(b.CountX+b.CountY, a.CountX+a.CountY), cmp.Compare(a.Person, b.Person))
 	})
 	env, _ := friendsAndFoF(r, sc, start)
 	for _, p := range env {
@@ -177,7 +166,8 @@ type Q4Row struct {
 func Q4[R store.Reader](r R, sc *Scratch, start ids.ID, startDate, durationMillis int64) []Q4Row {
 	sc.begin(r)
 	end := startDate + durationMillis
-	counts := map[ids.ID]int{}
+	counts := &sc.tags
+	counts.Reset()
 	old := sc.newSeen()
 	for _, f := range friendsOf(r, sc, start) {
 		for _, m := range messagesOf(r, f) {
@@ -191,27 +181,23 @@ func Q4[R store.Reader](r R, sc *Scratch, start ids.ID, startDate, durationMilli
 				if m.Stamp < startDate {
 					old.tryMark(te.To)
 				} else {
-					counts[te.To]++
+					n, _ := counts.At(uint64(te.To))
+					*n++
 				}
 			}
 		}
 	}
 	// (count desc, name asc, tag asc): the tag tie-break makes the order a
 	// total one even when distinct tags share a name.
-	top := newTopK(10, func(a, b Q4Row) bool {
-		if a.Count != b.Count {
-			return a.Count > b.Count
-		}
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return a.Tag < b.Tag
+	top := newTopK(10, func(a, b Q4Row) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), strings.Compare(a.Name, b.Name), cmp.Compare(a.Tag, b.Tag))
 	})
-	for tag, n := range counts {
+	for i, k := range counts.Keys() {
+		tag := ids.ID(k)
 		if old.has(tag) {
 			continue
 		}
-		top.Push(Q4Row{Tag: tag, Name: r.Prop(tag, store.PropName).Str(), Count: n})
+		top.Push(Q4Row{Tag: tag, Name: r.Prop(tag, store.PropName).Str(), Count: counts.Vals()[i]})
 	}
 	return top.Sorted()
 }
@@ -243,11 +229,8 @@ func Q5[R store.Reader](r R, sc *Scratch, start ids.ID, minDate int64) []Q5Row {
 			}
 		}
 	}
-	top := newTopK(20, func(a, b Q5Row) bool {
-		if a.Count != b.Count {
-			return a.Count > b.Count
-		}
-		return a.Forum < b.Forum
+	top := newTopK(20, func(a, b Q5Row) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.Forum, b.Forum))
 	})
 	for _, forum := range sc.aux {
 		count := 0
@@ -278,7 +261,8 @@ type Q6Row struct {
 // Q6 runs the query; tag is a store tag node ID.
 func Q6[R store.Reader](r R, sc *Scratch, start ids.ID, tag ids.ID) []Q6Row {
 	sc.begin(r)
-	counts := map[ids.ID]int{}
+	counts := &sc.tags
+	counts.Reset()
 	env, _ := friendsAndFoF(r, sc, start)
 	for _, p := range env {
 		for _, m := range messagesOf(r, p) {
@@ -298,22 +282,18 @@ func Q6[R store.Reader](r R, sc *Scratch, start ids.ID, tag ids.ID) []Q6Row {
 			}
 			for _, te := range tags {
 				if te.To != tag {
-					counts[te.To]++
+					n, _ := counts.At(uint64(te.To))
+					*n++
 				}
 			}
 		}
 	}
-	top := newTopK(10, func(a, b Q6Row) bool {
-		if a.Count != b.Count {
-			return a.Count > b.Count
-		}
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return a.Tag < b.Tag
+	top := newTopK(10, func(a, b Q6Row) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), strings.Compare(a.Name, b.Name), cmp.Compare(a.Tag, b.Tag))
 	})
-	for t, n := range counts {
-		top.Push(Q6Row{Tag: t, Name: r.Prop(t, store.PropName).Str(), Count: n})
+	for i, k := range counts.Keys() {
+		t := ids.ID(k)
+		top.Push(Q6Row{Tag: t, Name: r.Prop(t, store.PropName).Str(), Count: counts.Vals()[i]})
 	}
 	return top.Sorted()
 }
@@ -342,7 +322,8 @@ func Q7[R store.Reader](r R, sc *Scratch, start ids.ID) []Q7Row {
 		}
 	}
 	// Most recent like per liker.
-	best := map[ids.ID]Q7Row{}
+	best := &sc.likes
+	best.Reset()
 	for _, m := range messagesOf(r, start) {
 		for _, le := range r.In(m.To, store.EdgeLikes) {
 			row := Q7Row{
@@ -352,20 +333,17 @@ func Q7[R store.Reader](r R, sc *Scratch, start ids.ID) []Q7Row {
 				LatencyMillis: le.Stamp - m.Stamp,
 				IsNew:         !friends.has(le.To),
 			}
-			if prev, ok := best[le.To]; !ok || row.LikeDate > prev.LikeDate ||
+			if prev, added := best.At(uint64(le.To)); added || row.LikeDate > prev.LikeDate ||
 				(row.LikeDate == prev.LikeDate && row.Message < prev.Message) {
-				best[le.To] = row
+				*prev = row
 			}
 		}
 	}
-	top := newTopK(20, func(a, b Q7Row) bool {
-		if a.LikeDate != b.LikeDate {
-			return a.LikeDate > b.LikeDate
-		}
-		return a.Liker < b.Liker
+	top := newTopK(20, func(a, b Q7Row) int {
+		return cmp.Or(cmp.Compare(b.LikeDate, a.LikeDate), cmp.Compare(a.Liker, b.Liker))
 	})
-	for _, r := range best {
-		top.Push(r)
+	for _, row := range best.Vals() {
+		top.Push(row)
 	}
 	return top.Sorted()
 }

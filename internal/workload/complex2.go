@@ -3,6 +3,7 @@ package workload
 import (
 	"cmp"
 	"slices"
+	"strings"
 	"time"
 
 	"ldbcsnb/internal/ids"
@@ -23,11 +24,8 @@ type Q8Row struct {
 // Q8 runs the query with a bounded top-20 heap over the reply stream.
 func Q8[R store.Reader](r R, sc *Scratch, start ids.ID) []Q8Row {
 	sc.begin(r)
-	top := newTopK(20, func(a, b Q8Row) bool {
-		if a.CreationDate != b.CreationDate {
-			return a.CreationDate > b.CreationDate
-		}
-		return a.Comment < b.Comment
+	top := newTopK(20, func(a, b Q8Row) int {
+		return cmp.Or(cmp.Compare(b.CreationDate, a.CreationDate), cmp.Compare(a.Comment, b.Comment))
 	})
 	for _, m := range messagesOf(r, start) {
 		for _, re := range r.In(m.To, store.EdgeReplyOf) {
@@ -85,11 +83,8 @@ func Q10[R store.Reader](r R, sc *Scratch, start ids.ID, sign int) []Q10Row {
 		}
 	}
 	cand := sc.newSeen()
-	top := newTopK(10, func(a, b Q10Row) bool {
-		if a.Score != b.Score {
-			return a.Score > b.Score
-		}
-		return a.Person < b.Person
+	top := newTopK(10, func(a, b Q10Row) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.Person, b.Person))
 	})
 	for _, f := range sc.env {
 		for _, e := range r.Out(f, store.EdgeKnows) {
@@ -158,14 +153,9 @@ func Q11[R store.Reader](r R, sc *Scratch, start ids.ID, country int, beforeYear
 	countryNode := ids.DimensionID(ids.KindPlace, uint32(country))
 	// (workFrom asc, person asc, company asc): the company tie-break makes
 	// the order total for persons holding several qualifying jobs.
-	top := newTopK(10, func(a, b Q11Row) bool {
-		if a.WorkFrom != b.WorkFrom {
-			return a.WorkFrom < b.WorkFrom
-		}
-		if a.Person != b.Person {
-			return a.Person < b.Person
-		}
-		return a.Company < b.Company
+	top := newTopK(10, func(a, b Q11Row) int {
+		return cmp.Or(cmp.Compare(a.WorkFrom, b.WorkFrom),
+			cmp.Compare(a.Person, b.Person), strings.Compare(a.Company, b.Company))
 	})
 	env, _ := friendsAndFoF(r, sc, start)
 	for _, p := range env {
@@ -211,11 +201,8 @@ func Q12[R store.Reader](r R, sc *Scratch, start ids.ID, tagClass ids.ID) []Q12R
 			}
 		}
 	}
-	top := newTopK(20, func(a, b Q12Row) bool {
-		if a.Replies != b.Replies {
-			return a.Replies > b.Replies
-		}
-		return a.Person < b.Person
+	top := newTopK(20, func(a, b Q12Row) int {
+		return cmp.Or(cmp.Compare(b.Replies, a.Replies), cmp.Compare(a.Person, b.Person))
 	})
 	for _, f := range friendsOf(r, sc, start) {
 		replies := 0
@@ -252,7 +239,7 @@ func Q12[R store.Reader](r R, sc *Scratch, start ids.ID, tagClass ids.ID) []Q12R
 // Q13 runs the bidirectional search Q14 shares (pathBFS). On the view path
 // its distances are ordinal-indexed stamps held by the scratch, so a call on
 // a warm scratch allocates nothing; on the MVCC path they are node-keyed
-// maps.
+// KeyTables.
 func Q13[R store.Reader](r R, sc *Scratch, a, b ids.ID) int {
 	sc.begin(r)
 	if a == b {
@@ -433,13 +420,13 @@ func comparePairs(x, y pairCredit) int {
 // gen is current, so a search starts by bumping gen instead of clearing.
 // The arrays are cleared when gen wraps (bind) and when the scratch crosses
 // a view era (invalidate, from Scratch.begin), after which an ordinal names
-// a different node. On the MVCC path distances are node-keyed maps, cleared
-// per search.
+// a different node. On the MVCC path distances are KeyTables keyed by node
+// ID, reset per search.
 type pathBFS struct {
 	v      *store.SnapshotView
 	gen    uint32
 	stamps [2][]uint32
-	dists  [2]map[ids.ID]int32
+	byID   [2]KeyTable[int32]
 	depth  [2]int
 	front  [2][]ids.ID
 	next   []ids.ID
@@ -464,11 +451,8 @@ func (k *pathBFS) bind(v *store.SnapshotView) {
 	k.depth = [2]int{}
 	k.meet = k.meet[:0]
 	if v == nil {
-		if k.dists[0] == nil {
-			k.dists = [2]map[ids.ID]int32{{}, {}}
-		}
-		clear(k.dists[0])
-		clear(k.dists[1])
+		k.byID[0].Reset()
+		k.byID[1].Reset()
 		return
 	}
 	if k.gen == maxPathGen {
@@ -521,8 +505,10 @@ func (k *pathBFS) dist(s int, id ids.ID) (int, bool) {
 		}
 		return k.ordDist(s, o)
 	}
-	d, ok := k.dists[s][id]
-	return int(d), ok
+	if d := k.byID[s].Find(uint64(id)); d != nil {
+		return int(*d), true
+	}
+	return 0, false
 }
 
 // visit marks a node at distance d on side s, reporting whether it was
@@ -537,12 +523,12 @@ func (k *pathBFS) visit(s int, id ids.ID, d int) (fresh, meet bool) {
 		_, meet = k.ordDist(1-s, o)
 		return k.ordMark(s, o, d), meet
 	}
-	_, meet = k.dists[1-s][id]
-	if _, ok := k.dists[s][id]; ok {
-		return false, meet
+	meet = k.byID[1-s].Find(uint64(id)) != nil
+	dist, fresh := k.byID[s].At(uint64(id))
+	if fresh {
+		*dist = int32(d)
 	}
-	k.dists[s][id] = int32(d)
-	return true, meet
+	return fresh, meet
 }
 
 // position returns a node's place on a shortest path of length n: its

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"slices"
 	"sync"
 	"testing"
@@ -17,8 +18,9 @@ import (
 )
 
 // The path-query tests: Q13 and Q14 against a reference built from the raw
-// dataset, their answers pinned by content on the parameter pool, and Q14's
-// path cap on a fixture dense enough to hit it.
+// dataset, their answers (with Q4–Q7's and Q9Join's) pinned by content on
+// the parameter pool, and Q14's path cap on a fixture dense enough to hit
+// it.
 
 // pathFixture is a 200-person dataset loaded twice: fully into fresh, and
 // into refreshed as the bulk part plus the update stream, with the view
@@ -113,34 +115,108 @@ func poolPairs(pool []ids.ID) [][2]ids.ID {
 	return out
 }
 
-// pathDigest is the hex sha256 of every pool pair's Q13 distance and %+v
-// Q14 rows on one reader.
-func pathDigest[R store.Reader](r R, pairs [][2]ids.ID) string {
-	h := sha256.New()
-	sc := NewScratch()
-	for _, p := range pairs {
-		fmt.Fprintf(h, "%v %v %d %+v\n", p[0], p[1], Q13(r, sc, p[0], p[1]), Q14(r, sc, p[0], p[1]))
-	}
-	return hex.EncodeToString(h.Sum(nil))
+// digestQuery is one row of TestRowDigests: a query run over every pool
+// binding on one reader, each binding's rows printed with %+v into w, and
+// the hex sha256 of that text recorded when the rows were last known good.
+type digestQuery struct {
+	name string
+	want string
+	run  func(r store.Reader, sc *Scratch, f *pathFixture, w io.Writer)
 }
 
-// wantPathDigest pins Q13 and Q14 on the pool pairs of pathSetup's fixture.
-// No pool pair there has more than q14PathCap shortest paths, so every Q14
-// row is the full answer.
-const wantPathDigest = "3a90e1e021933f08fae974d6057858c59b5e1a4cda68056ac0e08188c800cf85"
+// digestWindow is the [start, start+window) date range the window-bound
+// queries use: the last 120 days of the fixture's posts, as the driver's
+// pools bind it.
+func digestWindow(f *pathFixture) (start, window int64) {
+	var end int64
+	for i := range f.data.Posts {
+		end = max(end, f.data.Posts[i].CreationDate)
+	}
+	window = 120 * 24 * 3600 * 1000
+	return end - window, window
+}
 
-// TestPathRowDigests pins Q13's distances and Q14's full rows by content on
-// the txn path and on the view path.
-func TestPathRowDigests(t *testing.T) {
-	f := pathSetup(t)
-	pairs := poolPairs(f.pool)
-	f.fresh.View(func(tx *store.Txn) {
-		if got := pathDigest(tx, pairs); got != wantPathDigest {
-			t.Errorf("txn path: digest %s, want %s", got, wantPathDigest)
+// wantQ9Digest is Q9Join's digest under every plan: the plans differ in
+// physical operators only.
+const wantQ9Digest = "0e11f816f53d1a477e395b3865624a920fb0bee0b74afe19e25493f940d89b9e"
+
+// q9JoinDigest runs Q9Join under one plan on every pool person.
+func q9JoinDigest(plan Q9Plan) func(store.Reader, *Scratch, *pathFixture, io.Writer) {
+	return func(r store.Reader, sc *Scratch, f *pathFixture, w io.Writer) {
+		start, _ := digestWindow(f)
+		for _, p := range f.pool {
+			fmt.Fprintf(w, "%v %+v\n", p, Q9Join(r, sc, p, start, plan))
 		}
-	})
-	if got := pathDigest(f.fresh.CurrentView(), pairs); got != wantPathDigest {
-		t.Errorf("view path: digest %s, want %s", got, wantPathDigest)
+	}
+}
+
+// rowDigests pins the queries whose keyed scratch state (counts, visited
+// sets, path distances, hash-join tables) has been rebuilt at least once, on
+// the pool bindings of pathSetup's fixture. No Q13/Q14 pool pair there has
+// more than q14PathCap shortest paths, so every Q14 row is the full answer.
+var rowDigests = []digestQuery{
+	{"Q4", "4f4ace066889fae86ec26b1f9005d2b41836540233c3fd7085d85d93f38e5e75",
+		func(r store.Reader, sc *Scratch, f *pathFixture, w io.Writer) {
+			start, window := digestWindow(f)
+			for _, p := range f.pool {
+				fmt.Fprintf(w, "%v %+v\n", p, Q4(r, sc, p, start, window))
+			}
+		}},
+	{"Q5", "cd52c8ebe45ba97dba06bf41643e4e95544e8c98844116331dc1bda4925244e6",
+		func(r store.Reader, sc *Scratch, f *pathFixture, w io.Writer) {
+			start, _ := digestWindow(f)
+			for _, p := range f.pool {
+				fmt.Fprintf(w, "%v %+v\n", p, Q5(r, sc, p, start))
+			}
+		}},
+	{"Q6", "869696ef821a64d5ec1a989363bc1c1f91cb4614653996d2343ae3f4e2e46f1e",
+		func(r store.Reader, sc *Scratch, f *pathFixture, w io.Writer) {
+			for i, p := range f.pool {
+				tag := schema.TagNodeID(f.data.Posts[i*97%len(f.data.Posts)].Topic)
+				fmt.Fprintf(w, "%v %v %+v\n", p, tag, Q6(r, sc, p, tag))
+			}
+		}},
+	{"Q7", "e8f5992858d41f995481c6853bf4213f2baf9b475e262c616b5334b9fce47f97",
+		func(r store.Reader, sc *Scratch, f *pathFixture, w io.Writer) {
+			for _, p := range f.pool {
+				fmt.Fprintf(w, "%v %+v\n", p, Q7(r, sc, p))
+			}
+		}},
+	{"Q9Join/inl-inl", wantQ9Digest, q9JoinDigest(Q9Plan{FriendExpand: JoinINL, MessageJoin: JoinINL})},
+	{"Q9Join/inl-hash", wantQ9Digest, q9JoinDigest(Q9Plan{FriendExpand: JoinINL, MessageJoin: JoinHash})},
+	{"Q9Join/hash-inl", wantQ9Digest, q9JoinDigest(Q9Plan{FriendExpand: JoinHash, MessageJoin: JoinINL})},
+	{"Q9Join/hash-hash", wantQ9Digest, q9JoinDigest(Q9Plan{FriendExpand: JoinHash, MessageJoin: JoinHash})},
+	{"Q13Q14", "3a90e1e021933f08fae974d6057858c59b5e1a4cda68056ac0e08188c800cf85",
+		func(r store.Reader, sc *Scratch, f *pathFixture, w io.Writer) {
+			for _, p := range poolPairs(f.pool) {
+				fmt.Fprintf(w, "%v %v %d %+v\n", p[0], p[1], Q13(r, sc, p[0], p[1]), Q14(r, sc, p[0], p[1]))
+			}
+		}},
+}
+
+// TestRowDigests pins each rowDigests query by content on the txn path, a
+// fresh view and a delta-refreshed view, with one scratch reused across all
+// of them.
+func TestRowDigests(t *testing.T) {
+	f := pathSetup(t)
+	sc := NewScratch()
+	for _, q := range rowDigests {
+		digest := func(r store.Reader) string {
+			h := sha256.New()
+			q.run(r, sc, f, h)
+			return hex.EncodeToString(h.Sum(nil))
+		}
+		f.fresh.View(func(tx *store.Txn) {
+			if got := digest(tx); got != q.want {
+				t.Errorf("%s, txn path: digest %s, want %s", q.name, got, q.want)
+			}
+		})
+		if got := digest(f.fresh.CurrentView()); got != q.want {
+			t.Errorf("%s, fresh view: digest %s, want %s", q.name, got, q.want)
+		}
+		if got := digest(f.refreshed.CurrentView()); got != q.want {
+			t.Errorf("%s, refreshed view: digest %s, want %s", q.name, got, q.want)
+		}
 	}
 }
 

@@ -41,9 +41,10 @@ type Q9Plan struct {
 // Q9Join executes Query 9 with explicit operators per plan, generic over
 // the read path like every other query. The INL sides probe the adjacency
 // (CSR subslices with a bitset visited set on the view path); the
-// deliberately mis-planned hash sides materialise their build tables on
-// either path — that materialisation cost is the ablation's point. Results
-// match Q9 exactly; only the physical execution differs.
+// deliberately mis-planned hash sides materialise their build tables (fresh
+// KeyTables, not scratch-pooled ones) on either path — that
+// materialisation cost is the ablation's point. Results match Q9 exactly;
+// only the physical execution differs.
 func Q9Join[R store.Reader](r R, sc *Scratch, start ids.ID, maxDate int64, plan Q9Plan) []MessageRow {
 	sc.begin(r)
 	var env []ids.ID
@@ -55,23 +56,27 @@ func Q9Join[R store.Reader](r R, sc *Scratch, start ids.ID, maxDate int64, plan 
 		friends := append([]ids.ID(nil), friendsOf(r, sc, start)...)
 		// Wrong plan: build a hash table over the full knows relation
 		// (scan every person), then probe with the friend list.
-		build := map[ids.ID][]ids.ID{}
+		var build KeyTable[[]ids.ID]
 		for _, p := range r.NodesOfKind(ids.KindPerson) {
 			for _, e := range r.Out(p, store.EdgeKnows) {
-				build[p] = append(build[p], e.To)
+				knows, _ := build.At(uint64(p))
+				*knows = append(*knows, e.To)
 			}
 		}
-		seen := map[ids.ID]bool{start: true}
+		var seen KeyTable[struct{}]
+		seen.At(uint64(start))
 		for _, f := range friends {
-			if !seen[f] {
-				seen[f] = true
+			if _, added := seen.At(uint64(f)); added {
 				env = append(env, f)
 			}
 		}
 		for _, f := range friends {
-			for _, ff := range build[f] {
-				if !seen[ff] {
-					seen[ff] = true
+			knows := build.Find(uint64(f))
+			if knows == nil {
+				continue
+			}
+			for _, ff := range *knows {
+				if _, added := seen.At(uint64(ff)); added {
 					env = append(env, ff)
 				}
 			}
@@ -88,11 +93,11 @@ func Q9Join[R store.Reader](r R, sc *Scratch, start ids.ID, maxDate int64, plan 
 		// paper's Figure 4 for the top join because its inputs are large;
 		// in our engine the adjacency index exists, so this path measures
 		// the full-scan alternative.
-		inEnv := make(map[ids.ID]bool, len(env))
+		var inEnv KeyTable[struct{}]
 		for _, p := range env {
-			inEnv[p] = true
+			inEnv.At(uint64(p))
 		}
-		top := newTopK(20, messageRowLess)
+		top := newTopK(20, compareMessageRows)
 		scan := func(kind ids.Kind) {
 			for _, m := range r.NodesOfKind(kind) {
 				created := r.Prop(m, store.PropCreationDate).Int()
@@ -100,7 +105,7 @@ func Q9Join[R store.Reader](r R, sc *Scratch, start ids.ID, maxDate int64, plan 
 					continue
 				}
 				cs := r.Out(m, store.EdgeHasCreator)
-				if len(cs) == 0 || !inEnv[cs[0].To] {
+				if len(cs) == 0 || inEnv.Find(uint64(cs[0].To)) == nil {
 					continue
 				}
 				top.Push(MessageRow{Message: m, Creator: cs[0].To, CreationDate: created})

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"cmp"
 	"sort"
 
 	"ldbcsnb/internal/ids"
@@ -45,7 +46,7 @@ func S1[R store.Reader](r R, p ids.ID) (S1Result, bool) {
 // S2 returns the person's 10 most recent messages (id, creation date),
 // newest first, through a bounded top-10 heap.
 func S2[R store.Reader](r R, p ids.ID) []MessageRow {
-	top := newTopK(10, messageRowLess)
+	top := newTopK(10, compareMessageRows)
 	for _, m := range messagesOf(r, p) {
 		top.Push(MessageRow{Message: m.To, Creator: p, CreationDate: m.Stamp})
 	}
@@ -61,11 +62,8 @@ type S3Row struct {
 // S3 returns the friends of a person with the friendship dates, newest
 // friendship first (capped at 20, the paper's profile view cap).
 func S3[R store.Reader](r R, p ids.ID) []S3Row {
-	top := newTopK(20, func(a, b S3Row) bool {
-		if a.CreationDate != b.CreationDate {
-			return a.CreationDate > b.CreationDate
-		}
-		return a.Friend < b.Friend
+	top := newTopK(20, func(a, b S3Row) int {
+		return cmp.Or(cmp.Compare(b.CreationDate, a.CreationDate), cmp.Compare(a.Friend, b.Friend))
 	})
 	for _, e := range r.Out(p, store.EdgeKnows) {
 		top.Push(S3Row{Friend: e.To, CreationDate: e.Stamp})

@@ -11,14 +11,14 @@
 //	func Q9[R store.Reader](r R, sc *Scratch, start ids.ID, maxDate int64) []MessageRow
 //
 // The same code therefore serves both read paths. Instantiated with
-// *store.Txn it is the transactional formulation (MVCC filtering, map-backed
-// visited sets); instantiated with *store.SnapshotView it is the Interactive
-// hot path (lock-free CSR subslices, dense ordinal bitsets, no allocation in
-// the adjacency loops). Results are identical between the two instantiations
-// at the same snapshot timestamp — every result ordering tie-breaks on a
-// unique ID, so selection and order are deterministic; the equivalence
-// property tests (view_test.go) pin this for all queries and the short-read
-// chain.
+// *store.Txn it is the transactional formulation (MVCC filtering, visited
+// sets keyed by node ID in a KeyTable); instantiated with
+// *store.SnapshotView it is the Interactive hot path (lock-free CSR
+// subslices, dense ordinal bitsets, no allocation in the adjacency loops).
+// Results are identical between the two instantiations at the same
+// snapshot timestamp — every result ordering tie-breaks on a unique ID, so
+// selection and order are deterministic; the equivalence property tests
+// (view_test.go) pin this for all queries and the short-read chain.
 //
 // The queries are graph-navigation programs (the Sparksee style of §5);
 // Query 9 additionally has an explicit join-operator formulation (Q9Join)
@@ -27,9 +27,14 @@
 // # Scratch and aliasing rules
 //
 // A Scratch carries the reusable traversal state of one executor goroutine:
-// a pool of visited sets, two ID buffers and the state of the search Q13
-// and Q14 share. Queries bind it to their reader on entry, which resets all
-// scratch state. The aliasing rules:
+// a pool of visited sets, two ID buffers, the state of the search Q13 and
+// Q14 share, and the keyed counters of the group-by-then-top-k queries.
+// Every keyed structure that is not indexed by a view ordinal is a KeyTable
+// (keytable.go), the one hashed table of the query layers: the txn-path
+// visited sets and distances, Q4/Q6's tag counts, Q7's latest like per
+// liker, Q9Join's hash tables, the BI partials and the declarative
+// executor's dedup sets and groups. Queries bind the scratch to their reader
+// on entry, which resets all scratch state. The aliasing rules:
 //
 //   - One Scratch serves one goroutine; never share it.
 //   - Slices returned by helpers that traverse (TwoHopEnv) alias the
@@ -50,10 +55,11 @@ import (
 )
 
 // Scratch is the reusable per-executor traversal state of the unified query
-// path: a pool of visited sets, ID buffers and the path search's state
-// (pathBFS), recycled across queries so the hot BFS loops stay
-// allocation-free on the view path once the buffers have warmed up to the
-// working-set size. See the package documentation for the aliasing rules.
+// path: a pool of visited sets, ID buffers, the path search's state
+// (pathBFS) and keyed counters, recycled across queries so the hot loops
+// stay allocation-free on the view path once the buffers have warmed up to
+// the working-set size. See the package documentation for the aliasing
+// rules.
 //
 // Scratch is era-aware: on the view path its visited-set pool and the path
 // search's distance stamps are keyed by the view's node ordinals, which the
@@ -75,6 +81,8 @@ type Scratch struct {
 	env   []ids.ID            // primary traversal buffer (friend environments, BFS layers)
 	aux   []ids.ID            // secondary buffer (subtree queues, forum lists)
 	paths pathBFS             // Q13/Q14's search state
+	tags  KeyTable[int]       // Q4/Q6: posts per tag
+	likes KeyTable[Q7Row]     // Q7: latest like per liker
 }
 
 // NewScratch returns an empty scratch; buffers grow on first use.
@@ -141,13 +149,14 @@ func (sc *Scratch) newSeen() *seenSet {
 }
 
 // seenSet is one visited set: a dense ordinal bitset when bound to a frozen
-// view, a node-ID hash set otherwise. The dual representation is what lets
-// one generic query implementation keep the view path's zero-allocation
-// adjacency iteration while remaining correct on the MVCC path.
+// view, a KeyTable of node IDs otherwise. The dual representation is what
+// lets one generic query implementation keep the view path's
+// zero-allocation adjacency iteration while remaining correct on the MVCC
+// path: the ordinal is the bitset's index, so the view side needs no hash.
 type seenSet struct {
 	v    *store.SnapshotView
 	bits bitset.Set
-	m    map[ids.ID]struct{}
+	byID KeyTable[struct{}]
 }
 
 // invalidate discards the set's ordinal-keyed state (view binding and
@@ -169,11 +178,7 @@ func (s *seenSet) bind(v *store.SnapshotView) {
 		s.bits.Reset()
 		return
 	}
-	if s.m == nil {
-		s.m = make(map[ids.ID]struct{})
-		return
-	}
-	clear(s.m)
+	s.byID.Reset()
 }
 
 // tryMark marks a node, reporting whether it was unseen. On the view path,
@@ -187,11 +192,8 @@ func (s *seenSet) tryMark(id ids.ID) bool {
 		}
 		return s.bits.TrySet(o)
 	}
-	if _, ok := s.m[id]; ok {
-		return false
-	}
-	s.m[id] = struct{}{}
-	return true
+	_, added := s.byID.At(uint64(id))
+	return added
 }
 
 // has reports whether a node is marked.
@@ -200,8 +202,7 @@ func (s *seenSet) has(id ids.ID) bool {
 		o, ok := s.v.Ord(id)
 		return ok && s.bits.Has(o)
 	}
-	_, ok := s.m[id]
-	return ok
+	return s.byID.Find(uint64(id)) != nil
 }
 
 // friendsOf fills sc.env with the distinct direct friends of p (excluding

@@ -10,8 +10,8 @@ import (
 
 // BenchmarkMemory measures the resident footprint of the compact frozen
 // representation at increasing scale: bytes per node and per adjacency
-// entry of the snapshot view (delta+varint CSR, dense property columns,
-// interned strings), the uncompressed baseline the codec is measured
+// entry of the snapshot view (delta+varint CSR, a property row header per
+// ordinal, interned strings), the uncompressed baseline the codec is measured
 // against, the mutable MVCC side's bytes per node and per adjacency entry,
 // and process heap with the environment still live. One iteration is the
 // full streamed generate+split+load pipeline plus a view build, so ns/op

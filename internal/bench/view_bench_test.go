@@ -320,7 +320,7 @@ func refreshCommit(tb testing.TB, env *Env, anchor ids.ID) ids.ID {
 	refreshSeq++
 	tx := env.Store.Begin()
 	p := ids.Compose(ids.KindPerson, 1<<39+refreshSeq, 0)
-	if err := tx.CreateNode(p, store.Props{{Key: store.PropFirstName, Val: store.String("x")}}); err != nil {
+	if err := tx.CreateNode(p, store.Props{store.NewProp(store.PropFirstName, store.String("x"))}); err != nil {
 		tb.Fatal(err)
 	}
 	if err := tx.AddKnows(p, anchor, refreshSeq); err != nil {

@@ -49,8 +49,8 @@ func benchWriters(b *testing.B, mode store.WALSyncMode, writers int) {
 				id := ids.Compose(ids.KindPerson, writeBucket+(i>>16), uint32(i&0xffff))
 				tx := p.Store.Begin()
 				err := tx.CreateNode(id, store.Props{
-					{Key: store.PropFirstName, Val: store.String("writer")},
-					{Key: store.PropCreationDate, Val: store.Int64(i)},
+					store.NewProp(store.PropFirstName, store.String("writer")),
+					store.NewProp(store.PropCreationDate, store.Int64(i)),
 				})
 				if err == nil {
 					err = tx.Commit()

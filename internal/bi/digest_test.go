@@ -115,8 +115,8 @@ func TestBI1YearBoundary(t *testing.T) {
 	tx := st.Begin()
 	for i, m := range msgs {
 		if err := tx.CreateNode(ids.Compose(m.kind, 1, uint32(i)), store.Props{
-			{Key: store.PropCreationDate, Val: store.Int64(m.created)},
-			{Key: store.PropLength, Val: store.Int64(m.size)},
+			store.NewProp(store.PropCreationDate, store.Int64(m.created)),
+			store.NewProp(store.PropLength, store.Int64(m.size)),
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -137,19 +137,19 @@ func loadBIRandomDimensions(t *testing.T, st *store.Store, g *biRandGraph) {
 	t.Helper()
 	tx := st.Begin()
 	root := ids.DimensionID(ids.KindTagClass, 0)
-	if err := tx.CreateNode(root, store.Props{{Key: store.PropName, Val: store.String("Thing")}}); err != nil {
+	if err := tx.CreateNode(root, store.Props{store.NewProp(store.PropName, store.String("Thing"))}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
 		class := ids.DimensionID(ids.KindTagClass, uint32(i))
-		if err := tx.CreateNode(class, store.Props{{Key: store.PropName, Val: store.String(fmt.Sprintf("class%d", i))}}); err != nil {
+		if err := tx.CreateNode(class, store.Props{store.NewProp(store.PropName, store.String(fmt.Sprintf("class%d", i)))}); err != nil {
 			t.Fatal(err)
 		}
 		_ = tx.AddEdge(class, store.EdgeIsSubclassOf, root, 0)
 	}
 	for i := 0; i < 8; i++ {
 		tag := ids.DimensionID(ids.KindTag, uint32(i))
-		if err := tx.CreateNode(tag, store.Props{{Key: store.PropName, Val: store.String(fmt.Sprintf("tag%d", i))}}); err != nil {
+		if err := tx.CreateNode(tag, store.Props{store.NewProp(store.PropName, store.String(fmt.Sprintf("tag%d", i)))}); err != nil {
 			t.Fatal(err)
 		}
 		_ = tx.AddEdge(tag, store.EdgeHasType, ids.DimensionID(ids.KindTagClass, uint32(1+i%3)), 0)
@@ -174,8 +174,8 @@ func biRandomStep(t *testing.T, st *store.Store, r *xrand.Rand, g *biRandGraph, 
 	for i := 0; i < 1+r.Intn(2); i++ {
 		p := ids.Compose(ids.KindPerson, int64(step), uint32(i))
 		props := store.Props{
-			{Key: store.PropFirstName, Val: store.String("P")},
-			{Key: store.PropCreationDate, Val: store.Int64(now)},
+			store.NewProp(store.PropFirstName, store.String("P")),
+			store.NewProp(store.PropCreationDate, store.Int64(now)),
 		}
 		if err := tx.CreateNode(p, props); err != nil {
 			t.Fatal(err)
@@ -192,8 +192,8 @@ func biRandomStep(t *testing.T, st *store.Store, r *xrand.Rand, g *biRandGraph, 
 	if step%2 == 0 {
 		f := ids.Compose(ids.KindForum, int64(step), 0)
 		if err := tx.CreateNode(f, store.Props{
-			{Key: store.PropTitle, Val: store.String(fmt.Sprintf("forum%d", step))},
-			{Key: store.PropCreationDate, Val: store.Int64(now)},
+			store.NewProp(store.PropTitle, store.String(fmt.Sprintf("forum%d", step))),
+			store.NewProp(store.PropCreationDate, store.Int64(now)),
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -206,9 +206,9 @@ func biRandomStep(t *testing.T, st *store.Store, r *xrand.Rand, g *biRandGraph, 
 		post := ids.Compose(ids.KindPost, int64(step), uint32(i))
 		created := now + int64(10+i)
 		if err := tx.CreateNode(post, store.Props{
-			{Key: store.PropCreationDate, Val: store.Int64(created)},
-			{Key: store.PropLength, Val: store.Int64(int64(r.Intn(200)))},
-			{Key: store.PropCountry, Val: store.Int64(int64(r.Intn(4)))},
+			store.NewProp(store.PropCreationDate, store.Int64(created)),
+			store.NewProp(store.PropLength, store.Int64(int64(r.Intn(200)))),
+			store.NewProp(store.PropCountry, store.Int64(int64(r.Intn(4)))),
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -222,9 +222,9 @@ func biRandomStep(t *testing.T, st *store.Store, r *xrand.Rand, g *biRandGraph, 
 		c := ids.Compose(ids.KindComment, int64(step), uint32(i))
 		created := now + int64(50+i)
 		if err := tx.CreateNode(c, store.Props{
-			{Key: store.PropCreationDate, Val: store.Int64(created)},
-			{Key: store.PropLength, Val: store.Int64(int64(r.Intn(200)))},
-			{Key: store.PropCountry, Val: store.Int64(int64(r.Intn(4)))},
+			store.NewProp(store.PropCreationDate, store.Int64(created)),
+			store.NewProp(store.PropLength, store.Int64(int64(r.Intn(200)))),
+			store.NewProp(store.PropCountry, store.Int64(int64(r.Intn(4)))),
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -435,8 +435,8 @@ func RunMixed(cfg MixedConfig) *MixedReport {
 				t0 := time.Now()
 				tx := cfg.Store.Begin()
 				err := tx.CreateNode(id, store.Props{
-					{Key: store.PropFirstName, Val: store.String("writer")},
-					{Key: store.PropCreationDate, Val: store.Int64(int64(idx))},
+					store.NewProp(store.PropFirstName, store.String("writer")),
+					store.NewProp(store.PropCreationDate, store.Int64(int64(idx))),
 				})
 				if err == nil {
 					err = tx.Commit()

@@ -3,8 +3,8 @@
 // is graph-wide aggregation: full fact-table scans grouped by time,
 // geography and tag dimensions, which stress scan and join throughput
 // rather than point-lookup latency. A frozen store.SnapshotView is the
-// ideal substrate for parallelising those scans — its CSR slabs, dense
-// property table and per-kind node lists are immutable, so workers can
+// ideal substrate for parallelising those scans — its CSR slabs, property
+// rows and per-kind node lists are immutable, so workers can
 // read disjoint ordinal ranges with zero synchronisation on the data.
 //
 // The scheduler follows the morsel-driven model: the dense scan range

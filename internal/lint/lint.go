@@ -14,7 +14,7 @@
 // # Analyzers
 //
 //   - viewalias: slices returned by Reader.Out/In/Props alias shared
-//     view-owned memory (decode cache, CSR slabs, property slab) and
+//     view-owned memory (decode cache, CSR slabs, property rows) and
 //     must not be mutated, appended to, or stored into longer-lived
 //     locations.
 //   - lockguard: fields annotated `guarded by <mu>` may only be touched

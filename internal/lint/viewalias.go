@@ -8,8 +8,8 @@ import (
 // ViewAlias enforces the Reader scratch-aliasing contract: slices
 // returned by Out, In and Props on the store's reader surface alias
 // view-owned shared memory — the per-row decode cache, the CSR overlay
-// rows, the dense property slab — so a caller-side write corrupts every
-// concurrent reader of the same view. NodesOfKind and KindRange rows
+// rows, the property rows shared with the MVCC versions — so a caller-side
+// write corrupts every concurrent reader of the same view. NodesOfKind and KindRange rows
 // share the same contract.
 //
 // Within each function the pass taints values returned by those methods

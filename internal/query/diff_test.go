@@ -778,11 +778,11 @@ func seedRandDims(t *testing.T, st *store.Store, g *randGraph) {
 	}
 	for i := 0; i < 4; i++ {
 		id := ids.DimensionID(ids.KindPlace, uint32(i+1))
-		must(tx.CreateNode(id, store.Props{{Key: store.PropName, Val: store.String(fmt.Sprintf("place%d", i))}}))
+		must(tx.CreateNode(id, store.Props{store.NewProp(store.PropName, store.String(fmt.Sprintf("place%d", i)))}))
 		g.places = append(g.places, id)
 	}
 	root := ids.DimensionID(ids.KindTagClass, 1)
-	must(tx.CreateNode(root, store.Props{{Key: store.PropName, Val: store.String("Thing")}}))
+	must(tx.CreateNode(root, store.Props{store.NewProp(store.PropName, store.String("Thing"))}))
 	g.tagClasses = append(g.tagClasses, root)
 	for i := 0; i < 3; i++ {
 		id := ids.DimensionID(ids.KindTagClass, uint32(i+2))
@@ -815,10 +815,10 @@ func randStep(t *testing.T, st *store.Store, rnd *xrand.Rand, g *randGraph, step
 	for i := 0; i < 1+rnd.Intn(2); i++ {
 		id := ids.Compose(ids.KindPerson, int64(step), uint32(i))
 		must(tx.CreateNode(id, store.Props{
-			{Key: store.PropFirstName, Val: store.String(randNames[rnd.Intn(len(randNames))])},
-			{Key: store.PropLastName, Val: store.String(fmt.Sprintf("L%d", rnd.Intn(4)))},
-			{Key: store.PropBirthday, Val: store.Int64(int64(rnd.Intn(1000)))},
-			{Key: store.PropCreationDate, Val: store.Int64(now + int64(i))},
+			store.NewProp(store.PropFirstName, store.String(randNames[rnd.Intn(len(randNames))])),
+			store.NewProp(store.PropLastName, store.String(fmt.Sprintf("L%d", rnd.Intn(4)))),
+			store.NewProp(store.PropBirthday, store.Int64(int64(rnd.Intn(1000)))),
+			store.NewProp(store.PropCreationDate, store.Int64(now+int64(i))),
 		}))
 		must(tx.AddEdge(id, store.EdgeIsLocatedIn, g.places[rnd.Intn(len(g.places))], 0))
 		must(tx.AddEdge(id, store.EdgeStudyAt, g.places[rnd.Intn(len(g.places))], int64(2000+rnd.Intn(10))))
@@ -833,7 +833,7 @@ func randStep(t *testing.T, st *store.Store, rnd *xrand.Rand, g *randGraph, step
 	}
 	if step%2 == 1 {
 		f := ids.Compose(ids.KindForum, int64(step), 0)
-		must(tx.CreateNode(f, store.Props{{Key: store.PropTitle, Val: store.String(fmt.Sprintf("forum%d", step))}}))
+		must(tx.CreateNode(f, store.Props{store.NewProp(store.PropTitle, store.String(fmt.Sprintf("forum%d", step)))}))
 		must(tx.AddEdge(f, store.EdgeHasModerator, g.persons[rnd.Intn(len(g.persons))], now))
 		for i := 0; i < 2; i++ {
 			must(tx.AddEdge(f, store.EdgeHasMember, g.persons[rnd.Intn(len(g.persons))], now+int64(i)))
@@ -843,8 +843,8 @@ func randStep(t *testing.T, st *store.Store, rnd *xrand.Rand, g *randGraph, step
 	for i := 0; i < 2; i++ {
 		m := ids.Compose(ids.KindPost, int64(step), uint32(i))
 		must(tx.CreateNode(m, store.Props{
-			{Key: store.PropCreationDate, Val: store.Int64(now + int64(10+i))},
-			{Key: store.PropLength, Val: store.Int64(int64(rnd.Intn(100)))},
+			store.NewProp(store.PropCreationDate, store.Int64(now+int64(10+i))),
+			store.NewProp(store.PropLength, store.Int64(int64(rnd.Intn(100)))),
 		}))
 		must(tx.AddEdge(m, store.EdgeHasCreator, g.persons[rnd.Intn(len(g.persons))], now+int64(10+i)))
 		must(tx.AddEdge(m, store.EdgeHasTag, g.tags[rnd.Intn(len(g.tags))], 0))
@@ -856,8 +856,8 @@ func randStep(t *testing.T, st *store.Store, rnd *xrand.Rand, g *randGraph, step
 	for i := 0; i < 1+rnd.Intn(2); i++ {
 		c := ids.Compose(ids.KindComment, int64(step), uint32(i))
 		must(tx.CreateNode(c, store.Props{
-			{Key: store.PropCreationDate, Val: store.Int64(now + int64(20+i))},
-			{Key: store.PropLength, Val: store.Int64(int64(rnd.Intn(50)))},
+			store.NewProp(store.PropCreationDate, store.Int64(now+int64(20+i))),
+			store.NewProp(store.PropLength, store.Int64(int64(rnd.Intn(50)))),
 		}))
 		must(tx.AddEdge(c, store.EdgeReplyOf, g.messages[rnd.Intn(len(g.messages))], now+int64(20+i)))
 		must(tx.AddEdge(c, store.EdgeHasCreator, g.persons[rnd.Intn(len(g.persons))], now+int64(20+i)))

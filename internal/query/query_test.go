@@ -151,13 +151,13 @@ func tinyGraph(t *testing.T) (*store.Store, map[string]ids.ID) {
 			t.Fatal(err)
 		}
 	}
-	must(tx.CreateNode(n["p1"], store.Props{{Key: store.PropFirstName, Val: store.String("ada")}, {Key: store.PropLastName, Val: store.String("lovelace")}}))
-	must(tx.CreateNode(n["p2"], store.Props{{Key: store.PropFirstName, Val: store.String("bob")}, {Key: store.PropLastName, Val: store.String("babbage")}}))
-	must(tx.CreateNode(n["p3"], store.Props{{Key: store.PropFirstName, Val: store.String("ada")}, {Key: store.PropLastName, Val: store.String("noether")}}))
-	must(tx.CreateNode(n["p4"], store.Props{{Key: store.PropFirstName, Val: store.String("eve")}, {Key: store.PropLastName, Val: store.String("curie")}}))
-	must(tx.CreateNode(n["m1"], store.Props{{Key: store.PropLength, Val: store.Int64(5)}}))
-	must(tx.CreateNode(n["m2"], store.Props{{Key: store.PropLength, Val: store.Int64(7)}}))
-	must(tx.CreateNode(n["c1"], store.Props{{Key: store.PropLength, Val: store.Int64(2)}}))
+	must(tx.CreateNode(n["p1"], store.Props{store.NewProp(store.PropFirstName, store.String("ada")), store.NewProp(store.PropLastName, store.String("lovelace"))}))
+	must(tx.CreateNode(n["p2"], store.Props{store.NewProp(store.PropFirstName, store.String("bob")), store.NewProp(store.PropLastName, store.String("babbage"))}))
+	must(tx.CreateNode(n["p3"], store.Props{store.NewProp(store.PropFirstName, store.String("ada")), store.NewProp(store.PropLastName, store.String("noether"))}))
+	must(tx.CreateNode(n["p4"], store.Props{store.NewProp(store.PropFirstName, store.String("eve")), store.NewProp(store.PropLastName, store.String("curie"))}))
+	must(tx.CreateNode(n["m1"], store.Props{store.NewProp(store.PropLength, store.Int64(5))}))
+	must(tx.CreateNode(n["m2"], store.Props{store.NewProp(store.PropLength, store.Int64(7))}))
+	must(tx.CreateNode(n["c1"], store.Props{store.NewProp(store.PropLength, store.Int64(2))}))
 	must(tx.AddKnows(n["p1"], n["p2"], 10))
 	must(tx.AddKnows(n["p2"], n["p3"], 20))
 	must(tx.AddKnows(n["p3"], n["p4"], 30))

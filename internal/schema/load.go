@@ -22,7 +22,7 @@ func LoadDimensions(st *store.Store) error {
 	tx := st.Begin()
 	for _, tc := range dict.TagClasses {
 		id := ids.DimensionID(ids.KindTagClass, uint32(tc.ID))
-		if err := tx.CreateNode(id, store.Props{{Key: store.PropName, Val: store.String(tc.Name)}}); err != nil {
+		if err := tx.CreateNode(id, store.Props{store.NewProp(store.PropName, store.String(tc.Name))}); err != nil {
 			return err
 		}
 		if tc.Parent >= 0 {
@@ -34,7 +34,7 @@ func LoadDimensions(st *store.Store) error {
 	}
 	for _, tg := range dict.Tags {
 		id := ids.DimensionID(ids.KindTag, uint32(tg.ID))
-		if err := tx.CreateNode(id, store.Props{{Key: store.PropName, Val: store.String(tg.Name)}}); err != nil {
+		if err := tx.CreateNode(id, store.Props{store.NewProp(store.PropName, store.String(tg.Name))}); err != nil {
 			return err
 		}
 		if err := tx.AddEdge(id, store.EdgeHasType, ids.DimensionID(ids.KindTagClass, uint32(tg.Class)), 0); err != nil {
@@ -43,13 +43,13 @@ func LoadDimensions(st *store.Store) error {
 	}
 	for _, c := range dict.Countries {
 		id := ids.DimensionID(ids.KindPlace, uint32(c.ID))
-		if err := tx.CreateNode(id, store.Props{{Key: store.PropName, Val: store.String(c.Name)}}); err != nil {
+		if err := tx.CreateNode(id, store.Props{store.NewProp(store.PropName, store.String(c.Name))}); err != nil {
 			return err
 		}
 	}
 	for _, u := range dict.Universities {
 		id := ids.DimensionID(ids.KindOrganisation, uint32(u.ID))
-		if err := tx.CreateNode(id, store.Props{{Key: store.PropName, Val: store.String(u.Name)}}); err != nil {
+		if err := tx.CreateNode(id, store.Props{store.NewProp(store.PropName, store.String(u.Name))}); err != nil {
 			return err
 		}
 		if err := tx.AddEdge(id, store.EdgeIsLocatedIn, ids.DimensionID(ids.KindPlace, uint32(u.Country)), 0); err != nil {
@@ -60,7 +60,7 @@ func LoadDimensions(st *store.Store) error {
 		// Companies share the Organisation kind; offset their sequence
 		// past the university range.
 		id := CompanyNodeID(c.ID)
-		if err := tx.CreateNode(id, store.Props{{Key: store.PropName, Val: store.String(c.Name)}}); err != nil {
+		if err := tx.CreateNode(id, store.Props{store.NewProp(store.PropName, store.String(c.Name))}); err != nil {
 			return err
 		}
 		if err := tx.AddEdge(id, store.EdgeIsLocatedIn, ids.DimensionID(ids.KindPlace, uint32(c.Country)), 0); err != nil {
@@ -215,16 +215,16 @@ func loadOrdered[T any](st *store.Store, items []T, workers int, add func(tx *st
 // PersonProps builds the store property list for a person.
 func PersonProps(p *Person) store.Props {
 	return store.Props{
-		{Key: store.PropFirstName, Val: store.String(p.FirstName)},
-		{Key: store.PropLastName, Val: store.String(p.LastName)},
-		{Key: store.PropGender, Val: store.Int64(int64(p.Gender))},
-		{Key: store.PropBirthday, Val: store.Int64(p.Birthday)},
-		{Key: store.PropCreationDate, Val: store.Int64(p.CreationDate)},
-		{Key: store.PropLocationIP, Val: store.String(p.LocationIP)},
-		{Key: store.PropBrowserUsed, Val: store.String(p.Browser)},
-		{Key: store.PropSpeaks, Val: store.String(strings.Join(p.Languages, ";"))},
-		{Key: store.PropEmail, Val: store.String(strings.Join(p.Emails, ";"))},
-		{Key: store.PropCountry, Val: store.Int64(int64(p.Country))},
+		store.NewProp(store.PropFirstName, store.String(p.FirstName)),
+		store.NewProp(store.PropLastName, store.String(p.LastName)),
+		store.NewProp(store.PropGender, store.Int64(int64(p.Gender))),
+		store.NewProp(store.PropBirthday, store.Int64(p.Birthday)),
+		store.NewProp(store.PropCreationDate, store.Int64(p.CreationDate)),
+		store.NewProp(store.PropLocationIP, store.String(p.LocationIP)),
+		store.NewProp(store.PropBrowserUsed, store.String(p.Browser)),
+		store.NewProp(store.PropSpeaks, store.String(strings.Join(p.Languages, ";"))),
+		store.NewProp(store.PropEmail, store.String(strings.Join(p.Emails, ";"))),
+		store.NewProp(store.PropCountry, store.Int64(int64(p.Country))),
 	}
 }
 
@@ -259,8 +259,8 @@ func AddPerson(tx *store.Txn, p *Person) error {
 // AddForum writes a forum into an open transaction (bulk load and U4).
 func AddForum(tx *store.Txn, f *Forum) error {
 	err := tx.CreateNode(f.ID, store.Props{
-		{Key: store.PropTitle, Val: store.String(f.Title)},
-		{Key: store.PropCreationDate, Val: store.Int64(f.CreationDate)},
+		store.NewProp(store.PropTitle, store.String(f.Title)),
+		store.NewProp(store.PropCreationDate, store.Int64(f.CreationDate)),
 	})
 	if err != nil {
 		return err
@@ -276,22 +276,27 @@ func AddForum(tx *store.Txn, f *Forum) error {
 	return nil
 }
 
-// PostProps builds the store property list for a post.
+// PostProps builds the store property list for a post, exactly sized: the
+// store keeps the list as the node's row (see store.Txn.CreateNode).
 func PostProps(p *Post) store.Props {
-	props := store.Props{
-		{Key: store.PropCreationDate, Val: store.Int64(p.CreationDate)},
-		{Key: store.PropLength, Val: store.Int64(int64(p.Length))},
-		{Key: store.PropBrowserUsed, Val: store.String(p.Browser)},
-		{Key: store.PropLocationIP, Val: store.String(p.LocationIP)},
-		{Key: store.PropCountry, Val: store.Int64(int64(p.Country))},
-		{Key: store.PropTopic, Val: store.Int64(int64(p.Topic))},
-	}
+	n := 8 // six common fields, then content and language
 	if p.ImageFile != "" {
-		props = append(props, store.Prop{Key: store.PropImageFile, Val: store.String(p.ImageFile)})
+		n = 7 // six common fields, then the image file
+	}
+	props := append(make(store.Props, 0, n),
+		store.NewProp(store.PropCreationDate, store.Int64(p.CreationDate)),
+		store.NewProp(store.PropLength, store.Int64(int64(p.Length))),
+		store.NewProp(store.PropBrowserUsed, store.String(p.Browser)),
+		store.NewProp(store.PropLocationIP, store.String(p.LocationIP)),
+		store.NewProp(store.PropCountry, store.Int64(int64(p.Country))),
+		store.NewProp(store.PropTopic, store.Int64(int64(p.Topic))),
+	)
+	if p.ImageFile != "" {
+		props = append(props, store.NewProp(store.PropImageFile, store.String(p.ImageFile)))
 	} else {
 		props = append(props,
-			store.Prop{Key: store.PropContent, Val: store.String(p.Content)},
-			store.Prop{Key: store.PropLanguage, Val: store.String(p.Language)},
+			store.NewProp(store.PropContent, store.String(p.Content)),
+			store.NewProp(store.PropLanguage, store.String(p.Language)),
 		)
 	}
 	return props
@@ -325,13 +330,13 @@ func AddPost(tx *store.Txn, p *Post) error {
 // CommentProps builds the store property list for a comment.
 func CommentProps(c *Comment) store.Props {
 	return store.Props{
-		{Key: store.PropCreationDate, Val: store.Int64(c.CreationDate)},
-		{Key: store.PropContent, Val: store.String(c.Content)},
-		{Key: store.PropLength, Val: store.Int64(int64(c.Length))},
-		{Key: store.PropBrowserUsed, Val: store.String(c.Browser)},
-		{Key: store.PropLocationIP, Val: store.String(c.LocationIP)},
-		{Key: store.PropCountry, Val: store.Int64(int64(c.Country))},
-		{Key: store.PropTopic, Val: store.Int64(int64(c.Topic))},
+		store.NewProp(store.PropCreationDate, store.Int64(c.CreationDate)),
+		store.NewProp(store.PropContent, store.String(c.Content)),
+		store.NewProp(store.PropLength, store.Int64(int64(c.Length))),
+		store.NewProp(store.PropBrowserUsed, store.String(c.Browser)),
+		store.NewProp(store.PropLocationIP, store.String(c.LocationIP)),
+		store.NewProp(store.PropCountry, store.Int64(int64(c.Country))),
+		store.NewProp(store.PropTopic, store.Int64(int64(c.Topic))),
 	}
 }
 

@@ -230,3 +230,26 @@ func TestUpdateTypeString(t *testing.T) {
 		t.Fatal("update names")
 	}
 }
+
+// TestPropsExactlySized pins that the builders hand the store rows it can
+// keep as they are: a list with spare capacity is copied by CreateNode, and
+// its slack would be resident memory on every message.
+func TestPropsExactlySized(t *testing.T) {
+	rows := map[string]store.Props{
+		"person":     PersonProps(&Person{FirstName: "a", Languages: []string{"en"}}),
+		"post text":  PostProps(&Post{Content: "text", Language: "en"}),
+		"post image": PostProps(&Post{ImageFile: "photo.jpg"}),
+		"comment":    CommentProps(&Comment{Content: "re"}),
+	}
+	for name, ps := range rows {
+		if cap(ps) != len(ps) {
+			t.Errorf("%s: len %d, cap %d", name, len(ps), cap(ps))
+		}
+	}
+	if got := PostProps(&Post{Content: "text"}).Get(store.PropContent).Str(); got != "text" {
+		t.Errorf("post text: content %q", got)
+	}
+	if got := PostProps(&Post{ImageFile: "photo.jpg"}).Get(store.PropImageFile).Str(); got != "photo.jpg" {
+		t.Errorf("post image: imageFile %q", got)
+	}
+}

@@ -535,8 +535,8 @@ func (s *Server) runQuery(ctx context.Context, req *Request, sc *workload.Scratc
 		id := ids.Compose(ids.KindPerson, serveWriteBucket+int64(idx>>16), uint32(idx&0xffff))
 		tx := s.cfg.Store.Begin()
 		err := tx.CreateNode(id, store.Props{
-			{Key: store.PropFirstName, Val: store.String("served")},
-			{Key: store.PropCreationDate, Val: store.Int64(int64(idx))},
+			store.NewProp(store.PropFirstName, store.String("served")),
+			store.NewProp(store.PropCreationDate, store.Int64(int64(idx))),
 		})
 		if err == nil {
 			err = tx.Commit()

@@ -47,7 +47,7 @@ func freshCounter() (*Store, ids.ID) {
 	st := New()
 	id := ids.Compose(ids.KindPerson, 1, 0)
 	tx := st.Begin()
-	_ = tx.CreateNode(id, Props{{Key: PropLength, Val: Int64(0)}})
+	_ = tx.CreateNode(id, Props{NewProp(PropLength, Int64(0))})
 	if err := tx.Commit(); err != nil {
 		panic(err)
 	}
@@ -182,8 +182,8 @@ func writeSkew() anomalyOutcome {
 	a := ids.Compose(ids.KindPerson, 1, 0)
 	b := ids.Compose(ids.KindPerson, 1, 1)
 	tx := st.Begin()
-	_ = tx.CreateNode(a, Props{{Key: PropLength, Val: Int64(1)}})
-	_ = tx.CreateNode(b, Props{{Key: PropLength, Val: Int64(1)}})
+	_ = tx.CreateNode(a, Props{NewProp(PropLength, Int64(1))})
+	_ = tx.CreateNode(b, Props{NewProp(PropLength, Int64(1))})
 	if err := tx.Commit(); err != nil {
 		return anomalyOutcome{name: "write skew", detail: err.Error()}
 	}

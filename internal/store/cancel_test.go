@@ -162,7 +162,7 @@ func TestCommitVsCloseDurability(t *testing.T) {
 			for i := uint32(0); ; i++ {
 				id := ids.Compose(ids.KindPerson, int64(w+1), i)
 				tx := p.Store.Begin()
-				if err := tx.CreateNode(id, Props{{PropCreationDate, Int64(int64(i))}}); err != nil {
+				if err := tx.CreateNode(id, Props{NewProp(PropCreationDate, Int64(int64(i)))}); err != nil {
 					t.Errorf("writer %d: CreateNode: %v", w, err)
 					return
 				}

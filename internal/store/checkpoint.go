@@ -219,7 +219,7 @@ func encodeCheckpoint(w io.Writer, v *SnapshotView) error {
 	for _, id := range nodeIDs {
 		ord, _ := v.Ord(id)
 		for _, p := range v.propsAt(ord) {
-			if y := p.Val.Sym(); p.Val.k == kindString {
+			if y := p.Val().Sym(); p.k == kindString {
 				if _, ok := dict[y]; !ok {
 					dict[y] = uint32(len(dictStrs))
 					dictStrs = append(dictStrs, y)
@@ -251,13 +251,13 @@ func encodeCheckpoint(w io.Writer, v *SnapshotView) error {
 		buf = appendU16(buf, uint16(len(ps)))
 		for _, p := range ps {
 			buf = append(buf, byte(p.Key))
-			switch p.Val.k {
+			switch p.k {
 			case kindInt:
 				buf = append(buf, 1)
-				buf = appendU64(buf, uint64(p.Val.bits))
+				buf = appendU64(buf, uint64(p.bits))
 			case kindString:
 				buf = append(buf, 2)
-				buf = appendU32(buf, dict[p.Val.Sym()])
+				buf = appendU32(buf, dict[p.Val().Sym()])
 			default:
 				buf = append(buf, 0)
 			}
@@ -407,14 +407,14 @@ func loadCheckpoint(s *Store, path string) (int64, error) {
 				key := PropKey(d.u8())
 				switch d.u8() {
 				case 1:
-					props[j] = Prop{Key: key, Val: Int64(int64(d.u64()))}
+					props[j] = NewProp(key, Int64(int64(d.u64())))
 				case 2:
 					idx := int(d.u32())
 					if d.err == nil && idx >= len(syms) {
 						return 0, fmt.Errorf("%w: checkpoint %s: dictionary index out of range", ErrCorrupt, base)
 					}
 					if d.err == nil {
-						props[j] = Prop{Key: key, Val: symValue(syms[idx])}
+						props[j] = NewProp(key, symValue(syms[idx]))
 					}
 				default:
 					props[j] = Prop{Key: key}

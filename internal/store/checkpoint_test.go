@@ -38,9 +38,9 @@ func TestCheckpointDictionaryRoundTrip(t *testing.T) {
 	for i := 1; i <= nPersons; i++ {
 		tx := p.Begin()
 		if err := tx.CreateNode(personID(uint32(i)), Props{
-			{PropBrowserUsed, String(shared)},
-			{PropLastName, String(fmt.Sprintf("zz-dict-unique-%03d", i))},
-			{PropLength, Int64(int64(1000 + i))},
+			NewProp(PropBrowserUsed, String(shared)),
+			NewProp(PropLastName, String(fmt.Sprintf("zz-dict-unique-%03d", i))),
+			NewProp(PropLength, Int64(int64(1000+i))),
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -448,7 +448,7 @@ func TestRefreshCostIndependentOfOverlay(t *testing.T) {
 	tx := s.Begin()
 	must(tx.CreateNode(hub, nil))
 	for i := 0; i < fans; i++ {
-		must(tx.CreateNode(person(i), Props{{PropCreationDate, Int64(int64(i))}}))
+		must(tx.CreateNode(person(i), Props{NewProp(PropCreationDate, Int64(int64(i)))}))
 		must(tx.AddEdge(person(i), EdgeIsLocatedIn, hub, int64(i)))
 	}
 	must(tx.Commit())
@@ -461,7 +461,7 @@ func TestRefreshCostIndependentOfOverlay(t *testing.T) {
 		seq++
 		p := person(fans + seq)
 		tx := s.Begin()
-		must(tx.CreateNode(p, Props{{PropCreationDate, Int64(int64(seq))}}))
+		must(tx.CreateNode(p, Props{NewProp(PropCreationDate, Int64(int64(seq)))}))
 		must(tx.AddEdge(p, EdgeIsLocatedIn, hub, int64(seq)))
 		must(tx.AddKnows(p, person(seq*7%fans), int64(seq)))
 		must(tx.Commit())
@@ -627,7 +627,7 @@ func TestViewRefreshOrdinalStability(t *testing.T) {
 func TestViewRefreshCounters(t *testing.T) {
 	s := New()
 	tx := s.Begin()
-	if err := tx.CreateNode(personID(800), Props{{PropFirstName, String("a")}}); err != nil {
+	if err := tx.CreateNode(personID(800), Props{NewProp(PropFirstName, String("a"))}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -717,7 +717,7 @@ func TestFirstViewRacesCommitters(t *testing.T) {
 	s := New()
 	tx := s.Begin()
 	for i := uint32(1); i <= 2000; i++ {
-		if err := tx.CreateNode(personID(i), Props{{PropCreationDate, Int64(int64(i))}}); err != nil {
+		if err := tx.CreateNode(personID(i), Props{NewProp(PropCreationDate, Int64(int64(i)))}); err != nil {
 			t.Fatal(err)
 		}
 		if err := tx.AddKnows(personID(i), personID(1+i%2000), int64(i)); err != nil {
@@ -737,7 +737,7 @@ func TestFirstViewRacesCommitters(t *testing.T) {
 				tx := s.Begin()
 				id := ids.Compose(ids.KindPost, int64(i+1), uint32(w))
 				err := errors.Join(
-					tx.CreateNode(id, Props{{PropCreationDate, Int64(int64(i))}}),
+					tx.CreateNode(id, Props{NewProp(PropCreationDate, Int64(int64(i)))}),
 					tx.AddEdge(id, EdgeHasCreator, personID(uint32(1+i)), int64(i)),
 					tx.Commit())
 				if err != nil {

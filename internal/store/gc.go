@@ -14,8 +14,10 @@ package store
 // will still pass to ViewAt.
 //
 // Retained SnapshotViews need no accounting: a view is fully materialised
-// at construction (CSR slabs, property tables, copy-on-write overlays) and
-// never reads the store again, so views frozen below the horizon stay
+// at construction (CSR slabs, copy-on-write overlays, references to the
+// immutable property rows of the versions it sees, which GC dropping a
+// version does not free while the view holds them) and never reads the
+// store again, so views frozen below the horizon stay
 // correct after GC. The same holds for the delta refresh path — pending
 // CommitDeltas carry the committed property lists and edge descriptors
 // themselves, not references into version chains — so CurrentView's

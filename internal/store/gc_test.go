@@ -12,7 +12,7 @@ func TestGCPrunesOldVersions(t *testing.T) {
 	s := New()
 	id := personID(700)
 	tx := s.Begin()
-	tx.CreateNode(id, Props{{PropFirstName, String("v0")}})
+	tx.CreateNode(id, Props{NewProp(PropFirstName, String("v0"))})
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestGCKeepsVersionsAboveHorizon(t *testing.T) {
 	s := New()
 	id := personID(701)
 	tx := s.Begin()
-	tx.CreateNode(id, Props{{PropFirstName, String("old")}})
+	tx.CreateNode(id, Props{NewProp(PropFirstName, String("old"))})
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestGCPreservesSurvivingEdgeOrder(t *testing.T) {
 	a := personID(714)
 	peers := []ids.ID{personID(715), personID(716), personID(717)}
 	tx := s.Begin()
-	tx.CreateNode(a, Props{{PropFirstName, String("v0")}})
+	tx.CreateNode(a, Props{NewProp(PropFirstName, String("v0"))})
 	for _, p := range peers {
 		tx.CreateNode(p, nil)
 	}
@@ -109,7 +109,7 @@ func TestGCQuickInvariant(t *testing.T) {
 		s := New()
 		id := personID(702)
 		tx := s.Begin()
-		tx.CreateNode(id, Props{{PropLength, Int64(0)}})
+		tx.CreateNode(id, Props{NewProp(PropLength, Int64(0))})
 		if tx.Commit() != nil {
 			return false
 		}

@@ -22,8 +22,8 @@ import (
 func commitPersonErr(s *Store, n int) error {
 	tx := s.Begin()
 	if err := tx.CreateNode(personID(uint32(n)), Props{
-		{PropFirstName, String([]string{"ada", "bob", "eve"}[n%3])},
-		{PropCreationDate, Int64(int64(n))},
+		NewProp(PropFirstName, String([]string{"ada", "bob", "eve"}[n%3])),
+		NewProp(PropCreationDate, Int64(int64(n))),
 	}); err != nil {
 		tx.Abort()
 		return err

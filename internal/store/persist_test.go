@@ -141,7 +141,7 @@ func TestPersistRoundTrip(t *testing.T) {
 
 	// The recovered store accepts new durable commits.
 	tx := re.Begin()
-	if err := tx.CreateNode(personID(9001), Props{{PropFirstName, String("ada")}}); err != nil {
+	if err := tx.CreateNode(personID(9001), Props{NewProp(PropFirstName, String("ada"))}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -616,7 +616,7 @@ func TestSyncCommitWritesThrough(t *testing.T) {
 	}
 	commitOne := func(p *Persistent, n uint32) {
 		tx := p.Begin()
-		if err := tx.CreateNode(personID(n), Props{{PropFirstName, String("ada")}}); err != nil {
+		if err := tx.CreateNode(personID(n), Props{NewProp(PropFirstName, String("ada"))}); err != nil {
 			t.Fatal(err)
 		}
 		if err := tx.Commit(); err != nil {

@@ -1,0 +1,232 @@
+package store
+
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"ldbcsnb/internal/ids"
+)
+
+// Property rows are stored once: the MVCC version, every view that sees it
+// and every commit delta share one immutable, exactly sized row. These tests
+// pin what makes that sharing safe.
+
+func TestPropLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Prop{}); n != 16 {
+		t.Fatalf("Prop is %d bytes, want 16 (a key beside a nested Value pads to 24)", n)
+	}
+	p := NewProp(PropLength, Int64(-7))
+	if p.Key != PropLength || p.Val() != Int64(-7) {
+		t.Fatalf("NewProp/Val round trip: %#v", p)
+	}
+	if got := NewProp(PropName, String("x")).Val().Str(); got != "x" {
+		t.Fatalf("string round trip: %q", got)
+	}
+}
+
+func commitOrFatal(t *testing.T, tx *Txn) {
+	t.Helper()
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHeldViewPropsSurviveSetProp holds views across a commit that replaces
+// a property in place of an existing key — the one write a shared row could
+// suffer — for an ordinal of the compacted base and for one a delta refresh
+// appended. The held views must still return the old lists.
+func TestHeldViewPropsSurviveSetProp(t *testing.T) {
+	s := New()
+	base, appended := personID(1), personID(2)
+	tx := s.Begin()
+	if err := tx.CreateNode(base, Props{NewProp(PropFirstName, String("old")), NewProp(PropLength, Int64(1))}); err != nil {
+		t.Fatal(err)
+	}
+	commitOrFatal(t, tx)
+	v1 := s.CurrentView() // compacts: base is a base ordinal
+
+	tx = s.Begin()
+	if err := tx.CreateNode(appended, Props{NewProp(PropFirstName, String("old")), NewProp(PropLength, Int64(2))}); err != nil {
+		t.Fatal(err)
+	}
+	commitOrFatal(t, tx)
+	v2, ev := s.AcquireView()
+	if ev != ViewRefreshed {
+		t.Fatalf("second view: %v, want a delta refresh", ev)
+	}
+	if o, _ := v2.Ord(appended); int(o) < len(v2.base.nodes) {
+		t.Fatalf("ordinal %d of the created node is not an appended one (base has %d)", o, len(v2.base.nodes))
+	}
+	fresh := s.ViewAt(s.LastCommit()) // a compacted view where both are base ordinals
+
+	want := map[ids.ID]Props{}
+	for _, id := range []ids.ID{base, appended} {
+		ps, _ := v2.Props(id)
+		want[id] = ps.clone()
+	}
+
+	tx = s.Begin()
+	for _, id := range []ids.ID{base, appended} {
+		if err := tx.SetProp(id, PropFirstName, String("new")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commitOrFatal(t, tx)
+	v3 := s.CurrentView()
+
+	check := func(name string, v *SnapshotView, id ids.ID) {
+		t.Helper()
+		got, ok := v.Props(id)
+		if !ok || !reflect.DeepEqual(got, want[id]) {
+			t.Errorf("%s: Props(%v) = %#v, want %#v", name, id, got, want[id])
+		}
+		if got := v.Prop(id, PropFirstName).Str(); got != "old" {
+			t.Errorf("%s: Prop(%v, firstName) = %q, want old", name, id, got)
+		}
+	}
+	check("held base view", v1, base)
+	check("held refreshed view", v2, base)
+	check("held refreshed view", v2, appended)
+	check("held compacted view", fresh, base)
+	check("held compacted view", fresh, appended)
+	for _, id := range []ids.ID{base, appended} {
+		if got := v3.Prop(id, PropFirstName).Str(); got != "new" {
+			t.Errorf("view after the commit: Prop(%v, firstName) = %q, want new", id, got)
+		}
+	}
+}
+
+// TestTxnAndViewPropsEqual compares every node's list on a Txn, the
+// delta-refreshed cached view and a compacted view at the same timestamp,
+// and checks that every list handed out is exactly sized.
+func TestTxnAndViewPropsEqual(t *testing.T) {
+	s := New()
+	var nodes []ids.ID
+	create := func(n uint32, props Props) {
+		id := personID(n)
+		tx := s.Begin()
+		if err := tx.CreateNode(id, props); err != nil {
+			t.Fatal(err)
+		}
+		commitOrFatal(t, tx)
+		nodes = append(nodes, id)
+	}
+	create(1, Props{NewProp(PropFirstName, String("a"))})
+	// Spare capacity: the store must keep an exactly sized copy.
+	create(2, append(make(Props, 0, 8), NewProp(PropFirstName, String("b")), NewProp(PropLength, Int64(2))))
+	create(3, nil)
+	s.CurrentView()
+	create(4, append(make(Props, 0, 4), NewProp(PropLength, Int64(4))))
+	tx := s.Begin()
+	for _, id := range nodes {
+		if err := tx.SetProp(id, PropBirthday, Int64(int64(id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.SetProp(nodes[0], PropFirstName, String("a2")); err != nil {
+		t.Fatal(err)
+	}
+	commitOrFatal(t, tx)
+
+	refreshed, fresh := s.CurrentView(), s.ViewAt(s.LastCommit())
+	s.View(func(tx *Txn) {
+		for _, id := range nodes {
+			want, ok := tx.Props(id)
+			if !ok {
+				t.Fatalf("txn: %v missing", id)
+			}
+			if cap(want) != len(want) {
+				t.Errorf("txn: Props(%v) has cap %d, len %d", id, cap(want), len(want))
+			}
+			for name, v := range map[string]*SnapshotView{"refreshed": refreshed, "compacted": fresh} {
+				got, ok := v.Props(id)
+				if !ok || !reflect.DeepEqual(got, want) {
+					t.Errorf("%s view: Props(%v) = %#v, txn %#v", name, id, got, want)
+				}
+				if cap(got) != len(got) {
+					t.Errorf("%s view: Props(%v) has cap %d, len %d", name, id, cap(got), len(got))
+				}
+			}
+		}
+	})
+	// A transaction's own writes come back exactly sized too.
+	tx = s.Begin()
+	id := personID(9)
+	if err := tx.CreateNode(id, append(make(Props, 0, 4), NewProp(PropLength, Int64(9)))); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.SetProp(nodes[1], PropLength, Int64(20)); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []ids.ID{id, nodes[1]} {
+		if ps, _ := tx.Props(id); cap(ps) != len(ps) {
+			t.Errorf("own writes: Props(%v) has cap %d, len %d", id, cap(ps), len(ps))
+		}
+	}
+	tx.Abort()
+}
+
+// TestHeldViewKindListsStable holds a compacted view and a refreshed one
+// across commits and refreshes that append to the kind list they share a
+// prefix of with the store.
+func TestHeldViewKindListsStable(t *testing.T) {
+	s := New()
+	commitPersons := func(from, to uint32) {
+		tx := s.Begin()
+		for n := from; n < to; n++ {
+			if err := tx.CreateNode(personID(n), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		commitOrFatal(t, tx)
+	}
+	commitPersons(0, 5)
+	v1 := s.CurrentView()
+	mid := s.Begin()
+	want1 := append([]ids.ID(nil), v1.NodesOfKind(ids.KindPerson)...)
+	wantMid := append([]ids.ID(nil), mid.NodesOfKind(ids.KindPerson)...)
+	if len(want1) != 5 || !reflect.DeepEqual(want1, wantMid) {
+		t.Fatalf("view %v, txn %v", want1, wantMid)
+	}
+
+	commitPersons(5, 8)
+	v2, ev := s.AcquireView()
+	if ev != ViewRefreshed {
+		t.Fatalf("second view: %v, want a delta refresh", ev)
+	}
+	want2 := append([]ids.ID(nil), v2.NodesOfKind(ids.KindPerson)...)
+	if len(want2) != 8 {
+		t.Fatalf("refreshed view sees %d persons, want 8", len(want2))
+	}
+	// The refresh appended: it must have moved off the store's array
+	// rather than writing into the store's spare capacity.
+	s.kindMu.RLock()
+	storeList := s.byKind[ids.KindPerson]
+	s.kindMu.RUnlock()
+	if &v2.NodesOfKind(ids.KindPerson)[0] == &storeList[0] {
+		t.Fatal("refreshed view's kind list shares the store's array")
+	}
+
+	commitPersons(8, 20)
+	s.CurrentView()
+	commitPersons(20, 21)
+	s.CurrentView()
+
+	for name, got := range map[string][]ids.ID{
+		"held compacted view": v1.NodesOfKind(ids.KindPerson),
+		"held refreshed view": v2.NodesOfKind(ids.KindPerson),
+		"held transaction":    mid.NodesOfKind(ids.KindPerson),
+	} {
+		want := want1
+		if name == "held refreshed view" {
+			want = want2
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: NodesOfKind = %v, want %v", name, got, want)
+		}
+	}
+	if got := len(s.CurrentView().NodesOfKind(ids.KindPerson)); got != 21 {
+		t.Fatalf("current view sees %d persons, want 21", got)
+	}
+}

@@ -160,15 +160,18 @@ func decodeTxnPayload(d *walDecoder, start, end int64, dtx *decodedTxn) error {
 			if np > (int(end)-d.pos)/2 { // a prop is at least key + value kind
 				return fmt.Errorf("%w: truncated ops", ErrCorrupt)
 			}
-			props := make(Props, 0, np)
-			for j := 0; j < np; j++ {
-				props = append(props, d.prop())
+			var props Props // exactly sized, nil when empty (Props.exact)
+			if np > 0 {
+				props = make(Props, np)
+				for j := range props {
+					props[j] = d.prop()
+				}
 			}
 			dtx.created = append(dtx.created, &pendingNode{id: id, props: props})
 		case 2:
 			id := ids.ID(d.u64())
 			p := d.prop()
-			dtx.sets = append(dtx.sets, pendingProp{id: id, key: p.Key, val: p.Val})
+			dtx.sets = append(dtx.sets, pendingProp{id: id, key: p.Key, val: p.Val()})
 		case 3:
 			from := ids.ID(d.u64())
 			t := d.edgeType()

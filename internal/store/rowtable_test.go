@@ -123,7 +123,7 @@ func TestRowTableMatchesDenseReference(t *testing.T) {
 	}
 	tx := s.Begin()
 	for _, id := range pool[:6] { // pool[6:] stay bare endpoints
-		if err := tx.CreateNode(id, Props{{PropFirstName, String("ada")}}); err != nil {
+		if err := tx.CreateNode(id, Props{NewProp(PropFirstName, String("ada"))}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -72,10 +72,10 @@ type ViewMem struct {
 	Edges int // stored direction-entries (each logical edge counts twice)
 
 	AdjBytes     int64 // encoded adjacency: shared varint slab + per-row offset indexes
-	PropBytes    int64 // dense property slab + row offset index
+	PropBytes    int64 // ordinal -> property row table; the rows are the MVCC side's (Stats.MutableBytes)
 	NodeBytes    int64 // base ordinal tables: ordinal->ID slice and ID->ordinal position table
 	KindBytes    int64 // per-kind scan lists
-	OverlayBytes int64 // copy-on-write refresh state: touched rows, props, appended ordinals, spill
+	OverlayBytes int64 // copy-on-write refresh state: touched rows, appended ordinals, spill
 
 	// AdjCacheBytes is the decode cache: rows the read path has actually
 	// iterated, decoded once and kept as []Edge (codec.go). It grows with
@@ -126,7 +126,6 @@ func (v *SnapshotView) MemStats() ViewMem {
 	b := v.base
 	m := ViewMem{Era: v.era, Nodes: v.NumNodes()}
 
-	propSize := int64(unsafe.Sizeof(Prop{}))
 	for t := EdgeType(1); t < edgeTypeMax; t++ {
 		for _, c := range [2]*csr{&b.out[t], &b.in[t]} {
 			if c.offsets == nil {
@@ -138,16 +137,16 @@ func (v *SnapshotView) MemStats() ViewMem {
 			m.UncompressedAdjBytes += int64(c.entries)*viewEdgeBytes + int64(len(c.offsets))*4
 		}
 	}
-	m.PropBytes = int64(len(b.props))*propSize + int64(len(b.propOff))*4
+	m.PropBytes = int64(len(b.props)) * sliceHdrBytes
 	m.NodeBytes = int64(len(b.nodes))*8 + int64(len(b.ord.slots))*4
 	for _, list := range v.byKind {
 		m.KindBytes += int64(len(list)) * 8
 	}
 
 	// Overlay state: refresh-appended ordinals and their ID table, the page
-	// table, touched property rows and decoded adjacency rows (at capacity:
+	// table and its entries, decoded adjacency rows (at capacity:
 	// append-shared rows hold their spare slots), plus any spill rows the
-	// encoder kept raw.
+	// encoder kept raw. Property rows are the MVCC side's, as for the base.
 	m.OverlayBytes += int64(cap(v.nodesOver))*8 + int64(len(v.over))*8
 	if v.ordOver != nil {
 		m.OverlayBytes += int64(len(v.ordOver.slots)) * 4
@@ -161,7 +160,7 @@ func (v *SnapshotView) MemStats() ViewMem {
 			if n == nil {
 				continue
 			}
-			m.OverlayBytes += int64(unsafe.Sizeof(*n)) + int64(len(n.props))*propSize
+			m.OverlayBytes += int64(unsafe.Sizeof(*n))
 			for _, r := range n.rows {
 				m.Edges += len(r.edges)
 				m.OverlayBytes += int64(unsafe.Sizeof(r)) + int64(cap(r.edges))*viewEdgeBytes

@@ -151,33 +151,35 @@ func (s *Store) View(fn func(*Txn)) {
 	fn(tx)
 }
 
-// NodesOfKind returns the IDs of all nodes of a kind visible at snapshot
-// ts, in insertion order. The returned slice is fresh and owned by the
-// caller.
+// nodesOfKind returns the IDs of all nodes of a kind visible at snapshot
+// ts, in insertion order. The per-kind list is append-only and in commit
+// order, so the entries committed after ts form a suffix: the scan walks
+// back from the tail and stops at the first visible entry, touching only
+// the invisible suffix rather than the whole list. The result shares the
+// store's array, capped at its length: the store appends beyond it, and an
+// append by the caller reallocates instead of writing into the store's
+// array. It must not be written.
 func (s *Store) nodesOfKind(kind ids.Kind, ts int64) []ids.ID {
 	s.kindMu.RLock()
 	list := s.byKind[kind]
-	// The per-kind list is append-only; entries are appended in commit
-	// order, so the visible prefix is a prefix of the slice. Copy under
-	// the read lock, then filter by visibility.
-	snap := make([]ids.ID, len(list))
-	copy(snap, list)
 	s.kindMu.RUnlock()
 
-	out := snap[:0]
-	for _, id := range snap {
-		sh := s.shardFor(id)
-		sh.mu.RLock()
-		rec := sh.nodes[id]
-		ok := rec != nil && func() bool { _, v := rec.visibleProps(ts); return v }()
-		sh.mu.RUnlock()
-		if ok {
-			out = append(out, id)
-		} else {
-			// Lists are commit-ordered: the first invisible entry ends the
-			// visible prefix.
-			break
-		}
+	n := len(list)
+	for n > 0 && !s.visibleAt(list[n-1], ts) {
+		n--
 	}
-	return out
+	return list[:n:n]
+}
+
+// visibleAt reports whether a stored node has a version visible at ts.
+func (s *Store) visibleAt(id ids.ID, ts int64) bool {
+	sh := s.shardFor(id)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	rec := sh.nodes[id]
+	if rec == nil {
+		return false
+	}
+	_, ok := rec.visibleProps(ts)
+	return ok
 }

@@ -15,7 +15,7 @@ func TestCreateAndRead(t *testing.T) {
 	s := New()
 	tx := s.Begin()
 	id := personID(1)
-	if err := tx.CreateNode(id, Props{{PropFirstName, String("Karl")}, {PropCreationDate, Int64(100)}}); err != nil {
+	if err := tx.CreateNode(id, Props{NewProp(PropFirstName, String("Karl")), NewProp(PropCreationDate, Int64(100))}); err != nil {
 		t.Fatal(err)
 	}
 	// Own writes visible before commit.
@@ -46,7 +46,7 @@ func TestSnapshotIsolationInvisibleUntilCommit(t *testing.T) {
 	id := personID(2)
 	reader := s.Begin() // snapshot before the write
 	w := s.Begin()
-	if err := w.CreateNode(id, Props{{PropFirstName, String("Hans")}}); err != nil {
+	if err := w.CreateNode(id, Props{NewProp(PropFirstName, String("Hans"))}); err != nil {
 		t.Fatal(err)
 	}
 	if reader.Exists(id) {
@@ -89,7 +89,7 @@ func TestWriteWriteConflict(t *testing.T) {
 	s := New()
 	id := personID(4)
 	setup := s.Begin()
-	setup.CreateNode(id, Props{{PropFirstName, String("a")}})
+	setup.CreateNode(id, Props{NewProp(PropFirstName, String("a"))})
 	if err := setup.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestSetPropVersioning(t *testing.T) {
 	s := New()
 	id := personID(5)
 	tx := s.Begin()
-	tx.CreateNode(id, Props{{PropFirstName, String("v1")}})
+	tx.CreateNode(id, Props{NewProp(PropFirstName, String("v1"))})
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestConcurrentInsertersAndReaders(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				tx := s.Begin()
 				id := ids.Compose(ids.KindPost, int64(i), uint32(w))
-				tx.CreateNode(id, Props{{PropCreationDate, Int64(int64(i))}})
+				tx.CreateNode(id, Props{NewProp(PropCreationDate, Int64(int64(i)))})
 				if w > 0 {
 					tx.AddEdge(id, EdgeHasCreator, personID(uint32(w)), int64(i))
 				}
@@ -325,10 +325,10 @@ func TestStats(t *testing.T) {
 	s := New()
 	tx := s.Begin()
 	p := personID(30)
-	tx.CreateNode(p, Props{{PropFirstName, String("Karl")}})
+	tx.CreateNode(p, Props{NewProp(PropFirstName, String("Karl"))})
 	for i := uint32(0); i < 20; i++ {
 		m := postID(300 + i)
-		tx.CreateNode(m, Props{{PropContent, String("hello world, this is content")}, {PropCreationDate, Int64(int64(i))}})
+		tx.CreateNode(m, Props{NewProp(PropContent, String("hello world, this is content")), NewProp(PropCreationDate, Int64(int64(i)))})
 		tx.AddEdge(m, EdgeHasCreator, p, int64(i))
 	}
 	if err := tx.Commit(); err != nil {
@@ -353,7 +353,7 @@ func TestPropsCopyIsolated(t *testing.T) {
 	s := New()
 	id := personID(40)
 	tx := s.Begin()
-	tx.CreateNode(id, Props{{PropFirstName, String("a")}})
+	tx.CreateNode(id, Props{NewProp(PropFirstName, String("a"))})
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestPropsCopyIsolated(t *testing.T) {
 		if !ok {
 			t.Fatal("missing")
 		}
-		ps[0].Val = String("mutated")
+		ps[0] = NewProp(PropFirstName, String("mutated"))
 	})
 	s.View(func(tx *Txn) {
 		if got := tx.Prop(id, PropFirstName).Str(); got != "a" {

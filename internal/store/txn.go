@@ -67,6 +67,8 @@ func (tx *Txn) Snapshot() int64 { return tx.snapshot }
 // CreateNode buffers creation of a node with the given properties. The
 // node's creationDate property, if present, should match the workload's
 // simulation time; the store itself only assigns the commit timestamp.
+// An exactly sized list (cap == len) is stored as given and must not be
+// written afterwards; one with spare capacity is copied first.
 func (tx *Txn) CreateNode(id ids.ID, props Props) error {
 	if tx.readonly {
 		return errors.New("store: write in read-only transaction")
@@ -77,7 +79,7 @@ func (tx *Txn) CreateNode(id ids.ID, props Props) error {
 	if _, ok := tx.newNodes[id]; ok {
 		return fmt.Errorf("%w: %v created twice in transaction", ErrExists, id)
 	}
-	tx.newNodes[id] = &pendingNode{id: id, props: props}
+	tx.newNodes[id] = &pendingNode{id: id, props: props.exact()}
 	return nil
 }
 
@@ -129,12 +131,7 @@ func (tx *Txn) Exists(id ids.ID) bool {
 	if _, ok := tx.newNodes[id]; ok {
 		return true
 	}
-	sh := tx.s.shardFor(id)
-	sh.mu.RLock()
-	rec := sh.nodes[id]
-	ok := rec != nil && func() bool { _, v := rec.visibleProps(tx.snapshot); return v }()
-	sh.mu.RUnlock()
-	return ok
+	return tx.s.visibleAt(id, tx.snapshot)
 }
 
 // Prop returns one property of a node (zero Value if the node or property
@@ -163,10 +160,10 @@ func (tx *Txn) Prop(id ids.ID, key PropKey) Value {
 	return ps.Get(key)
 }
 
-// Props returns a copy of all visible properties of a node.
+// Props returns an exactly sized copy of all visible properties of a node.
 func (tx *Txn) Props(id ids.ID) (Props, bool) {
 	if n, ok := tx.newNodes[id]; ok {
-		return append(Props(nil), n.props...), true
+		return n.props.clone(), true
 	}
 	sh := tx.s.shardFor(id)
 	sh.mu.RLock()
@@ -175,7 +172,7 @@ func (tx *Txn) Props(id ids.ID) (Props, bool) {
 	ok := false
 	if rec != nil {
 		if vis, v := rec.visibleProps(tx.snapshot); v {
-			ps, ok = append(Props(nil), vis...), true
+			ps, ok = vis.clone(), true
 		}
 	}
 	sh.mu.RUnlock()
@@ -280,6 +277,7 @@ func (tx *Txn) neighbours(id ids.ID, t EdgeType, in bool) []Edge {
 // NodesOfKind returns the IDs of all nodes of a kind visible to the
 // transaction (committed only; buffered creations of this transaction are
 // excluded, matching scan semantics of a snapshot).
+// The slice shares the store's kind list and must not be mutated.
 func (tx *Txn) NodesOfKind(kind ids.Kind) []ids.ID {
 	return tx.s.nodesOfKind(kind, tx.snapshot)
 }

@@ -203,34 +203,64 @@ func (v Value) GoString() string {
 	}
 }
 
-// Prop is one (key, value) property pair.
+// Prop is one (key, value) property pair, 16 bytes: the Value's word and
+// tag stored inline next to the key, so a property row packs without the
+// padding a nested Value field would cost (24 bytes). Build one with
+// NewProp and read its value with Val.
 type Prop struct {
-	Key PropKey
-	Val Value
+	bits int64
+	k    valueKind
+	Key  PropKey
 }
 
-// Props is the property list of one node version.
+// NewProp pairs a key with a value.
+func NewProp(key PropKey, v Value) Prop { return Prop{bits: v.bits, k: v.k, Key: key} }
+
+// Val returns the property's value.
+func (p Prop) Val() Value { return Value{bits: p.bits, k: p.k} }
+
+// Props is the property list of one node version. A stored list is
+// immutable and exactly sized (cap == len): the MVCC version, every
+// snapshot view that sees it and every commit delta share the one row, and
+// a caller appending to a returned list gets a fresh array.
 type Props []Prop
 
 // Get returns the value for a key (zero Value if absent).
 func (ps Props) Get(k PropKey) Value {
 	for _, p := range ps {
 		if p.Key == k {
-			return p.Val
+			return p.Val()
 		}
 	}
 	return Value{}
 }
 
-// with returns a copy of ps with key set to v (replacing or appending).
+// with returns an exactly sized copy of ps with key set to v (replacing or
+// appending). It never writes ps: views and deltas share it.
 func (ps Props) with(k PropKey, v Value) Props {
-	out := make(Props, len(ps), len(ps)+1)
-	copy(out, ps)
-	for i := range out {
-		if out[i].Key == k {
-			out[i].Val = v
-			return out
-		}
+	i := 0
+	for i < len(ps) && ps[i].Key != k {
+		i++
 	}
-	return append(out, Prop{k, v})
+	out := make(Props, max(len(ps), i+1))
+	copy(out, ps)
+	out[i] = NewProp(k, v)
+	return out
+}
+
+// clone returns an exactly sized copy of ps, nil when ps is empty.
+func (ps Props) clone() Props {
+	if len(ps) == 0 {
+		return nil
+	}
+	return append(make(Props, 0, len(ps)), ps...)
+}
+
+// exact returns ps as a row to store: ps itself when it is already exactly
+// sized, an exactly sized copy otherwise (nil when empty).
+func (ps Props) exact() Props {
+	if len(ps) > 0 && cap(ps) == len(ps) {
+		return ps
+	}
+	return ps.clone()
 }

@@ -11,18 +11,20 @@ import (
 // SnapshotView is a frozen, read-optimised image of the store at one commit
 // timestamp. Its bulk lives in a per-era viewBase: every shard's visible
 // adjacency compacted into varint/delta-coded CSR rows in one shared byte
-// slab (codec.go), and the visible node properties packed into one dense
-// property slab indexed by compact node ordinals. The compact layout is
-// what lets thousand-person scale factors stay resident: a stored
-// direction-entry costs a few bytes instead of the 16-byte Edge struct of
-// the PR 1 layout, and property lists are fixed-width rows (interned string
-// symbols, internal/intern) in a single allocation.
+// slab (codec.go), and one property row per compact node ordinal. The
+// compact layout is what lets thousand-person scale factors stay resident:
+// a stored direction-entry costs a few bytes instead of a 16-byte Edge
+// struct. Property rows are not copied at all: each
+// ordinal points at the immutable row of the MVCC version visible at the
+// view's timestamp (fixed-width 16-byte Props, strings as interned
+// symbols, internal/intern), so a node's properties are stored once
+// however many views see them.
 //
 // A view is immutable after construction, so every read is lock-free and
 // steady-state allocation-free: Out and In return []Edge rows served from
 // the per-csr decode cache (decoded out of the slab once, on first read)
 // or from a copy-on-write overlay row, and Prop and Props return the
-// already-materialised fixed-width data. This is the read path
+// shared, never-written property rows. This is the read path
 // the Interactive workload's 2-3-hop knows expansions run on; MVCC
 // transactions (Txn) remain the write path and the read path for
 // transactional reads that must overlay their own uncommitted writes.
@@ -91,25 +93,23 @@ type SnapshotView struct {
 }
 
 // viewBase is the compacted, era-shared bulk of one or more snapshot views:
-// the encoded CSR slabs, the dense property slab and the ordinal mapping of
-// every node visible when the era was compacted. The mapping is nodes, the
-// ordinal -> ID list, plus ord, an ordTable over it: an ordinal is a
-// position in nodes, so the same position table that resolves the overlay's
-// appended nodes resolves the base's, and a lookup touches one int32 slot
-// and one nodes entry rather than hashing into a Go map. It is immutable
-// after buildView returns; delta refreshes layer overlays on top without
-// touching it.
+// the encoded CSR slabs, the property row of every ordinal and the ordinal
+// mapping of every node visible when the era was compacted. The mapping is
+// nodes, the ordinal -> ID list, plus ord, an ordTable over it: an ordinal
+// is a position in nodes, so the same position table that resolves the
+// overlay's appended nodes resolves the base's, and a lookup touches one
+// int32 slot and one nodes entry rather than hashing into a Go map. It is
+// immutable after buildView returns; delta refreshes layer overlays on top
+// without touching it.
 type viewBase struct {
 	nodes []ids.ID  // ordinal -> node ID, ascending
 	ord   *ordTable // node ID -> position in nodes, i.e. ordinal
 
-	// Dense property storage: the property rows of all ordinals packed
-	// back to back in one slab. Row of ordinal o is
-	// props[propOff[o]:propOff[o+1]] — fixed-width (Key, Value) pairs,
-	// strings as interned symbols — replacing the per-node Props slice
-	// headers (and their per-node allocations) of the uncompacted store.
-	props   []Prop
-	propOff []uint32
+	// props is ordinal -> property row: the row of the node's MVCC version
+	// visible at the compaction timestamp, shared, not copied. Sharing is
+	// safe because a stored row is never written: SetProp commits a new,
+	// exactly sized row (Props.with), so a later commit cannot reach it.
+	props []Props
 
 	slab    []byte // the shared adjacency byte slab every csr.data aliases
 	out, in [edgeTypeMax]csr
@@ -445,17 +445,12 @@ func (v *SnapshotView) InDegree(id ids.ID, t EdgeType) int {
 
 // propsAt returns the property list of a visible ordinal. Every appended
 // ordinal has overlay props (written when the refresh created it), so the
-// slab fallback only runs for compacted ordinals.
+// base fallback only runs for compacted ordinals.
 func (v *SnapshotView) propsAt(ord int32) Props {
 	if n := v.overAt(ord); n != nil && n.hasProps {
 		return n.props
 	}
-	b := v.base
-	row := b.props[b.propOff[ord]:b.propOff[ord+1]]
-	if len(row) == 0 {
-		return nil
-	}
-	return Props(row)
+	return v.base.props[ord]
 }
 
 // Prop returns one property of a node (zero Value if the node or property
@@ -473,8 +468,9 @@ func (v *SnapshotView) Prop(id ids.ID, key PropKey) Value {
 	return v.propsAt(o).Get(key)
 }
 
-// Props returns the visible property list of a node. The slice aliases the
-// view's property slab and must not be mutated.
+// Props returns the visible property list of a node. The slice is the
+// stored row the MVCC version and every view that sees it share, and must
+// not be mutated.
 func (v *SnapshotView) Props(id ids.ID) (Props, bool) {
 	o, ok := v.Ord(id)
 	if !ok {
@@ -639,10 +635,11 @@ func (s *Store) ViewAt(ts int64) *SnapshotView {
 //
 // Compaction runs in three phases: the two shard-grouped passes of the
 // PR 1 layout gather the visible edges into transient uncompressed slabs
-// (exact-sized, lock-friendly), and a lock-free encode pass then
-// delta/varint-codes each row into the shared byte slab and packs the
-// property rows, after which the transient slabs are dropped. The build
-// briefly holds both layouts; the resident result is only the compact one.
+// (exact-sized, lock-friendly) and point each ordinal at its visible
+// property row, and a lock-free encode pass then delta/varint-codes each
+// adjacency row into the shared byte slab, after which the transient slabs
+// are dropped. The build briefly holds both layouts; the resident result is
+// only the compact one.
 func (s *Store) buildView(ts int64) *SnapshotView {
 	b := &viewBase{}
 	v := &SnapshotView{ts: ts, era: s.viewEra.Add(1), base: b}
@@ -676,7 +673,7 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 		edges   []Edge
 	}
 	var raw [2 * edgeTypeMax]rawCSR // indexed by rowKey
-	rawProps := make([]Props, n)
+	b.props = make([]Props, n)
 
 	// Pass 1: per-node visible edge counts into the (future) offset
 	// arrays, plus the property rows. Offsets are allocated for every edge
@@ -690,8 +687,7 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 		sh.mu.RLock()
 		for _, ord := range ordsByShard[si] {
 			rec := sh.nodes[b.nodes[ord]]
-			ps, _ := rec.visibleProps(ts)
-			rawProps[ord] = ps
+			b.props[ord], _ = rec.visibleProps(ts)
 			for _, r := range rec.adj.rows {
 				raw[r.key].offsets[ord+1] = int32(countVisible(r.list, ts))
 			}
@@ -802,19 +798,6 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 		}
 		b.entries += b.out[t].entries + b.in[t].entries
 	}
-
-	// Pack the property rows into the dense slab.
-	total := 0
-	for _, ps := range rawProps {
-		total += len(ps)
-	}
-	b.props = make([]Prop, 0, total)
-	b.propOff = make([]uint32, n+1)
-	for i, ps := range rawProps {
-		b.propOff[i] = uint32(len(b.props))
-		b.props = append(b.props, ps...)
-	}
-	b.propOff[n] = uint32(len(b.props))
 
 	// Per-kind scan lists, matching Txn.NodesOfKind's visible-prefix
 	// semantics over the commit-ordered kind lists.

@@ -20,8 +20,8 @@ func randomGraphStep(t *testing.T, s *Store, r *xrand.Rand, pop []ids.ID, step i
 	for i := 0; i < 1+r.Intn(3); i++ {
 		id := ids.Compose(ids.KindPerson, int64(step), uint32(i))
 		props := Props{
-			{PropFirstName, String([]string{"ada", "bob", "eve"}[r.Intn(3)])},
-			{PropCreationDate, Int64(int64(step*100 + i))},
+			NewProp(PropFirstName, String([]string{"ada", "bob", "eve"}[r.Intn(3)])),
+			NewProp(PropCreationDate, Int64(int64(step*100+i))),
 		}
 		if err := tx.CreateNode(id, props); err != nil {
 			t.Fatal(err)
@@ -138,8 +138,8 @@ func TestViewFrozenUnderLaterCommits(t *testing.T) {
 	a := ids.Compose(ids.KindPerson, 1, 0)
 	b := ids.Compose(ids.KindPerson, 1, 1)
 	tx := s.Begin()
-	_ = tx.CreateNode(a, Props{{PropFirstName, String("ada")}})
-	_ = tx.CreateNode(b, Props{{PropFirstName, String("bob")}})
+	_ = tx.CreateNode(a, Props{NewProp(PropFirstName, String("ada"))})
+	_ = tx.CreateNode(b, Props{NewProp(PropFirstName, String("bob"))})
 	_ = tx.AddKnows(a, b, 10)
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)

@@ -81,15 +81,15 @@ func appendU64(b []byte, v uint64) []byte {
 
 func appendProp(b []byte, p Prop) []byte {
 	b = append(b, byte(p.Key))
-	switch p.Val.k {
+	switch p.k {
 	case kindInt:
 		b = append(b, 1)
-		b = appendU64(b, uint64(p.Val.bits))
+		b = appendU64(b, uint64(p.bits))
 	case kindString:
 		// WAL records carry strings inline (not interned symbols), so the
 		// format — and v1-era tail replay — is independent of any process's
 		// symbol assignment.
-		s := p.Val.Str()
+		s := p.Val().Str()
 		b = append(b, 2)
 		b = appendU32(b, uint32(len(s)))
 		b = append(b, s...)
@@ -122,7 +122,7 @@ func appendCommitRecord(buf []byte, ts int64, created []*pendingNode, sets []pen
 	for _, set := range sets {
 		b = append(b, 2)
 		b = appendU64(b, uint64(set.id))
-		b = appendProp(b, Prop{Key: set.key, Val: set.val})
+		b = appendProp(b, NewProp(set.key, set.val))
 	}
 	for _, e := range edges {
 		b = append(b, 3)
@@ -243,54 +243,11 @@ func (d *walDecoder) prop() Prop {
 	key := PropKey(d.u8())
 	switch d.u8() {
 	case 1:
-		return Prop{Key: key, Val: Int64(int64(d.u64()))}
+		return NewProp(key, Int64(int64(d.u64())))
 	case 2:
 		n := int(d.u32())
-		return Prop{Key: key, Val: String(d.str(n))}
+		return NewProp(key, String(d.str(n)))
 	default:
 		return Prop{Key: key}
 	}
-}
-
-// propsInto decodes len(dst) consecutive props into dst. Semantically
-// identical to calling prop() per element, but with one bounds check per
-// field group instead of per byte — this loop decodes every property in
-// the database during checkpoint restore.
-func (d *walDecoder) propsInto(dst Props) {
-	b := d.b
-	pos := d.pos
-	for j := range dst {
-		if d.err != nil || pos+2 > len(b) {
-			d.err = io.ErrUnexpectedEOF
-			return
-		}
-		key := PropKey(b[pos])
-		vk := b[pos+1]
-		pos += 2
-		switch vk {
-		case 1:
-			if pos+8 > len(b) {
-				d.err = io.ErrUnexpectedEOF
-				return
-			}
-			dst[j] = Prop{Key: key, Val: Int64(int64(binary.LittleEndian.Uint64(b[pos:])))}
-			pos += 8
-		case 2:
-			if pos+4 > len(b) {
-				d.err = io.ErrUnexpectedEOF
-				return
-			}
-			n := int(binary.LittleEndian.Uint32(b[pos:]))
-			pos += 4
-			d.pos = pos
-			dst[j] = Prop{Key: key, Val: String(d.str(n))}
-			pos = d.pos
-			if d.err != nil {
-				return
-			}
-		default:
-			dst[j] = Prop{Key: key}
-		}
-	}
-	d.pos = pos
 }

@@ -74,7 +74,7 @@ func TestWALOrderPreservesVersions(t *testing.T) {
 	}
 	id := personID(600)
 	tx := p.Begin()
-	tx.CreateNode(id, Props{{PropFirstName, String("v1")}})
+	tx.CreateNode(id, Props{NewProp(PropFirstName, String("v1"))})
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -248,8 +248,8 @@ func TestReplayRejectsRetiredDelEdge(t *testing.T) {
 // exercising the record codec directly.
 func walPendings() ([]*pendingNode, []pendingProp, []pendingEdge) {
 	created := []*pendingNode{{id: personID(1), props: Props{
-		{Key: PropFirstName, Val: String("Ada")},
-		{Key: PropCreationDate, Val: Int64(7)},
+		NewProp(PropFirstName, String("Ada")),
+		NewProp(PropCreationDate, Int64(7)),
 	}}}
 	sets := []pendingProp{{id: personID(1), key: PropLastName, val: String("L")}}
 	edges := []pendingEdge{{from: personID(1), to: personID(2), t: EdgeKnows, stamp: 3, sym: true}}

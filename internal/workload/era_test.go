@@ -19,7 +19,7 @@ func eraTestGraph(t *testing.T) (*store.Store, []ids.ID) {
 	tx := st.Begin()
 	for i := range ps {
 		ps[i] = ids.Compose(ids.KindPerson, 900, uint32(i))
-		if err := tx.CreateNode(ps[i], store.Props{{Key: store.PropFirstName, Val: store.String("p")}}); err != nil {
+		if err := tx.CreateNode(ps[i], store.Props{store.NewProp(store.PropFirstName, store.String("p"))}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -98,7 +98,7 @@ func buildPathFixture(f *pathFixture) error {
 
 func addPerson(st *store.Store, p ids.ID) error {
 	tx := st.Begin()
-	if err := tx.CreateNode(p, store.Props{{Key: store.PropFirstName, Val: store.String("Isolde")}}); err != nil {
+	if err := tx.CreateNode(p, store.Props{store.NewProp(store.PropFirstName, store.String("Isolde"))}); err != nil {
 		return err
 	}
 	return tx.Commit()

@@ -33,31 +33,31 @@ func loadRandomDimensions(t *testing.T, st *store.Store, r *xrand.Rand, g *randG
 	tx := st.Begin()
 	for i := 0; i < 4; i++ {
 		place := ids.DimensionID(ids.KindPlace, uint32(i))
-		if err := tx.CreateNode(place, store.Props{{Key: store.PropName, Val: store.String(fmt.Sprintf("place%d", i))}}); err != nil {
+		if err := tx.CreateNode(place, store.Props{store.NewProp(store.PropName, store.String(fmt.Sprintf("place%d", i)))}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 6; i++ {
 		org := ids.DimensionID(ids.KindOrganisation, uint32(i))
-		if err := tx.CreateNode(org, store.Props{{Key: store.PropName, Val: store.String(fmt.Sprintf("org%d", i))}}); err != nil {
+		if err := tx.CreateNode(org, store.Props{store.NewProp(store.PropName, store.String(fmt.Sprintf("org%d", i)))}); err != nil {
 			t.Fatal(err)
 		}
 		_ = tx.AddEdge(org, store.EdgeIsLocatedIn, ids.DimensionID(ids.KindPlace, uint32(i%4)), 0)
 	}
 	root := ids.DimensionID(ids.KindTagClass, 0)
-	if err := tx.CreateNode(root, store.Props{{Key: store.PropName, Val: store.String("Thing")}}); err != nil {
+	if err := tx.CreateNode(root, store.Props{store.NewProp(store.PropName, store.String("Thing"))}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
 		class := ids.DimensionID(ids.KindTagClass, uint32(i))
-		if err := tx.CreateNode(class, store.Props{{Key: store.PropName, Val: store.String(fmt.Sprintf("class%d", i))}}); err != nil {
+		if err := tx.CreateNode(class, store.Props{store.NewProp(store.PropName, store.String(fmt.Sprintf("class%d", i)))}); err != nil {
 			t.Fatal(err)
 		}
 		_ = tx.AddEdge(class, store.EdgeIsSubclassOf, root, 0)
 	}
 	for i := 0; i < 8; i++ {
 		tag := ids.DimensionID(ids.KindTag, uint32(i))
-		if err := tx.CreateNode(tag, store.Props{{Key: store.PropName, Val: store.String(fmt.Sprintf("tag%d", i))}}); err != nil {
+		if err := tx.CreateNode(tag, store.Props{store.NewProp(store.PropName, store.String(fmt.Sprintf("tag%d", i)))}); err != nil {
 			t.Fatal(err)
 		}
 		_ = tx.AddEdge(tag, store.EdgeHasType, ids.DimensionID(ids.KindTagClass, uint32(1+i%3)), 0)
@@ -78,11 +78,11 @@ func randomWorkloadStep(t *testing.T, st *store.Store, r *xrand.Rand, g *randGra
 	for i := 0; i < 1+r.Intn(2); i++ {
 		p := ids.Compose(ids.KindPerson, int64(step), uint32(i))
 		props := store.Props{
-			{Key: store.PropFirstName, Val: store.String(randFirstNames[r.Intn(len(randFirstNames))])},
-			{Key: store.PropLastName, Val: store.String(fmt.Sprintf("L%d", r.Intn(5)))},
-			{Key: store.PropBirthday, Val: store.Int64(int64(r.Intn(1<<30)) * 1000)},
-			{Key: store.PropCountry, Val: store.Int64(int64(r.Intn(4)))},
-			{Key: store.PropCreationDate, Val: store.Int64(now)},
+			store.NewProp(store.PropFirstName, store.String(randFirstNames[r.Intn(len(randFirstNames))])),
+			store.NewProp(store.PropLastName, store.String(fmt.Sprintf("L%d", r.Intn(5)))),
+			store.NewProp(store.PropBirthday, store.Int64(int64(r.Intn(1<<30))*1000)),
+			store.NewProp(store.PropCountry, store.Int64(int64(r.Intn(4)))),
+			store.NewProp(store.PropCreationDate, store.Int64(now)),
 		}
 		if err := tx.CreateNode(p, props); err != nil {
 			t.Fatal(err)
@@ -105,8 +105,8 @@ func randomWorkloadStep(t *testing.T, st *store.Store, r *xrand.Rand, g *randGra
 	if step%2 == 0 {
 		f := ids.Compose(ids.KindForum, int64(step), 0)
 		if err := tx.CreateNode(f, store.Props{
-			{Key: store.PropTitle, Val: store.String(fmt.Sprintf("forum%d", step))},
-			{Key: store.PropCreationDate, Val: store.Int64(now)},
+			store.NewProp(store.PropTitle, store.String(fmt.Sprintf("forum%d", step))),
+			store.NewProp(store.PropCreationDate, store.Int64(now)),
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -120,9 +120,9 @@ func randomWorkloadStep(t *testing.T, st *store.Store, r *xrand.Rand, g *randGra
 		post := ids.Compose(ids.KindPost, int64(step), uint32(i))
 		created := now + int64(10+i)
 		if err := tx.CreateNode(post, store.Props{
-			{Key: store.PropCreationDate, Val: store.Int64(created)},
-			{Key: store.PropContent, Val: store.String(fmt.Sprintf("post %d/%d", step, i))},
-			{Key: store.PropCountry, Val: store.Int64(int64(r.Intn(4)))},
+			store.NewProp(store.PropCreationDate, store.Int64(created)),
+			store.NewProp(store.PropContent, store.String(fmt.Sprintf("post %d/%d", step, i))),
+			store.NewProp(store.PropCountry, store.Int64(int64(r.Intn(4)))),
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -139,9 +139,9 @@ func randomWorkloadStep(t *testing.T, st *store.Store, r *xrand.Rand, g *randGra
 		c := ids.Compose(ids.KindComment, int64(step), uint32(i))
 		created := now + int64(50+i)
 		if err := tx.CreateNode(c, store.Props{
-			{Key: store.PropCreationDate, Val: store.Int64(created)},
-			{Key: store.PropContent, Val: store.String(fmt.Sprintf("re %d/%d", step, i))},
-			{Key: store.PropCountry, Val: store.Int64(int64(r.Intn(4)))},
+			store.NewProp(store.PropCreationDate, store.Int64(created)),
+			store.NewProp(store.PropContent, store.String(fmt.Sprintf("re %d/%d", step, i))),
+			store.NewProp(store.PropCountry, store.Int64(int64(r.Intn(4)))),
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,6 @@ import (
 	"math"
 	"sort"
 
-	"ldbcsnb/internal/bitset"
 	"ldbcsnb/internal/ids"
 	"ldbcsnb/internal/store"
 )
@@ -170,11 +169,9 @@ func (g *Graph) PageRank(d float64, eps float64, maxIter int) []float64 {
 func (g *Graph) ClusteringCoefficient() (local []float64, avg float64) {
 	n := g.N()
 	local = make([]float64, n)
-	// One dense bitset, reused across vertices: for each neighbour a of v,
-	// mark a's adjacency and probe the remaining neighbours against it.
-	// This replaces the per-vertex hash sets with O(1) bit probes over the
-	// CSR while keeping the exact pair-membership semantics.
-	marks := bitset.New(n)
+	// One dense mark array, reused across vertices: for each neighbour a of
+	// v, mark a's adjacency and probe the remaining neighbours against it.
+	marks := make([]bool, n)
 	sum := 0.0
 	counted := 0
 	for v := 0; v < n; v++ {
@@ -187,15 +184,15 @@ func (g *Graph) ClusteringCoefficient() (local []float64, avg float64) {
 		for i := 0; i < k; i++ {
 			na := g.Neighbours(ns[i])
 			for _, w := range na {
-				marks.Set(w)
+				marks[w] = true
 			}
 			for j := i + 1; j < k; j++ {
-				if marks.Has(ns[j]) {
+				if marks[ns[j]] {
 					links++
 				}
 			}
 			for _, w := range na {
-				marks.Clear(w)
+				marks[w] = false
 			}
 		}
 		local[v] = 2 * float64(links) / float64(k*(k-1))

@@ -13,10 +13,9 @@ import (
 // BenchmarkViewVsTxn* compare the two read paths of the store on every
 // Interactive query: the MVCC transaction path (shard RLock + per-call MVCC
 // filtering + fresh []Edge per hop) against the frozen snapshot-view path
-// (lock-free CSR subslices + dense bitset visited sets). Since the Reader
-// redesign both paths execute the *same* generic query implementation —
-// these benchmarks measure exactly the read-path cost difference, not
-// implementation drift. Run with -benchmem: the view path's adjacency
+// (lock-free CSR subslices). Both paths execute the *same* generic query
+// implementation over the same node-keyed scratch — these benchmarks
+// measure exactly the read-path cost difference, not implementation drift. Run with -benchmem: the view path's adjacency
 // iteration (Out2Hop) must report 0 allocs/op once the scratch is warm.
 //
 // `make bench` converts the output into BENCH_interactive.json via
@@ -467,10 +466,10 @@ func TestViewAdjacencyZeroAlloc(t *testing.T) {
 	rsc := workload.NewScratch()
 	rpartner := benchPartner(t, renv, rp)
 	rv0 := renv.Store.CurrentView()
-	workload.Q13(rv0, rsc, rp, rpartner) // size the scratch to rv0
+	workload.Q13(rv0, rsc, rp, rpartner) // warm the scratch on rv0
 	// Commit a sparse update touching rp's own adjacency row, so the
 	// refreshed view serves rp's knows list from the overlay, and adding a
-	// person whose ordinal lies beyond the scratch's distance arrays.
+	// person the warm scratch has never seen.
 	added := refreshCommit(t, renv, rp)
 	rv, ev := renv.Store.AcquireView()
 	if ev != store.ViewRefreshed {

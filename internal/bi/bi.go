@@ -601,10 +601,9 @@ func bi7Select(forums []ids.ID, members []int, limit int) []int {
 
 // bi7Reach is the BI7 traversal kernel: the number of distinct persons
 // within one knows-hop of the forum's membership. The visited set comes
-// from the scratch pool — a dense ordinal bitset on the view path, an ID
-// hash set on the txn path.
+// from the scratch pool.
 func bi7Reach[R store.Reader](r R, sc *workload.Scratch, f ids.ID) int {
-	sc.Begin(r)
+	sc.Begin()
 	seen := sc.Seen()
 	reach := 0
 	for _, m := range r.Out(f, store.EdgeHasMember) {

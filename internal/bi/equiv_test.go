@@ -246,9 +246,9 @@ func biRandomStep(t *testing.T, st *store.Store, r *xrand.Rand, g *biRandGraph, 
 
 // TestBIPathsAgreeOnRandomGraphs grows random schema-shaped graphs with
 // interleaved commits and periodically forced view recompactions,
-// asserting three-path equivalence at every epoch. The
-// forced era bumps exercise the pooled scratches' ordinal invalidation
-// (stale bits after a recompaction would silently corrupt BI7's reach).
+// asserting three-path equivalence at every epoch. The pooled scratches
+// cross the forced era bumps warm, so BI7's reach would show any scratch
+// state that outlived the view it was built on.
 func TestBIPathsAgreeOnRandomGraphs(t *testing.T) {
 	for seed := uint64(1); seed <= 2; seed++ {
 		r := xrand.New(seed)

@@ -12,8 +12,7 @@
 // for BI7, its pooled workload.Scratch) for the duration of one Scan/Each
 // call — never share either across workers, and never retain them past the
 // merge. Scratches are recycled through a package pool across executions;
-// they are era-aware, so a pooled scratch picked up after a view
-// recompaction resets its ordinal-keyed state itself.
+// they key their state by node ID, so a pooled scratch serves any view.
 package bi
 
 import (
@@ -25,7 +24,7 @@ import (
 	"ldbcsnb/internal/workload"
 )
 
-// scratchPool recycles the per-worker era-aware scratches of the parallel
+// scratchPool recycles the per-worker scratches of the parallel
 // traversal kernels (BI7's reach) across executions, so a steady BI lane
 // stops allocating visited sets once every worker has a warm one.
 var scratchPool = sync.Pool{New: func() any { return workload.NewScratch() }}

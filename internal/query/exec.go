@@ -78,7 +78,7 @@ type Scratch struct {
 func NewScratch() *Scratch { return WrapScratch(workload.NewScratch()) }
 
 // WrapScratch composes a query scratch over an existing workload scratch
-// (e.g. a server connection's), sharing its era discipline.
+// (e.g. a server connection's), so both serve the same goroutine.
 func WrapScratch(w *workload.Scratch) *Scratch { return &Scratch{W: w} }
 
 // opState is the pooled state of one plan position: the dedup set of the
@@ -86,10 +86,9 @@ func WrapScratch(w *workload.Scratch) *Scratch { return &Scratch{W: w} }
 // buffer. Ops form a linear pipeline, so a position can never re-enter
 // itself recursively and one state per position is safe.
 //
-// The dedup set keys on node IDs (not view ordinals), so it is identical
-// on both read paths and era-agnostic. It keeps the first stamp a node was
-// emitted with; further stamps of the same node, from parallel edges,
-// spill into over.
+// The dedup set keys on node IDs, so it is identical on both read paths.
+// It keeps the first stamp a node was emitted with; further stamps of the
+// same node, from parallel edges, spill into over.
 type opState struct {
 	seen   workload.KeyTable[int64] // node ID -> first emitted stamp
 	over   []overEntry
@@ -231,7 +230,7 @@ func bindFusedFilter(q *Query, pv []store.Value, fi int) fusedFilter {
 // derived via WithCancel, cancellation propagates through the reader's
 // poll hook; use RunViewCtx to get it mapped onto an error.
 func Run[R store.Reader](r R, sc *Scratch, p *Plan, params Params) (*Result, error) {
-	sc.W.Begin(r)
+	sc.W.Begin()
 	q := p.Q
 	var ec execCtx[R]
 	ec.r, ec.p, ec.q, ec.sc = r, p, q, sc

@@ -296,7 +296,7 @@ func (s *Server) handleConn(c net.Conn) {
 	br := bufio.NewReaderSize(c, 4096)
 	var frameBuf, respBuf []byte
 	sc := workload.NewScratch()
-	qsc := query.WrapScratch(sc) // shares the era discipline with sc
+	qsc := query.WrapScratch(sc) // wraps sc: one connection goroutine owns both
 	for {
 		if s.baseCtx.Err() != nil {
 			return

@@ -217,7 +217,7 @@ func encodeCheckpoint(w io.Writer, v *SnapshotView) error {
 	dict := make(map[intern.Sym]uint32)
 	dictStrs := []intern.Sym{}
 	for _, id := range nodeIDs {
-		ord, _ := v.Ord(id)
+		ord, _ := v.ord(id)
 		for _, p := range v.propsAt(ord) {
 			if y := p.Val().Sym(); p.k == kindString {
 				if _, ok := dict[y]; !ok {
@@ -245,7 +245,7 @@ func encodeCheckpoint(w io.Writer, v *SnapshotView) error {
 	buf = appendU32(buf, uint32(len(nodeIDs)))
 	var rowBuf []Edge // reused per row; appendEdges keeps the decode cache cold
 	for _, id := range nodeIDs {
-		ord, _ := v.Ord(id)
+		ord, _ := v.ord(id)
 		buf = appendU64(buf, uint64(id))
 		ps := v.propsAt(ord)
 		buf = appendU16(buf, uint16(len(ps)))

@@ -39,7 +39,7 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // appendAdjRow encodes one adjacency row onto dst. Neighbour IDs resolve to
 // view ordinals through ord, the base's position table over nodes — the
-// same lookup SnapshotView.Ord makes; ok=false (with dst unchanged) means
+// same lookup SnapshotView.ord makes; ok=false (with dst unchanged) means
 // some neighbour had no ordinal and the caller must keep the row
 // uncompressed — defensive only, every edge endpoint of a consistent view
 // is visible and ordinal-mapped.

@@ -193,7 +193,7 @@ type ViewStatsSnapshot struct {
 	// counted).
 	Rebuilds int64
 	// EraBumps counts compactions, inline or background, that replaced an
-	// existing cached view and so invalidated ordinal-keyed caller state.
+	// existing cached view and so reassigned every ordinal.
 	EraBumps int64
 	// Overflows counts the times the ring was dropped because it was full.
 	Overflows int64
@@ -489,7 +489,7 @@ func applyDeltas(old *SnapshotView, ds []*CommitDelta, ts int64) (*SnapshotView,
 	for _, d := range ds {
 		cost += d.cost()
 		for _, dn := range d.nodes {
-			if _, ok := nv.Ord(dn.id); ok {
+			if _, ok := nv.ord(dn.id); ok {
 				continue // already visible (defensive; cannot happen for committed state)
 			}
 			ord := n0 + int32(len(nv.nodesOver))
@@ -508,13 +508,13 @@ func applyDeltas(old *SnapshotView, ds []*CommitDelta, ts int64) (*SnapshotView,
 			}
 		}
 		for _, dp := range d.props {
-			if ord, ok := nv.Ord(dp.id); ok {
+			if ord, ok := nv.ord(dp.id); ok {
 				n := own(ord)
 				n.hasProps, n.props = true, dp.props
 			}
 		}
 		for _, de := range d.edges {
-			if ord, ok := nv.Ord(de.owner); ok {
+			if ord, ok := nv.ord(de.owner); ok {
 				r := ownRow(ord, de.t, de.in)
 				r.edges = append(r.edges, Edge{To: de.peer, Stamp: de.stamp})
 			}

@@ -33,13 +33,13 @@ func viewDiff(v, ref *SnapshotView) error {
 		return fmt.Errorf("ts %d: node counts diverge: %d vs %d", ts, v.NumNodes(), ref.NumNodes())
 	}
 	for o := int32(0); o < int32(ref.NumNodes()); o++ {
-		id := ref.IDAt(o)
-		vo, ok := v.Ord(id)
+		id := ref.idAt(o)
+		vo, ok := v.ord(id)
 		if !ok {
 			return fmt.Errorf("ts %d: node %v missing from refreshed view", ts, id)
 		}
-		if back := v.IDAt(vo); back != id {
-			return fmt.Errorf("ts %d: ordinal mapping broken: Ord(%v)=%d but IDAt(%d)=%v", ts, id, vo, vo, back)
+		if back := v.idAt(vo); back != id {
+			return fmt.Errorf("ts %d: ordinal mapping broken: ord(%v)=%d but idAt(%d)=%v", ts, id, vo, vo, back)
 		}
 		for _, et := range viewEdgeTypes {
 			if got, want := v.Out(id, et), ref.Out(id, et); !edgesEqual(got, want) {
@@ -586,19 +586,19 @@ func TestViewRefreshOrdinalStability(t *testing.T) {
 		t.Fatalf("sparse commit bumped the era: %d -> %d", v1.Era(), v2.Era())
 	}
 	for o := int32(0); o < int32(n1); o++ {
-		id := v1.IDAt(o)
-		o2, ok := v2.Ord(id)
+		id := v1.idAt(o)
+		o2, ok := v2.ord(id)
 		if !ok || o2 != o {
 			t.Fatalf("refresh moved ordinal of %v: %d -> %d (ok=%v)", id, o, o2, ok)
 		}
 	}
 	for o := int32(n1); o < int32(v2.NumNodes()); o++ {
-		id := v2.IDAt(o)
+		id := v2.idAt(o)
 		if v1.Exists(id) {
 			t.Fatalf("appended ordinal %d holds pre-existing node %v", o, id)
 		}
-		if back, ok := v2.Ord(id); !ok || back != o {
-			t.Fatalf("appended ordinal round trip: Ord(IDAt(%d)) = %d, %v", o, back, ok)
+		if back, ok := v2.ord(id); !ok || back != o {
+			t.Fatalf("appended ordinal round trip: ord(idAt(%d)) = %d, %v", o, back, ok)
 		}
 	}
 
@@ -612,7 +612,7 @@ func TestViewRefreshOrdinalStability(t *testing.T) {
 	}
 	var prev ids.ID
 	for o := int32(0); o < int32(v3.NumNodes()); o++ {
-		id := v3.IDAt(o)
+		id := v3.idAt(o)
 		if o > 0 && id <= prev {
 			t.Fatal("recompacted ordinals not in ascending ID order")
 		}

@@ -55,7 +55,7 @@ func TestHeldViewPropsSurviveSetProp(t *testing.T) {
 	if ev != ViewRefreshed {
 		t.Fatalf("second view: %v, want a delta refresh", ev)
 	}
-	if o, _ := v2.Ord(appended); int(o) < len(v2.base.nodes) {
+	if o, _ := v2.ord(appended); int(o) < len(v2.base.nodes) {
 		t.Fatalf("ordinal %d of the created node is not an appended one (base has %d)", o, len(v2.base.nodes))
 	}
 	fresh := s.ViewAt(s.LastCommit()) // a compacted view where both are base ordinals

@@ -14,10 +14,10 @@ import "ldbcsnb/internal/ids"
 //
 // Queries take a type parameter constrained by Reader
 // (func Q9[R Reader](r R, ...)) rather than the interface itself, so the
-// concrete read path is fixed at each call site. Per-traversal visited-set
-// state lives outside the reader (workload.Scratch); Frozen is the hook it
-// uses to pick its representation: dense bitsets keyed by the view's node
-// ordinals when a frozen view is available, node-ID hash sets otherwise.
+// concrete read path is fixed at each call site. Per-traversal state
+// (visited sets, path distances) lives outside the reader, in
+// workload.Scratch, keyed by node ID, so these eight methods are the whole
+// contract between the store and the query layers.
 //
 // Slices returned by Out, In and NodesOfKind (and Props on the view path)
 // alias reader-owned memory and must not be mutated by callers.
@@ -41,20 +41,9 @@ type Reader interface {
 	InDegree(id ids.ID, t EdgeType) int
 	// NodesOfKind returns the visible nodes of a kind in insertion order.
 	NodesOfKind(kind ids.Kind) []ids.ID
-	// Frozen returns the reader's immutable snapshot view when it has one
-	// (the lock-free read path), or nil for MVCC transactions.
-	Frozen() *SnapshotView
 }
 
 var (
 	_ Reader = (*Txn)(nil)
 	_ Reader = (*SnapshotView)(nil)
 )
-
-// Frozen on a transaction returns nil: Txn reads go through MVCC version
-// filtering and may observe the transaction's own uncommitted writes, so no
-// frozen ordinal space exists for them.
-func (tx *Txn) Frozen() *SnapshotView { return nil }
-
-// Frozen on a view returns the view itself.
-func (v *SnapshotView) Frozen() *SnapshotView { return v }

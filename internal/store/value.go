@@ -25,7 +25,7 @@
 //     call, and overlay the transaction's own uncommitted writes. This is
 //     the only path that can see its own writes and the path every update
 //     uses.
-//   - Frozen snapshot views (CurrentView + SnapshotView): an immutable
+//   - Snapshot views (CurrentView + SnapshotView): an immutable
 //     CSR compaction of everything visible at one commit timestamp.
 //     Reads are lock-free and allocation-free — adjacency calls return
 //     subslices of a contiguous edge slab — which makes views the fast
@@ -51,8 +51,8 @@
 // each touched ordinal is copied, adjacency rows and kind lists are
 // appended to in place beyond every published length (delta.go). New
 // nodes receive appended ordinals, so existing ordinals stay stable
-// within an era (SnapshotView.Era) and ordinal-keyed caller state
-// survives refreshes. The full recompaction — sorted IDs, dense
+// within an era (SnapshotView.Era) and a refreshed view shares the era's
+// base. The full recompaction — sorted IDs, dense
 // reassigned ordinals, a fresh era — runs on a background goroutine once
 // the overlay outgrows a fixed fraction of the base
 // (SetViewCompactThreshold overrides the trigger) and is swapped in when

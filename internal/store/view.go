@@ -50,12 +50,11 @@ import (
 //     only ever run a compaction themselves for the first view, after a
 //     delta-ring overflow, or when SetViewCompactThreshold(0) asks for it.
 //
-// Ordinals are dense indices 0..NumNodes()-1. Within one era they are
+// Ordinals are dense indices 0..NumNodes()-1, private to the store: they
+// index the base's slabs and the overlay's pages. Within one era they are
 // stable: a delta refresh never reassigns an existing node's ordinal, it
-// only appends new ones, so per-node scratch state keyed by ordinals (see
-// internal/bitset and workload.Scratch) stays meaningful across refreshes.
-// Across eras ordinals are reassigned (ascending ID order again) and any
-// ordinal-keyed state must be discarded; Era() is the caller's signal.
+// only appends new ones, so the refreshed view shares the base's slabs.
+// Across eras ordinals are reassigned (ascending ID order again).
 // Ordinals are only comparable between two views of the same era.
 //
 // Slices returned by view methods alias the view's internal arrays and
@@ -291,21 +290,19 @@ func (v *SnapshotView) Timestamp() int64 { return v.ts }
 
 // Era identifies the view's compaction lineage. Views of the same era share
 // one ordinal assignment (delta refreshes append, never reassign); a full
-// rebuild starts a new era and reassigns ordinals, invalidating any
-// ordinal-keyed state held by callers.
+// rebuild starts a new era and reassigns ordinals.
 func (v *SnapshotView) Era() uint64 { return v.era }
 
 // NumNodes returns the number of visible nodes; ordinals range over
 // [0, NumNodes()).
 func (v *SnapshotView) NumNodes() int { return len(v.base.nodes) + len(v.nodesOver) }
 
-// Ord returns the compact ordinal of a node, or false if the node is not
+// ord returns the compact ordinal of a node, or false if the node is not
 // visible in the view: a probe of the base's table, then of the overlay's.
-// Every view read by ID (Out, In, Prop, the degrees, ordinal visited sets)
-// pays one.
+// Every view read by ID (Out, In, Prop, the degrees) pays one.
 //
 //snb:noalloc
-func (v *SnapshotView) Ord(id ids.ID) (int32, bool) {
+func (v *SnapshotView) ord(id ids.ID) (int32, bool) {
 	if pos, ok := v.base.ord.lookup(id, v.base.nodes); ok {
 		return int32(pos), true
 	}
@@ -317,8 +314,8 @@ func (v *SnapshotView) Ord(id ids.ID) (int32, bool) {
 	return 0, false
 }
 
-// IDAt returns the node ID of an ordinal.
-func (v *SnapshotView) IDAt(ord int32) ids.ID {
+// idAt returns the node ID of an ordinal.
+func (v *SnapshotView) idAt(ord int32) ids.ID {
 	if n := int32(len(v.base.nodes)); ord >= n {
 		return v.nodesOver[ord-n]
 	}
@@ -327,7 +324,7 @@ func (v *SnapshotView) IDAt(ord int32) ids.ID {
 
 // Exists reports whether a node is visible in the view.
 func (v *SnapshotView) Exists(id ids.ID) bool {
-	_, ok := v.Ord(id)
+	_, ok := v.ord(id)
 	return ok
 }
 
@@ -384,7 +381,7 @@ func (v *SnapshotView) Out(id ids.ID, t EdgeType) []Edge {
 	if v.cancel != nil {
 		v.cancel.tick()
 	}
-	o, ok := v.Ord(id)
+	o, ok := v.ord(id)
 	if !ok {
 		return nil
 	}
@@ -398,7 +395,7 @@ func (v *SnapshotView) In(id ids.ID, t EdgeType) []Edge {
 	if v.cancel != nil {
 		v.cancel.tick()
 	}
-	o, ok := v.Ord(id)
+	o, ok := v.ord(id)
 	if !ok {
 		return nil
 	}
@@ -408,7 +405,7 @@ func (v *SnapshotView) In(id ids.ID, t EdgeType) []Edge {
 // degree returns the row's entry count without decoding it (one uvarint
 // read for slab rows).
 func (v *SnapshotView) degree(id ids.ID, t EdgeType, in bool) int {
-	o, ok := v.Ord(id)
+	o, ok := v.ord(id)
 	if !ok {
 		return 0
 	}
@@ -461,7 +458,7 @@ func (v *SnapshotView) Prop(id ids.ID, key PropKey) Value {
 	if v.cancel != nil {
 		v.cancel.tick()
 	}
-	o, ok := v.Ord(id)
+	o, ok := v.ord(id)
 	if !ok {
 		return Value{}
 	}
@@ -472,7 +469,7 @@ func (v *SnapshotView) Prop(id ids.ID, key PropKey) Value {
 // stored row the MVCC version and every view that sees it share, and must
 // not be mutated.
 func (v *SnapshotView) Props(id ids.ID) (Props, bool) {
-	o, ok := v.Ord(id)
+	o, ok := v.ord(id)
 	if !ok {
 		return nil, false
 	}

@@ -205,7 +205,7 @@ func TestViewAtHistorical(t *testing.T) {
 }
 
 // TestViewOrdinalsDense checks the ordinal contract: dense, sorted by ID,
-// and consistent with Ord/IDAt round-trips.
+// and consistent with ord/idAt round-trips.
 func TestViewOrdinalsDense(t *testing.T) {
 	s := New()
 	r := xrand.New(9)
@@ -219,14 +219,14 @@ func TestViewOrdinalsDense(t *testing.T) {
 	}
 	var prev ids.ID
 	for o := int32(0); o < int32(v.NumNodes()); o++ {
-		id := v.IDAt(o)
+		id := v.idAt(o)
 		if o > 0 && id <= prev {
 			t.Fatal("ordinals not in ascending ID order")
 		}
 		prev = id
-		back, ok := v.Ord(id)
+		back, ok := v.ord(id)
 		if !ok || back != o {
-			t.Fatalf("Ord(IDAt(%d)) = %d, %v", o, back, ok)
+			t.Fatalf("ord(idAt(%d)) = %d, %v", o, back, ok)
 		}
 	}
 }
@@ -272,8 +272,8 @@ func chainEndID(t *testing.T, tab *ordTable) ids.ID {
 func assertOrdContract(t *testing.T, v *SnapshotView) {
 	t.Helper()
 	for o := int32(0); o < int32(v.NumNodes()); o++ {
-		if back, ok := v.Ord(v.IDAt(o)); !ok || back != o {
-			t.Fatalf("Ord(IDAt(%d)) = %d, %v", o, back, ok)
+		if back, ok := v.ord(v.idAt(o)); !ok || back != o {
+			t.Fatalf("ord(idAt(%d)) = %d, %v", o, back, ok)
 		}
 	}
 	absent := []ids.ID{0, ids.Compose(ids.KindForum, 1, 0), chainEndID(t, v.base.ord)}
@@ -281,13 +281,13 @@ func assertOrdContract(t *testing.T, v *SnapshotView) {
 		absent = append(absent, chainEndID(t, v.ordOver))
 	}
 	for _, id := range absent {
-		if o, ok := v.Ord(id); ok {
+		if o, ok := v.ord(id); ok {
 			t.Fatalf("absent %v resolved to ordinal %d", id, o)
 		}
 	}
 }
 
-// TestOrdTableContract pins SnapshotView.Ord over its one mechanism, the
+// TestOrdTableContract pins SnapshotView.ord over its one mechanism, the
 // position table, in every state a view reaches: a fresh base, a refreshed
 // overlay (growing its table, and sharing it with a held view that must not
 // see what is appended after it), and the base a background compaction
@@ -335,10 +335,10 @@ func TestOrdTableContract(t *testing.T) {
 	if v.ordOver != held.ordOver {
 		t.Fatal("the refresh regrew the table; the held view no longer shares it")
 	}
-	if o, ok := v.Ord(late); !ok || int(o) != v.NumNodes()-1 {
-		t.Fatalf("Ord(late) = %d, %v on the refreshed view", o, ok)
+	if o, ok := v.ord(late); !ok || int(o) != v.NumNodes()-1 {
+		t.Fatalf("ord(late) = %d, %v on the refreshed view", o, ok)
 	}
-	if o, ok := held.Ord(late); ok {
+	if o, ok := held.ord(late); ok {
 		t.Fatalf("held view resolves a node appended after it to ordinal %d", o)
 	}
 	assertOrdContract(t, held)

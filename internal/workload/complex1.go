@@ -33,7 +33,7 @@ func Q1[R store.Reader](r R, sc *Scratch, start ids.ID, firstName string) []Q1Ro
 
 	// Layered BFS in one growing buffer: sc.env[head:layerEnd] is the
 	// frontier of the current depth, discoveries append behind it.
-	sc.begin(r)
+	sc.begin()
 	seen := sc.newSeen()
 	seen.tryMark(start)
 	sc.env = append(sc.env[:0], start)
@@ -82,7 +82,7 @@ type MessageRow struct {
 
 // Q2 runs the query.
 func Q2[R store.Reader](r R, sc *Scratch, start ids.ID, maxDate int64) []MessageRow {
-	sc.begin(r)
+	sc.begin()
 	return topMessagesOf(r, friendsOf(r, sc, start), maxDate, 20)
 }
 
@@ -121,7 +121,7 @@ type Q3Row struct {
 // Q3 runs the query; countryX/countryY are dict country indices, the window
 // is [startDate, startDate+durationMillis).
 func Q3[R store.Reader](r R, sc *Scratch, start ids.ID, countryX, countryY int, startDate, durationMillis int64) []Q3Row {
-	sc.begin(r)
+	sc.begin()
 	end := startDate + durationMillis
 	top := newTopK(20, func(a, b Q3Row) int {
 		return cmp.Or(cmp.Compare(b.CountX+b.CountY, a.CountX+a.CountY), cmp.Compare(a.Person, b.Person))
@@ -164,7 +164,7 @@ type Q4Row struct {
 
 // Q4 runs the query over the window [startDate, startDate+durationMillis).
 func Q4[R store.Reader](r R, sc *Scratch, start ids.ID, startDate, durationMillis int64) []Q4Row {
-	sc.begin(r)
+	sc.begin()
 	end := startDate + durationMillis
 	counts := &sc.tags
 	counts.Reset()
@@ -216,7 +216,7 @@ type Q5Row struct {
 // Q5 runs the query. This is the parameter-curation example of §4.1: its
 // cost tracks the 2-hop environment size.
 func Q5[R store.Reader](r R, sc *Scratch, start ids.ID, minDate int64) []Q5Row {
-	sc.begin(r)
+	sc.begin()
 	env, inEnv := friendsAndFoF(r, sc, start)
 	// Forums joined after minDate by anyone in the environment, collected
 	// in deterministic first-seen order into sc.aux.
@@ -260,7 +260,7 @@ type Q6Row struct {
 
 // Q6 runs the query; tag is a store tag node ID.
 func Q6[R store.Reader](r R, sc *Scratch, start ids.ID, tag ids.ID) []Q6Row {
-	sc.begin(r)
+	sc.begin()
 	counts := &sc.tags
 	counts.Reset()
 	env, _ := friendsAndFoF(r, sc, start)
@@ -314,7 +314,7 @@ type Q7Row struct {
 
 // Q7 runs the query.
 func Q7[R store.Reader](r R, sc *Scratch, start ids.ID) []Q7Row {
-	sc.begin(r)
+	sc.begin()
 	friends := sc.newSeen()
 	for _, e := range r.Out(start, store.EdgeKnows) {
 		if e.To != start {

@@ -23,7 +23,7 @@ type Q8Row struct {
 
 // Q8 runs the query with a bounded top-20 heap over the reply stream.
 func Q8[R store.Reader](r R, sc *Scratch, start ids.ID) []Q8Row {
-	sc.begin(r)
+	sc.begin()
 	top := newTopK(20, func(a, b Q8Row) int {
 		return cmp.Or(cmp.Compare(b.CreationDate, a.CreationDate), cmp.Compare(a.Comment, b.Comment))
 	})
@@ -44,11 +44,11 @@ func Q8[R store.Reader](r R, sc *Scratch, start ids.ID) []Q8Row {
 // date. This is the choke-point example of §3 (Figure 4): the intended
 // plan joins friends ⋈ friends (index nested loop), then persons (index
 // nested loop), then messages (hash / scan). On the view path the 2-hop
-// expansion walks CSR subslices with a dense visited bitset and the
+// expansion walks CSR subslices with a pooled visited set and the
 // LIMIT-20 result streams through a bounded heap — §3's intended plan with
 // no per-hop materialisation.
 func Q9[R store.Reader](r R, sc *Scratch, start ids.ID, maxDate int64) []MessageRow {
-	sc.begin(r)
+	sc.begin()
 	env, _ := friendsAndFoF(r, sc, start)
 	return topMessagesOf(r, env, maxDate, 20)
 }
@@ -68,7 +68,7 @@ type Q10Row struct {
 
 // Q10 runs the query; sign is a zodiac index 0-11 (see ZodiacSign).
 func Q10[R store.Reader](r R, sc *Scratch, start ids.ID, sign int) []Q10Row {
-	sc.begin(r)
+	sc.begin()
 	interests := sc.newSeen()
 	for _, e := range r.Out(start, store.EdgeHasInterest) {
 		interests.tryMark(e.To)
@@ -149,7 +149,7 @@ type Q11Row struct {
 
 // Q11 runs the query; country is a dict country index.
 func Q11[R store.Reader](r R, sc *Scratch, start ids.ID, country int, beforeYear int) []Q11Row {
-	sc.begin(r)
+	sc.begin()
 	countryNode := ids.DimensionID(ids.KindPlace, uint32(country))
 	// (workFrom asc, person asc, company asc): the company tie-break makes
 	// the order total for persons holding several qualifying jobs.
@@ -189,7 +189,7 @@ type Q12Row struct {
 
 // Q12 runs the query; tagClass is a store TagClass node ID.
 func Q12[R store.Reader](r R, sc *Scratch, start ids.ID, tagClass ids.ID) []Q12Row {
-	sc.begin(r)
+	sc.begin()
 	// Tag-class subtree: BFS over isSubclassOf with sc.aux as the queue.
 	inClass := sc.newSeen()
 	inClass.tryMark(tagClass)
@@ -236,12 +236,11 @@ func Q12[R store.Reader](r R, sc *Scratch, start ids.ID, tagClass ids.ID) []Q12R
 // Q13 — Single shortest path: the length of the shortest knows-path
 // between two persons, or -1 if none exists.
 
-// Q13 runs the bidirectional search Q14 shares (pathBFS). On the view path
-// its distances are ordinal-indexed stamps held by the scratch, so a call on
-// a warm scratch allocates nothing; on the MVCC path they are node-keyed
-// KeyTables.
+// Q13 runs the bidirectional search Q14 shares (pathBFS). Its distances
+// live in the scratch, so on the view path a call on a warm scratch
+// allocates nothing.
 func Q13[R store.Reader](r R, sc *Scratch, a, b ids.ID) int {
-	sc.begin(r)
+	sc.begin()
 	if a == b {
 		return 0
 	}
@@ -278,7 +277,7 @@ const q14PathCap = 256
 // a kept node one layer away credits that pair, and a path sums its steps'
 // credits.
 func Q14[R store.Reader](r R, sc *Scratch, a, b ids.ID) []Q14Row {
-	sc.begin(r)
+	sc.begin()
 	if a == b {
 		return []Q14Row{{Path: []ids.ID{a}, Weight: 0}}
 	}
@@ -414,23 +413,15 @@ func comparePairs(x, y pairCredit) int {
 // depth[0] from the source and depth[1] from the target, whose sum is the
 // shortest length, and both sides' layers are complete up to those depths.
 //
-// Distances take seenSet's dual representation. On the view path they are
-// two generation-stamped arrays indexed by ordinal, 4 bytes per view node
-// and side: a stamp holds gen<<distBits | distance and counts only while
-// gen is current, so a search starts by bumping gen instead of clearing.
-// The arrays are cleared when gen wraps (bind) and when the scratch crosses
-// a view era (invalidate, from Scratch.begin), after which an ordinal names
-// a different node. On the MVCC path distances are KeyTables keyed by node
-// ID, reset per search.
+// Distances are one KeyTable keyed by node ID holding both sides'
+// distances, -1 where a side has not reached the node, so a visit is one
+// probe. It is reset per search.
 type pathBFS struct {
-	v      *store.SnapshotView
-	gen    uint32
-	stamps [2][]uint32
-	byID   [2]KeyTable[int32]
-	depth  [2]int
-	front  [2][]ids.ID
-	next   []ids.ID
-	meet   []ids.ID
+	dists KeyTable[[2]int32]
+	depth [2]int
+	front [2][]ids.ID
+	next  []ids.ID
+	meet  []ids.ID
 
 	// Q14's buffers: the walk in progress, the walks from a meeting node in
 	// from the source and on to the target, the generated paths (all
@@ -439,96 +430,34 @@ type pathBFS struct {
 	credits                   []pairCredit
 }
 
-const (
-	distBits   = 8                    // a side's distance is below 1<<distBits
-	maxPathGen = 1<<(32-distBits) - 1 // the last generation before a wrap
-	maxPathLen = 64                   // defensive bound; SNB graphs have tiny diameters
-)
+const maxPathLen = 64 // defensive bound; SNB graphs have tiny diameters
 
-// bind starts a search over v (nil = MVCC path).
-func (k *pathBFS) bind(v *store.SnapshotView) {
-	k.v = v
+// reset starts a search.
+func (k *pathBFS) reset() {
+	k.dists.Reset()
 	k.depth = [2]int{}
 	k.meet = k.meet[:0]
-	if v == nil {
-		k.byID[0].Reset()
-		k.byID[1].Reset()
-		return
-	}
-	if k.gen == maxPathGen {
-		k.invalidate()
-	}
-	k.gen++
-	n := v.NumNodes()
-	for s := range k.stamps {
-		if len(k.stamps[s]) < n {
-			k.stamps[s] = append(k.stamps[s], make([]uint32, n-len(k.stamps[s]))...)
-		}
-	}
-}
-
-// invalidate drops every stamp and restarts the generations.
-func (k *pathBFS) invalidate() {
-	clear(k.stamps[0])
-	clear(k.stamps[1])
-	k.gen = 0
-}
-
-// ordDist returns an ordinal's distance on one side, if the current search
-// has reached it there.
-//
-//snb:noalloc
-func (k *pathBFS) ordDist(s int, o int32) (int, bool) {
-	st := k.stamps[s][o]
-	return int(st & (1<<distBits - 1)), st>>distBits == k.gen
-}
-
-// ordMark records distance d for an ordinal on one side, reporting whether
-// the current search had not reached it there yet.
-//
-//snb:noalloc
-func (k *pathBFS) ordMark(s int, o int32, d int) bool {
-	st := &k.stamps[s][o]
-	if *st>>distBits == k.gen {
-		return false
-	}
-	*st = k.gen<<distBits | uint32(d)
-	return true
 }
 
 // dist returns a node's distance on one side, if reached.
 func (k *pathBFS) dist(s int, id ids.ID) (int, bool) {
-	if k.v != nil {
-		o, ok := k.v.Ord(id)
-		if !ok {
-			return 0, false
-		}
-		return k.ordDist(s, o)
-	}
-	if d := k.byID[s].Find(uint64(id)); d != nil {
-		return int(*d), true
+	if d := k.dists.Find(uint64(id)); d != nil && d[s] >= 0 {
+		return int(d[s]), true
 	}
 	return 0, false
 }
 
 // visit marks a node at distance d on side s, reporting whether it was
 // unreached there (fresh) and whether the other side has reached it (meet).
-// Nodes outside the view are never fresh.
 func (k *pathBFS) visit(s int, id ids.ID, d int) (fresh, meet bool) {
-	if k.v != nil {
-		o, ok := k.v.Ord(id)
-		if !ok {
-			return false, false
-		}
-		_, meet = k.ordDist(1-s, o)
-		return k.ordMark(s, o, d), meet
+	dd, added := k.dists.At(uint64(id))
+	if added {
+		*dd = [2]int32{-1, -1}
 	}
-	meet = k.byID[1-s].Find(uint64(id)) != nil
-	dist, fresh := k.byID[s].At(uint64(id))
-	if fresh {
-		*dist = int32(d)
+	if fresh = dd[s] < 0; fresh {
+		dd[s] = int32(d)
 	}
-	return fresh, meet
+	return fresh, dd[1-s] >= 0
 }
 
 // position returns a node's place on a shortest path of length n: its
@@ -545,7 +474,7 @@ func (k *pathBFS) position(id ids.ID, n int) int {
 // searchPaths runs the search from a to b (a != b) and returns the shortest
 // path length, or -1 when b is unreachable.
 func searchPaths[R store.Reader](r R, k *pathBFS, a, b ids.ID) int {
-	k.bind(r.Frozen())
+	k.reset()
 	k.front[0] = append(k.front[0][:0], a)
 	k.front[1] = append(k.front[1][:0], b)
 	k.visit(0, a, 0)

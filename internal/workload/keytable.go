@@ -48,6 +48,8 @@ func (t *KeyTable[V]) At(k uint64) (v *V, added bool) {
 
 // Find returns the value of k, or nil if k was not added since the last
 // Reset.
+//
+//snb:noalloc
 func (t *KeyTable[V]) Find(k uint64) *V {
 	if h, found := t.probe(k); found {
 		return &t.vals[t.slots[h].pos]
@@ -73,6 +75,8 @@ func (t *KeyTable[V]) Reset() {
 
 // probe returns the slot holding k in the current generation (found), or
 // the empty slot where k would go (none in a table without slots).
+//
+//snb:noalloc
 func (t *KeyTable[V]) probe(k uint64) (h int, found bool) {
 	if len(t.slots) == 0 {
 		return 0, false

@@ -40,13 +40,13 @@ type Q9Plan struct {
 
 // Q9Join executes Query 9 with explicit operators per plan, generic over
 // the read path like every other query. The INL sides probe the adjacency
-// (CSR subslices with a bitset visited set on the view path); the
+// (CSR subslices with a pooled visited set on the view path); the
 // deliberately mis-planned hash sides materialise their build tables (fresh
 // KeyTables, not scratch-pooled ones) on either path — that
 // materialisation cost is the ablation's point. Results match Q9 exactly;
 // only the physical execution differs.
 func Q9Join[R store.Reader](r R, sc *Scratch, start ids.ID, maxDate int64, plan Q9Plan) []MessageRow {
-	sc.begin(r)
+	sc.begin()
 	var env []ids.ID
 	switch plan.FriendExpand {
 	case JoinINL:

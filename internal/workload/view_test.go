@@ -46,8 +46,8 @@ func assertQueriesAgree(t *testing.T, st *store.Store, persons, messages []ids.I
 		for i, p := range persons {
 			// Traversal helpers (results alias the scratch: copy the view
 			// side before running the txn side).
-			scV.begin(v)
-			scT.begin(tx)
+			scV.begin()
+			scT.begin()
 			gotF := append([]ids.ID(nil), friendsOf(v, scV, p)...)
 			if want := friendsOf(tx, scT, p); !idsEqual(gotF, want) {
 				t.Fatalf("friendsOf(%v): view %v txn %v", p, gotF, want)

@@ -74,7 +74,7 @@ func TestFriendsHelpersMatchReference(t *testing.T) {
 	want := refFriends(d, p)
 	st.View(func(tx *store.Txn) {
 		sc := NewScratch()
-		sc.begin(tx)
+		sc.begin()
 		got := friendsOf(tx, sc, p)
 		if len(got) != len(want) {
 			t.Fatalf("friendsOf: got %d want %d", len(got), len(want))
@@ -321,7 +321,7 @@ func TestQ6CoOccurrence(t *testing.T) {
 	st.View(func(tx *store.Txn) {
 		// Find a tag that occurs with co-tags among the environment's posts.
 		sc := NewScratch()
-		sc.begin(tx)
+		sc.begin()
 		env, _ := friendsAndFoF(tx, sc, p)
 		var tag ids.ID
 		for _, q := range env {
@@ -439,7 +439,7 @@ func TestQ10Recommendation(t *testing.T) {
 	st.View(func(tx *store.Txn) {
 		direct := map[ids.ID]bool{p: true}
 		sc := NewScratch()
-		sc.begin(tx)
+		sc.begin()
 		for _, f := range append([]ids.ID(nil), friendsOf(tx, sc, p)...) {
 			direct[f] = true
 		}

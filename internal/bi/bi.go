@@ -580,23 +580,35 @@ type BI7Row struct {
 }
 
 // bi7Select ranks forums by (membership desc, ID asc) and returns the
-// indices of the top limit.
+// indices of the top limit, best first. One pass keeps the best limit seen
+// so far in a sorted slice: a forum that does not beat the last of them
+// costs one comparison, so the thousands of forums are never sorted.
 func bi7Select(forums []ids.ID, members []int, limit int) []int {
-	order := make([]int, len(forums))
-	for i := range order {
-		order[i] = i
+	if limit <= 0 {
+		return nil
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
+	before := func(a, b int) bool {
 		if members[a] != members[b] {
 			return members[a] > members[b]
 		}
 		return forums[a] < forums[b]
-	})
-	if len(order) > limit {
-		order = order[:limit]
 	}
-	return order
+	top := make([]int, 0, min(limit, len(forums)))
+	for i := range forums {
+		if len(top) == limit && !before(i, top[limit-1]) {
+			continue
+		}
+		j := len(top)
+		for j > 0 && before(i, top[j-1]) {
+			j--
+		}
+		if len(top) < limit {
+			top = append(top, 0)
+		}
+		copy(top[j+1:], top[j:len(top)-1])
+		top[j] = i
+	}
+	return top
 }
 
 // bi7Reach is the BI7 traversal kernel: the number of distinct persons

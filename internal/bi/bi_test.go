@@ -1,13 +1,17 @@
 package bi
 
 import (
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
 	"ldbcsnb/internal/datagen"
+	"ldbcsnb/internal/ids"
 	"ldbcsnb/internal/schema"
 	"ldbcsnb/internal/store"
 	"ldbcsnb/internal/workload"
+	"ldbcsnb/internal/xrand"
 )
 
 var (
@@ -207,6 +211,36 @@ func TestBI7ForumReach(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestBI7SelectMatchesSort checks the one-pass top-limit selection against
+// a full sort in the same (members desc, ID asc) order, on shuffled IDs with
+// many tied member counts and limits from none to more than there are.
+func TestBI7SelectMatchesSort(t *testing.T) {
+	r := xrand.New(7)
+	forums := make([]ids.ID, 300)
+	members := make([]int, len(forums))
+	for i, p := range r.Perm(len(forums)) {
+		forums[i] = ids.Compose(ids.KindForum, int64(p), 0)
+		members[i] = r.Intn(20)
+	}
+	order := make([]int, len(forums))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		if members[a] != members[b] {
+			return members[a] > members[b]
+		}
+		return forums[a] < forums[b]
+	})
+	for _, limit := range []int{0, 1, 10, 299, 300, 500} {
+		got := bi7Select(forums, members, limit)
+		if want := order[:min(limit, len(order))]; !slices.Equal(got, want) {
+			t.Fatalf("limit %d: got %v, want %v", limit, got, want)
+		}
+	}
 }
 
 func TestBI8ThreadDepths(t *testing.T) {

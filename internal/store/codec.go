@@ -38,12 +38,12 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // appendAdjRow encodes one adjacency row onto dst. Neighbour IDs resolve to
-// view ordinals through ord, the base's position table over nodes — the
-// same lookup SnapshotView.ord makes; ok=false (with dst unchanged) means
+// view ordinals through ord, the base's directory over the sorted nodes —
+// the lookup SnapshotView.ord makes first; ok=false (with dst unchanged) means
 // some neighbour had no ordinal and the caller must keep the row
 // uncompressed — defensive only, every edge endpoint of a consistent view
 // is visible and ordinal-mapped.
-func appendAdjRow(dst []byte, row []Edge, ord *ordTable, nodes []ids.ID) ([]byte, bool) {
+func appendAdjRow(dst []byte, row []Edge, ord *ordDir, nodes []ids.ID) ([]byte, bool) {
 	mark := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(row)))
 	prevOrd, prevStamp := int64(0), int64(0)

@@ -33,7 +33,8 @@ func benchRow(n int) ([]Edge, csr, []ids.ID) {
 	c.lo = 0
 	c.offsets = make([]uint32, 2)
 	var ok bool
-	c.data, ok = appendAdjRow(nil, row, newOrdTable(nodes), nodes)
+	ord := newOrdDir(nodes)
+	c.data, ok = appendAdjRow(nil, row, &ord, nodes)
 	if !ok {
 		panic("row refused")
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"ldbcsnb/internal/ids"
@@ -14,15 +15,18 @@ import (
 // boundary shapes (empty, single entry, maximal ordinal and stamp gaps in
 // both directions) and a fuzz target walks randomised rows.
 
-// codecFixture builds an ordinal world of n nodes with the given IDs.
-func codecFixture(nodeIDs []ids.ID) (nodes []ids.ID, ord *ordTable) {
-	return nodeIDs, newOrdTable(nodeIDs)
+// codecFixture builds an ordinal world over the given IDs, sorted as a
+// view base's are (the directory requires it).
+func codecFixture(nodeIDs []ids.ID) (nodes []ids.ID, ord *ordDir) {
+	nodes = slices.Sorted(slices.Values(nodeIDs))
+	d := newOrdDir(nodes)
+	return nodes, &d
 }
 
 // encodeDecode round-trips one row through the codec's production read
 // path, both cold (first decode, publishing to the cache) and hot (served
 // from the cache), and requires the two to agree.
-func encodeDecode(t *testing.T, row []Edge, nodes []ids.ID, ord *ordTable) []Edge {
+func encodeDecode(t *testing.T, row []Edge, nodes []ids.ID, ord *ordDir) []Edge {
 	t.Helper()
 	buf, ok := appendAdjRow(nil, row, ord, nodes)
 	if !ok {

@@ -73,7 +73,7 @@ type ViewMem struct {
 
 	AdjBytes     int64 // encoded adjacency: shared varint slab + per-row offset indexes
 	PropBytes    int64 // ordinal -> property row table; the rows are the MVCC side's (Stats.MutableBytes)
-	NodeBytes    int64 // base ordinal tables: ordinal->ID slice and ID->ordinal position table
+	NodeBytes    int64 // base ordinal mapping: ordinal->ID slice and ID->ordinal directory
 	KindBytes    int64 // per-kind scan lists
 	OverlayBytes int64 // copy-on-write refresh state: touched rows, appended ordinals, spill
 
@@ -138,7 +138,10 @@ func (v *SnapshotView) MemStats() ViewMem {
 		}
 	}
 	m.PropBytes = int64(len(b.props)) * sliceHdrBytes
-	m.NodeBytes = int64(len(b.nodes))*8 + int64(len(b.ord.slots))*4
+	m.NodeBytes = int64(len(b.nodes))*8 + int64(len(b.ord.kinds))*int64(unsafe.Sizeof(dirKind{}))
+	for _, k := range b.ord.kinds {
+		m.NodeBytes += int64(len(k.dir)) * 4
+	}
 	for _, list := range v.byKind {
 		m.KindBytes += int64(len(list)) * 8
 	}

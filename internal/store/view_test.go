@@ -231,10 +231,10 @@ func TestViewOrdinalsDense(t *testing.T) {
 	}
 }
 
-// chainEndID returns an ID that no view holds whose home slot in tab is the
-// first slot of tab's longest run of occupied slots: looking it up walks the
-// whole run, comparing against every node on it, before the empty slot that
-// ends the run says it is absent.
+// chainEndID returns an ID that no view holds whose home slot in tab — the
+// overlay's table — is the first slot of tab's longest run of occupied
+// slots: looking it up walks the whole run, comparing against every node on
+// it, before the empty slot that ends the run says it is absent.
 func chainEndID(t *testing.T, tab *ordTable) ids.ID {
 	t.Helper()
 	n := len(tab.slots)
@@ -266,29 +266,85 @@ func chainEndID(t *testing.T, tab *ordTable) ids.ID {
 }
 
 // assertOrdContract checks the ID -> ordinal contract on one view: every
-// ordinal resolves back to itself, and absent IDs — among them one at the
-// end of the longest probe run of the base's and of the overlay's table —
-// resolve to nothing.
+// ordinal resolves back to itself, and IDs the view does not hold resolve to
+// nothing. The probes cover both mechanisms. On the base's directory: each
+// kind's min-1 and max+1, both neighbours of every base node (among them
+// absent IDs inside an occupied bucket), the empty kind 0 and kind bytes
+// past the directory, the empty Photo kind among them. On the overlay's
+// table: an ID at the end of its longest probe run.
 func assertOrdContract(t *testing.T, v *SnapshotView) {
 	t.Helper()
+	held := make(map[ids.ID]int32, v.NumNodes())
 	for o := int32(0); o < int32(v.NumNodes()); o++ {
+		held[v.idAt(o)] = o
 		if back, ok := v.ord(v.idAt(o)); !ok || back != o {
 			t.Fatalf("ord(idAt(%d)) = %d, %v", o, back, ok)
 		}
 	}
-	absent := []ids.ID{0, ids.Compose(ids.KindForum, 1, 0), chainEndID(t, v.base.ord)}
-	if v.ordOver != nil {
-		absent = append(absent, chainEndID(t, v.ordOver))
+	d := &v.base.ord
+	probes := []ids.ID{0, 5, ids.Compose(ids.KindPhoto, 1, 0), ids.ID(len(d.kinds)) << 56, ^ids.ID(0)}
+	for _, k := range d.kinds {
+		if k.min <= k.max {
+			probes = append(probes, k.min-1, k.max+1)
+		}
 	}
-	for _, id := range absent {
-		if o, ok := v.ord(id); ok {
-			t.Fatalf("absent %v resolved to ordinal %d", id, o)
+	inBucket := 0
+	for _, id := range v.base.nodes {
+		k := &d.kinds[id>>56]
+		for _, n := range []ids.ID{id - 1, id + 1} {
+			probes = append(probes, n)
+			if _, ok := held[n]; !ok && n >= k.min && n <= k.max && (n-k.min)>>k.shift == (id-k.min)>>k.shift {
+				inBucket++
+			}
+		}
+	}
+	if len(v.base.nodes) > 0 && inBucket == 0 {
+		t.Fatal("no absent ID inside an occupied bucket was probed")
+	}
+	if v.ordOver != nil {
+		probes = append(probes, chainEndID(t, v.ordOver))
+	}
+	for _, id := range probes {
+		want, ok := held[id]
+		if o, got := v.ord(id); got != ok || o != want {
+			t.Fatalf("ord(%v) = %d, %v; the view holds it: %v (ordinal %d)", id, o, got, ok, want)
 		}
 	}
 }
 
-// TestOrdTableContract pins SnapshotView.ord over its one mechanism, the
-// position table, in every state a view reaches: a fresh base, a refreshed
+// TestOrdDirSkewedSpan pins the directory on the span shape that crowds it:
+// all but one person created in one minute, one far outlier. The outlier
+// stretches the span until every other node shares one bucket, which the
+// lookup must binary-search, not scan. Sequences step by two, so every
+// neighbour of a member is absent.
+func TestOrdDirSkewedSpan(t *testing.T) {
+	s := New()
+	tx := s.Begin()
+	for i := uint32(0); i < 1000; i++ {
+		if err := tx.CreateNode(ids.Compose(ids.KindPerson, 5, 2*i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Minute buckets from 2^30 on are chainEndID's.
+	for _, id := range []ids.ID{ids.Compose(ids.KindPerson, 1<<30-1, 0), ids.Compose(ids.KindComment, 7, 0)} {
+		if err := tx.CreateNode(id, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	v := s.CurrentView()
+	k := v.base.ord.kinds[ids.KindPerson]
+	if crowded := k.dir[1] - k.dir[0]; crowded != 1000 {
+		t.Fatalf("first person bucket holds %d nodes, want the 1000 of the crowded minute", crowded)
+	}
+	assertOrdContract(t, v)
+}
+
+// TestOrdTableContract pins SnapshotView.ord over both its mechanisms, the
+// base's directory and the overlay's position table, in every state a view
+// reaches: a fresh base, a refreshed
 // overlay (growing its table, and sharing it with a held view that must not
 // see what is appended after it), and the base a background compaction
 // swaps in.

@@ -10,9 +10,12 @@ check: fmt vet build test harness lint docs-check
 # incremental view maintenance racing commits, the BI lane's morsel
 # workers fanning out over shared views, and the background checkpointer —
 # but every package rides along so a new concurrent path is covered the
-# day it lands (wired into CI).
+# day it lands (wired into CI). The view-lineage tests then run twenty
+# times more: the era's shared overlay rests on atomics, and the detector
+# only finds a misused one when a run happens to interleave on it.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run 'TestViewLineageUnderReaders|TestHeldViewsReadTheirStamps' ./internal/store
 	$(GO) test -race ./internal/bench/ -run xxx -bench 'BenchmarkWrite/sync=commit/writers=2$$' -benchtime 1x
 
 # Static invariant enforcement (docs/ANALYZERS.md): snblint runs the

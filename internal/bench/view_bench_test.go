@@ -336,7 +336,7 @@ func refreshCommit(tb testing.TB, env *Env, anchor ids.ID) ids.ID {
 // maintenance path, where BenchmarkViewRebuild is what it paid before.
 //
 //   - 1commit / 16commits: CurrentView applies the pending delta(s) onto
-//     the persistent overlay. Compaction runs in the background at the
+//     the era's overlay. Compaction runs in the background at the
 //     store's default trigger, so the mean is what a reader pays in the
 //     steady state.
 //   - overflow: the delta ring is too small for the burst, so CurrentView
@@ -350,72 +350,65 @@ func refreshCommit(tb testing.TB, env *Env, anchor ids.ID) ids.ID {
 func BenchmarkViewRefresh(b *testing.B) {
 	run := func(commits int) func(b *testing.B) {
 		return func(b *testing.B) {
-			env := refreshBenchEnv(b)
-			anchor := benchPerson(b, env)
-			env.Store.CurrentView() // establish the chain root
+			var s refreshStore
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
+				if s.spent() {
+					s.replace(b)
+				}
 				for c := 0; c < commits; c++ {
-					refreshCommit(b, env, anchor)
+					s.commit(b)
 				}
 				b.StartTimer()
-				env.Store.CurrentView()
+				s.env.Store.CurrentView()
 			}
 		}
 	}
 	b.Run("1commit", run(1))
 	b.Run("16commits", run(16))
-	// The cases below start from a store of the same size every time: each
-	// iteration adds a person, and the shared refresh env has grown by as
-	// many as the cases above ran.
-	fresh := func(b *testing.B) (*Env, ids.ID) {
-		env, err := NewEnv(250, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return env, benchPerson(b, env)
-	}
 	b.Run("overflow", func(b *testing.B) {
-		env, anchor := fresh(b)
-		env.Store.SetViewDeltaCap(1)
-		env.Store.CurrentView()
+		var s refreshStore
+		s.replace(b)
+		s.env.Store.SetViewDeltaCap(1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			refreshCommit(b, env, anchor)
-			refreshCommit(b, env, anchor) // second commit overflows the 1-slot ring
+			s.commit(b)
+			s.commit(b) // second commit overflows the 1-slot ring
 			b.StartTimer()
-			env.Store.CurrentView()
+			s.env.Store.CurrentView()
 		}
 	})
 	overlay := func(entries int64) func(b *testing.B) {
 		return func(b *testing.B) {
-			env, anchor := fresh(b)
-			st := env.Store
+			var s refreshStore
 			regrow := func() {
+				st := s.env.Store
 				st.SetViewCompactThreshold(0) // the next advance rebuilds inline: empty overlay
-				refreshCommit(b, env, anchor)
+				s.commit(b)
 				st.CurrentView()
 				st.SetViewCompactThreshold(1 << 30)
 				for st.ViewStats().OverlayEntries < entries {
-					refreshCommit(b, env, anchor)
+					s.commit(b)
 					st.CurrentView()
 				}
 			}
-			regrow()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				if st.ViewStats().OverlayEntries >= 2*entries {
+				if s.spent() {
+					s.replace(b)
+					regrow()
+				} else if s.env.Store.ViewStats().OverlayEntries >= 2*entries {
 					regrow()
 				}
-				refreshCommit(b, env, anchor)
+				s.commit(b)
 				b.StartTimer()
-				st.CurrentView()
+				s.env.Store.CurrentView()
 			}
 		}
 	}
@@ -424,12 +417,43 @@ func BenchmarkViewRefresh(b *testing.B) {
 	b.Run("overlay=64K", overlay(64<<10))
 }
 
+// refreshStore is the store a BenchmarkViewRefresh case commits into. It is
+// replaced, off the clock, once it has taken refreshStoreCommits commits: at
+// a few microseconds a refresh, a one-second run is hundreds of thousands of
+// iterations, and a store that gained a person in each would outgrow a
+// gigabyte, with every rebuild on it growing too. Every store starts at the
+// same size.
+type refreshStore struct {
+	env    *Env
+	anchor ids.ID
+	landed int
+}
+
+const refreshStoreCommits = 1 << 16
+
+func (s *refreshStore) spent() bool { return s.env == nil || s.landed >= refreshStoreCommits }
+
+// replace starts over on a fresh store, its first view built.
+func (s *refreshStore) replace(b *testing.B) {
+	env, err := NewEnv(250, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.env, s.anchor, s.landed = env, benchPerson(b, env), 0
+	env.Store.CurrentView()
+}
+
+func (s *refreshStore) commit(b *testing.B) {
+	refreshCommit(b, s.env, s.anchor)
+	s.landed++
+}
+
 // TestViewAdjacencyZeroAlloc pins the acceptance bar that `make bench`
 // reports informally: the generic 2-hop adjacency iteration and Q13's
 // bidirectional search, instantiated with the frozen view, must not allocate
 // once the scratch is warm, and Q14 allocates only its result — on a
 // freshly compacted view AND on a delta-refreshed view whose hot rows live
-// in the copy-on-write overlay. Warm Q4, Q6 and Q7 allocate as often for
+// in the era's overlay. Warm Q4, Q6 and Q7 allocate as often for
 // the best-connected person as for a least-connected one.
 func TestViewAdjacencyZeroAlloc(t *testing.T) {
 	env := testEnv(t)

@@ -26,6 +26,10 @@ const (
 	KindPlace
 	KindOrganisation
 	KindPhoto
+
+	// KindLimit is one past the last kind: a table indexed by kind has
+	// this many entries.
+	KindLimit
 )
 
 var kindNames = map[Kind]string{

@@ -28,7 +28,8 @@ import (
 // # Checkpoints serialise a frozen view
 //
 // The writer walks a SnapshotView, never the live shards: the view is
-// immutable after construction (CSR slabs plus copy-on-write overlays), so
+// frozen after construction (CSR slabs plus an overlay it reads at its own
+// timestamp, whatever later refreshes store into it), so
 // serialisation runs concurrently with commits, GC and view compaction
 // without any stop-the-world on the write path. An era bump mid-checkpoint
 // is harmless — the held view stays frozen regardless of what the cached
@@ -295,11 +296,12 @@ func encodeCheckpoint(w io.Writer, v *SnapshotView) error {
 	}
 
 	// Per-kind scan lists, in live (commit) order — NodesOfKind's contract.
-	kinds := make([]ids.Kind, 0, len(v.byKind))
-	for k := range v.byKind {
-		kinds = append(kinds, k)
+	var kinds []ids.Kind
+	for k, list := range v.byKind {
+		if len(list) > 0 {
+			kinds = append(kinds, ids.Kind(k))
+		}
 	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
 	buf = appendU16(buf, uint16(len(kinds)))
 	for _, k := range kinds {
 		list := v.byKind[k]

@@ -1,8 +1,8 @@
 package store
 
 import (
-	"maps"
 	"math"
+	"sync/atomic"
 
 	"ldbcsnb/internal/ids"
 )
@@ -18,43 +18,62 @@ import (
 // dropped them. When AcquireView finds the cached view behind the commit
 // watermark it applies the pending deltas onto the cached view (applyDeltas)
 // instead of recompacting the whole dataset. The refreshed view is a new
-// immutable value that shares its predecessor's base and, through a
-// persistent overlay, everything of the predecessor's overlay the deltas did
-// not touch: a refresh costs what its deltas cost, whatever the size of the
-// dataset or of the overlay accumulated in the era.
+// immutable value that shares its predecessor's base and the era's overlay:
+// a refresh costs what its deltas cost, whatever the size of the dataset or
+// of the overlay accumulated in the era.
 //
 // # The overlay
 //
-// The overlay (view.go) is a two-level page table indexed by ordinal. A
-// refresh copies the top-level pointer slice, the pages holding a touched
-// ordinal and those ordinals' nodeOver entries — path copying, so the
-// predecessor's table is never written. Adjacency rows, the appended-ordinal
-// list nodesOver and the per-kind scan lists are not copied at all:
+// The overlay (view.go) belongs to the era, not to a view: page tables
+// indexed by ordinal — one per rowKey(type, direction), one for property
+// lists — whose pages hold atomic pointers to immutable headers. Every view
+// of the era reads the same pages. A refresh appends the new entries to the
+// touched rows and then stores one new header per touched row, stamped with
+// the refresh's timestamp; a row header carries, besides the row, the
+// commit timestamp of every entry the era appended to it. A property header
+// carries the list and the header it replaced. Nothing is copied but a top
+// level that must grow, and a view keeps the top levels it was published
+// with.
+//
+// A reader of view v loads the current header. One stored at or before v's
+// timestamp is the row's state at v, read as it is — always the case for a
+// reader that refreshes the view it reads, as the Interactive mix's do. One
+// stored later still begins with v's state: v keeps the base part plus the
+// appended entries committed by its timestamp, whose stamps ascend, so a
+// binary search finds them; a property read walks back to the newest header
+// stored by v. A nil page or slot means no refresh of the era touched the
+// row, so the base serves it, for every view of the era. A page created after
+// a top level was copied is missing from the views that kept the old copy,
+// which is right: it holds only state newer than they are.
 //
 // # Append-sharing
 //
-// Maintenance is a single lineage. Every view of an era is derived, under
-// viewMu, from the newest view of that era, so for each of those slices the
-// newest view holds the longest prefix of one shared backing array and every
-// older view a shorter prefix of the same array. A refresh appends in place,
-// into the spare capacity beyond every published length, and publishes a
-// slice header with the new length in its own (copied) nodeOver or view
-// struct; once capacity runs out, append reallocates (growing geometrically,
-// so appends stay amortised O(1)) and the lineage moves to the new array.
-// Readers index a row only below the length in the header their own view
-// handed them, so the maintainer's writes and any reader's reads never touch
-// the same element: there is no race to synchronise, and the atomic store
-// that publishes the view orders the element writes before any read through
-// the new header. Edges are insert-only, so every delta is an append; the one
-// copy is the first touch of a base row in an era, which decodes it out of the
-// slab.
+// Each era has a single writer: the viewMu lineage for the cached view's
+// era, or a background compaction for the era it builds, whose views nobody
+// reads until it swaps one in under viewMu. Every refresh derives from the
+// newest view of its lineage, so for each shared slice — a row's entries
+// and commit stamps, the appended-ordinal list nodesOver, the per-kind scan
+// lists — the newest header holds the longest prefix of one backing array
+// and every older header a shorter prefix of the same array. A refresh
+// appends in place, into the spare capacity beyond every published length;
+// once capacity runs out, append reallocates (growing geometrically, so
+// appends stay amortised O(1)) and the lineage moves to the new array.
+// Readers index a slice only below the length in a header they loaded, and
+// the atomic store that publishes a header (or a view) orders the element
+// writes before any read through it, so the maintainer's writes and any
+// reader's reads never touch the same element: there is nothing else to
+// synchronise. Edges are insert-only, so every delta is an append; the one
+// copy is the first touch of a base row in an era, which decodes it out of
+// the slab.
 //
-// What would break it: deriving two successors from one view (both would
-// write the same spare slot — a background compaction therefore never
-// refreshes a published view, it catches up on its own unpublished lineage),
-// a reader appending to or re-slicing a row it was handed (snblint's
-// viewalias pass forbids it), or a delta that rewrites an element some
-// published header already covers instead of appending past it.
+// What would break it: two writers on one era (both would write the same
+// spare slot — a background compaction therefore never refreshes a
+// published view, it catches up on its own unpublished lineage), a reader
+// appending to or re-slicing a row it was handed (snblint's viewalias pass
+// forbids it), a delta that rewrites an element some published header
+// already covers instead of appending past it, or a header written after it
+// was stored (a refresh builds each row's header on the side and stores it
+// once, after the row's last append).
 //
 // # Compaction
 //
@@ -322,7 +341,7 @@ func (s *Store) refreshView(old *SnapshotView, ts int64) (*SnapshotView, bool) {
 	if !ok {
 		return nil, false
 	}
-	nv, cost := applyDeltas(old, ds, ts)
+	nv, cost := applyDeltas(old, ds, ts, &s.rowWork)
 	s.overlayEntries.Add(int64(cost))
 	s.trimDeltas(ts)
 	return nv, true
@@ -363,16 +382,17 @@ func (s *Store) compact(from int64, era uint64, done chan struct{}) {
 	defer close(done)
 	var nv *SnapshotView
 	var cost int
+	var w rowWork // this lineage's scratch: the cached one keeps using s.rowWork
 	if !s.closed.Load() {
 		// Catch up off the lock first: a build takes long enough for
 		// hundreds of commits to land, and applying them here leaves the
 		// locked section below the few that land during this call.
-		nv, cost = s.catchUp(s.buildView(from), era)
+		nv, cost = s.catchUp(s.buildView(from), era, &w)
 	}
 
 	s.viewMu.Lock()
 	defer s.viewMu.Unlock()
-	nv, c := s.catchUp(nv, era) // the cached view cannot move now
+	nv, c := s.catchUp(nv, era, &w) // the cached view cannot move now
 	cost += c
 	// A GC past from may have reclaimed state the build was reading.
 	if nv != nil && from >= s.gcHorizon {
@@ -397,7 +417,7 @@ func (s *Store) compact(from int64, era uint64, done chan struct{}) {
 // lost its purpose: an inline rebuild replaced the era it set out to
 // compact, or the ring overflowed and no longer covers the range — the next
 // AcquireView then rebuilds inline, as after any overflow.
-func (s *Store) catchUp(nv *SnapshotView, era uint64) (*SnapshotView, int) {
+func (s *Store) catchUp(nv *SnapshotView, era uint64, w *rowWork) (*SnapshotView, int) {
 	cur := s.view.Load()
 	if nv == nil || cur.era != era {
 		return nil, 0
@@ -411,81 +431,33 @@ func (s *Store) catchUp(nv *SnapshotView, era uint64) (*SnapshotView, int) {
 	if !ok {
 		return nil, 0
 	}
-	return applyDeltas(nv, ds, cur.ts)
+	return applyDeltas(nv, ds, cur.ts, w)
 }
 
 // applyDeltas derives the view at ts from old, the newest view of its
 // lineage, by applying consecutive commit deltas, and returns it with the
-// number of overlay entries applied. The new view shares old's viewBase
-// (same era) and overlay; see "Append-sharing" above for what is copied,
-// what is appended in place, and why old — and every earlier view of the
-// chain — stays frozen for concurrent readers.
-func applyDeltas(old *SnapshotView, ds []*CommitDelta, ts int64) (*SnapshotView, int) {
+// number of overlay entries applied. The new view shares old's viewBase and
+// the era's overlay; see "The overlay" and "Append-sharing" above for what
+// it writes and why old — and every earlier view of the era — stays frozen
+// for concurrent readers. w is the lineage maintainer's scratch.
+func applyDeltas(old *SnapshotView, ds []*CommitDelta, ts int64, w *rowWork) (*SnapshotView, int) {
 	nv := &SnapshotView{
 		ts:        ts,
 		era:       old.era,
 		base:      old.base,
 		nodesOver: old.nodesOver,
 		ordOver:   old.ordOver,
-		byKind:    old.byKind, // never nil: buildView always allocates it
+		over:      old.over,
+		byKind:    old.byKind,
 	}
-	n0 := int32(len(nv.base.nodes))
-
-	// The top level of the page table is the one copy whose size follows
-	// the dataset rather than the delta: a pointer per overPageSize nodes.
 	newNodes := 0
 	for _, d := range ds {
 		newNodes += len(d.nodes)
 	}
-	pages := (old.NumNodes() + newNodes + overPageSize - 1) >> overPageBits
-	nv.over = make([]*overPage, pages)
-	copy(nv.over, old.over)
-
-	// own returns the ordinal's overlay entry, writable by this application:
-	// pages and entries allocated by an earlier one (owner != ts) are shared
-	// with published views and copied first.
-	own := func(ord int32) *nodeOver {
-		p := nv.over[int(ord)>>overPageBits]
-		if p == nil {
-			p = &overPage{owner: ts}
-		} else if p.owner != ts {
-			cp := *p
-			cp.owner = ts
-			p = &cp
-		}
-		nv.over[int(ord)>>overPageBits] = p
-		slot := &p.slots[ord&(overPageSize-1)]
-		if n := *slot; n == nil {
-			*slot = &nodeOver{owner: ts}
-		} else if n.owner != ts {
-			cp := *n
-			cp.owner = ts
-			cp.rows = append(make([]overRow, 0, len(n.rows)+1), n.rows...)
-			*slot = &cp
-		}
-		return *slot
-	}
-	// ownRow returns the ordinal's overlay row for one (type, direction). A
-	// row no commit of the era has touched yet is decoded out of the base
-	// here, so the compact representation only pays the decode for rows the
-	// update stream actually modifies, and once per era; the spare capacity
-	// lets the appends that follow share the array.
-	ownRow := func(ord int32, t EdgeType, in bool) *overRow {
-		n := own(ord)
-		key := rowKey(t, in)
-		for i := range n.rows {
-			if n.rows[i].key == key {
-				return &n.rows[i]
-			}
-		}
-		deg := nv.degreeAt(ord, t, in) // of the base row: the overlay has none yet
-		row := nv.appendEdges(make([]Edge, 0, deg+deg/8+2), ord, t, in)
-		n.rows = append(n.rows, overRow{key: key, edges: row})
-		return &n.rows[len(n.rows)-1]
-	}
+	r := refresher{nv: nv, w: w, pages: (old.NumNodes() + newNodes + overPageSize - 1) >> overPageBits}
+	n0 := int32(len(nv.base.nodes))
 
 	cost := 0
-	kindsOwned := false
 	for _, d := range ds {
 		cost += d.cost()
 		for _, dn := range d.nodes {
@@ -495,30 +467,145 @@ func applyDeltas(old *SnapshotView, ds []*CommitDelta, ts int64) (*SnapshotView,
 			ord := n0 + int32(len(nv.nodesOver))
 			nv.nodesOver = append(nv.nodesOver, dn.id)
 			nv.ordOver = nv.ordOver.insert(nv.nodesOver)
-			// Every appended ordinal gets overlay props (possibly nil for
-			// bare endpoint records) — propsAt relies on it.
-			n := own(ord)
-			n.hasProps, n.props = true, dn.props
+			// Every appended ordinal gets a props header (possibly nil props
+			// for bare endpoint records) — propsAt relies on it.
+			r.setProps(ord, dn.props)
 			if dn.inKindList {
-				if !kindsOwned {
-					nv.byKind, kindsOwned = maps.Clone(nv.byKind), true
-				}
 				k := dn.id.Kind()
 				nv.byKind[k] = append(nv.byKind[k], dn.id)
 			}
 		}
 		for _, dp := range d.props {
 			if ord, ok := nv.ord(dp.id); ok {
-				n := own(ord)
-				n.hasProps, n.props = true, dp.props
+				r.setProps(ord, dp.props)
 			}
 		}
 		for _, de := range d.edges {
 			if ord, ok := nv.ord(de.owner); ok {
-				r := ownRow(ord, de.t, de.in)
-				r.edges = append(r.edges, Edge{To: de.peer, Stamp: de.stamp})
+				h := r.row(ord, de.t, de.in)
+				h.edges = append(h.edges, Edge{To: de.peer, Stamp: de.stamp})
+				h.commits = append(h.commits, d.ts)
 			}
 		}
 	}
+	r.store()
 	return nv, cost
+}
+
+// refresher is applyDeltas' state while it derives nv.
+type refresher struct {
+	nv    *SnapshotView
+	w     *rowWork
+	pages int  // the pages a table needs to cover every ordinal of nv
+	owned bool // nv.over is this refresh's copy, not its predecessor's
+}
+
+// rowWork holds the headers a refresh builds for the rows it touches, by
+// slot, until it stores them. It belongs to a lineage's maintainer and is
+// empty between refreshes.
+type rowWork map[*atomic.Pointer[rowHdr]]*rowHdr
+
+// slot returns ord's slot in t, creating its page. t must cover ord.
+func (t overTable[H]) slot(ord int32) *atomic.Pointer[H] {
+	i := int(ord) >> overPageBits
+	p := t[i].Load()
+	if p == nil {
+		p = new(overPage[H])
+		t[i].Store(p)
+	}
+	return &p[ord&(overPageSize-1)]
+}
+
+// covers reports whether t has a page for ord, created or not.
+func (t overTable[H]) covers(ord int32) bool { return int(ord)>>overPageBits < len(t) }
+
+// grow returns a copy of t with room for n pages and a quarter more, so an
+// era that keeps appending ordinals copies each top level O(log n) times.
+func (t overTable[H]) grow(n int) overTable[H] {
+	g := make(overTable[H], n+n/4)
+	for i := range t {
+		g[i].Store(t[i].Load())
+	}
+	return g
+}
+
+// own returns nv's overlay for replacing a top level: a copy of the one nv
+// was handed, made at most once per refresh.
+func (r *refresher) own() *overlay {
+	if !r.owned {
+		o := new(overlay)
+		if r.nv.over != nil {
+			*o = *r.nv.over
+		}
+		r.nv.over, r.owned = o, true
+	}
+	return r.nv.over
+}
+
+func (r *refresher) rowSlot(ord int32, key uint8) *atomic.Pointer[rowHdr] {
+	if r.nv.over == nil || !r.nv.over.rows[key].covers(ord) {
+		o := r.own()
+		o.rows[key] = o.rows[key].grow(r.pages)
+	}
+	return r.nv.over.rows[key].slot(ord)
+}
+
+func (r *refresher) propSlot(ord int32) *atomic.Pointer[propHdr] {
+	if r.nv.over == nil || !r.nv.over.props.covers(ord) {
+		o := r.own()
+		o.props = o.props.grow(r.pages)
+	}
+	return r.nv.over.props.slot(ord)
+}
+
+// setProps stores an ordinal's new property list. A header an earlier delta
+// of this refresh stored is replaced, not chained: no view reads it.
+func (r *refresher) setProps(ord int32, ps Props) {
+	sl := r.propSlot(ord)
+	prev := sl.Load()
+	if prev != nil && prev.ts == r.nv.ts {
+		prev = prev.prev
+	}
+	sl.Store(&propHdr{ts: r.nv.ts, props: ps, prev: prev})
+}
+
+// row returns the unstored header this refresh builds a row's next state
+// in, starting it at the refresh's first touch of the row: from the current
+// header, or, at the era's first touch, from the base row decoded out of the
+// slab — the compact representation pays the decode only for rows the update
+// stream modifies, once per era, and the spare capacity lets the appends
+// that follow share the array.
+func (r *refresher) row(ord int32, t EdgeType, in bool) *rowHdr {
+	sl := r.rowSlot(ord, rowKey(t, in))
+	if h := (*r.w)[sl]; h != nil {
+		return h
+	}
+	var h *rowHdr
+	if cur := sl.Load(); cur != nil {
+		h = &rowHdr{edges: cur.edges, commits: cur.commits}
+	} else {
+		rs := new(rowStart)
+		h = &rs.hdr
+		h.commits = rs.commits[:0]
+		// nv has no header for the row yet, so these read the base row.
+		if deg := r.nv.degreeAt(ord, t, in); deg < len(rs.edges) {
+			h.edges = r.nv.appendEdges(rs.edges[:0], ord, t, in)
+		} else {
+			h.edges = r.nv.appendEdges(make([]Edge, 0, deg+deg/8+2), ord, t, in)
+		}
+	}
+	h.ts = r.nv.ts
+	if *r.w == nil {
+		*r.w = make(rowWork)
+	}
+	(*r.w)[sl] = h
+	return h
+}
+
+// store publishes the refresh's row headers and empties the scratch.
+func (r *refresher) store() {
+	for sl, h := range *r.w {
+		sl.Store(h)
+	}
+	clear(*r.w)
 }

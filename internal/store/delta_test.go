@@ -236,6 +236,164 @@ func TestViewLineageUnderReaders(t *testing.T) {
 	}
 }
 
+// TestHeldViewsReadTheirStamps drives the overlay's stamped reads one event
+// at a time: it holds every view of one era, and after each refresh compares
+// each of them with a from-scratch compaction at its own timestamp. The
+// events are the ways a refresh writes the shared overlay — appends to a row
+// the held views have read, the era's first touch of a base row, a row key
+// the era has not touched, a new page, a top level that grows, and SetProp on
+// a base node and on an appended one — and the test checks that each really
+// happened, so every held view older than a header takes the slow path.
+func TestHeldViewsReadTheirStamps(t *testing.T) {
+	s := New()
+	s.SetViewCompactThreshold(1 << 30)
+	const base = 300 // persons 1..base; person n holds ordinal n-1
+	commit := func(build func(tx *Txn) error) {
+		t.Helper()
+		tx := s.Begin()
+		if err := build(tx); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(func(tx *Txn) error {
+		for n := uint32(1); n <= base; n++ {
+			if err := tx.CreateNode(personID(n), Props{NewProp(PropFirstName, String("p"))}); err != nil {
+				return err
+			}
+		}
+		for n := uint32(2); n <= 10; n++ {
+			if err := tx.AddKnows(personID(1), personID(n), int64(n)); err != nil {
+				return err
+			}
+		}
+		return tx.CreateNode(postID(1), nil)
+	})
+	v0, ev := s.AcquireView()
+	if ev != ViewRebuilt {
+		t.Fatalf("first view: %v", ev)
+	}
+
+	type held struct{ v, ref *SnapshotView }
+	views := []held{{v0, s.ViewAt(v0.Timestamp())}}
+	refresh := func(event string) *SnapshotView {
+		t.Helper()
+		v, ev := s.AcquireView()
+		if ev != ViewRefreshed || v.Era() != v0.Era() {
+			t.Fatalf("%s: %v in era %d, want a refresh in era %d", event, ev, v.Era(), v0.Era())
+		}
+		views = append(views, held{v, s.ViewAt(v.Timestamp())})
+		for _, h := range views {
+			if err := viewDiff(h.v, h.ref); err != nil {
+				t.Fatalf("%s: view at %d: %v", event, h.v.Timestamp(), err)
+			}
+		}
+		return v
+	}
+	knowsOut := rowKey(EdgeKnows, false)
+	hdr := func(v *SnapshotView, key uint8, n uint32) *rowHdr {
+		o, _ := v.ord(personID(n))
+		return v.over.rows[key].load(o)
+	}
+
+	// Appends to a row every held view has read: person 1's base row of 9,
+	// first touched by v1, then appended to again after it.
+	commit(func(tx *Txn) error { return tx.AddKnows(personID(1), personID(11), 11) })
+	v1 := refresh("first touch of a base row")
+	commit(func(tx *Txn) error { return tx.AddKnows(personID(1), personID(12), 12) })
+	refresh("appends to a row the views read")
+	if h := hdr(v1, knowsOut, 1); h.ts <= v1.Timestamp() || len(h.at(v1.Timestamp())) != 10 || len(h.edges) != 11 {
+		t.Fatalf("person 1's row as v1 sees it: header at %d holds %d entries, v1 at %d", h.ts, len(h.edges), v1.Timestamp())
+	}
+	commit(func(tx *Txn) error { return tx.AddKnows(personID(2), personID(12), 13) })
+	refresh("first touch of a second base row")
+
+	// A row key the era has not touched: its top level is created.
+	likesOut := rowKey(EdgeLikes, false)
+	if v1.over.rows[likesOut] != nil {
+		t.Fatal("likes rows touched before the event")
+	}
+	commit(func(tx *Txn) error { return tx.AddEdge(personID(3), EdgeLikes, postID(1), 14) })
+	refresh("a new row key")
+
+	// A new page: person 250's ordinal is past the pages touched so far.
+	last := views[len(views)-1].v
+	if o, _ := last.ord(personID(250)); last.over.rows[knowsOut][o>>overPageBits].Load() != nil {
+		t.Fatal("person 250's knows page exists before the event")
+	}
+	commit(func(tx *Txn) error { return tx.AddKnows(personID(250), personID(251), 15) })
+	refresh("a new page")
+
+	// A top level that grows: appended persons, each with a knows row,
+	// take ordinals past the table's end, one commit at a time.
+	before := len(last.over.rows[knowsOut])
+	added := uint32(0)
+	for ; len(views[len(views)-1].v.over.rows[knowsOut]) == before; added += 50 {
+		commit(func(tx *Txn) error {
+			for n := base + added + 1; n <= base+added+50; n++ {
+				if err := tx.CreateNode(personID(n), Props{NewProp(PropFirstName, String("q"))}); err != nil {
+					return err
+				}
+				if err := tx.AddKnows(personID(n), personID(4), int64(n)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		refresh("appended ordinals")
+	}
+	if len(last.over.rows[knowsOut]) != before {
+		t.Fatal("the growth wrote the top level a held view reads")
+	}
+	commit(func(tx *Txn) error { return tx.AddKnows(personID(base+added), personID(5), 16) })
+	refresh("appends past the grown top level")
+
+	// SetProp on a base node and on an appended one, twice in one refresh and
+	// once more in the next: the headers chain back to the base row.
+	for i, name := range []string{"a", "b", "c"} {
+		commit(func(tx *Txn) error {
+			if err := tx.SetProp(personID(6), PropLastName, String(name)); err != nil {
+				return err
+			}
+			return tx.SetProp(personID(base+1), PropLastName, String(name))
+		})
+		if i != 0 {
+			refresh("SetProp on a base and an appended node")
+		}
+	}
+	o6, _ := last.ord(personID(6))
+	if h := views[len(views)-1].v.over.props.load(o6); h == nil || h.prev == nil || h.prev.prev != nil {
+		t.Fatal("person 6's property headers do not chain one back")
+	}
+}
+
+// TestRefreshedViewMemCountsEachEdgeOnce pins ViewMem.Edges on the overlay:
+// a first-touched base row's base part is already in the csr's entries, so
+// the refreshed view — and every view of its era still held — must report
+// what a compaction at the same timestamp stores.
+func TestRefreshedViewMemCountsEachEdgeOnce(t *testing.T) {
+	r := xrand.New(11)
+	s := New()
+	s.SetViewCompactThreshold(1 << 30)
+	var pop []ids.ID
+	var held []*SnapshotView
+	for step := 1; step <= 40; step++ {
+		pop = randomGraphStep(t, s, r, pop, step)
+		v := s.CurrentView()
+		held = append(held, v)
+		for _, h := range held {
+			if got, want := h.MemStats().Edges, s.ViewAt(h.Timestamp()).MemStats().Edges; got != want {
+				t.Fatalf("step %d: view at %d reports %d edges, a compaction at its timestamp %d", step, h.Timestamp(), got, want)
+			}
+		}
+	}
+	if st := s.ViewStats(); st.Refreshes == 0 || st.EraBumps != 0 {
+		t.Fatalf("the steps after the first must all refresh one era: %+v", st)
+	}
+}
+
 // stallCompaction makes every buildView (a background compaction's
 // included) block until the returned function is called, by holding the
 // write lock of a shard no test node lives in: randomGraphStep's IDs carry
@@ -432,7 +590,11 @@ func TestMarkClosedWaitsForCompaction(t *testing.T) {
 // with compaction off, refreshing one commit onto an overlay of ~50 K
 // entries allocates no more than twice the bytes and objects the same
 // refresh allocates onto ~100 entries — and the commit appends to a hub row
-// of more than 10 K entries, which a copy-on-write row would re-copy whole.
+// of more than 10 K entries, which a row copied on write would copy whole.
+// Both stay under an absolute ceiling: the refresh allocates the view, the
+// hub row's new header and one block for each of the three rows the era
+// first touches (the new person's two, its knows partner's), plus the new
+// person's property header.
 func TestRefreshCostIndependentOfOverlay(t *testing.T) {
 	s := New()
 	s.SetViewCompactThreshold(1 << 30)
@@ -501,6 +663,11 @@ func TestRefreshCostIndependentOfOverlay(t *testing.T) {
 	if bigBytes > 2*smallBytes || bigObjs > 2*smallObjs {
 		t.Fatalf("refresh cost grew with the overlay: %d B / %d objects at ~100 entries, %d B / %d objects at ~50K",
 			smallBytes, smallObjs, bigBytes, bigObjs)
+	}
+	const maxBytes, maxObjs = 1536, 8 // measured on amd64: 720-768 B in 6 objects
+	if max(smallBytes, bigBytes) > maxBytes || max(smallObjs, bigObjs) > maxObjs {
+		t.Fatalf("a one-commit refresh allocates %d B / %d objects, ceiling %d B / %d objects",
+			max(smallBytes, bigBytes), max(smallObjs, bigObjs), maxBytes, maxObjs)
 	}
 	if got := len(s.CurrentView().In(hub, EdgeIsLocatedIn)); got != fans+seq {
 		t.Fatalf("hub row has %d entries, want %d", got, fans+seq)

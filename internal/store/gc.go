@@ -14,7 +14,7 @@ package store
 // will still pass to ViewAt.
 //
 // Retained SnapshotViews need no accounting: a view is fully materialised
-// at construction (CSR slabs, copy-on-write overlays, references to the
+// at construction (CSR slabs, the era's commit-stamped overlay, references to the
 // immutable property rows of the versions it sees, which GC dropping a
 // version does not free while the view holds them) and never reads the
 // store again, so views frozen below the horizon stay

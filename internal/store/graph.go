@@ -79,8 +79,8 @@ type nodeVersion struct {
 
 // adjacency holds the typed in/out edge lists of one node as a sparse row
 // table: one adjRow per (type, direction) the node has had an edge on —
-// about five of thirty — keyed like the view overlay's overRow, so both
-// sides of the store describe a node's adjacency one way. Lists are
+// about five of thirty — keyed by rowKey like the view overlay's page
+// tables, so both sides of the store describe a node's adjacency one way. Lists are
 // append-ordered; commit timestamps gate visibility. Rows are in creation
 // order and never removed.
 type adjacency struct {

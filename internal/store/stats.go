@@ -75,7 +75,7 @@ type ViewMem struct {
 	PropBytes    int64 // ordinal -> property row table; the rows are the MVCC side's (Stats.MutableBytes)
 	NodeBytes    int64 // base ordinal mapping: ordinal->ID slice and ID->ordinal directory
 	KindBytes    int64 // per-kind scan lists
-	OverlayBytes int64 // copy-on-write refresh state: touched rows, appended ordinals, spill
+	OverlayBytes int64 // the era's refresh state: page tables, headers, touched rows and their commit stamps, appended ordinals, spill
 
 	// AdjCacheBytes is the decode cache: rows the read path has actually
 	// iterated, decoded once and kept as []Edge (codec.go). It grows with
@@ -147,34 +147,53 @@ func (v *SnapshotView) MemStats() ViewMem {
 	}
 
 	// Overlay state: refresh-appended ordinals and their ID table, the page
-	// table and its entries, decoded adjacency rows (at capacity:
-	// append-shared rows hold their spare slots), plus any spill rows the
-	// encoder kept raw. Property rows are the MVCC side's, as for the base.
-	m.OverlayBytes += int64(cap(v.nodesOver))*8 + int64(len(v.over))*8
+	// tables' top levels and pages, every current row header with its
+	// entries and commit stamps at capacity (append-shared arrays hold their
+	// spare slots), every property header still chained, plus any spill rows
+	// the encoder kept raw. Property rows are the MVCC side's, as for the
+	// base. Edges gains the entries the era appended by the view's
+	// timestamp; a first-touched row's base part is already in the csr's.
+	m.OverlayBytes += int64(cap(v.nodesOver)) * 8
 	if v.ordOver != nil {
 		m.OverlayBytes += int64(len(v.ordOver.slots)) * 4
 	}
-	for _, p := range v.over {
-		if p == nil {
-			continue
+	if o := v.over; o != nil {
+		for _, t := range o.rows {
+			m.OverlayBytes += t.each(func(h *rowHdr) {
+				m.Edges += len(h.at(v.ts)) - (len(h.edges) - len(h.commits))
+				m.OverlayBytes += int64(unsafe.Sizeof(*h)) + int64(cap(h.edges))*viewEdgeBytes + int64(cap(h.commits))*8
+			})
 		}
-		m.OverlayBytes += int64(unsafe.Sizeof(*p))
-		for _, n := range p.slots {
-			if n == nil {
-				continue
+		m.OverlayBytes += o.props.each(func(h *propHdr) {
+			for ; h != nil; h = h.prev {
+				m.OverlayBytes += int64(unsafe.Sizeof(*h))
 			}
-			m.OverlayBytes += int64(unsafe.Sizeof(*n))
-			for _, r := range n.rows {
-				m.Edges += len(r.edges)
-				m.OverlayBytes += int64(unsafe.Sizeof(r)) + int64(cap(r.edges))*viewEdgeBytes
-			}
-		}
+		})
 	}
 	for _, row := range b.spill {
 		m.Edges += len(row)
 		m.OverlayBytes += mapEntryBytes + sliceHdrBytes + int64(len(row))*viewEdgeBytes
 	}
 	return m
+}
+
+// each calls fn on every header in t and returns the bytes of t's top
+// level and pages.
+func (t overTable[H]) each(fn func(*H)) int64 {
+	n := int64(len(t)) * 8
+	for i := range t {
+		p := t[i].Load()
+		if p == nil {
+			continue
+		}
+		n += int64(unsafe.Sizeof(*p))
+		for j := range p {
+			if h := p[j].Load(); h != nil {
+				fn(h)
+			}
+		}
+	}
+	return n
 }
 
 // ComputeStats scans the store and reports per-table sizes.

@@ -48,6 +48,7 @@ type Store struct {
 	// closed when its goroutine is done (delta.go).
 	compactDone chan struct{} // guarded by viewMu
 	gcHorizon   int64         // guarded by viewMu; highest horizon any GC has run at
+	rowWork     rowWork       // guarded by viewMu; the cached lineage's refresh scratch
 
 	// Incremental view maintenance (delta.go): the ring of commit deltas
 	// and its two consumers' positions.

@@ -198,6 +198,22 @@ func TestReadOnlyRejectsWrites(t *testing.T) {
 	})
 }
 
+// A view keeps one scan list per kind, so a node of a kind past the last
+// one is rejected at creation.
+func TestCreateNodeRejectsInvalidKind(t *testing.T) {
+	s := New()
+	tx := s.Begin()
+	if err := tx.CreateNode(ids.Compose(ids.KindLimit, 1, 0), nil); err == nil {
+		t.Fatal("node of an invalid kind created")
+	}
+	if err := tx.CreateNode(ids.Compose(ids.KindPhoto, 1, 0), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestNodesOfKindVisibility(t *testing.T) {
 	s := New()
 	for i := uint32(0); i < 10; i++ {

@@ -68,10 +68,14 @@ func (tx *Txn) Snapshot() int64 { return tx.snapshot }
 // node's creationDate property, if present, should match the workload's
 // simulation time; the store itself only assigns the commit timestamp.
 // An exactly sized list (cap == len) is stored as given and must not be
-// written afterwards; one with spare capacity is copied first.
+// written afterwards; one with spare capacity is copied first. The ID's
+// kind must be below ids.KindLimit: a view keeps one scan list per kind.
 func (tx *Txn) CreateNode(id ids.ID, props Props) error {
 	if tx.readonly {
 		return errors.New("store: write in read-only transaction")
+	}
+	if id.Kind() >= ids.KindLimit {
+		return fmt.Errorf("store: node %v has an invalid kind", id)
 	}
 	if tx.newNodes == nil {
 		tx.newNodes = make(map[ids.ID]*pendingNode)

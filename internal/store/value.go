@@ -47,9 +47,10 @@
 // compact CommitDelta (created nodes, replaced property lists, inserted
 // adjacency entries) in a bounded in-memory ring, and the
 // first CurrentView call after a commit applies the pending deltas onto
-// the cached view through a persistent overlay — the page-table path to
-// each touched ordinal is copied, adjacency rows and kind lists are
-// appended to in place beyond every published length (delta.go). New
+// the era's shared overlay — adjacency rows and kind lists are appended
+// to in place beyond every published length, and each touched row gets a
+// new commit-stamped header that older views read their own prefix of
+// (delta.go). New
 // nodes receive appended ordinals, so existing ordinals stay stable
 // within an era (SnapshotView.Era) and a refreshed view shares the era's
 // base. The full recompaction — sorted IDs, dense

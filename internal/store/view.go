@@ -20,10 +20,12 @@ import (
 // symbols, internal/intern), so a node's properties are stored once
 // however many views see them.
 //
-// A view is immutable after construction, so every read is lock-free and
+// A view is frozen at construction: its own fields never change, and the
+// overlay it shares with the rest of its era it reads at its own timestamp,
+// whatever later refreshes store there. So every read is lock-free and
 // steady-state allocation-free: Out and In return []Edge rows served from
 // the per-csr decode cache (decoded out of the slab once, on first read)
-// or from a copy-on-write overlay row, and Prop and Props return the
+// or from an overlay row, and Prop and Props return the
 // shared, never-written property rows. This is the read path
 // the Interactive workload's 2-3-hop knows expansions run on; MVCC
 // transactions (Txn) remain the write path and the read path for
@@ -36,12 +38,12 @@ import (
 //   - Delta refresh: a new view is derived from the cached one by applying
 //     the commit deltas of the intervening transactions (internal/store
 //     delta.go). The refreshed view shares the predecessor's viewBase and
-//     its persistent overlay: an ordinal-indexed page table of which only
-//     the pages the delta touches are copied, over adjacency rows (decoded
-//     from the slab into plain []Edge rows on first touch in the era) that
-//     later refreshes append to in place; new nodes receive ordinals
-//     appended after the existing ones. Cost is proportional to the delta,
-//     neither to the dataset nor to the overlay accumulated so far.
+//     the era's overlay: ordinal-indexed page tables of commit-stamped row
+//     and property headers, over adjacency rows (decoded from the slab into
+//     plain []Edge rows on first touch in the era) that later refreshes
+//     append to in place; new nodes receive ordinals appended after the
+//     existing ones. Cost is proportional to the delta, neither to the
+//     dataset nor to the overlay accumulated so far.
 //   - Compaction: the whole visible state is recompacted into a fresh
 //     viewBase — node IDs sorted, ordinals reassigned densely, adjacency
 //     re-encoded — and the view's era counter is bumped. Once the overlay
@@ -60,7 +62,7 @@ import (
 // Slices returned by view methods alias the view's internal arrays and
 // must not be mutated by callers.
 //
-// Immutability is also what makes a view the checkpointing unit: the
+// Being frozen is also what makes a view the checkpointing unit: the
 // durable checkpointer (checkpoint.go) serialises a SnapshotView to disk
 // while commits, GC and even a compaction era bump proceed concurrently —
 // the held view stays frozen no matter what the cached view does, so
@@ -70,19 +72,20 @@ type SnapshotView struct {
 	era  uint64
 	base *viewBase
 
-	// The overlay, all nil/empty on a freshly compacted view. It is
-	// persistent: a refreshed view shares everything its delta did not touch
-	// with its predecessor, and what it did touch it either path-copies (the
-	// page table) or appends to beyond the predecessor's length (nodesOver,
-	// the kind lists, the adjacency rows) — see "Append-sharing" in
-	// delta.go for why neither disturbs a reader of an older view.
-	nodesOver []ids.ID    // ordinal len(base.nodes)+i -> appended node ID
-	ordOver   *ordTable   // appended node ID -> index into nodesOver
-	over      []*overPage // ordinal>>overPageBits -> page of touched ordinals, nil if none
+	// The overlay: what the era's refreshes up to ts added to the base,
+	// empty on a freshly compacted view. It is shared, not copied: every
+	// view of the era reads the same pages and row headers, and a refresh
+	// only appends to the slices below beyond the predecessor's length and
+	// stores new commit-stamped headers — see "The overlay" and
+	// "Append-sharing" in delta.go for why neither disturbs a reader of an
+	// older view.
+	nodesOver []ids.ID  // ordinal len(base.nodes)+i -> appended node ID
+	ordOver   *ordTable // appended node ID -> index into nodesOver
+	over      *overlay  // the era's page tables as this view was published with them; nil before the era's first refresh
 
-	// byKind is per-view (not per-era): a refresh that creates nodes clones
-	// the (nine-entry) map and appends to the touched kinds' lists.
-	byKind map[ids.Kind][]ids.ID
+	// byKind is per-view (not per-era): a refresh that creates nodes appends
+	// to the touched kinds' lists and publishes the longer headers here.
+	byKind [ids.KindLimit][]ids.ID
 
 	// cancel, when non-nil, makes Out/In/Prop poll a request context and
 	// unwind past-deadline scans (cancel.go). Only views derived with
@@ -123,76 +126,117 @@ type viewBase struct {
 	entries int
 }
 
-// The overlay's page table: ordinals are dense, so the touched ones are
-// found by index, not by hashing. A page covers overPageSize consecutive
-// ordinals. The fan-out is a constant that balances the two copies a refresh
-// makes: the top-level slice (8 bytes per page, so 64 bytes per thousand
-// nodes) and one 1 KiB page per touched ordinal range — a refresh of the
-// Interactive mix touches about fifteen. Replaying that mix on the
-// 1000-person dataset (60 K nodes), fan-outs of 64 and 128 refresh equally
-// fast and 256 and 512 a third slower; the larger of the fast pair keeps the
-// top level small on larger datasets.
+// The overlay's page tables: ordinals are dense, so a touched row is found
+// by index, not by hashing. There is one table per rowKey(type, direction)
+// and one for property lists; a page covers overPageSize consecutive
+// ordinals and holds a pointer to the current header of each. Pages are
+// never copied: a refresh stores new headers into them in place, so the
+// fan-out only sets how much of a page a sparse table leaves empty and how
+// long the top levels are. Replaying one round of the Interactive mix on the
+// 1000-person dataset (60 K nodes, 71 K overlay entries), fan-outs of 32, 64
+// and 128 end with overlays of 11.4, 11.2 and 11.2 MiB and refresh equally
+// fast; the largest keeps the top levels short on larger datasets.
 const (
 	overPageBits = 7
 	overPageSize = 1 << overPageBits
 )
 
-// overPage holds the overlay entries of one ordinal range. owner is the
-// timestamp of the view whose refresh allocated this copy: that refresh may
-// write the page, every later one copies it first.
-type overPage struct {
-	owner int64
-	slots [overPageSize]*nodeOver
+type overPage[H any] [overPageSize]atomic.Pointer[H]
+
+// overTable is the top level of one page table: page ordinal>>overPageBits,
+// nil where no refresh of the era touched that range. It grows by copy; a
+// view keeps the one it was published with, and pages created after a copy
+// hold only state newer than every view that kept the old one.
+type overTable[H any] []atomic.Pointer[overPage[H]]
+
+// overlay is the set of top levels one view was published with. A refresh
+// that must grow or create a table publishes a copy of it; every other
+// refresh hands the same one on.
+type overlay struct {
+	rows  [2 * edgeTypeMax]overTable[rowHdr] // indexed by rowKey
+	props overTable[propHdr]
 }
 
-// nodeOver is the overlay of one ordinal: its replacement property list, if
-// a commit of this era set one (always, for appended ordinals), and a
-// replacement row for every (type, direction) a commit of this era touched
-// — a handful, so a linear scan finds one. owner as in overPage.
-type nodeOver struct {
-	owner    int64
-	hasProps bool
-	props    Props
-	rows     []overRow
+// rowHdr is one state of an overlay row, stored by the refresh at ts and
+// never written after. edges is the base row (decoded from the slab when the
+// era first touched the row) followed by the entries the era's commits
+// appended; commits holds the commit timestamp of each appended entry, so
+// len(edges)-len(commits) is the base part. Both arrays are append-shared:
+// the next header of the row may extend them in place beyond this one's
+// lengths.
+type rowHdr struct {
+	ts      int64
+	edges   []Edge
+	commits []int64 // ascending
 }
 
-type overRow struct {
-	key   uint8 // rowKey(type, direction)
-	edges []Edge
+// rowStart backs the first header of a row in its era, with room for the
+// first two commit stamps and, for a row of at most one base entry, its
+// first two entries: one allocation where a new node's row would take three.
+type rowStart struct {
+	hdr     rowHdr
+	commits [2]int64
+	edges   [2]Edge
+}
+
+// propHdr is one property list of a node, stored by the refresh at ts.
+// prev is the header it replaced in the era, which an older view still
+// reads; nil for the era's first, behind which the base row applies.
+type propHdr struct {
+	ts    int64
+	props Props
+	prev  *propHdr
 }
 
 func rowKey(t EdgeType, in bool) uint8 {
+	k := uint8(t) << 1
 	if in {
-		return uint8(t)<<1 | 1
+		k |= 1
 	}
-	return uint8(t) << 1
+	return k
 }
 
-// overAt returns the overlay entry of an ordinal, nil when no commit of the
-// era touched it: an index and a nil check for an untouched page.
+// load returns the current header of an ordinal, nil when no refresh of the
+// era stored one: a bounds check and a nil check for an untouched page.
 //
 //snb:noalloc
-func (v *SnapshotView) overAt(ord int32) *nodeOver {
-	if i := int(ord) >> overPageBits; i < len(v.over) {
-		if p := v.over[i]; p != nil {
-			return p.slots[ord&(overPageSize-1)]
+func (t overTable[H]) load(ord int32) *H {
+	if i := int(ord) >> overPageBits; i < len(t) {
+		if p := t[i].Load(); p != nil {
+			return p[ord&(overPageSize-1)].Load()
 		}
 	}
 	return nil
 }
 
-// row returns the ordinal's replacement row for one (type, direction) — the
-// base row plus the era's appends — and ok=false for a row the era has not
-// touched, which the base still serves.
+// at returns the row as a view frozen at ts sees it. A header stored at or
+// before ts is the row's state at ts, as it is; one stored after ts keeps
+// the base part and the entries committed by ts, which precede the others.
 //
 //snb:noalloc
-func (n *nodeOver) row(key uint8) (row []Edge, ok bool) {
-	for i := range n.rows {
-		if n.rows[i].key == key {
-			return n.rows[i].edges, true
+func (h *rowHdr) at(ts int64) []Edge {
+	if h.ts <= ts {
+		return h.edges
+	}
+	lo, hi := 0, len(h.commits)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); h.commits[mid] <= ts {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return nil, false
+	return h.edges[:len(h.edges)-len(h.commits)+lo]
+}
+
+// overHdr returns the era's current header of one (ordinal, type,
+// direction) row, nil for a row the era has not touched, which the base
+// still serves. v.over must be non-nil: callers test it first, so that a
+// freshly compacted view pays one comparison for its overlay.
+//
+//snb:noalloc
+func (v *SnapshotView) overHdr(ord int32, t EdgeType, in bool) *rowHdr {
+	return v.over.rows[rowKey(t, in)].load(ord)
 }
 
 // ordDir maps the base's node IDs to their position in base.nodes. An ID's
@@ -428,13 +472,13 @@ func (v *SnapshotView) Exists(id ids.ID) bool {
 }
 
 // edgesAt returns one (ordinal, type, direction) row: the overlay row when
-// the refresh chain touched it, the decode-cached slab row otherwise.
+// the era touched it, the decode-cached slab row otherwise.
 //
 //snb:noalloc
 func (v *SnapshotView) edgesAt(ord int32, t EdgeType, in bool) []Edge {
-	if n := v.overAt(ord); n != nil {
-		if row, ok := n.row(rowKey(t, in)); ok {
-			return row
+	if v.over != nil {
+		if h := v.overHdr(ord, t, in); h != nil {
+			return h.at(v.ts)
 		}
 	}
 	b := v.base
@@ -453,9 +497,9 @@ func (v *SnapshotView) edgesAt(ord int32, t EdgeType, in bool) []Edge {
 // touching the decode cache: the row-materialisation path for full-store
 // walks (checkpoint serialisation) that must not inflate the cache.
 func (v *SnapshotView) appendEdges(dst []Edge, ord int32, t EdgeType, in bool) []Edge {
-	if n := v.overAt(ord); n != nil {
-		if row, ok := n.row(rowKey(t, in)); ok {
-			return append(dst, row...)
+	if v.over != nil {
+		if h := v.overHdr(ord, t, in); h != nil {
+			return append(dst, h.at(v.ts)...)
 		}
 	}
 	b := v.base
@@ -512,9 +556,9 @@ func (v *SnapshotView) degree(id ids.ID, t EdgeType, in bool) int {
 }
 
 func (v *SnapshotView) degreeAt(o int32, t EdgeType, in bool) int {
-	if n := v.overAt(o); n != nil {
-		if row, ok := n.row(rowKey(t, in)); ok {
-			return len(row)
+	if v.over != nil {
+		if h := v.overHdr(o, t, in); h != nil {
+			return len(h.at(v.ts))
 		}
 	}
 	b := v.base
@@ -539,12 +583,23 @@ func (v *SnapshotView) InDegree(id ids.ID, t EdgeType) int {
 	return v.degree(id, t, true)
 }
 
-// propsAt returns the property list of a visible ordinal. Every appended
-// ordinal has overlay props (written when the refresh created it), so the
-// base fallback only runs for compacted ordinals.
+// propsAt returns the property list of a visible ordinal.
 func (v *SnapshotView) propsAt(ord int32) Props {
-	if n := v.overAt(ord); n != nil && n.hasProps {
-		return n.props
+	if v.over != nil {
+		return v.overProps(ord)
+	}
+	return v.base.props[ord]
+}
+
+// overProps is propsAt on a view with an overlay: the newest header stored
+// by the view's timestamp, else the base row. Every appended ordinal has a
+// header from the refresh that created it, so the base fallback only runs
+// for compacted ordinals.
+func (v *SnapshotView) overProps(ord int32) Props {
+	for h := v.over.props.load(ord); h != nil; h = h.prev {
+		if h.ts <= v.ts {
+			return h.props
+		}
 	}
 	return v.base.props[ord]
 }
@@ -581,12 +636,15 @@ func (v *SnapshotView) Props(id ids.ID) (Props, bool) {
 //
 //snb:noalloc
 func (v *SnapshotView) NodesOfKind(kind ids.Kind) []ids.ID {
+	if kind >= ids.KindLimit {
+		return nil
+	}
 	return v.byKind[kind]
 }
 
 // NumOfKind returns the number of visible nodes of a kind — the dense scan
 // range morsel-driven executors (internal/exec) shard across workers.
-func (v *SnapshotView) NumOfKind(kind ids.Kind) int { return len(v.byKind[kind]) }
+func (v *SnapshotView) NumOfKind(kind ids.Kind) int { return len(v.NodesOfKind(kind)) }
 
 // KindRange returns the half-open [lo, hi) subrange of NodesOfKind(kind).
 // It is the shard helper of the parallel BI scans: the per-kind list is
@@ -595,7 +653,7 @@ func (v *SnapshotView) NumOfKind(kind ids.Kind) int { return len(v.byKind[kind])
 // hi <= NumOfKind); the result aliases view-owned memory and must not be
 // mutated.
 func (v *SnapshotView) KindRange(kind ids.Kind, lo, hi int) []ids.ID {
-	return v.byKind[kind][lo:hi]
+	return v.NodesOfKind(kind)[lo:hi]
 }
 
 // ViewEvent reports how an AcquireView call obtained its view.
@@ -897,17 +955,8 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 
 	// Per-kind scan lists, matching Txn.NodesOfKind's visible-prefix
 	// semantics over the commit-ordered kind lists.
-	v.byKind = make(map[ids.Kind][]ids.ID)
-	s.kindMu.RLock()
-	kinds := make([]ids.Kind, 0, len(s.byKind))
-	for k := range s.byKind {
-		kinds = append(kinds, k)
-	}
-	s.kindMu.RUnlock()
-	for _, k := range kinds {
-		if list := s.nodesOfKind(k, ts); len(list) > 0 {
-			v.byKind[k] = list
-		}
+	for k := range v.byKind {
+		v.byKind[k] = s.nodesOfKind(ids.Kind(k), ts)
 	}
 	return v
 }

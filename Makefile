@@ -10,12 +10,14 @@ check: fmt vet build test harness lint docs-check
 # incremental view maintenance racing commits, the BI lane's morsel
 # workers fanning out over shared views, and the background checkpointer —
 # but every package rides along so a new concurrent path is covered the
-# day it lands (wired into CI). The view-lineage tests then run twenty
-# times more: the era's shared overlay rests on atomics, and the detector
-# only finds a misused one when a run happens to interleave on it.
+# day it lands (wired into CI). The view-lineage tests and the BI morsel
+# workers on a held view under the era's writer then run twenty times
+# more: the era's shared overlay rests on atomics, and the detector only
+# finds a misused one when a run happens to interleave on it.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestViewLineageUnderReaders|TestHeldViewsReadTheirStamps' ./internal/store
+	$(GO) test -race -count=20 -run TestBIParallelOnHeldViewUnderRefresh ./internal/bi
 	$(GO) test -race ./internal/bench/ -run xxx -bench 'BenchmarkWrite/sync=commit/writers=2$$' -benchtime 1x
 
 # Static invariant enforcement (docs/ANALYZERS.md): snblint runs the
@@ -68,8 +70,8 @@ bench:
 	$(GO) run ./cmd/benchjson -out BENCH_interactive.json < $(BENCH_TMP)
 	@rm -f $(BENCH_TMP)
 
-# BI serial-vs-parallel sweep: every BI query on the txn, serial-view and
-# morsel-parallel (2 and 4 workers) paths, emitted as BENCH_bi.json.
+# BI serial-vs-parallel sweep: every BI query on the txn path and on the
+# view at 1, 2 and 4 workers (one body each), emitted as BENCH_bi.json.
 # Parallel ratios are only meaningful on a host with at least as many
 # cores as workers.
 bench-bi:

@@ -19,10 +19,9 @@
 //
 // The optional BI analyst lane (-bi) runs the eight graph-wide BI queries
 // (bi.Registry) alongside the Interactive mix with their own latency
-// table: on the view path each execution is morsel-parallel across
-// -bi-workers workers over the frozen snapshot's dense node ranges
-// (-bi-workers 1 selects the serial view scan, the txn read path always
-// runs serially).
+// table: on the view path each execution cuts its scans into morsels for
+// -bi-workers workers (1 runs them on the client's goroutine); the txn
+// read path always runs on one worker.
 //
 // # Durable mode
 //
@@ -159,7 +158,7 @@ func main() {
 	biLane := flag.Bool("bi", false,
 		"run the BI analyst lane alongside the Interactive mix (eight graph-wide BI queries per round)")
 	biWorkers := flag.Int("bi-workers", 0,
-		"morsel fan-out per BI query on the view path: 0 = GOMAXPROCS, 1 = serial view scan")
+		"morsel fan-out per BI query on the view path: 0 = GOMAXPROCS, 1 = one worker on the client's goroutine")
 	biClients := flag.Int("bi-clients", 1, "concurrent BI analyst clients when -bi is set")
 	biRounds := flag.Int("bi-rounds", 1, "passes each BI client makes over the eight templates")
 	compactThreshold := flag.Int("view-compact-threshold", -1,

@@ -1,15 +1,15 @@
-// Analytics: run the SNB Business Intelligence workload over a frozen
-// snapshot view — serially and morsel-parallel — and show what the graph-
-// wide aggregations return.
+// Analytics: run the SNB Business Intelligence workload over a snapshot
+// view — on one worker and on all of them — and show what the graph-wide
+// aggregations return.
 //
-// Every BI query has one generic implementation (internal/bi) that runs on
-// the MVCC transaction path, the lock-free serial view path and the
-// morsel-parallel view path (internal/exec shards the view's dense node
-// ranges across workers, each folding into a private partial aggregate).
-// This demo times the serial and parallel view paths per query — on a
-// multi-core host the scan-heavy queries speed up with the worker count —
-// and prints the head of the posting summary, the engagement ranking and
-// the thread-depth histogram.
+// Every BI query has one generic body (internal/bi) that runs on the MVCC
+// transaction path or the lock-free view path and takes its fan-out as an
+// argument: internal/exec cuts the scanned node lists into morsels, each
+// worker folds its morsels into a private partial aggregate, and the
+// finalize merges them. This demo times one worker against GOMAXPROCS per
+// query — on a multi-core host the scan-heavy queries speed up with the
+// worker count — and prints the head of the posting summary, the
+// engagement ranking and the thread-depth histogram.
 package main
 
 import (
@@ -41,8 +41,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. Freeze the current commit epoch and run all eight BI templates
-	// through the registry, serial view vs morsel-parallel view.
+	// 2. Take a view of the current commit epoch and run all eight BI
+	// templates through the registry, one worker vs GOMAXPROCS.
 	v := st.CurrentView()
 	sc := workload.NewScratch()
 	par := exec.Config{} // GOMAXPROCS workers, default morsel size
@@ -74,7 +74,7 @@ func main() {
 
 	// 3. A taste of the results themselves.
 	fmt.Println("\nBI1 posting summary (first 3 groups):")
-	for i, row := range bi.BI1(v) {
+	for i, row := range bi.BI1(v, par) {
 		if i >= 3 {
 			break
 		}
@@ -86,12 +86,12 @@ func main() {
 			row.Year, int(row.Month), kind, row.LengthClass, row.MessageCount, row.AvgLength)
 	}
 	fmt.Println("BI4 engagement top 3:")
-	for i, row := range bi.BI4(v, 3) {
+	for i, row := range bi.BI4(v, par, 3) {
 		fmt.Printf("  #%d person %v: %d messages, %d likes, %d replies (score %d)\n",
 			i+1, row.Person, row.Messages, row.Likes, row.Replies, row.Score)
 	}
 	fmt.Println("BI8 thread depth histogram:")
-	for _, row := range bi.BI8(v) {
+	for _, row := range bi.BI8(v, par) {
 		fmt.Printf("  depth %d: %d comments\n", row.Depth, row.Comments)
 	}
 }

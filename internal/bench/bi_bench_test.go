@@ -10,15 +10,14 @@ import (
 	"ldbcsnb/internal/workload"
 )
 
-// BenchmarkBISerialVsParallel measures every BI query on its three
-// execution paths: the MVCC transaction scan ("txn"), the serial frozen-
-// view scan ("view") and the morsel-parallel view path at 2 and 4 workers
-// ("par2", "par4"). All paths run the same kernels through bi.Registry, so
-// the sub-benchmark ratios isolate (a) the read-path cost difference —
-// view must beat txn on every query, there are no locks and no MVCC
-// filtering on the frozen CSR — and (b) the morsel-scheduling speedup,
-// which tracks the host's core count (parXs on fewer than X cores measure
-// scheduling overhead, not speedup).
+// BenchmarkBISerialVsParallel measures every BI query's one body on the
+// MVCC transaction ("txn"), on the view at one worker ("view") and on the
+// view at 2 and 4 workers ("par2", "par4"), all through bi.Registry. The
+// sub-benchmark ratios isolate (a) the read-path cost difference — view
+// must beat txn on every query, there are no locks and no MVCC filtering
+// on the CSR — and (b) the morsel-scheduling speedup, which tracks the
+// host's core count (parXs on fewer than X cores measure scheduling
+// overhead, not speedup).
 //
 // `make bench-bi` converts the output into BENCH_bi.json via cmd/benchjson
 // so the BI perf trajectory is tracked across PRs.

@@ -8,21 +8,28 @@
 // full-fact-table scans, time/geography/tag group-bys, and traversal
 // predicates over the friendship graph and the tag-class hierarchy.
 //
-// # The two-and-a-half read paths
+// # One body, any reader, any fan-out
 //
-// Like the Interactive queries, every BI query has exactly one logical
+// Like the Interactive queries, every BI query has exactly one
 // implementation, written against the generic store.Reader contract:
 // instantiated with *store.Txn it is the transactional formulation,
-// instantiated with *store.SnapshotView it runs lock-free over the frozen
-// CSR image. BI queries are whole-graph scans, so each one is factored
-// into a per-row kernel feeding a partial aggregate plus a finalize step —
-// which is exactly the shape morsel-driven parallelism needs. The third
-// path (parallel.go) reuses those same kernels: internal/exec shards the
-// view's dense per-kind node ranges into morsels, each worker folds its
-// morsels into a private partial, and the shared finalize merges the
-// partials. Results are identical on all three paths by construction —
-// every kernel is a pure function of the reader and every ordering
-// tie-breaks on a unique key — and the equivalence property tests pin it.
+// instantiated with *store.SnapshotView it runs lock-free over a snapshot
+// view. BI queries are whole-graph scans, so each one is factored into a
+// per-row kernel feeding a partial aggregate plus a finalize step, and the
+// body takes the fan-out as an argument (exec.Config): it cuts
+// NodesOfKind into morsels, each worker folds its morsels into its own
+// partial, and the finalize merges the partials. The merge is a
+// commutative fold, so the rows do not depend on the worker count; one
+// worker is the one-partial case and runs inline on the caller's
+// goroutine. A Txn is not safe for concurrent use, so the txn path always
+// runs with one worker; the registry's RunTxn and RunView do, and RunPar
+// passes the caller's fan-out. Every kernel is a pure function of the
+// reader and every ordering tie-breaks on a unique key; the equivalence
+// and digest tests pin the rows on every path.
+//
+// Workers own their partial (and, for BI7, their scratch) for the
+// duration of one Scan: never share either across workers, and never
+// retain them past the merge.
 //
 // Partials and finalizes keep their keyed state in workload.KeyTable, the
 // query layers' one hashed table, and no Go map: a row pays a multiply and
@@ -32,8 +39,10 @@ package bi
 
 import (
 	"sort"
+	"sync"
 	"time"
 
+	"ldbcsnb/internal/exec"
 	"ldbcsnb/internal/ids"
 	"ldbcsnb/internal/store"
 	"ldbcsnb/internal/workload"
@@ -172,14 +181,18 @@ func bi1Finalize(parts []bi1Partial) []BI1Row {
 // BI1 — posting summary: group all messages by (year, month, kind, length
 // class) with counts and average length; the full-fact-table scan +
 // multi-dimension group-by of the BI workload.
-func BI1[R store.Reader](r R) []BI1Row {
-	var part bi1Partial
+func BI1[R store.Reader](r R, par exec.Config) []BI1Row {
+	parts := make([]bi1Partial, par.NumWorkers())
 	for _, kind := range messageKinds {
-		for _, m := range r.NodesOfKind(kind) {
-			bi1Add(r, &part, m)
-		}
+		nodes := r.NodesOfKind(kind)
+		par.Scan(len(nodes), func(w, lo, hi int) {
+			part := &parts[w]
+			for _, m := range nodes[lo:hi] {
+				bi1Add(r, part, m)
+			}
+		})
 	}
-	return bi1Finalize([]bi1Partial{part})
+	return bi1Finalize(parts)
 }
 
 // BI2 — tag evolution.
@@ -255,14 +268,18 @@ func bi2Finalize[R store.Reader](r R, parts []bi2Partial, limit int) []BI2Row {
 // BI2 — tag evolution: compare tag usage between two consecutive windows
 // and rank by absolute change (trending topics at BI granularity). One
 // message scan feeds both windows.
-func BI2[R store.Reader](r R, windowStart, windowLen int64, limit int) []BI2Row {
-	var part bi2Partial
+func BI2[R store.Reader](r R, par exec.Config, windowStart, windowLen int64, limit int) []BI2Row {
+	parts := make([]bi2Partial, par.NumWorkers())
 	for _, kind := range messageKinds {
-		for _, m := range r.NodesOfKind(kind) {
-			bi2Add(r, &part, m, windowStart, windowLen)
-		}
+		nodes := r.NodesOfKind(kind)
+		par.Scan(len(nodes), func(w, lo, hi int) {
+			part := &parts[w]
+			for _, m := range nodes[lo:hi] {
+				bi2Add(r, part, m, windowStart, windowLen)
+			}
+		})
 	}
-	return bi2Finalize(r, []bi2Partial{part}, limit)
+	return bi2Finalize(r, parts, limit)
 }
 
 // BI3 — popular topics by country.
@@ -341,14 +358,18 @@ func bi3Finalize(parts []bi3Partial) []BI3Row {
 
 // BI3 — popular topics by country: group message tags by the message's
 // country dimension; top tag per country.
-func BI3[R store.Reader](r R) []BI3Row {
-	var part bi3Partial
+func BI3[R store.Reader](r R, par exec.Config) []BI3Row {
+	parts := make([]bi3Partial, par.NumWorkers())
 	for _, kind := range messageKinds {
-		for _, m := range r.NodesOfKind(kind) {
-			bi3Add(r, &part, m)
-		}
+		nodes := r.NodesOfKind(kind)
+		par.Scan(len(nodes), func(w, lo, hi int) {
+			part := &parts[w]
+			for _, m := range nodes[lo:hi] {
+				bi3Add(r, part, m)
+			}
+		})
 	}
-	return bi3Finalize([]bi3Partial{part})
+	return bi3Finalize(parts)
 }
 
 // BI4 — engagement ranking.
@@ -420,14 +441,18 @@ func bi4Finalize(parts []bi4Partial, limit int) []BI4Row {
 // BI4 — engagement ranking: for every person, aggregate message count,
 // likes received and replies received; score = messages + 2*likes +
 // 2*replies. A whole-graph aggregation joining three fact relations.
-func BI4[R store.Reader](r R, limit int) []BI4Row {
-	var part bi4Partial
+func BI4[R store.Reader](r R, par exec.Config, limit int) []BI4Row {
+	parts := make([]bi4Partial, par.NumWorkers())
 	for _, kind := range messageKinds {
-		for _, m := range r.NodesOfKind(kind) {
-			bi4Add(r, &part, m)
-		}
+		nodes := r.NodesOfKind(kind)
+		par.Scan(len(nodes), func(w, lo, hi int) {
+			part := &parts[w]
+			for _, m := range nodes[lo:hi] {
+				bi4Add(r, part, m)
+			}
+		})
 	}
-	return bi4Finalize([]bi4Partial{part}, limit)
+	return bi4Finalize(parts, limit)
 }
 
 // BI5 — tag-class rollup.
@@ -509,15 +534,20 @@ func bi5Finalize[R store.Reader](r R, parts []bi5Partial) []BI5Row {
 }
 
 // BI5 — tag-class rollup: count messages per tag class, rolling counts up
-// the isSubclassOf hierarchy to the roots.
-func BI5[R store.Reader](r R) []BI5Row {
-	var part bi5Partial
+// the isSubclassOf hierarchy to the roots. Only the message scan fans
+// out; the rollup over the dimension-sized class hierarchy is serial.
+func BI5[R store.Reader](r R, par exec.Config) []BI5Row {
+	parts := make([]bi5Partial, par.NumWorkers())
 	for _, kind := range messageKinds {
-		for _, m := range r.NodesOfKind(kind) {
-			bi5Add(r, &part, m)
-		}
+		nodes := r.NodesOfKind(kind)
+		par.Scan(len(nodes), func(w, lo, hi int) {
+			part := &parts[w]
+			for _, m := range nodes[lo:hi] {
+				bi5Add(r, part, m)
+			}
+		})
 	}
-	return bi5Finalize(r, []bi5Partial{part})
+	return bi5Finalize(r, parts)
 }
 
 // BI6 — zombie detection.
@@ -558,15 +588,19 @@ func bi6Finalize(parts [][]BI6Row) []BI6Row {
 
 // BI6 — "zombies": persons created before a date with fewer than k
 // messages, reported with their like activity (lurkers skew engagement
-// metrics; a selective full-person scan).
-func BI6[R store.Reader](r R, createdBefore int64, maxMessages int) []BI6Row {
-	var rows []BI6Row
-	for _, p := range r.NodesOfKind(ids.KindPerson) {
-		if row, ok := bi6Row(r, p, createdBefore, maxMessages); ok {
-			rows = append(rows, row)
+// metrics; a selective full-person scan). Each worker appends its
+// surviving rows and the finalize re-sorts.
+func BI6[R store.Reader](r R, par exec.Config, createdBefore int64, maxMessages int) []BI6Row {
+	parts := make([][]BI6Row, par.NumWorkers())
+	persons := r.NodesOfKind(ids.KindPerson)
+	par.Scan(len(persons), func(w, lo, hi int) {
+		for _, p := range persons[lo:hi] {
+			if row, ok := bi6Row(r, p, createdBefore, maxMessages); ok {
+				parts[w] = append(parts[w], row)
+			}
 		}
-	}
-	return bi6Finalize([][]BI6Row{rows})
+	})
+	return bi6Finalize(parts)
 }
 
 // BI7 — forum reach.
@@ -611,9 +645,15 @@ func bi7Select(forums []ids.ID, members []int, limit int) []int {
 	return top
 }
 
+// scratchPool recycles the scratches of BI7's reach workers other than the
+// caller's across executions, so a steady BI lane stops allocating visited
+// sets once every worker has a warm one. Scratches key their state by node
+// ID, so a pooled scratch serves any reader.
+var scratchPool = sync.Pool{New: func() any { return workload.NewScratch() }}
+
 // bi7Reach is the BI7 traversal kernel: the number of distinct persons
-// within one knows-hop of the forum's membership. The visited set comes
-// from the scratch pool.
+// within one knows-hop of the forum's membership. The visited set is the
+// claiming worker's scratch.
 func bi7Reach[R store.Reader](r R, sc *workload.Scratch, f ids.ID) int {
 	sc.Begin()
 	seen := sc.Seen()
@@ -633,20 +673,40 @@ func bi7Reach[R store.Reader](r R, sc *workload.Scratch, f ids.ID) int {
 
 // BI7 — forum reach: for the largest forums, the size of the 1-hop
 // friendship neighbourhood of the membership (graph traversal predicate
-// over a group-by result).
-func BI7[R store.Reader](r R, sc *workload.Scratch, limit int) []BI7Row {
+// over a group-by result). The membership scan fans out into a
+// position-indexed count array (disjoint writes, no merge), the top-limit
+// selection is serial, and the reach traversals fan out one forum per
+// claim: forum cost is skewed, so the other workers keep claiming while
+// one of them walks a hub forum. Worker 0 walks with sc (drawn from the
+// pool when nil), the others with pooled scratches.
+func BI7[R store.Reader](r R, par exec.Config, sc *workload.Scratch, limit int) []BI7Row {
 	forums := r.NodesOfKind(ids.KindForum)
 	members := make([]int, len(forums))
-	for i, f := range forums {
-		members[i] = r.OutDegree(f, store.EdgeHasMember)
-	}
+	par.Scan(len(forums), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			members[i] = r.OutDegree(forums[i], store.EdgeHasMember)
+		}
+	})
 	order := bi7Select(forums, members, limit)
 	out := make([]BI7Row, len(order))
-	for i, idx := range order {
-		f := forums[idx]
-		out[i] = BI7Row{
-			Forum: f, Title: r.Prop(f, store.PropTitle).Str(),
-			Members: members[idx], Reach: bi7Reach(r, sc, f),
+	scratches := make([]*workload.Scratch, par.NumWorkers())
+	scratches[0] = sc
+	par.MorselSize = 1
+	par.Scan(len(order), func(w, lo, hi int) {
+		if scratches[w] == nil {
+			scratches[w] = scratchPool.Get().(*workload.Scratch)
+		}
+		for i, idx := range order[lo:hi] {
+			f := forums[idx]
+			out[lo+i] = BI7Row{
+				Forum: f, Title: r.Prop(f, store.PropTitle).Str(),
+				Members: members[idx], Reach: bi7Reach(r, scratches[w], f),
+			}
+		}
+	})
+	for _, s := range scratches {
+		if s != nil && s != sc {
+			scratchPool.Put(s)
 		}
 	}
 	return out
@@ -733,11 +793,17 @@ func bi8Finalize(parts []bi8Partial) []BI8Row {
 
 // BI8 — thread depth histogram: the distribution of reply depths over all
 // comments (recursive traversal of the reply trees; "trees made by replies
-// to posts" is a §3 choke point).
-func BI8[R store.Reader](r R) []BI8Row {
-	var part bi8Partial
-	for _, c := range r.NodesOfKind(ids.KindComment) {
-		bi8Add(r, &part, c)
-	}
-	return bi8Finalize([]bi8Partial{part})
+// to posts" is a §3 choke point). Workers memoise reply depths
+// independently; depth is a pure function of the graph, so private memos
+// resolve identical values without sharing.
+func BI8[R store.Reader](r R, par exec.Config) []BI8Row {
+	parts := make([]bi8Partial, par.NumWorkers())
+	comments := r.NodesOfKind(ids.KindComment)
+	par.Scan(len(comments), func(w, lo, hi int) {
+		part := &parts[w]
+		for _, c := range comments[lo:hi] {
+			bi8Add(r, part, c)
+		}
+	})
+	return bi8Finalize(parts)
 }

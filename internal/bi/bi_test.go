@@ -39,7 +39,7 @@ func setup(t *testing.T) (*store.Store, *schema.Dataset) {
 func TestBI1PostingSummary(t *testing.T) {
 	s, d := setup(t)
 	s.View(func(tx *store.Txn) {
-		rows := BI1(tx)
+		rows := BI1(tx, serial)
 		if len(rows) == 0 {
 			t.Fatal("no groups")
 		}
@@ -74,7 +74,7 @@ func TestBI2TagEvolution(t *testing.T) {
 	s, _ := setup(t)
 	s.View(func(tx *store.Txn) {
 		win := int64(120 * 24 * 3600 * 1000)
-		rows := BI2(tx, datagen.SimStart+win, win, 10)
+		rows := BI2(tx, serial, datagen.SimStart+win, win, 10)
 		if len(rows) == 0 {
 			t.Fatal("no tags")
 		}
@@ -104,7 +104,7 @@ func abs(v int) int {
 func TestBI3TopicsByCountry(t *testing.T) {
 	s, _ := setup(t)
 	s.View(func(tx *store.Txn) {
-		rows := BI3(tx)
+		rows := BI3(tx, serial)
 		if len(rows) == 0 {
 			t.Fatal("no countries")
 		}
@@ -124,7 +124,7 @@ func TestBI3TopicsByCountry(t *testing.T) {
 func TestBI4Engagement(t *testing.T) {
 	s, d := setup(t)
 	s.View(func(tx *store.Txn) {
-		rows := BI4(tx, 20)
+		rows := BI4(tx, serial, 20)
 		if len(rows) == 0 {
 			t.Fatal("no rows")
 		}
@@ -158,7 +158,7 @@ func TestBI4Engagement(t *testing.T) {
 func TestBI5RollupMonotone(t *testing.T) {
 	s, _ := setup(t)
 	s.View(func(tx *store.Txn) {
-		rows := BI5(tx)
+		rows := BI5(tx, serial)
 		if len(rows) == 0 {
 			t.Fatal("no classes")
 		}
@@ -178,7 +178,7 @@ func TestBI5RollupMonotone(t *testing.T) {
 func TestBI6Zombies(t *testing.T) {
 	s, _ := setup(t)
 	s.View(func(tx *store.Txn) {
-		rows := BI6(tx, datagen.SimEnd, 3)
+		rows := BI6(tx, serial, datagen.SimEnd, 3)
 		for i, r := range rows {
 			if r.Messages >= 3 {
 				t.Fatal("filter broken")
@@ -188,7 +188,7 @@ func TestBI6Zombies(t *testing.T) {
 			}
 		}
 		// Tightening the threshold can only shrink the result.
-		tight := BI6(tx, datagen.SimEnd, 1)
+		tight := BI6(tx, serial, datagen.SimEnd, 1)
 		if len(tight) > len(rows) {
 			t.Fatal("monotonicity")
 		}
@@ -198,7 +198,7 @@ func TestBI6Zombies(t *testing.T) {
 func TestBI7ForumReach(t *testing.T) {
 	s, _ := setup(t)
 	s.View(func(tx *store.Txn) {
-		rows := BI7(tx, workload.NewScratch(), 10)
+		rows := BI7(tx, serial, workload.NewScratch(), 10)
 		if len(rows) == 0 {
 			t.Fatal("no forums")
 		}
@@ -246,7 +246,7 @@ func TestBI7SelectMatchesSort(t *testing.T) {
 func TestBI8ThreadDepths(t *testing.T) {
 	s, d := setup(t)
 	s.View(func(tx *store.Txn) {
-		rows := BI8(tx)
+		rows := BI8(tx, serial)
 		if len(rows) == 0 {
 			t.Fatal("no depths")
 		}

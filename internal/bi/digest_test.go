@@ -14,9 +14,9 @@ import (
 	"ldbcsnb/internal/workload"
 )
 
-// The equivalence tests compare the three execution paths with each other,
-// so a change to the partial aggregates they all share could alter every
-// answer and still pass. These tests pin the answers themselves: the sha256
+// The equivalence tests compare the execution paths with each other, so a
+// change to the partial aggregates they all share could alter every answer
+// and still pass. These tests pin the answers themselves: the sha256
 // of each query's full %+v rows on the 200-person fixture.
 
 // rowDigest is the hex sha256 of the %+v rendering of a result.
@@ -26,7 +26,7 @@ func rowDigest(rows any) string {
 }
 
 // wantDigests are the pinned row digests of BI1-BI8 on setup's fixture with
-// the parameters serialRuns and parRuns bind.
+// the parameters digestRuns binds.
 var wantDigests = [NumQueries]string{
 	"3522dde0e5a07d138e6dee25f9f8c80c653c8e05d19006c9caa3743cf490b396",
 	"91b2e2ec61ff3dd1b4e49193b970b60949763a96533dcfca0c7f25a533cd72bc",
@@ -43,37 +43,13 @@ const digestWin = int64(120 * 24 * 3600 * 1000)
 
 var digestStart = datagen.SimStart + digestWin
 
-// serialRuns returns, per query, a closure running it serially on r.
-func serialRuns[R store.Reader](r R) [NumQueries]func() any {
-	sc := workload.NewScratch()
-	return [NumQueries]func() any{
-		func() any { return BI1(r) },
-		func() any { return BI2(r, digestStart, digestWin, 10) },
-		func() any { return BI3(r) },
-		func() any { return BI4(r, 20) },
-		func() any { return BI5(r) },
-		func() any { return BI6(r, datagen.SimEnd, 3) },
-		func() any { return BI7(r, sc, 10) },
-		func() any { return BI8(r) },
-	}
+// digestRuns is biRuns with the digests' parameters.
+func digestRuns[R store.Reader](r R, par exec.Config, sc *workload.Scratch) [NumQueries]func() any {
+	return biRuns(r, par, sc, digestStart, digestWin, datagen.SimEnd)
 }
 
-// parRuns returns, per query, a closure running it morsel-parallel on v.
-func parRuns(v *store.SnapshotView, par exec.Config) [NumQueries]func() any {
-	return [NumQueries]func() any{
-		func() any { return BI1Par(v, par) },
-		func() any { return BI2Par(v, par, digestStart, digestWin, 10) },
-		func() any { return BI3Par(v, par) },
-		func() any { return BI4Par(v, par, 20) },
-		func() any { return BI5Par(v, par) },
-		func() any { return BI6Par(v, par, datagen.SimEnd, 3) },
-		func() any { return BI7Par(v, par, 10) },
-		func() any { return BI8Par(v, par) },
-	}
-}
-
-// TestBIRowDigests pins every query's full rows on the txn, serial view and
-// morsel-parallel paths.
+// TestBIRowDigests pins every query's full rows on the txn path and on the
+// view at one, two and four workers.
 func TestBIRowDigests(t *testing.T) {
 	s, _ := setup(t)
 	check := func(path string, runs [NumQueries]func() any) {
@@ -84,11 +60,11 @@ func TestBIRowDigests(t *testing.T) {
 			}
 		}
 	}
-	s.View(func(tx *store.Txn) { check("txn", serialRuns(tx)) })
+	s.View(func(tx *store.Txn) { check("txn", digestRuns(tx, serial, workload.NewScratch())) })
 	v := s.CurrentView()
-	check("view", serialRuns(v))
+	check("view", digestRuns(v, serial, workload.NewScratch()))
 	for _, w := range []int{1, 2, 4} {
-		check(fmt.Sprintf("par%d", w), parRuns(v, exec.Config{Workers: w, MorselSize: 64}))
+		check(fmt.Sprintf("par%d", w), digestRuns(v, exec.Config{Workers: w, MorselSize: 64}, nil))
 	}
 }
 
@@ -133,10 +109,9 @@ func TestBI1YearBoundary(t *testing.T) {
 		{Year: 2011, Month: time.January, IsComment: true, LengthClass: 1, MessageCount: 1, AvgLength: 60},
 		{Year: 2011, Month: time.January, IsComment: true, LengthClass: 2, MessageCount: 1, AvgLength: 200},
 	}
-	st.View(func(tx *store.Txn) { biEq(t, "BI1", "txn", BI1(tx), want) })
+	st.View(func(tx *store.Txn) { biEq(t, "BI1", "txn", BI1(tx, serial), want) })
 	v := st.CurrentView()
-	biEq(t, "BI1", "view", BI1(v), want)
 	for _, w := range []int{1, 2, 4} {
-		biEq(t, "BI1", fmt.Sprintf("par%d", w), BI1Par(v, exec.Config{Workers: w, MorselSize: 1}), want)
+		biEq(t, "BI1", fmt.Sprintf("par%d", w), BI1(v, exec.Config{Workers: w, MorselSize: 1}), want)
 	}
 }

@@ -2,6 +2,7 @@ package bi
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -14,28 +15,44 @@ import (
 	"ldbcsnb/internal/xrand"
 )
 
-// The BI equivalence property tests: every query has one logical
-// implementation factored into kernels shared by three execution paths —
-// MVCC transaction, serial frozen view and morsel-parallel frozen view.
-// These tests pin that all paths return identical results at the same
-// snapshot timestamp, on the generated SNB graph, under interleaved
-// updates, and on randomised schema-shaped graphs with forced view
-// recompactions (era bumps).
+// The BI equivalence property tests: every query has one body, run on the
+// MVCC transaction or on a snapshot view, with the fan-out as an argument.
+// These tests pin that the txn path and the view at every fan-out return
+// identical results at the same snapshot timestamp, on the generated SNB
+// graph, under interleaved updates, on randomised schema-shaped graphs
+// with forced view recompactions (era bumps), and on a held view whose
+// era's writer keeps appending.
 
-// parConfigs are the worker fan-outs the parallel path is swept with; the
-// small morsel size forces real multi-morsel scheduling even on the small
-// test graphs.
+// parConfigs are the worker fan-outs the view is swept with; the small
+// morsel size forces real multi-morsel scheduling even on the small test
+// graphs.
 var parConfigs = []exec.Config{
 	{Workers: 1, MorselSize: 64},
 	{Workers: 2, MorselSize: 64},
 	{Workers: 8, MorselSize: 64},
 }
 
+// biRuns returns, per query, a closure running it on r with par's fan-out;
+// BI7 walks with sc (pooled scratches when nil). windowStart/windowLen
+// parameterise BI2; createdBefore bounds BI6.
+func biRuns[R store.Reader](r R, par exec.Config, sc *workload.Scratch, windowStart, windowLen, createdBefore int64) [NumQueries]func() any {
+	return [NumQueries]func() any{
+		func() any { return BI1(r, par) },
+		func() any { return BI2(r, par, windowStart, windowLen, 10) },
+		func() any { return BI3(r, par) },
+		func() any { return BI4(r, par, 20) },
+		func() any { return BI5(r, par) },
+		func() any { return BI6(r, par, createdBefore, 3) },
+		func() any { return BI7(r, par, sc, 10) },
+		func() any { return BI8(r, par) },
+	}
+}
+
 // biEq compares one query's rows across paths, treating nil and empty as
 // equal.
-func biEq[T any](t *testing.T, query, path string, got, want []T) {
+func biEq(t *testing.T, query, path string, got, want any) {
 	t.Helper()
-	if len(got) == 0 && len(want) == 0 {
+	if reflect.ValueOf(got).Len() == 0 && reflect.ValueOf(want).Len() == 0 {
 		return
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -49,43 +66,30 @@ func biEq[T any](t *testing.T, query, path string, got, want []T) {
 func assertBIAgree(t *testing.T, st *store.Store, windowStart, windowLen, createdBefore int64) {
 	t.Helper()
 	v := st.CurrentView()
-	scV, scT := workload.NewScratch(), workload.NewScratch()
 	st.View(func(tx *store.Txn) {
 		if v.Timestamp() != tx.Snapshot() {
 			t.Fatalf("snapshots diverge: view %d txn %d", v.Timestamp(), tx.Snapshot())
 		}
-		// Txn path is the reference; serial view first, then each fan-out.
-		r1 := BI1(tx)
-		biEq(t, "BI1", "view", BI1(v), r1)
-		r2 := BI2(tx, windowStart, windowLen, 10)
-		biEq(t, "BI2", "view", BI2(v, windowStart, windowLen, 10), r2)
-		r3 := BI3(tx)
-		biEq(t, "BI3", "view", BI3(v), r3)
-		r4 := BI4(tx, 20)
-		biEq(t, "BI4", "view", BI4(v, 20), r4)
-		r5 := BI5(tx)
-		biEq(t, "BI5", "view", BI5(v), r5)
-		r6 := BI6(tx, createdBefore, 3)
-		biEq(t, "BI6", "view", BI6(v, createdBefore, 3), r6)
-		r7 := BI7(tx, scT, 10)
-		biEq(t, "BI7", "view", BI7(v, scV, 10), r7)
-		r8 := BI8(tx)
-		biEq(t, "BI8", "view", BI8(v), r8)
+		// The txn path is the reference; the view on one worker, then each
+		// fan-out.
+		var want [NumQueries]any
+		for q, run := range biRuns(tx, serial, workload.NewScratch(), windowStart, windowLen, createdBefore) {
+			want[q] = run()
+		}
+		check := func(path string, runs [NumQueries]func() any) {
+			t.Helper()
+			for q, run := range runs {
+				biEq(t, fmt.Sprintf("BI%d", q+1), path, run(), want[q])
+			}
+		}
+		check("view", biRuns(v, serial, workload.NewScratch(), windowStart, windowLen, createdBefore))
 		for _, par := range parConfigs {
-			path := fmt.Sprintf("par%d", par.Workers)
-			biEq(t, "BI1", path, BI1Par(v, par), r1)
-			biEq(t, "BI2", path, BI2Par(v, par, windowStart, windowLen, 10), r2)
-			biEq(t, "BI3", path, BI3Par(v, par), r3)
-			biEq(t, "BI4", path, BI4Par(v, par, 20), r4)
-			biEq(t, "BI5", path, BI5Par(v, par), r5)
-			biEq(t, "BI6", path, BI6Par(v, par, createdBefore, 3), r6)
-			biEq(t, "BI7", path, BI7Par(v, par, 10), r7)
-			biEq(t, "BI8", path, BI8Par(v, par), r8)
+			check(fmt.Sprintf("par%d", par.Workers), biRuns(v, par, nil, windowStart, windowLen, createdBefore))
 		}
 	})
 }
 
-// TestBIPathsAgreeOnSNB pins three-path equivalence on the generated SNB
+// TestBIPathsAgreeOnSNB pins path equivalence on the generated SNB
 // dataset.
 func TestBIPathsAgreeOnSNB(t *testing.T) {
 	st, _ := setup(t)
@@ -94,8 +98,8 @@ func TestBIPathsAgreeOnSNB(t *testing.T) {
 }
 
 // TestBIPathsAgreeUnderInterleavedUpdates replays the update stream in
-// chunks against a bulk-loaded store and re-checks three-path equivalence
-// after every chunk — the parallel path must track each new epoch exactly.
+// chunks against a bulk-loaded store and re-checks path equivalence after
+// every chunk — every fan-out must track each new epoch exactly.
 func TestBIPathsAgreeUnderInterleavedUpdates(t *testing.T) {
 	out := datagen.Generate(datagen.Config{Seed: 43, Persons: 120, Workers: 2, Events: true})
 	bulk, updates := datagen.Split(out.Data, datagen.UpdateCut)
@@ -161,14 +165,20 @@ func loadBIRandomDimensions(t *testing.T, st *store.Store, g *biRandGraph) {
 }
 
 // biRandomStep applies one random committed transaction: persons, knows
-// edges, forums with members, tagged posts, reply comments, likes.
-func biRandomStep(t *testing.T, st *store.Store, r *xrand.Rand, g *biRandGraph, step int) {
-	t.Helper()
+// edges, forums with members, tagged posts, reply comments, likes. It
+// reports failure as an error, so a writer goroutine can run it.
+func biRandomStep(st *store.Store, r *xrand.Rand, g *biRandGraph, step int) error {
 	tx := st.Begin()
 	now := int64(step) * 100000
+	var err error
+	createNode := func(id ids.ID, props store.Props) {
+		if err == nil {
+			err = tx.CreateNode(id, props)
+		}
+	}
 	addEdge := func(from ids.ID, et store.EdgeType, to ids.ID, stamp int64) {
-		if err := tx.AddEdge(from, et, to, stamp); err != nil {
-			t.Fatal(err)
+		if err == nil {
+			err = tx.AddEdge(from, et, to, stamp)
 		}
 	}
 	for i := 0; i < 1+r.Intn(2); i++ {
@@ -177,9 +187,7 @@ func biRandomStep(t *testing.T, st *store.Store, r *xrand.Rand, g *biRandGraph, 
 			store.NewProp(store.PropFirstName, store.String("P")),
 			store.NewProp(store.PropCreationDate, store.Int64(now)),
 		}
-		if err := tx.CreateNode(p, props); err != nil {
-			t.Fatal(err)
-		}
+		createNode(p, props)
 		g.persons = append(g.persons, p)
 	}
 	for i := 0; i < 3; i++ {
@@ -191,12 +199,10 @@ func biRandomStep(t *testing.T, st *store.Store, r *xrand.Rand, g *biRandGraph, 
 	}
 	if step%2 == 0 {
 		f := ids.Compose(ids.KindForum, int64(step), 0)
-		if err := tx.CreateNode(f, store.Props{
+		createNode(f, store.Props{
 			store.NewProp(store.PropTitle, store.String(fmt.Sprintf("forum%d", step))),
 			store.NewProp(store.PropCreationDate, store.Int64(now)),
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
 		for k := 0; k < 2; k++ {
 			addEdge(f, store.EdgeHasMember, g.persons[r.Intn(len(g.persons))], now+int64(k))
 		}
@@ -205,13 +211,11 @@ func biRandomStep(t *testing.T, st *store.Store, r *xrand.Rand, g *biRandGraph, 
 	for i := 0; i < 2; i++ {
 		post := ids.Compose(ids.KindPost, int64(step), uint32(i))
 		created := now + int64(10+i)
-		if err := tx.CreateNode(post, store.Props{
+		createNode(post, store.Props{
 			store.NewProp(store.PropCreationDate, store.Int64(created)),
 			store.NewProp(store.PropLength, store.Int64(int64(r.Intn(200)))),
 			store.NewProp(store.PropCountry, store.Int64(int64(r.Intn(4)))),
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
 		addEdge(post, store.EdgeHasCreator, g.persons[r.Intn(len(g.persons))], created)
 		for k := 0; k < 1+r.Intn(2); k++ {
 			addEdge(post, store.EdgeHasTag, g.tags[r.Intn(len(g.tags))], 0)
@@ -221,13 +225,11 @@ func biRandomStep(t *testing.T, st *store.Store, r *xrand.Rand, g *biRandGraph, 
 	for i := 0; i < 1+r.Intn(2); i++ {
 		c := ids.Compose(ids.KindComment, int64(step), uint32(i))
 		created := now + int64(50+i)
-		if err := tx.CreateNode(c, store.Props{
+		createNode(c, store.Props{
 			store.NewProp(store.PropCreationDate, store.Int64(created)),
 			store.NewProp(store.PropLength, store.Int64(int64(r.Intn(200)))),
 			store.NewProp(store.PropCountry, store.Int64(int64(r.Intn(4)))),
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
 		addEdge(c, store.EdgeReplyOf, g.messages[r.Intn(len(g.messages))], created)
 		addEdge(c, store.EdgeHasCreator, g.persons[r.Intn(len(g.persons))], created)
 		if r.Bool(0.5) {
@@ -239,9 +241,11 @@ func biRandomStep(t *testing.T, st *store.Store, r *xrand.Rand, g *biRandGraph, 
 		addEdge(g.persons[r.Intn(len(g.persons))], store.EdgeLikes,
 			g.messages[r.Intn(len(g.messages))], now+int64(80+i))
 	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
+	if err != nil {
+		tx.Abort()
+		return err
 	}
+	return tx.Commit()
 }
 
 // TestBIPathsAgreeOnRandomGraphs grows random schema-shaped graphs with
@@ -263,8 +267,77 @@ func TestBIPathsAgreeOnRandomGraphs(t *testing.T) {
 			} else if step == 6 {
 				st.SetViewCompactThreshold(4096)
 			}
-			biRandomStep(t, st, r, g, step)
+			if err := biRandomStep(st, r, g, step); err != nil {
+				t.Fatal(err)
+			}
 			assertBIAgree(t, st, 0, 200000, int64(step+1)*100000)
 		}
+	}
+}
+
+// TestBIParallelOnHeldViewUnderRefresh runs every query on four workers,
+// one morsel per claim, over a held view while a writer keeps committing
+// and refreshing the cached view in the same era. Each refresh appends in
+// place into the overlay rows and per-kind lists the held view shares, so
+// a worker that read past the header its view published, or kept an
+// appended entry stamped after the view's timestamp, would change a digest
+// against a view compacted at the held timestamp.
+func TestBIParallelOnHeldViewUnderRefresh(t *testing.T) {
+	r := xrand.New(3)
+	st := store.New()
+	// The writer runs as long as the readers do; no overlay size may start
+	// a compaction, whose swap would move the cached view to a new era.
+	st.SetViewCompactThreshold(math.MaxInt32)
+	g := &biRandGraph{}
+	loadBIRandomDimensions(t, st, g)
+	step := 1
+	for ; step <= 4; step++ {
+		if err := biRandomStep(st, r, g, step); err != nil {
+			t.Fatal(err)
+		}
+		st.CurrentView()
+	}
+	held := st.CurrentView()
+	const windowLen, createdBefore = 200000, 300000
+	var want [NumQueries]string
+	for q, run := range biRuns(st.ViewAt(held.Timestamp()), serial, workload.NewScratch(), 0, windowLen, createdBefore) {
+		want[q] = rowDigest(run())
+	}
+	before := st.ViewStats()
+
+	stop, errc := make(chan struct{}), make(chan error, 1)
+	go func() {
+		defer close(errc)
+		for ; ; step++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := biRandomStep(st, r, g, step); err != nil {
+				errc <- err
+				return
+			}
+			st.CurrentView()
+		}
+	}()
+	runs := biRuns(held, exec.Config{Workers: 4, MorselSize: 1}, nil, 0, windowLen, createdBefore)
+	for round := 0; round < 20; round++ {
+		for q, run := range runs {
+			if got := rowDigest(run()); got != want[q] {
+				t.Errorf("round %d: BI%d on the held view: digest %s, want %s", round, q+1, got, want[q])
+			}
+		}
+	}
+	close(stop)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	after := st.ViewStats()
+	if after.Refreshes <= before.Refreshes {
+		t.Fatalf("no refresh ran beside the readers (%d before, %d after)", before.Refreshes, after.Refreshes)
+	}
+	if after.EraBumps != before.EraBumps {
+		t.Fatalf("era bumped %d times: the held view no longer shares the writer's overlay", after.EraBumps-before.EraBumps)
 	}
 }

@@ -64,9 +64,9 @@ type MixedConfig struct {
 	// transactions on the txn path, frozen snapshot views otherwise.
 	BIClients int
 	// BIWorkers is the morsel fan-out of each BI execution on the view
-	// path: 1 runs the serial view instantiation, anything else the
-	// morsel-parallel path (0 = GOMAXPROCS workers). Ignored on the txn
-	// path, which always runs serially.
+	// path (0 = GOMAXPROCS workers; 1 runs the scan on the client's
+	// goroutine). Ignored on the txn path, which always runs on one
+	// worker.
 	BIWorkers int
 	// BIRounds is how many passes over the eight BI templates each BI
 	// client makes (0 = 1).
@@ -403,10 +403,9 @@ func RunMixed(cfg MixedConfig) *MixedReport {
 	// BI analyst lane: each client cycles the eight BI templates through
 	// bi.Registry — bind parameters from the same curated pools, execute
 	// on the configured read path, record into the lane's own latency
-	// bucket. On the view path each execution acquires the current frozen
-	// view (timed into ViewAcquire like the Interactive clients' reads)
-	// and runs either the serial view instantiation (BIWorkers == 1) or
-	// the morsel-parallel executor.
+	// bucket. On the view path each execution acquires the current view
+	// (timed into ViewAcquire like the Interactive clients' reads) and
+	// scans it with BIWorkers workers.
 	par := exec.Config{Workers: cfg.BIWorkers}
 	biRounds := cfg.BIRounds
 	if biRounds <= 0 {
@@ -482,11 +481,7 @@ func RunMixed(cfg MixedConfig) *MixedReport {
 					v, ev := cfg.Store.AcquireView()
 					acq := time.Since(tAcq)
 					t0 := time.Now()
-					if cfg.BIWorkers == 1 {
-						spec.RunView(v, sc, p)
-					} else {
-						spec.RunPar(v, par, p)
-					}
+					spec.RunPar(v, par, p)
 					lat := time.Since(t0)
 					mu.Lock()
 					addAcquire(rep, ev, acq)

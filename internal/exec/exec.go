@@ -2,17 +2,27 @@
 // BI read path. The SNB Business Intelligence workload (§1 of the paper)
 // is graph-wide aggregation: full fact-table scans grouped by time,
 // geography and tag dimensions, which stress scan and join throughput
-// rather than point-lookup latency. A frozen store.SnapshotView is the
-// ideal substrate for parallelising those scans — its CSR slabs, property
-// rows and per-kind node lists are immutable, so workers can
-// read disjoint ordinal ranges with zero synchronisation on the data.
+// rather than point-lookup latency. Every BI query takes a Config and cuts
+// its scan with Scan; one worker runs the scan inline, which is what the
+// transactional path needs.
+//
+// Workers read a snapshot view that is not frozen in memory: a held view
+// shares its era's overlay with every newer view of the era, and the era's
+// single writer appends to it in place while the workers scan. They stay
+// correct without locks because every read indexes only below the length
+// of a header published by an atomic store, and keeps only the appended
+// entries stamped at or before the view's own timestamp (store/delta.go,
+// "Append-sharing");
+// internal/bi's TestBIParallelOnHeldViewUnderRefresh runs the queries on
+// four workers over a held view while the writer appends.
 //
 // The scheduler follows the morsel-driven model: the dense scan range
 // [0, n) is cut into fixed-size morsels which workers claim dynamically
 // from a shared atomic cursor. Dynamic claiming (rather than static
 // striping) keeps all workers busy when per-row cost is skewed — one
 // worker stuck on a hub node's adjacency doesn't leave the others idle
-// with pre-assigned ranges they already finished.
+// with pre-assigned ranges they already finished. A morsel size of 1
+// fans out short task lists of uneven cost, like BI7's per-forum reach.
 //
 // Aggregation state is owned per worker: the body callback receives the
 // claiming worker's index, and callers keep one partial aggregate (map,
@@ -98,43 +108,6 @@ func (c Config) Scan(n int, body func(worker, lo, hi int)) {
 					hi = n
 				}
 				body(worker, lo, hi)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// Each fans n independent tasks out one at a time — morsel size 1 — for
-// short task lists of uneven cost, like the per-forum reach jobs of BI7
-// where one hub forum can outweigh the rest combined. Every task index in
-// [0, n) runs exactly once; body must only write state owned by its
-// worker index or its task index.
-func (c Config) Each(n int, body func(worker, task int)) {
-	if n <= 0 {
-		return
-	}
-	workers := c.NumWorkers()
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			body(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				task := int(next.Add(1)) - 1
-				if task >= n {
-					return
-				}
-				body(worker, task)
 			}
 		}(w)
 	}

@@ -76,19 +76,22 @@ func TestScanEmpty(t *testing.T) {
 	cfg := Config{Workers: 4}
 	cfg.Scan(0, func(worker, lo, hi int) { t.Fatal("body called for empty range") })
 	cfg.Scan(-3, func(worker, lo, hi int) { t.Fatal("body called for negative range") })
-	cfg.Each(0, func(worker, task int) { t.Fatal("body called for empty task list") })
 }
 
-// TestEachRunsEveryTaskOnce covers the morsel-size-1 fan-out.
-func TestEachRunsEveryTaskOnce(t *testing.T) {
+// TestScanMorselSizeOne covers the one-task-per-claim fan-out BI7's reach
+// traversals use: every task runs exactly once, alone in its morsel.
+func TestScanMorselSizeOne(t *testing.T) {
 	const n = 137
-	cfg := Config{Workers: 5}
+	cfg := Config{Workers: 5, MorselSize: 1}
 	visits := make([]int32, n)
-	cfg.Each(n, func(worker, task int) {
+	cfg.Scan(n, func(worker, lo, hi int) {
 		if worker < 0 || worker >= 5 {
 			t.Errorf("worker %d out of range", worker)
 		}
-		atomic.AddInt32(&visits[task], 1)
+		if hi != lo+1 {
+			t.Errorf("morsel [%d,%d) holds more than one task", lo, hi)
+		}
+		atomic.AddInt32(&visits[lo], 1)
 	})
 	for i, v := range visits {
 		if v != 1 {

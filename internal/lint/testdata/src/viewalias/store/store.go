@@ -1,6 +1,6 @@
 // Package store is a fixture stand-in for ldbcsnb/internal/store: the
-// viewalias analyzer keys on methods named Out/In/Props/NodesOfKind/
-// KindRange declared in a package named "store".
+// viewalias analyzer keys on methods named Out/In/Props/NodesOfKind
+// declared in a package named "store".
 package store
 
 // NodeID is a node identifier.

@@ -9,7 +9,7 @@ import (
 // returned by Out, In and Props on the store's reader surface alias
 // view-owned shared memory — the per-row decode cache, the CSR overlay
 // rows, the property rows shared with the MVCC versions — so a caller-side
-// write corrupts every concurrent reader of the same view. NodesOfKind and KindRange rows
+// write corrupts every concurrent reader of the same view. NodesOfKind rows
 // share the same contract.
 //
 // Within each function the pass taints values returned by those methods
@@ -39,7 +39,6 @@ var readerAliasMethods = map[string]bool{
 	"In":          true,
 	"Props":       true,
 	"NodesOfKind": true,
-	"KindRange":   true,
 }
 
 // isAliasCall reports whether call returns view-aliased memory.

@@ -642,19 +642,9 @@ func (v *SnapshotView) NodesOfKind(kind ids.Kind) []ids.ID {
 	return v.byKind[kind]
 }
 
-// NumOfKind returns the number of visible nodes of a kind — the dense scan
-// range morsel-driven executors (internal/exec) shard across workers.
+// NumOfKind returns the number of visible nodes of a kind: the
+// cardinality the query planner orders its scans by.
 func (v *SnapshotView) NumOfKind(kind ids.Kind) int { return len(v.NodesOfKind(kind)) }
-
-// KindRange returns the half-open [lo, hi) subrange of NodesOfKind(kind).
-// It is the shard helper of the parallel BI scans: the per-kind list is
-// immutable for the view's lifetime, so workers slicing disjoint ranges
-// read it with zero synchronisation. Bounds follow slice rules (0 <= lo <=
-// hi <= NumOfKind); the result aliases view-owned memory and must not be
-// mutated.
-func (v *SnapshotView) KindRange(kind ids.Kind, lo, hi int) []ids.ID {
-	return v.NodesOfKind(kind)[lo:hi]
-}
 
 // ViewEvent reports how an AcquireView call obtained its view.
 type ViewEvent uint8

@@ -8,9 +8,9 @@ import (
 // ViewAlias enforces the Reader scratch-aliasing contract: slices
 // returned by Out, In and Props on the store's reader surface alias
 // view-owned shared memory — the per-row decode cache, the CSR overlay
-// rows, the property rows shared with the MVCC versions — so a caller-side
-// write corrupts every concurrent reader of the same view. NodesOfKind rows
-// share the same contract.
+// rows, the property rows shared with the store's node records — so a
+// caller-side write corrupts every concurrent reader of the same view.
+// NodesOfKind rows share the same contract.
 //
 // Within each function the pass taints values returned by those methods
 // (propagating through plain copies and re-slices) and flags:

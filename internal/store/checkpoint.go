@@ -29,22 +29,20 @@ import (
 //
 // The writer walks a SnapshotView, never the live shards: the view is
 // frozen after construction (CSR slabs plus an overlay it reads at its own
-// timestamp, whatever later refreshes store into it), so
-// serialisation runs concurrently with commits, GC and view compaction
-// without any stop-the-world on the write path. An era bump mid-checkpoint
-// is harmless — the held view stays frozen regardless of what the cached
-// view does — and GC is harmless for the same reason views are GC-immune
-// (see gc.go: a view never reads the store after construction).
+// timestamp, whatever later refreshes store into it), so serialisation runs
+// concurrently with commits and view compaction without any stop-the-world
+// on the write path. An era bump mid-checkpoint is harmless: the held view
+// stays frozen regardless of what the cached view does.
 //
 // # What restoring flattens
 //
 // Restoring a checkpoint rebuilds the store as if every visible fact had
-// committed at timestamp C: MVCC history below C (superseded property
-// versions, the commit at which each node and edge appeared) is not in the
-// file and cannot be recovered from it. That is exactly the Store.GC
-// contract with horizon C — any read at a snapshot >= C is unaffected — and
-// recovery sets the clock to C, so no later reader can observe the
-// difference. The WAL tail then re-creates
+// committed at timestamp C: MVCC history below C (the commit at which each
+// node and edge appeared) is not in the file and cannot be recovered from
+// it. Any read at a snapshot >= C is unaffected — node properties are
+// write-once and edges insert-only, so the state at C is all such a read
+// sees of the history below it — and recovery sets the clock to C, so no
+// later reader can observe the difference. The WAL tail then re-creates
 // history above C record by record.
 //
 // # On-disk format (version 3)
@@ -368,16 +366,15 @@ func loadCheckpoint(s *Store, path string) (int64, error) {
 	nNodes := int(d.u32())
 	// Restoring allocates one object per node, property and adjacency
 	// entry; at scale that is millions of small allocations on the restart
-	// critical path, so records, versions, props and edge lists are carved
-	// out of chunked arenas instead. Every sub-slice is capacity-clipped:
-	// a later append (SetProp version, new edge) reallocates privately and
-	// can never clobber a neighbouring list in the chunk.
+	// critical path, so records, props and edge lists are carved out of
+	// chunked arenas instead. Every sub-slice is capacity-clipped: a later
+	// append (a new edge) reallocates privately and can never clobber a
+	// neighbouring list in the chunk.
 	for i := range s.shards {
 		s.shards[i].nodes = make(map[ids.ID]*nodeRec, nNodes/shardCount+1)
 	}
 	var (
 		recArena  []nodeRec
-		verArena  []nodeVersion
 		propArena []Prop
 		edgeArena []edgeRec
 		rowArena  []adjRow
@@ -425,14 +422,10 @@ func loadCheckpoint(s *Store, path string) (int64, error) {
 		}
 		if len(recArena) == 0 {
 			recArena = make([]nodeRec, arenaChunk)
-			verArena = make([]nodeVersion, arenaChunk)
 		}
 		rec := &recArena[0]
 		recArena = recArena[1:]
-		rec.id = id
-		rec.versions = verArena[:1:1]
-		verArena = verArena[1:]
-		rec.versions[0] = nodeVersion{commit: clock, props: props}
+		rec.id, rec.commit, rec.props = id, clock, props
 		// nLists precedes the lists: carve the row table at exactly that size.
 		nLists := int(d.u8())
 		if nLists > 2*(int(edgeTypeMax)-1) {

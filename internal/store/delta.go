@@ -10,61 +10,62 @@ import (
 // Incremental snapshot-view maintenance.
 //
 // Every committed transaction appends one CommitDelta — a compact record of
-// the nodes it created, the property lists it replaced, and the adjacency
-// entries it inserted — to a bounded in-memory ring alongside
-// the WAL append, from the first inline view build on (Store.recording):
-// before it there is no view to apply a delta to, and a bulk load would
-// otherwise park every one of its deltas in the ring until that build
-// dropped them. When AcquireView finds the cached view behind the commit
-// watermark it applies the pending deltas onto the cached view (applyDeltas)
-// instead of recompacting the whole dataset. The refreshed view is a new
-// immutable value that shares its predecessor's base and the era's overlay:
-// a refresh costs what its deltas cost, whatever the size of the dataset or
-// of the overlay accumulated in the era.
+// the nodes it created and the adjacency entries it inserted — to a bounded
+// in-memory ring alongside the WAL append, from the first inline view build
+// on (Store.recording): before it there is no view to apply a delta to, and
+// a bulk load would otherwise park every one of its deltas in the ring until
+// that build dropped them. When AcquireView finds the cached view behind the
+// commit watermark it applies the pending deltas onto the cached view
+// (applyDeltas) instead of recompacting the whole dataset. The refreshed
+// view is a new immutable value that shares its predecessor's base and the
+// era's overlay: a refresh costs what its deltas cost, whatever the size of
+// the dataset or of the overlay accumulated in the era.
 //
 // # The overlay
 //
 // The overlay (view.go) belongs to the era, not to a view: page tables
-// indexed by ordinal — one per rowKey(type, direction), one for property
-// lists — whose pages hold atomic pointers to immutable headers. Every view
-// of the era reads the same pages. A refresh appends the new entries to the
-// touched rows and then stores one new header per touched row, stamped with
-// the refresh's timestamp; a row header carries, besides the row, the
-// commit timestamp of every entry the era appended to it. A property header
-// carries the list and the header it replaced. Nothing is copied but a top
-// level that must grow, and a view keeps the top levels it was published
-// with.
+// indexed by ordinal, one per rowKey(type, direction), whose pages hold
+// atomic pointers to immutable row headers. Every view of the era reads the
+// same pages. A refresh appends the new entries to the touched rows and then
+// stores one new header per touched row, stamped with the refresh's
+// timestamp; a row header carries, besides the row, the commit timestamp of
+// every entry the era appended to it. Nothing is copied but a top level that
+// must grow, and a view keeps the top levels it was published with.
 //
 // A reader of view v loads the current header. One stored at or before v's
 // timestamp is the row's state at v, read as it is — always the case for a
 // reader that refreshes the view it reads, as the Interactive mix's do. One
 // stored later still begins with v's state: v keeps the base part plus the
 // appended entries committed by its timestamp, whose stamps ascend, so a
-// binary search finds them; a property read walks back to the newest header
-// stored by v. A nil page or slot means no refresh of the era touched the
-// row, so the base serves it, for every view of the era. A page created after
-// a top level was copied is missing from the views that kept the old copy,
-// which is right: it holds only state newer than they are.
+// binary search finds them. A nil page or slot means no refresh of the era
+// touched the row, so the base serves it, for every view of the era. A page
+// created after a top level was copied is missing from the views that kept
+// the old copy, which is right: it holds only state newer than they are.
+//
+// Node properties need no overlay: they are write-once, fixed when the node
+// becomes visible. A base ordinal reads the base's row; an appended ordinal
+// reads propsOver, the list kept beside nodesOver, whose entries a view
+// reads only below its own length.
 //
 // # Append-sharing
 //
 // Each era has a single writer: the viewMu lineage for the cached view's
 // era, or a background compaction for the era it builds, whose views nobody
 // reads until it swaps one in under viewMu. Every refresh derives from the
-// newest view of its lineage, so for each shared slice — a row's entries
-// and commit stamps, the appended-ordinal list nodesOver, the per-kind scan
-// lists — the newest header holds the longest prefix of one backing array
-// and every older header a shorter prefix of the same array. A refresh
-// appends in place, into the spare capacity beyond every published length;
-// once capacity runs out, append reallocates (growing geometrically, so
-// appends stay amortised O(1)) and the lineage moves to the new array.
+// newest view of its lineage, so for each shared slice — a row's entries and
+// commit stamps, the appended-ordinal lists nodesOver and propsOver, the
+// per-kind scan lists — the newest header holds the longest prefix of one
+// backing array and every older header a shorter prefix of the same array. A
+// refresh appends in place, into the spare capacity beyond every published
+// length; once capacity runs out, append reallocates (growing geometrically,
+// so appends stay amortised O(1)) and the lineage moves to the new array.
 // Readers index a slice only below the length in a header they loaded, and
 // the atomic store that publishes a header (or a view) orders the element
 // writes before any read through it, so the maintainer's writes and any
 // reader's reads never touch the same element: there is nothing else to
-// synchronise. Edges are insert-only, so every delta is an append; the one
-// copy is the first touch of a base row in an era, which decodes it out of
-// the slab.
+// synchronise. Nodes and edges are insert-only, so every delta is an append;
+// the one copy is the first touch of a base row in an era, which decodes it
+// out of the slab.
 //
 // What would break it: two writers on one era (both would write the same
 // spare slot — a background compaction therefore never refreshes a
@@ -106,13 +107,6 @@ type deltaNode struct {
 	inKindList bool
 }
 
-// deltaProp is one property-list replacement on a pre-existing node: the
-// full resulting Props of the new MVCC version (shared, immutable).
-type deltaProp struct {
-	id    ids.ID
-	props Props
-}
-
 // deltaEdge is one installed adjacency entry, exactly mirroring an
 // installEdge call: the owning node's list (out or in) gains Edge{peer,
 // stamp} at its tail.
@@ -129,15 +123,14 @@ type deltaEdge struct {
 type CommitDelta struct {
 	ts    int64
 	nodes []deltaNode
-	props []deltaProp
 	edges []deltaEdge
 }
 
 // cost is the delta's contribution to the overlay size the compaction
 // trigger is compared against: the number of overlay entries applying it
-// creates or rewrites.
+// creates.
 func (d *CommitDelta) cost() int {
-	return len(d.nodes) + len(d.props) + len(d.edges)
+	return len(d.nodes) + len(d.edges)
 }
 
 // View-maintenance constants; see the Set* methods on Store for the two
@@ -224,7 +217,7 @@ type ViewStatsSnapshot struct {
 	CompactTrigger int64
 	// Background compactions: every one started ends up swapped in or
 	// discarded (ring gap at swap time, lineage replaced by an inline
-	// rebuild, store closed, GC past its base timestamp).
+	// rebuild, store closed).
 	CompactionsStarted   int64
 	CompactionsSwapped   int64
 	CompactionsDiscarded int64
@@ -394,8 +387,7 @@ func (s *Store) compact(from int64, era uint64, done chan struct{}) {
 	defer s.viewMu.Unlock()
 	nv, c := s.catchUp(nv, era, &w) // the cached view cannot move now
 	cost += c
-	// A GC past from may have reclaimed state the build was reading.
-	if nv != nil && from >= s.gcHorizon {
+	if nv != nil {
 		s.view.Store(nv)
 		s.overlayEntries.Store(int64(cost))
 		s.viewEraBumps.Add(1)
@@ -446,6 +438,7 @@ func applyDeltas(old *SnapshotView, ds []*CommitDelta, ts int64, w *rowWork) (*S
 		era:       old.era,
 		base:      old.base,
 		nodesOver: old.nodesOver,
+		propsOver: old.propsOver,
 		ordOver:   old.ordOver,
 		over:      old.over,
 		byKind:    old.byKind,
@@ -455,7 +448,6 @@ func applyDeltas(old *SnapshotView, ds []*CommitDelta, ts int64, w *rowWork) (*S
 		newNodes += len(d.nodes)
 	}
 	r := refresher{nv: nv, w: w, pages: (old.NumNodes() + newNodes + overPageSize - 1) >> overPageBits}
-	n0 := int32(len(nv.base.nodes))
 
 	cost := 0
 	for _, d := range ds {
@@ -464,20 +456,12 @@ func applyDeltas(old *SnapshotView, ds []*CommitDelta, ts int64, w *rowWork) (*S
 			if _, ok := nv.ord(dn.id); ok {
 				continue // already visible (defensive; cannot happen for committed state)
 			}
-			ord := n0 + int32(len(nv.nodesOver))
 			nv.nodesOver = append(nv.nodesOver, dn.id)
+			nv.propsOver = append(nv.propsOver, dn.props) // nil for a bare endpoint record
 			nv.ordOver = nv.ordOver.insert(nv.nodesOver)
-			// Every appended ordinal gets a props header (possibly nil props
-			// for bare endpoint records) — propsAt relies on it.
-			r.setProps(ord, dn.props)
 			if dn.inKindList {
 				k := dn.id.Kind()
 				nv.byKind[k] = append(nv.byKind[k], dn.id)
-			}
-		}
-		for _, dp := range d.props {
-			if ord, ok := nv.ord(dp.id); ok {
-				r.setProps(ord, dp.props)
 			}
 		}
 		for _, de := range d.edges {
@@ -506,23 +490,23 @@ type refresher struct {
 type rowWork map[*atomic.Pointer[rowHdr]]*rowHdr
 
 // slot returns ord's slot in t, creating its page. t must cover ord.
-func (t overTable[H]) slot(ord int32) *atomic.Pointer[H] {
+func (t overTable) slot(ord int32) *atomic.Pointer[rowHdr] {
 	i := int(ord) >> overPageBits
 	p := t[i].Load()
 	if p == nil {
-		p = new(overPage[H])
+		p = new(overPage)
 		t[i].Store(p)
 	}
 	return &p[ord&(overPageSize-1)]
 }
 
 // covers reports whether t has a page for ord, created or not.
-func (t overTable[H]) covers(ord int32) bool { return int(ord)>>overPageBits < len(t) }
+func (t overTable) covers(ord int32) bool { return int(ord)>>overPageBits < len(t) }
 
 // grow returns a copy of t with room for n pages and a quarter more, so an
 // era that keeps appending ordinals copies each top level O(log n) times.
-func (t overTable[H]) grow(n int) overTable[H] {
-	g := make(overTable[H], n+n/4)
+func (t overTable) grow(n int) overTable {
+	g := make(overTable, n+n/4)
 	for i := range t {
 		g[i].Store(t[i].Load())
 	}
@@ -548,25 +532,6 @@ func (r *refresher) rowSlot(ord int32, key uint8) *atomic.Pointer[rowHdr] {
 		o.rows[key] = o.rows[key].grow(r.pages)
 	}
 	return r.nv.over.rows[key].slot(ord)
-}
-
-func (r *refresher) propSlot(ord int32) *atomic.Pointer[propHdr] {
-	if r.nv.over == nil || !r.nv.over.props.covers(ord) {
-		o := r.own()
-		o.props = o.props.grow(r.pages)
-	}
-	return r.nv.over.props.slot(ord)
-}
-
-// setProps stores an ordinal's new property list. A header an earlier delta
-// of this refresh stored is replaced, not chained: no view reads it.
-func (r *refresher) setProps(ord int32, ps Props) {
-	sl := r.propSlot(ord)
-	prev := sl.Load()
-	if prev != nil && prev.ts == r.nv.ts {
-		prev = prev.prev
-	}
-	sl.Store(&propHdr{ts: r.nv.ts, props: ps, prev: prev})
 }
 
 // row returns the unstored header this refresh builds a row's next state

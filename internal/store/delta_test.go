@@ -241,9 +241,10 @@ func TestViewLineageUnderReaders(t *testing.T) {
 // each of them with a from-scratch compaction at its own timestamp. The
 // events are the ways a refresh writes the shared overlay — appends to a row
 // the held views have read, the era's first touch of a base row, a row key
-// the era has not touched, a new page, a top level that grows, and SetProp on
-// a base node and on an appended one — and the test checks that each really
-// happened, so every held view older than a header takes the slow path.
+// the era has not touched, a new page, a top level that grows, and appended
+// nodes whose property rows the held views must not see — and the test
+// checks that each really happened, so every held view older than a header
+// takes the slow path.
 func TestHeldViewsReadTheirStamps(t *testing.T) {
 	s := New()
 	s.SetViewCompactThreshold(1 << 30)
@@ -350,22 +351,30 @@ func TestHeldViewsReadTheirStamps(t *testing.T) {
 	commit(func(tx *Txn) error { return tx.AddKnows(personID(base+added), personID(5), 16) })
 	refresh("appends past the grown top level")
 
-	// SetProp on a base node and on an appended one, twice in one refresh and
-	// once more in the next: the headers chain back to the base row.
+	// Appended nodes with property rows, two commits in one refresh and one
+	// more in the next, each also touching a base row: the held views share
+	// the appended-ordinal lists and must read only their own prefix.
+	next := base + added + 1
 	for i, name := range []string{"a", "b", "c"} {
 		commit(func(tx *Txn) error {
-			if err := tx.SetProp(personID(6), PropLastName, String(name)); err != nil {
+			if err := tx.CreateNode(personID(next), Props{NewProp(PropLastName, String(name))}); err != nil {
 				return err
 			}
-			return tx.SetProp(personID(base+1), PropLastName, String(name))
+			return tx.AddKnows(personID(6), personID(next), int64(next))
 		})
+		next++
 		if i != 0 {
-			refresh("SetProp on a base and an appended node")
+			refresh("appended nodes with property rows")
 		}
 	}
-	o6, _ := last.ord(personID(6))
-	if h := views[len(views)-1].v.over.props.load(o6); h == nil || h.prev == nil || h.prev.prev != nil {
-		t.Fatal("person 6's property headers do not chain one back")
+	cur := views[len(views)-1].v
+	for n, want := range map[uint32]string{next - 3: "a", next - 2: "b", next - 1: "c"} {
+		if got := cur.Prop(personID(n), PropLastName).Str(); got != want {
+			t.Fatalf("person %d's lastName: %q, want %q", n, got, want)
+		}
+		if o, _ := cur.ord(personID(n)); int(o) < len(cur.base.nodes) {
+			t.Fatalf("person %d holds base ordinal %d", n, o)
+		}
 	}
 }
 
@@ -501,50 +510,6 @@ func TestCompactionRingGapAtSwap(t *testing.T) {
 	}
 	v = s.CurrentView()
 	assertViewMatchesRebuild(t, v, s.ViewAt(v.Timestamp()))
-}
-
-// TestGCDiscardsOlderCompaction pins the one way GC and view maintenance
-// meet: a background compaction reads the store at the timestamp it started
-// from, so a GC at a later horizon makes it discard what it built.
-func TestGCDiscardsOlderCompaction(t *testing.T) {
-	r := xrand.New(61)
-	s := New()
-	s.SetViewCompactThreshold(1)
-	var pop []ids.ID
-	pop = randomGraphStep(t, s, r, pop, 1)
-	s.CurrentView()
-	release := stallCompaction(s)
-	pop = randomGraphStep(t, s, r, pop, 2)
-	s.CurrentView() // starts the compaction, at this timestamp
-	pop = randomGraphStep(t, s, r, pop, 3)
-	horizon := s.LastCommit()
-
-	gcDone := make(chan struct{})
-	go func() {
-		s.GC(horizon) // records the horizon, then waits for the stalled shard
-		close(gcDone)
-	}()
-	for recorded := false; !recorded; runtime.Gosched() {
-		s.viewMu.Lock()
-		recorded = s.gcHorizon == horizon
-		s.viewMu.Unlock()
-	}
-	release()
-	<-gcDone
-	s.waitCompaction()
-	if st := s.ViewStats(); st.CompactionsDiscarded != 1 || st.CompactionsSwapped != 0 {
-		t.Fatalf("compaction from below the GC horizon: %+v", st)
-	}
-	// The next refresh starts a compaction at or past the horizon.
-	v, ev := s.AcquireView()
-	if ev != ViewRefreshed {
-		t.Fatalf("acquisition after GC: %v, want refresh", ev)
-	}
-	s.waitCompaction()
-	if st := s.ViewStats(); st.CompactionsSwapped != 1 {
-		t.Fatalf("compaction from past the GC horizon: %+v", st)
-	}
-	assertViewMatchesRebuild(t, s.CurrentView(), s.ViewAt(v.Timestamp()))
 }
 
 // TestMarkClosedWaitsForCompaction pins that closing the store does not
@@ -826,7 +791,7 @@ func TestViewRefreshCounters(t *testing.T) {
 	// bump the era.
 	s.SetViewCompactThreshold(0)
 	tx = s.Begin()
-	tx.SetProp(personID(800), PropFirstName, String("b"))
+	tx.CreateNode(personID(802), Props{NewProp(PropFirstName, String("b"))})
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}

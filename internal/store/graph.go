@@ -71,12 +71,6 @@ func (e *edgeRec) visibleAt(ts int64) bool {
 	return e.commit <= ts
 }
 
-// nodeVersion is one MVCC version of a node's property list.
-type nodeVersion struct {
-	commit int64
-	props  Props
-}
-
 // adjacency holds the typed in/out edge lists of one node as a sparse row
 // table: one adjRow per (type, direction) the node has had an edge on —
 // about five of thirty — keyed by rowKey like the view overlay's page
@@ -136,28 +130,16 @@ func (a *adjacency) ref(t EdgeType, in bool) *[]edgeRec {
 	return &a.rows[n].list
 }
 
-// nodeRec is one stored node: a version chain (newest last) plus adjacency,
-// 56 bytes (TestNodeRecLayout). The owning shard's lock guards all fields.
+// nodeRec is one stored node, 64 bytes (TestNodeRecLayout): the commit that
+// made it visible, its property list and its adjacency. Node properties are
+// write-once — the update stream (U1–U8) only inserts — so a node has no
+// version chain: a CreateNode commits props, a bare endpoint record
+// (installEdge) commits none, and a second CreateNode of the ID fails with
+// ErrExists. The owning shard's lock guards adj; id, commit and props are
+// never written after the record is stored.
 type nodeRec struct {
-	id       ids.ID
-	versions []nodeVersion
-	adj      adjacency
-}
-
-// visibleProps returns the newest version visible at snapshot ts, or nil.
-func (n *nodeRec) visibleProps(ts int64) (Props, bool) {
-	for i := len(n.versions) - 1; i >= 0; i-- {
-		if n.versions[i].commit <= ts {
-			return n.versions[i].props, true
-		}
-	}
-	return nil, false
-}
-
-// createdAt returns the commit timestamp of the first version.
-func (n *nodeRec) createdAt() int64 {
-	if len(n.versions) == 0 {
-		return 0
-	}
-	return n.versions[0].commit
+	id     ids.ID
+	commit int64
+	props  Props
+	adj    adjacency
 }

@@ -137,7 +137,7 @@ func newGroupWAL(mode WALSyncMode, seg *walSegments, lastTS int64, onAppend func
 // timestamp order — the property the durability watermark relies on. The
 // caller still holds commitMu, so this must not block on IO; it only
 // appends and signals.
-func (gw *groupWAL) deposit(ts int64, created []*pendingNode, sets []pendingProp, edges []pendingEdge) {
+func (gw *groupWAL) deposit(ts int64, created []*pendingNode, edges []pendingEdge) {
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
 	if gw.closing {
@@ -150,7 +150,7 @@ func (gw *groupWAL) deposit(ts int64, created []*pendingNode, sets []pendingProp
 	if gw.count == 0 {
 		gw.firstTS = ts
 	}
-	gw.pending = appendCommitRecord(gw.pending, ts, created, sets, edges)
+	gw.pending = appendCommitRecord(gw.pending, ts, created, edges)
 	gw.count++
 	if gw.oldestUnsynced == math.MaxInt64 {
 		gw.oldestUnsynced = ts

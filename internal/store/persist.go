@@ -354,11 +354,8 @@ func (p *Persistent) Checkpoint() error {
 }
 
 // CheckpointTS returns the commit clock of the newest durable checkpoint
-// (0 when none exists yet). It is also the always-safe GC horizon from the
-// durability side: recovery never replays below it, so Store.GC at or
-// below this timestamp can never reclaim state a restart still needs. The
-// caller must still lower the horizon to cover its own live snapshots
-// (Txn.Snapshot, retained ViewAt timestamps) per the GC contract.
+// (0 when none exists yet): recovery restores it and replays only the
+// log above it.
 func (p *Persistent) CheckpointTS() int64 { return p.lastCkptTS.Load() }
 
 // Sync flushes and fsyncs the WAL: every commit that completed before the

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -8,7 +9,7 @@ import (
 	"ldbcsnb/internal/ids"
 )
 
-// Property rows are stored once: the MVCC version, every view that sees it
+// Property rows are stored once: the node record, every view that sees it
 // and every commit delta share one immutable, exactly sized row. These tests
 // pin what makes that sharing safe.
 
@@ -32,69 +33,61 @@ func commitOrFatal(t *testing.T, tx *Txn) {
 	}
 }
 
-// TestHeldViewPropsSurviveSetProp holds views across a commit that replaces
-// a property in place of an existing key — the one write a shared row could
-// suffer — for an ordinal of the compacted base and for one a delta refresh
-// appended. The held views must still return the old lists.
-func TestHeldViewPropsSurviveSetProp(t *testing.T) {
+// TestCreateOverBareEndpointFails pins the invariant the write-once
+// property rows rest on: an edge to an ID nobody created materialises a bare
+// record (no properties), and a later CreateNode of that ID loses with
+// ErrExists instead of giving the record properties after the fact. A held
+// view, a refreshed view and a compacted one all keep reading nil
+// properties for it.
+func TestCreateOverBareEndpointFails(t *testing.T) {
 	s := New()
-	base, appended := personID(1), personID(2)
+	a, bare := personID(1), personID(2)
 	tx := s.Begin()
-	if err := tx.CreateNode(base, Props{NewProp(PropFirstName, String("old")), NewProp(PropLength, Int64(1))}); err != nil {
+	if err := tx.CreateNode(a, Props{NewProp(PropFirstName, String("a"))}); err != nil {
 		t.Fatal(err)
 	}
 	commitOrFatal(t, tx)
-	v1 := s.CurrentView() // compacts: base is a base ordinal
+	held := s.CurrentView()
 
 	tx = s.Begin()
-	if err := tx.CreateNode(appended, Props{NewProp(PropFirstName, String("old")), NewProp(PropLength, Int64(2))}); err != nil {
+	if err := tx.AddKnows(a, bare, 1); err != nil {
 		t.Fatal(err)
 	}
 	commitOrFatal(t, tx)
-	v2, ev := s.AcquireView()
+	refreshed, ev := s.AcquireView()
 	if ev != ViewRefreshed {
-		t.Fatalf("second view: %v, want a delta refresh", ev)
-	}
-	if o, _ := v2.ord(appended); int(o) < len(v2.base.nodes) {
-		t.Fatalf("ordinal %d of the created node is not an appended one (base has %d)", o, len(v2.base.nodes))
-	}
-	fresh := s.ViewAt(s.LastCommit()) // a compacted view where both are base ordinals
-
-	want := map[ids.ID]Props{}
-	for _, id := range []ids.ID{base, appended} {
-		ps, _ := v2.Props(id)
-		want[id] = ps.clone()
+		t.Fatalf("view after the edge: %v, want a delta refresh", ev)
 	}
 
 	tx = s.Begin()
-	for _, id := range []ids.ID{base, appended} {
-		if err := tx.SetProp(id, PropFirstName, String("new")); err != nil {
-			t.Fatal(err)
-		}
+	if err := tx.CreateNode(bare, Props{NewProp(PropFirstName, String("late"))}); err != nil {
+		t.Fatal(err)
 	}
-	commitOrFatal(t, tx)
-	v3 := s.CurrentView()
+	if err := tx.Commit(); !errors.Is(err, ErrExists) {
+		t.Fatalf("CreateNode over a bare endpoint: %v, want ErrExists", err)
+	}
 
-	check := func(name string, v *SnapshotView, id ids.ID) {
-		t.Helper()
-		got, ok := v.Props(id)
-		if !ok || !reflect.DeepEqual(got, want[id]) {
-			t.Errorf("%s: Props(%v) = %#v, want %#v", name, id, got, want[id])
+	for name, v := range map[string]*SnapshotView{
+		"held view":      held,
+		"refreshed view": refreshed,
+		"current view":   s.CurrentView(),
+		"ViewAt":         s.ViewAt(s.LastCommit()),
+	} {
+		if ps, _ := v.Props(bare); ps != nil {
+			t.Errorf("%s: Props(bare) = %#v, want nil", name, ps)
 		}
-		if got := v.Prop(id, PropFirstName).Str(); got != "old" {
-			t.Errorf("%s: Prop(%v, firstName) = %q, want old", name, id, got)
-		}
-	}
-	check("held base view", v1, base)
-	check("held refreshed view", v2, base)
-	check("held refreshed view", v2, appended)
-	check("held compacted view", fresh, base)
-	check("held compacted view", fresh, appended)
-	for _, id := range []ids.ID{base, appended} {
-		if got := v3.Prop(id, PropFirstName).Str(); got != "new" {
-			t.Errorf("view after the commit: Prop(%v, firstName) = %q, want new", id, got)
+		if got := v.Prop(bare, PropFirstName); !got.IsZero() {
+			t.Errorf("%s: Prop(bare, firstName) = %#v, want absent", name, got)
 		}
 	}
+	if held.Exists(bare) || !refreshed.Exists(bare) {
+		t.Fatalf("bare endpoint visibility: held %v, refreshed %v", held.Exists(bare), refreshed.Exists(bare))
+	}
+	s.View(func(tx *Txn) {
+		if ps, ok := tx.Props(bare); !ok || ps != nil {
+			t.Errorf("txn: Props(bare) = %#v, %v, want nil, true", ps, ok)
+		}
+	})
 }
 
 // TestTxnAndViewPropsEqual compares every node's list on a Txn, the
@@ -118,16 +111,6 @@ func TestTxnAndViewPropsEqual(t *testing.T) {
 	create(3, nil)
 	s.CurrentView()
 	create(4, append(make(Props, 0, 4), NewProp(PropLength, Int64(4))))
-	tx := s.Begin()
-	for _, id := range nodes {
-		if err := tx.SetProp(id, PropBirthday, Int64(int64(id))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tx.SetProp(nodes[0], PropFirstName, String("a2")); err != nil {
-		t.Fatal(err)
-	}
-	commitOrFatal(t, tx)
 
 	refreshed, fresh := s.CurrentView(), s.ViewAt(s.LastCommit())
 	s.View(func(tx *Txn) {
@@ -151,18 +134,13 @@ func TestTxnAndViewPropsEqual(t *testing.T) {
 		}
 	})
 	// A transaction's own writes come back exactly sized too.
-	tx = s.Begin()
+	tx := s.Begin()
 	id := personID(9)
 	if err := tx.CreateNode(id, append(make(Props, 0, 4), NewProp(PropLength, Int64(9)))); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.SetProp(nodes[1], PropLength, Int64(20)); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []ids.ID{id, nodes[1]} {
-		if ps, _ := tx.Props(id); cap(ps) != len(ps) {
-			t.Errorf("own writes: Props(%v) has cap %d, len %d", id, cap(ps), len(ps))
-		}
+	if ps, _ := tx.Props(id); cap(ps) != len(ps) {
+		t.Errorf("own writes: Props(%v) has cap %d, len %d", id, cap(ps), len(ps))
 	}
 	tx.Abort()
 }

@@ -16,10 +16,10 @@ import (
 // surviving tail is walked in sequence order, one record at a time: check
 // the CRC, decode (decodeTxnPayload — the only decoder of redo records),
 // check that the commit timestamp extends the recovered clock by exactly
-// one, and apply through the lean replay path — the same installs and
-// kind-list maintenance as Commit, minus validation (the log was validated
-// when written), WAL re-append and delta recording (no cached view exists
-// during recovery, so the first CurrentView does a full rebuild regardless).
+// one, and apply it through Commit's own installer (Store.install), minus
+// validation (the log was validated when written), WAL re-append and delta
+// recording (no cached view exists during recovery, so the first
+// CurrentView does a full rebuild regardless).
 //
 // Commit timestamps in the log are consecutive and torn writes only eat a
 // suffix of the final segment, so a record that does not carry the next
@@ -31,13 +31,12 @@ import (
 var errLogGap = errors.New("log sequence gap")
 
 // decodedTxn is one redo record decoded back into the exact shape Commit
-// serialised — the input of the lean replay path. applyDecoded keeps the
-// created nodes' property lists and copies everything else, so one
-// decodedTxn serves a whole segment.
+// serialised — the input of Store.install. The install keeps the created
+// nodes' property lists and copies everything else, so one decodedTxn
+// serves a whole segment.
 type decodedTxn struct {
 	ts      int64
 	created []*pendingNode
-	sets    []pendingProp
 	edges   []pendingEdge
 }
 
@@ -128,9 +127,12 @@ func (s *Store) replaySegment(sf segmentFile, ckptTS int64, last bool, info *Rec
 			return 0, fmt.Errorf("%w: %w: segment %s: record carries commit %d, expected %d",
 				ErrCorrupt, errLogGap, base, dtx.ts, next)
 		}
-		if err := s.applyDecoded(dtx); err != nil {
-			return 0, fmt.Errorf("segment %s: %w", base, err)
-		}
+		// Created nodes were serialised in Commit's sorted ID order, so the
+		// per-kind scan lists rebuild identically. No reader observes the
+		// store yet.
+		s.install(nil, dtx.ts, dtx.created, dtx.edges)
+		s.clock.Store(dtx.ts)
+		s.commits.Add(1)
 		info.Replayed++
 		cleanLen = end
 	}
@@ -150,7 +152,7 @@ func decodeTxnPayload(d *walDecoder, start, end int64, dtx *decodedTxn) error {
 	d.pos = int(start)
 	d.err = nil
 	dtx.ts = int64(d.u64())
-	dtx.created, dtx.sets, dtx.edges = dtx.created[:0], dtx.sets[:0], dtx.edges[:0]
+	dtx.created, dtx.edges = dtx.created[:0], dtx.edges[:0]
 	n := int(d.u32())
 	for i := 0; i < n && d.err == nil; i++ {
 		switch d.u8() {
@@ -168,10 +170,6 @@ func decodeTxnPayload(d *walDecoder, start, end int64, dtx *decodedTxn) error {
 				}
 			}
 			dtx.created = append(dtx.created, &pendingNode{id: id, props: props})
-		case 2:
-			id := ids.ID(d.u64())
-			p := d.prop()
-			dtx.sets = append(dtx.sets, pendingProp{id: id, key: p.Key, val: p.Val()})
 		case 3:
 			from := ids.ID(d.u64())
 			t := d.edgeType()
@@ -179,7 +177,7 @@ func decodeTxnPayload(d *walDecoder, start, end int64, dtx *decodedTxn) error {
 			stamp := int64(d.u64())
 			sym := d.u8() == 1
 			dtx.edges = append(dtx.edges, pendingEdge{from: from, to: to, t: t, stamp: stamp, sym: sym})
-		default:
+		default: // including the retired kinds 2 (set-prop) and 4 (del-edge)
 			return fmt.Errorf("%w: unknown op kind", ErrCorrupt)
 		}
 	}
@@ -202,51 +200,4 @@ func (d *walDecoder) edgeType() EdgeType {
 		d.err = fmt.Errorf("invalid edge type %d", uint8(t))
 	}
 	return t
-}
-
-// applyDecoded installs one decoded redo record through the lean replay
-// path: the same shard installs, kind-list appends and adjacency writes as
-// Commit's critical section, minus validation, WAL append and delta
-// recording. Runs in timestamp order on a store no reader observes yet.
-func (s *Store) applyDecoded(dtx *decodedTxn) error {
-	ts := dtx.ts
-	// Created nodes were serialised in sorted ID order by Commit, so the
-	// per-kind scan lists rebuild identically.
-	for _, n := range dtx.created {
-		sh := s.shardFor(n.id)
-		sh.mu.Lock()
-		sh.nodes[n.id] = &nodeRec{id: n.id, versions: []nodeVersion{{commit: ts, props: n.props}}}
-		sh.mu.Unlock()
-	}
-	if len(dtx.created) > 0 {
-		s.kindMu.Lock()
-		for _, n := range dtx.created {
-			s.byKind[n.id.Kind()] = append(s.byKind[n.id.Kind()], n.id)
-		}
-		s.kindMu.Unlock()
-	}
-	for _, set := range dtx.sets {
-		sh := s.shardFor(set.id)
-		sh.mu.Lock()
-		rec := sh.nodes[set.id]
-		if rec == nil {
-			sh.mu.Unlock()
-			return fmt.Errorf("%w: set-prop on unknown node %v", ErrCorrupt, set.id)
-		}
-		last := rec.versions[len(rec.versions)-1]
-		next := last.props.with(set.key, set.val)
-		rec.versions = append(rec.versions, nodeVersion{commit: ts, props: next})
-		sh.mu.Unlock()
-	}
-	for _, pe := range dtx.edges {
-		s.installEdge(nil, pe.from, pe.t, pe.to, pe.stamp, ts, false)
-		if pe.sym {
-			s.installEdge(nil, pe.to, pe.t, pe.from, pe.stamp, ts, false)
-		} else {
-			s.installEdge(nil, pe.to, pe.t, pe.from, pe.stamp, ts, true)
-		}
-	}
-	s.clock.Store(ts)
-	s.commits.Add(1)
-	return nil
 }

@@ -30,9 +30,9 @@ type Stats struct {
 
 	// MutableBytes is the heap the mutable MVCC side holds, the sum of
 	// Tables[i].Bytes: per node, the shard-map entry, the record, its row
-	// table and its version chain with the property lists; per adjacency
-	// entry, the lists at capacity (append slack is real memory), which is
-	// MutableAdjBytes over MutableEntries (each logical edge counts twice).
+	// table and its property list; per adjacency entry, the lists at
+	// capacity (append slack is real memory), which is MutableAdjBytes over
+	// MutableEntries (each logical edge counts twice).
 	MutableBytes    int64
 	MutableAdjBytes int64
 	MutableEntries  int
@@ -72,10 +72,10 @@ type ViewMem struct {
 	Edges int // stored direction-entries (each logical edge counts twice)
 
 	AdjBytes     int64 // encoded adjacency: shared varint slab + per-row offset indexes
-	PropBytes    int64 // ordinal -> property row table; the rows are the MVCC side's (Stats.MutableBytes)
+	PropBytes    int64 // ordinal -> property row tables, base and appended; the rows are the MVCC side's (Stats.MutableBytes)
 	NodeBytes    int64 // base ordinal mapping: ordinal->ID slice and ID->ordinal directory
 	KindBytes    int64 // per-kind scan lists
-	OverlayBytes int64 // the era's refresh state: page tables, headers, touched rows and their commit stamps, appended ordinals, spill
+	OverlayBytes int64 // the era's refresh state: page tables, headers, touched rows and their commit stamps, appended ordinals and their ID table, spill
 
 	// AdjCacheBytes is the decode cache: rows the read path has actually
 	// iterated, decoded once and kept as []Edge (codec.go). It grows with
@@ -137,7 +137,7 @@ func (v *SnapshotView) MemStats() ViewMem {
 			m.UncompressedAdjBytes += int64(c.entries)*viewEdgeBytes + int64(len(c.offsets))*4
 		}
 	}
-	m.PropBytes = int64(len(b.props)) * sliceHdrBytes
+	m.PropBytes = int64(len(b.props)+cap(v.propsOver)) * sliceHdrBytes
 	m.NodeBytes = int64(len(b.nodes))*8 + int64(len(b.ord.kinds))*int64(unsafe.Sizeof(dirKind{}))
 	for _, k := range b.ord.kinds {
 		m.NodeBytes += int64(len(k.dir)) * 4
@@ -149,10 +149,9 @@ func (v *SnapshotView) MemStats() ViewMem {
 	// Overlay state: refresh-appended ordinals and their ID table, the page
 	// tables' top levels and pages, every current row header with its
 	// entries and commit stamps at capacity (append-shared arrays hold their
-	// spare slots), every property header still chained, plus any spill rows
-	// the encoder kept raw. Property rows are the MVCC side's, as for the
-	// base. Edges gains the entries the era appended by the view's
-	// timestamp; a first-touched row's base part is already in the csr's.
+	// spare slots), plus any spill rows the encoder kept raw. Edges gains the
+	// entries the era appended by the view's timestamp; a first-touched
+	// row's base part is already in the csr's.
 	m.OverlayBytes += int64(cap(v.nodesOver)) * 8
 	if v.ordOver != nil {
 		m.OverlayBytes += int64(len(v.ordOver.slots)) * 4
@@ -164,11 +163,6 @@ func (v *SnapshotView) MemStats() ViewMem {
 				m.OverlayBytes += int64(unsafe.Sizeof(*h)) + int64(cap(h.edges))*viewEdgeBytes + int64(cap(h.commits))*8
 			})
 		}
-		m.OverlayBytes += o.props.each(func(h *propHdr) {
-			for ; h != nil; h = h.prev {
-				m.OverlayBytes += int64(unsafe.Sizeof(*h))
-			}
-		})
 	}
 	for _, row := range b.spill {
 		m.Edges += len(row)
@@ -179,7 +173,7 @@ func (v *SnapshotView) MemStats() ViewMem {
 
 // each calls fn on every header in t and returns the bytes of t's top
 // level and pages.
-func (t overTable[H]) each(fn func(*H)) int64 {
+func (t overTable) each(fn func(*rowHdr)) int64 {
 	n := int64(len(t)) * 8
 	for i := range t {
 		p := t[i].Load()
@@ -215,13 +209,10 @@ func (s *Store) ComputeStats() Stats {
 			k := id.Kind()
 			kindRows[k]++
 			// Measured sizes at capacity, not nominal ones: the record, its
-			// row table and version chain, every version's property list.
+			// row table and its property list.
 			b := mapEntryBytes + int64(unsafe.Sizeof(*rec)) +
 				int64(cap(rec.adj.rows))*int64(unsafe.Sizeof(adjRow{})) +
-				int64(cap(rec.versions))*int64(unsafe.Sizeof(nodeVersion{}))
-			for _, v := range rec.versions {
-				b += int64(cap(v.props)) * int64(unsafe.Sizeof(Prop{}))
-			}
+				int64(cap(rec.props))*int64(unsafe.Sizeof(Prop{}))
 			kindBytes[k] += b
 			st.MutableBytes += b
 			for _, r := range rec.adj.rows {

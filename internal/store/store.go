@@ -10,8 +10,7 @@ import (
 const shardCount = 64
 
 // shard holds a partition of the node map. The shard lock guards the map
-// and every nodeRec it owns (property versions, the adjacency row table and
-// its lists).
+// and the adjacency of every nodeRec it owns (the row table and its lists).
 type shard struct {
 	mu    sync.RWMutex
 	nodes map[ids.ID]*nodeRec // guarded by mu
@@ -47,7 +46,6 @@ type Store struct {
 	// compactDone is non-nil while a background compaction is in flight and
 	// closed when its goroutine is done (delta.go).
 	compactDone chan struct{} // guarded by viewMu
-	gcHorizon   int64         // guarded by viewMu; highest horizon any GC has run at
 	rowWork     rowWork       // guarded by viewMu; the cached lineage's refresh scratch
 
 	// Incremental view maintenance (delta.go): the ring of commit deltas
@@ -172,15 +170,11 @@ func (s *Store) nodesOfKind(kind ids.Kind, ts int64) []ids.ID {
 	return list[:n:n]
 }
 
-// visibleAt reports whether a stored node has a version visible at ts.
+// visibleAt reports whether a stored node is visible at ts.
 func (s *Store) visibleAt(id ids.ID, ts int64) bool {
 	sh := s.shardFor(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	rec := sh.nodes[id]
-	if rec == nil {
-		return false
-	}
-	_, ok := rec.visibleProps(ts)
-	return ok
+	return rec != nil && rec.commit <= ts
 }

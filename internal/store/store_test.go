@@ -85,54 +85,6 @@ func TestDuplicateCreateConflict(t *testing.T) {
 	}
 }
 
-func TestWriteWriteConflict(t *testing.T) {
-	s := New()
-	id := personID(4)
-	setup := s.Begin()
-	setup.CreateNode(id, Props{NewProp(PropFirstName, String("a"))})
-	if err := setup.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	t1, t2 := s.Begin(), s.Begin()
-	t1.SetProp(id, PropFirstName, String("b"))
-	t2.SetProp(id, PropFirstName, String("c"))
-	if err := t1.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := t2.Commit(); !errors.Is(err, ErrConflict) {
-		t.Fatalf("want ErrConflict, got %v", err)
-	}
-	s.View(func(tx *Txn) {
-		if got := tx.Prop(id, PropFirstName).Str(); got != "b" {
-			t.Fatalf("first committer should win, got %q", got)
-		}
-	})
-}
-
-func TestSetPropVersioning(t *testing.T) {
-	s := New()
-	id := personID(5)
-	tx := s.Begin()
-	tx.CreateNode(id, Props{NewProp(PropFirstName, String("v1"))})
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	old := s.Begin() // snapshot at version 1
-	up := s.Begin()
-	up.SetProp(id, PropFirstName, String("v2"))
-	if err := up.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if got := old.Prop(id, PropFirstName).Str(); got != "v1" {
-		t.Fatalf("old snapshot sees %q", got)
-	}
-	s.View(func(tx *Txn) {
-		if got := tx.Prop(id, PropFirstName).Str(); got != "v2" {
-			t.Fatalf("new snapshot sees %q", got)
-		}
-	})
-}
-
 func TestEdgesDirectedAndReverse(t *testing.T) {
 	s := New()
 	p, m := personID(6), postID(1)
@@ -191,9 +143,6 @@ func TestReadOnlyRejectsWrites(t *testing.T) {
 		}
 		if err := tx.AddEdge(personID(9), EdgeKnows, personID(10), 0); err == nil {
 			t.Fatal("read-only edge allowed")
-		}
-		if err := tx.SetProp(personID(9), PropFirstName, String("x")); err == nil {
-			t.Fatal("read-only setprop allowed")
 		}
 	})
 }

@@ -8,12 +8,9 @@ import (
 	"ldbcsnb/internal/ids"
 )
 
-// ErrConflict is returned by Commit when first-committer-wins validation
-// fails (another transaction committed a conflicting write after this
-// transaction's snapshot).
-var ErrConflict = errors.New("store: write-write conflict")
-
-// ErrExists is returned when creating a node whose ID is already taken.
+// ErrExists is returned when creating a node whose ID is already taken:
+// node properties are write-once and edges insert-only, so a node ID created
+// twice is the only write-write conflict, and the second committer loses.
 var ErrExists = errors.New("store: node already exists")
 
 // ErrStoreClosed is returned by Commit and AcquireViewChecked once the
@@ -29,13 +26,6 @@ var ErrStoreClosed = errors.New("store: closed")
 type pendingNode struct {
 	id    ids.ID
 	props Props
-}
-
-// pendingProp is a buffered property update on an existing node.
-type pendingProp struct {
-	id  ids.ID
-	key PropKey
-	val Value
 }
 
 // pendingEdge is a buffered edge insertion.
@@ -56,7 +46,6 @@ type Txn struct {
 	done     bool
 
 	newNodes  map[ids.ID]*pendingNode
-	propSets  []pendingProp
 	newEdges  []pendingEdge
 	edgeIndex map[ids.ID][]int // from-node -> indices into newEdges, for own-write reads
 }
@@ -84,20 +73,6 @@ func (tx *Txn) CreateNode(id ids.ID, props Props) error {
 		return fmt.Errorf("%w: %v created twice in transaction", ErrExists, id)
 	}
 	tx.newNodes[id] = &pendingNode{id: id, props: props.exact()}
-	return nil
-}
-
-// SetProp buffers a property update on an existing node (creates a new
-// MVCC version at commit).
-func (tx *Txn) SetProp(id ids.ID, key PropKey, val Value) error {
-	if tx.readonly {
-		return errors.New("store: write in read-only transaction")
-	}
-	if n, ok := tx.newNodes[id]; ok {
-		n.props = n.props.with(key, val)
-		return nil
-	}
-	tx.propSets = append(tx.propSets, pendingProp{id, key, val})
 	return nil
 }
 
@@ -141,54 +116,30 @@ func (tx *Txn) Exists(id ids.ID) bool {
 // Prop returns one property of a node (zero Value if the node or property
 // is absent).
 func (tx *Txn) Prop(id ids.ID, key PropKey) Value {
-	if n, ok := tx.newNodes[id]; ok {
-		return n.props.Get(key)
-	}
-	sh := tx.s.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	rec := sh.nodes[id]
-	if rec == nil {
-		return Value{}
-	}
-	ps, ok := rec.visibleProps(tx.snapshot)
-	if !ok {
-		return Value{}
-	}
-	// Own buffered SetProps overlay the snapshot.
-	for i := len(tx.propSets) - 1; i >= 0; i-- {
-		if tx.propSets[i].id == id && tx.propSets[i].key == key {
-			return tx.propSets[i].val
-		}
-	}
+	ps, _ := tx.props(id)
 	return ps.Get(key)
 }
 
 // Props returns an exactly sized copy of all visible properties of a node.
 func (tx *Txn) Props(id ids.ID) (Props, bool) {
+	ps, ok := tx.props(id)
+	return ps.clone(), ok
+}
+
+// props returns the node's property list: the transaction's own creation,
+// or the committed row when the node is visible at the snapshot. The row is
+// shared and must not be written.
+func (tx *Txn) props(id ids.ID) (Props, bool) {
 	if n, ok := tx.newNodes[id]; ok {
-		return n.props.clone(), true
+		return n.props, true
 	}
 	sh := tx.s.shardFor(id)
 	sh.mu.RLock()
-	rec := sh.nodes[id]
-	var ps Props
-	ok := false
-	if rec != nil {
-		if vis, v := rec.visibleProps(tx.snapshot); v {
-			ps, ok = vis.clone(), true
-		}
+	defer sh.mu.RUnlock()
+	if rec := sh.nodes[id]; rec != nil && rec.commit <= tx.snapshot {
+		return rec.props, true
 	}
-	sh.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	for _, set := range tx.propSets {
-		if set.id == id {
-			ps = ps.with(set.key, set.val)
-		}
-	}
-	return ps, true
+	return nil, false
 }
 
 // Out returns the visible outgoing edges of a node for one edge type, in
@@ -295,8 +246,7 @@ func (tx *Txn) Abort() {
 }
 
 // Commit validates and installs the transaction's writes atomically,
-// returning ErrConflict under first-committer-wins validation failure and
-// ErrExists if a created node ID was concurrently taken.
+// returning ErrExists if a created node ID was concurrently taken.
 //
 // The critical section under commitMu is short: validate, install, claim
 // the commit timestamp and serialise the redo record into the WAL's
@@ -309,7 +259,7 @@ func (tx *Txn) Commit() error {
 		return errors.New("store: transaction finished")
 	}
 	tx.done = true
-	if tx.readonly || (len(tx.newNodes) == 0 && len(tx.propSets) == 0 && len(tx.newEdges) == 0) {
+	if tx.readonly || (len(tx.newNodes) == 0 && len(tx.newEdges) == 0) {
 		tx.s.commits.Add(1)
 		return nil
 	}
@@ -348,7 +298,8 @@ func (tx *Txn) commitLocked() (int64, error) {
 		return 0, ErrStoreClosed
 	}
 
-	// Validation.
+	// Validation: a created ID must still be free — neither created nor
+	// materialised as a bare edge endpoint by any commit so far.
 	for id := range tx.newNodes {
 		sh := s.shardFor(id)
 		sh.mu.RLock()
@@ -357,22 +308,6 @@ func (tx *Txn) commitLocked() (int64, error) {
 		if exists {
 			s.aborts.Add(1)
 			return 0, fmt.Errorf("%w: %v", ErrExists, id)
-		}
-	}
-	for _, set := range tx.propSets {
-		sh := s.shardFor(set.id)
-		sh.mu.RLock()
-		rec := sh.nodes[set.id]
-		var conflict bool
-		if rec == nil {
-			conflict = true // node vanished / never existed
-		} else if rec.versions[len(rec.versions)-1].commit > tx.snapshot {
-			conflict = true // someone updated it after our snapshot
-		}
-		sh.mu.RUnlock()
-		if conflict {
-			s.aborts.Add(1)
-			return 0, fmt.Errorf("%w: node %v", ErrConflict, set.id)
 		}
 	}
 
@@ -386,16 +321,48 @@ func (tx *Txn) commitLocked() (int64, error) {
 	}
 
 	// Install node creations in deterministic ID order so the per-kind
-	// scan lists are reproducible.
+	// scan lists are reproducible (and the redo record replays them in it).
 	created := make([]*pendingNode, 0, len(tx.newNodes))
 	for _, n := range tx.newNodes {
 		created = append(created, n)
 	}
 	sort.Slice(created, func(i, j int) bool { return created[i].id < created[j].id })
+	s.install(delta, ts, created, tx.newEdges)
+
+	// Record the view-maintenance delta before the clock advances so a
+	// refresh observing the new watermark always finds its deltas.
+	if delta != nil {
+		s.recordDelta(delta)
+	}
+
+	// Hand the redo record to the WAL before publishing the commit (still
+	// under commitMu, so deposits preserve commit order — the invariant
+	// behind the durability watermark).
+	if s.gwal != nil {
+		s.gwal.deposit(ts, created, tx.newEdges)
+	}
+
+	// Advance the watermark: the transaction becomes visible atomically.
+	s.clock.Store(ts)
+	s.commits.Add(1)
+	return ts, nil
+}
+
+// install stores one transaction's writes at commit timestamp ts: the
+// created nodes (in the order given), their kind-list entries and every
+// edge in both directions. It is the whole of a commit's install — Commit's
+// critical section runs it between validation and the WAL deposit, and WAL
+// replay runs it per record with a nil delta — and it leaves the clock to
+// the caller. The installs are mirrored into delta when it is non-nil.
+//
+// Edges tolerate endpoints that were never created: installEdge
+// materialises a bare record (no properties) so the adjacency stays
+// navigable, the way column stores keep FK rows.
+func (s *Store) install(delta *CommitDelta, ts int64, created []*pendingNode, edges []pendingEdge) {
 	for _, n := range created {
 		sh := s.shardFor(n.id)
 		sh.mu.Lock()
-		sh.nodes[n.id] = &nodeRec{id: n.id, versions: []nodeVersion{{commit: ts, props: n.props}}}
+		sh.nodes[n.id] = &nodeRec{id: n.id, commit: ts, props: n.props}
 		sh.mu.Unlock()
 		if delta != nil {
 			delta.nodes = append(delta.nodes, deltaNode{id: n.id, props: n.props, inKindList: true})
@@ -408,26 +375,7 @@ func (tx *Txn) commitLocked() (int64, error) {
 		}
 		s.kindMu.Unlock()
 	}
-
-	// Property updates: append new versions.
-	for _, set := range tx.propSets {
-		sh := s.shardFor(set.id)
-		sh.mu.Lock()
-		rec := sh.nodes[set.id]
-		last := rec.versions[len(rec.versions)-1]
-		next := last.props.with(set.key, set.val)
-		rec.versions = append(rec.versions, nodeVersion{commit: ts, props: next})
-		sh.mu.Unlock()
-		if delta != nil {
-			delta.props = append(delta.props, deltaProp{id: set.id, props: next})
-		}
-	}
-
-	// Edge insertions. Auto-create is not supported: dangling endpoints
-	// are a programming error surfaced at load time by the workload layer,
-	// but here we tolerate missing peers by creating bare records so the
-	// adjacency stays navigable (mirrors how column stores keep FK rows).
-	for _, pe := range tx.newEdges {
+	for _, pe := range edges {
 		s.installEdge(delta, pe.from, pe.t, pe.to, pe.stamp, ts, false)
 		if pe.sym {
 			s.installEdge(delta, pe.to, pe.t, pe.from, pe.stamp, ts, false)
@@ -435,24 +383,6 @@ func (tx *Txn) commitLocked() (int64, error) {
 			s.installEdge(delta, pe.to, pe.t, pe.from, pe.stamp, ts, true)
 		}
 	}
-
-	// Record the view-maintenance delta before the clock advances so a
-	// refresh observing the new watermark always finds its deltas.
-	if delta != nil {
-		s.recordDelta(delta)
-	}
-
-	// Hand the redo record to the WAL before publishing the commit (still
-	// under commitMu, so deposits preserve commit order — the invariant
-	// behind the durability watermark).
-	if s.gwal != nil {
-		s.gwal.deposit(ts, created, tx.propSets, tx.newEdges)
-	}
-
-	// Advance the watermark: the transaction becomes visible atomically.
-	s.clock.Store(ts)
-	s.commits.Add(1)
-	return ts, nil
 }
 
 // installEdge appends one adjacency entry; reverse=true stores it in the
@@ -465,7 +395,7 @@ func (s *Store) installEdge(delta *CommitDelta, from ids.ID, t EdgeType, to ids.
 	sh.mu.Lock()
 	rec := sh.nodes[from]
 	if rec == nil {
-		rec = &nodeRec{id: from, versions: []nodeVersion{{commit: ts, props: nil}}}
+		rec = &nodeRec{id: from, commit: ts}
 		sh.nodes[from] = rec
 		if delta != nil {
 			delta.nodes = append(delta.nodes, deltaNode{id: from})

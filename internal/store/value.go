@@ -3,15 +3,17 @@
 //
 // The engine provides what §4 of the paper requires of a SUT: transactional
 // updates running concurrently with queries under at-least-read-committed
-// semantics. It implements snapshot isolation with first-committer-wins
-// write-write conflict detection; the paper notes that "given the nature of
-// the update workload, systems providing snapshot isolation behave
-// identically to serializable".
+// semantics. It implements snapshot isolation; the paper notes that "given
+// the nature of the update workload, systems providing snapshot isolation
+// behave identically to serializable". That update workload (U1–U8) only
+// inserts, and so does the store: node properties are fixed when the node is
+// created and edges are never deleted, so the one write-write conflict is a
+// node ID created twice, which the second committer loses (ErrExists).
 //
 // Design, in the spirit of the two vendor systems of §5:
 //   - property graph data model (nodes with typed properties, typed directed
-//     edges carrying one timestamp-like attribute), like Sparksee; edges are
-//     insert-only, as in the paper's update stream (U1–U8 are all inserts);
+//     edges carrying one timestamp-like attribute), like Sparksee; nodes and
+//     edges are insert-only;
 //   - adjacency lists per (node, edge type, direction) — the materialised
 //     neighbourhoods §5 mentions for Sparksee — held per node as a sparse
 //     row table: a node pays for the lists it has (graph.go).
@@ -21,8 +23,8 @@
 // The store exposes two read paths with identical visibility semantics:
 //
 //   - MVCC transactions (Begin/View + Txn): reads take shard read locks,
-//     filter version chains and adjacency lists by commit timestamp per
-//     call, and overlay the transaction's own uncommitted writes. This is
+//     filter node records and adjacency lists by commit timestamp per call,
+//     and overlay the transaction's own uncommitted writes. This is
 //     the only path that can see its own writes and the path every update
 //     uses.
 //   - Snapshot views (CurrentView + SnapshotView): an immutable
@@ -44,23 +46,22 @@
 //
 // The view epoch advances in time proportional to the delta, neither the
 // dataset nor the overlay already accumulated: every commit records a
-// compact CommitDelta (created nodes, replaced property lists, inserted
-// adjacency entries) in a bounded in-memory ring, and the
-// first CurrentView call after a commit applies the pending deltas onto
-// the era's shared overlay — adjacency rows and kind lists are appended
-// to in place beyond every published length, and each touched row gets a
-// new commit-stamped header that older views read their own prefix of
-// (delta.go). New
-// nodes receive appended ordinals, so existing ordinals stay stable
-// within an era (SnapshotView.Era) and a refreshed view shares the era's
-// base. The full recompaction — sorted IDs, dense
-// reassigned ordinals, a fresh era — runs on a background goroutine once
-// the overlay outgrows a fixed fraction of the base
-// (SetViewCompactThreshold overrides the trigger) and is swapped in when
-// it has caught up; a reader compacts inline only for the first view and
-// after a delta-ring overflow (SetViewDeltaCap). ViewStats counts
-// refreshes, rebuilds, era bumps, overflows and background compactions,
-// and reports the overlay's size against the trigger.
+// compact CommitDelta (created nodes, inserted adjacency entries) in a
+// bounded in-memory ring, and the first CurrentView call after a commit
+// applies the pending deltas onto the era's shared overlay — adjacency rows,
+// appended ordinals with their property rows and kind lists are appended to
+// in place beyond every published length, and each touched row gets a new
+// commit-stamped header that older views read their own prefix of
+// (delta.go). New nodes receive appended ordinals, so existing ordinals stay
+// stable within an era (SnapshotView.Era) and a refreshed view shares the
+// era's base. The full recompaction — sorted IDs, dense reassigned
+// ordinals, a fresh era — runs on a background goroutine once the overlay
+// outgrows a fixed fraction of the base (SetViewCompactThreshold overrides
+// the trigger) and is swapped in when it has caught up; a reader compacts
+// inline only for the first view and after a delta-ring overflow
+// (SetViewDeltaCap). ViewStats counts refreshes, rebuilds, era bumps,
+// overflows and background compactions, and reports the overlay's size
+// against the trigger.
 package store
 
 import (
@@ -220,10 +221,10 @@ func NewProp(key PropKey, v Value) Prop { return Prop{bits: v.bits, k: v.k, Key:
 // Val returns the property's value.
 func (p Prop) Val() Value { return Value{bits: p.bits, k: p.k} }
 
-// Props is the property list of one node version. A stored list is
-// immutable and exactly sized (cap == len): the MVCC version, every
-// snapshot view that sees it and every commit delta share the one row, and
-// a caller appending to a returned list gets a fresh array.
+// Props is the property list of one node. A stored list is immutable and
+// exactly sized (cap == len): the node record, every snapshot view that sees
+// it and every commit delta share the one row, and a caller appending to a
+// returned list gets a fresh array.
 type Props []Prop
 
 // Get returns the value for a key (zero Value if absent).
@@ -234,19 +235,6 @@ func (ps Props) Get(k PropKey) Value {
 		}
 	}
 	return Value{}
-}
-
-// with returns an exactly sized copy of ps with key set to v (replacing or
-// appending). It never writes ps: views and deltas share it.
-func (ps Props) with(k PropKey, v Value) Props {
-	i := 0
-	for i < len(ps) && ps[i].Key != k {
-		i++
-	}
-	out := make(Props, max(len(ps), i+1))
-	copy(out, ps)
-	out[i] = NewProp(k, v)
-	return out
 }
 
 // clone returns an exactly sized copy of ps, nil when ps is empty.

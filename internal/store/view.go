@@ -14,11 +14,10 @@ import (
 // slab (codec.go), and one property row per compact node ordinal. The
 // compact layout is what lets thousand-person scale factors stay resident:
 // a stored direction-entry costs a few bytes instead of a 16-byte Edge
-// struct. Property rows are not copied at all: each
-// ordinal points at the immutable row of the MVCC version visible at the
-// view's timestamp (fixed-width 16-byte Props, strings as interned
-// symbols, internal/intern), so a node's properties are stored once
-// however many views see them.
+// struct. Property rows are not copied at all: each ordinal points at the
+// node record's immutable row (fixed-width 16-byte Props, strings as
+// interned symbols, internal/intern), so a node's properties are stored
+// once however many views see them.
 //
 // A view is frozen at construction: its own fields never change, and the
 // overlay it shares with the rest of its era it reads at its own timestamp,
@@ -39,10 +38,10 @@ import (
 //     the commit deltas of the intervening transactions (internal/store
 //     delta.go). The refreshed view shares the predecessor's viewBase and
 //     the era's overlay: ordinal-indexed page tables of commit-stamped row
-//     and property headers, over adjacency rows (decoded from the slab into
-//     plain []Edge rows on first touch in the era) that later refreshes
-//     append to in place; new nodes receive ordinals appended after the
-//     existing ones. Cost is proportional to the delta, neither to the
+//     headers, over adjacency rows (decoded from the slab into plain []Edge
+//     rows on first touch in the era) that later refreshes append to in
+//     place; new nodes receive ordinals appended after the existing ones,
+//     their property rows appended beside them. Cost is proportional to the delta, neither to the
 //     dataset nor to the overlay accumulated so far.
 //   - Compaction: the whole visible state is recompacted into a fresh
 //     viewBase — node IDs sorted, ordinals reassigned densely, adjacency
@@ -64,7 +63,7 @@ import (
 //
 // Being frozen is also what makes a view the checkpointing unit: the
 // durable checkpointer (checkpoint.go) serialises a SnapshotView to disk
-// while commits, GC and even a compaction era bump proceed concurrently —
+// while commits and even a compaction era bump proceed concurrently —
 // the held view stays frozen no matter what the cached view does, so
 // checkpoints never stop the write path.
 type SnapshotView struct {
@@ -80,6 +79,7 @@ type SnapshotView struct {
 	// "Append-sharing" in delta.go for why neither disturbs a reader of an
 	// older view.
 	nodesOver []ids.ID  // ordinal len(base.nodes)+i -> appended node ID
+	propsOver []Props   // ordinal len(base.nodes)+i -> its property row, nil for a bare endpoint
 	ordOver   *ordTable // appended node ID -> index into nodesOver
 	over      *overlay  // the era's page tables as this view was published with them; nil before the era's first refresh
 
@@ -107,10 +107,9 @@ type viewBase struct {
 	nodes []ids.ID // ordinal -> node ID, ascending
 	ord   ordDir   // node ID -> position in nodes, i.e. ordinal
 
-	// props is ordinal -> property row: the row of the node's MVCC version
-	// visible at the compaction timestamp, shared, not copied. Sharing is
-	// safe because a stored row is never written: SetProp commits a new,
-	// exactly sized row (Props.with), so a later commit cannot reach it.
+	// props is ordinal -> property row: the node record's row, shared, not
+	// copied. Sharing is safe because a stored row is never written: node
+	// properties are fixed when the node becomes visible.
 	props []Props
 
 	slab    []byte // the shared adjacency byte slab every csr.data aliases
@@ -127,9 +126,9 @@ type viewBase struct {
 }
 
 // The overlay's page tables: ordinals are dense, so a touched row is found
-// by index, not by hashing. There is one table per rowKey(type, direction)
-// and one for property lists; a page covers overPageSize consecutive
-// ordinals and holds a pointer to the current header of each. Pages are
+// by index, not by hashing. There is one table per rowKey(type, direction);
+// a page covers overPageSize consecutive ordinals and holds a pointer to the
+// current header of each. Pages are
 // never copied: a refresh stores new headers into them in place, so the
 // fan-out only sets how much of a page a sparse table leaves empty and how
 // long the top levels are. Replaying one round of the Interactive mix on the
@@ -141,20 +140,19 @@ const (
 	overPageSize = 1 << overPageBits
 )
 
-type overPage[H any] [overPageSize]atomic.Pointer[H]
+type overPage [overPageSize]atomic.Pointer[rowHdr]
 
 // overTable is the top level of one page table: page ordinal>>overPageBits,
 // nil where no refresh of the era touched that range. It grows by copy; a
 // view keeps the one it was published with, and pages created after a copy
 // hold only state newer than every view that kept the old one.
-type overTable[H any] []atomic.Pointer[overPage[H]]
+type overTable []atomic.Pointer[overPage]
 
 // overlay is the set of top levels one view was published with. A refresh
 // that must grow or create a table publishes a copy of it; every other
 // refresh hands the same one on.
 type overlay struct {
-	rows  [2 * edgeTypeMax]overTable[rowHdr] // indexed by rowKey
-	props overTable[propHdr]
+	rows [2 * edgeTypeMax]overTable // indexed by rowKey
 }
 
 // rowHdr is one state of an overlay row, stored by the refresh at ts and
@@ -179,15 +177,6 @@ type rowStart struct {
 	edges   [2]Edge
 }
 
-// propHdr is one property list of a node, stored by the refresh at ts.
-// prev is the header it replaced in the era, which an older view still
-// reads; nil for the era's first, behind which the base row applies.
-type propHdr struct {
-	ts    int64
-	props Props
-	prev  *propHdr
-}
-
 func rowKey(t EdgeType, in bool) uint8 {
 	k := uint8(t) << 1
 	if in {
@@ -200,7 +189,7 @@ func rowKey(t EdgeType, in bool) uint8 {
 // era stored one: a bounds check and a nil check for an untouched page.
 //
 //snb:noalloc
-func (t overTable[H]) load(ord int32) *H {
+func (t overTable) load(ord int32) *rowHdr {
 	if i := int(ord) >> overPageBits; i < len(t) {
 		if p := t[i].Load(); p != nil {
 			return p[ord&(overPageSize-1)].Load()
@@ -585,21 +574,8 @@ func (v *SnapshotView) InDegree(id ids.ID, t EdgeType) int {
 
 // propsAt returns the property list of a visible ordinal.
 func (v *SnapshotView) propsAt(ord int32) Props {
-	if v.over != nil {
-		return v.overProps(ord)
-	}
-	return v.base.props[ord]
-}
-
-// overProps is propsAt on a view with an overlay: the newest header stored
-// by the view's timestamp, else the base row. Every appended ordinal has a
-// header from the refresh that created it, so the base fallback only runs
-// for compacted ordinals.
-func (v *SnapshotView) overProps(ord int32) Props {
-	for h := v.over.props.load(ord); h != nil; h = h.prev {
-		if h.ts <= v.ts {
-			return h.props
-		}
+	if n := int32(len(v.base.props)); ord >= n {
+		return v.propsOver[ord-n]
 	}
 	return v.base.props[ord]
 }
@@ -620,7 +596,7 @@ func (v *SnapshotView) Prop(id ids.ID, key PropKey) Value {
 }
 
 // Props returns the visible property list of a node. The slice is the
-// stored row the MVCC version and every view that sees it share, and must
+// stored row the node record and every view that sees it share, and must
 // not be mutated.
 func (v *SnapshotView) Props(id ids.ID) (Props, bool) {
 	o, ok := v.ord(id)
@@ -764,9 +740,6 @@ func (s *Store) AcquireViewChecked() (*SnapshotView, ViewEvent, error) {
 // a Txn at the same snapshot); the serving path is CurrentView. Each call
 // compacts from scratch and starts its own era (its ordinals are not
 // comparable with any other view's).
-//
-// After GC, ViewAt at a timestamp below the GC horizon may observe
-// reclaimed state; see Store.GC.
 func (s *Store) ViewAt(ts int64) *SnapshotView {
 	return s.buildView(ts)
 }
@@ -793,7 +766,7 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for id, rec := range sh.nodes {
-			if _, ok := rec.visibleProps(ts); ok {
+			if rec.commit <= ts {
 				b.nodes = append(b.nodes, id)
 			}
 		}
@@ -831,7 +804,7 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 		sh.mu.RLock()
 		for _, ord := range ordsByShard[si] {
 			rec := sh.nodes[b.nodes[ord]]
-			b.props[ord], _ = rec.visibleProps(ts)
+			b.props[ord] = rec.props
 			for _, r := range rec.adj.rows {
 				raw[r.key].offsets[ord+1] = int32(countVisible(r.list, ts))
 			}

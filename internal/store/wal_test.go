@@ -64,42 +64,6 @@ func TestWALCorruptInsideRotatedSegment(t *testing.T) {
 	}
 }
 
-// TestWALOrderPreservesVersions: two SetProps in separate transactions
-// must replay in commit order.
-func TestWALOrderPreservesVersions(t *testing.T) {
-	dir := t.TempDir()
-	p, _, err := Open(dir, manualOpts(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := personID(600)
-	tx := p.Begin()
-	tx.CreateNode(id, Props{NewProp(PropFirstName, String("v1"))})
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []string{"v2", "v3", "v4"} {
-		tx := p.Begin()
-		tx.SetProp(id, PropFirstName, String(v))
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, _, err := Open(dir, manualOpts(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	re.View(func(tx *Txn) {
-		if got := tx.Prop(id, PropFirstName).Str(); got != "v4" {
-			t.Fatalf("final version %q", got)
-		}
-	})
-}
-
 // edgeLogFixture writes a log of one record per segment — ts 1, 2: two
 // persons; ts 3: a likes edge between them; ts 4: a knows edge between
 // them; ts 5: a third person — stopping after the first n, and returns the
@@ -221,39 +185,54 @@ func delEdgePayload(ts int64, from ids.ID, t EdgeType, to ids.ID) []byte {
 	return appendU64(append(b, byte(t)), uint64(to))
 }
 
-// TestReplayRejectsRetiredDelEdge: edges are insert-only, and a CRC-valid
-// del-edge record fails Open with ErrCorrupt like any unknown op kind —
-// mid-chain and as the final record — instead of being taken for a torn
-// tail that silently drops it and every acknowledged commit after it.
+// setPropPayload hand-encodes a one-op payload of the retired kind 2
+// (set-prop: id:u64 prop).
+func setPropPayload(ts int64, id ids.ID, p Prop) []byte {
+	b := appendU32(appendU64(nil, uint64(ts)), 1)
+	return appendProp(appendU64(append(b, 2), uint64(id)), p)
+}
+
+// TestReplayRejectsRetiredDelEdge: node properties are write-once and edges
+// insert-only, and a CRC-valid record of a retired op kind — set-prop (2)
+// or del-edge (4) — fails Open with ErrCorrupt like any unknown op kind,
+// mid-chain and as the final record, instead of being taken for a torn tail
+// that silently drops it and every acknowledged commit after it. Each
+// record targets persons the log has already created.
 func TestReplayRejectsRetiredDelEdge(t *testing.T) {
-	for _, n := range []int{5, 4} { // record 4 mid-chain, then final
-		dir, segs := edgeLogFixture(t, n)
-		victim := segs[3]
-		data, err := os.ReadFile(victim.path)
-		if err != nil {
-			t.Fatal(err)
+	for _, op := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"set-prop", setPropPayload(4, personID(1), NewProp(PropLength, Int64(7)))},
+		{"del-edge", delEdgePayload(4, personID(1), EdgeLikes, personID(2))},
+	} {
+		for _, n := range []int{5, 4} { // record 4 mid-chain, then final
+			dir, segs := edgeLogFixture(t, n)
+			victim := segs[3]
+			data, err := os.ReadFile(victim.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := appendU32(appendU32(nil, uint32(len(op.payload))), crc32.ChecksumIEEE(op.payload))
+			data = append(append(data[:segHeaderSize:segHeaderSize], rec...), op.payload...)
+			if err := os.WriteFile(victim.path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			openRejects(t, fmt.Sprintf("%s as record 4 of %d", op.name, n), dir, victim)
 		}
-		payload := delEdgePayload(4, personID(1), EdgeLikes, personID(2))
-		rec := appendU32(appendU32(nil, uint32(len(payload))), crc32.ChecksumIEEE(payload))
-		data = append(append(data[:segHeaderSize:segHeaderSize], rec...), payload...)
-		if err := os.WriteFile(victim.path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		openRejects(t, fmt.Sprintf("del-edge as record 4 of %d", n), dir, victim)
 	}
 }
 
 // walPendings builds one representative committed-transaction shape (a
-// node with properties, a property update and a symmetric edge) for
-// exercising the record codec directly.
-func walPendings() ([]*pendingNode, []pendingProp, []pendingEdge) {
+// node with properties and a symmetric edge) for exercising the record
+// codec directly.
+func walPendings() ([]*pendingNode, []pendingEdge) {
 	created := []*pendingNode{{id: personID(1), props: Props{
 		NewProp(PropFirstName, String("Ada")),
 		NewProp(PropCreationDate, Int64(7)),
 	}}}
-	sets := []pendingProp{{id: personID(1), key: PropLastName, val: String("L")}}
 	edges := []pendingEdge{{from: personID(1), to: personID(2), t: EdgeKnows, stamp: 3, sym: true}}
-	return created, sets, edges
+	return created, edges
 }
 
 // idleBatcher returns a group-commit batcher with no flusher behind it, so
@@ -271,10 +250,10 @@ func idleBatcher() *groupWAL {
 // the reused buffer.
 func TestDepositZeroAlloc(t *testing.T) {
 	gw := idleBatcher()
-	created, sets, edges := walPendings()
+	created, edges := walPendings()
 	depositOne := func() {
 		gw.pending, gw.count = gw.pending[:0], 0 // the flusher's swap
-		gw.deposit(9, created, sets, edges)
+		gw.deposit(9, created, edges)
 	}
 	depositOne() // warm the pending buffer
 	if allocs := testing.AllocsPerRun(100, depositOne); allocs != 0 {
@@ -287,11 +266,11 @@ func TestDepositZeroAlloc(t *testing.T) {
 // 0 allocs/op).
 func BenchmarkWALDeposit(b *testing.B) {
 	gw := idleBatcher()
-	created, sets, edges := walPendings()
+	created, edges := walPendings()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		gw.pending, gw.count = gw.pending[:0], 0
-		gw.deposit(int64(i), created, sets, edges)
+		gw.deposit(int64(i), created, edges)
 	}
 }
 
@@ -306,28 +285,32 @@ func walDecodeAllocCeiling(n int) uint64 { return 32*uint64(n) + 64<<10 }
 // FuzzWALRecord feeds arbitrary payload bytes to the one redo-record
 // decoder: it returns an error, or a transaction whose re-encoding decodes
 // to the same transaction — never a panic, never an allocation above
-// walDecodeAllocCeiling. The retired del-edge kind is a seed that must
-// come back ErrCorrupt.
+// walDecodeAllocCeiling. The retired set-prop and del-edge kinds are seeds
+// that must come back ErrCorrupt.
 func FuzzWALRecord(f *testing.F) {
 	decode := func(b []byte, start int) (*decodedTxn, error) {
 		dtx := &decodedTxn{}
 		return dtx, decodeTxnPayload(&walDecoder{b: b}, int64(start), int64(len(b)), dtx)
 	}
-	created, sets, edges := walPendings()
-	f.Add(appendCommitRecord(nil, 9, created, sets, edges)[8:])
-	f.Add(appendCommitRecord(nil, 1, nil, nil, nil)[8:])
+	created, edges := walPendings()
+	f.Add(appendCommitRecord(nil, 9, created, edges)[8:])
+	f.Add(appendCommitRecord(nil, 1, nil, nil)[8:])
 	for _, typ := range []byte{0, byte(edgeTypeMax), 200} {
-		bad := appendCommitRecord(nil, 3, nil, nil, edges)[8:]
+		bad := appendCommitRecord(nil, 3, nil, edges)[8:]
 		bad[edgeTypeOff] = typ
 		f.Add(bad)
 	}
 	// A create-node claiming 65535 props it does not carry.
-	f.Add(append(appendCommitRecord(nil, 4, []*pendingNode{{id: personID(1)}}, nil, nil)[8:29], 0xFF, 0xFF))
-	del := delEdgePayload(5, personID(1), EdgeKnows, personID(2))
-	if _, err := decode(del, 0); !errors.Is(err, ErrCorrupt) {
-		f.Fatalf("retired del-edge op decoded: err = %v, want ErrCorrupt", err)
+	f.Add(append(appendCommitRecord(nil, 4, []*pendingNode{{id: personID(1)}}, nil)[8:29], 0xFF, 0xFF))
+	for _, retired := range [][]byte{
+		delEdgePayload(5, personID(1), EdgeKnows, personID(2)),
+		setPropPayload(6, personID(1), NewProp(PropLastName, String("L"))),
+	} {
+		if _, err := decode(retired, 0); !errors.Is(err, ErrCorrupt) {
+			f.Fatalf("retired op kind %d decoded: err = %v, want ErrCorrupt", retired[12], err)
+		}
+		f.Add(retired)
 	}
-	f.Add(del)
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		// The first decode interns the payload's strings (the interner is
 		// process-wide and grows by amortised doubling); the measured one
@@ -346,7 +329,7 @@ func FuzzWALRecord(f *testing.F) {
 			}
 			return
 		}
-		rec := appendCommitRecord(nil, dtx.ts, dtx.created, dtx.sets, dtx.edges)
+		rec := appendCommitRecord(nil, dtx.ts, dtx.created, dtx.edges)
 		again, err := decode(rec, 8)
 		if err != nil {
 			t.Fatalf("re-encoded record does not decode: %v", err)

@@ -8,8 +8,9 @@ import (
 )
 
 // The 8 transactional updates (U1-U8 of Table 9). Each runs as one ACID
-// transaction against the store; conflicts surface as store.ErrConflict /
-// store.ErrExists and are the caller's to retry or report.
+// transaction against the store; the store is insert-only, so the one
+// conflict is an ID created twice, which surfaces as store.ErrExists and is
+// the caller's to report.
 
 // ApplyUpdate executes one update-stream operation in its own transaction.
 func ApplyUpdate(st *store.Store, u *schema.Update) error {

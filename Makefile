@@ -13,12 +13,14 @@ check: fmt vet build test harness lint docs-check
 # day it lands (wired into CI). The view-lineage tests and the BI morsel
 # workers on a held view under the era's writer then run twenty times
 # more: the era's shared overlay rests on atomics, and the detector only
-# finds a misused one when a run happens to interleave on it. So does the
+# finds a misused one when a run happens to interleave on it. The first
+# view racing the committers rides along: refreshers and the background
+# compaction read the write sets the committers buffered. So does the
 # ACID battery's one concurrent-commit check, racing appends to a single
 # adjacency row.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'TestViewLineageUnderReaders|TestHeldViewsReadTheirStamps' ./internal/store
+	$(GO) test -race -count=20 -run 'TestViewLineageUnderReaders|TestHeldViewsReadTheirStamps|TestFirstViewRacesCommitters' ./internal/store
 	$(GO) test -race -count=20 -run 'TestBattery|TestLostAppendRepeated' ./internal/store
 	$(GO) test -race -count=20 -run TestBIParallelOnHeldViewUnderRefresh ./internal/bi
 	$(GO) test -race ./internal/bench/ -run xxx -bench 'BenchmarkWrite/sync=commit/writers=2$$' -benchtime 1x

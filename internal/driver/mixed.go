@@ -244,7 +244,10 @@ func RunMixed(cfg MixedConfig) *MixedReport {
 	}
 	qp := prepareParams(&cfg)
 	rep := &MixedReport{}
-	var mu sync.Mutex // guards rep during concurrent execution
+	var mu sync.Mutex // guards rep and updatesRun during concurrent execution
+	// updatesRun counts the update-stream operations executed, failed ones
+	// included: a canceled stream abandons the rest of its schedule.
+	updatesRun := 0
 
 	// Cancellation plumbing: every lane polls canceled() at its operation
 	// boundaries. A nil Ctx yields a nil done channel, which never selects
@@ -305,6 +308,7 @@ func RunMixed(cfg MixedConfig) *MixedReport {
 					err := conn.Execute(op)
 					lat := time.Since(t0)
 					mu.Lock()
+					updatesRun++
 					if err != nil {
 						rep.Errors++
 					} else {
@@ -508,7 +512,7 @@ func RunMixed(cfg MixedConfig) *MixedReport {
 	}
 
 	rep.Wall = time.Since(start)
-	total := len(cfg.Updates) + rep.Commit.Count
+	total := updatesRun + rep.Commit.Count
 	for i := range rep.Complex {
 		total += rep.Complex[i].Count
 	}

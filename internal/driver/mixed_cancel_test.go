@@ -72,3 +72,30 @@ func TestRunMixedWriteLaneCancelDurability(t *testing.T) {
 			recStats.Nodes, liveStats.Nodes, recStats.Edges, liveStats.Edges)
 	}
 }
+
+// TestRunMixedCanceledBeforeStart pins the throughput accounting: a run
+// whose context is done before it starts executes nothing, so it reports no
+// throughput, not the length of the update stream it abandoned.
+func TestRunMixedCanceledBeforeStart(t *testing.T) {
+	full, bulk, updates := genUpdates(t, 100)
+	st := store.New()
+	if err := schema.LoadDimensions(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := schema.Load(st, bulk); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rep := RunMixed(MixedConfig{
+		Store: st, Dataset: full, Updates: updates,
+		Streams: 2, ReadClients: 1, ComplexPerType: 1, Seed: 11,
+		Ctx: ctx,
+	})
+	if !rep.Interrupted {
+		t.Fatal("pre-canceled run not reported as interrupted")
+	}
+	if rep.Throughput != 0 {
+		t.Fatalf("throughput %.1f ops/s for a run that executed nothing (%d updates abandoned)", rep.Throughput, len(updates))
+	}
+}

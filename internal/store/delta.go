@@ -9,17 +9,18 @@ import (
 
 // Incremental snapshot-view maintenance.
 //
-// Every committed transaction appends one CommitDelta — a compact record of
-// the nodes it created and the adjacency entries it inserted — to a bounded
-// in-memory ring alongside the WAL append, from the first inline view build
-// on (Store.recording): before it there is no view to apply a delta to, and
-// a bulk load would otherwise park every one of its deltas in the ring until
-// that build dropped them. When AcquireView finds the cached view behind the
-// commit watermark it applies the pending deltas onto the cached view
-// (applyDeltas) instead of recompacting the whole dataset. The refreshed
-// view is a new immutable value that shares its predecessor's base and the
-// era's overlay: a refresh costs what its deltas cost, whatever the size of
-// the dataset or of the overlay accumulated in the era.
+// Every committed transaction appends its write set, one CommitDelta — the
+// nodes it created and the edges it inserted, its own buffers handed on — to
+// a bounded in-memory ring alongside the WAL append, from the first inline
+// view build on (Store.recording): before it there is no view to apply a
+// delta to, and a bulk load would otherwise park every one of its deltas in
+// the ring until that build dropped them. When AcquireView finds the cached
+// view behind the commit watermark it applies the pending deltas onto the
+// cached view (applyDeltas), deriving what install did with each write set,
+// instead of recompacting the whole dataset. The refreshed view is a new
+// immutable value that shares its predecessor's base and the era's overlay:
+// a refresh costs what its deltas cost, whatever the size of the dataset or
+// of the overlay accumulated in the era.
 //
 // # The overlay
 //
@@ -97,40 +98,16 @@ import (
 // Commit timestamps are consecutive integers (Commit assigns clock+1 under
 // commitMu), which makes ring continuity a pure index computation.
 
-// deltaNode is one node made visible by a commit: an explicit CreateNode
-// (inKindList true) or a bare record materialised for a dangling edge
-// endpoint (inKindList false — such nodes never appear in NodesOfKind,
-// matching the transactional read path).
-type deltaNode struct {
-	id         ids.ID
-	props      Props
-	inKindList bool
-}
-
-// deltaEdge is one installed adjacency entry, exactly mirroring an
-// installEdge call: the owning node's list (out or in) gains Edge{peer,
-// stamp} at its tail.
-type deltaEdge struct {
-	owner ids.ID
-	peer  ids.ID
-	stamp int64
-	t     EdgeType
-	in    bool
-}
-
-// CommitDelta is the view-maintenance record of one committed transaction.
-// It is immutable once recorded.
+// CommitDelta is one committed transaction's write set: the nodes it
+// created, sorted by ID, and the edges it inserted, in call order — the
+// finished Txn's own buffers, not a copy. It is the one record of a commit:
+// install stores it, the view refresh applies it (applyDeltas), the WAL
+// serialises it (appendCommitRecord) and replay decodes into it
+// (decodeTxnPayload). It is immutable once recorded.
 type CommitDelta struct {
 	ts    int64
-	nodes []deltaNode
-	edges []deltaEdge
-}
-
-// cost is the delta's contribution to the overlay size the compaction
-// trigger is compared against: the number of overlay entries applying it
-// creates.
-func (d *CommitDelta) cost() int {
-	return len(d.nodes) + len(d.edges)
+	nodes []pendingNode
+	edges []pendingEdge
 }
 
 // View-maintenance constants; see the Set* methods on Store for the two
@@ -432,6 +409,13 @@ func (s *Store) catchUp(nv *SnapshotView, era uint64, w *rowWork) (*SnapshotView
 // the era's overlay; see "The overlay" and "Append-sharing" above for what
 // it writes and why old — and every earlier view of the era — stays frozen
 // for concurrent readers. w is the lineage maintainer's scratch.
+//
+// A delta is a write set, so the refresh derives what install did with it:
+// created nodes take the next ordinals in ID order and join their kind
+// lists; each edge gives an endpoint without an ordinal a bare record's,
+// from first, then to, and appends the out-entry to from's row and the
+// in-entry (out-entry, for a symmetric edge) to to's. The overlay entries
+// are the appended ordinals plus two per edge.
 func applyDeltas(old *SnapshotView, ds []*CommitDelta, ts int64, w *rowWork) (*SnapshotView, int) {
 	nv := &SnapshotView{
 		ts:        ts,
@@ -443,45 +427,56 @@ func applyDeltas(old *SnapshotView, ds []*CommitDelta, ts int64, w *rowWork) (*S
 		over:      old.over,
 		byKind:    old.byKind,
 	}
-	newNodes := 0
+	r := refresher{nv: nv, w: w}
+	entries := 0
 	for _, d := range ds {
-		newNodes += len(d.nodes)
-	}
-	r := refresher{nv: nv, w: w, pages: (old.NumNodes() + newNodes + overPageSize - 1) >> overPageBits}
-
-	cost := 0
-	for _, d := range ds {
-		cost += d.cost()
-		for _, dn := range d.nodes {
-			if _, ok := nv.ord(dn.id); ok {
-				continue // already visible (defensive; cannot happen for committed state)
-			}
-			nv.nodesOver = append(nv.nodesOver, dn.id)
-			nv.propsOver = append(nv.propsOver, dn.props) // nil for a bare endpoint record
-			nv.ordOver = nv.ordOver.insert(nv.nodesOver)
-			if dn.inKindList {
-				k := dn.id.Kind()
-				nv.byKind[k] = append(nv.byKind[k], dn.id)
-			}
+		for _, n := range d.nodes {
+			r.appendNode(n.id, n.props)
+			k := n.id.Kind()
+			nv.byKind[k] = append(nv.byKind[k], n.id)
 		}
-		for _, de := range d.edges {
-			if ord, ok := nv.ord(de.owner); ok {
-				h := r.row(ord, de.t, de.in)
-				h.edges = append(h.edges, Edge{To: de.peer, Stamp: de.stamp})
-				h.commits = append(h.commits, d.ts)
-			}
+		for _, e := range d.edges {
+			from, to := r.ord(e.from), r.ord(e.to)
+			r.add(from, e.t, false, e.to, e.stamp, d.ts)
+			r.add(to, e.t, !e.sym, e.from, e.stamp, d.ts)
 		}
+		entries += 2 * len(d.edges)
 	}
 	r.store()
-	return nv, cost
+	return nv, entries + len(nv.nodesOver) - len(old.nodesOver)
 }
 
 // refresher is applyDeltas' state while it derives nv.
 type refresher struct {
 	nv    *SnapshotView
 	w     *rowWork
-	pages int  // the pages a table needs to cover every ordinal of nv
 	owned bool // nv.over is this refresh's copy, not its predecessor's
+}
+
+// appendNode gives id the next ordinal, with props as its property row (nil
+// for a bare endpoint record).
+func (r *refresher) appendNode(id ids.ID, props Props) {
+	nv := r.nv
+	nv.nodesOver = append(nv.nodesOver, id)
+	nv.propsOver = append(nv.propsOver, props)
+	nv.ordOver = nv.ordOver.insert(nv.nodesOver)
+}
+
+// ord returns an edge endpoint's ordinal, appending a bare record's for an
+// endpoint that has none: install materialised one for it.
+func (r *refresher) ord(id ids.ID) int32 {
+	if o, ok := r.nv.ord(id); ok {
+		return o
+	}
+	r.appendNode(id, nil)
+	return int32(r.nv.NumNodes() - 1)
+}
+
+// add appends one entry, committed at ts, to a row of ord.
+func (r *refresher) add(ord int32, t EdgeType, in bool, peer ids.ID, stamp, ts int64) {
+	h := r.row(ord, t, in)
+	h.edges = append(h.edges, Edge{To: peer, Stamp: stamp})
+	h.commits = append(h.commits, ts)
 }
 
 // rowWork holds the headers a refresh builds for the rows it touches, by
@@ -529,7 +524,7 @@ func (r *refresher) own() *overlay {
 func (r *refresher) rowSlot(ord int32, key uint8) *atomic.Pointer[rowHdr] {
 	if r.nv.over == nil || !r.nv.over.rows[key].covers(ord) {
 		o := r.own()
-		o.rows[key] = o.rows[key].grow(r.pages)
+		o.rows[key] = o.rows[key].grow((r.nv.NumNodes() + overPageSize - 1) >> overPageBits)
 	}
 	return r.nv.over.rows[key].slot(ord)
 }

@@ -132,12 +132,12 @@ func newGroupWAL(mode WALSyncMode, seg *walSegments, lastTS int64, onAppend func
 	return gw
 }
 
-// deposit serialises one committed transaction into the pending buffer and
+// deposit serialises one commit's write set into the pending buffer and
 // wakes the flusher. Called under commitMu, so deposits happen in commit-
 // timestamp order — the property the durability watermark relies on. The
 // caller still holds commitMu, so this must not block on IO; it only
 // appends and signals.
-func (gw *groupWAL) deposit(ts int64, created []*pendingNode, edges []pendingEdge) {
+func (gw *groupWAL) deposit(d *CommitDelta) {
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
 	if gw.closing {
@@ -148,12 +148,12 @@ func (gw *groupWAL) deposit(ts int64, created []*pendingNode, edges []pendingEdg
 		return
 	}
 	if gw.count == 0 {
-		gw.firstTS = ts
+		gw.firstTS = d.ts
 	}
-	gw.pending = appendCommitRecord(gw.pending, ts, created, edges)
+	gw.pending = appendCommitRecord(gw.pending, d)
 	gw.count++
 	if gw.oldestUnsynced == math.MaxInt64 {
-		gw.oldestUnsynced = ts
+		gw.oldestUnsynced = d.ts
 	}
 	gw.work.Signal()
 }

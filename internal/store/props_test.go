@@ -133,16 +133,6 @@ func TestTxnAndViewPropsEqual(t *testing.T) {
 			}
 		}
 	})
-	// A transaction's own writes come back exactly sized too.
-	tx := s.Begin()
-	id := personID(9)
-	if err := tx.CreateNode(id, append(make(Props, 0, 4), NewProp(PropLength, Int64(9)))); err != nil {
-		t.Fatal(err)
-	}
-	if ps, _ := tx.Props(id); cap(ps) != len(ps) {
-		t.Errorf("own writes: Props(%v) has cap %d, len %d", id, cap(ps), len(ps))
-	}
-	tx.Abort()
 }
 
 // TestHeldViewKindListsStable holds a compacted view and a refreshed one

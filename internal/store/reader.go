@@ -6,8 +6,8 @@ import "ldbcsnb/internal/ids"
 // internal/workload is written exactly once against this contract and runs
 // on either of the two read paths:
 //
-//   - *Txn — MVCC snapshot filtering under shard read locks, overlaying the
-//     transaction's own buffered writes;
+//   - *Txn — MVCC snapshot filtering under shard read locks; a write
+//     transaction reads its snapshot, not its own buffered writes;
 //   - *SnapshotView — a frozen compact CSR image of one commit epoch,
 //     lock-free and steady-state allocation-free (Out/In serve rows out of
 //     the view's decode cache over the varint/delta slab).

@@ -14,12 +14,14 @@ import (
 // Streaming WAL recovery. Segment headers carry firstTS, so segments wholly
 // covered by the checkpoint are skipped from their headers alone; the
 // surviving tail is walked in sequence order, one record at a time: check
-// the CRC, decode (decodeTxnPayload — the only decoder of redo records),
-// check that the commit timestamp extends the recovered clock by exactly
-// one, and apply it through Commit's own installer (Store.install), minus
-// validation (the log was validated when written), WAL re-append and delta
-// recording (no cached view exists during recovery, so the first
-// CurrentView does a full rebuild regardless).
+// the CRC, decode (decodeTxnPayload — the only decoder of redo records) into
+// the commit's write set, the CommitDelta Commit serialised, check that the
+// commit timestamp extends the recovered clock by exactly one, and apply it
+// through Commit's own installer (Store.install), minus validation (the log
+// was validated when written), WAL re-append and delta recording (no cached
+// view exists during recovery, so the first CurrentView does a full rebuild
+// regardless). install keeps the created nodes' property lists and copies
+// everything else, so one CommitDelta serves a whole segment.
 //
 // Commit timestamps in the log are consecutive and torn writes only eat a
 // suffix of the final segment, so a record that does not carry the next
@@ -29,16 +31,6 @@ import (
 // errLogGap marks a record whose commit timestamp does not extend the
 // recovered sequence: a missing segment or out-of-order log.
 var errLogGap = errors.New("log sequence gap")
-
-// decodedTxn is one redo record decoded back into the exact shape Commit
-// serialised — the input of Store.install. The install keeps the created
-// nodes' property lists and copies everything else, so one decodedTxn
-// serves a whole segment.
-type decodedTxn struct {
-	ts      int64
-	created []*pendingNode
-	edges   []pendingEdge
-}
 
 // recoverSegments replays the records of segs (scanSegments order) whose
 // commit timestamps exceed ckptTS onto s, whose clock is ckptTS. It returns
@@ -95,7 +87,7 @@ func (s *Store) replaySegment(sf segmentFile, ckptTS int64, last bool, info *Rec
 	base := filepath.Base(sf.path)
 	d := &walDecoder{b: data}
 	cleanLen := int64(segHeaderSize)
-	dtx := &decodedTxn{}
+	rec := &CommitDelta{}
 	for n := 1; cleanLen+8 <= int64(len(data)); n++ {
 		off := cleanLen
 		length := int64(binary.LittleEndian.Uint32(data[off:]))
@@ -120,18 +112,18 @@ func (s *Store) replaySegment(sf segmentFile, ckptTS int64, last bool, info *Rec
 		// CRC. A CRC-valid record the decoder rejects was written that way,
 		// so it is corruption in the final segment too — ending the log
 		// there would silently drop it and every acknowledged commit after.
-		if err := decodeTxnPayload(d, off+8, end, dtx); err != nil {
+		if err := decodeTxnPayload(d, off+8, end, rec); err != nil {
 			return 0, fmt.Errorf("segment %s: record %d: %w", base, n, err)
 		}
-		if next := s.clock.Load() + 1; dtx.ts != next {
+		if next := s.clock.Load() + 1; rec.ts != next {
 			return 0, fmt.Errorf("%w: %w: segment %s: record carries commit %d, expected %d",
-				ErrCorrupt, errLogGap, base, dtx.ts, next)
+				ErrCorrupt, errLogGap, base, rec.ts, next)
 		}
 		// Created nodes were serialised in Commit's sorted ID order, so the
 		// per-kind scan lists rebuild identically. No reader observes the
 		// store yet.
-		s.install(nil, dtx.ts, dtx.created, dtx.edges)
-		s.clock.Store(dtx.ts)
+		s.install(rec)
+		s.clock.Store(rec.ts)
 		s.commits.Add(1)
 		info.Replayed++
 		cleanLen = end
@@ -144,15 +136,15 @@ func (s *Store) replaySegment(sf segmentFile, ckptTS int64, last bool, info *Rec
 }
 
 // decodeTxnPayload decodes one record's payload — d.b[start:end] — into
-// dtx, reusing dtx's slices and sharing d's string arena across the whole
+// rec, reusing rec's slices and sharing d's string arena across the whole
 // segment. It is the only decoder of redo records and trusts nothing the
 // CRC does not prove: a count that pre-sizes a slice is bounded by the bytes
 // left in the payload, and edge types are range-checked.
-func decodeTxnPayload(d *walDecoder, start, end int64, dtx *decodedTxn) error {
+func decodeTxnPayload(d *walDecoder, start, end int64, rec *CommitDelta) error {
 	d.pos = int(start)
 	d.err = nil
-	dtx.ts = int64(d.u64())
-	dtx.created, dtx.edges = dtx.created[:0], dtx.edges[:0]
+	rec.ts = int64(d.u64())
+	rec.nodes, rec.edges = rec.nodes[:0], rec.edges[:0]
 	n := int(d.u32())
 	for i := 0; i < n && d.err == nil; i++ {
 		switch d.u8() {
@@ -169,14 +161,14 @@ func decodeTxnPayload(d *walDecoder, start, end int64, dtx *decodedTxn) error {
 					props[j] = d.prop()
 				}
 			}
-			dtx.created = append(dtx.created, &pendingNode{id: id, props: props})
+			rec.nodes = append(rec.nodes, pendingNode{id: id, props: props})
 		case 3:
 			from := ids.ID(d.u64())
 			t := d.edgeType()
 			to := ids.ID(d.u64())
 			stamp := int64(d.u64())
 			sym := d.u8() == 1
-			dtx.edges = append(dtx.edges, pendingEdge{from: from, to: to, t: t, stamp: stamp, sym: sym})
+			rec.edges = append(rec.edges, pendingEdge{from: from, to: to, t: t, stamp: stamp, sym: sym})
 		default: // including the retired kinds 2 (set-prop) and 4 (del-edge)
 			return fmt.Errorf("%w: unknown op kind", ErrCorrupt)
 		}

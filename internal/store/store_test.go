@@ -18,9 +18,9 @@ func TestCreateAndRead(t *testing.T) {
 	if err := tx.CreateNode(id, Props{NewProp(PropFirstName, String("Karl")), NewProp(PropCreationDate, Int64(100))}); err != nil {
 		t.Fatal(err)
 	}
-	// Own writes visible before commit.
-	if got := tx.Prop(id, PropFirstName).Str(); got != "Karl" {
-		t.Fatalf("own write invisible: %q", got)
+	// A write transaction reads its snapshot: its own writes show at commit.
+	if tx.Exists(id) || !tx.Prop(id, PropFirstName).IsZero() {
+		t.Fatal("own write visible before commit")
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
@@ -117,9 +117,9 @@ func TestKnowsSymmetric(t *testing.T) {
 	tx.CreateNode(a, nil)
 	tx.CreateNode(b, nil)
 	tx.AddKnows(a, b, 123)
-	// Own-write overlay must show both directions pre-commit.
-	if len(tx.Out(a, EdgeKnows)) != 1 || len(tx.Out(b, EdgeKnows)) != 1 {
-		t.Fatal("own knows edges invisible")
+	// Neither direction shows before commit: reads see the snapshot only.
+	if tx.OutDegree(a, EdgeKnows) != 0 || tx.OutDegree(b, EdgeKnows) != 0 {
+		t.Fatal("own knows edges visible before commit")
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
@@ -275,14 +275,193 @@ func TestEmptyCommit(t *testing.T) {
 	}
 }
 
+// An ID created twice in one transaction fails its commit, which counts as
+// an abort, installs nothing and logs no redo record.
 func TestCreateTwiceInTxn(t *testing.T) {
-	s := New()
-	tx := s.Begin()
-	if err := tx.CreateNode(personID(21), nil); err != nil {
+	p, _, err := Open(t.TempDir(), manualOpts(), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.CreateNode(personID(21), nil); !errors.Is(err, ErrExists) {
+	defer p.Close()
+	s := p.Store
+	tx := s.Begin()
+	for _, id := range []ids.ID{personID(21), personID(22), personID(21)} {
+		if err := tx.CreateNode(id, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.AddEdge(personID(22), EdgeKnows, personID(23), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); !errors.Is(err, ErrExists) {
 		t.Fatalf("want ErrExists, got %v", err)
+	}
+	if s.Aborts() != 1 || s.Commits() != 0 || s.LastCommit() != 0 {
+		t.Fatalf("aborts %d, commits %d, clock %d; want 1, 0, 0", s.Aborts(), s.Commits(), s.LastCommit())
+	}
+	s.View(func(r *Txn) {
+		for _, id := range []ids.ID{personID(21), personID(22), personID(23)} {
+			if r.Exists(id) {
+				t.Errorf("%v installed by a failed commit", id)
+			}
+		}
+	})
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.WALBytes != 0 || st.BatchedRecords != 0 {
+		t.Fatalf("failed commit logged: %+v", st)
+	}
+}
+
+// A write transaction reads its snapshot and nothing else: none of its own
+// creations or edges shows before commit, on any read. After commit a Txn,
+// a refreshed view and a compacted one see the node and both directions of
+// every edge.
+func TestWriteTxnReadsItsSnapshot(t *testing.T) {
+	s := New()
+	base := s.Begin()
+	if err := base.CreateNode(personID(40), nil); err != nil {
+		t.Fatal(err)
+	}
+	commitOrFatal(t, base)
+	if _, ev := s.AcquireView(); ev != ViewRebuilt {
+		t.Fatalf("first view: %v", ev)
+	}
+
+	a, b, m := personID(40), personID(41), postID(40)
+	tx := s.Begin()
+	for _, id := range []ids.ID{b, m} {
+		if err := tx.CreateNode(id, Props{NewProp(PropCreationDate, Int64(1))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.AddEdge(a, EdgeLikes, m, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.AddKnows(a, b, 6); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []ids.ID{b, m} {
+		if _, ok := tx.Props(id); ok || tx.Exists(id) || !tx.Prop(id, PropCreationDate).IsZero() {
+			t.Errorf("own creation %v visible before commit", id)
+		}
+	}
+	if got := tx.NodesOfKind(ids.KindPerson); len(got) != 1 || len(tx.NodesOfKind(ids.KindPost)) != 0 {
+		t.Errorf("own creations in NodesOfKind before commit: persons %v", got)
+	}
+	for _, r := range []struct {
+		id ids.ID
+		et EdgeType
+	}{{a, EdgeLikes}, {m, EdgeLikes}, {a, EdgeKnows}, {b, EdgeKnows}} {
+		if len(tx.Out(r.id, r.et)) != 0 || len(tx.In(r.id, r.et)) != 0 ||
+			tx.OutDegree(r.id, r.et) != 0 || tx.InDegree(r.id, r.et) != 0 {
+			t.Errorf("own %v edge at %v visible before commit", r.et, r.id)
+		}
+	}
+	commitOrFatal(t, tx)
+
+	refreshed, ev := s.AcquireView()
+	if ev != ViewRefreshed {
+		t.Fatalf("view after commit: %v, want a refresh", ev)
+	}
+	check := func(name string, r Reader) {
+		t.Helper()
+		for _, id := range []ids.ID{b, m} {
+			if !r.Exists(id) || r.Prop(id, PropCreationDate).Int() != 1 {
+				t.Errorf("%s: created %v missing", name, id)
+			}
+		}
+		if len(r.NodesOfKind(ids.KindPerson)) != 2 || len(r.NodesOfKind(ids.KindPost)) != 1 {
+			t.Errorf("%s: kind lists %v %v", name, r.NodesOfKind(ids.KindPerson), r.NodesOfKind(ids.KindPost))
+		}
+		want := map[string][]Edge{
+			"likes out a": {{To: m, Stamp: 5}}, "likes in m": {{To: a, Stamp: 5}},
+			"knows out a": {{To: b, Stamp: 6}}, "knows out b": {{To: a, Stamp: 6}},
+		}
+		got := map[string][]Edge{
+			"likes out a": r.Out(a, EdgeLikes), "likes in m": r.In(m, EdgeLikes),
+			"knows out a": r.Out(a, EdgeKnows), "knows out b": r.Out(b, EdgeKnows),
+		}
+		for k, w := range want {
+			if len(got[k]) != 1 || got[k][0] != w[0] {
+				t.Errorf("%s: %s = %v, want %v", name, k, got[k], w)
+			}
+		}
+		if r.InDegree(m, EdgeLikes) != 1 || r.OutDegree(a, EdgeLikes) != 1 || r.InDegree(a, EdgeLikes) != 0 {
+			t.Errorf("%s: likes degrees wrong", name)
+		}
+	}
+	s.View(func(r *Txn) { check("txn", r) })
+	check("refreshed view", refreshed)
+	check("ViewAt", s.ViewAt(s.LastCommit()))
+}
+
+// A finished transaction's buffers are its recorded write set: writes after
+// Commit or Abort fail instead of extending it.
+func TestFinishedTxnRejectsWrites(t *testing.T) {
+	s := New()
+	s.CurrentView() // record deltas, which alias the committed buffers
+	committed, aborted := s.Begin(), s.Begin()
+	if err := committed.CreateNode(personID(50), nil); err != nil {
+		t.Fatal(err)
+	}
+	commitOrFatal(t, committed)
+	aborted.Abort()
+	for name, tx := range map[string]*Txn{"committed": committed, "aborted": aborted} {
+		if err := tx.CreateNode(personID(51), nil); err == nil {
+			t.Errorf("%s: CreateNode accepted", name)
+		}
+		if err := tx.AddEdge(personID(50), EdgeLikes, postID(50), 0); err == nil {
+			t.Errorf("%s: AddEdge accepted", name)
+		}
+		if err := tx.AddKnows(personID(50), personID(52), 0); err == nil {
+			t.Errorf("%s: AddKnows accepted", name)
+		}
+	}
+	v := s.CurrentView()
+	if v.Exists(personID(51)) || v.OutDegree(personID(50), EdgeLikes) != 0 || v.NumNodes() != 1 {
+		t.Fatal("a write after commit reached the view")
+	}
+}
+
+// commitAllocs is what an AddPost-shaped commit (one CreateNode, four
+// AddEdge) allocates on a store that records view deltas: the node buffer,
+// the edge buffer (three growths on the way to four), the CommitDelta, the
+// node record, its row table and the post's four rows. The Txn itself stays
+// on the caller's stack, and the peers' rows and the delta ring grow
+// amortised.
+const commitAllocs = 11
+
+func TestCommitAllocs(t *testing.T) {
+	s := New()
+	person, forum := personID(60), ids.Compose(ids.KindForum, 60, 0)
+	place, tag := ids.Compose(ids.KindPlace, 60, 0), ids.Compose(ids.KindTag, 60, 0)
+	tx := s.Begin()
+	for _, id := range []ids.ID{person, forum, place, tag} {
+		if err := tx.CreateNode(id, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commitOrFatal(t, tx)
+	s.CurrentView() // from here on commits record deltas
+	props := Props{NewProp(PropContent, String("post")), NewProp(PropCreationDate, Int64(1))}
+	n := uint32(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		n++
+		post := postID(60 + n)
+		tx := s.Begin()
+		tx.CreateNode(post, props)
+		tx.AddEdge(post, EdgeHasCreator, person, 1)
+		tx.AddEdge(forum, EdgeContainerOf, post, 1)
+		tx.AddEdge(post, EdgeIsLocatedIn, place, 0)
+		tx.AddEdge(post, EdgeHasTag, tag, 0)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > commitAllocs {
+		t.Fatalf("AddPost-shaped commit allocates %.0f times, want at most %d", allocs, commitAllocs)
 	}
 }
 

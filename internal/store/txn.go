@@ -1,9 +1,10 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ldbcsnb/internal/ids"
 )
@@ -22,36 +23,57 @@ var ErrExists = errors.New("store: node already exists")
 // drains) or observes the flag and fails with this sentinel.
 var ErrStoreClosed = errors.New("store: closed")
 
-// pendingNode is a buffered node creation.
+// errTxnDone is returned by a write or Commit on a transaction that has
+// committed or aborted: a committed transaction's buffers are its recorded
+// write set, which nothing may extend.
+var errTxnDone = errors.New("store: transaction finished")
+
+// pendingNode is one node creation of a write set.
 type pendingNode struct {
 	id    ids.ID
 	props Props
 }
 
-// pendingEdge is a buffered edge insertion.
+// pendingEdge is one edge insertion of a write set.
 type pendingEdge struct {
 	from, to ids.ID
-	t        EdgeType
 	stamp    int64
+	t        EdgeType
 	sym      bool // also insert the mirrored edge (knows)
 }
 
-// Txn is a transaction. Reads observe the snapshot taken at Begin plus the
-// transaction's own writes. Txn is not safe for concurrent use by multiple
-// goroutines.
+// Txn is a transaction: a snapshot to read and, for a write transaction, the
+// write set it buffers. Reads see the snapshot taken at Begin and nothing
+// else: the transaction's own writes become visible when it commits, like
+// every other commit's. The update stream never reads inside a write
+// transaction (U1–U8 are blind inserts), so nothing is lost. Txn is not safe
+// for concurrent use by multiple goroutines.
 type Txn struct {
 	s        *Store
 	snapshot int64
 	readonly bool
 	done     bool
 
-	newNodes  map[ids.ID]*pendingNode
-	newEdges  []pendingEdge
-	edgeIndex map[ids.ID][]int // from-node -> indices into newEdges, for own-write reads
+	// The write set, in call order until Commit sorts nodes by ID. Commit
+	// hands both slices on as they are: they are what install stores, what
+	// the view refresh applies and what the WAL serialises (CommitDelta).
+	nodes []pendingNode
+	edges []pendingEdge
 }
 
 // Snapshot returns the transaction's snapshot timestamp.
 func (tx *Txn) Snapshot() int64 { return tx.snapshot }
+
+// writable reports why the transaction cannot buffer a write, nil if it can.
+func (tx *Txn) writable() error {
+	if tx.readonly {
+		return errors.New("store: write in read-only transaction")
+	}
+	if tx.done {
+		return errTxnDone
+	}
+	return nil
+}
 
 // CreateNode buffers creation of a node with the given properties. The
 // node's creationDate property, if present, should match the workload's
@@ -59,20 +81,16 @@ func (tx *Txn) Snapshot() int64 { return tx.snapshot }
 // An exactly sized list (cap == len) is stored as given and must not be
 // written afterwards; one with spare capacity is copied first. The ID's
 // kind must be below ids.KindLimit: a view keeps one scan list per kind.
+// An ID created twice, in this transaction or by another, fails Commit
+// with ErrExists.
 func (tx *Txn) CreateNode(id ids.ID, props Props) error {
-	if tx.readonly {
-		return errors.New("store: write in read-only transaction")
+	if err := tx.writable(); err != nil {
+		return err
 	}
 	if id.Kind() >= ids.KindLimit {
 		return fmt.Errorf("store: node %v has an invalid kind", id)
 	}
-	if tx.newNodes == nil {
-		tx.newNodes = make(map[ids.ID]*pendingNode)
-	}
-	if _, ok := tx.newNodes[id]; ok {
-		return fmt.Errorf("%w: %v created twice in transaction", ErrExists, id)
-	}
-	tx.newNodes[id] = &pendingNode{id: id, props: props.exact()}
+	tx.nodes = append(tx.nodes, pendingNode{id: id, props: props.exact()})
 	return nil
 }
 
@@ -87,29 +105,18 @@ func (tx *Txn) AddKnows(a, b ids.ID, stamp int64) error {
 }
 
 func (tx *Txn) addEdge(from ids.ID, t EdgeType, to ids.ID, stamp int64, sym bool) error {
-	if tx.readonly {
-		return errors.New("store: write in read-only transaction")
+	if err := tx.writable(); err != nil {
+		return err
 	}
 	if t == 0 || t >= edgeTypeMax {
 		return fmt.Errorf("store: invalid edge type %d", uint8(t))
 	}
-	if tx.edgeIndex == nil {
-		tx.edgeIndex = make(map[ids.ID][]int)
-	}
-	idx := len(tx.newEdges)
-	tx.newEdges = append(tx.newEdges, pendingEdge{from: from, to: to, t: t, stamp: stamp, sym: sym})
-	tx.edgeIndex[from] = append(tx.edgeIndex[from], idx)
-	if sym {
-		tx.edgeIndex[to] = append(tx.edgeIndex[to], idx)
-	}
+	tx.edges = append(tx.edges, pendingEdge{from: from, to: to, t: t, stamp: stamp, sym: sym})
 	return nil
 }
 
 // Exists reports whether a node is visible.
 func (tx *Txn) Exists(id ids.ID) bool {
-	if _, ok := tx.newNodes[id]; ok {
-		return true
-	}
 	return tx.s.visibleAt(id, tx.snapshot)
 }
 
@@ -126,13 +133,9 @@ func (tx *Txn) Props(id ids.ID) (Props, bool) {
 	return ps.clone(), ok
 }
 
-// props returns the node's property list: the transaction's own creation,
-// or the committed row when the node is visible at the snapshot. The row is
-// shared and must not be written.
+// props returns the committed row of a node visible at the snapshot. The
+// row is shared and must not be written.
 func (tx *Txn) props(id ids.ID) (Props, bool) {
-	if n, ok := tx.newNodes[id]; ok {
-		return n.props, true
-	}
 	sh := tx.s.shardFor(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -143,8 +146,8 @@ func (tx *Txn) props(id ids.ID) (Props, bool) {
 }
 
 // Out returns the visible outgoing edges of a node for one edge type, in
-// insertion order, including the transaction's own buffered edges. The
-// slice is materialised at this call; it does not observe later writes.
+// insertion order. The slice is materialised at this call; it does not
+// observe later commits.
 func (tx *Txn) Out(id ids.ID, t EdgeType) []Edge {
 	return tx.neighbours(id, t, false)
 }
@@ -167,72 +170,37 @@ func (tx *Txn) InDegree(id ids.ID, t EdgeType) int {
 }
 
 func (tx *Txn) degree(id ids.ID, t EdgeType, in bool) int {
-	n := 0
 	sh := tx.s.shardFor(id)
 	sh.mu.RLock()
-	if rec := sh.nodes[id]; rec != nil {
-		list := rec.adj.get(t, in)
-		for i := range list {
-			if list[i].visibleAt(tx.snapshot) {
-				n++
-			}
-		}
+	defer sh.mu.RUnlock()
+	rec := sh.nodes[id]
+	if rec == nil {
+		return 0
 	}
-	sh.mu.RUnlock()
-	for _, ei := range tx.edgeIndex[id] {
-		pe := tx.newEdges[ei]
-		if pe.t != t {
-			continue
-		}
-		if in {
-			if pe.to == id || (pe.sym && pe.from == id) {
-				n++
-			}
-		} else if pe.from == id || (pe.sym && pe.to == id) {
-			n++
-		}
-	}
-	return n
+	return countVisible(rec.adj.get(t, in), tx.snapshot)
 }
 
 func (tx *Txn) neighbours(id ids.ID, t EdgeType, in bool) []Edge {
-	var out []Edge
 	sh := tx.s.shardFor(id)
 	sh.mu.RLock()
-	if rec := sh.nodes[id]; rec != nil {
-		list := rec.adj.get(t, in)
-		out = make([]Edge, 0, len(list))
-		for i := range list {
-			if e := &list[i]; e.visibleAt(tx.snapshot) {
-				out = append(out, Edge{To: e.peer, Stamp: e.stamp})
-			}
-		}
+	defer sh.mu.RUnlock()
+	rec := sh.nodes[id]
+	if rec == nil {
+		return nil
 	}
-	sh.mu.RUnlock()
-	// Overlay own buffered edges.
-	for _, ei := range tx.edgeIndex[id] {
-		pe := tx.newEdges[ei]
-		if pe.t != t {
-			continue
-		}
-		switch {
-		case !in && pe.from == id:
-			out = append(out, Edge{To: pe.to, Stamp: pe.stamp})
-		case !in && pe.sym && pe.to == id:
-			out = append(out, Edge{To: pe.from, Stamp: pe.stamp})
-		case in && pe.to == id:
-			out = append(out, Edge{To: pe.from, Stamp: pe.stamp})
-		case in && pe.sym && pe.from == id:
-			out = append(out, Edge{To: pe.to, Stamp: pe.stamp})
+	list := rec.adj.get(t, in)
+	out := make([]Edge, 0, len(list))
+	for i := range list {
+		if e := &list[i]; e.visibleAt(tx.snapshot) {
+			out = append(out, Edge{To: e.peer, Stamp: e.stamp})
 		}
 	}
 	return out
 }
 
 // NodesOfKind returns the IDs of all nodes of a kind visible to the
-// transaction (committed only; buffered creations of this transaction are
-// excluded, matching scan semantics of a snapshot).
-// The slice shares the store's kind list and must not be mutated.
+// transaction. The slice shares the store's kind list and must not be
+// mutated.
 func (tx *Txn) NodesOfKind(kind ids.Kind) []ids.ID {
 	return tx.s.nodesOfKind(kind, tx.snapshot)
 }
@@ -246,7 +214,9 @@ func (tx *Txn) Abort() {
 }
 
 // Commit validates and installs the transaction's writes atomically,
-// returning ErrExists if a created node ID was concurrently taken.
+// returning ErrExists if a created node ID is taken: by an earlier commit,
+// or twice in this transaction. A failed commit installs nothing and logs
+// nothing.
 //
 // The critical section under commitMu is short: validate, install, claim
 // the commit timestamp and serialise the redo record into the WAL's
@@ -256,14 +226,25 @@ func (tx *Txn) Abort() {
 // behind them (groupcommit.go).
 func (tx *Txn) Commit() error {
 	if tx.done {
-		return errors.New("store: transaction finished")
+		return errTxnDone
 	}
 	tx.done = true
-	if tx.readonly || (len(tx.newNodes) == 0 && len(tx.newEdges) == 0) {
+	if tx.readonly || (len(tx.nodes) == 0 && len(tx.edges) == 0) {
 		tx.s.commits.Add(1)
 		return nil
 	}
 	s := tx.s
+	// Created nodes install in ID order so the per-kind scan lists are
+	// reproducible (and the redo record replays them in it); sorted, an ID
+	// created twice is an adjacent pair. Both happen before the lock: the
+	// write set is the transaction's own.
+	slices.SortFunc(tx.nodes, func(a, b pendingNode) int { return cmp.Compare(a.id, b.id) })
+	for i := 1; i < len(tx.nodes); i++ {
+		if id := tx.nodes[i].id; id == tx.nodes[i-1].id {
+			s.aborts.Add(1)
+			return fmt.Errorf("%w: %v created twice in transaction", ErrExists, id)
+		}
+	}
 	s.commitMu.Lock()
 	ts, err := tx.commitLocked()
 	s.commitMu.Unlock()
@@ -300,111 +281,84 @@ func (tx *Txn) commitLocked() (int64, error) {
 
 	// Validation: a created ID must still be free — neither created nor
 	// materialised as a bare edge endpoint by any commit so far.
-	for id := range tx.newNodes {
-		sh := s.shardFor(id)
+	for _, n := range tx.nodes {
+		sh := s.shardFor(n.id)
 		sh.mu.RLock()
-		_, exists := sh.nodes[id]
+		_, exists := sh.nodes[n.id]
 		sh.mu.RUnlock()
 		if exists {
 			s.aborts.Add(1)
-			return 0, fmt.Errorf("%w: %v", ErrExists, id)
+			return 0, fmt.Errorf("%w: %v", ErrExists, n.id)
 		}
 	}
 
-	ts := s.clock.Load() + 1
-	// The commit's view-maintenance delta, recorded alongside the WAL
-	// append so CurrentView can advance the cached view incrementally —
-	// once there is a cached view to advance (Store.recording).
-	var delta *CommitDelta
-	if s.recording {
-		delta = &CommitDelta{ts: ts}
-	}
-
-	// Install node creations in deterministic ID order so the per-kind
-	// scan lists are reproducible (and the redo record replays them in it).
-	created := make([]*pendingNode, 0, len(tx.newNodes))
-	for _, n := range tx.newNodes {
-		created = append(created, n)
-	}
-	sort.Slice(created, func(i, j int) bool { return created[i].id < created[j].id })
-	s.install(delta, ts, created, tx.newEdges)
+	// The write set is the commit: installed here, recorded for the view
+	// refresh and serialised into the WAL, one record for all three.
+	d := &CommitDelta{ts: s.clock.Load() + 1, nodes: tx.nodes, edges: tx.edges}
+	s.install(d)
 
 	// Record the view-maintenance delta before the clock advances so a
-	// refresh observing the new watermark always finds its deltas.
-	if delta != nil {
-		s.recordDelta(delta)
+	// refresh observing the new watermark always finds its deltas — once
+	// there is a cached view to advance (Store.recording).
+	if s.recording {
+		s.recordDelta(d)
 	}
 
 	// Hand the redo record to the WAL before publishing the commit (still
 	// under commitMu, so deposits preserve commit order — the invariant
 	// behind the durability watermark).
 	if s.gwal != nil {
-		s.gwal.deposit(ts, created, tx.newEdges)
+		s.gwal.deposit(d)
 	}
 
 	// Advance the watermark: the transaction becomes visible atomically.
-	s.clock.Store(ts)
+	s.clock.Store(d.ts)
 	s.commits.Add(1)
-	return ts, nil
+	return d.ts, nil
 }
 
-// install stores one transaction's writes at commit timestamp ts: the
-// created nodes (in the order given), their kind-list entries and every
-// edge in both directions. It is the whole of a commit's install — Commit's
-// critical section runs it between validation and the WAL deposit, and WAL
-// replay runs it per record with a nil delta — and it leaves the clock to
-// the caller. The installs are mirrored into delta when it is non-nil.
+// install stores one commit's write set at its timestamp: the created nodes
+// (in the order given), their kind-list entries and every edge in both
+// directions. It is the whole of a commit's install — Commit's critical
+// section runs it between validation and the WAL deposit, and WAL replay
+// runs it per decoded record — and it leaves the clock to the caller.
 //
 // Edges tolerate endpoints that were never created: installEdge
 // materialises a bare record (no properties) so the adjacency stays
-// navigable, the way column stores keep FK rows.
-func (s *Store) install(delta *CommitDelta, ts int64, created []*pendingNode, edges []pendingEdge) {
-	for _, n := range created {
+// navigable, the way column stores keep FK rows. The view refresh derives
+// the same records from the write set (applyDeltas).
+func (s *Store) install(d *CommitDelta) {
+	for _, n := range d.nodes {
 		sh := s.shardFor(n.id)
 		sh.mu.Lock()
-		sh.nodes[n.id] = &nodeRec{id: n.id, commit: ts, props: n.props}
+		sh.nodes[n.id] = &nodeRec{id: n.id, commit: d.ts, props: n.props}
 		sh.mu.Unlock()
-		if delta != nil {
-			delta.nodes = append(delta.nodes, deltaNode{id: n.id, props: n.props, inKindList: true})
-		}
 	}
-	if len(created) > 0 {
+	if len(d.nodes) > 0 {
 		s.kindMu.Lock()
-		for _, n := range created {
+		for _, n := range d.nodes {
 			s.byKind[n.id.Kind()] = append(s.byKind[n.id.Kind()], n.id)
 		}
 		s.kindMu.Unlock()
 	}
-	for _, pe := range edges {
-		s.installEdge(delta, pe.from, pe.t, pe.to, pe.stamp, ts, false)
-		if pe.sym {
-			s.installEdge(delta, pe.to, pe.t, pe.from, pe.stamp, ts, false)
-		} else {
-			s.installEdge(delta, pe.to, pe.t, pe.from, pe.stamp, ts, true)
-		}
+	for _, e := range d.edges {
+		s.installEdge(e.from, e.t, e.to, e.stamp, d.ts, false)
+		s.installEdge(e.to, e.t, e.from, e.stamp, d.ts, !e.sym)
 	}
 }
 
-// installEdge appends one adjacency entry; reverse=true stores it in the
-// peer's in-list instead of the out-list. The install is mirrored into the
-// commit delta, including any bare node record materialised for a missing
-// endpoint; delta is nil when no cached view exists to maintain (recovery's
-// lean replay, and every commit before the first view).
-func (s *Store) installEdge(delta *CommitDelta, from ids.ID, t EdgeType, to ids.ID, stamp, ts int64, reverse bool) {
+// installEdge appends one adjacency entry, materialising a bare node record
+// for a missing owner; reverse=true stores it in the owner's in-list
+// instead of the out-list.
+func (s *Store) installEdge(from ids.ID, t EdgeType, to ids.ID, stamp, ts int64, reverse bool) {
 	sh := s.shardFor(from)
 	sh.mu.Lock()
 	rec := sh.nodes[from]
 	if rec == nil {
 		rec = &nodeRec{id: from, commit: ts}
 		sh.nodes[from] = rec
-		if delta != nil {
-			delta.nodes = append(delta.nodes, deltaNode{id: from})
-		}
 	}
 	list := rec.adj.ref(t, reverse)
 	*list = append(*list, edgeRec{peer: to, stamp: stamp, commit: ts})
 	sh.mu.Unlock()
-	if delta != nil {
-		delta.edges = append(delta.edges, deltaEdge{owner: from, peer: to, stamp: stamp, t: t, in: reverse})
-	}
 }

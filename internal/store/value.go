@@ -22,11 +22,11 @@
 //
 // The store exposes two read paths with identical visibility semantics:
 //
-//   - MVCC transactions (Begin/View + Txn): reads take shard read locks,
-//     filter node records and adjacency lists by commit timestamp per call,
-//     and overlay the transaction's own uncommitted writes. This is
-//     the only path that can see its own writes and the path every update
-//     uses.
+//   - MVCC transactions (Begin/View + Txn): reads take shard read locks
+//     and filter node records and adjacency lists by commit timestamp per
+//     call, at the transaction's snapshot. This is the path every update
+//     uses: a write transaction buffers its write set and reads its
+//     snapshot only, its own writes becoming visible at commit.
 //   - Snapshot views (CurrentView + SnapshotView): an immutable
 //     CSR compaction of everything visible at one commit timestamp.
 //     Reads are lock-free and allocation-free — adjacency calls return
@@ -36,17 +36,16 @@
 //
 // The commit clock doubles as the view epoch: every committed write
 // advances it, which invalidates the cached view, while older views stay
-// valid for readers still holding them. Choose a Txn when the reader also
-// writes (or must observe its own writes); choose a view for read-only
-// query execution where latency matters. Both paths agree
+// valid for readers still holding them. Choose a Txn to write; choose a
+// view for read-only query execution where latency matters. Both paths agree
 // result-for-result at equal timestamps (asserted by the equivalence
 // tests in view_test.go and delta_test.go).
 //
 // # Incremental view maintenance
 //
 // The view epoch advances in time proportional to the delta, neither the
-// dataset nor the overlay already accumulated: every commit records a
-// compact CommitDelta (created nodes, inserted adjacency entries) in a
+// dataset nor the overlay already accumulated: every commit records its
+// write set, a CommitDelta (created nodes, inserted edges), in a
 // bounded in-memory ring, and the first CurrentView call after a commit
 // applies the pending deltas onto the era's shared overlay — adjacency rows,
 // appended ordinals with their property rows and kind lists are appended to

@@ -27,15 +27,14 @@ import (
 // or from an overlay row, and Prop and Props return the
 // shared, never-written property rows. This is the read path
 // the Interactive workload's 2-3-hop knows expansions run on; MVCC
-// transactions (Txn) remain the write path and the read path for
-// transactional reads that must overlay their own uncommitted writes.
+// transactions (Txn) remain the write path.
 //
 // # Incremental maintenance, eras and ordinal stability
 //
 // Views advance in two ways (see CurrentView):
 //
 //   - Delta refresh: a new view is derived from the cached one by applying
-//     the commit deltas of the intervening transactions (internal/store
+//     the write sets of the intervening commits (internal/store
 //     delta.go). The refreshed view shares the predecessor's viewBase and
 //     the era's overlay: ordinal-indexed page tables of commit-stamped row
 //     headers, over adjacency rows (decoded from the slab into plain []Edge

@@ -99,19 +99,19 @@ func appendProp(b []byte, p Prop) []byte {
 	return b
 }
 
-// appendCommitRecord serialises one committed transaction onto b — 8-byte
+// appendCommitRecord serialises one commit's write set onto b — 8-byte
 // length/CRC header plus payload, header patched in once the payload is
 // complete — and returns the grown slice. Appending into the batcher's
 // pending buffer keeps the hot commit path allocation-free once the buffer
 // has warmed (groupcommit_test.go pins this on deposit).
 //
 //snb:noalloc
-func appendCommitRecord(buf []byte, ts int64, created []*pendingNode, edges []pendingEdge) []byte {
+func appendCommitRecord(buf []byte, d *CommitDelta) []byte {
 	start := len(buf)
 	b := append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // header placeholder
-	b = appendU64(b, uint64(ts))
-	b = appendU32(b, uint32(len(created)+len(edges)))
-	for _, n := range created {
+	b = appendU64(b, uint64(d.ts))
+	b = appendU32(b, uint32(len(d.nodes)+len(d.edges)))
+	for _, n := range d.nodes {
 		b = append(b, 1)
 		b = appendU64(b, uint64(n.id))
 		b = appendU16(b, uint16(len(n.props)))
@@ -119,7 +119,7 @@ func appendCommitRecord(buf []byte, ts int64, created []*pendingNode, edges []pe
 			b = appendProp(b, p)
 		}
 	}
-	for _, e := range edges {
+	for _, e := range d.edges {
 		b = append(b, 3)
 		b = appendU64(b, uint64(e.from))
 		b = append(b, byte(e.t))

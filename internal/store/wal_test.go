@@ -223,16 +223,18 @@ func TestReplayRejectsRetiredDelEdge(t *testing.T) {
 	}
 }
 
-// walPendings builds one representative committed-transaction shape (a
-// node with properties and a symmetric edge) for exercising the record
-// codec directly.
-func walPendings() ([]*pendingNode, []pendingEdge) {
-	created := []*pendingNode{{id: personID(1), props: Props{
-		NewProp(PropFirstName, String("Ada")),
-		NewProp(PropCreationDate, Int64(7)),
-	}}}
-	edges := []pendingEdge{{from: personID(1), to: personID(2), t: EdgeKnows, stamp: 3, sym: true}}
-	return created, edges
+// walWriteSet builds one representative write set (a node with properties
+// and a symmetric edge) committed at ts, for exercising the record codec
+// directly.
+func walWriteSet(ts int64) *CommitDelta {
+	return &CommitDelta{
+		ts: ts,
+		nodes: []pendingNode{{id: personID(1), props: Props{
+			NewProp(PropFirstName, String("Ada")),
+			NewProp(PropCreationDate, Int64(7)),
+		}}},
+		edges: []pendingEdge{{from: personID(1), to: personID(2), t: EdgeKnows, stamp: 3, sym: true}},
+	}
 }
 
 // idleBatcher returns a group-commit batcher with no flusher behind it, so
@@ -250,10 +252,10 @@ func idleBatcher() *groupWAL {
 // the reused buffer.
 func TestDepositZeroAlloc(t *testing.T) {
 	gw := idleBatcher()
-	created, edges := walPendings()
+	d := walWriteSet(9)
 	depositOne := func() {
 		gw.pending, gw.count = gw.pending[:0], 0 // the flusher's swap
-		gw.deposit(9, created, edges)
+		gw.deposit(d)
 	}
 	depositOne() // warm the pending buffer
 	if allocs := testing.AllocsPerRun(100, depositOne); allocs != 0 {
@@ -266,11 +268,12 @@ func TestDepositZeroAlloc(t *testing.T) {
 // 0 allocs/op).
 func BenchmarkWALDeposit(b *testing.B) {
 	gw := idleBatcher()
-	created, edges := walPendings()
+	d := walWriteSet(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		gw.pending, gw.count = gw.pending[:0], 0
-		gw.deposit(int64(i), created, edges)
+		d.ts = int64(i)
+		gw.deposit(d)
 	}
 }
 
@@ -283,25 +286,25 @@ func BenchmarkWALDeposit(b *testing.B) {
 func walDecodeAllocCeiling(n int) uint64 { return 32*uint64(n) + 64<<10 }
 
 // FuzzWALRecord feeds arbitrary payload bytes to the one redo-record
-// decoder: it returns an error, or a transaction whose re-encoding decodes
-// to the same transaction — never a panic, never an allocation above
+// decoder: it returns an error, or a write set whose re-encoding decodes
+// to the same write set — never a panic, never an allocation above
 // walDecodeAllocCeiling. The retired set-prop and del-edge kinds are seeds
 // that must come back ErrCorrupt.
 func FuzzWALRecord(f *testing.F) {
-	decode := func(b []byte, start int) (*decodedTxn, error) {
-		dtx := &decodedTxn{}
-		return dtx, decodeTxnPayload(&walDecoder{b: b}, int64(start), int64(len(b)), dtx)
+	decode := func(b []byte, start int) (*CommitDelta, error) {
+		rec := &CommitDelta{}
+		return rec, decodeTxnPayload(&walDecoder{b: b}, int64(start), int64(len(b)), rec)
 	}
-	created, edges := walPendings()
-	f.Add(appendCommitRecord(nil, 9, created, edges)[8:])
-	f.Add(appendCommitRecord(nil, 1, nil, nil)[8:])
+	ws := walWriteSet(9)
+	f.Add(appendCommitRecord(nil, ws)[8:])
+	f.Add(appendCommitRecord(nil, &CommitDelta{ts: 1})[8:])
 	for _, typ := range []byte{0, byte(edgeTypeMax), 200} {
-		bad := appendCommitRecord(nil, 3, nil, edges)[8:]
+		bad := appendCommitRecord(nil, &CommitDelta{ts: 3, edges: ws.edges})[8:]
 		bad[edgeTypeOff] = typ
 		f.Add(bad)
 	}
 	// A create-node claiming 65535 props it does not carry.
-	f.Add(append(appendCommitRecord(nil, 4, []*pendingNode{{id: personID(1)}}, nil)[8:29], 0xFF, 0xFF))
+	f.Add(append(appendCommitRecord(nil, &CommitDelta{ts: 4, nodes: []pendingNode{{id: personID(1)}}})[8:29], 0xFF, 0xFF))
 	for _, retired := range [][]byte{
 		delEdgePayload(5, personID(1), EdgeKnows, personID(2)),
 		setPropPayload(6, personID(1), NewProp(PropLastName, String("L"))),
@@ -318,7 +321,7 @@ func FuzzWALRecord(f *testing.F) {
 		decode(payload, 0)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		dtx, err := decode(payload, 0)
+		dec, err := decode(payload, 0)
 		runtime.ReadMemStats(&after)
 		if got, max := after.TotalAlloc-before.TotalAlloc, walDecodeAllocCeiling(len(payload)); got > max {
 			t.Fatalf("decoding %d bytes allocated %d, ceiling %d", len(payload), got, max)
@@ -329,13 +332,12 @@ func FuzzWALRecord(f *testing.F) {
 			}
 			return
 		}
-		rec := appendCommitRecord(nil, dtx.ts, dtx.created, dtx.edges)
-		again, err := decode(rec, 8)
+		again, err := decode(appendCommitRecord(nil, dec), 8)
 		if err != nil {
 			t.Fatalf("re-encoded record does not decode: %v", err)
 		}
-		if !reflect.DeepEqual(dtx, again) {
-			t.Fatalf("round trip diverged:\n%+v\n%+v", dtx, again)
+		if !reflect.DeepEqual(dec, again) {
+			t.Fatalf("round trip diverged:\n%+v\n%+v", dec, again)
 		}
 	})
 }

@@ -17,11 +17,14 @@ check: fmt vet build test harness lint docs-check
 # view racing the committers rides along: refreshers and the background
 # compaction read the write sets the committers buffered. So does the
 # ACID battery's one concurrent-commit check, racing appends to a single
-# adjacency row.
+# adjacency row. So do the commit log's consumers: the WAL flusher reads
+# the write sets the committers appended after they released commitMu,
+# beside view refreshes, and a burst drops the view's cursor.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestViewLineageUnderReaders|TestHeldViewsReadTheirStamps|TestFirstViewRacesCommitters' ./internal/store
 	$(GO) test -race -count=20 -run 'TestBattery|TestLostAppendRepeated' ./internal/store
+	$(GO) test -race -count=20 -run 'TestBacklogPastTriggerDropsViewCursor|TestGroupCommitConcurrentStress|TestSyncCommitDurableWithoutClose' ./internal/store
 	$(GO) test -race -count=20 -run TestBIParallelOnHeldViewUnderRefresh ./internal/bi
 	$(GO) test -race ./internal/bench/ -run xxx -bench 'BenchmarkWrite/sync=commit/writers=2$$' -benchtime 1x
 
@@ -62,8 +65,8 @@ harness:
 # View-vs-txn read-path comparison over every Interactive query
 # (allocation counts matter: the view path's adjacency iteration must
 # report 0 allocs/op), plus the view-maintenance split: BenchmarkViewRefresh
-# (delta refresh after 1 and 16 commits, ring overflow) against
-# BenchmarkViewRebuild (full recompaction). The run emits
+# (delta refresh after 1 and 16 commits and after a 4096-commit burst)
+# against BenchmarkViewRebuild (full recompaction). The run emits
 # BENCH_interactive.json — ns/op and allocs/op per query per read path and
 # per maintenance case — so the perf trajectory is tracked across PRs.
 # Two steps (not a pipeline) so a benchmark failure fails the target

@@ -11,8 +11,9 @@
 //
 // On the view path the report also breaks view acquisition into
 // refresh-vs-rebuild latency and prints the store's view-maintenance
-// counters and gauges (delta refreshes, inline rebuilds, era bumps, ring
-// overflows; overlay size against the compaction trigger, background
+// counters and gauges (delta refreshes, inline rebuilds, era bumps,
+// view-cursor drops — backlogs that passed the compaction trigger; overlay
+// size against the compaction trigger, background
 // compactions started/swapped/discarded), so what readers pay for view
 // maintenance is observable from the CLI; -view-compact-threshold
 // overrides the overlay size at which the background compaction starts.
@@ -36,7 +37,7 @@
 // the recovered state (the update stream was already applied in the run
 // that wrote the directory; re-applying it would double-create entities).
 // -wal-sync selects the durability mode (none|flush|commit); commits go
-// through the group-commit batcher, so fsync-on-commit amortises one fsync
+// through the group-commit flusher, so fsync-on-commit amortises one fsync
 // over every commit in a batch. See store.WALSyncMode for the exact
 // guarantee of each mode.
 //
@@ -47,7 +48,7 @@
 // SIGINT/SIGTERM interrupt a run gracefully: read, write and BI lanes
 // stop at their next operation boundary, started update transactions
 // finish (so dependency holds release), and durable mode still runs the
-// clean-shutdown path — final checkpoint, group-commit batcher drained, WAL
+// clean-shutdown path — final checkpoint, group-commit flusher drained, WAL
 // synced — so everything Commit acknowledged before the signal survives
 // recovery.
 //
@@ -357,7 +358,7 @@ func main() {
 			rep.ViewRefresh.Mean(), rep.ViewRefresh.Count,
 			rep.ViewRebuild.Mean(), rep.ViewRebuild.Count)
 		vs := env.Store.ViewStats()
-		fmt.Printf("view maintenance: %d delta refreshes, %d rebuilds, %d era bumps, %d ring overflows\n",
+		fmt.Printf("view maintenance: %d delta refreshes, %d rebuilds, %d era bumps, %d view-cursor drops (backlog past the trigger)\n",
 			vs.Refreshes, vs.Rebuilds, vs.EraBumps, vs.Overflows)
 		fmt.Printf("  overlay: %d entries (compaction trigger %d)   background compactions: %d started, %d swapped, %d discarded, last caught up %d commits\n",
 			vs.OverlayEntries, vs.CompactTrigger, vs.CompactionsStarted, vs.CompactionsSwapped,

@@ -339,9 +339,9 @@ func refreshCommit(tb testing.TB, env *Env, anchor ids.ID) ids.ID {
 //     the era's overlay. Compaction runs in the background at the
 //     store's default trigger, so the mean is what a reader pays in the
 //     steady state.
-//   - overflow: the delta ring is too small for the burst, so CurrentView
-//     must recompact — the degenerate case, equal to a full rebuild
-//     (BenchmarkViewRebuild).
+//   - burst: 4096 commits nobody reads, then one CurrentView, which
+//     applies the whole backlog as one refresh: the commit log keeps a
+//     view's backlog until its overlay cost passes the compaction trigger.
 //   - overlay=1K / 16K / 64K: the 1commit case with compaction off and the
 //     era's overlay held between that many entries and twice as many (it is
 //     rebuilt away and regrown, off the clock, whenever it gets there).
@@ -368,18 +368,22 @@ func BenchmarkViewRefresh(b *testing.B) {
 	}
 	b.Run("1commit", run(1))
 	b.Run("16commits", run(16))
-	b.Run("overflow", func(b *testing.B) {
+	b.Run("burst", func(b *testing.B) {
 		var s refreshStore
-		s.replace(b)
-		s.env.Store.SetViewDeltaCap(1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			s.commit(b)
-			s.commit(b) // second commit overflows the 1-slot ring
+			if s.spent() {
+				s.replace(b)
+			}
+			for c := 0; c < 4096; c++ {
+				s.commit(b)
+			}
 			b.StartTimer()
-			s.env.Store.CurrentView()
+			if _, ev := s.env.Store.AcquireView(); ev != store.ViewRefreshed {
+				b.Fatalf("acquisition after a 4096-commit burst: %v, want refresh", ev)
+			}
 		}
 	})
 	overlay := func(entries int64) func(b *testing.B) {

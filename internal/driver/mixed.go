@@ -124,8 +124,9 @@ type MixedReport struct {
 	// cache hits and incremental delta refreshes land in ViewRefresh,
 	// compactions the reader ran itself in ViewRebuild. Overlay compaction
 	// runs on a background goroutine of the store, so ViewRebuild only sees
-	// the run's first view build and delta-ring overflows; a steady-state
-	// run has one sample in it.
+	// the run's first view build and the rebuilds after a backlog of
+	// commits passed the compaction trigger (the commit log dropped the
+	// view's cursor); a steady-state run has one sample in it.
 	ViewAcquire LatencyStats
 	ViewRefresh LatencyStats
 	ViewRebuild LatencyStats

@@ -29,7 +29,7 @@ var LockGuard = &Analyzer{
 }
 
 // guardedRE extracts the mutex name from a field comment. The guard must
-// be a sibling field name (e.g. `// guarded by deltaMu`).
+// be a sibling field name (e.g. `// guarded by mu`).
 var guardedRE = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_]*)`)
 
 // guardKey identifies one annotated field.
@@ -78,7 +78,7 @@ func collectGuards(pass *Pass) map[guardKey]string {
 // lockCalls returns the set of mutex names whose Lock/RLock is called
 // anywhere in body, split by exclusivity: locked[mu] for Lock, rlocked
 // [mu] for RLock. The mutex is identified by the final selector name
-// (s.deltaMu.Lock() and w.mu.Lock() register "deltaMu" and "mu").
+// (s.viewMu.Lock() and l.mu.Lock() register "viewMu" and "mu").
 func lockCalls(body *ast.BlockStmt) (locked, rlocked map[string]bool) {
 	locked, rlocked = make(map[string]bool), make(map[string]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -195,7 +195,7 @@ func isWriteTarget(body *ast.BlockStmt, sel *ast.SelectorExpr) bool {
 }
 
 // containsSel reports whether sel appears within e's selector/index
-// spine (s.deltas, s.deltas[i], s.byKind[k] are writes to the field).
+// spine (l.buf, l.buf[i], s.byKind[k] are writes to the field).
 func containsSel(e ast.Expr, sel *ast.SelectorExpr) bool {
 	for {
 		if e == sel {

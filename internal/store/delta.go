@@ -1,7 +1,6 @@
 package store
 
 import (
-	"math"
 	"sync/atomic"
 
 	"ldbcsnb/internal/ids"
@@ -11,16 +10,14 @@ import (
 //
 // Every committed transaction appends its write set, one CommitDelta — the
 // nodes it created and the edges it inserted, its own buffers handed on — to
-// a bounded in-memory ring alongside the WAL append, from the first inline
-// view build on (Store.recording): before it there is no view to apply a
-// delta to, and a bulk load would otherwise park every one of its deltas in
-// the ring until that build dropped them. When AcquireView finds the cached
-// view behind the commit watermark it applies the pending deltas onto the
-// cached view (applyDeltas), deriving what install did with each write set,
-// instead of recompacting the whole dataset. The refreshed view is a new
-// immutable value that shares its predecessor's base and the era's overlay:
-// a refresh costs what its deltas cost, whatever the size of the dataset or
-// of the overlay accumulated in the era.
+// the commit log (commitlog.go), which keeps it while the cached view's
+// cursor is behind it. When AcquireView finds the cached view behind the
+// commit watermark it applies the commits since the view (applyDeltas),
+// deriving what install did with each write set, instead of recompacting
+// the whole dataset. The refreshed view is a new immutable value that shares
+// its predecessor's base and the era's overlay: a refresh costs what its
+// deltas cost, whatever the size of the dataset or of the overlay
+// accumulated in the era.
 //
 // # The overlay
 //
@@ -85,18 +82,15 @@ import (
 // (compactTrigger, viewCompactFraction). No reader does that work: the refresh that crosses the
 // trigger starts one background goroutine (compact) which builds the next
 // base at that refresh's timestamp off to the side, catches up on the
-// commits that landed meanwhile by applying the ring's deltas to its own
+// commits that landed meanwhile by applying the log's write sets to its own
 // unpublished view, and under viewMu swaps it in for the cached view at the
-// same timestamp — a new era: ordinals are reassigned. While it runs the
-// ring keeps the deltas since its base timestamp.
+// same timestamp — a new era: ordinals are reassigned. While it runs its
+// cursor keeps the commits since its base timestamp in the log.
 //
 // A reader rebuilds inline (ViewRebuilt) only when there is nothing to
-// refresh from: no view yet, the ring overflowed (more than the ring
-// capacity of commits landed since the last view advance, so the delta chain
-// has a gap), or SetViewCompactThreshold(0) turned refreshing off.
-//
-// Commit timestamps are consecutive integers (Commit assigns clock+1 under
-// commitMu), which makes ring continuity a pure index computation.
+// refresh from: no view yet, a backlog that passed the compaction trigger
+// (the log dropped the view's cursor), or SetViewCompactThreshold(0) turned
+// refreshing off.
 
 // CommitDelta is one committed transaction's write set: the nodes it
 // created, sorted by ID, and the edges it inserted, in call order — the
@@ -110,13 +104,9 @@ type CommitDelta struct {
 	edges []pendingEdge
 }
 
-// View-maintenance constants; see the Set* methods on Store for the two
-// that tests and ablations override.
+// View-maintenance constants; SetViewCompactThreshold overrides the
+// trigger for tests and ablations.
 const (
-	// defaultViewDeltaCap must absorb the commit burst a mixed run lands
-	// between two read acquisitions.
-	defaultViewDeltaCap = 4096
-
 	// viewCompactFraction sets the compaction trigger: the overlay is folded
 	// back into the base once it holds more than 1/viewCompactFraction of
 	// the base's adjacency entries. Measured on the 1000-person dataset
@@ -137,7 +127,6 @@ const (
 	minViewCompactTrigger = 4096
 
 	autoCompactThreshold = -1 // compactThreshold: no explicit override
-	noCompaction         = math.MaxInt64
 )
 
 // SetViewCompactThreshold overrides the compaction trigger: the background
@@ -161,15 +150,16 @@ func (s *Store) compactTrigger(v *SnapshotView) int64 {
 	return int64(max(minViewCompactTrigger, v.base.entries/viewCompactFraction))
 }
 
-// SetViewDeltaCap bounds the delta ring: if more than n commits accumulate
-// between view advances the ring overflows and the next advance rebuilds.
-func (s *Store) SetViewDeltaCap(n int) {
-	if n < 1 {
-		n = 1
+// viewBacklogLimit is the overlay cost of the commits since the cached view
+// past which the log drops the view's cursor: the compaction trigger,
+// floored like the automatic one (a small explicit threshold asks for
+// compactions, not rebuilds); none while the first view is built.
+func (s *Store) viewBacklogLimit() int64 {
+	v := s.view.Load()
+	if v == nil {
+		return noCursor
 	}
-	s.deltaMu.Lock()
-	s.deltaCap = n
-	s.deltaMu.Unlock()
+	return max(s.compactTrigger(v), minViewCompactTrigger)
 }
 
 // ViewStatsSnapshot reports the store's view-maintenance counters and
@@ -184,7 +174,8 @@ type ViewStatsSnapshot struct {
 	// EraBumps counts compactions, inline or background, that replaced an
 	// existing cached view and so reassigned every ordinal.
 	EraBumps int64
-	// Overflows counts the times the ring was dropped because it was full.
+	// Overflows counts view-cursor drops: the backlog passed the compaction
+	// trigger, so the next acquisition rebuilds.
 	Overflows int64
 
 	// OverlayEntries is the size of the cached era's overlay in delta
@@ -193,8 +184,7 @@ type ViewStatsSnapshot struct {
 	OverlayEntries int64
 	CompactTrigger int64
 	// Background compactions: every one started ends up swapped in or
-	// discarded (ring gap at swap time, lineage replaced by an inline
-	// rebuild, store closed).
+	// discarded (lineage replaced by an inline rebuild, store closed).
 	CompactionsStarted   int64
 	CompactionsSwapped   int64
 	CompactionsDiscarded int64
@@ -206,11 +196,13 @@ type ViewStatsSnapshot struct {
 // ViewStats returns the view-maintenance counters (monotonic since store
 // construction) and gauges.
 func (s *Store) ViewStats() ViewStatsSnapshot {
+	s.log.mu.Lock()
+	defer s.log.mu.Unlock()
 	return ViewStatsSnapshot{
 		Refreshes:            s.viewRefreshes.Load(),
 		Rebuilds:             s.viewRebuilds.Load(),
 		EraBumps:             s.viewEraBumps.Load(),
-		Overflows:            s.viewOverflows.Load(),
+		Overflows:            s.log.viewDrops,
 		OverlayEntries:       s.overlayEntries.Load(),
 		CompactTrigger:       s.compactTrigger(s.view.Load()),
 		CompactionsStarted:   s.compactionsStarted.Load(),
@@ -220,116 +212,37 @@ func (s *Store) ViewStats() ViewStatsSnapshot {
 	}
 }
 
-// recordDelta appends one commit's delta to the ring. Called under commitMu
-// before the commit clock advances, so by the time a refresh observes a
-// watermark every delta up to it is in the ring; commits before the first
-// view build record nothing (commitLocked builds no delta).
-func (s *Store) recordDelta(d *CommitDelta) {
-	s.deltaMu.Lock()
-	// The cap counts the deltas the cached view has not applied yet; those a
-	// background compaction keeps alive behind it do not count, so a
-	// compaction in flight cannot overflow the ring by itself.
-	if n := len(s.deltas); n > 0 && s.deltas[n-1].ts-max(s.deltaSeen, s.deltas[0].ts-1) >= int64(s.deltaCap) {
-		// Ring full: the chain up to the cached view is broken either way,
-		// so drop everything pending and let the next advance rebuild (the
-		// gap shows in pendingLocked's continuity check). Dropping must
-		// abandon the backing array (not re-slice to [:0]): an in-flight
-		// refresh may still be reading a subslice handed out by
-		// pendingLocked, and reusing the slots would hand it foreign deltas
-		// mid-application.
-		s.deltas = nil
-		s.viewOverflows.Add(1)
-	}
-	s.deltas = append(s.deltas, d)
-	s.deltaMu.Unlock()
-}
-
-// pendingLocked returns the consecutive deltas covering (after, upto], or
-// ok=false when the ring cannot cover the range (overflow or trim gap).
-// Caller holds deltaMu. The returned subslice stays valid after the lock is
-// released: deltas are immutable, appends land beyond the returned range
-// (trimming only advances the slice start), and the overflow path abandons
-// the backing array instead of reusing its slots.
-//
-//snb:locked deltaMu
-func (s *Store) pendingLocked(after, upto int64) ([]*CommitDelta, bool) {
-	if len(s.deltas) == 0 {
-		return nil, false
-	}
-	first := s.deltas[0].ts
-	last := s.deltas[len(s.deltas)-1].ts
-	if first > after+1 || last < upto {
-		return nil, false
-	}
-	lo := int(after + 1 - first)
-	hi := int(upto - first)
-	if lo < 0 || hi < lo || hi >= len(s.deltas) {
-		return nil, false
-	}
-	return s.deltas[lo : hi+1], true
-}
-
-// trimDeltas tells the ring that the cached view now covers every commit up
-// to ts and drops the deltas nobody needs any more.
-func (s *Store) trimDeltas(ts int64) {
-	s.deltaMu.Lock()
-	s.deltaSeen = ts
-	s.trimLocked()
-	s.deltaMu.Unlock()
-}
-
-// trimLocked drops the deltas both consumers are past: the cached view
-// (deltaSeen) and, while one is in flight, the background compaction
-// (compactFrom, the timestamp of the base it is building).
-//
-//snb:locked deltaMu
-func (s *Store) trimLocked() {
-	keep := min(s.deltaSeen, s.compactFrom)
-	i := 0
-	for i < len(s.deltas) && s.deltas[i].ts <= keep {
-		i++
-	}
-	if i == len(s.deltas) {
-		s.deltas = nil // release the backing array between bursts
-	} else {
-		s.deltas = s.deltas[i:]
-	}
-}
-
 // refreshView derives a view at ts from the cached view by applying the
-// pending deltas, or reports ok=false when the caller must rebuild (ring
-// gap, or refreshing disabled). Called under viewMu.
+// commits since it, or reports ok=false when the caller must rebuild (the
+// view's cursor was dropped, or refreshing is disabled). Called under
+// viewMu.
 //
 //snb:locked viewMu
 func (s *Store) refreshView(old *SnapshotView, ts int64) (*SnapshotView, bool) {
 	if s.compactTrigger(old) == 0 {
 		return nil, false
 	}
-	s.deltaMu.Lock()
-	ds, ok := s.pendingLocked(old.ts, ts)
-	s.deltaMu.Unlock()
+	ds, ok := s.log.since(old.ts, ts, true)
 	if !ok {
 		return nil, false
 	}
 	nv, cost := applyDeltas(old, ds, ts, &s.rowWork)
 	s.overlayEntries.Add(int64(cost))
-	s.trimDeltas(ts)
+	s.log.moveView(ts, false)
 	return nv, true
 }
 
 // startCompaction starts the background compaction of v's era when v, the
-// view just published, carries an overlay past the trigger and no
-// compaction is in flight.
+// view just published, carries an overlay past the trigger, no compaction
+// is in flight and the log keeps the commits since v for its catch-up.
 //
 //snb:locked viewMu
 func (s *Store) startCompaction(v *SnapshotView) {
-	if s.compactDone != nil || s.overlayEntries.Load() <= s.compactTrigger(v) || s.closed.Load() {
+	if s.compactDone != nil || s.overlayEntries.Load() <= s.compactTrigger(v) || s.closed.Load() ||
+		!s.log.pinCompaction(v.ts) {
 		return
 	}
 	s.compactDone = make(chan struct{})
-	s.deltaMu.Lock()
-	s.compactFrom = v.ts
-	s.deltaMu.Unlock()
 	s.compactionsStarted.Add(1)
 	go s.compact(v.ts, v.era, s.compactDone)
 }
@@ -374,32 +287,21 @@ func (s *Store) compact(from int64, era uint64, done chan struct{}) {
 		s.compactionsDiscarded.Add(1)
 	}
 	s.compactDone = nil
-	s.deltaMu.Lock()
-	s.compactFrom = noCompaction
-	s.trimLocked()
-	s.deltaMu.Unlock()
+	s.log.pinCompaction(noCursor)
 }
 
 // catchUp advances nv, the compaction's unpublished view, to the cached
-// view's timestamp by applying the ring's deltas in between, and returns it
-// with the overlay entries that took. It returns nil when the compaction has
-// lost its purpose: an inline rebuild replaced the era it set out to
-// compact, or the ring overflowed and no longer covers the range — the next
-// AcquireView then rebuilds inline, as after any overflow.
+// view's timestamp by applying the commits in between, which the
+// compaction's cursor keeps in the log, and returns it with the overlay
+// entries that took. It returns nil when the compaction has lost its
+// purpose: the store closed before the build, or an inline rebuild replaced
+// the era it set out to compact.
 func (s *Store) catchUp(nv *SnapshotView, era uint64, w *rowWork) (*SnapshotView, int) {
 	cur := s.view.Load()
 	if nv == nil || cur.era != era {
 		return nil, 0
 	}
-	if cur.ts == nv.ts {
-		return nv, 0
-	}
-	s.deltaMu.Lock()
-	ds, ok := s.pendingLocked(nv.ts, cur.ts)
-	s.deltaMu.Unlock()
-	if !ok {
-		return nil, 0
-	}
+	ds, _ := s.log.since(nv.ts, cur.ts, false)
 	return applyDeltas(nv, ds, cur.ts, w)
 }
 

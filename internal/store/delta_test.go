@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ldbcsnb/internal/ids"
 	"ldbcsnb/internal/xrand"
@@ -413,14 +414,14 @@ func stallCompaction(s *Store) (release func()) {
 	return sh.mu.Unlock
 }
 
-// TestCompactionRingRetention pins the ring's side of a background
-// compaction with the build held up: the deltas it will catch up on are
-// retained past the ring's capacity without counting as overflow, and the
-// swap applies exactly those.
+// TestCompactionRingRetention pins the compaction's cursor in the commit
+// log (named for the delta ring the log replaced): with the build held up
+// while the cached view keeps refreshing past the compaction's base, the log
+// keeps exactly the commits since that base, the swap applies exactly those,
+// and once the compaction has ended the log keeps nothing.
 func TestCompactionRingRetention(t *testing.T) {
 	r := xrand.New(31)
 	s := New()
-	s.SetViewDeltaCap(2)
 	s.SetViewCompactThreshold(1)
 	var pop []ids.ID
 	pop = randomGraphStep(t, s, r, pop, 1)
@@ -440,6 +441,9 @@ func TestCompactionRingRetention(t *testing.T) {
 	if st := s.ViewStats(); st.CompactionsStarted != 1 || st.CompactionsSwapped != 0 || st.Overflows != 0 {
 		t.Fatalf("with the build stalled: %+v", st)
 	}
+	if n := logLen(s); n != behind {
+		t.Fatalf("the log keeps %d commits for the stalled compaction, want %d", n, behind)
+	}
 	release()
 	s.waitCompaction()
 	st := s.ViewStats()
@@ -454,61 +458,72 @@ func TestCompactionRingRetention(t *testing.T) {
 	ref := s.ViewAt(v.Timestamp())
 	assertViewMatchesRebuild(t, v, ref)
 	assertViewMatchesRebuild(t, pre, ref) // the replaced view is still whole
-	s.deltaMu.Lock()
-	left := len(s.deltas)
-	s.deltaMu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d deltas still retained after the compaction ended", left)
+	if n := logLen(s); n != 0 {
+		t.Fatalf("%d commits still kept after the compaction ended", n)
 	}
 }
 
-// TestCompactionRingGapAtSwap overflows the ring while a compaction is in
-// flight and the cached view has moved past its base: the catch-up range has
-// a gap, so the new base must be discarded and the next acquisition fall
-// back to the inline rebuild.
+// commitPost commits one transaction creating post n. Posts live in shard
+// 0 (their sequence number is 0), which stallCompaction leaves free.
+func commitPost(t *testing.T, s *Store, n int) {
+	t.Helper()
+	tx := s.Begin()
+	if err := tx.CreateNode(ids.Compose(ids.KindPost, int64(n), 0), nil); err != nil {
+		t.Fatal(err)
+	}
+	commitOrFatal(t, tx)
+}
+
+// TestCompactionRingGapAtSwap is a burst landing while a compaction is
+// stalled, longer than the 4096 commits the delta ring before the commit
+// log held: the ring overflowed, the catch-up range had a gap at swap time
+// and the compaction was discarded. The compaction's cursor pins its whole
+// catch-up range now, so it swaps, having applied the burst.
 func TestCompactionRingGapAtSwap(t *testing.T) {
 	r := xrand.New(41)
 	s := New()
-	s.SetViewDeltaCap(2)
 	s.SetViewCompactThreshold(1)
 	var pop []ids.ID
 	pop = randomGraphStep(t, s, r, pop, 1)
 	s.CurrentView()
 
 	release := stallCompaction(s)
-	step := 2
-	for ; step <= 3; step++ { // the first refresh starts the compaction, the second moves past its base
-		pop = randomGraphStep(t, s, r, pop, step)
-		if _, ev := s.AcquireView(); ev != ViewRefreshed {
-			t.Fatalf("step %d: %v, want refresh", step, ev)
-		}
+	randomGraphStep(t, s, r, pop, 2)
+	if _, ev := s.AcquireView(); ev != ViewRefreshed { // starts the compaction
+		t.Fatalf("step 2: %v, want refresh", ev)
 	}
-	for ; step <= 6; step++ { // a burst nobody reads: the ring overflows
-		pop = randomGraphStep(t, s, r, pop, step)
+	s.SetViewCompactThreshold(1 << 30) // the burst's backlog stays under the trigger
+	const burst = 5000
+	for i := 1; i <= burst; i++ {
+		commitPost(t, s, i)
+	}
+	// A refresh reads no shard; a rebuild would block on the stalled one.
+	acquired := make(chan *SnapshotView, 1)
+	go func() {
+		v, ev := s.AcquireView()
+		if ev != ViewRefreshed {
+			t.Errorf("acquisition after the burst: %v, want refresh", ev)
+		}
+		acquired <- v
+	}()
+	var pre *SnapshotView
+	select {
+	case pre = <-acquired:
+	case <-time.After(10 * time.Second):
+		release()
+		t.Fatal("the acquisition after the burst waited for the stalled build")
 	}
 	release()
 	s.waitCompaction()
-	if st := s.ViewStats(); st.Overflows == 0 || st.CompactionsDiscarded != 1 || st.CompactionsSwapped != 0 {
-		t.Fatalf("gap at swap time: %+v", st)
+	st := s.ViewStats()
+	if st.CompactionsSwapped != 1 || st.CompactionsDiscarded != 0 || st.CatchUpCommits != burst || st.Rebuilds != 1 {
+		t.Fatalf("after the swap: %+v", st)
 	}
-	v, ev := s.AcquireView()
-	if ev != ViewRebuilt {
-		t.Fatalf("acquisition after the gap: %v, want rebuild", ev)
+	v := s.CurrentView()
+	if v.Era() == pre.Era() || v.Timestamp() != pre.Timestamp() {
+		t.Fatalf("swap must replace the era at the same timestamp: era %d -> %d, ts %d -> %d",
+			pre.Era(), v.Era(), pre.Timestamp(), v.Timestamp())
 	}
-	assertViewMatchesRebuild(t, v, s.ViewAt(v.Timestamp()))
-
-	// The store is back to normal: refreshes, and a compaction that swaps.
-	for ; step <= 9; step++ {
-		pop = randomGraphStep(t, s, r, pop, step)
-		if _, ev = s.AcquireView(); ev != ViewRefreshed {
-			t.Fatalf("step %d: %v, want refresh", step, ev)
-		}
-		s.waitCompaction()
-	}
-	if st := s.ViewStats(); st.CompactionsSwapped == 0 {
-		t.Fatalf("no compaction swapped after the fallback: %+v", st)
-	}
-	v = s.CurrentView()
 	assertViewMatchesRebuild(t, v, s.ViewAt(v.Timestamp()))
 }
 
@@ -549,6 +564,70 @@ func TestMarkClosedWaitsForCompaction(t *testing.T) {
 	if st := s.ViewStats(); st.CompactionsStarted != 1 {
 		t.Fatalf("a closed store started a compaction: %+v", st)
 	}
+}
+
+// TestCompactionDiscards reaches the two ways a background compaction ends
+// without a swap, now that its cursor keeps its whole catch-up range in
+// the commit log: an inline rebuild replaced the era it set out to compact,
+// or the store closed before it built.
+func TestCompactionDiscards(t *testing.T) {
+	t.Run("era replaced", func(t *testing.T) {
+		r := xrand.New(43)
+		s := New()
+		s.SetViewCompactThreshold(1)
+		var pop []ids.ID
+		pop = randomGraphStep(t, s, r, pop, 1)
+		s.CurrentView()
+		release := stallCompaction(s)
+		pop = randomGraphStep(t, s, r, pop, 2)
+		s.CurrentView() // starts the compaction, which stalls in its build
+		randomGraphStep(t, s, r, pop, 3)
+		s.SetViewCompactThreshold(0) // the next advance rebuilds inline
+		rebuilt := make(chan ViewEvent)
+		go func() {
+			_, ev := s.AcquireView()
+			rebuilt <- ev
+		}()
+		for s.viewMu.TryLock() { // wait for the rebuild to hold viewMu
+			s.viewMu.Unlock()
+			runtime.Gosched()
+		}
+		release()
+		if ev := <-rebuilt; ev != ViewRebuilt {
+			t.Fatalf("acquisition with refreshing off: %v, want rebuild", ev)
+		}
+		s.waitCompaction()
+		if st := s.ViewStats(); st.CompactionsStarted != 1 || st.CompactionsDiscarded != 1 || st.CompactionsSwapped != 0 {
+			t.Fatalf("a compaction whose era was replaced: %+v", st)
+		}
+		if n := logLen(s); n != 0 {
+			t.Fatalf("the log keeps %d write sets after the discard", n)
+		}
+	})
+	t.Run("store closed", func(t *testing.T) {
+		r := xrand.New(47)
+		s := New()
+		var pop []ids.ID
+		pop = randomGraphStep(t, s, r, pop, 1)
+		s.CurrentView()
+		randomGraphStep(t, s, r, pop, 2)
+		v := s.CurrentView()
+		s.MarkClosed()
+		// A compaction started an instant before the flag went up, whose
+		// goroutine finds it raised: what startCompaction does but for the
+		// closed check, then the goroutine's body.
+		s.viewMu.Lock()
+		if !s.log.pinCompaction(v.ts) {
+			t.Fatal("the view's cursor is gone")
+		}
+		done := make(chan struct{})
+		s.compactDone = done
+		s.viewMu.Unlock()
+		s.compact(v.ts, v.era, done)
+		if st := s.ViewStats(); st.CompactionsDiscarded != 1 || st.CompactionsSwapped != 0 || s.CurrentView() != v {
+			t.Fatalf("a compaction on a closed store: %+v", st)
+		}
+	})
 }
 
 // TestRefreshCostIndependentOfOverlay is the O(delta) contract in counts:
@@ -642,62 +721,91 @@ func TestRefreshCostIndependentOfOverlay(t *testing.T) {
 	}
 }
 
-// TestViewRefreshEquivalenceRingOverflow shrinks the delta ring so commit
-// bursts overflow it: overflowed epochs must fall back to a correct full
-// rebuild.
+// TestViewRefreshEquivalenceRingOverflow alternates short bursts, which
+// the next acquisition refreshes, with bursts whose backlog passes the
+// compaction trigger, which drop the view's cursor (the commit log's
+// counterpart of the delta ring's overflow): every acquisition after a drop
+// must fall back to one correct rebuild, and the refreshes after it must be
+// correct again.
 func TestViewRefreshEquivalenceRingOverflow(t *testing.T) {
 	r := xrand.New(5)
 	s := New()
-	s.SetViewDeltaCap(2)
 	var pop []ids.ID
 	step := 1
-	for round := 0; round < 8; round++ {
-		// A burst of commits larger than the ring, then one view advance.
-		for i := 0; i < 4; i++ {
-			pop = randomGraphStep(t, s, r, pop, step)
-			step++
+	advance := func(want ViewEvent) {
+		t.Helper()
+		v, ev := s.AcquireView()
+		if ev != want {
+			t.Fatalf("step %d: %v, want %v", step, ev, want)
 		}
-		v := s.CurrentView()
 		assertViewMatchesRebuild(t, v, s.ViewAt(v.Timestamp()))
+		tx := s.Begin()
+		tx.readonly = true
+		assertViewMatchesTxn(t, s, v, tx, pop)
 	}
-	if st := s.ViewStats(); st.Overflows == 0 {
-		t.Fatalf("ring never overflowed: %+v", st)
+	pop = randomGraphStep(t, s, r, pop, step)
+	advance(ViewRebuilt)
+	const rounds = 4
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < 3; i++ {
+			step++
+			pop = randomGraphStep(t, s, r, pop, step)
+		}
+		advance(ViewRefreshed)
+		for trigger := s.ViewStats().CompactTrigger; s.ViewStats().Overflows == int64(round); {
+			if step++; step > 100_000 || trigger <= 0 {
+				t.Fatalf("the backlog never passed the trigger %d", trigger)
+			}
+			pop = randomGraphStep(t, s, r, pop, step)
+		}
+		advance(ViewRebuilt)
+	}
+	if st := s.ViewStats(); st.Overflows != rounds || st.Rebuilds != 1+rounds || st.Refreshes != rounds {
+		t.Fatalf("counters: %+v", st)
 	}
 }
 
-// TestRingOverflowDoesNotAliasPendingDeltas is a regression test for the
-// overflow path: dropping the ring must abandon the backing array, because
-// a refresh may hold a pendingLocked subslice while commits keep landing —
-// reusing the slots would hand that refresh foreign (future) deltas.
+// TestRingOverflowDoesNotAliasPendingDeltas pins the contract of a range
+// the commit log hands out: it stays intact while commits append and the
+// flusher trims. The one case where the log trims past a range a reader may
+// still hold is a dropped view cursor — a refresh in progress when a burst
+// passes the trigger — so the drop must move the log to a new array, not
+// clear and reuse the slots the refresh reads.
 func TestRingOverflowDoesNotAliasPendingDeltas(t *testing.T) {
-	s := New()
-	s.SetViewDeltaCap(2)
-	s.CurrentView() // commits record deltas from the first view on
-	for i := 0; i < 2; i++ {
-		tx := s.Begin()
-		if err := tx.CreateNode(personID(830+uint32(i)), nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
+	p, _, err := Open(t.TempDir(), manualOpts(), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.deltaMu.Lock()
-	ds, ok := s.pendingLocked(0, 2)
-	s.deltaMu.Unlock()
+	defer p.Close()
+	s := p.Store
+	v := s.CurrentView()
+	for i := 1; i <= 2; i++ {
+		commitPost(t, s, i)
+	}
+	ds, ok := s.log.since(v.ts, v.ts+2, true) // what a refresh reads
 	if !ok || len(ds) != 2 {
-		t.Fatalf("pending range: ok=%v len=%d", ok, len(ds))
+		t.Fatalf("range since the view: ok=%v len=%d", ok, len(ds))
 	}
-	// This commit overflows the 2-slot ring while ds is still held.
+	// One commit past the trigger drops the view's cursor while ds is held;
+	// the flusher then trims everything, and later commits append.
 	tx := s.Begin()
-	if err := tx.CreateNode(personID(832), nil); err != nil {
-		t.Fatal(err)
+	for i := 0; i <= minViewCompactTrigger; i++ {
+		if err := tx.CreateNode(ids.Compose(ids.KindComment, int64(i+1), 0), nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
+	commitOrFatal(t, tx)
+	if st := s.ViewStats(); st.Overflows != 1 {
+		t.Fatalf("the burst did not drop the view's cursor: %+v", st)
 	}
-	if ds[0].ts != 1 || ds[1].ts != 2 {
-		t.Fatalf("held delta range mutated by overflow: ts %d, %d", ds[0].ts, ds[1].ts)
+	for i := 3; i <= 6; i++ {
+		if err := s.FlushWAL(); err != nil {
+			t.Fatal(err)
+		}
+		commitPost(t, s, i)
+	}
+	if ds[0] == nil || ds[1] == nil || ds[0].ts != v.ts+1 || ds[1].ts != v.ts+2 {
+		t.Fatalf("held range changed under the reader: %v %v", ds[0], ds[1])
 	}
 }
 
@@ -804,16 +912,19 @@ func TestViewRefreshCounters(t *testing.T) {
 	}
 }
 
-func deltaCount(s *Store) int {
-	s.deltaMu.Lock()
-	defer s.deltaMu.Unlock()
-	return len(s.deltas)
+// logLen returns how many write sets the commit log keeps.
+func logLen(s *Store) int {
+	s.log.mu.Lock()
+	defer s.log.mu.Unlock()
+	return len(s.log.buf) - s.log.lo
 }
 
-// TestNoDeltasBeforeFirstView pins that a loaded store nobody has read holds
-// no commit deltas: there is no view to apply them to, and the first build
-// would throw them away. From the first view on, commits record deltas and
-// the next acquisition refreshes from them.
+// TestNoDeltasBeforeFirstView pins that the commit log keeps only what a
+// consumer has yet to read: an in-memory store nobody has read keeps no
+// write set (there is no view to apply it to), a durable one keeps none
+// once the flusher has written it, and from the first view on the log keeps
+// the commits since the view until the next acquisition refreshes from
+// them.
 func TestNoDeltasBeforeFirstView(t *testing.T) {
 	r := xrand.New(71)
 	s := New()
@@ -821,24 +932,104 @@ func TestNoDeltasBeforeFirstView(t *testing.T) {
 	for step := 1; step <= 20; step++ {
 		pop = randomGraphStep(t, s, r, pop, step)
 	}
-	if n := deltaCount(s); n != 0 {
-		t.Fatalf("a store with no view holds %d deltas", n)
+	if n := logLen(s); n != 0 {
+		t.Fatalf("an in-memory store with no view keeps %d write sets", n)
 	}
 	if _, ev := s.AcquireView(); ev != ViewRebuilt {
 		t.Fatalf("first acquisition: %v, want rebuild", ev)
 	}
 	pop = randomGraphStep(t, s, r, pop, 21)
-	if n := deltaCount(s); n != 1 {
-		t.Fatalf("after the first view a commit recorded %d deltas, want 1", n)
+	if n := logLen(s); n != 1 {
+		t.Fatalf("after the first view the log keeps %d write sets of one commit", n)
 	}
 	v, ev := s.AcquireView()
 	if ev != ViewRefreshed {
 		t.Fatalf("acquisition after the first view: %v, want refresh", ev)
 	}
+	if n := logLen(s); n != 0 {
+		t.Fatalf("after the refresh the log keeps %d write sets", n)
+	}
 	assertViewMatchesRebuild(t, v, s.ViewAt(v.Timestamp()))
 	tx := s.Begin()
 	tx.readonly = true
 	assertViewMatchesTxn(t, s, v, tx, pop)
+
+	p, _, err := Open(t.TempDir(), manualOpts(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for n := 1; n <= 20; n++ {
+		commitPerson(t, p.Store, n)
+	}
+	if err := p.FlushWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if n := logLen(p.Store); n != 0 {
+		t.Fatalf("a durable store with no view keeps %d write sets after FlushWAL", n)
+	}
+}
+
+// TestBurstWithoutReaderRefreshes is a 20 K-commit burst nobody reads, with
+// the compaction trigger above its overlay cost: the next acquisition
+// applies the whole backlog as one refresh, where a bounded delta ring
+// would have overflowed into a rebuild.
+func TestBurstWithoutReaderRefreshes(t *testing.T) {
+	s := New()
+	s.SetViewCompactThreshold(1 << 30)
+	commitPost(t, s, 0)
+	s.CurrentView()
+	const burst = 20_000
+	for i := 1; i <= burst; i++ {
+		commitPost(t, s, i)
+	}
+	v, ev := s.AcquireView()
+	if ev != ViewRefreshed {
+		t.Fatalf("acquisition after the burst: %v, want refresh", ev)
+	}
+	if st := s.ViewStats(); st.Rebuilds != 1 || st.Overflows != 0 {
+		t.Fatalf("the burst cost a rebuild: %+v", st)
+	}
+	if v.Timestamp() != 1+burst {
+		t.Fatalf("view at %d, want %d", v.Timestamp(), 1+burst)
+	}
+	assertViewMatchesRebuild(t, v, s.ViewAt(v.Timestamp()))
+}
+
+// TestBacklogPastTriggerDropsViewCursor pins the one bound on a reader that
+// stops: once the commits since the cached view cost more overlay entries
+// than the compaction trigger, the log drops the view's cursor, once, and
+// keeps nothing for the view from then on; the next acquisition rebuilds
+// inline and registers the cursor again, so the one after refreshes.
+func TestBacklogPastTriggerDropsViewCursor(t *testing.T) {
+	s := New()
+	commitPost(t, s, 0)
+	s.CurrentView()
+	st0 := s.ViewStats()
+	// A post creation costs one overlay entry: one commit past the trigger
+	// drops the cursor, and twice as many commits again drop nothing more.
+	n := int(st0.CompactTrigger) + 1
+	for i := 1; i <= 3*n; i++ {
+		commitPost(t, s, i)
+		if got := s.ViewStats().Overflows - st0.Overflows; got != int64(min(i/n, 1)) {
+			t.Fatalf("after %d commits: %d cursor drops, trigger %d", i, got, st0.CompactTrigger)
+		}
+		if i >= n && logLen(s) != 0 {
+			t.Fatalf("after the drop the log keeps %d write sets", logLen(s))
+		}
+	}
+	v, ev := s.AcquireView()
+	if ev != ViewRebuilt {
+		t.Fatalf("acquisition after the drop: %v, want rebuild", ev)
+	}
+	if st := s.ViewStats(); st.Rebuilds != st0.Rebuilds+1 || st.Overflows != st0.Overflows+1 {
+		t.Fatalf("counters after the rebuild: %+v", st)
+	}
+	assertViewMatchesRebuild(t, v, s.ViewAt(v.Timestamp()))
+	commitPost(t, s, 3*n+1)
+	if _, ev := s.AcquireView(); ev != ViewRefreshed {
+		t.Fatalf("acquisition after the rebuild: %v, want refresh", ev)
+	}
 }
 
 // TestFirstViewRacesCommitters builds the first view while four committers

@@ -266,7 +266,7 @@ func TestSyncCommitDurableWithoutClose(t *testing.T) {
 
 	st := p.Stats()
 	if st.Fsyncs == 0 || st.Batches == 0 || st.BatchedRecords != commits {
-		t.Fatalf("batcher counters off: %+v", st)
+		t.Fatalf("flusher counters off: %+v", st)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -274,8 +274,10 @@ func TestSyncCommitDurableWithoutClose(t *testing.T) {
 }
 
 // TestGroupCommitConcurrentStress drives many writers over the WAL with
-// frequent rotation, racing Stats, Sync and a checkpoint against the
-// flusher — primarily race-detector coverage for the batcher's locking.
+// frequent rotation, racing Stats, Sync, view refreshes and a checkpoint
+// against the flusher — primarily race-detector coverage for the commit
+// log, whose write sets the flusher and the refreshes read after the
+// committers have released commitMu.
 func TestGroupCommitConcurrentStress(t *testing.T) {
 	const writers, commits = 8, 200
 	dir := t.TempDir()
@@ -317,6 +319,7 @@ func TestGroupCommitConcurrentStress(t *testing.T) {
 			default:
 				_ = p.Stats()
 				_ = p.Sync()
+				_ = p.CurrentView()
 			}
 		}
 	}()

@@ -96,7 +96,7 @@ type PersistStats struct {
 	WALBytes        int64
 	WALRotations    int64
 	SegmentsRemoved int64
-	// Group-commit batcher counters: Fsyncs is durability barriers issued,
+	// Group-commit flusher counters: Fsyncs is durability barriers issued,
 	// Batches is flush batches written, BatchedRecords the records they
 	// carried — fsyncs/commit and records/batch are the amortisation
 	// metrics BenchmarkWrite tracks.
@@ -219,12 +219,12 @@ func Open(dir string, opts PersistOptions, register func(*Store)) (*Persistent, 
 	}
 	p.lastCkptTS.Store(info.CheckpointTS)
 
-	// The active segment, then the group-commit batcher over it.
+	// The active segment, then the group-commit flusher over it.
 	seg, err := openActiveSegment(walDir, opts.SegmentBytes, segs, validLen, info.Clock+1)
 	if err != nil {
 		return nil, info, err
 	}
-	s.gwal = newGroupWAL(opts.WALSync, seg, info.Clock, p.onAppend)
+	s.gwal = newGroupWAL(opts.WALSync, seg, &s.log, info.Clock, p.onAppend)
 
 	p.wg.Add(1)
 	go p.checkpointLoop()
@@ -393,7 +393,7 @@ func (p *Persistent) Close() error {
 		return nil
 	}
 	// Fence the commit path first: MarkClosed waits for in-flight critical
-	// sections (their deposits land before the drain below) and makes every
+	// sections (their appends land before the drain below) and makes every
 	// later Commit fail with ErrStoreClosed instead of racing the closing
 	// log.
 	p.Store.MarkClosed()

@@ -21,16 +21,15 @@ type shard struct {
 type Store struct {
 	shards [shardCount]shard
 
-	// commitMu serialises the commit protocol: validation, installation
-	// and watermark advance happen atomically with respect to other
-	// commits. Readers take it once: the first view build, to raise
-	// recording.
+	// commitMu serialises the commit protocol: validation, installation,
+	// the append to the commit log and watermark advance happen atomically
+	// with respect to other commits. Readers take it once per inline
+	// rebuild, to register the view's cursor in the log at the clock.
 	commitMu sync.Mutex
 	// clock is the last fully committed timestamp; snapshots read it.
 	clock atomic.Int64
-	// recording makes commits record view-maintenance deltas (delta.go);
-	// the first view build raises it, and nothing lowers it.
-	recording bool // guarded by commitMu
+	// log holds the write sets its consumers have yet to read (commitlog.go).
+	log commitLog
 
 	kindMu sync.RWMutex
 	byKind map[ids.Kind][]ids.ID // guarded by kindMu
@@ -48,14 +47,6 @@ type Store struct {
 	compactDone chan struct{} // guarded by viewMu
 	rowWork     rowWork       // guarded by viewMu; the cached lineage's refresh scratch
 
-	// Incremental view maintenance (delta.go): the ring of commit deltas
-	// and its two consumers' positions.
-	deltaMu     sync.Mutex
-	deltas      []*CommitDelta // guarded by deltaMu; consecutive ts
-	deltaCap    int            // guarded by deltaMu
-	deltaSeen   int64          // guarded by deltaMu; timestamp of the cached view
-	compactFrom int64          // guarded by deltaMu; base timestamp of the compaction in flight, or noCompaction
-
 	compactThreshold atomic.Int64 // explicit compaction trigger, or autoCompactThreshold
 	overlayEntries   atomic.Int64 // delta entries applied in the cached era; written under viewMu
 
@@ -63,16 +54,14 @@ type Store struct {
 	viewRefreshes        atomic.Int64
 	viewRebuilds         atomic.Int64
 	viewEraBumps         atomic.Int64
-	viewOverflows        atomic.Int64
 	compactionsStarted   atomic.Int64
 	compactionsSwapped   atomic.Int64
 	compactionsDiscarded atomic.Int64
 	catchUpCommits       atomic.Int64
 
-	// gwal, set by Open, receives a redo record per committed transaction,
-	// in commit order (deposits happen under commitMu): the group-commit
-	// batcher over the segmented log (groupcommit.go). Nil on a store that
-	// is not durable.
+	// gwal, set by Open, writes the commit log's records to the segmented
+	// log in commit order: the group-commit flusher (groupcommit.go). Nil
+	// on a store that is not durable.
 	gwal *groupWAL
 
 	// closed is raised by MarkClosed (Persistent.Close does it before the
@@ -87,9 +76,8 @@ type Store struct {
 //snb:locked mu
 func New() *Store {
 	s := &Store{
-		byKind:      make(map[ids.Kind][]ids.ID),
-		deltaCap:    defaultViewDeltaCap,
-		compactFrom: noCompaction,
+		byKind: make(map[ids.Kind][]ids.ID),
+		log:    commitLog{view: noCursor, compaction: noCursor, written: noCursor},
 	}
 	s.compactThreshold.Store(autoCompactThreshold)
 	for i := range s.shards {
@@ -121,7 +109,7 @@ func (s *Store) LastCommit() int64 { return s.clock.Load() }
 // Commit and AcquireViewChecked returns ErrStoreClosed. Taking commitMu to
 // flip the flag is the shutdown fence — commits already inside their
 // critical section finish (and reach the WAL) before MarkClosed returns,
-// and commits that arrive after it observe the flag before depositing.
+// and commits that arrive after it observe the flag before appending.
 // Persistent.Close calls this before draining the WAL; servers over an
 // in-memory store call it directly. A background view compaction in flight
 // is waited for (none starts once the flag is up), so the store has no

@@ -429,7 +429,7 @@ func TestFinishedTxnRejectsWrites(t *testing.T) {
 // AddEdge) allocates on a store that records view deltas: the node buffer,
 // the edge buffer (three growths on the way to four), the CommitDelta, the
 // node record, its row table and the post's four rows. The Txn itself stays
-// on the caller's stack, and the peers' rows and the delta ring grow
+// on the caller's stack, and the peers' rows and the commit log grow
 // amortised.
 const commitAllocs = 11
 
@@ -444,7 +444,7 @@ func TestCommitAllocs(t *testing.T) {
 		}
 	}
 	commitOrFatal(t, tx)
-	s.CurrentView() // from here on commits record deltas
+	s.CurrentView() // from here on the commit log keeps the write sets for the view
 	props := Props{NewProp(PropContent, String("post")), NewProp(PropCreationDate, Int64(1))}
 	n := uint32(0)
 	allocs := testing.AllocsPerRun(1000, func() {

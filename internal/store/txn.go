@@ -16,7 +16,7 @@ var ErrExists = errors.New("store: node already exists")
 
 // ErrStoreClosed is returned by Commit and AcquireViewChecked once the
 // store has been closed (Persistent.Close, or MarkClosed on an in-memory
-// store). It replaces the pre-close race where a commit could deposit into
+// store). It replaces the pre-close race where a commit could append behind
 // a draining WAL and be silently dropped in non-SyncCommit modes: the
 // closed flag is raised under commitMu before the WAL shuts down, so every
 // commit either fully precedes Close (its record reaches the WAL before it
@@ -219,11 +219,11 @@ func (tx *Txn) Abort() {
 // nothing.
 //
 // The critical section under commitMu is short: validate, install, claim
-// the commit timestamp and serialise the redo record into the WAL's
-// pending buffer. The durability wait — in fsync-on-commit mode — happens
-// after commitMu is released, parked on the group-commit batcher's
-// watermark, so concurrent committers share fsyncs instead of serialising
-// behind them (groupcommit.go).
+// the commit timestamp and append the write set to the commit log. The
+// WAL flusher serialises and writes the record after commitMu is released,
+// and the durability wait — in fsync-on-commit mode — parks on its
+// durable watermark, so concurrent committers share fsyncs instead of
+// serialising behind them (groupcommit.go).
 func (tx *Txn) Commit() error {
 	if tx.done {
 		return errTxnDone
@@ -264,14 +264,14 @@ func (tx *Txn) Commit() error {
 }
 
 // commitLocked runs Commit's critical section under commitMu: validation,
-// installation, timestamp claim and WAL deposit. It returns the claimed
+// installation, timestamp claim and the append to the commit log. It returns the claimed
 // commit timestamp (0 when validation failed).
 //
 //snb:locked commitMu
 func (tx *Txn) commitLocked() (int64, error) {
 	s := tx.s
 
-	// Closed stores fail before validation: a deposit past this point would
+	// Closed stores fail before validation: an append past this point would
 	// race the draining WAL (MarkClosed flips the flag under commitMu,
 	// so the read here is ordered against the shutdown fence).
 	if s.closed.Load() {
@@ -292,24 +292,12 @@ func (tx *Txn) commitLocked() (int64, error) {
 		}
 	}
 
-	// The write set is the commit: installed here, recorded for the view
-	// refresh and serialised into the WAL, one record for all three.
+	// The write set is the commit: installed here, and appended to the
+	// commit log — in commit order, before the clock advances — for the
+	// view refresh and the WAL flusher.
 	d := &CommitDelta{ts: s.clock.Load() + 1, nodes: tx.nodes, edges: tx.edges}
 	s.install(d)
-
-	// Record the view-maintenance delta before the clock advances so a
-	// refresh observing the new watermark always finds its deltas — once
-	// there is a cached view to advance (Store.recording).
-	if s.recording {
-		s.recordDelta(d)
-	}
-
-	// Hand the redo record to the WAL before publishing the commit (still
-	// under commitMu, so deposits preserve commit order — the invariant
-	// behind the durability watermark).
-	if s.gwal != nil {
-		s.gwal.deposit(d)
-	}
+	s.log.append(d, s.viewBacklogLimit())
 
 	// Advance the watermark: the transaction becomes visible atomically.
 	s.clock.Store(d.ts)
@@ -320,8 +308,9 @@ func (tx *Txn) commitLocked() (int64, error) {
 // install stores one commit's write set at its timestamp: the created nodes
 // (in the order given), their kind-list entries and every edge in both
 // directions. It is the whole of a commit's install — Commit's critical
-// section runs it between validation and the WAL deposit, and WAL replay
-// runs it per decoded record — and it leaves the clock to the caller.
+// section runs it between validation and the append to the commit log,
+// and WAL replay runs it per decoded record — and it leaves the clock to
+// the caller.
 //
 // Edges tolerate endpoints that were never created: installEdge
 // materialises a bare record (no properties) so the adjacency stays

@@ -44,23 +44,24 @@
 // # Incremental view maintenance
 //
 // The view epoch advances in time proportional to the delta, neither the
-// dataset nor the overlay already accumulated: every commit records its
-// write set, a CommitDelta (created nodes, inserted edges), in a
-// bounded in-memory ring, and the first CurrentView call after a commit
-// applies the pending deltas onto the era's shared overlay — adjacency rows,
-// appended ordinals with their property rows and kind lists are appended to
-// in place beyond every published length, and each touched row gets a new
-// commit-stamped header that older views read their own prefix of
-// (delta.go). New nodes receive appended ordinals, so existing ordinals stay
+// dataset nor the overlay already accumulated: every commit appends its
+// write set, a CommitDelta (created nodes, inserted edges), to the commit
+// log (commitlog.go), and the first CurrentView call after a commit
+// applies the commits since the cached view onto the era's shared
+// overlay — adjacency rows, appended ordinals with their property rows and
+// kind lists are appended to in place beyond every published length, and
+// each touched row gets a new commit-stamped header that older views read
+// their own prefix of (delta.go). New nodes receive appended ordinals, so existing ordinals stay
 // stable within an era (SnapshotView.Era) and a refreshed view shares the
 // era's base. The full recompaction — sorted IDs, dense reassigned
 // ordinals, a fresh era — runs on a background goroutine once the overlay
 // outgrows a fixed fraction of the base (SetViewCompactThreshold overrides
 // the trigger) and is swapped in when it has caught up; a reader compacts
-// inline only for the first view and after a delta-ring overflow
-// (SetViewDeltaCap). ViewStats counts refreshes, rebuilds, era bumps,
-// overflows and background compactions, and reports the overlay's size
-// against the trigger.
+// inline only for the first view and after a backlog of commits whose
+// overlay cost passed the trigger, when the log drops the view's cursor.
+// ViewStats counts refreshes, rebuilds, era bumps, cursor drops and
+// background compactions, and reports the overlay's size against the
+// trigger.
 package store
 
 import (

@@ -48,7 +48,9 @@ import (
 //     outgrows a fixed fraction of the base, a background goroutine builds
 //     the next base off to the side and swaps it in (delta.go); readers
 //     only ever run a compaction themselves for the first view, after a
-//     delta-ring overflow, or when SetViewCompactThreshold(0) asks for it.
+//     backlog of commits passed the compaction trigger (the commit log
+//     dropped the view's cursor), or when SetViewCompactThreshold(0) asks
+//     for it.
 //
 // Ordinals are dense indices 0..NumNodes()-1, private to the store: they
 // index the base's slabs and the overlay's pages. Within one era they are
@@ -634,8 +636,10 @@ const (
 	// background compaction, which the caller does not wait for.
 	ViewRefreshed
 	// ViewRebuilt means the call itself paid a full recompaction — no view
-	// existed yet, the delta ring overflowed, or SetViewCompactThreshold(0)
-	// is in force. Rebuilds that replace a cached view bump the era.
+	// existed yet, the commits since the cached view cost more overlay
+	// entries than the compaction trigger (ViewStatsSnapshot.Overflows), or
+	// SetViewCompactThreshold(0) is in force. Rebuilds that replace a cached
+	// view bump the era.
 	ViewRebuilt
 )
 
@@ -659,14 +663,15 @@ func (e ViewEvent) String() string {
 // locking on the read path.
 //
 // The first reader after a commit advances the view incrementally when it
-// can: the pending commit deltas are applied onto the cached view (cost
+// can: the commits since the cached view are applied onto it (cost
 // proportional to the delta — see delta.go), keeping existing ordinals
 // stable within the era. The O(visible nodes + edges) recompaction that
 // folds the overlay back into a flat base runs on a background goroutine
 // once the overlay crosses the compaction trigger, and is swapped in as a
 // new era at the timestamp the cached view has reached by then. The caller
-// compacts inline only when no cached view exists, the delta ring
-// overflowed, or SetViewCompactThreshold(0) disabled refreshing.
+// compacts inline only when no cached view exists, the backlog since it
+// passed the compaction trigger, or SetViewCompactThreshold(0) disabled
+// refreshing.
 func (s *Store) CurrentView() *SnapshotView {
 	v, _ := s.AcquireView()
 	return v
@@ -698,16 +703,15 @@ func (s *Store) AcquireView() (*SnapshotView, ViewEvent) {
 			s.startCompaction(nv)
 			return nv, ViewRefreshed
 		}
-	} else {
-		// First build: commits record deltas from here on. Raising the flag
-		// and reading the clock under one commitMu hold puts every commit
-		// either at or below ts (in the build) or in the ring. Lock order is
-		// viewMu -> commitMu; no path takes viewMu while holding commitMu.
-		s.commitMu.Lock()
-		s.recording = true
-		ts = s.clock.Load()
-		s.commitMu.Unlock()
 	}
+	// Rebuild. Registering the view's cursor in the commit log and reading
+	// the clock under one commitMu hold puts every commit either at or below
+	// ts (in the build) or in the log for the next refresh. Lock order is
+	// viewMu -> commitMu; no path takes viewMu while holding commitMu.
+	s.commitMu.Lock()
+	ts = s.clock.Load()
+	s.log.moveView(ts, true)
+	s.commitMu.Unlock()
 	nv := s.buildView(ts)
 	s.view.Store(nv)
 	s.viewRebuilds.Add(1)
@@ -715,7 +719,6 @@ func (s *Store) AcquireView() (*SnapshotView, ViewEvent) {
 		s.viewEraBumps.Add(1)
 	}
 	s.overlayEntries.Store(0)
-	s.trimDeltas(ts)
 	return nv, ViewRebuilt
 }
 

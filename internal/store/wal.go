@@ -27,7 +27,7 @@ import (
 //	prop    := key:u8 valKind:u8 (int:u64 | len:u32 bytes)
 //
 // This file holds the record codec: appendCommitRecord is the one encoder
-// (called by the group-commit batcher, groupcommit.go) and walDecoder the
+// (called by the group-commit flusher, groupcommit.go) and walDecoder the
 // byte reader under the one decoder (decodeTxnPayload, recovery.go). The
 // log itself lives in segment files (segment.go) that Open (persist.go)
 // attaches and recovers.
@@ -101,9 +101,9 @@ func appendProp(b []byte, p Prop) []byte {
 
 // appendCommitRecord serialises one commit's write set onto b — 8-byte
 // length/CRC header plus payload, header patched in once the payload is
-// complete — and returns the grown slice. Appending into the batcher's
-// pending buffer keeps the hot commit path allocation-free once the buffer
-// has warmed (groupcommit_test.go pins this on deposit).
+// complete — and returns the grown slice. Appending into the flusher's
+// reused record buffer keeps the flusher allocation-free once the buffer
+// has warmed (TestDepositZeroAlloc pins this).
 //
 //snb:noalloc
 func appendCommitRecord(buf []byte, d *CommitDelta) []byte {

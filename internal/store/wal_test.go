@@ -5,13 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"ldbcsnb/internal/ids"
@@ -237,44 +235,67 @@ func walWriteSet(ts int64) *CommitDelta {
 	}
 }
 
-// idleBatcher returns a group-commit batcher with no flusher behind it, so
-// a test owns the pending buffer.
-func idleBatcher() *groupWAL {
-	gw := &groupWAL{oldestUnsynced: math.MaxInt64}
-	gw.work = sync.NewCond(&gw.mu)
-	gw.durable = sync.NewCond(&gw.mu)
-	return gw
-}
-
-// TestDepositZeroAlloc pins the write path's pooled-encode contract: once
-// the pending buffer has warmed to the record size, depositing a commit
-// allocates nothing — the whole record (header + payload) is assembled in
-// the reused buffer.
+// TestDepositZeroAlloc pins the write path's allocation contract on both
+// sides of the commit log. A committer's append stores a pointer: it
+// allocates 0 times amortised, while the log only grows, and 0 times in the
+// steady state, where the flusher trims it after every batch and its array
+// is reused. The flusher serialises each record into its one reused buffer:
+// once that has warmed to the record size, encoding allocates nothing.
 func TestDepositZeroAlloc(t *testing.T) {
-	gw := idleBatcher()
 	d := walWriteSet(9)
-	depositOne := func() {
-		gw.pending, gw.count = gw.pending[:0], 0 // the flusher's swap
-		gw.deposit(d)
+	var l commitLog
+	l.view, l.compaction = noCursor, noCursor
+	appendOne := func() {
+		d.ts++
+		l.append(d, noCursor)
 	}
-	depositOne() // warm the pending buffer
-	if allocs := testing.AllocsPerRun(100, depositOne); allocs != 0 {
-		t.Fatalf("deposit allocates %.1f times per record, want 0", allocs)
+	if allocs := testing.AllocsPerRun(1000, appendOne); allocs != 0 {
+		t.Fatalf("a growing log allocates %.1f times per append, want 0 amortised", allocs)
+	}
+	appendWritten := func() {
+		appendOne()
+		l.mu.Lock()
+		l.written = d.ts // the flusher's cursor after its batch
+		l.trimLocked()
+		l.mu.Unlock()
+	}
+	if allocs := testing.AllocsPerRun(100, appendWritten); allocs != 0 {
+		t.Fatalf("a log trimmed by the flusher allocates %.1f times per append, want 0", allocs)
+	}
+
+	gw := &groupWAL{}
+	gw.encode(d) // warm the record buffer
+	if allocs := testing.AllocsPerRun(100, func() { gw.encode(d) }); allocs != 0 {
+		t.Fatalf("encoding allocates %.1f times per record, want 0", allocs)
 	}
 }
 
-// BenchmarkWALDeposit measures the redo-record encode+append cost per
-// commit in isolation (run with -benchmem; steady state must report
-// 0 allocs/op).
+// BenchmarkWALDeposit measures the two halves of a record's way to the
+// WAL in isolation (run with -benchmem; both must report 0 allocs/op):
+// the committer's append to the commit log, and the flusher's encode into
+// its reused buffer.
 func BenchmarkWALDeposit(b *testing.B) {
-	gw := idleBatcher()
 	d := walWriteSet(0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		gw.pending, gw.count = gw.pending[:0], 0
-		d.ts = int64(i)
-		gw.deposit(d)
-	}
+	b.Run("append", func(b *testing.B) {
+		l := commitLog{view: noCursor, compaction: noCursor}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d.ts = int64(i + 1)
+			l.append(d, noCursor)
+			l.mu.Lock()
+			l.written = d.ts
+			l.trimLocked()
+			l.mu.Unlock()
+		}
+	})
+	b.Run("encode", func(b *testing.B) {
+		gw := &groupWAL{}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d.ts = int64(i)
+			gw.encode(d)
+		}
+	})
 }
 
 // walDecodeAllocCeiling is the most decodeTxnPayload may allocate for an

@@ -19,13 +19,17 @@ check: fmt vet build test harness lint docs-check
 # ACID battery's one concurrent-commit check, racing appends to a single
 # adjacency row. So do the commit log's consumers: the WAL flusher reads
 # the write sets the committers appended after they released commitMu,
-# beside view refreshes, and a burst drops the view's cursor.
+# beside view refreshes, and a burst drops the view's cursor. So do the
+# driver's cancellation tests: a stopped update stream must release its
+# dependency hold, or a sibling parked in WaitUntil deadlocks, and whether
+# one is parked when the stop lands depends on the schedule.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestViewLineageUnderReaders|TestHeldViewsReadTheirStamps|TestFirstViewRacesCommitters' ./internal/store
 	$(GO) test -race -count=20 -run 'TestBattery|TestLostAppendRepeated' ./internal/store
 	$(GO) test -race -count=20 -run 'TestBacklogPastTriggerDropsViewCursor|TestGroupCommitConcurrentStress|TestSyncCommitDurableWithoutClose' ./internal/store
 	$(GO) test -race -count=20 -run TestBIParallelOnHeldViewUnderRefresh ./internal/bi
+	$(GO) test -race -count=20 -run 'TestReplayStop|TestRunMixedCancel' ./internal/driver
 	$(GO) test -race ./internal/bench/ -run xxx -bench 'BenchmarkWrite/sync=commit/writers=2$$' -benchtime 1x
 
 # Static invariant enforcement (docs/ANALYZERS.md): snblint runs the

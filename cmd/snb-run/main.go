@@ -3,13 +3,9 @@
 // dependency tracking while running the read mix, and report the
 // per-query latency tables and throughput — the §5 evaluation flow.
 //
-// Every read-only query (Q1-Q14, S1-S7) executes through the single
-// generic Reader implementation; -readpath selects whether the run drives
-// the frozen snapshot views (the lock-free hot path, default) or MVCC read
-// transactions, and the report prints the per-query latency/count tables
-// for whichever path ran.
-//
-// On the view path the report also breaks view acquisition into
+// Every read-only query (Q1-Q14, S1-S7) runs on the store's frozen
+// snapshot views (the lock-free hot path), and the report prints the
+// per-query latency/count tables. It also breaks view acquisition into
 // refresh-vs-rebuild latency and prints the store's view-maintenance
 // counters and gauges (delta refreshes, inline rebuilds, era bumps,
 // view-cursor drops — backlogs that passed the compaction trigger; overlay
@@ -20,9 +16,8 @@
 //
 // The optional BI analyst lane (-bi) runs the eight graph-wide BI queries
 // (bi.Registry) alongside the Interactive mix with their own latency
-// table: on the view path each execution cuts its scans into morsels for
-// -bi-workers workers (1 runs them on the client's goroutine); the txn
-// read path always runs on one worker.
+// table: each execution cuts its scans into morsels for -bi-workers
+// workers (1 runs them on the client's goroutine).
 //
 // # Durable mode
 //
@@ -41,11 +36,11 @@
 // over every commit in a batch. See store.WALSyncMode for the exact
 // guarantee of each mode.
 //
-// -write-clients adds a dedicated write lane to the mixed run: concurrent
-// clients issuing small insert transactions back to back, reported as an
-// end-to-end commit-latency bucket (the group-commit pipeline's metric).
+// -streams sets how many update streams commit concurrently; with
+// -wal-sync commit their commits share group-commit batches, and Table 9
+// times each update Begin..Commit, the durability wait included.
 //
-// SIGINT/SIGTERM interrupt a run gracefully: read, write and BI lanes
+// SIGINT/SIGTERM interrupt a run gracefully: read and BI lanes
 // stop at their next operation boundary, started update transactions
 // finish (so dependency holds release), and durable mode still runs the
 // clean-shutdown path — final checkpoint, group-commit flusher drained, WAL
@@ -63,11 +58,10 @@
 //
 // Usage:
 //
-//	snb-run -sf 0.05 [-streams 4] [-readclients 2] [-pertype 3] [-uniform] [-readpath txn|view]
+//	snb-run -sf 0.05 [-streams 4] [-readclients 2] [-pertype 3] [-uniform]
 //	        [-view-compact-threshold N] [-bi] [-bi-workers N] [-bi-clients N] [-bi-rounds N]
 //	        [-data-dir DIR] [-wal-sync none|flush|commit]
 //	        [-wal-segment-bytes N] [-checkpoint-bytes N] [-checkpoint-commits N]
-//	        [-write-clients N] [-write-ops N]
 //	snb-run -serve-addr HOST:PORT -arrival-rate N [-serve-duration DUR]
 //	        [-serve-deadline MS] [-serve-retries N] [-serve-inflight N]
 package main
@@ -154,12 +148,10 @@ func main() {
 	readClients := flag.Int("readclients", 2, "concurrent read clients")
 	perType := flag.Int("pertype", 3, "complex query executions per type (base)")
 	uniform := flag.Bool("uniform", false, "use uniform instead of curated Q5 parameters (Figure 5b ablation)")
-	readPath := flag.String("readpath", driver.ReadPathView,
-		"read path for all queries and short reads: 'view' (frozen snapshots) or 'txn' (MVCC transactions)")
 	biLane := flag.Bool("bi", false,
 		"run the BI analyst lane alongside the Interactive mix (eight graph-wide BI queries per round)")
 	biWorkers := flag.Int("bi-workers", 0,
-		"morsel fan-out per BI query on the view path: 0 = GOMAXPROCS, 1 = one worker on the client's goroutine")
+		"morsel fan-out per BI query: 0 = GOMAXPROCS, 1 = one worker on the client's goroutine")
 	biClients := flag.Int("bi-clients", 1, "concurrent BI analyst clients when -bi is set")
 	biRounds := flag.Int("bi-rounds", 1, "passes each BI client makes over the eight templates")
 	compactThreshold := flag.Int("view-compact-threshold", -1,
@@ -177,10 +169,6 @@ func main() {
 		"with -data-dir: background checkpoint after this many WAL bytes (0 = default 32 MiB, negative = disable)")
 	ckptCommits := flag.Int64("checkpoint-commits", 0,
 		"with -data-dir: background checkpoint after this many commits (0 = disabled)")
-	writeClients := flag.Int("write-clients", 0,
-		"dedicated write-lane clients issuing small insert transactions (0 = lane disabled)")
-	writeOps := flag.Int("write-ops", 0,
-		"commits per write-lane client (0 = 100)")
 	serveAddr := flag.String("serve-addr", "",
 		"serve mode: drive a snb-serve instance at HOST:PORT with the open-loop client instead of running locally")
 	arrivalRate := flag.Float64("arrival-rate", 0,
@@ -196,16 +184,13 @@ func main() {
 	queryText := flag.String("query", "",
 		"query mode: compile and run one declarative pattern query (docs/QUERY.md) against the "+
 			"loaded dataset, print the plan and result rows, and exit; $-parameters are bound "+
-			"from the curated pools using -seed, and -readpath picks the execution path")
+			"from the curated pools using -seed")
 	flag.Parse()
 
 	if *serveAddr != "" {
 		runServeMode(*serveAddr, *arrivalRate, *serveDuration, uint32(*serveDeadline),
 			*serveRetries, *serveInflight, *seed)
 		return
-	}
-	if *readPath != driver.ReadPathView && *readPath != driver.ReadPathTxn {
-		log.Fatalf("invalid -readpath %q (want %q or %q)", *readPath, driver.ReadPathView, driver.ReadPathTxn)
 	}
 	syncMode, err := parseWALSync(*walSync)
 	if err != nil {
@@ -278,14 +263,13 @@ func main() {
 		fmt.Printf("bulk-loaded %d persons, %d messages, %d forums; %d updates pending\n",
 			c.Persons, c.Messages(), c.Forums, len(env.Updates))
 	}
-	fmt.Printf("read path: %s\n", *readPath)
 	if *compactThreshold >= 0 {
 		env.Store.SetViewCompactThreshold(*compactThreshold)
 		fmt.Printf("view compaction threshold: %d overlay entries\n", *compactThreshold)
 	}
 
 	if *queryText != "" {
-		code := runQueryMode(env, *queryText, *readPath, *seed, *uniform)
+		code := runQueryMode(env, *queryText, *seed, *uniform)
 		if persist != nil {
 			if err := persist.Close(); err != nil {
 				log.Fatalf("close: %v", err)
@@ -315,7 +299,6 @@ func main() {
 		ComplexPerType: *perType,
 		Seed:           *seed,
 		UniformParams:  *uniform,
-		ReadPath:       *readPath,
 		Persist:        persist,
 	}
 	if *biLane {
@@ -324,11 +307,6 @@ func main() {
 		mixed.BIRounds = *biRounds
 		fmt.Printf("BI lane: %d client(s), %d round(s), workers=%d (0 = GOMAXPROCS)\n",
 			*biClients, *biRounds, *biWorkers)
-	}
-	if *writeClients > 0 {
-		mixed.WriteClients = *writeClients
-		mixed.WriteOps = *writeOps
-		fmt.Printf("write lane: %d client(s), wal-sync=%s\n", *writeClients, syncMode)
 	}
 	rep := driver.RunMixed(mixed)
 	// Stop relaying signals: a second ^C during shutdown kills the process
@@ -365,10 +343,6 @@ func main() {
 			vs.CompactionsDiscarded, vs.CatchUpCommits)
 	}
 	fmt.Printf("memory: %s\n", bench.MemoryLine(env.Store.ComputeStats()))
-	if rep.Commit.Count > 0 {
-		fmt.Printf("write lane: %d commits, latency mean %v p95 %v max %v\n",
-			rep.Commit.Count, rep.Commit.Mean(), rep.Commit.Percentile(95), rep.Commit.Max)
-	}
 	if rep.Persist != nil {
 		fmt.Printf("durability: %d WAL bytes appended, %d rotations, %d checkpoints (last at commit %d), %d segments truncated, final sync %v\n",
 			rep.Persist.WALBytes, rep.Persist.WALRotations, rep.Persist.Checkpoints,
@@ -404,10 +378,9 @@ func main() {
 }
 
 // runQueryMode compiles one declarative pattern query with cardinality
-// hints from the current snapshot view, runs it on the selected read path,
-// and prints the plan, the result rows and the execution timing. Returns
+// hints from the current snapshot view, runs it on that view, and prints the plan, the result rows and the execution timing. Returns
 // the process exit code.
-func runQueryMode(env *bench.Env, text, readPath string, seed uint64, uniform bool) int {
+func runQueryMode(env *bench.Env, text string, seed uint64, uniform bool) int {
 	q, err := query.Parse(text)
 	if err != nil {
 		log.Printf("parse: %v", err)
@@ -424,22 +397,15 @@ func runQueryMode(env *bench.Env, text, readPath string, seed uint64, uniform bo
 	pools := driver.PreparePools(env.Full, seed, uniform)
 	params := query.StandardParams(pools, xrand.New(seed, 0x9e3779b9))
 	sc := query.NewScratch()
-	var res *query.Result
 	start := time.Now()
-	if readPath == driver.ReadPathTxn {
-		env.Store.View(func(tx *store.Txn) {
-			res, err = query.Run(tx, sc, plan, params)
-		})
-	} else {
-		res, err = query.Run(v, sc, plan, params)
-	}
+	res, err := query.Run(v, sc, plan, params)
 	elapsed := time.Since(start)
 	if err != nil {
 		log.Printf("execute: %v", err)
 		return 1
 	}
 	fmt.Print(res)
-	fmt.Printf("\n%d row(s) in %v (%s path)\n", len(res.Rows), elapsed.Round(time.Microsecond), readPath)
+	fmt.Printf("\n%d row(s) in %v\n", len(res.Rows), elapsed.Round(time.Microsecond))
 	return 0
 }
 

@@ -2,8 +2,10 @@ package driver
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"ldbcsnb/internal/datagen"
 	"ldbcsnb/internal/ids"
 	"ldbcsnb/internal/schema"
 	"ldbcsnb/internal/store"
@@ -31,24 +33,12 @@ func (c *StoreConnector) Execute(op *schema.Update) error {
 // latency is Sleep.
 type SleepConnector struct {
 	Sleep time.Duration
-	count int64
-	mu    sync.Mutex
 }
 
 // Execute sleeps for the configured duration.
 func (c *SleepConnector) Execute(op *schema.Update) error {
 	time.Sleep(c.Sleep)
-	c.mu.Lock()
-	c.count++
-	c.mu.Unlock()
 	return nil
-}
-
-// Count returns the number of executed operations.
-func (c *SleepConnector) Count() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.count
 }
 
 // Partition splits the update stream into n parallel streams (§4.2):
@@ -107,11 +97,9 @@ type Config struct {
 	Streams   int
 	Mode      Mode
 	// Acceleration is simulation-time / real-time for ModePaced (e.g. 10
-	// means one simulated hour plays in six real minutes).
+	// means one simulated hour plays in six real minutes). ModeWindowed
+	// windows are datagen.SafeTime wide.
 	Acceleration float64
-	// SafeTime is the windowed-mode window size in simulation millis
-	// (defaults to datagen.SafeTime if zero).
-	SafeTime int64
 }
 
 // Report summarises a driver run.
@@ -127,20 +115,20 @@ type Report struct {
 
 // Run executes a pre-partitioned update stream to completion.
 func Run(cfg Config, streams [][]schema.Update) Report {
+	return replay(cfg, streams, nil)
+}
+
+// replay is the driver's one scheduler: every stream runs on its own
+// goroutine under GDS/LDS dependency tracking. A closed stop channel makes
+// each stream abandon the rest of its schedule at its next operation
+// boundary, never an operation in flight; a nil stop never fires. The
+// report counts only the operations that executed.
+func replay(cfg Config, streams [][]schema.Update, stop <-chan struct{}) Report {
 	gds := NewGDS(len(streams))
 	start := time.Now()
 	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	errs := 0
-	total := 0
-	for _, s := range streams {
-		total += len(s)
-	}
-
-	safe := cfg.SafeTime
-	if safe <= 0 {
-		safe = 10 * 60 * 1000
-	}
+	var executed, errs atomic.Int64
+	const safe = datagen.SafeTime
 
 	// Pacing: map simulation due time to wall-clock time.
 	var simStart int64 = 1<<63 - 1
@@ -176,14 +164,11 @@ func Run(cfg Config, streams [][]schema.Update) Report {
 			defer wg.Done()
 			lds := gds.Stream(idx)
 			ops := streams[idx]
+			var n, failed int64
 			for j := range ops {
 				op := &ops[j]
 				isDep := op.Type == schema.UpdateAddPerson
 
-				if isDep {
-					lds.Initiate(op.DueTime)
-					gds.Refresh()
-				}
 				if op.DepTime > 0 {
 					// Figure 8: dependents wait for the GDS watermark. In
 					// windowed mode the wait target is the start of the
@@ -201,12 +186,25 @@ func Run(cfg Config, streams [][]schema.Update) Report {
 					gds.WaitUntil(dep)
 				}
 				waitDue(op.DueTime)
+				// The stop check follows the waits: a stopped sibling
+				// releases dependencies it never executed (lds.Finish
+				// below), and a dependent woken by that release must not
+				// run. Initiate follows the check: the announced schedule
+				// already holds this stream's T_LI at a pending
+				// dependency's due time, so initiating after the wait
+				// moves no watermark.
+				if stopped(stop) {
+					break
+				}
+				if isDep {
+					lds.Initiate(op.DueTime)
+					gds.Refresh()
+				}
 
 				if err := cfg.Connector.Execute(op); err != nil {
-					errMu.Lock()
-					errs++
-					errMu.Unlock()
+					failed++
 				}
+				n++
 
 				if isDep {
 					lds.Complete(op.DueTime)
@@ -215,16 +213,29 @@ func Run(cfg Config, streams [][]schema.Update) Report {
 			}
 			lds.Finish()
 			gds.Refresh()
+			executed.Add(n)
+			errs.Add(failed)
 		}(i)
 	}
 	wg.Wait()
 
 	wall := time.Since(start)
-	r := Report{Operations: total, Wall: wall, Errors: errs}
+	r := Report{Operations: int(executed.Load()), Wall: wall, Errors: int(errs.Load())}
 	if wall > 0 {
-		r.OpsPerSec = float64(total) / wall.Seconds()
+		r.OpsPerSec = float64(r.Operations) / wall.Seconds()
 	}
 	return r
+}
+
+// stopped polls a stop channel without blocking; a nil channel never
+// fires.
+func stopped(stop <-chan struct{}) bool {
+	select {
+	case <-stop:
+		return true
+	default:
+		return false
+	}
 }
 
 // mix64 is the splitmix64 finaliser, used to spread structured entity IDs

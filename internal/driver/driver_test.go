@@ -439,10 +439,15 @@ func TestWindowedWaitBetweenDependencies(t *testing.T) {
 	}
 }
 
-func TestRunMixedTxnReadPath(t *testing.T) {
-	// The same registry-driven read mix must execute every query type on
-	// the MVCC transaction path, without ever acquiring a snapshot view.
+// TestRunMixedBILane runs the BI analyst lane concurrently with updates
+// and Interactive readers: every BI template must execute and record into
+// the lane's own latency bucket, morsel-parallel on frozen views. Under
+// `make race` this is the fan-out-vs-commit race surface.
+func TestRunMixedBILane(t *testing.T) {
 	full, bulk, updates := genUpdates(t, 200)
+	if len(updates) > 500 {
+		updates = updates[:500]
+	}
 	st := store.New()
 	if err := schema.LoadDimensions(st); err != nil {
 		t.Fatal(err)
@@ -450,68 +455,17 @@ func TestRunMixedTxnReadPath(t *testing.T) {
 	if err := schema.Load(st, bulk); err != nil {
 		t.Fatal(err)
 	}
-	if len(updates) > 500 {
-		updates = updates[:500]
-	}
 	rep := RunMixed(MixedConfig{
 		Store: st, Dataset: full, Updates: updates,
-		Streams: 2, ReadClients: 2, ComplexPerType: 1, Seed: 5,
-		ReadPath: ReadPathTxn,
+		Streams: 2, ReadClients: 1, ComplexPerType: 1, Seed: 5,
+		BIClients: 2, BIWorkers: 2, BIRounds: 2,
 	})
 	if rep.Errors != 0 {
 		t.Fatalf("errors: %d", rep.Errors)
 	}
-	for q := 0; q < 14; q++ {
-		if rep.Complex[q].Count == 0 {
-			t.Fatalf("Q%d never executed on the txn path", q+1)
-		}
-	}
-	shortTotal := 0
-	for i := range rep.Short {
-		shortTotal += rep.Short[i].Count
-	}
-	if shortTotal == 0 {
-		t.Fatal("no short reads executed on the txn path")
-	}
-	if rep.ViewAcquire.Count != 0 {
-		t.Fatalf("txn read path acquired %d views", rep.ViewAcquire.Count)
-	}
-}
-
-// TestRunMixedBILane runs the BI analyst lane concurrently with updates
-// and Interactive readers on both read paths: every BI template must
-// execute and record into the lane's own latency bucket, morsel-parallel
-// on the view path and serially (with zero view acquisitions) on the txn
-// path. Under `make race` this is the fan-out-vs-commit race surface.
-func TestRunMixedBILane(t *testing.T) {
-	full, bulk, updates := genUpdates(t, 200)
-	if len(updates) > 500 {
-		updates = updates[:500]
-	}
-	for _, readPath := range []string{ReadPathView, ReadPathTxn} {
-		st := store.New()
-		if err := schema.LoadDimensions(st); err != nil {
-			t.Fatal(err)
-		}
-		if err := schema.Load(st, bulk); err != nil {
-			t.Fatal(err)
-		}
-		rep := RunMixed(MixedConfig{
-			Store: st, Dataset: full, Updates: updates,
-			Streams: 2, ReadClients: 1, ComplexPerType: 1, Seed: 5,
-			ReadPath:  readPath,
-			BIClients: 2, BIWorkers: 2, BIRounds: 2,
-		})
-		if rep.Errors != 0 {
-			t.Fatalf("%s: errors: %d", readPath, rep.Errors)
-		}
-		for q := range rep.BI {
-			if got, want := rep.BI[q].Count, 2*2; got != want {
-				t.Fatalf("%s: BI%d executed %d times, want %d", readPath, q+1, got, want)
-			}
-		}
-		if readPath == ReadPathTxn && rep.ViewAcquire.Count != 0 {
-			t.Fatalf("txn BI lane acquired %d views", rep.ViewAcquire.Count)
+	for q := range rep.BI {
+		if got, want := rep.BI[q].Count, 2*2; got != want {
+			t.Fatalf("BI%d executed %d times, want %d", q+1, got, want)
 		}
 	}
 }

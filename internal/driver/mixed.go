@@ -22,18 +22,8 @@ import (
 //
 // Read execution is registry-driven: the driver walks the schedule and
 // executes workload.Complex[q-1] (bind parameters, run, extract walk
-// seeds) against whichever read path the configuration selects. There is
-// no per-query dispatch in this package.
-
-// Read-path selection for MixedConfig.ReadPath.
-const (
-	// ReadPathView runs all read-only queries on frozen snapshot views —
-	// the Interactive hot path (lock-free, invalidated by commits).
-	ReadPathView = "view"
-	// ReadPathTxn runs all read-only queries in MVCC read transactions —
-	// the baseline the view path is benchmarked against.
-	ReadPathTxn = "txn"
-)
+// seeds) on the store's frozen snapshot views. There is no per-query
+// dispatch in this package.
 
 // MixedConfig parameterises a full Interactive run.
 type MixedConfig struct {
@@ -54,19 +44,12 @@ type MixedConfig struct {
 	// UniformParams switches Q5 parameter selection from curated to
 	// uniform (the Figure 5(b) ablation).
 	UniformParams bool
-	// ReadPath selects the read path for every query and short read:
-	// ReadPathView (default) or ReadPathTxn. Both paths execute the same
-	// generic query implementations.
-	ReadPath string
 	// BIClients is the number of concurrent BI analyst clients cycling
 	// the eight BI queries (bi.Registry) alongside the Interactive mix;
-	// 0 disables the BI lane. BI clients follow ReadPath: MVCC
-	// transactions on the txn path, frozen snapshot views otherwise.
+	// 0 disables the BI lane.
 	BIClients int
-	// BIWorkers is the morsel fan-out of each BI execution on the view
-	// path (0 = GOMAXPROCS workers; 1 runs the scan on the client's
-	// goroutine). Ignored on the txn path, which always runs on one
-	// worker.
+	// BIWorkers is the morsel fan-out of each BI execution (0 = GOMAXPROCS
+	// workers; 1 runs the scan on the client's goroutine).
 	BIWorkers int
 	// BIRounds is how many passes over the eight BI templates each BI
 	// client makes (0 = 1).
@@ -77,18 +60,9 @@ type MixedConfig struct {
 	// durability counters into MixedReport.Persist. The store field of the
 	// handle must be the same Store the run executes against.
 	Persist *store.Persistent
-	// WriteClients is the number of dedicated write-lane clients running
-	// alongside the update streams: each issues WriteOps small insert
-	// transactions back to back, timing Commit end to end (including the
-	// group-commit durability wait when the store fsyncs on commit).
-	// 0 disables the lane.
-	WriteClients int
-	// WriteOps is the number of commits each write client performs
-	// (0 = 100).
-	WriteOps int
 	// Ctx, when non-nil, cancels the run: every lane (update streams, read
-	// clients, BI clients, write clients) stops at its next operation
-	// boundary once Ctx is done, and the report's Interrupted flag is set.
+	// clients, BI clients) stops at its next operation boundary once Ctx
+	// is done, and the report's Interrupted flag is set.
 	// Cancellation never weakens durability — an update stream abandons
 	// its remaining schedule but finishes the operation in flight, so
 	// "Commit returned ⇒ durable" holds for everything the report counts
@@ -108,18 +82,12 @@ type MixedReport struct {
 	// apart from Complex: a BI execution is a graph-wide scan orders of
 	// magnitude above the Interactive point queries, and folding the two
 	// together would drown the Table 6 numbers.
-	BI [bi.NumQueries]LatencyStats
-	// Commit is the write lane's end-to-end commit latency bucket
-	// (WriteClients > 0): the short critical section plus, in
-	// fsync-on-commit mode, the wait for the group-commit batch holding the
-	// transaction to reach disk. Update-stream latencies stay in Update;
-	// this bucket isolates pure commit cost from dependency-wait time.
-	Commit LatencyStats
-	Wall   time.Duration
+	BI   [bi.NumQueries]LatencyStats
+	Wall time.Duration
 	// ViewAcquire aggregates the cost of every frozen-view acquisition the
-	// read clients performed (view path only; twice per iteration — before
-	// the complex query and again before the short-read walk, so the walk
-	// serves the freshest epoch). ViewRefresh and ViewRebuild split the
+	// read clients performed (twice per iteration — before the complex
+	// query and again before the short-read walk, so the walk serves the
+	// freshest epoch). ViewRefresh and ViewRebuild split the
 	// same samples by the maintenance work the acquisition performed:
 	// cache hits and incremental delta refreshes land in ViewRefresh,
 	// compactions the reader ran itself in ViewRebuild. Overlay compaction
@@ -153,34 +121,31 @@ type MixedReport struct {
 // country table size used by the generator).
 const numQ11Countries = 25
 
-// writeLaneBucket is the minute-bucket floor for write-lane entity IDs —
-// far above any creation date the generator emits (~2^25 minutes since
-// epoch), so lane inserts never collide with dataset or update-stream
-// entities.
-const writeLaneBucket = 1 << 32
-
-// prepareParams runs the parameter-curation pipeline (§4.1) over the
-// dataset: PC tables per query template, greedy window selection, plus
-// value pools for the non-person parameters.
-func prepareParams(cfg *MixedConfig) *workload.ParamPools {
-	r := xrand.New(cfg.Seed, xrand.PurposeShortRead, 1)
+// PreparePools runs the parameter-curation pipeline (§4.1) over a dataset
+// — PC tables per query template, greedy window selection, plus value pools
+// for the non-person parameters — and returns the pools. The mixed run and
+// the serving layer bind from the same pools, so served and in-process
+// executions draw from one distribution. uniform switches Q5 parameter
+// selection from curated to uniform (the Figure 5(b) ablation).
+func PreparePools(ds *schema.Dataset, seed uint64, uniform bool) *workload.ParamPools {
+	r := xrand.New(seed, xrand.PurposeShortRead, 1)
 	pp := &workload.ParamPools{
 		CountryX:     0,
 		CountryY:     1,
 		NumCountries: numQ11Countries,
-		MaxDate:      simEndOf(cfg.Dataset),
+		MaxDate:      simEndOf(ds),
 		WindowMillis: 120 * 24 * 3600 * 1000,
 		BeforeYear:   2013,
 	}
 	pp.StartDate = pp.MaxDate - pp.WindowMillis
 
-	q9 := params.BuildQ9Table(cfg.Dataset)
+	q9 := params.BuildQ9Table(ds)
 	for _, p := range q9.Curate(40) {
 		pp.Persons = append(pp.Persons, ids.ID(p))
 	}
-	q5 := params.BuildQ5Table(cfg.Dataset)
+	q5 := params.BuildQ5Table(ds)
 	var sel []uint64
-	if cfg.UniformParams {
+	if uniform {
 		sel = q5.UniformSample(40, r.Uint64)
 	} else {
 		sel = q5.Curate(40)
@@ -190,8 +155,8 @@ func prepareParams(cfg *MixedConfig) *workload.ParamPools {
 	}
 
 	seen := map[string]bool{}
-	for i := range cfg.Dataset.Persons {
-		n := cfg.Dataset.Persons[i].FirstName
+	for i := range ds.Persons {
+		n := ds.Persons[i].FirstName
 		if !seen[n] {
 			seen[n] = true
 			pp.FirstNames = append(pp.FirstNames, n)
@@ -202,16 +167,6 @@ func prepareParams(cfg *MixedConfig) *workload.ParamPools {
 		pp.TagClasses = append(pp.TagClasses, ids.DimensionID(ids.KindTagClass, uint32(r.Intn(20))))
 	}
 	return pp
-}
-
-// PreparePools runs the parameter-curation pipeline (§4.1) over a dataset
-// and returns the pools, for callers outside the mixed run — the serving
-// layer binds per-request parameters from the same curated pools the
-// in-process driver uses, so served and in-process executions draw from
-// one distribution.
-func PreparePools(ds *schema.Dataset, seed uint64, uniform bool) *workload.ParamPools {
-	cfg := MixedConfig{Dataset: ds, Seed: seed, UniformParams: uniform}
-	return prepareParams(&cfg)
 }
 
 func simEndOf(d *schema.Dataset) int64 {
@@ -236,19 +191,9 @@ func RunMixed(cfg MixedConfig) *MixedReport {
 	if cfg.Mix.P == 0 {
 		cfg.Mix = workload.DefaultShortReadMix
 	}
-	switch cfg.ReadPath {
-	case "":
-		cfg.ReadPath = ReadPathView
-	case ReadPathView, ReadPathTxn:
-	default:
-		panic("driver: unknown MixedConfig.ReadPath " + cfg.ReadPath)
-	}
-	qp := prepareParams(&cfg)
+	qp := PreparePools(cfg.Dataset, cfg.Seed, cfg.UniformParams)
 	rep := &MixedReport{}
-	var mu sync.Mutex // guards rep and updatesRun during concurrent execution
-	// updatesRun counts the update-stream operations executed, failed ones
-	// included: a canceled stream abandons the rest of its schedule.
-	updatesRun := 0
+	var mu sync.Mutex // guards rep during concurrent execution
 
 	// Cancellation plumbing: every lane polls canceled() at its operation
 	// boundaries. A nil Ctx yields a nil done channel, which never selects
@@ -258,73 +203,47 @@ func RunMixed(cfg MixedConfig) *MixedReport {
 		done = cfg.Ctx.Done()
 	}
 	canceled := func() bool {
-		select {
-		case <-done:
-			mu.Lock()
-			rep.Interrupted = true
-			mu.Unlock()
-			return true
-		default:
+		if !stopped(done) {
 			return false
 		}
+		mu.Lock()
+		rep.Interrupted = true
+		mu.Unlock()
+		return true
 	}
 
 	start := time.Now()
 
-	// Update streams run exactly as in Run, while read clients interleave.
+	// Update streams run through replay, the scheduler Run uses, while
+	// read clients interleave. A canceled stream abandons its remaining
+	// schedule but never an operation in flight, so every counted commit
+	// is durable. The connector times each operation into Table 9.
 	var wg sync.WaitGroup
+	var updates Report
 	if len(cfg.Updates) > 0 {
-		streams := Partition(cfg.Updates, cfg.Streams)
-		conn := &StoreConnector{Store: cfg.Store}
-		gds := NewGDS(len(streams))
-		simStart := cfg.Updates[0].DueTime
-		gds.SetFloor(simStart - 1)
-		for i, s := range streams {
-			gds.Stream(i).SetSchedule(dependencySchedule(s))
-		}
-		gds.Refresh()
-		for i := range streams {
-			wg.Add(1)
-			go func(idx int) {
-				defer wg.Done()
-				lds := gds.Stream(idx)
-				for j := range streams[idx] {
-					// A canceled stream abandons its remaining schedule but
-					// never an operation in flight; the lds.Finish below
-					// releases its dependency hold so sibling streams parked
-					// in WaitUntil drain instead of deadlocking.
-					if canceled() {
-						break
-					}
-					op := &streams[idx][j]
-					isDep := op.Type == schema.UpdateAddPerson
-					if isDep {
-						lds.Initiate(op.DueTime)
-						gds.Refresh()
-					}
-					if op.DepTime > 0 {
-						gds.WaitUntil(op.DepTime)
-					}
-					t0 := time.Now()
-					err := conn.Execute(op)
-					lat := time.Since(t0)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			timed := connectorFunc(func(op *schema.Update) error {
+				t0 := time.Now()
+				err := workload.ApplyUpdate(cfg.Store, op)
+				lat := time.Since(t0)
+				if err == nil {
 					mu.Lock()
-					updatesRun++
-					if err != nil {
-						rep.Errors++
-					} else {
-						rep.Update[op.Type-1].Add(lat)
-					}
+					rep.Update[op.Type-1].Add(lat)
 					mu.Unlock()
-					if isDep {
-						lds.Complete(op.DueTime)
-						gds.Refresh()
-					}
 				}
-				lds.Finish()
-				gds.Refresh()
-			}(i)
-		}
+				return err
+			})
+			streams := Partition(cfg.Updates, cfg.Streams)
+			r := replay(Config{Connector: timed, Streams: len(streams), Mode: ModeUnpaced}, streams, done)
+			mu.Lock()
+			updates = r
+			if r.Operations < len(cfg.Updates) {
+				rep.Interrupted = true
+			}
+			mu.Unlock()
+		}()
 	}
 
 	// Read clients: cycle the complex queries at Table 4 proportions.
@@ -332,25 +251,21 @@ func RunMixed(cfg MixedConfig) *MixedReport {
 	// cheaper (more frequent) queries therefore execute more often, like
 	// the real mix.
 	//
-	// Every query and the short-read walk run through the single generic
-	// Reader implementation; cfg.ReadPath picks the instantiation. On the
-	// view path each iteration acquires the store's frozen snapshot view
-	// twice — once for the complex query and once more before the
-	// short-read walk, so the walk observes commits that landed while the
-	// complex query ran instead of serving a stale epoch for the whole
-	// iteration. Each acquisition runs inside its own timed region
-	// recorded in rep.ViewAcquire and split into rep.ViewRefresh /
-	// rep.ViewRebuild by the maintenance event it performed — per-query
-	// latencies stay comparable while the refresh-vs-rebuild tax stays
-	// visible in the report. On the txn path the iteration runs inside one
-	// MVCC read-only transaction instead.
+	// Each iteration acquires the store's frozen snapshot view twice —
+	// once for the complex query and once more before the short-read
+	// walk, so the walk observes commits that landed while the complex
+	// query ran instead of serving a stale epoch for the whole iteration.
+	// Each acquisition runs inside its own timed region recorded in
+	// rep.ViewAcquire and split into rep.ViewRefresh / rep.ViewRebuild by
+	// the maintenance event it performed — per-query latencies stay
+	// comparable while the refresh-vs-rebuild tax stays visible in the
+	// report.
 	perType := cfg.ComplexPerType
 	if perType == 0 {
 		perType = 5
 	}
 	n := len(cfg.Dataset.Persons)
 	schedule := buildSchedule(perType, n)
-	readTxn := cfg.ReadPath == ReadPathTxn
 	for c := 0; c < cfg.ReadClients; c++ {
 		wg.Add(1)
 		go func(client int) {
@@ -369,18 +284,6 @@ func RunMixed(cfg MixedConfig) *MixedReport {
 				q := schedule[si]
 				spec := &workload.Complex[q-1]
 				p := spec.Bind(qp, r)
-				if readTxn {
-					cfg.Store.View(func(tx *store.Txn) {
-						t0 := time.Now()
-						res := spec.RunTxn(tx, sc, p)
-						lat := time.Since(t0)
-						mu.Lock()
-						rep.Complex[q-1].Add(lat)
-						mu.Unlock()
-						workload.RunShortReadChain(tx, cfg.Mix, r, seedPersons(res, p), res.Messages, timer)
-					})
-					continue
-				}
 				tAcq := time.Now()
 				v, ev := cfg.Store.AcquireView()
 				acq := time.Since(tAcq)
@@ -406,64 +309,20 @@ func RunMixed(cfg MixedConfig) *MixedReport {
 		}(c)
 	}
 	// BI analyst lane: each client cycles the eight BI templates through
-	// bi.Registry — bind parameters from the same curated pools, execute
-	// on the configured read path, record into the lane's own latency
-	// bucket. On the view path each execution acquires the current view
-	// (timed into ViewAcquire like the Interactive clients' reads) and
-	// scans it with BIWorkers workers.
+	// bi.Registry — bind parameters from the same curated pools, acquire
+	// the current view (timed into ViewAcquire like the Interactive
+	// clients' reads), scan it with BIWorkers workers, and record into the
+	// lane's own latency bucket.
 	par := exec.Config{Workers: cfg.BIWorkers}
 	biRounds := cfg.BIRounds
 	if biRounds <= 0 {
 		biRounds = 1
-	}
-	// Dedicated write lane: WriteClients goroutines issue small insert
-	// transactions back to back, each a single-person create with an ID far
-	// above the generated dataset's minute buckets (no collisions with
-	// update-stream entities). The timed region is Begin..Commit, so in
-	// fsync-on-commit mode the bucket captures the full group-commit wait —
-	// the metric the commit-pipeline split exists to improve.
-	writeOps := cfg.WriteOps
-	if writeOps <= 0 {
-		writeOps = 100
-	}
-	for c := 0; c < cfg.WriteClients; c++ {
-		wg.Add(1)
-		go func(client int) {
-			defer wg.Done()
-			for op := 0; op < writeOps; op++ {
-				if canceled() {
-					break
-				}
-				idx := client*writeOps + op
-				id := ids.Compose(ids.KindPerson, writeLaneBucket+int64(idx>>16), uint32(idx&0xffff))
-				t0 := time.Now()
-				tx := cfg.Store.Begin()
-				err := tx.CreateNode(id, store.Props{
-					store.NewProp(store.PropFirstName, store.String("writer")),
-					store.NewProp(store.PropCreationDate, store.Int64(int64(idx))),
-				})
-				if err == nil {
-					err = tx.Commit()
-				} else {
-					tx.Abort()
-				}
-				lat := time.Since(t0)
-				mu.Lock()
-				if err != nil {
-					rep.Errors++
-				} else {
-					rep.Commit.Add(lat)
-				}
-				mu.Unlock()
-			}
-		}(c)
 	}
 	for c := 0; c < cfg.BIClients; c++ {
 		wg.Add(1)
 		go func(client int) {
 			defer wg.Done()
 			r := xrand.New(cfg.Seed, xrand.PurposeShortRead, uint64(client)+500)
-			sc := workload.NewScratch()
 			for round := 0; round < biRounds; round++ {
 				for q := range bi.Registry {
 					if canceled() {
@@ -471,17 +330,6 @@ func RunMixed(cfg MixedConfig) *MixedReport {
 					}
 					spec := &bi.Registry[q]
 					p := spec.Bind(qp, r)
-					if readTxn {
-						cfg.Store.View(func(tx *store.Txn) {
-							t0 := time.Now()
-							spec.RunTxn(tx, sc, p)
-							lat := time.Since(t0)
-							mu.Lock()
-							rep.BI[q].Add(lat)
-							mu.Unlock()
-						})
-						continue
-					}
 					tAcq := time.Now()
 					v, ev := cfg.Store.AcquireView()
 					acq := time.Since(tAcq)
@@ -497,6 +345,7 @@ func RunMixed(cfg MixedConfig) *MixedReport {
 		}(c)
 	}
 	wg.Wait()
+	rep.Errors += updates.Errors
 
 	// Durability barrier: a mixed run on a durable store ends with every
 	// commit on disk, and the run's wall time owns that cost (fsync is
@@ -513,7 +362,7 @@ func RunMixed(cfg MixedConfig) *MixedReport {
 	}
 
 	rep.Wall = time.Since(start)
-	total := updatesRun + rep.Commit.Count
+	total := updates.Operations
 	for i := range rep.Complex {
 		total += rep.Complex[i].Count
 	}
@@ -528,6 +377,12 @@ func RunMixed(cfg MixedConfig) *MixedReport {
 	}
 	return rep
 }
+
+// connectorFunc adapts a function to the Connector interface.
+type connectorFunc func(op *schema.Update) error
+
+// Execute calls f(op).
+func (f connectorFunc) Execute(op *schema.Update) error { return f(op) }
 
 // addAcquire records one view acquisition under the report lock: the
 // aggregate stat plus the refresh-vs-rebuild split by maintenance event.

@@ -19,8 +19,8 @@ import (
 )
 
 // serveWriteBucket namespaces the IDs the write class creates, far above
-// both the generated dataset's minute buckets and the in-process driver
-// write lane (1<<32), so server writes never collide with either.
+// the generated dataset's minute buckets (~2^25 minutes since epoch), so
+// server writes never collide with dataset or update-stream entities.
 const serveWriteBucket = int64(1) << 33
 
 // Config configures a Server. Zero-value fields take serving defaults

@@ -14,8 +14,8 @@ check: fmt vet build test harness lint docs-check
 # workers on a held view under the era's writer then run twenty times
 # more: the era's shared overlay rests on atomics, and the detector only
 # finds a misused one when a run happens to interleave on it. The first
-# view racing the committers rides along: refreshers and the background
-# compaction read the write sets the committers buffered. So does the
+# view racing the committers rides along: its build and the refreshers
+# after it read what the committers install and buffer. So does the
 # ACID battery's one concurrent-commit check, racing appends to a single
 # adjacency row. So do the commit log's consumers: the WAL flusher reads
 # the write sets the committers appended after they released commitMu,

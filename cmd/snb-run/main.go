@@ -8,11 +8,9 @@
 // per-query latency/count tables. It also breaks view acquisition into
 // refresh-vs-rebuild latency and prints the store's view-maintenance
 // counters and gauges (delta refreshes, inline rebuilds, era bumps,
-// view-cursor drops — backlogs that passed the compaction trigger; overlay
-// size against the compaction trigger, background
-// compactions started/swapped/discarded), so what readers pay for view
-// maintenance is observable from the CLI; -view-compact-threshold
-// overrides the overlay size at which the background compaction starts.
+// view-cursor drops — an overlay plus backlog that passed the compaction
+// trigger; overlay size against the trigger), so what readers pay for view
+// maintenance is observable from the CLI.
 //
 // The optional BI analyst lane (-bi) runs the eight graph-wide BI queries
 // (bi.Registry) alongside the Interactive mix with their own latency
@@ -59,7 +57,7 @@
 // Usage:
 //
 //	snb-run -sf 0.05 [-streams 4] [-readclients 2] [-pertype 3] [-uniform]
-//	        [-view-compact-threshold N] [-bi] [-bi-workers N] [-bi-clients N] [-bi-rounds N]
+//	        [-bi] [-bi-workers N] [-bi-clients N] [-bi-rounds N]
 //	        [-data-dir DIR] [-wal-sync none|flush|commit]
 //	        [-wal-segment-bytes N] [-checkpoint-bytes N] [-checkpoint-commits N]
 //	snb-run -serve-addr HOST:PORT -arrival-rate N [-serve-duration DUR]
@@ -154,10 +152,6 @@ func main() {
 		"morsel fan-out per BI query: 0 = GOMAXPROCS, 1 = one worker on the client's goroutine")
 	biClients := flag.Int("bi-clients", 1, "concurrent BI analyst clients when -bi is set")
 	biRounds := flag.Int("bi-rounds", 1, "passes each BI client makes over the eight templates")
-	compactThreshold := flag.Int("view-compact-threshold", -1,
-		"view-maintenance compaction trigger: overlay entries a refreshed view chain may accumulate "+
-			"before a background compaction folds them into a new base (0 = no refreshing, every advance "+
-			"recompacts inline; -1 = store default, a quarter of the base's adjacency entries)")
 	dataDir := flag.String("data-dir", "",
 		"durable mode: open or recover a data directory (segmented WAL + checkpoints); empty = in-memory run")
 	walSync := flag.String("wal-sync", "none",
@@ -263,10 +257,6 @@ func main() {
 		fmt.Printf("bulk-loaded %d persons, %d messages, %d forums; %d updates pending\n",
 			c.Persons, c.Messages(), c.Forums, len(env.Updates))
 	}
-	if *compactThreshold >= 0 {
-		env.Store.SetViewCompactThreshold(*compactThreshold)
-		fmt.Printf("view compaction threshold: %d overlay entries\n", *compactThreshold)
-	}
 
 	if *queryText != "" {
 		code := runQueryMode(env, *queryText, *seed, *uniform)
@@ -332,15 +322,13 @@ func main() {
 	if rep.ViewAcquire.Count > 0 {
 		fmt.Printf("view acquire: mean %v over %d acquisitions\n",
 			rep.ViewAcquire.Mean(), rep.ViewAcquire.Count)
-		fmt.Printf("  refresh/hit: mean %v over %d   rebuild: mean %v over %d\n",
+		fmt.Printf("  refresh/hit: mean %v over %d   rebuild: mean %v max %v over %d\n",
 			rep.ViewRefresh.Mean(), rep.ViewRefresh.Count,
-			rep.ViewRebuild.Mean(), rep.ViewRebuild.Count)
+			rep.ViewRebuild.Mean(), rep.ViewRebuild.Max, rep.ViewRebuild.Count)
 		vs := env.Store.ViewStats()
-		fmt.Printf("view maintenance: %d delta refreshes, %d rebuilds, %d era bumps, %d view-cursor drops (backlog past the trigger)\n",
+		fmt.Printf("view maintenance: %d delta refreshes, %d rebuilds, %d era bumps, %d view-cursor drops (overlay plus backlog past the trigger)\n",
 			vs.Refreshes, vs.Rebuilds, vs.EraBumps, vs.Overflows)
-		fmt.Printf("  overlay: %d entries (compaction trigger %d)   background compactions: %d started, %d swapped, %d discarded, last caught up %d commits\n",
-			vs.OverlayEntries, vs.CompactTrigger, vs.CompactionsStarted, vs.CompactionsSwapped,
-			vs.CompactionsDiscarded, vs.CatchUpCommits)
+		fmt.Printf("  overlay: %d entries (compaction trigger %d)\n", vs.OverlayEntries, vs.CompactTrigger)
 	}
 	fmt.Printf("memory: %s\n", bench.MemoryLine(env.Store.ComputeStats()))
 	if rep.Persist != nil {

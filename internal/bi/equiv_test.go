@@ -261,8 +261,8 @@ func TestBIPathsAgreeOnRandomGraphs(t *testing.T) {
 		loadBIRandomDimensions(t, st, g)
 		for step := 1; step <= 8; step++ {
 			if step == 5 {
-				// Force a full recompaction (era bump) on the next view
-				// advance, then restore the default threshold.
+				// Force an inline rebuild (era bump) on the next view
+				// advance, then set a threshold the later steps stay under.
 				st.SetViewCompactThreshold(0)
 			} else if step == 6 {
 				st.SetViewCompactThreshold(4096)
@@ -271,6 +271,13 @@ func TestBIPathsAgreeOnRandomGraphs(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertBIAgree(t, st, 0, 200000, int64(step+1)*100000)
+			bumps := int64(0)
+			if step >= 5 {
+				bumps = 1
+			}
+			if vs := st.ViewStats(); vs.EraBumps != bumps || vs.Rebuilds != 1+bumps {
+				t.Fatalf("seed %d step %d: %+v, want %d inline era bumps", seed, step, vs, bumps)
+			}
 		}
 	}
 }
@@ -285,8 +292,8 @@ func TestBIPathsAgreeOnRandomGraphs(t *testing.T) {
 func TestBIParallelOnHeldViewUnderRefresh(t *testing.T) {
 	r := xrand.New(3)
 	st := store.New()
-	// The writer runs as long as the readers do; no overlay size may start
-	// a compaction, whose swap would move the cached view to a new era.
+	// The writer runs as long as the readers do; no overlay size may make
+	// a reader rebuild, which would move the cached view to a new era.
 	st.SetViewCompactThreshold(math.MaxInt32)
 	g := &biRandGraph{}
 	loadBIRandomDimensions(t, st, g)

@@ -90,11 +90,11 @@ type MixedReport struct {
 	// freshest epoch). ViewRefresh and ViewRebuild split the
 	// same samples by the maintenance work the acquisition performed:
 	// cache hits and incremental delta refreshes land in ViewRefresh,
-	// compactions the reader ran itself in ViewRebuild. Overlay compaction
-	// runs on a background goroutine of the store, so ViewRebuild only sees
-	// the run's first view build and the rebuilds after a backlog of
-	// commits passed the compaction trigger (the commit log dropped the
-	// view's cursor); a steady-state run has one sample in it.
+	// compactions the reader ran itself in ViewRebuild: the run's first
+	// view build, then one sample per trigger crossing — the era's overlay
+	// plus the backlog of commits since the cached view passed the
+	// compaction trigger (the commit log dropped the view's cursor), and
+	// the next reader rebuilt inline.
 	ViewAcquire LatencyStats
 	ViewRefresh LatencyStats
 	ViewRebuild LatencyStats

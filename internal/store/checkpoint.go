@@ -499,18 +499,15 @@ func loadCheckpoint(s *Store, path string) (int64, error) {
 	return clock, nil
 }
 
-// pruneCheckpoints removes all but the newest retain checkpoints plus any
-// stale temp files. Pruning is an optimisation, not a correctness step, so
-// errors are returned but recovery never depends on it having run.
-func pruneCheckpoints(dir string, retain int) error {
-	if retain < 1 {
-		retain = 1
-	}
+// pruneCheckpoints removes all but the newest retainCheckpoints checkpoints
+// plus any stale temp files. Pruning is an optimisation, not a correctness
+// step, so errors are returned but recovery never depends on it having run.
+func pruneCheckpoints(dir string) error {
 	cks, err := scanCheckpoints(dir)
 	if err != nil {
 		return err
 	}
-	for i := retain; i < len(cks); i++ {
+	for i := retainCheckpoints; i < len(cks); i++ {
 		if err := os.Remove(cks[i].path); err != nil {
 			return err
 		}

@@ -10,18 +10,17 @@ import (
 // advances, so a reader that sees a timestamp finds its commit here. Each
 // consumer reads through a cursor, the newest commit it has consumed: the
 // WAL flusher (written; durable, the fsynced watermark committers wait on,
-// is no cursor), the cached view (its timestamp) and a compaction in flight
-// (its base, pinning its whole catch-up range). The log keeps what is past
-// the minimum cursor, at consecutive timestamps: a place is an index.
+// is no cursor) and the cached view (its timestamp). The log keeps what is
+// past the minimum cursor, at consecutive timestamps: a place is an index.
 //
 // A consumer reads its range with the lock released and moves its cursor
 // past it once done, so nothing trims, clears or reuses a slot it reads.
 // The one cursor that can go mid-read is the view's. Readers apply the
-// whole backlog, but once its overlay cost passes the compaction trigger
-// the log drops the view's cursor — a refresh that size costs what the
-// compaction it would start costs — and the next reader rebuilds and
-// registers it again. A drop moves the log to a new array: a refresh may
-// still be reading the old one.
+// whole backlog, but once the era's overlay plus the backlog passes the
+// compaction trigger the log drops the view's cursor — the era is due for
+// a rebuild, and a refresh would only grow it — and the next reader
+// rebuilds and registers it again. A drop moves the log to a new array: a
+// refresh may still be reading the old one.
 //
 // Lock order: viewMu -> commitMu -> commitLog.mu.
 type commitLog struct {
@@ -30,12 +29,12 @@ type commitLog struct {
 	buf []*CommitDelta // guarded by mu; buf[lo:] is the log, consecutive in ts; slots below lo are cleared
 	lo  int            // guarded by mu
 
-	view       int64 // guarded by mu; noCursor before the first build and once dropped
-	backlog    int64 // guarded by mu; overlay cost of the commits past view
-	viewDrops  int64 // guarded by mu; ViewStatsSnapshot.Overflows
-	compaction int64 // guarded by mu
-	written    int64 // guarded by mu
-	durable    int64 // guarded by mu
+	view      int64 // guarded by mu; noCursor before the first build and once dropped
+	overlay   int64 // guarded by mu; overlay cost of the commits the cached era applied
+	backlog   int64 // guarded by mu; overlay cost of the commits past view
+	viewDrops int64 // guarded by mu; ViewStatsSnapshot.Overflows
+	written   int64 // guarded by mu
+	durable   int64 // guarded by mu
 
 	// The flusher's queue (groupcommit.go); the conditions are nil on a
 	// store without a WAL.
@@ -54,19 +53,21 @@ const noCursor = math.MaxInt64
 func (d *CommitDelta) entries() int64 { return int64(len(d.nodes) + 2*len(d.edges)) }
 
 // append adds one commit's write set. Called under commitMu, before the
-// clock advances; limit bounds the view's backlog (viewBacklogLimit).
-func (l *commitLog) append(d *CommitDelta, limit int64) {
+// clock advances. trigger is the cached era's compaction trigger
+// (compactTrigger): the one place it is checked, so a view advances by a
+// rebuild exactly when the era's overlay plus the backlog has passed it.
+func (l *commitLog) append(d *CommitDelta, trigger int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.view != noCursor {
-		if l.backlog += d.entries(); l.backlog > limit {
+		if l.backlog += d.entries(); l.overlay+l.backlog > trigger {
 			l.view, l.backlog = noCursor, 0
 			l.viewDrops++
 			l.moveLocked(l.buf[l.lo:], 0)
 			l.trimLocked()
 		}
 	}
-	if min(l.view, l.compaction, l.written) < d.ts {
+	if min(l.view, l.written) < d.ts {
 		if len(l.buf) == cap(l.buf) {
 			// Full: move the log to a new array, twice the size if it fills
 			// half. Moving it to the front of this one would let later
@@ -108,52 +109,45 @@ func (l *commitLog) afterLocked(ts int64) []*CommitDelta {
 //
 //snb:locked mu
 func (l *commitLog) trimLocked() {
-	keep := len(l.buf) - len(l.afterLocked(min(l.view, l.compaction, l.written)))
+	keep := len(l.buf) - len(l.afterLocked(min(l.view, l.written)))
 	clear(l.buf[l.lo:keep])
 	if l.lo = keep; keep == len(l.buf) {
 		l.buf, l.lo = l.buf[:0], 0
 	}
 }
 
-// since returns the write sets of the commits in (after, upto], which a
-// cursor at or below after keeps in the log until its consumer moves it.
-// For the view (view=true) ok is false once its cursor has been dropped.
-func (l *commitLog) since(after, upto int64, view bool) (ds []*CommitDelta, ok bool) {
+// since returns the write sets of the commits in (after, upto] to the view
+// refresh, which the view's cursor at after keeps in the log until the
+// refresh moves it; ok is false once the cursor has been dropped.
+func (l *commitLog) since(after, upto int64) (ds []*CommitDelta, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if view && l.view != after {
+	if l.view != after {
 		return nil, false
 	}
 	return l.afterLocked(after)[:upto-after], true
 }
 
 // moveView moves the view's cursor to ts, the view just refreshed, unless
-// a burst has dropped it meanwhile. A rebuild at ts registers it (rebuild
-// = true) under commitMu, with ts read from the clock under the same hold,
-// so every later commit is kept for the view.
+// a burst has dropped it meanwhile: the commits up to ts move from the
+// backlog to the era's overlay. A rebuild at ts registers it (rebuild =
+// true) under commitMu, with ts read from the clock under the same hold,
+// so every later commit is kept for the view, and starts an empty overlay.
 func (l *commitLog) moveView(ts int64, rebuild bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.view == noCursor && !rebuild {
 		return
 	}
-	l.view, l.backlog = ts, 0
+	backlog := int64(0)
 	for _, d := range l.afterLocked(ts) {
-		l.backlog += d.entries()
+		backlog += d.entries()
 	}
-	l.trimLocked()
-}
-
-// pinCompaction sets the compaction's cursor at ts, the cached view's
-// timestamp, and reports whether it could: the view's cursor must still be
-// there, keeping every commit after ts. noCursor unpins it.
-func (l *commitLog) pinCompaction(ts int64) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if ts != noCursor && l.view != ts {
-		return false
+	if rebuild {
+		l.overlay = 0
+	} else {
+		l.overlay += l.backlog - backlog
 	}
-	l.compaction = ts
+	l.view, l.backlog = ts, backlog
 	l.trimLocked()
-	return true
 }

@@ -47,16 +47,15 @@ import (
 //
 // # Append-sharing
 //
-// Each era has a single writer: the viewMu lineage for the cached view's
-// era, or a background compaction for the era it builds, whose views nobody
-// reads until it swaps one in under viewMu. Every refresh derives from the
-// newest view of its lineage, so for each shared slice — a row's entries and
-// commit stamps, the appended-ordinal lists nodesOver and propsOver, the
-// per-kind scan lists — the newest header holds the longest prefix of one
-// backing array and every older header a shorter prefix of the same array. A
-// refresh appends in place, into the spare capacity beyond every published
-// length; once capacity runs out, append reallocates (growing geometrically,
-// so appends stay amortised O(1)) and the lineage moves to the new array.
+// Each era has a single writer, the viewMu lineage: every refresh runs
+// under viewMu and derives from the newest view of the era, so for each
+// shared slice — a row's entries and commit stamps, the appended-ordinal
+// lists nodesOver and propsOver, the per-kind scan lists — the newest header
+// holds the longest prefix of one backing array and every older header a
+// shorter prefix of the same array. A refresh appends in place, into the
+// spare capacity beyond every published length; once capacity runs out,
+// append reallocates (growing geometrically, so appends stay amortised
+// O(1)) and the lineage moves to the new array.
 // Readers index a slice only below the length in a header they loaded, and
 // the atomic store that publishes a header (or a view) orders the element
 // writes before any read through it, so the maintainer's writes and any
@@ -65,32 +64,29 @@ import (
 // the one copy is the first touch of a base row in an era, which decodes it
 // out of the slab.
 //
-// What would break it: two writers on one era (both would write the same
-// spare slot — a background compaction therefore never refreshes a
-// published view, it catches up on its own unpublished lineage), a reader
-// appending to or re-slicing a row it was handed (snblint's viewalias pass
-// forbids it), a delta that rewrites an element some published header
-// already covers instead of appending past it, or a header written after it
-// was stored (a refresh builds each row's header on the side and stores it
-// once, after the row's last append).
+// What would break it: a second writer on the era (both would write the
+// same spare slot), a reader appending to or re-slicing a row it was handed
+// (snblint's viewalias pass forbids it), a delta that rewrites an element
+// some published header already covers instead of appending past it, or a
+// header written after it was stored (a refresh builds each row's header on
+// the side and stores it once, after the row's last append).
 //
 // # Compaction
 //
 // Overlay rows are decoded (16 bytes an entry against ~7 in the slab) and
 // cost readers one extra indirection, so the overlay is folded back into a
 // flat base once it holds more than a fixed fraction of the base's entries
-// (compactTrigger, viewCompactFraction). No reader does that work: the refresh that crosses the
-// trigger starts one background goroutine (compact) which builds the next
-// base at that refresh's timestamp off to the side, catches up on the
-// commits that landed meanwhile by applying the log's write sets to its own
-// unpublished view, and under viewMu swaps it in for the cached view at the
-// same timestamp — a new era: ordinals are reassigned. While it runs its
-// cursor keeps the commits since its base timestamp in the log.
-//
-// A reader rebuilds inline (ViewRebuilt) only when there is nothing to
-// refresh from: no view yet, a backlog that passed the compaction trigger
-// (the log dropped the view's cursor), or SetViewCompactThreshold(0) turned
-// refreshing off.
+// (compactTrigger, viewCompactFraction). One count decides it: the overlay
+// the era's refreshes applied plus the backlog of commits since the cached
+// view. The commit that takes that pair past the trigger makes the commit
+// log drop the view's cursor (commitLog.append), and the next AcquireView
+// finds nothing to refresh from: it rebuilds inline (ViewRebuilt) at the
+// clock, a new era with its ordinals reassigned. So a view advances in two
+// ways only, a refresh or a rebuild by the acquiring reader, and the reader
+// that crosses the trigger pays the rebuild. The first view is a rebuild
+// too; while it is built there is no trigger, so the commits landing
+// meanwhile stay in the log, and the count takes them in from the first
+// commit after the view is published.
 
 // CommitDelta is one committed transaction's write set: the nodes it
 // created, sorted by ID, and the edges it inserted, in call order — the
@@ -111,8 +107,8 @@ const (
 	// back into the base once it holds more than 1/viewCompactFraction of
 	// the base's adjacency entries. Measured on the 1000-person dataset
 	// (757 K base entries, a 17 MiB view in a 190 MiB store): a compaction
-	// costs ~0.2 us per base entry (150-180 ms), so at 1/4 the background
-	// work amortises to ~0.9 us per overlay entry — what the commit that
+	// costs ~0.2 us per base entry (150-180 ms), so at 1/4 the rebuild
+	// amortises to ~0.9 us per overlay entry — what the commit that
 	// produced the entry cost — where 1/16 would spend more CPU compacting
 	// than committing and refreshing together. The overlay weighs 10 MiB at
 	// 71 K entries (most of it the one-off decode of the hub rows every
@@ -120,46 +116,34 @@ const (
 	// size of the base view, a tenth of the store.
 	viewCompactFraction = 4
 
-	// minViewCompactTrigger floors the trigger (it was the fixed trigger
-	// before the trigger followed the base): a store of a few thousand
-	// entries would otherwise start a goroutine every few commits to fold
-	// an overlay that costs nobody anything.
+	// minViewCompactTrigger floors the automatic trigger (it was the fixed
+	// trigger before the trigger followed the base): a store of a few
+	// thousand entries would otherwise rebuild every few commits to fold an
+	// overlay that costs nobody anything.
 	minViewCompactTrigger = 4096
 
 	autoCompactThreshold = -1 // compactThreshold: no explicit override
 )
 
-// SetViewCompactThreshold overrides the compaction trigger: the background
-// compaction starts once the overlay of the cached view's era holds more
-// than n entries, where the default is a fixed fraction of the base's size
-// (viewCompactFraction). n <= 0 disables refreshing entirely: every view
-// advance recompacts inline — for tests and ablations.
+// SetViewCompactThreshold overrides the compaction trigger: from the next
+// commit on, the view's era is rebuilt once its overlay plus the backlog
+// since the cached view holds more than n entries, where the default is a
+// fixed fraction of the base's size (viewCompactFraction). n <= 0 makes
+// every view advance a rebuild — for tests and ablations.
 func (s *Store) SetViewCompactThreshold(n int) {
 	s.compactThreshold.Store(int64(max(n, 0)))
 }
 
-// compactTrigger is the overlay size, in entries, beyond which the era of
-// view v is due for compaction.
+// compactTrigger is the size, in overlay entries, past which the era of
+// the cached view v is rebuilt; none (noCursor) before the first view.
 func (s *Store) compactTrigger(v *SnapshotView) int64 {
-	if n := s.compactThreshold.Load(); n != autoCompactThreshold {
-		return n
-	}
-	if v == nil {
-		return minViewCompactTrigger
-	}
-	return int64(max(minViewCompactTrigger, v.base.entries/viewCompactFraction))
-}
-
-// viewBacklogLimit is the overlay cost of the commits since the cached view
-// past which the log drops the view's cursor: the compaction trigger,
-// floored like the automatic one (a small explicit threshold asks for
-// compactions, not rebuilds); none while the first view is built.
-func (s *Store) viewBacklogLimit() int64 {
-	v := s.view.Load()
 	if v == nil {
 		return noCursor
 	}
-	return max(s.compactTrigger(v), minViewCompactTrigger)
+	if n := s.compactThreshold.Load(); n != autoCompactThreshold {
+		return n
+	}
+	return int64(max(minViewCompactTrigger, v.base.entries/viewCompactFraction))
 }
 
 // ViewStatsSnapshot reports the store's view-maintenance counters and
@@ -167,30 +151,23 @@ func (s *Store) viewBacklogLimit() int64 {
 type ViewStatsSnapshot struct {
 	// Refreshes counts CurrentView advances served by applying deltas.
 	Refreshes int64
-	// Rebuilds counts full compactions run inline by CurrentView (including
-	// the first build; ViewAt calls and background compactions are not
-	// counted).
+	// Rebuilds counts full compactions run inline by CurrentView: the first
+	// build and one per view-cursor drop that a reader followed (ViewAt
+	// calls are not counted).
 	Rebuilds int64
-	// EraBumps counts compactions, inline or background, that replaced an
-	// existing cached view and so reassigned every ordinal.
+	// EraBumps counts the rebuilds that replaced an existing cached view and
+	// so reassigned every ordinal.
 	EraBumps int64
-	// Overflows counts view-cursor drops: the backlog passed the compaction
-	// trigger, so the next acquisition rebuilds.
+	// Overflows counts view-cursor drops: the overlay plus the backlog
+	// passed the compaction trigger, so the next acquisition rebuilds.
 	Overflows int64
 
 	// OverlayEntries is the size of the cached era's overlay in delta
-	// entries, CompactTrigger the size beyond which a background compaction
-	// starts (0: refreshing is disabled).
+	// entries (created nodes plus two per edge), CompactTrigger the size
+	// beyond which, backlog included, the era is rebuilt (math.MaxInt64
+	// before the first view).
 	OverlayEntries int64
 	CompactTrigger int64
-	// Background compactions: every one started ends up swapped in or
-	// discarded (lineage replaced by an inline rebuild, store closed).
-	CompactionsStarted   int64
-	CompactionsSwapped   int64
-	CompactionsDiscarded int64
-	// CatchUpCommits is the number of commits the last swapped compaction
-	// had to apply on top of its base: how far the store moved while it ran.
-	CatchUpCommits int64
 }
 
 // ViewStats returns the view-maintenance counters (monotonic since store
@@ -199,126 +176,42 @@ func (s *Store) ViewStats() ViewStatsSnapshot {
 	s.log.mu.Lock()
 	defer s.log.mu.Unlock()
 	return ViewStatsSnapshot{
-		Refreshes:            s.viewRefreshes.Load(),
-		Rebuilds:             s.viewRebuilds.Load(),
-		EraBumps:             s.viewEraBumps.Load(),
-		Overflows:            s.log.viewDrops,
-		OverlayEntries:       s.overlayEntries.Load(),
-		CompactTrigger:       s.compactTrigger(s.view.Load()),
-		CompactionsStarted:   s.compactionsStarted.Load(),
-		CompactionsSwapped:   s.compactionsSwapped.Load(),
-		CompactionsDiscarded: s.compactionsDiscarded.Load(),
-		CatchUpCommits:       s.catchUpCommits.Load(),
+		Refreshes:      s.viewRefreshes.Load(),
+		Rebuilds:       s.viewRebuilds.Load(),
+		EraBumps:       s.viewEraBumps.Load(),
+		Overflows:      s.log.viewDrops,
+		OverlayEntries: s.log.overlay,
+		CompactTrigger: s.compactTrigger(s.view.Load()),
 	}
 }
 
 // refreshView derives a view at ts from the cached view by applying the
-// commits since it, or reports ok=false when the caller must rebuild (the
-// view's cursor was dropped, or refreshing is disabled). Called under
-// viewMu.
+// commits since it, or reports ok=false when the caller must rebuild: the
+// log dropped the view's cursor. Called under viewMu.
 //
 //snb:locked viewMu
 func (s *Store) refreshView(old *SnapshotView, ts int64) (*SnapshotView, bool) {
-	if s.compactTrigger(old) == 0 {
-		return nil, false
-	}
-	ds, ok := s.log.since(old.ts, ts, true)
+	ds, ok := s.log.since(old.ts, ts)
 	if !ok {
 		return nil, false
 	}
-	nv, cost := applyDeltas(old, ds, ts, &s.rowWork)
-	s.overlayEntries.Add(int64(cost))
+	nv := applyDeltas(old, ds, ts, &s.rowWork)
 	s.log.moveView(ts, false)
 	return nv, true
 }
 
-// startCompaction starts the background compaction of v's era when v, the
-// view just published, carries an overlay past the trigger, no compaction
-// is in flight and the log keeps the commits since v for its catch-up.
-//
-//snb:locked viewMu
-func (s *Store) startCompaction(v *SnapshotView) {
-	if s.compactDone != nil || s.overlayEntries.Load() <= s.compactTrigger(v) || s.closed.Load() ||
-		!s.log.pinCompaction(v.ts) {
-		return
-	}
-	s.compactDone = make(chan struct{})
-	s.compactionsStarted.Add(1)
-	go s.compact(v.ts, v.era, s.compactDone)
-}
-
-// waitCompaction returns once no background compaction is in flight.
-func (s *Store) waitCompaction() {
-	s.viewMu.Lock()
-	done := s.compactDone
-	s.viewMu.Unlock()
-	if done != nil {
-		<-done
-	}
-}
-
-// compact is the background compaction of the era the cached view had at
-// timestamp from: build the next era's base at from, catch up with the
-// cached view, swap. It closes done on the way out, after it has let go of
-// viewMu.
-func (s *Store) compact(from int64, era uint64, done chan struct{}) {
-	defer close(done)
-	var nv *SnapshotView
-	var cost int
-	var w rowWork // this lineage's scratch: the cached one keeps using s.rowWork
-	if !s.closed.Load() {
-		// Catch up off the lock first: a build takes long enough for
-		// hundreds of commits to land, and applying them here leaves the
-		// locked section below the few that land during this call.
-		nv, cost = s.catchUp(s.buildView(from), era, &w)
-	}
-
-	s.viewMu.Lock()
-	defer s.viewMu.Unlock()
-	nv, c := s.catchUp(nv, era, &w) // the cached view cannot move now
-	cost += c
-	if nv != nil {
-		s.view.Store(nv)
-		s.overlayEntries.Store(int64(cost))
-		s.viewEraBumps.Add(1)
-		s.compactionsSwapped.Add(1)
-		s.catchUpCommits.Store(nv.ts - from)
-	} else {
-		s.compactionsDiscarded.Add(1)
-	}
-	s.compactDone = nil
-	s.log.pinCompaction(noCursor)
-}
-
-// catchUp advances nv, the compaction's unpublished view, to the cached
-// view's timestamp by applying the commits in between, which the
-// compaction's cursor keeps in the log, and returns it with the overlay
-// entries that took. It returns nil when the compaction has lost its
-// purpose: the store closed before the build, or an inline rebuild replaced
-// the era it set out to compact.
-func (s *Store) catchUp(nv *SnapshotView, era uint64, w *rowWork) (*SnapshotView, int) {
-	cur := s.view.Load()
-	if nv == nil || cur.era != era {
-		return nil, 0
-	}
-	ds, _ := s.log.since(nv.ts, cur.ts, false)
-	return applyDeltas(nv, ds, cur.ts, w)
-}
-
-// applyDeltas derives the view at ts from old, the newest view of its
-// lineage, by applying consecutive commit deltas, and returns it with the
-// number of overlay entries applied. The new view shares old's viewBase and
-// the era's overlay; see "The overlay" and "Append-sharing" above for what
-// it writes and why old — and every earlier view of the era — stays frozen
-// for concurrent readers. w is the lineage maintainer's scratch.
+// applyDeltas derives the view at ts from old, the newest view of its era,
+// by applying consecutive commit deltas. The new view shares old's viewBase
+// and the era's overlay; see "The overlay" and "Append-sharing" above for
+// what it writes and why old — and every earlier view of the era — stays
+// frozen for concurrent readers. w is the viewMu lineage's scratch.
 //
 // A delta is a write set, so the refresh derives what install did with it:
 // created nodes take the next ordinals in ID order and join their kind
 // lists; each edge gives an endpoint without an ordinal a bare record's,
 // from first, then to, and appends the out-entry to from's row and the
-// in-entry (out-entry, for a symmetric edge) to to's. The overlay entries
-// are the appended ordinals plus two per edge.
-func applyDeltas(old *SnapshotView, ds []*CommitDelta, ts int64, w *rowWork) (*SnapshotView, int) {
+// in-entry (out-entry, for a symmetric edge) to to's.
+func applyDeltas(old *SnapshotView, ds []*CommitDelta, ts int64, w *rowWork) *SnapshotView {
 	nv := &SnapshotView{
 		ts:        ts,
 		era:       old.era,
@@ -330,7 +223,6 @@ func applyDeltas(old *SnapshotView, ds []*CommitDelta, ts int64, w *rowWork) (*S
 		byKind:    old.byKind,
 	}
 	r := refresher{nv: nv, w: w}
-	entries := 0
 	for _, d := range ds {
 		for _, n := range d.nodes {
 			r.appendNode(n.id, n.props)
@@ -342,10 +234,9 @@ func applyDeltas(old *SnapshotView, ds []*CommitDelta, ts int64, w *rowWork) (*S
 			r.add(from, e.t, false, e.to, e.stamp, d.ts)
 			r.add(to, e.t, !e.sym, e.from, e.stamp, d.ts)
 		}
-		entries += 2 * len(d.edges)
 	}
 	r.store()
-	return nv, entries + len(nv.nodesOver) - len(old.nodesOver)
+	return nv
 }
 
 // refresher is applyDeltas' state while it derives nv.
@@ -382,8 +273,8 @@ func (r *refresher) add(ord int32, t EdgeType, in bool, peer ids.ID, stamp, ts i
 }
 
 // rowWork holds the headers a refresh builds for the rows it touches, by
-// slot, until it stores them. It belongs to a lineage's maintainer and is
-// empty between refreshes.
+// slot, until it stores them. It belongs to the viewMu lineage and is empty
+// between refreshes.
 type rowWork map[*atomic.Pointer[rowHdr]]*rowHdr
 
 // slot returns ord's slot in t, creating its page. t must cover ord.

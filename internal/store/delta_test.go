@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ldbcsnb/internal/ids"
 	"ldbcsnb/internal/xrand"
@@ -95,16 +94,11 @@ func refreshEquivalenceSweep(t *testing.T, seed uint64, steps int, tune func(*St
 	var pop []ids.ID
 	for step := 1; step <= steps; step++ {
 		pop = randomGraphStep(t, s, r, pop, step)
-		// Once as acquired, and once more after any background compaction
-		// the acquisition started has swapped its era in at this timestamp.
-		for pass := 0; pass < 2; pass++ {
-			v := s.CurrentView()
-			assertViewMatchesRebuild(t, v, s.ViewAt(v.Timestamp()))
-			tx := s.Begin()
-			tx.readonly = true
-			assertViewMatchesTxn(t, s, v, tx, pop)
-			s.waitCompaction()
-		}
+		v := s.CurrentView()
+		assertViewMatchesRebuild(t, v, s.ViewAt(v.Timestamp()))
+		tx := s.Begin()
+		tx.readonly = true
+		assertViewMatchesTxn(t, s, v, tx, pop)
 	}
 	return s.ViewStats()
 }
@@ -128,18 +122,15 @@ func TestViewRefreshEquivalenceRandomised(t *testing.T) {
 
 // TestViewRefreshEquivalenceAcrossEraBumps forces frequent recompactions
 // (a tiny compaction threshold) so the sweep crosses era bumps: refresh
-// chains, background compactions and the swaps between them must all stay
-// equivalent, and no reader may be made to compact.
+// chains and the inline rebuilds between them must all stay equivalent, and
+// every era bump must be a reader's rebuild after a view-cursor drop.
 func TestViewRefreshEquivalenceAcrossEraBumps(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		st := refreshEquivalenceSweep(t, seed, 30, func(s *Store) {
 			s.SetViewCompactThreshold(20)
 		})
-		if st.EraBumps == 0 || st.EraBumps != st.CompactionsSwapped {
-			t.Fatalf("era bumps must all come from background swaps: %+v", st)
-		}
-		if st.Rebuilds != 1 {
-			t.Fatalf("a reader compacted inline past the first build: %+v", st)
+		if st.EraBumps == 0 || st.EraBumps != st.Overflows || st.Rebuilds != 1+st.EraBumps {
+			t.Fatalf("era bumps must all be inline rebuilds after a cursor drop: %+v", st)
 		}
 		if st.Refreshes == 0 {
 			t.Fatalf("sweep never refreshed between bumps: %+v", st)
@@ -151,9 +142,9 @@ func TestViewRefreshEquivalenceAcrossEraBumps(t *testing.T) {
 // detector: readers hold old views of a lineage and keep comparing them with
 // from-scratch compactions at their own timestamps while later refreshes
 // append into the rows, ordinal list and kind lists those views share, and
-// while background compactions (a small explicit threshold) swap new eras
-// in. The newest view is checked against ViewAt and a Txn at every epoch as
-// in the sweeps above.
+// while inline rebuilds (a small explicit threshold) start new eras. The
+// newest view is checked against ViewAt and a Txn at every epoch as in the
+// sweeps above.
 func TestViewLineageUnderReaders(t *testing.T) {
 	const steps, readers = 150, 3
 	r := xrand.New(21)
@@ -191,14 +182,17 @@ func TestViewLineageUnderReaders(t *testing.T) {
 
 	var pop []ids.ID
 	var lastEra uint64
-	for step := 1; (step <= steps || s.ViewStats().CompactionsSwapped < 3) && readErr.Load() == nil; step++ {
+	for step := 1; step <= steps && readErr.Load() == nil; step++ {
 		pop = randomGraphStep(t, s, r, pop, step)
+		// A rebuild is due for the first view and after each cursor drop no
+		// reader has followed yet.
+		st := s.ViewStats()
 		v, ev := s.AcquireView()
-		if (ev == ViewRebuilt) != (step == 1) {
-			t.Fatalf("step %d: acquisition event %v", step, ev)
+		if due := st.Overflows > st.Rebuilds-1; (ev == ViewRebuilt) != due {
+			t.Fatalf("step %d: acquisition event %v, counters before it %+v", step, ev, st)
 		}
-		if v.Era() < lastEra {
-			t.Fatalf("step %d: era went back from %d to %d", step, lastEra, v.Era())
+		if v.Era() < lastEra || (ev == ViewRebuilt) != (v.Era() != lastEra) {
+			t.Fatalf("step %d: %v moved the era from %d to %d", step, ev, lastEra, v.Era())
 		}
 		lastEra = v.Era()
 		ref := s.ViewAt(v.Timestamp())
@@ -209,32 +203,90 @@ func TestViewLineageUnderReaders(t *testing.T) {
 		mu.Lock()
 		views = append(views, held{v, ref})
 		mu.Unlock()
-		if step > steps {
-			s.waitCompaction() // bounds the loop; the first 150 steps never wait
-		}
 	}
 	stop.Store(true)
 	wg.Wait()
-	s.waitCompaction()
 	if err := readErr.Load(); err != nil {
 		t.Fatalf("held view diverged from its epoch: %v", *err)
 	}
 
 	st := s.ViewStats()
-	if st.Overflows != 0 || st.Rebuilds != 1 {
-		t.Fatalf("readers were made to rebuild: %+v", st)
-	}
-	if st.CompactionsSwapped < 3 || st.CompactionsStarted != st.CompactionsSwapped+st.CompactionsDiscarded {
-		t.Fatalf("background compactions: %+v", st)
-	}
-	if last, first := s.CurrentView().Era(), views[0].v.Era(); last < first+uint64(st.CompactionsSwapped) {
-		t.Fatalf("eras did not advance with the swaps: first %d last %d, %+v", first, last, st)
+	if st.EraBumps < 3 || st.EraBumps != st.Overflows || st.Rebuilds != 1+st.EraBumps || st.Refreshes == 0 {
+		t.Fatalf("era bumps must be inline rebuilds after cursor drops, with refreshes between: %+v", st)
 	}
 	// Every held view, those of long-gone eras included, still reads its own
 	// epoch now that all maintenance is over.
 	for _, h := range views {
 		assertViewMatchesRebuild(t, h.v, h.ref)
 	}
+}
+
+// TestOverlayPastTriggerRebuildsInline pins the one compaction trigger: a
+// view refreshes while the era's overlay plus the backlog of commits since
+// the cached view stays within the threshold, the commit that takes the
+// pair past it drops the view's cursor, and the next acquisition rebuilds
+// inline — a new era equal to a from-scratch compaction — on the caller's
+// goroutine, starting none.
+func TestOverlayPastTriggerRebuildsInline(t *testing.T) {
+	const threshold = 100 // a post creation costs one overlay entry
+	s := New()
+	s.SetViewCompactThreshold(threshold)
+	commitPost(t, s, 0)
+	v0 := s.CurrentView()
+	n := 0
+	acquire := func(want ViewEvent) *SnapshotView {
+		t.Helper()
+		v, ev := s.AcquireView()
+		if ev != want {
+			t.Fatalf("after %d commits: %v, want %v (%+v)", n, ev, want, s.ViewStats())
+		}
+		return v
+	}
+	// Half the threshold in the overlay, one refresh a commit; then the
+	// other half as a backlog nobody reads: the pair is at the threshold,
+	// not past it, so the next acquisition still refreshes.
+	for n < threshold/2 {
+		n++
+		commitPost(t, s, n)
+		acquire(ViewRefreshed)
+	}
+	for n < threshold {
+		n++
+		commitPost(t, s, n)
+	}
+	if st := s.ViewStats(); st.OverlayEntries != threshold/2 || st.Overflows != 0 || logLen(s) != threshold/2 {
+		t.Fatalf("at the threshold: %+v, log keeps %d", st, logLen(s))
+	}
+	if v := acquire(ViewRefreshed); v.Era() != v0.Era() {
+		t.Fatalf("the refresh at the threshold moved the era")
+	}
+	if st := s.ViewStats(); st.OverlayEntries != threshold {
+		t.Fatalf("after the refresh: %+v", st)
+	}
+
+	// One more commit passes it.
+	before := s.ViewStats()
+	n++
+	commitPost(t, s, n)
+	if st := s.ViewStats(); st.Overflows != before.Overflows+1 || logLen(s) != 0 {
+		t.Fatalf("the commit past the threshold kept the view's cursor: %+v, log keeps %d", st, logLen(s))
+	}
+	goroutines := runtime.NumGoroutine()
+	v := acquire(ViewRebuilt)
+	if g := runtime.NumGoroutine(); g > goroutines {
+		t.Fatalf("the rebuild left %d goroutines, %d before it", g, goroutines)
+	}
+	st := s.ViewStats()
+	if st.EraBumps != before.EraBumps+1 || st.Rebuilds != before.Rebuilds+1 || st.OverlayEntries != 0 {
+		t.Fatalf("counters after the rebuild: %+v, before %+v", st, before)
+	}
+	if v.Era() == v0.Era() || v.Timestamp() != s.LastCommit() {
+		t.Fatalf("rebuild: era %d -> %d, at %d of %d", v0.Era(), v.Era(), v.Timestamp(), s.LastCommit())
+	}
+	assertViewMatchesRebuild(t, v, s.ViewAt(v.Timestamp()))
+	n++
+	commitPost(t, s, n)
+	acquire(ViewRefreshed)
 }
 
 // TestHeldViewsReadTheirStamps drives the overlay's stamped reads one event
@@ -404,67 +456,7 @@ func TestRefreshedViewMemCountsEachEdgeOnce(t *testing.T) {
 	}
 }
 
-// stallCompaction makes every buildView (a background compaction's
-// included) block until the returned function is called, by holding the
-// write lock of a shard no test node lives in: randomGraphStep's IDs carry
-// sequence numbers 0..2 and a node's shard is its ID modulo shardCount.
-func stallCompaction(s *Store) (release func()) {
-	sh := &s.shards[shardCount-1]
-	sh.mu.Lock()
-	return sh.mu.Unlock
-}
-
-// TestCompactionRingRetention pins the compaction's cursor in the commit
-// log (named for the delta ring the log replaced): with the build held up
-// while the cached view keeps refreshing past the compaction's base, the log
-// keeps exactly the commits since that base, the swap applies exactly those,
-// and once the compaction has ended the log keeps nothing.
-func TestCompactionRingRetention(t *testing.T) {
-	r := xrand.New(31)
-	s := New()
-	s.SetViewCompactThreshold(1)
-	var pop []ids.ID
-	pop = randomGraphStep(t, s, r, pop, 1)
-	s.CurrentView()
-
-	release := stallCompaction(s)
-	const behind = 9
-	var pre *SnapshotView
-	for step := 2; step < 2+1+behind; step++ {
-		pop = randomGraphStep(t, s, r, pop, step)
-		v, ev := s.AcquireView()
-		if ev != ViewRefreshed {
-			t.Fatalf("step %d: %v, want refresh", step, ev)
-		}
-		pre = v
-	}
-	if st := s.ViewStats(); st.CompactionsStarted != 1 || st.CompactionsSwapped != 0 || st.Overflows != 0 {
-		t.Fatalf("with the build stalled: %+v", st)
-	}
-	if n := logLen(s); n != behind {
-		t.Fatalf("the log keeps %d commits for the stalled compaction, want %d", n, behind)
-	}
-	release()
-	s.waitCompaction()
-	st := s.ViewStats()
-	if st.CompactionsSwapped != 1 || st.CatchUpCommits != behind || st.Overflows != 0 || st.Rebuilds != 1 {
-		t.Fatalf("after the swap: %+v", st)
-	}
-	v, ev := s.AcquireView()
-	if ev != ViewHit || v.Era() == pre.Era() || v.Timestamp() != pre.Timestamp() {
-		t.Fatalf("swap must replace the era at the same timestamp: %v, era %d -> %d, ts %d -> %d",
-			ev, pre.Era(), v.Era(), pre.Timestamp(), v.Timestamp())
-	}
-	ref := s.ViewAt(v.Timestamp())
-	assertViewMatchesRebuild(t, v, ref)
-	assertViewMatchesRebuild(t, pre, ref) // the replaced view is still whole
-	if n := logLen(s); n != 0 {
-		t.Fatalf("%d commits still kept after the compaction ended", n)
-	}
-}
-
-// commitPost commits one transaction creating post n. Posts live in shard
-// 0 (their sequence number is 0), which stallCompaction leaves free.
+// commitPost commits one transaction creating post n.
 func commitPost(t *testing.T, s *Store, n int) {
 	t.Helper()
 	tx := s.Begin()
@@ -472,162 +464,6 @@ func commitPost(t *testing.T, s *Store, n int) {
 		t.Fatal(err)
 	}
 	commitOrFatal(t, tx)
-}
-
-// TestCompactionRingGapAtSwap is a burst landing while a compaction is
-// stalled, longer than the 4096 commits the delta ring before the commit
-// log held: the ring overflowed, the catch-up range had a gap at swap time
-// and the compaction was discarded. The compaction's cursor pins its whole
-// catch-up range now, so it swaps, having applied the burst.
-func TestCompactionRingGapAtSwap(t *testing.T) {
-	r := xrand.New(41)
-	s := New()
-	s.SetViewCompactThreshold(1)
-	var pop []ids.ID
-	pop = randomGraphStep(t, s, r, pop, 1)
-	s.CurrentView()
-
-	release := stallCompaction(s)
-	randomGraphStep(t, s, r, pop, 2)
-	if _, ev := s.AcquireView(); ev != ViewRefreshed { // starts the compaction
-		t.Fatalf("step 2: %v, want refresh", ev)
-	}
-	s.SetViewCompactThreshold(1 << 30) // the burst's backlog stays under the trigger
-	const burst = 5000
-	for i := 1; i <= burst; i++ {
-		commitPost(t, s, i)
-	}
-	// A refresh reads no shard; a rebuild would block on the stalled one.
-	acquired := make(chan *SnapshotView, 1)
-	go func() {
-		v, ev := s.AcquireView()
-		if ev != ViewRefreshed {
-			t.Errorf("acquisition after the burst: %v, want refresh", ev)
-		}
-		acquired <- v
-	}()
-	var pre *SnapshotView
-	select {
-	case pre = <-acquired:
-	case <-time.After(10 * time.Second):
-		release()
-		t.Fatal("the acquisition after the burst waited for the stalled build")
-	}
-	release()
-	s.waitCompaction()
-	st := s.ViewStats()
-	if st.CompactionsSwapped != 1 || st.CompactionsDiscarded != 0 || st.CatchUpCommits != burst || st.Rebuilds != 1 {
-		t.Fatalf("after the swap: %+v", st)
-	}
-	v := s.CurrentView()
-	if v.Era() == pre.Era() || v.Timestamp() != pre.Timestamp() {
-		t.Fatalf("swap must replace the era at the same timestamp: era %d -> %d, ts %d -> %d",
-			pre.Era(), v.Era(), pre.Timestamp(), v.Timestamp())
-	}
-	assertViewMatchesRebuild(t, v, s.ViewAt(v.Timestamp()))
-}
-
-// TestMarkClosedWaitsForCompaction pins that closing the store does not
-// leave the compaction goroutine behind.
-func TestMarkClosedWaitsForCompaction(t *testing.T) {
-	r := xrand.New(51)
-	s := New()
-	s.SetViewCompactThreshold(1)
-	var pop []ids.ID
-	pop = randomGraphStep(t, s, r, pop, 1)
-	s.CurrentView()
-	release := stallCompaction(s)
-	randomGraphStep(t, s, r, pop, 2)
-	s.CurrentView()
-
-	closed := make(chan struct{})
-	go func() {
-		s.MarkClosed()
-		close(closed)
-	}()
-	for !s.Closed() {
-		runtime.Gosched()
-	}
-	release()
-	<-closed
-	// Either the compaction was already building when the flag went up, and
-	// MarkClosed waited for its swap, or it saw the flag first and discarded
-	// itself; in both cases it is over by now.
-	s.viewMu.Lock()
-	inFlight := s.compactDone != nil
-	s.viewMu.Unlock()
-	if st := s.ViewStats(); inFlight || st.CompactionsStarted != 1 || st.CompactionsSwapped+st.CompactionsDiscarded != 1 {
-		t.Fatalf("after MarkClosed: in flight %v, %+v", inFlight, st)
-	}
-	v := s.CurrentView() // views stay acquirable; a closed store starts no compaction
-	assertViewMatchesRebuild(t, v, s.ViewAt(v.Timestamp()))
-	if st := s.ViewStats(); st.CompactionsStarted != 1 {
-		t.Fatalf("a closed store started a compaction: %+v", st)
-	}
-}
-
-// TestCompactionDiscards reaches the two ways a background compaction ends
-// without a swap, now that its cursor keeps its whole catch-up range in
-// the commit log: an inline rebuild replaced the era it set out to compact,
-// or the store closed before it built.
-func TestCompactionDiscards(t *testing.T) {
-	t.Run("era replaced", func(t *testing.T) {
-		r := xrand.New(43)
-		s := New()
-		s.SetViewCompactThreshold(1)
-		var pop []ids.ID
-		pop = randomGraphStep(t, s, r, pop, 1)
-		s.CurrentView()
-		release := stallCompaction(s)
-		pop = randomGraphStep(t, s, r, pop, 2)
-		s.CurrentView() // starts the compaction, which stalls in its build
-		randomGraphStep(t, s, r, pop, 3)
-		s.SetViewCompactThreshold(0) // the next advance rebuilds inline
-		rebuilt := make(chan ViewEvent)
-		go func() {
-			_, ev := s.AcquireView()
-			rebuilt <- ev
-		}()
-		for s.viewMu.TryLock() { // wait for the rebuild to hold viewMu
-			s.viewMu.Unlock()
-			runtime.Gosched()
-		}
-		release()
-		if ev := <-rebuilt; ev != ViewRebuilt {
-			t.Fatalf("acquisition with refreshing off: %v, want rebuild", ev)
-		}
-		s.waitCompaction()
-		if st := s.ViewStats(); st.CompactionsStarted != 1 || st.CompactionsDiscarded != 1 || st.CompactionsSwapped != 0 {
-			t.Fatalf("a compaction whose era was replaced: %+v", st)
-		}
-		if n := logLen(s); n != 0 {
-			t.Fatalf("the log keeps %d write sets after the discard", n)
-		}
-	})
-	t.Run("store closed", func(t *testing.T) {
-		r := xrand.New(47)
-		s := New()
-		var pop []ids.ID
-		pop = randomGraphStep(t, s, r, pop, 1)
-		s.CurrentView()
-		randomGraphStep(t, s, r, pop, 2)
-		v := s.CurrentView()
-		s.MarkClosed()
-		// A compaction started an instant before the flag went up, whose
-		// goroutine finds it raised: what startCompaction does but for the
-		// closed check, then the goroutine's body.
-		s.viewMu.Lock()
-		if !s.log.pinCompaction(v.ts) {
-			t.Fatal("the view's cursor is gone")
-		}
-		done := make(chan struct{})
-		s.compactDone = done
-		s.viewMu.Unlock()
-		s.compact(v.ts, v.era, done)
-		if st := s.ViewStats(); st.CompactionsDiscarded != 1 || st.CompactionsSwapped != 0 || s.CurrentView() != v {
-			t.Fatalf("a compaction on a closed store: %+v", st)
-		}
-	})
 }
 
 // TestRefreshCostIndependentOfOverlay is the O(delta) contract in counts:
@@ -782,7 +618,7 @@ func TestRingOverflowDoesNotAliasPendingDeltas(t *testing.T) {
 	for i := 1; i <= 2; i++ {
 		commitPost(t, s, i)
 	}
-	ds, ok := s.log.since(v.ts, v.ts+2, true) // what a refresh reads
+	ds, ok := s.log.since(v.ts, v.ts+2) // what a refresh reads
 	if !ok || len(ds) != 2 {
 		t.Fatalf("range since the view: ok=%v len=%d", ok, len(ds))
 	}

@@ -49,9 +49,6 @@ type PersistOptions struct {
 	// CheckpointCommits triggers a background checkpoint once this many
 	// commits accumulate since the last one (0 = never trigger by count).
 	CheckpointCommits int64
-	// RetainCheckpoints is how many checkpoints to keep on disk (default
-	// 2: the newest plus one fallback for torn-checkpoint crashes).
-	RetainCheckpoints int
 	// KeepSegments disables WAL truncation after checkpoints, retaining
 	// the full log from the first commit (offline replay, ablations,
 	// point-in-time inspection).
@@ -59,6 +56,10 @@ type PersistOptions struct {
 }
 
 const defaultCheckpointBytes = 32 << 20
+
+// retainCheckpoints is how many checkpoints stay on disk: the newest plus
+// one fallback for torn-checkpoint crashes.
+const retainCheckpoints = 2
 
 // RecoveryInfo reports what Open found and did.
 type RecoveryInfo struct {
@@ -214,9 +215,6 @@ func Open(dir string, opts PersistOptions, register func(*Store)) (*Persistent, 
 	if p.opts.CheckpointBytes == 0 {
 		p.opts.CheckpointBytes = defaultCheckpointBytes
 	}
-	if p.opts.RetainCheckpoints <= 0 {
-		p.opts.RetainCheckpoints = 2
-	}
 	p.lastCkptTS.Store(info.CheckpointTS)
 
 	// The active segment, then the group-commit flusher over it.
@@ -325,17 +323,16 @@ func (p *Persistent) Checkpoint() error {
 	p.bytesSince.Store(0)
 	p.commitsSince.Store(0)
 
-	if err := pruneCheckpoints(p.dir, p.opts.RetainCheckpoints); err != nil {
+	if err := pruneCheckpoints(p.dir); err != nil {
 		return err
 	}
 	if !p.opts.KeepSegments {
 		// Truncate to the OLDEST retained checkpoint, not the one just
 		// written: if the newest file is later found torn or bit-rotted,
 		// recovery falls back to an older checkpoint and still needs every
-		// record above THAT one. (With RetainCheckpoints=1 the two
-		// coincide; if every retained checkpoint validates bad at recovery,
-		// Open reports the missing prefix explicitly rather than silently
-		// replaying a hole.)
+		// record above THAT one. (If every retained checkpoint validates
+		// bad at recovery, Open reports the missing prefix explicitly
+		// rather than silently replaying a hole.)
 		cks, err := scanCheckpoints(p.dir)
 		if err != nil {
 			return err

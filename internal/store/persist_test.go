@@ -506,7 +506,6 @@ func TestCheckpointTruncatesSegments(t *testing.T) {
 	dir := t.TempDir()
 	opts := manualOpts()
 	opts.SegmentBytes = 256
-	opts.RetainCheckpoints = 1
 	p, _, err := Open(dir, opts, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -38,26 +38,18 @@ type Store struct {
 	aborts  atomic.Int64
 
 	// view caches the frozen snapshot at the current clock (see
-	// CurrentView); viewMu serialises maintenance (delta refreshes, inline
-	// rebuilds and the swap that ends a background compaction), never reads.
-	view   atomic.Pointer[SnapshotView]
-	viewMu sync.Mutex
-	// compactDone is non-nil while a background compaction is in flight and
-	// closed when its goroutine is done (delta.go).
-	compactDone chan struct{} // guarded by viewMu
-	rowWork     rowWork       // guarded by viewMu; the cached lineage's refresh scratch
+	// CurrentView); viewMu serialises maintenance (delta refreshes and
+	// inline rebuilds), never reads.
+	view    atomic.Pointer[SnapshotView]
+	viewMu  sync.Mutex
+	rowWork rowWork // guarded by viewMu; the refresh scratch
 
 	compactThreshold atomic.Int64 // explicit compaction trigger, or autoCompactThreshold
-	overlayEntries   atomic.Int64 // delta entries applied in the cached era; written under viewMu
 
-	viewEra              atomic.Uint64
-	viewRefreshes        atomic.Int64
-	viewRebuilds         atomic.Int64
-	viewEraBumps         atomic.Int64
-	compactionsStarted   atomic.Int64
-	compactionsSwapped   atomic.Int64
-	compactionsDiscarded atomic.Int64
-	catchUpCommits       atomic.Int64
+	viewEra       atomic.Uint64
+	viewRefreshes atomic.Int64
+	viewRebuilds  atomic.Int64
+	viewEraBumps  atomic.Int64
 
 	// gwal, set by Open, writes the commit log's records to the segmented
 	// log in commit order: the group-commit flusher (groupcommit.go). Nil
@@ -77,7 +69,7 @@ type Store struct {
 func New() *Store {
 	s := &Store{
 		byKind: make(map[ids.Kind][]ids.ID),
-		log:    commitLog{view: noCursor, compaction: noCursor, written: noCursor},
+		log:    commitLog{view: noCursor, written: noCursor},
 	}
 	s.compactThreshold.Store(autoCompactThreshold)
 	for i := range s.shards {
@@ -111,15 +103,13 @@ func (s *Store) LastCommit() int64 { return s.clock.Load() }
 // critical section finish (and reach the WAL) before MarkClosed returns,
 // and commits that arrive after it observe the flag before appending.
 // Persistent.Close calls this before draining the WAL; servers over an
-// in-memory store call it directly. A background view compaction in flight
-// is waited for (none starts once the flag is up), so the store has no
-// goroutine of its own left when MarkClosed returns. Idempotent.
+// in-memory store call it directly. Views stay acquirable: a view is
+// maintained by the readers that acquire it, on their own goroutines.
+// Idempotent.
 func (s *Store) MarkClosed() {
 	s.commitMu.Lock()
 	s.closed.Store(true)
 	s.commitMu.Unlock()
-
-	s.waitCompaction()
 }
 
 // Closed reports whether MarkClosed (or Persistent.Close) has run.

@@ -297,7 +297,7 @@ func (tx *Txn) commitLocked() (int64, error) {
 	// view refresh and the WAL flusher.
 	d := &CommitDelta{ts: s.clock.Load() + 1, nodes: tx.nodes, edges: tx.edges}
 	s.install(d)
-	s.log.append(d, s.viewBacklogLimit())
+	s.log.append(d, s.compactTrigger(s.view.Load()))
 
 	// Advance the watermark: the transaction becomes visible atomically.
 	s.clock.Store(d.ts)

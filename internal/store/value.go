@@ -51,17 +51,16 @@
 // overlay — adjacency rows, appended ordinals with their property rows and
 // kind lists are appended to in place beyond every published length, and
 // each touched row gets a new commit-stamped header that older views read
-// their own prefix of (delta.go). New nodes receive appended ordinals, so existing ordinals stay
-// stable within an era (SnapshotView.Era) and a refreshed view shares the
-// era's base. The full recompaction — sorted IDs, dense reassigned
-// ordinals, a fresh era — runs on a background goroutine once the overlay
-// outgrows a fixed fraction of the base (SetViewCompactThreshold overrides
-// the trigger) and is swapped in when it has caught up; a reader compacts
-// inline only for the first view and after a backlog of commits whose
-// overlay cost passed the trigger, when the log drops the view's cursor.
-// ViewStats counts refreshes, rebuilds, era bumps, cursor drops and
-// background compactions, and reports the overlay's size against the
-// trigger.
+// their own prefix of (delta.go). New nodes receive appended ordinals, so
+// existing ordinals stay stable within an era (SnapshotView.Era) and a
+// refreshed view shares the era's base. The full recompaction — sorted
+// IDs, dense reassigned ordinals, a fresh era — runs inline on the reader
+// that finds the era's overlay plus the backlog of commits since the cached
+// view past a fixed fraction of the base (SetViewCompactThreshold overrides
+// the trigger), and for the first view: the log drops the view's cursor at
+// the trigger, so a view advances by a refresh or by that one rebuild.
+// ViewStats counts refreshes, rebuilds, era bumps and cursor drops, and
+// reports the overlay's size against the trigger.
 package store
 
 import (

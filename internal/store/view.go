@@ -42,15 +42,13 @@ import (
 //     place; new nodes receive ordinals appended after the existing ones,
 //     their property rows appended beside them. Cost is proportional to the delta, neither to the
 //     dataset nor to the overlay accumulated so far.
-//   - Compaction: the whole visible state is recompacted into a fresh
+//   - Rebuild: the whole visible state is recompacted into a fresh
 //     viewBase — node IDs sorted, ordinals reassigned densely, adjacency
-//     re-encoded — and the view's era counter is bumped. Once the overlay
-//     outgrows a fixed fraction of the base, a background goroutine builds
-//     the next base off to the side and swaps it in (delta.go); readers
-//     only ever run a compaction themselves for the first view, after a
-//     backlog of commits passed the compaction trigger (the commit log
-//     dropped the view's cursor), or when SetViewCompactThreshold(0) asks
-//     for it.
+//     re-encoded — and the view's era counter is bumped. The acquiring
+//     reader runs it inline, for the first view and once the era's overlay
+//     plus the backlog of commits since the cached view has passed the
+//     compaction trigger, a fixed fraction of the base (the commit log
+//     dropped the view's cursor; delta.go).
 //
 // Ordinals are dense indices 0..NumNodes()-1, private to the store: they
 // index the base's slabs and the overlay's pages. Within one era they are
@@ -64,7 +62,7 @@ import (
 //
 // Being frozen is also what makes a view the checkpointing unit: the
 // durable checkpointer (checkpoint.go) serialises a SnapshotView to disk
-// while commits and even a compaction era bump proceed concurrently —
+// while commits and even an era bump proceed concurrently —
 // the held view stays frozen no matter what the cached view does, so
 // checkpoints never stop the write path.
 type SnapshotView struct {
@@ -631,15 +629,12 @@ const (
 	// (or another reader advanced it first): a pointer load.
 	ViewHit ViewEvent = iota
 	// ViewRefreshed means the call advanced the cached view by applying
-	// pending commit deltas — cost proportional to the delta. A refresh that
-	// leaves the overlay past the compaction trigger also starts the
-	// background compaction, which the caller does not wait for.
+	// pending commit deltas — cost proportional to the delta.
 	ViewRefreshed
 	// ViewRebuilt means the call itself paid a full recompaction — no view
-	// existed yet, the commits since the cached view cost more overlay
-	// entries than the compaction trigger (ViewStatsSnapshot.Overflows), or
-	// SetViewCompactThreshold(0) is in force. Rebuilds that replace a cached
-	// view bump the era.
+	// existed yet, or the era's overlay plus the commits since the cached
+	// view passed the compaction trigger (ViewStatsSnapshot.Overflows).
+	// Rebuilds that replace a cached view bump the era.
 	ViewRebuilt
 )
 
@@ -662,16 +657,14 @@ func (e ViewEvent) String() string {
 // epoch): concurrent readers at the same epoch share one view with no
 // locking on the read path.
 //
-// The first reader after a commit advances the view incrementally when it
-// can: the commits since the cached view are applied onto it (cost
-// proportional to the delta — see delta.go), keeping existing ordinals
-// stable within the era. The O(visible nodes + edges) recompaction that
-// folds the overlay back into a flat base runs on a background goroutine
-// once the overlay crosses the compaction trigger, and is swapped in as a
-// new era at the timestamp the cached view has reached by then. The caller
-// compacts inline only when no cached view exists, the backlog since it
-// passed the compaction trigger, or SetViewCompactThreshold(0) disabled
-// refreshing.
+// The first reader after a commit advances the view in one of two ways.
+// It refreshes it when it can: the commits since the cached view are
+// applied onto it (cost proportional to the delta — see delta.go), keeping
+// existing ordinals stable within the era. It rebuilds it inline — the
+// O(visible nodes + edges) recompaction that folds the overlay back into a
+// flat base, a new era — when no cached view exists or the era's overlay
+// plus the commits since the cached view has passed the compaction trigger.
+// So the reader that crosses the trigger pays the rebuild.
 func (s *Store) CurrentView() *SnapshotView {
 	v, _ := s.AcquireView()
 	return v
@@ -700,7 +693,6 @@ func (s *Store) AcquireView() (*SnapshotView, ViewEvent) {
 		if nv, ok := s.refreshView(old, ts); ok {
 			s.view.Store(nv)
 			s.viewRefreshes.Add(1)
-			s.startCompaction(nv)
 			return nv, ViewRefreshed
 		}
 	}
@@ -718,7 +710,6 @@ func (s *Store) AcquireView() (*SnapshotView, ViewEvent) {
 	if old != nil {
 		s.viewEraBumps.Add(1)
 	}
-	s.overlayEntries.Store(0)
 	return nv, ViewRebuilt
 }
 

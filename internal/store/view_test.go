@@ -343,8 +343,8 @@ func TestOrdDirSkewedSpan(t *testing.T) {
 // base's directory and the overlay's position table, in every state a view
 // reaches: a fresh base, a refreshed
 // overlay (growing its table, and sharing it with a held view that must not
-// see what is appended after it), and the base a background compaction
-// swaps in.
+// see what is appended after it), and the base an inline rebuild folds the
+// overlay into.
 func TestOrdTableContract(t *testing.T) {
 	r := xrand.New(13)
 	s := New()
@@ -397,16 +397,13 @@ func TestOrdTableContract(t *testing.T) {
 	assertOrdContract(t, held)
 	assertOrdContract(t, v)
 
-	// A background compaction folds the overlay into a new base.
+	// An inline rebuild folds the overlay into a new base: with the
+	// threshold below the overlay, the next commit drops the view's cursor.
 	s.SetViewCompactThreshold(1)
 	pop = randomGraphStep(t, s, r, pop, step)
-	if _, ev = s.AcquireView(); ev != ViewRefreshed {
-		t.Fatalf("refresh before compaction: %v", ev)
-	}
-	s.waitCompaction()
 	c, ev := s.AcquireView()
-	if ev != ViewHit || c.Era() == v.Era() || c.ordOver != nil {
-		t.Fatalf("after the compaction: %v, era %d -> %d, overlay table %v", ev, v.Era(), c.Era(), c.ordOver)
+	if ev != ViewRebuilt || c.Era() == v.Era() || c.ordOver != nil {
+		t.Fatalf("after the rebuild: %v, era %d -> %d, overlay table %v", ev, v.Era(), c.Era(), c.ordOver)
 	}
 	assertOrdContract(t, c)
 	for _, id := range append(pop, late) {

@@ -244,7 +244,7 @@ func walWriteSet(ts int64) *CommitDelta {
 func TestDepositZeroAlloc(t *testing.T) {
 	d := walWriteSet(9)
 	var l commitLog
-	l.view, l.compaction = noCursor, noCursor
+	l.view = noCursor
 	appendOne := func() {
 		d.ts++
 		l.append(d, noCursor)
@@ -277,7 +277,7 @@ func TestDepositZeroAlloc(t *testing.T) {
 func BenchmarkWALDeposit(b *testing.B) {
 	d := walWriteSet(0)
 	b.Run("append", func(b *testing.B) {
-		l := commitLog{view: noCursor, compaction: noCursor}
+		l := commitLog{view: noCursor}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			d.ts = int64(i + 1)

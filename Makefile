@@ -22,7 +22,9 @@ check: fmt vet build test harness lint docs-check
 # beside view refreshes, and a burst drops the view's cursor. So do the
 # driver's cancellation tests: a stopped update stream must release its
 # dependency hold, or a sibling parked in WaitUntil deadlocks, and whether
-# one is parked when the stop lands depends on the schedule.
+# one is parked when the stop lands depends on the schedule. So do the
+# parameter-curation builders, whose per-person pass fans out over
+# workers that write disjoint rows of one shared result.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestViewLineageUnderReaders|TestHeldViewsReadTheirStamps|TestFirstViewRacesCommitters' ./internal/store
@@ -30,6 +32,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestBacklogPastTriggerDropsViewCursor|TestGroupCommitConcurrentStress|TestSyncCommitDurableWithoutClose' ./internal/store
 	$(GO) test -race -count=20 -run TestBIParallelOnHeldViewUnderRefresh ./internal/bi
 	$(GO) test -race -count=20 -run 'TestReplayStop|TestRunMixedCancel' ./internal/driver
+	$(GO) test -race -count=10 -run 'TestPCTables|TestPreparePoolsPinned' ./internal/params ./internal/driver
 	$(GO) test -race ./internal/bench/ -run xxx -bench 'BenchmarkWrite/sync=commit/writers=2$$' -benchtime 1x
 
 # Static invariant enforcement (docs/ANALYZERS.md): snblint runs the

@@ -80,12 +80,12 @@ func writeParams(out string, d *schema.Dataset, k int) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for name, tab := range map[string]*params.Table{
-		"q2": params.BuildQ2Table(d),
-		"q5": params.BuildQ5Table(d),
-		"q9": params.BuildQ9Table(d),
-	} {
-		f, err := os.Create(filepath.Join(dir, name+"_persons.csv"))
+	q2, q5, q9 := params.BuildPCTables(d)
+	for _, c := range []struct {
+		name string
+		tab  *params.Table
+	}{{"q2", q2}, {"q5", q5}, {"q9", q9}} {
+		f, err := os.Create(filepath.Join(dir, c.name+"_persons.csv"))
 		if err != nil {
 			return err
 		}
@@ -94,7 +94,7 @@ func writeParams(out string, d *schema.Dataset, k int) error {
 			f.Close()
 			return err
 		}
-		for _, p := range tab.Curate(k) {
+		for _, p := range c.tab.Curate(k) {
 			if err := w.Write([]string{strconv.FormatUint(p, 10)}); err != nil {
 				f.Close()
 				return err

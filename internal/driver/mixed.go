@@ -139,11 +139,10 @@ func PreparePools(ds *schema.Dataset, seed uint64, uniform bool) *workload.Param
 	}
 	pp.StartDate = pp.MaxDate - pp.WindowMillis
 
-	q9 := params.BuildQ9Table(ds)
+	_, q5, q9 := params.BuildPCTables(ds)
 	for _, p := range q9.Curate(40) {
 		pp.Persons = append(pp.Persons, ids.ID(p))
 	}
-	q5 := params.BuildQ5Table(ds)
 	var sel []uint64
 	if uniform {
 		sel = q5.UniformSample(40, r.Uint64)

@@ -24,7 +24,10 @@ check: fmt vet build test harness lint docs-check
 # dependency hold, or a sibling parked in WaitUntil deadlocks, and whether
 # one is parked when the stop lands depends on the schedule. So do the
 # parameter-curation builders, whose per-person pass fans out over
-# workers that write disjoint rows of one shared result.
+# workers that write disjoint rows of one shared result. So do the bulk
+# load's part writers, which build property rows and intern strings
+# concurrently, and the streamed environment, which loads the parts of
+# every chunk as one commit.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestViewLineageUnderReaders|TestHeldViewsReadTheirStamps|TestFirstViewRacesCommitters' ./internal/store
@@ -33,6 +36,7 @@ race:
 	$(GO) test -race -count=20 -run TestBIParallelOnHeldViewUnderRefresh ./internal/bi
 	$(GO) test -race -count=20 -run 'TestReplayStop|TestRunMixedCancel' ./internal/driver
 	$(GO) test -race -count=10 -run 'TestPCTables|TestPreparePoolsPinned' ./internal/params ./internal/driver
+	$(GO) test -race -count=10 -run 'TestLoadParallelDeterministic|TestStreamedEnvMatchesNewEnv' ./internal/schema ./internal/bench
 	$(GO) test -race ./internal/bench/ -run xxx -bench 'BenchmarkWrite/sync=commit/writers=2$$' -benchtime 1x
 
 # Static invariant enforcement (docs/ANALYZERS.md): snblint runs the

@@ -109,10 +109,7 @@ func main() {
 			if err := env.LoadInto(p.Store); err != nil {
 				log.Fatal(err)
 			}
-			if err := p.Checkpoint(); err != nil {
-				log.Fatalf("post-load checkpoint: %v", err)
-			}
-			fmt.Printf("data dir %s: fresh; loaded and checkpointed at commit %d\n", *dataDir, p.CheckpointTS())
+			fmt.Printf("data dir %s: fresh; bulk load checkpointed at commit %d\n", *dataDir, p.CheckpointTS())
 		} else {
 			env.Store = p.Store
 			fmt.Printf("data dir %s: recovered to commit %d\n", *dataDir, info.Clock)

@@ -6,9 +6,10 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 
 	"ldbcsnb/internal/datagen"
@@ -109,7 +110,7 @@ func NewEnvData(persons int, seed uint64) *Env {
 
 // loadWorkers picks the generation/load parallelism for an environment:
 // GOMAXPROCS clamped to [2, 8]. Store content is identical for any value
-// (datagen's §2.4 guarantee; LoadParallel's ordered commits), so this only
+// (datagen's §2.4 guarantee; schema.Parts's ordered parts), so this only
 // moves setup wall-clock time.
 func loadWorkers() int {
 	w := runtime.GOMAXPROCS(0)
@@ -123,12 +124,12 @@ func loadWorkers() int {
 }
 
 // NewEnvStreamed builds an environment through the streaming pipeline:
-// datagen.Stream chunks are split and bulk-loaded as they arrive, so
-// loading overlaps generation and the full dataset is never resident at
-// once. For the same (persons, seed) the update stream is identical to
-// NewEnv's and the store holds the identical logical graph — same nodes,
-// properties, adjacency, order included — though commit-clock values
-// differ because transaction batches follow chunk boundaries. Out/Full
+// datagen.Stream chunks are split and written into bulk-load parts as they
+// arrive, so the full dataset is never resident at once, and the parts are
+// loaded as one commit at the end. For the same (persons, seed) the update
+// stream is identical to NewEnv's, the commit clock is too, and the store
+// holds the identical logical graph — same nodes, properties, adjacency,
+// order included. Out/Full
 // are unavailable (nil): use NewEnv when an experiment needs the raw
 // dataset for parameter curation. This is the path the thousand-person
 // memory benchmarks use.
@@ -145,6 +146,7 @@ func NewEnvStreamed(persons int, seed uint64) (*Env, error) {
 
 	ch, wait := datagen.Stream(cfg)
 	var personCreated map[ids.ID]int64
+	var parts []*store.Txn
 	for c := range ch {
 		if personCreated == nil {
 			personCreated = make(map[ids.ID]int64, len(c.Persons))
@@ -153,24 +155,30 @@ func NewEnvStreamed(persons int, seed uint64) (*Env, error) {
 			}
 		}
 		bulk, updates := datagen.SplitWith(c, datagen.UpdateCut, personCreated)
-		if err := schema.LoadParallel(st, bulk, cfg.Workers); err != nil {
+		p, err := schema.Parts(st, bulk, cfg.Workers)
+		if err != nil {
 			return nil, err
 		}
+		parts = append(parts, p...)
 		e.Updates = append(e.Updates, updates...)
 	}
 	wait()
+	if err := st.Load(parts...); err != nil {
+		return nil, err
+	}
 	// Chunks arrive class-major and pre-sorted; the stable global sort
 	// reproduces Split-of-the-whole's update order exactly
 	// (TestStreamSplitMatchesSplit pins this).
-	sort.SliceStable(e.Updates, func(i, j int) bool {
-		return e.Updates[i].DueTime < e.Updates[j].DueTime
+	slices.SortStableFunc(e.Updates, func(a, b schema.Update) int {
+		return cmp.Compare(a.DueTime, b.DueTime)
 	})
 	return e, nil
 }
 
 // LoadInto bulk-loads the environment's dimension tables and bulk split
-// into st — for durable stores, with its WAL attached so the load is
-// logged — and adopts st as the environment's store.
+// into st — on a durable store, the dimensions as one logged commit and the
+// bulk split as a checkpoint (store.Store.Load) — and adopts st as the
+// environment's store.
 func (e *Env) LoadInto(st *store.Store) error {
 	if err := schema.LoadDimensions(st); err != nil {
 		return err

@@ -13,24 +13,28 @@ import (
 // entry of the snapshot view (delta+varint CSR, a property row header per
 // ordinal, interned strings), the uncompressed baseline the codec is measured
 // against, the mutable MVCC side's bytes per node and per adjacency entry,
-// and process heap with the environment still live. One iteration is the
-// full streamed generate+split+load pipeline plus a view build, so ns/op
-// doubles as the end-to-end load latency at that scale. Emitted to
+// process heap with the environment still live, and the heap objects right
+// after the load, before any view (what a GC cycle marks). One iteration is
+// the full streamed generate+split+load pipeline plus a view build, so
+// ns/op doubles as the end-to-end load latency at that scale. Emitted to
 // BENCH_memory.json by `make bench-mem`.
 func BenchmarkMemory(b *testing.B) {
 	for _, persons := range []int{250, 1000, 2500} {
 		b.Run(fmt.Sprintf("sf=%dp", persons), func(b *testing.B) {
 			var st store.Stats
-			var heap uint64
+			var heap, objects uint64
 			for i := 0; i < b.N; i++ {
 				env, err := NewEnvStreamed(persons, 42)
 				if err != nil {
 					b.Fatal(err)
 				}
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				objects = ms.HeapObjects
 				env.Store.CurrentView() // materialise the frozen view
 				st = env.Store.ComputeStats()
 				runtime.GC()
-				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
 				heap = ms.HeapAlloc
 				runtime.KeepAlive(env) // or the heap read above is of a store already collected
@@ -49,6 +53,7 @@ func BenchmarkMemory(b *testing.B) {
 			b.ReportMetric(float64(v.Nodes), "nodes")
 			b.ReportMetric(float64(v.Edges)/2, "edges")
 			b.ReportMetric(float64(heap)/(1<<20), "heapMB")
+			b.ReportMetric(float64(objects), "loadheapobjects")
 		})
 	}
 }

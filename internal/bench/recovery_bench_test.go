@@ -1,14 +1,15 @@
 package bench
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
 	"ldbcsnb/internal/driver"
+	"ldbcsnb/internal/schema"
 	"ldbcsnb/internal/store"
 )
 
@@ -22,10 +23,13 @@ import (
 // rewrite sped up full replay itself ~2x, narrowing the ratio while
 // making both paths faster).
 //
-// The two directories are built once per process: a single durable run
+// The two directories are built once per process, each by one durable run
 // with KeepSegments (truncation disabled, so the full log survives the
-// checkpoint), then a copy with the checkpoint files stripped — recovery
-// on the copy has nothing to load and must replay every record.
+// checkpoints). The checkpoint run bulk-loads as the program does, which
+// leaves the bulk image as a checkpoint. The full-replay run writes the
+// same graph by commits alone, the bulk split in 2000-entity transactions,
+// and takes no checkpoint: recovery has nothing to load and must replay
+// every record.
 
 const recoveryPersons = 250
 
@@ -86,11 +90,18 @@ func setupRecoveryDirs(b *testing.B) (ckptDir, fullDir string) {
 		}
 		recoveryDirs.tailFrac = float64(clock-p.CheckpointTS()) / float64(clock)
 
-		// The full-replay twin: same WAL, no checkpoints.
 		fullDir = filepath.Join(base, "full")
-		if err := copyTreeSkip(ckptDir, fullDir, func(name string) bool {
-			return strings.HasSuffix(name, ".ckpt")
-		}); err != nil {
+		q, _, err := store.Open(fullDir, opts, nil)
+		if err != nil {
+			recoveryDirs.err = err
+			return
+		}
+		conn = &driver.StoreConnector{Store: q.Store}
+		err = errors.Join(schema.LoadDimensions(q.Store), loadByCommits(q.Store, env.Bulk))
+		for i := 0; err == nil && i < len(env.Updates); i++ {
+			err = conn.Execute(&env.Updates[i])
+		}
+		if err := errors.Join(err, q.Close()); err != nil {
 			recoveryDirs.err = err
 			return
 		}
@@ -102,34 +113,48 @@ func setupRecoveryDirs(b *testing.B) (ckptDir, fullDir string) {
 	return recoveryDirs.ckptDir, recoveryDirs.fullDir
 }
 
-func copyTreeSkip(src, dst string, skip func(string) bool) error {
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		return err
-	}
-	ents, err := os.ReadDir(src)
-	if err != nil {
-		return err
-	}
-	for _, e := range ents {
-		if skip(e.Name()) {
-			continue
-		}
-		s, d := filepath.Join(src, e.Name()), filepath.Join(dst, e.Name())
-		if e.IsDir() {
-			if err := copyTreeSkip(s, d, skip); err != nil {
-				return err
-			}
-			continue
-		}
-		data, err := os.ReadFile(s)
+// loadByCommits writes a bulk split through Txn commits of 2000 entities
+// each, in the order schema.Parts writes it.
+func loadByCommits(st *store.Store, d *schema.Dataset) error {
+	tx, n := st.Begin(), 0
+	next := func(err error) error {
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(d, data, 0o644); err != nil {
-			return err
+		if n++; n%2000 == 0 {
+			err, tx = tx.Commit(), st.Begin()
 		}
+		return err
 	}
-	return nil
+	var err error
+	for i := 0; err == nil && i < len(d.Persons); i++ {
+		err = next(schema.AddPerson(tx, &d.Persons[i]))
+	}
+	for i := 0; err == nil && i < len(d.Knows); i++ {
+		err = next(tx.AddKnows(d.Knows[i].A, d.Knows[i].B, d.Knows[i].CreationDate))
+	}
+	for i := 0; err == nil && i < len(d.Forums); i++ {
+		err = next(schema.AddForum(tx, &d.Forums[i]))
+	}
+	for i := 0; err == nil && i < len(d.Memberships); i++ {
+		m := &d.Memberships[i]
+		err = next(tx.AddEdge(m.Forum, store.EdgeHasMember, m.Person, m.JoinDate))
+	}
+	for i := 0; err == nil && i < len(d.Posts); i++ {
+		err = next(schema.AddPost(tx, &d.Posts[i]))
+	}
+	for i := 0; err == nil && i < len(d.Comments); i++ {
+		err = next(schema.AddComment(tx, &d.Comments[i]))
+	}
+	for i := 0; err == nil && i < len(d.Likes); i++ {
+		l := &d.Likes[i]
+		err = next(tx.AddEdge(l.Person, store.EdgeLikes, l.Message, l.CreationDate))
+	}
+	if err != nil {
+		tx.Abort()
+		return err
+	}
+	return tx.Commit()
 }
 
 func benchRecover(b *testing.B, dir string, wantCheckpoint bool) {

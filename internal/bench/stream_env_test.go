@@ -12,8 +12,8 @@ import (
 // same (persons, seed) the streamed pipeline produces the same update
 // stream and the same logical store content as the materialise-everything
 // path — same per-kind node lists (order included), same properties, same
-// adjacency with stamps. Only the commit clock may differ (transaction
-// batches follow chunk boundaries), so it is deliberately not compared.
+// adjacency with stamps — at the same commit clock: both load the bulk
+// split as one commit.
 func TestStreamedEnvMatchesNewEnv(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates and loads the dataset twice")
@@ -37,6 +37,9 @@ func TestStreamedEnvMatchesNewEnv(t *testing.T) {
 		}
 	}
 
+	if rc, gc := ref.Store.LastCommit(), got.Store.LastCommit(); rc != gc {
+		t.Fatalf("commit clocks diverge: streamed %d, reference %d", gc, rc)
+	}
 	rv, gv := ref.Store.CurrentView(), got.Store.CurrentView()
 	if rn, gn := rv.NumNodes(), gv.NumNodes(); rn != gn {
 		t.Fatalf("node counts diverge: streamed %d, reference %d", gn, rn)

@@ -345,9 +345,9 @@ func TestRunMixedProducesAllTables(t *testing.T) {
 	if rep.ViewAcquire.Count != 2*complexTotal {
 		t.Fatalf("view acquisitions: %d, want %d (2 per iteration)", rep.ViewAcquire.Count, 2*complexTotal)
 	}
-	if rep.ViewRefresh.Count+rep.ViewRebuild.Count != rep.ViewAcquire.Count {
-		t.Fatalf("acquire split %d+%d does not cover %d",
-			rep.ViewRefresh.Count, rep.ViewRebuild.Count, rep.ViewAcquire.Count)
+	if rep.ViewRefresh.Count+rep.ViewNewEra.Count+rep.ViewRebuild.Count != rep.ViewAcquire.Count {
+		t.Fatalf("acquire split %d+%d+%d does not cover %d",
+			rep.ViewRefresh.Count, rep.ViewNewEra.Count, rep.ViewRebuild.Count, rep.ViewAcquire.Count)
 	}
 	if rep.ViewRebuild.Count < 1 {
 		t.Fatal("no acquisition paid the initial view build")

@@ -87,16 +87,20 @@ type MixedReport struct {
 	// ViewAcquire aggregates the cost of every frozen-view acquisition the
 	// read clients performed (twice per iteration — before the complex
 	// query and again before the short-read walk, so the walk serves the
-	// freshest epoch). ViewRefresh and ViewRebuild split the
+	// freshest epoch). ViewRefresh, ViewNewEra and ViewRebuild split the
 	// same samples by the maintenance work the acquisition performed:
 	// cache hits and incremental delta refreshes land in ViewRefresh,
 	// compactions the reader ran itself in ViewRebuild: the run's first
 	// view build, then one sample per trigger crossing — the era's overlay
 	// plus the backlog of commits since the cached view passed the
 	// compaction trigger (the commit log dropped the view's cursor), and
-	// the next reader rebuilt inline.
+	// the next reader rebuilt inline. ViewNewEra holds the acquisitions
+	// that returned a newer era than the client's previous one without
+	// rebuilding it: the other readers' share of a trigger crossing, which
+	// waited on the rebuild or found it done.
 	ViewAcquire LatencyStats
 	ViewRefresh LatencyStats
+	ViewNewEra  LatencyStats
 	ViewRebuild LatencyStats
 	// Throughput is total executed operations per second (the §5 metric
 	// alongside the acceleration factor).
@@ -271,6 +275,7 @@ func RunMixed(cfg MixedConfig) *MixedReport {
 			defer wg.Done()
 			r := xrand.New(cfg.Seed, xrand.PurposeShortRead, uint64(client)+100)
 			sc := workload.NewScratch()
+			var era eraTracker
 			timer := func(kind int, d time.Duration) {
 				mu.Lock()
 				rep.Short[kind].Add(d)
@@ -289,8 +294,9 @@ func RunMixed(cfg MixedConfig) *MixedReport {
 				t0 := time.Now()
 				res := spec.RunView(v, sc, p)
 				lat := time.Since(t0)
+				kind := era.kind(v, ev)
 				mu.Lock()
-				addAcquire(rep, ev, acq)
+				addAcquire(rep, kind, acq)
 				rep.Complex[q-1].Add(lat)
 				mu.Unlock()
 				// Short-read random walk seeded by the results (§4). The walk
@@ -300,8 +306,9 @@ func RunMixed(cfg MixedConfig) *MixedReport {
 				tAcq = time.Now()
 				v, ev = cfg.Store.AcquireView()
 				acq = time.Since(tAcq)
+				kind = era.kind(v, ev)
 				mu.Lock()
-				addAcquire(rep, ev, acq)
+				addAcquire(rep, kind, acq)
 				mu.Unlock()
 				workload.RunShortReadChain(v, cfg.Mix, r, seedPersons(res, p), res.Messages, timer)
 			}
@@ -322,6 +329,7 @@ func RunMixed(cfg MixedConfig) *MixedReport {
 		go func(client int) {
 			defer wg.Done()
 			r := xrand.New(cfg.Seed, xrand.PurposeShortRead, uint64(client)+500)
+			var era eraTracker
 			for round := 0; round < biRounds; round++ {
 				for q := range bi.Registry {
 					if canceled() {
@@ -335,8 +343,9 @@ func RunMixed(cfg MixedConfig) *MixedReport {
 					t0 := time.Now()
 					spec.RunPar(v, par, p)
 					lat := time.Since(t0)
+					kind := era.kind(v, ev)
 					mu.Lock()
-					addAcquire(rep, ev, acq)
+					addAcquire(rep, kind, acq)
 					rep.BI[q].Add(lat)
 					mu.Unlock()
 				}
@@ -383,13 +392,44 @@ type connectorFunc func(op *schema.Update) error
 // Execute calls f(op).
 func (f connectorFunc) Execute(op *schema.Update) error { return f(op) }
 
+// acquireKind is how an acquisition obtained its view, as MixedReport books
+// it.
+type acquireKind uint8
+
+const (
+	acquiredCached  acquireKind = iota // a hit or a delta refresh
+	acquiredNewEra                     // a newer era that another reader rebuilt
+	acquiredRebuilt                    // rebuilt by this acquisition
+)
+
+// eraTracker remembers the era of one client's previous view.
+type eraTracker struct{ era uint64 }
+
+// kind classifies an acquisition that returned v by event ev, and
+// remembers v's era. A client's first acquisition has no previous era to
+// compare with.
+func (t *eraTracker) kind(v *store.SnapshotView, ev store.ViewEvent) acquireKind {
+	prev := t.era
+	t.era = v.Era()
+	switch {
+	case ev == store.ViewRebuilt:
+		return acquiredRebuilt
+	case prev != 0 && v.Era() > prev:
+		return acquiredNewEra
+	}
+	return acquiredCached
+}
+
 // addAcquire records one view acquisition under the report lock: the
-// aggregate stat plus the refresh-vs-rebuild split by maintenance event.
-func addAcquire(rep *MixedReport, ev store.ViewEvent, d time.Duration) {
+// aggregate stat plus its split by kind.
+func addAcquire(rep *MixedReport, kind acquireKind, d time.Duration) {
 	rep.ViewAcquire.Add(d)
-	if ev == store.ViewRebuilt {
+	switch kind {
+	case acquiredRebuilt:
 		rep.ViewRebuild.Add(d)
-	} else {
+	case acquiredNewEra:
+		rep.ViewNewEra.Add(d)
+	default:
 		rep.ViewRefresh.Add(d)
 	}
 }

@@ -1,8 +1,10 @@
 package schema
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"ldbcsnb/internal/dict"
@@ -82,134 +84,85 @@ func TagNodeID(tagIdx int) ids.ID { return ids.DimensionID(ids.KindTag, uint32(t
 // PlaceNodeID maps a dict country index to its store node ID.
 func PlaceNodeID(countryIdx int) ids.ID { return ids.DimensionID(ids.KindPlace, uint32(countryIdx)) }
 
-// loadBatch is the number of entities per bulk-load transaction: large
-// enough to amortise commit cost, small enough to bound txn buffers.
+// loadBatch is the number of entities per bulk part: the unit the load's
+// workers claim.
 const loadBatch = 2000
 
-// Load bulk-loads a dataset into the store. Call LoadDimensions first.
+// Load bulk-loads a dataset into the store as one commit (store.Store.Load).
+// Call LoadDimensions first.
 func Load(st *store.Store, d *Dataset) error {
 	return LoadParallel(st, d, 1)
 }
 
-// LoadParallel is Load with parallel transaction building: up to workers
-// goroutines build the batch transactions of each entity class concurrently
-// (property construction and string interning dominate build cost), while
-// commits are issued strictly in batch order. Ordered commits make the
-// loaded store byte-identical to a sequential Load — same commit
-// timestamps, same kind-list order, same adjacency insertion order — for
-// any worker count, so equivalence suites and recovery tests see one
-// canonical store. Entity classes still load in referential order (persons
-// before knows, messages before likes).
+// LoadParallel is Load with the facts written by up to workers goroutines
+// (property construction and string interning dominate that cost). The
+// loaded store is the same for any worker count: see Parts.
 func LoadParallel(st *store.Store, d *Dataset, workers int) error {
-	if err := loadOrdered(st, d.Persons, workers, AddPerson); err != nil {
-		return fmt.Errorf("load persons: %w", err)
-	}
-	err := loadOrdered(st, d.Knows, workers, func(tx *store.Txn, k *Knows) error {
-		return tx.AddKnows(k.A, k.B, k.CreationDate)
-	})
+	parts, err := Parts(st, d, workers)
 	if err != nil {
-		return fmt.Errorf("load knows: %w", err)
+		return err
 	}
-	if err := loadOrdered(st, d.Forums, workers, AddForum); err != nil {
-		return fmt.Errorf("load forums: %w", err)
-	}
-	err = loadOrdered(st, d.Memberships, workers, func(tx *store.Txn, m *Membership) error {
-		return tx.AddEdge(m.Forum, store.EdgeHasMember, m.Person, m.JoinDate)
-	})
-	if err != nil {
-		return fmt.Errorf("load memberships: %w", err)
-	}
-	if err := loadOrdered(st, d.Posts, workers, AddPost); err != nil {
-		return fmt.Errorf("load posts: %w", err)
-	}
-	if err := loadOrdered(st, d.Comments, workers, AddComment); err != nil {
-		return fmt.Errorf("load comments: %w", err)
-	}
-	err = loadOrdered(st, d.Likes, workers, func(tx *store.Txn, l *Like) error {
-		return tx.AddEdge(l.Person, store.EdgeLikes, l.Message, l.CreationDate)
-	})
-	if err != nil {
-		return fmt.Errorf("load likes: %w", err)
+	if err := st.Load(parts...); err != nil {
+		return fmt.Errorf("bulk load: %w", err)
 	}
 	return nil
 }
 
-// loadOrdered loads one entity class in loadBatch-sized transactions.
-// Workers claim batches by index and build them concurrently — buffering
-// writes into a Txn touches no shared store state — and a committer drains
-// the batches in index order, so the commit sequence is independent of the
-// worker count. With workers <= 1 it degenerates to the plain sequential
-// loop.
-func loadOrdered[T any](st *store.Store, items []T, workers int, add func(tx *store.Txn, item *T) error) error {
-	nb := (len(items) + loadBatch - 1) / loadBatch
-	build := func(b int) (*store.Txn, error) {
-		lo, hi := b*loadBatch, min((b+1)*loadBatch, len(items))
-		tx := st.Begin()
-		for i := lo; i < hi; i++ {
-			if err := add(tx, &items[i]); err != nil {
-				tx.Abort()
-				return nil, err
-			}
-		}
-		return tx, nil
-	}
-	if workers > nb {
-		workers = nb
-	}
-	if workers <= 1 {
-		for b := 0; b < nb; b++ {
-			tx, err := build(b)
-			if err != nil {
-				return err
-			}
-			if err := tx.Commit(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+// Parts writes a dataset's facts into write transactions on st for
+// store.Store.Load, through the Add* functions the update stream uses. Each
+// entity class is cut into loadBatch-entity parts that up to workers
+// goroutines write concurrently; the parts come back in class and batch
+// order, so their facts, and the store loaded from them, do not depend on
+// the worker count. Classes go in referential order: persons before knows,
+// messages before likes.
+func Parts(st *store.Store, d *Dataset, workers int) ([]*store.Txn, error) {
+	var jobs []func(*store.Txn) error
+	jobs = batches(jobs, d.Persons, AddPerson)
+	jobs = batches(jobs, d.Knows, func(tx *store.Txn, k *Knows) error {
+		return tx.AddKnows(k.A, k.B, k.CreationDate)
+	})
+	jobs = batches(jobs, d.Forums, AddForum)
+	jobs = batches(jobs, d.Memberships, func(tx *store.Txn, m *Membership) error {
+		return tx.AddEdge(m.Forum, store.EdgeHasMember, m.Person, m.JoinDate)
+	})
+	jobs = batches(jobs, d.Posts, AddPost)
+	jobs = batches(jobs, d.Comments, AddComment)
+	jobs = batches(jobs, d.Likes, func(tx *store.Txn, l *Like) error {
+		return tx.AddEdge(l.Person, store.EdgeLikes, l.Message, l.CreationDate)
+	})
 
-	type built struct {
-		tx  *store.Txn
-		err error
-	}
-	ready := make([]chan built, nb)
-	for i := range ready {
-		ready[i] = make(chan built, 1)
-	}
+	parts := make([]*store.Txn, len(jobs))
+	errs := make([]error, len(jobs))
 	var next atomic.Int64
-	for w := 0; w < workers; w++ {
+	var wg sync.WaitGroup
+	for w := 0; w < max(1, min(workers, len(jobs))); w++ {
+		wg.Add(1)
 		go func() {
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= nb {
-					return
-				}
-				tx, err := build(b)
-				ready[b] <- built{tx, err}
+			defer wg.Done()
+			for j := int(next.Add(1)) - 1; j < len(jobs); j = int(next.Add(1)) - 1 {
+				parts[j] = st.Begin()
+				errs[j] = jobs[j](parts[j])
 			}
 		}()
 	}
-	var firstErr error
-	for b := 0; b < nb; b++ {
-		r := <-ready[b]
-		if firstErr != nil {
-			// Drain remaining batches so the workers finish; their
-			// uncommitted transactions are dropped.
-			if r.tx != nil {
-				r.tx.Abort()
+	wg.Wait()
+	return parts, errors.Join(errs...)
+}
+
+// batches appends one job per loadBatch items, each writing its items with add.
+func batches[T any](jobs []func(*store.Txn) error, items []T, add func(*store.Txn, *T) error) []func(*store.Txn) error {
+	for lo := 0; lo < len(items); lo += loadBatch {
+		batch := items[lo:min(lo+loadBatch, len(items))]
+		jobs = append(jobs, func(tx *store.Txn) error {
+			for i := range batch {
+				if err := add(tx, &batch[i]); err != nil {
+					return err
+				}
 			}
-			continue
-		}
-		if r.err != nil {
-			firstErr = r.err
-			continue
-		}
-		if err := r.tx.Commit(); err != nil {
-			firstErr = err
-		}
+			return nil
+		})
 	}
-	return firstErr
+	return jobs
 }
 
 // PersonProps builds the store property list for a person.

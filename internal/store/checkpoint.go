@@ -364,78 +364,48 @@ func loadCheckpoint(s *Store, path string) (int64, error) {
 	}
 
 	nNodes := int(d.u32())
-	// Restoring allocates one object per node, property and adjacency
-	// entry; at scale that is millions of small allocations on the restart
-	// critical path, so records, props and edge lists are carved out of
-	// chunked arenas instead. Every sub-slice is capacity-clipped: a later
-	// append (a new edge) reallocates privately and can never clobber a
-	// neighbouring list in the chunk.
+	// Records, property rows, row tables and edge lists are carved from the
+	// bulk load's arena (bulk.go), lists with the same append slack: the
+	// file gives each count before its entries.
 	for i := range s.shards {
 		s.shards[i].nodes = make(map[ids.ID]*nodeRec, nNodes/shardCount+1)
 	}
-	var (
-		recArena  []nodeRec
-		propArena []Prop
-		edgeArena []edgeRec
-		rowArena  []adjRow
-	)
-	const arenaChunk = 1 << 14
-	allocEdges := func(n int) []edgeRec {
-		if n > len(edgeArena) {
-			edgeArena = make([]edgeRec, max(n, arenaChunk))
-		}
-		out := edgeArena[:n:n]
-		edgeArena = edgeArena[n:]
-		return out
-	}
-	allocProps := func(n int) Props {
-		if n > len(propArena) {
-			propArena = make([]Prop, max(n, arenaChunk))
-		}
-		out := propArena[:n:n]
-		propArena = propArena[n:]
-		return Props(out)
+	a := arena{
+		recs:  pool[nodeRec]{left: nNodes},
+		props: pool[Prop]{left: unknownLeft},
+		rows:  pool[adjRow]{left: unknownLeft},
+		edges: pool[edgeRec]{left: unknownLeft},
 	}
 	for i := 0; i < nNodes && d.err == nil; i++ {
 		id := ids.ID(d.u64())
-		nProps := int(d.u16())
-		var props Props
-		if nProps > 0 {
-			props = allocProps(nProps)
-			for j := range props {
-				key := PropKey(d.u8())
-				switch d.u8() {
-				case 1:
-					props[j] = NewProp(key, Int64(int64(d.u64())))
-				case 2:
-					idx := int(d.u32())
-					if d.err == nil && idx >= len(syms) {
-						return 0, fmt.Errorf("%w: checkpoint %s: dictionary index out of range", ErrCorrupt, base)
-					}
-					if d.err == nil {
-						props[j] = NewProp(key, symValue(syms[idx]))
-					}
-				default:
-					props[j] = Prop{Key: key}
+		props := a.propRow(int(d.u16()))
+		for j := range props {
+			key := PropKey(d.u8())
+			switch d.u8() {
+			case 1:
+				props[j] = NewProp(key, Int64(int64(d.u64())))
+			case 2:
+				idx := int(d.u32())
+				if d.err == nil && idx >= len(syms) {
+					return 0, fmt.Errorf("%w: checkpoint %s: dictionary index out of range", ErrCorrupt, base)
 				}
+				if d.err == nil {
+					props[j] = NewProp(key, symValue(syms[idx]))
+				}
+			default:
+				props[j] = Prop{Key: key}
 			}
 		}
-		if len(recArena) == 0 {
-			recArena = make([]nodeRec, arenaChunk)
-		}
-		rec := &recArena[0]
-		recArena = recArena[1:]
+		rec := a.rec()
 		rec.id, rec.commit, rec.props = id, clock, props
-		// nLists precedes the lists: carve the row table at exactly that size.
+		// nLists precedes the lists: carve the row table at that size.
 		nLists := int(d.u8())
 		if nLists > 2*(int(edgeTypeMax)-1) {
 			return 0, fmt.Errorf("%w: checkpoint %s: %d adjacency lists on one node", ErrCorrupt, base, nLists)
 		}
-		if nLists > len(rowArena) {
-			rowArena = make([]adjRow, arenaChunk)
+		if nLists > 0 {
+			rec.adj.rows = a.table(nLists)
 		}
-		rec.adj.rows = rowArena[:nLists:nLists]
-		rowArena = rowArena[nLists:]
 		var seen uint32 // row keys read so far on this node
 		for j := 0; j < nLists && d.err == nil; j++ {
 			t := EdgeType(d.u8())
@@ -454,7 +424,7 @@ func loadCheckpoint(s *Store, path string) (int64, error) {
 			}
 			// Zigzag-varint delta entries, mirroring the encoder (this loop
 			// touches every edge in the database).
-			list := allocEdges(count)
+			list := a.list(count)
 			prevPeer, prevStamp := int64(0), int64(0)
 			for k := range list {
 				prevPeer += d.varint()

@@ -22,7 +22,7 @@ import (
 // rebuilds and registers it again. A drop moves the log to a new array: a
 // refresh may still be reading the old one.
 //
-// Lock order: viewMu -> commitMu -> commitLog.mu.
+// Lock order: Persistent.ckptMu -> viewMu -> commitMu -> commitLog.mu.
 type commitLog struct {
 	mu sync.Mutex
 
@@ -126,6 +126,22 @@ func (l *commitLog) since(after, upto int64) (ds []*CommitDelta, ok bool) {
 		return nil, false
 	}
 	return l.afterLocked(after)[:upto-after], true
+}
+
+// pass moves every cursor to ts, a bulk load's timestamp (Store.Load).
+// The load has no write set here, so the next commit must find the log
+// empty and every consumer at ts: the WAL flusher has written every record
+// below ts (the caller drained it under commitMu, which it holds), and the
+// view's cursor is dropped — the cached view cannot refresh across ts, and
+// its next reader rebuilds. A refresh still reading the old array keeps it.
+func (l *commitLog) pass(ts int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.view, l.backlog = noCursor, 0
+	if l.written != noCursor {
+		l.written = ts
+	}
+	l.buf, l.lo = nil, 0
 }
 
 // moveView moves the view's cursor to ts, the view just refreshed, unless

@@ -187,10 +187,12 @@ func (gw *groupWAL) flusher() {
 		if werr != nil && l.err == nil {
 			l.err = werr
 		}
-		l.written = upto
+		// max: a bulk load may have moved the cursor past upto meanwhile
+		// (commitLog.pass); a batch without records read upto before it.
+		l.written = max(l.written, upto)
 		l.trimLocked()
 		if synced && werr == nil {
-			l.durable = upto
+			l.durable = max(l.durable, upto)
 		}
 		l.synced.Broadcast()
 		l.mu.Unlock()

@@ -223,6 +223,7 @@ func Open(dir string, opts PersistOptions, register func(*Store)) (*Persistent, 
 		return nil, info, err
 	}
 	s.gwal = newGroupWAL(opts.WALSync, seg, &s.log, info.Clock, p.onAppend)
+	s.durable = p
 
 	p.wg.Add(1)
 	go p.checkpointLoop()
@@ -309,12 +310,39 @@ func (p *Persistent) Checkpoint() error {
 		p.hookAfterRotate()
 	}
 	v := p.Store.CurrentView()
-	ts := v.Timestamp()
-	if ts <= p.lastCkptTS.Load() {
+	if v.Timestamp() <= p.lastCkptTS.Load() {
 		p.bytesSince.Store(0)
 		p.commitsSince.Store(0)
 		return nil
 	}
+	return p.checkpointLocked(v)
+}
+
+// checkpointBulk makes the bulk load at ts durable (Store.Load): the view
+// at ts, built and cached here, becomes the checkpoint that stands in for
+// the WAL record the load does not write. The caller holds ckptMu, viewMu
+// and commitMu, so no commit reaches the WAL before the checkpoint is on
+// disk: a log that goes on at ts+1 cannot be replayed without it. For the
+// same reason a failure closes the store to commits.
+//
+//snb:locked ckptMu viewMu commitMu
+func (p *Persistent) checkpointBulk(ts int64) error {
+	s := p.Store
+	old := s.view.Load()
+	s.log.moveView(ts, true)
+	if err := p.checkpointLocked(s.rebuild(ts, old)); err != nil {
+		s.closed.Store(true)
+		return fmt.Errorf("store: bulk load at commit %d not durable, store closed: %w", ts, err)
+	}
+	return nil
+}
+
+// checkpointLocked writes v as the newest checkpoint, prunes older ones and
+// truncates the WAL segments the oldest retained one covers.
+//
+//snb:locked ckptMu
+func (p *Persistent) checkpointLocked(v *SnapshotView) error {
+	ts := v.Timestamp()
 	if _, err := writeCheckpoint(p.dir, v, p.hookBeforeRename); err != nil {
 		return err
 	}

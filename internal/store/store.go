@@ -55,6 +55,9 @@ type Store struct {
 	// log in commit order: the group-commit flusher (groupcommit.go). Nil
 	// on a store that is not durable.
 	gwal *groupWAL
+	// durable, set by Open, is the handle whose checkpoint makes a bulk
+	// load durable (Store.Load). Nil on a store that is not durable.
+	durable *Persistent
 
 	// closed is raised by MarkClosed (Persistent.Close does it before the
 	// WAL drains). Commits and checked view acquisition observe it and

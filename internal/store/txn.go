@@ -234,16 +234,10 @@ func (tx *Txn) Commit() error {
 		return nil
 	}
 	s := tx.s
-	// Created nodes install in ID order so the per-kind scan lists are
-	// reproducible (and the redo record replays them in it); sorted, an ID
-	// created twice is an adjacent pair. Both happen before the lock: the
-	// write set is the transaction's own.
-	slices.SortFunc(tx.nodes, func(a, b pendingNode) int { return cmp.Compare(a.id, b.id) })
-	for i := 1; i < len(tx.nodes); i++ {
-		if id := tx.nodes[i].id; id == tx.nodes[i-1].id {
-			s.aborts.Add(1)
-			return fmt.Errorf("%w: %v created twice in transaction", ErrExists, id)
-		}
+	// Before the lock: the write set is the transaction's own.
+	if err := sortCreated(tx.nodes); err != nil {
+		s.aborts.Add(1)
+		return err
 	}
 	s.commitMu.Lock()
 	ts, err := tx.commitLocked()
@@ -270,26 +264,8 @@ func (tx *Txn) Commit() error {
 //snb:locked commitMu
 func (tx *Txn) commitLocked() (int64, error) {
 	s := tx.s
-
-	// Closed stores fail before validation: an append past this point would
-	// race the draining WAL (MarkClosed flips the flag under commitMu,
-	// so the read here is ordered against the shutdown fence).
-	if s.closed.Load() {
-		s.aborts.Add(1)
-		return 0, ErrStoreClosed
-	}
-
-	// Validation: a created ID must still be free — neither created nor
-	// materialised as a bare edge endpoint by any commit so far.
-	for _, n := range tx.nodes {
-		sh := s.shardFor(n.id)
-		sh.mu.RLock()
-		_, exists := sh.nodes[n.id]
-		sh.mu.RUnlock()
-		if exists {
-			s.aborts.Add(1)
-			return 0, fmt.Errorf("%w: %v", ErrExists, n.id)
-		}
+	if err := s.admit(tx.nodes); err != nil {
+		return 0, err
 	}
 
 	// The write set is the commit: installed here, and appended to the
@@ -303,6 +279,47 @@ func (tx *Txn) commitLocked() (int64, error) {
 	s.clock.Store(d.ts)
 	s.commits.Add(1)
 	return d.ts, nil
+}
+
+// sortCreated sorts a write set's created nodes into ID order, the order
+// they install in, so the per-kind scan lists are reproducible (and the
+// redo record replays them in it); sorted, an ID created twice is an
+// adjacent pair, which fails with ErrExists.
+func sortCreated(nodes []pendingNode) error {
+	slices.SortFunc(nodes, func(a, b pendingNode) int { return cmp.Compare(a.id, b.id) })
+	for i := 1; i < len(nodes); i++ {
+		if id := nodes[i].id; id == nodes[i-1].id {
+			return fmt.Errorf("%w: %v created twice in one commit", ErrExists, id)
+		}
+	}
+	return nil
+}
+
+// admit validates a commit that creates nodes, under commitMu. A closed
+// store fails it first: an append past this point would race the draining
+// WAL (MarkClosed flips the flag under commitMu, so the read is ordered
+// against the shutdown fence). Then each created ID must still be free —
+// neither created nor materialised as a bare edge endpoint by any commit so
+// far. A failure counts as an abort.
+//
+//snb:locked commitMu
+func (s *Store) admit(nodes []pendingNode) error {
+	err := error(nil)
+	if s.closed.Load() {
+		err = ErrStoreClosed
+	}
+	for i := 0; i < len(nodes) && err == nil; i++ {
+		sh := s.shardFor(nodes[i].id)
+		sh.mu.RLock()
+		if _, taken := sh.nodes[nodes[i].id]; taken {
+			err = fmt.Errorf("%w: %v", ErrExists, nodes[i].id)
+		}
+		sh.mu.RUnlock()
+	}
+	if err != nil {
+		s.aborts.Add(1)
+	}
+	return err
 }
 
 // install stores one commit's write set at its timestamp: the created nodes

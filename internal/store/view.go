@@ -704,13 +704,21 @@ func (s *Store) AcquireView() (*SnapshotView, ViewEvent) {
 	ts = s.clock.Load()
 	s.log.moveView(ts, true)
 	s.commitMu.Unlock()
+	return s.rebuild(ts, old), ViewRebuilt
+}
+
+// rebuild builds the view at ts, for which the caller has registered the
+// view's cursor in the commit log, and caches it in place of old.
+//
+//snb:locked viewMu
+func (s *Store) rebuild(ts int64, old *SnapshotView) *SnapshotView {
 	nv := s.buildView(ts)
 	s.view.Store(nv)
 	s.viewRebuilds.Add(1)
 	if old != nil {
 		s.viewEraBumps.Add(1)
 	}
-	return nv, ViewRebuilt
+	return nv
 }
 
 // AcquireViewChecked is AcquireView with a liveness check: once the store

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ldbcsnb/internal/datagen"
+	"ldbcsnb/internal/driver"
 	"ldbcsnb/internal/ids"
 	"ldbcsnb/internal/store"
 	"ldbcsnb/internal/workload"
@@ -74,22 +75,33 @@ func benchCommonName(env *Env) string {
 	return name
 }
 
-// benchTag returns a tag carried by some post (Q6's parameter).
-func benchTag(b *testing.B, env *Env) ids.ID {
-	b.Helper()
-	var tag ids.ID
-	env.Store.View(func(tx *store.Txn) {
-		for _, m := range tx.NodesOfKind(ids.KindPost) {
-			if tes := tx.Out(m, store.EdgeHasTag); len(tes) > 0 {
-				tag = tes[0].To
-				return
-			}
-		}
-	})
-	if tag == 0 {
-		b.Skip("no tagged posts at this scale")
+// benchPools curates the driver's parameter pools over the environment's
+// bulk part, the part its store holds, so every binding names loaded
+// nodes and Q5's join window ends where the loaded posts do.
+func benchPools(env *Env) *workload.ParamPools {
+	return driver.PreparePools(env.Bulk, 1, false)
+}
+
+// poolCycle returns a function that yields bindings round robin, so a
+// benchmark body timed b.N times reports the mean over the pool once b.N
+// covers it, the way a run's mix meets the bindings.
+func poolCycle[T any](bindings []T) func() T {
+	i := -1
+	return func() T {
+		i = (i + 1) % len(bindings)
+		return bindings[i]
 	}
-	return tag
+}
+
+// pairs returns every (person, value) binding of two pools.
+func pairs(persons, values []ids.ID) [][2]ids.ID {
+	out := make([][2]ids.ID, 0, len(persons)*len(values))
+	for _, p := range persons {
+		for _, x := range values {
+			out = append(out, [2]ids.ID{p, x})
+		}
+	}
+	return out
 }
 
 // benchPaths runs one query body on both read paths as "txn" and "view"
@@ -172,21 +184,29 @@ func BenchmarkViewVsTxnQ4(b *testing.B) {
 		func(v *store.SnapshotView, sc *workload.Scratch) { workload.Q4(v, sc, p, mid, window) })
 }
 
+// BenchmarkViewVsTxnQ5 cycles over the curated Q5 persons with the pools'
+// join date, so each binding reads the posts of the forums its
+// environment joined in the window.
 func BenchmarkViewVsTxnQ5(b *testing.B) {
 	env := testEnv(b)
-	p := benchPerson(b, env)
+	pools := benchPools(env)
+	txnNext, viewNext := poolCycle(pools.PersonsQ5), poolCycle(pools.PersonsQ5)
 	benchPaths(b, env,
-		func(tx *store.Txn, sc *workload.Scratch) { workload.Q5(tx, sc, p, datagen.SimStart) },
-		func(v *store.SnapshotView, sc *workload.Scratch) { workload.Q5(v, sc, p, datagen.SimStart) })
+		func(tx *store.Txn, sc *workload.Scratch) { workload.Q5(tx, sc, txnNext(), pools.StartDate) },
+		func(v *store.SnapshotView, sc *workload.Scratch) { workload.Q5(v, sc, viewNext(), pools.StartDate) })
 }
 
+// BenchmarkViewVsTxnQ6 cycles over every (person, tag) binding of the
+// curated pools, so it times both of Q6's sides in the proportion the
+// pools plan them.
 func BenchmarkViewVsTxnQ6(b *testing.B) {
 	env := testEnv(b)
-	p := benchPerson(b, env)
-	tag := benchTag(b, env)
+	pools := benchPools(env)
+	bindings := pairs(pools.Persons, pools.Tags)
+	txnNext, viewNext := poolCycle(bindings), poolCycle(bindings)
 	benchPaths(b, env,
-		func(tx *store.Txn, sc *workload.Scratch) { workload.Q6(tx, sc, p, tag) },
-		func(v *store.SnapshotView, sc *workload.Scratch) { workload.Q6(v, sc, p, tag) })
+		func(tx *store.Txn, sc *workload.Scratch) { p := txnNext(); workload.Q6(tx, sc, p[0], p[1]) },
+		func(v *store.SnapshotView, sc *workload.Scratch) { p := viewNext(); workload.Q6(v, sc, p[0], p[1]) })
 }
 
 func BenchmarkViewVsTxnQ7(b *testing.B) {
@@ -232,13 +252,16 @@ func BenchmarkViewVsTxnQ11(b *testing.B) {
 		func(v *store.SnapshotView, sc *workload.Scratch) { workload.Q11(v, sc, p, 0, 2013) })
 }
 
+// BenchmarkViewVsTxnQ12 cycles over every (person, tag class) binding of
+// the curated pools.
 func BenchmarkViewVsTxnQ12(b *testing.B) {
 	env := testEnv(b)
-	p := benchPerson(b, env)
-	root := ids.DimensionID(ids.KindTagClass, 0)
+	pools := benchPools(env)
+	bindings := pairs(pools.Persons, pools.TagClasses)
+	txnNext, viewNext := poolCycle(bindings), poolCycle(bindings)
 	benchPaths(b, env,
-		func(tx *store.Txn, sc *workload.Scratch) { workload.Q12(tx, sc, p, root) },
-		func(v *store.SnapshotView, sc *workload.Scratch) { workload.Q12(v, sc, p, root) })
+		func(tx *store.Txn, sc *workload.Scratch) { p := txnNext(); workload.Q12(tx, sc, p[0], p[1]) },
+		func(v *store.SnapshotView, sc *workload.Scratch) { p := viewNext(); workload.Q12(v, sc, p[0], p[1]) })
 }
 
 func BenchmarkViewVsTxnQ13(b *testing.B) {

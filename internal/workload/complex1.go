@@ -213,8 +213,14 @@ type Q5Row struct {
 	Count int
 }
 
-// Q5 runs the query. This is the parameter-curation example of §4.1: its
-// cost tracks the 2-hop environment size.
+// Q5 runs the query. This is the parameter-curation example of §4.1. Its
+// cost tracks the posts of the forums the environment joined after minDate
+// (each forum's containerOf row, one hasCreator hop per post), not the
+// environment's size: at 1000 persons a curated binding reads about 1 700
+// containerOf entries of some 380 joined forums, against 330 environment
+// persons whose messages (24 000 hasCreator entries) a plan from the
+// persons' side would read. Forum titles are read for the returned rows
+// only.
 func Q5[R store.Reader](r R, sc *Scratch, start ids.ID, minDate int64) []Q5Row {
 	sc.begin()
 	env, inEnv := friendsAndFoF(r, sc, start)
@@ -243,9 +249,13 @@ func Q5[R store.Reader](r R, sc *Scratch, start ids.ID, minDate int64) []Q5Row {
 				}
 			}
 		}
-		top.Push(Q5Row{Forum: forum, Title: r.Prop(forum, store.PropTitle).Str(), Count: count})
+		top.Push(Q5Row{Forum: forum, Count: count})
 	}
-	return top.Sorted()
+	rows := top.Sorted()
+	for i := range rows {
+		rows[i].Title = r.Prop(rows[i].Forum, store.PropTitle).Str()
+	}
+	return rows
 }
 
 // Q6 — Tag co-occurrence: among posts of friends and friends of friends
@@ -258,44 +268,123 @@ type Q6Row struct {
 	Count int
 }
 
-// Q6 runs the query; tag is a store tag node ID.
+// Q6 runs the query; tag is a store tag node ID. It plans per binding,
+// from degree headers: the environment side reads every message the 2-hop
+// environment created, the tag side every message carrying the tag, and Q6
+// takes the tag side when the tag's hasTag in-degree is below the
+// environment's summed hasCreator in-degree. Both sides count a tag once
+// per (environment creator edge, hasTag edge) pair of a post carrying the
+// query tag, so they return the same rows.
 func Q6[R store.Reader](r R, sc *Scratch, start ids.ID, tag ids.ID) []Q6Row {
 	sc.begin()
-	counts := &sc.tags
-	counts.Reset()
-	env, _ := friendsAndFoF(r, sc, start)
+	env, inEnv := friendsAndFoF(r, sc, start)
+	return q6(r, sc, env, inEnv, start, tag, q6TagSideCheaper(r, env, tag))
+}
+
+// q6TagSideCheaper reports whether the tag's posts are fewer entries to
+// read than the environment's messages. The sum stops once it passes the
+// tag's degree, so a rare tag costs a few degree reads.
+func q6TagSideCheaper[R store.Reader](r R, env []ids.ID, tag ids.ID) bool {
+	tagSide := r.InDegree(tag, store.EdgeHasTag)
+	envSide := 0
+	for _, p := range env {
+		if envSide += r.InDegree(p, store.EdgeHasCreator); envSide > tagSide {
+			return true
+		}
+	}
+	return false
+}
+
+// q6 counts the co-occurring tags from the side fromTag names and returns
+// the top 10. env and inEnv are friendsAndFoF's of start.
+func q6[R store.Reader](r R, sc *Scratch, env []ids.ID, inEnv *seenSet, start, tag ids.ID, fromTag bool) []Q6Row {
+	sc.tags.Reset()
+	if fromTag {
+		q6FromTag(r, sc, inEnv, start, tag)
+	} else {
+		q6FromEnv(r, sc, env, tag)
+	}
+	top := newTopK(10, func(a, b Q6Row) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), strings.Compare(a.Name, b.Name), cmp.Compare(a.Tag, b.Tag))
+	})
+	for i, k := range sc.tags.Keys() {
+		t := ids.ID(k)
+		top.Push(Q6Row{Tag: t, Name: r.Prop(t, store.PropName).Str(), Count: sc.tags.Vals()[i]})
+	}
+	return top.Sorted()
+}
+
+// q6FromEnv is Q6's environment side: every post an environment person
+// created (once per hasCreator edge) that carries tag adds its other
+// hasTag edges to sc.tags.
+func q6FromEnv[R store.Reader](r R, sc *Scratch, env []ids.ID, tag ids.ID) {
 	for _, p := range env {
 		for _, m := range messagesOf(r, p) {
 			if m.To.Kind() != ids.KindPost {
 				continue
 			}
 			tags := r.Out(m.To, store.EdgeHasTag)
-			has := false
-			for _, te := range tags {
-				if te.To == tag {
-					has = true
-					break
-				}
-			}
-			if !has {
+			if q6Listings(tags, tag) == 0 {
 				continue
 			}
 			for _, te := range tags {
 				if te.To != tag {
-					n, _ := counts.At(uint64(te.To))
+					n, _ := sc.tags.At(uint64(te.To))
 					*n++
 				}
 			}
 		}
 	}
-	top := newTopK(10, func(a, b Q6Row) int {
-		return cmp.Or(cmp.Compare(b.Count, a.Count), strings.Compare(a.Name, b.Name), cmp.Compare(a.Tag, b.Tag))
-	})
-	for i, k := range counts.Keys() {
-		t := ids.ID(k)
-		top.Push(Q6Row{Tag: t, Name: r.Prop(t, store.PropName).Str(), Count: counts.Vals()[i]})
+}
+
+// q6FromTag is Q6's tag side: every distinct post carrying tag adds its
+// other hasTag edges to sc.tags once per hasCreator edge into the
+// environment — what q6FromEnv adds for it. inEnv also holds start, which
+// is not part of the environment. A post with parallel hasTag edges to tag
+// is listed that many times by In, and is counted at its first listing.
+func q6FromTag[R store.Reader](r R, sc *Scratch, inEnv *seenSet, start, tag ids.ID) {
+	var counted *seenSet
+	for _, pe := range r.In(tag, store.EdgeHasTag) {
+		m := pe.To
+		if m.Kind() != ids.KindPost {
+			continue
+		}
+		creators := 0
+		for _, ce := range r.Out(m, store.EdgeHasCreator) {
+			if ce.To != start && inEnv.has(ce.To) {
+				creators++
+			}
+		}
+		if creators == 0 {
+			continue
+		}
+		tags := r.Out(m, store.EdgeHasTag)
+		if q6Listings(tags, tag) > 1 {
+			if counted == nil {
+				counted = sc.newSeen()
+			}
+			if !counted.tryMark(m) {
+				continue
+			}
+		}
+		for _, te := range tags {
+			if te.To != tag {
+				n, _ := sc.tags.At(uint64(te.To))
+				*n += creators
+			}
+		}
 	}
-	return top.Sorted()
+}
+
+// q6Listings returns how many of a post's hasTag edges point at tag.
+func q6Listings(tags []store.Edge, tag ids.ID) int {
+	n := 0
+	for _, te := range tags {
+		if te.To == tag {
+			n++
+		}
+	}
+	return n
 }
 
 // Q7 — Recent likes: the most recent likes on any of the person's

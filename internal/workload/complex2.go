@@ -187,7 +187,12 @@ type Q12Row struct {
 	Replies int
 }
 
-// Q12 runs the query; tagClass is a store TagClass node ID.
+// Q12 runs the query; tagClass is a store TagClass node ID. A tag belongs
+// to the class its first hasType edge points at, so a tag with several
+// hasType edges counts for the subtree only when its first one lands in it.
+// The subtree's tags are marked once up front (each from the class its
+// first hasType edge names), and a replied-to post matches when one of its
+// tags is marked.
 func Q12[R store.Reader](r R, sc *Scratch, start ids.ID, tagClass ids.ID) []Q12Row {
 	sc.begin()
 	// Tag-class subtree: BFS over isSubclassOf with sc.aux as the queue.
@@ -198,6 +203,14 @@ func Q12[R store.Reader](r R, sc *Scratch, start ids.ID, tagClass ids.ID) []Q12R
 		for _, sub := range r.In(sc.aux[head], store.EdgeIsSubclassOf) {
 			if inClass.tryMark(sub.To) {
 				sc.aux = append(sc.aux, sub.To)
+			}
+		}
+	}
+	classTags := sc.newSeen()
+	for _, class := range sc.aux {
+		for _, te := range r.In(class, store.EdgeHasType) {
+			if r.Out(te.To, store.EdgeHasType)[0].To == class {
+				classTags.tryMark(te.To)
 			}
 		}
 	}
@@ -214,16 +227,11 @@ func Q12[R store.Reader](r R, sc *Scratch, start ids.ID, tagClass ids.ID) []Q12R
 			if len(parents) == 0 || parents[0].To.Kind() != ids.KindPost {
 				continue
 			}
-			match := false
 			for _, te := range r.Out(parents[0].To, store.EdgeHasTag) {
-				types := r.Out(te.To, store.EdgeHasType)
-				if len(types) > 0 && inClass.has(types[0].To) {
-					match = true
+				if classTags.has(te.To) {
+					replies++
 					break
 				}
-			}
-			if match {
-				replies++
 			}
 		}
 		if replies > 0 {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ldbcsnb/internal/datagen"
+	"ldbcsnb/internal/dict"
 	"ldbcsnb/internal/ids"
 	"ldbcsnb/internal/params"
 	"ldbcsnb/internal/schema"
@@ -150,6 +151,45 @@ func q9JoinDigest(plan Q9Plan) func(store.Reader, *Scratch, *pathFixture, io.Wri
 	}
 }
 
+// wantQ6SidesDigest is the digest of printQ6Sides with Q6's rows, and
+// with each of its sides forced (TestQ6SidesAgreeOnFixture).
+const wantQ6SidesDigest = "6d958ce36659e5f98a3332c4d8ac1cdf730bce21546242bba9941473ec80ec08"
+
+// printQ6Sides prints the rows q6 returns for every pool person and the
+// isolated person (whose empty environment Q6 plans from the environment
+// side) with each of q6SideTags.
+func printQ6Sides(f *pathFixture, w io.Writer, q6 func(p, tag ids.ID) []Q6Row) {
+	for _, p := range append(slices.Clip(f.pool), f.isolated) {
+		for _, tag := range q6SideTags(f.data) {
+			fmt.Fprintf(w, "%v %v %+v\n", p, tag, q6(p, tag))
+		}
+	}
+}
+
+// q6SideTags returns three Q6 tag bindings across the range of costs of
+// Q6's tag side: the tag on the most posts, one at the median and the one
+// on the fewest posts (ties to the lower tag index).
+func q6SideTags(d *schema.Dataset) [3]ids.ID {
+	posts := make([]int, len(dict.Tags))
+	for i := range d.Posts {
+		for _, tg := range d.Posts[i].Tags {
+			posts[tg]++
+		}
+	}
+	order := make([]int, 0, len(posts))
+	for tg, n := range posts {
+		if n > 0 {
+			order = append(order, tg)
+		}
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return posts[b] - posts[a] })
+	return [3]ids.ID{
+		schema.TagNodeID(order[0]),
+		schema.TagNodeID(order[len(order)/2]),
+		schema.TagNodeID(order[len(order)-1]),
+	}
+}
+
 // rowDigests pins the queries whose keyed scratch state (counts, visited
 // sets, path distances, hash-join tables) has been rebuilt at least once, on
 // the pool bindings of pathSetup's fixture. No Q13/Q14 pool pair there has
@@ -174,6 +214,19 @@ var rowDigests = []digestQuery{
 			for i, p := range f.pool {
 				tag := schema.TagNodeID(f.data.Posts[i*97%len(f.data.Posts)].Topic)
 				fmt.Fprintf(w, "%v %v %+v\n", p, tag, Q6(r, sc, p, tag))
+			}
+		}},
+	{"Q6/sides", wantQ6SidesDigest,
+		func(r store.Reader, sc *Scratch, f *pathFixture, w io.Writer) {
+			printQ6Sides(f, w, func(p, tag ids.ID) []Q6Row { return Q6(r, sc, p, tag) })
+		}},
+	{"Q12", "444cab22b9a0076e1c5002f6542f57643b9eb7627b4b2c3bfadcc4469bb58055",
+		func(r store.Reader, sc *Scratch, f *pathFixture, w io.Writer) {
+			for _, p := range f.pool {
+				for c := range dict.TagClasses {
+					class := ids.DimensionID(ids.KindTagClass, uint32(c))
+					fmt.Fprintf(w, "%v %v %+v\n", p, class, Q12(r, sc, p, class))
+				}
 			}
 		}},
 	{"Q7", "e8f5992858d41f995481c6853bf4213f2baf9b475e262c616b5334b9fce47f97",

@@ -522,6 +522,58 @@ func TestQ12ExpertSearch(t *testing.T) {
 	})
 }
 
+// TestQ12FirstHasTypeDecides pins that a tag's first hasType edge decides
+// its class: t1 is typed B then A, t2 A then B, and a friend replies once to
+// a post tagged t1 and twice to a post tagged t2. Class A counts the
+// replies to the t2 post, class B the reply to the t1 post, on the txn path
+// and the view.
+func TestQ12FirstHasTypeDecides(t *testing.T) {
+	st := store.New()
+	tx := st.Begin()
+	create := func(id ids.ID) {
+		if err := tx.CreateNode(id, store.Props{store.NewProp(store.PropName, store.String("n"))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	classA, classB := ids.DimensionID(ids.KindTagClass, 1), ids.DimensionID(ids.KindTagClass, 2)
+	t1, t2 := ids.DimensionID(ids.KindTag, 1), ids.DimensionID(ids.KindTag, 2)
+	start, friend := ids.Compose(ids.KindPerson, 1, 0), ids.Compose(ids.KindPerson, 2, 0)
+	for _, id := range []ids.ID{classA, classB, t1, t2, start, friend} {
+		create(id)
+	}
+	_ = tx.AddEdge(t1, store.EdgeHasType, classB, 0)
+	_ = tx.AddEdge(t1, store.EdgeHasType, classA, 0)
+	_ = tx.AddEdge(t2, store.EdgeHasType, classA, 0)
+	_ = tx.AddEdge(t2, store.EdgeHasType, classB, 0)
+	_ = tx.AddKnows(start, friend, 1)
+	for i, tag := range []ids.ID{t1, t2} {
+		post := ids.Compose(ids.KindPost, 3, uint32(i))
+		create(post)
+		_ = tx.AddEdge(post, store.EdgeHasTag, tag, 0)
+		for k := 0; k <= i; k++ {
+			reply := ids.Compose(ids.KindComment, 4, uint32(2*i+k))
+			create(reply)
+			_ = tx.AddEdge(reply, store.EdgeReplyOf, post, 5)
+			_ = tx.AddEdge(reply, store.EdgeHasCreator, friend, 5)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	v := st.CurrentView()
+	st.View(func(tx *store.Txn) {
+		for class, replies := range map[ids.ID]int{classA: 2, classB: 1} {
+			want := []Q12Row{{Person: friend, Replies: replies}}
+			if got := Q12(tx, NewScratch(), start, class); !rowsEqual(t, got, want) {
+				t.Errorf("txn Q12(%v): %+v, want %+v", class, got, want)
+			}
+			if got := Q12(v, NewScratch(), start, class); !rowsEqual(t, got, want) {
+				t.Errorf("view Q12(%v): %+v, want %+v", class, got, want)
+			}
+		}
+	})
+}
+
 func TestQ13AgainstReferenceBFS(t *testing.T) {
 	st, d := setup(t)
 	// Reference BFS on the raw dataset.

@@ -485,7 +485,8 @@ func (s *refreshStore) commit(b *testing.B) {
 // once the scratch is warm, and Q14 allocates only its result — on a
 // freshly compacted view AND on a delta-refreshed view whose hot rows live
 // in the era's overlay. Warm Q4, Q6 and Q7 allocate as often for
-// the best-connected person as for a least-connected one.
+// the best-connected person as for a least-connected one. A kind scan and
+// every read through the Nodes it yields allocate nothing on either view.
 func TestViewAdjacencyZeroAlloc(t *testing.T) {
 	env := testEnv(t)
 	var p ids.ID
@@ -512,6 +513,7 @@ func TestViewAdjacencyZeroAlloc(t *testing.T) {
 	partner := benchPartner(t, env, p)
 	assertPathAllocs(t, "view", v, sc, p, partner)
 	assertKeyedAllocs(t, env, v, sc, p)
+	assertNodeAllocs(t, "view", v, p)
 
 	// The refreshed-view half mutates its store, so it runs on the private
 	// refresh env — the shared env above must stay pristine for the other
@@ -541,6 +543,42 @@ func TestViewAdjacencyZeroAlloc(t *testing.T) {
 		t.Fatalf("refreshed-view 2-hop expansion allocates %.1f times per run, want 0", allocs)
 	}
 	assertPathAllocs(t, "refreshed view", rv, rsc, added, rpartner)
+	assertNodeAllocs(t, "refreshed view", rv, added)
+}
+
+// assertNodeAllocs requires the Node read path to allocate nothing once the
+// decode cache is warm: scans of the message and person kinds reading every
+// scanned node's rows, degrees and a property through its Node (the BI
+// kernels' reads), and the reads of p through a Node resolved once.
+func assertNodeAllocs(t *testing.T, name string, v *store.SnapshotView, p ids.ID) {
+	t.Helper()
+	sum := 0
+	scan := func() {
+		for _, kind := range []ids.Kind{ids.KindPost, ids.KindComment, ids.KindPerson} {
+			nodes := v.ScanKind(kind)
+			for i := 0; i < nodes.Len(); i++ {
+				n := nodes.At(i)
+				sum += len(v.OutOf(n, store.EdgeHasTag)) + len(v.InOf(n, store.EdgeLikes)) +
+					v.OutDegreeOf(n, store.EdgeHasCreator) + v.InDegreeOf(n, store.EdgeReplyOf) +
+					int(v.PropOf(n, store.PropCreationDate).Int())
+			}
+		}
+	}
+	scan() // warm the decode cache
+	if allocs := minAllocs(3, scan); allocs != 0 {
+		t.Fatalf("%s: a kind scan reading through Nodes allocates %.1f times per run, want 0", name, allocs)
+	}
+	point := func() {
+		n := v.Resolve(p)
+		sum += len(v.OutOf(n, store.EdgeKnows)) + len(v.InOf(n, store.EdgeKnows)) + v.OutDegreeOf(n, store.EdgeLikes)
+	}
+	point()
+	if allocs := minAllocs(50, point); allocs != 0 {
+		t.Fatalf("%s: reads of a resolved Node allocate %.1f times per run, want 0", name, allocs)
+	}
+	if sum == 0 {
+		t.Fatalf("%s: the Node reads saw nothing", name)
+	}
 }
 
 // minAllocs is the smallest of three testing.AllocsPerRun readings. The

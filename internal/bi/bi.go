@@ -17,7 +17,7 @@
 // view. BI queries are whole-graph scans, so each one is factored into a
 // per-row kernel feeding a partial aggregate plus a finalize step, and the
 // body takes the fan-out as an argument (exec.Config): it cuts
-// NodesOfKind into morsels, each worker folds its morsels into its own
+// its kind's scan into morsels, each worker folds its morsels into its own
 // partial, and the finalize merges the partials. The merge is a
 // commutative fold, so the rows do not depend on the worker count; one
 // worker is the one-partial case and runs inline on the caller's
@@ -26,6 +26,16 @@
 // passes the caller's fan-out. Every kernel is a pure function of the
 // reader and every ordering tie-breaks on a unique key; the equivalence
 // and digest tests pin the rows on every path.
+//
+// # Scans read through Nodes
+//
+// A scan takes its kind's list once (store.Reader.ScanKind) and hands each
+// kernel the scanned node as a store.Node, which every read of the scanned
+// node takes (PropOf, OutOf, InDegreeOf, ...). On a view a Node carries the
+// node's ordinal, so the kernel's reads of it cost no ID -> ordinal lookup;
+// BI4 reads each message three times, BI1 and BI3 twice. On a Txn a Node is
+// the ID. Hops off the scanned node (a message's creator, a member's
+// friends) still read by ID.
 //
 // Workers own their partial (and, for BI7, their scratch) for the
 // duration of one Scan: never share either across workers, and never
@@ -115,8 +125,8 @@ type bi1Partial struct {
 // (year, month, kind, length class) group.
 //
 //snb:deterministic
-func bi1Add[R store.Reader](r R, p *bi1Partial, id ids.ID) {
-	length := int(r.Prop(id, store.PropLength).Int())
+func bi1Add[R store.Reader](r R, p *bi1Partial, m store.Node) {
+	length := int(r.PropOf(m, store.PropLength).Int())
 	lc := 0
 	switch {
 	case length >= 120:
@@ -125,10 +135,10 @@ func bi1Add[R store.Reader](r R, p *bi1Partial, id ids.ID) {
 		lc = 1
 	}
 	c := 0
-	if id.Kind() == ids.KindComment {
+	if m.ID().Kind() == ids.KindComment {
 		c = 1
 	}
-	agg := &p.mb.counters(r.Prop(id, store.PropCreationDate).Int())[c][lc]
+	agg := &p.mb.counters(r.PropOf(m, store.PropCreationDate).Int())[c][lc]
 	agg.count++
 	agg.lenSum += length
 }
@@ -184,11 +194,11 @@ func bi1Finalize(parts []bi1Partial) []BI1Row {
 func BI1[R store.Reader](r R, par exec.Config) []BI1Row {
 	parts := make([]bi1Partial, par.NumWorkers())
 	for _, kind := range messageKinds {
-		nodes := r.NodesOfKind(kind)
-		par.Scan(len(nodes), func(w, lo, hi int) {
+		scan := r.ScanKind(kind)
+		par.Scan(scan.Len(), func(w, lo, hi int) {
 			part := &parts[w]
-			for _, m := range nodes[lo:hi] {
-				bi1Add(r, part, m)
+			for i := lo; i < hi; i++ {
+				bi1Add(r, part, scan.At(i))
 			}
 		})
 	}
@@ -215,8 +225,8 @@ type bi2Partial struct {
 // one entry, so the tag union of the two windows is the table's key list.
 //
 //snb:deterministic
-func bi2Add[R store.Reader](r R, p *bi2Partial, id ids.ID, windowStart, windowLen int64) {
-	created := r.Prop(id, store.PropCreationDate).Int()
+func bi2Add[R store.Reader](r R, p *bi2Partial, m store.Node, windowStart, windowLen int64) {
+	created := r.PropOf(m, store.PropCreationDate).Int()
 	var w int
 	switch {
 	case created >= windowStart && created < windowStart+windowLen:
@@ -226,7 +236,7 @@ func bi2Add[R store.Reader](r R, p *bi2Partial, id ids.ID, windowStart, windowLe
 	default:
 		return
 	}
-	for _, te := range r.Out(id, store.EdgeHasTag) {
+	for _, te := range r.OutOf(m, store.EdgeHasTag) {
 		c, _ := p.counts.At(uint64(te.To))
 		c[w]++
 	}
@@ -271,11 +281,11 @@ func bi2Finalize[R store.Reader](r R, parts []bi2Partial, limit int) []BI2Row {
 func BI2[R store.Reader](r R, par exec.Config, windowStart, windowLen int64, limit int) []BI2Row {
 	parts := make([]bi2Partial, par.NumWorkers())
 	for _, kind := range messageKinds {
-		nodes := r.NodesOfKind(kind)
-		par.Scan(len(nodes), func(w, lo, hi int) {
+		scan := r.ScanKind(kind)
+		par.Scan(scan.Len(), func(w, lo, hi int) {
 			part := &parts[w]
-			for _, m := range nodes[lo:hi] {
-				bi2Add(r, part, m, windowStart, windowLen)
+			for i := lo; i < hi; i++ {
+				bi2Add(r, part, scan.At(i), windowStart, windowLen)
 			}
 		})
 	}
@@ -312,12 +322,12 @@ func (p *bi3Partial) tagPos(tag uint64) uint64 {
 // dimension.
 //
 //snb:deterministic
-func bi3Add[R store.Reader](r R, p *bi3Partial, id ids.ID) {
-	tags := r.Out(id, store.EdgeHasTag)
+func bi3Add[R store.Reader](r R, p *bi3Partial, m store.Node) {
+	tags := r.OutOf(m, store.EdgeHasTag)
 	if len(tags) == 0 {
 		return
 	}
-	country := uint64(uint32(r.Prop(id, store.PropCountry).Int())) << 32
+	country := uint64(uint32(r.PropOf(m, store.PropCountry).Int())) << 32
 	for _, te := range tags {
 		n, _ := p.counts.At(country | p.tagPos(uint64(te.To)))
 		*n++
@@ -361,11 +371,11 @@ func bi3Finalize(parts []bi3Partial) []BI3Row {
 func BI3[R store.Reader](r R, par exec.Config) []BI3Row {
 	parts := make([]bi3Partial, par.NumWorkers())
 	for _, kind := range messageKinds {
-		nodes := r.NodesOfKind(kind)
-		par.Scan(len(nodes), func(w, lo, hi int) {
+		scan := r.ScanKind(kind)
+		par.Scan(scan.Len(), func(w, lo, hi int) {
 			part := &parts[w]
-			for _, m := range nodes[lo:hi] {
-				bi3Add(r, part, m)
+			for i := lo; i < hi; i++ {
+				bi3Add(r, part, scan.At(i))
 			}
 		})
 	}
@@ -395,15 +405,15 @@ type bi4Partial struct {
 // received) to its creator.
 //
 //snb:deterministic
-func bi4Add[R store.Reader](r R, p *bi4Partial, id ids.ID) {
-	creators := r.Out(id, store.EdgeHasCreator)
+func bi4Add[R store.Reader](r R, p *bi4Partial, m store.Node) {
+	creators := r.OutOf(m, store.EdgeHasCreator)
 	if len(creators) == 0 {
 		return
 	}
 	agg, _ := p.byCreator.At(uint64(creators[0].To))
 	agg.messages++
-	agg.likes += r.InDegree(id, store.EdgeLikes)
-	agg.replies += r.InDegree(id, store.EdgeReplyOf)
+	agg.likes += r.InDegreeOf(m, store.EdgeLikes)
+	agg.replies += r.InDegreeOf(m, store.EdgeReplyOf)
 }
 
 //snb:deterministic
@@ -444,11 +454,11 @@ func bi4Finalize(parts []bi4Partial, limit int) []BI4Row {
 func BI4[R store.Reader](r R, par exec.Config, limit int) []BI4Row {
 	parts := make([]bi4Partial, par.NumWorkers())
 	for _, kind := range messageKinds {
-		nodes := r.NodesOfKind(kind)
-		par.Scan(len(nodes), func(w, lo, hi int) {
+		scan := r.ScanKind(kind)
+		par.Scan(scan.Len(), func(w, lo, hi int) {
 			part := &parts[w]
-			for _, m := range nodes[lo:hi] {
-				bi4Add(r, part, m)
+			for i := lo; i < hi; i++ {
+				bi4Add(r, part, scan.At(i))
 			}
 		})
 	}
@@ -472,8 +482,8 @@ type bi5Partial struct {
 // tags' classes are resolved in finalize, once per distinct tag.
 //
 //snb:deterministic
-func bi5Add[R store.Reader](r R, p *bi5Partial, id ids.ID) {
-	for _, te := range r.Out(id, store.EdgeHasTag) {
+func bi5Add[R store.Reader](r R, p *bi5Partial, m store.Node) {
+	for _, te := range r.OutOf(m, store.EdgeHasTag) {
 		n, _ := p.tags.At(uint64(te.To))
 		*n++
 	}
@@ -539,11 +549,11 @@ func bi5Finalize[R store.Reader](r R, parts []bi5Partial) []BI5Row {
 func BI5[R store.Reader](r R, par exec.Config) []BI5Row {
 	parts := make([]bi5Partial, par.NumWorkers())
 	for _, kind := range messageKinds {
-		nodes := r.NodesOfKind(kind)
-		par.Scan(len(nodes), func(w, lo, hi int) {
+		scan := r.ScanKind(kind)
+		par.Scan(scan.Len(), func(w, lo, hi int) {
 			part := &parts[w]
-			for _, m := range nodes[lo:hi] {
-				bi5Add(r, part, m)
+			for i := lo; i < hi; i++ {
+				bi5Add(r, part, scan.At(i))
 			}
 		})
 	}
@@ -561,15 +571,15 @@ type BI6Row struct {
 
 // bi6Row is the BI6 kernel: one person's row, independent of every other
 // person — the embarrassingly parallel shape of a selective person scan.
-func bi6Row[R store.Reader](r R, p ids.ID, createdBefore int64, maxMessages int) (BI6Row, bool) {
-	if r.Prop(p, store.PropCreationDate).Int() >= createdBefore {
+func bi6Row[R store.Reader](r R, p store.Node, createdBefore int64, maxMessages int) (BI6Row, bool) {
+	if r.PropOf(p, store.PropCreationDate).Int() >= createdBefore {
 		return BI6Row{}, false
 	}
-	msgs := r.InDegree(p, store.EdgeHasCreator)
+	msgs := r.InDegreeOf(p, store.EdgeHasCreator)
 	if msgs >= maxMessages {
 		return BI6Row{}, false
 	}
-	return BI6Row{Person: p, Messages: msgs, LikesGiven: r.OutDegree(p, store.EdgeLikes)}, true
+	return BI6Row{Person: p.ID(), Messages: msgs, LikesGiven: r.OutDegreeOf(p, store.EdgeLikes)}, true
 }
 
 func bi6Finalize(parts [][]BI6Row) []BI6Row {
@@ -592,10 +602,10 @@ func bi6Finalize(parts [][]BI6Row) []BI6Row {
 // surviving rows and the finalize re-sorts.
 func BI6[R store.Reader](r R, par exec.Config, createdBefore int64, maxMessages int) []BI6Row {
 	parts := make([][]BI6Row, par.NumWorkers())
-	persons := r.NodesOfKind(ids.KindPerson)
-	par.Scan(len(persons), func(w, lo, hi int) {
-		for _, p := range persons[lo:hi] {
-			if row, ok := bi6Row(r, p, createdBefore, maxMessages); ok {
+	persons := r.ScanKind(ids.KindPerson)
+	par.Scan(persons.Len(), func(w, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if row, ok := bi6Row(r, persons.At(i), createdBefore, maxMessages); ok {
 				parts[w] = append(parts[w], row)
 			}
 		}
@@ -654,11 +664,11 @@ var scratchPool = sync.Pool{New: func() any { return workload.NewScratch() }}
 // bi7Reach is the BI7 traversal kernel: the number of distinct persons
 // within one knows-hop of the forum's membership. The visited set is the
 // claiming worker's scratch.
-func bi7Reach[R store.Reader](r R, sc *workload.Scratch, f ids.ID) int {
+func bi7Reach[R store.Reader](r R, sc *workload.Scratch, f store.Node) int {
 	sc.Begin()
 	seen := sc.Seen()
 	reach := 0
-	for _, m := range r.Out(f, store.EdgeHasMember) {
+	for _, m := range r.OutOf(f, store.EdgeHasMember) {
 		if seen.TryMark(m.To) {
 			reach++
 		}
@@ -680,14 +690,14 @@ func bi7Reach[R store.Reader](r R, sc *workload.Scratch, f ids.ID) int {
 // one of them walks a hub forum. Worker 0 walks with sc (drawn from the
 // pool when nil), the others with pooled scratches.
 func BI7[R store.Reader](r R, par exec.Config, sc *workload.Scratch, limit int) []BI7Row {
-	forums := r.NodesOfKind(ids.KindForum)
-	members := make([]int, len(forums))
-	par.Scan(len(forums), func(_, lo, hi int) {
+	forums := r.ScanKind(ids.KindForum)
+	members := make([]int, forums.Len())
+	par.Scan(forums.Len(), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			members[i] = r.OutDegree(forums[i], store.EdgeHasMember)
+			members[i] = r.OutDegreeOf(forums.At(i), store.EdgeHasMember)
 		}
 	})
-	order := bi7Select(forums, members, limit)
+	order := bi7Select(forums.IDs(), members, limit)
 	out := make([]BI7Row, len(order))
 	scratches := make([]*workload.Scratch, par.NumWorkers())
 	scratches[0] = sc
@@ -697,9 +707,9 @@ func BI7[R store.Reader](r R, par exec.Config, sc *workload.Scratch, limit int) 
 			scratches[w] = scratchPool.Get().(*workload.Scratch)
 		}
 		for i, idx := range order[lo:hi] {
-			f := forums[idx]
+			f := forums.At(idx)
 			out[lo+i] = BI7Row{
-				Forum: f, Title: r.Prop(f, store.PropTitle).Str(),
+				Forum: f.ID(), Title: r.PropOf(f, store.PropTitle).Str(),
 				Members: members[idx], Reach: bi7Reach(r, scratches[w], f),
 			}
 		}
@@ -734,11 +744,11 @@ type bi8Partial struct {
 // order at the end of the memo, get theirs once the climb resolves. Depth
 // is a pure function of the graph, so independent memos (one per worker)
 // resolve identical values.
-func bi8Depth[R store.Reader](r R, p *bi8Partial, c ids.ID) int {
-	if d := p.memo.Find(uint64(c)); d != nil {
+func bi8Depth[R store.Reader](r R, p *bi8Partial, c store.Node) int {
+	if d := p.memo.Find(uint64(c.ID())); d != nil {
 		return *d
 	}
-	parents := r.Out(c, store.EdgeReplyOf)
+	parents := r.OutOf(c, store.EdgeReplyOf)
 	if len(parents) == 0 {
 		return 0
 	}
@@ -764,7 +774,7 @@ func bi8Depth[R store.Reader](r R, p *bi8Partial, c ids.ID) int {
 }
 
 // bi8Add is the BI8 kernel: histogram one comment's depth.
-func bi8Add[R store.Reader](r R, p *bi8Partial, c ids.ID) {
+func bi8Add[R store.Reader](r R, p *bi8Partial, c store.Node) {
 	d := bi8Depth(r, p, c)
 	if d >= len(p.hist) {
 		p.hist = append(p.hist, make([]int, d+1-len(p.hist))...)
@@ -798,11 +808,11 @@ func bi8Finalize(parts []bi8Partial) []BI8Row {
 // resolve identical values without sharing.
 func BI8[R store.Reader](r R, par exec.Config) []BI8Row {
 	parts := make([]bi8Partial, par.NumWorkers())
-	comments := r.NodesOfKind(ids.KindComment)
-	par.Scan(len(comments), func(w, lo, hi int) {
+	comments := r.ScanKind(ids.KindComment)
+	par.Scan(comments.Len(), func(w, lo, hi int) {
 		part := &parts[w]
-		for _, c := range comments[lo:hi] {
-			bi8Add(r, part, c)
+		for i := lo; i < hi; i++ {
+			bi8Add(r, part, comments.At(i))
 		}
 	})
 	return bi8Finalize(parts)

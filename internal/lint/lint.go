@@ -13,7 +13,7 @@
 //
 // # Analyzers
 //
-//   - viewalias: slices returned by Reader.Out/In/Props alias shared
+//   - viewalias: slices returned by Reader.Out/In/OutOf/InOf/Props alias shared
 //     view-owned memory (decode cache, CSR slabs, property rows) and
 //     must not be mutated, appended to, or stored into longer-lived
 //     locations.

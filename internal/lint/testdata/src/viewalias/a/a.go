@@ -31,6 +31,20 @@ func bad(v *store.SnapshotView, h *holder, ch chan []store.Edge) {
 
 	kinds := v.NodesOfKind(3)
 	kinds[0] = 9 // want `write into kinds`
+
+	// The Node-keyed rows alias the same memory as the ID-keyed ones.
+	scan := v.ScanKind(3)
+	n := scan.At(0)
+	of := v.OutOf(n)
+	of[0].Stamp = 1               // want `write into of`
+	of = append(of, store.Edge{}) // want `append to of`
+	global = of                   // want `package variable global`
+	inOf := v.InOf(n)
+	h.rows = inOf // want `stored into field rows`
+	inSub := inOf[1:]
+	inSub[0] = store.Edge{} // want `write into inSub`
+	scanned := scan.IDs()
+	scanned[0] = 9 // want `write into scanned`
 }
 
 func good(v *store.SnapshotView) []store.Edge {
@@ -51,6 +65,12 @@ func good(v *store.SnapshotView) []store.Edge {
 		sum += int64(e.Dst)
 	}
 	_ = sum
+
+	// Reading a Node-keyed row and copying it out is fine.
+	scan := v.ScanKind(3)
+	for i := range scan.IDs() {
+		cp = append(cp, v.OutOf(scan.At(i))...)
+	}
 
 	// Multi-value form: the slice result is tainted, reads stay legal.
 	ps, ok := v.Props(1)

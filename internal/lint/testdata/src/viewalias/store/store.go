@@ -1,6 +1,6 @@
 // Package store is a fixture stand-in for ldbcsnb/internal/store: the
-// viewalias analyzer keys on methods named Out/In/Props/NodesOfKind
-// declared in a package named "store".
+// viewalias analyzer keys on methods named Out/In/OutOf/InOf/Props/
+// NodesOfKind/IDs declared in a package named "store".
 package store
 
 // NodeID is a node identifier.
@@ -27,3 +27,24 @@ func (v *SnapshotView) Props(id NodeID) ([]string, bool) { return nil, false }
 
 // NodesOfKind returns the ids of one node kind.
 func (v *SnapshotView) NodesOfKind(kind int) []NodeID { return nil }
+
+// Node is a resolved node handle.
+type Node struct{ id NodeID }
+
+// OutOf is Out of a resolved node.
+func (v *SnapshotView) OutOf(n Node) []Edge { return nil }
+
+// InOf is In of a resolved node.
+func (v *SnapshotView) InOf(n Node) []Edge { return nil }
+
+// KindScan is one kind's node list, yielding each as a Node.
+type KindScan struct{ nodes []NodeID }
+
+// ScanKind returns the scan of one node kind.
+func (v *SnapshotView) ScanKind(kind int) KindScan { return KindScan{} }
+
+// IDs returns the scanned ids; the slice is the NodesOfKind list.
+func (s KindScan) IDs() []NodeID { return s.nodes }
+
+// At returns the i-th scanned node.
+func (s KindScan) At(i int) Node { return Node{id: s.nodes[i]} }

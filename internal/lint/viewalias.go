@@ -6,11 +6,12 @@ import (
 )
 
 // ViewAlias enforces the Reader scratch-aliasing contract: slices
-// returned by Out, In and Props on the store's reader surface alias
-// view-owned shared memory — the per-row decode cache, the CSR overlay
-// rows, the property rows shared with the store's node records — so a
-// caller-side write corrupts every concurrent reader of the same view.
-// NodesOfKind rows share the same contract.
+// returned by Out, In and Props on the store's reader surface, and by
+// OutOf and InOf, their forms keyed by a resolved Node, alias view-owned
+// shared memory — the per-row decode cache, the CSR overlay rows, the
+// property rows shared with the store's node records — so a caller-side
+// write corrupts every concurrent reader of the same view. NodesOfKind
+// rows, and a KindScan's IDs (the same list), share the same contract.
 //
 // Within each function the pass taints values returned by those methods
 // (propagating through plain copies and re-slices) and flags:
@@ -24,7 +25,7 @@ import (
 // sanctioned idiom and is not flagged.
 var ViewAlias = &Analyzer{
 	Name: "viewalias",
-	Doc:  "flag mutation or escape of slices returned by Reader.Out/In/Props (shared view memory)",
+	Doc:  "flag mutation or escape of slices returned by Reader.Out/In/OutOf/InOf/Props (shared view memory)",
 	Run:  runViewAlias,
 }
 
@@ -37,8 +38,11 @@ var ViewAlias = &Analyzer{
 var readerAliasMethods = map[string]bool{
 	"Out":         true,
 	"In":          true,
+	"OutOf":       true,
+	"InOf":        true,
 	"Props":       true,
 	"NodesOfKind": true,
+	"IDs":         true,
 }
 
 // isAliasCall reports whether call returns view-aliased memory.
@@ -151,7 +155,7 @@ func viewAliasFunc(pass *Pass, decl *ast.FuncDecl) {
 				// indexes into it (row[i] = ..., row[i].Stamp = ...).
 				if id, via := rootIdent(lhs); id != nil && via {
 					if o := pass.Info.Uses[id]; o != nil && tainted[o] {
-						pass.Reportf(lhs.Pos(), "write into %s, which aliases shared view memory returned by Reader.%s", id.Name, "Out/In/Props")
+						pass.Reportf(lhs.Pos(), "write into %s, which aliases shared view memory returned by Reader.%s", id.Name, "Out/In/OutOf/InOf/Props")
 						continue
 					}
 				}

@@ -99,3 +99,60 @@ func BenchmarkOrdLookup(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkKindScan times one scanned node of a kind scan over a view of
+// ordPopulation (one hasCreator edge from every message to a person, a
+// creation date on every node): reading the node's creator row and its
+// creation date by ID, each read paying an ID -> ordinal lookup, and through
+// the Node the scan yields, which pays none.
+func BenchmarkKindScan(b *testing.B) {
+	nodes, _ := ordPopulation()
+	s := New()
+	tx := s.Begin()
+	r := xrand.New(7)
+	persons := make([]ids.ID, 0, 1000)
+	for _, id := range nodes {
+		if id.Kind() == ids.KindPerson {
+			persons = append(persons, id)
+		}
+	}
+	for _, id := range nodes {
+		if err := tx.CreateNode(id, Props{NewProp(PropCreationDate, Int64(int64(id)))}); err != nil {
+			b.Fatal(err)
+		}
+		if k := id.Kind(); k == ids.KindPost || k == ids.KindComment {
+			_ = tx.AddEdge(id, EdgeHasCreator, persons[r.Intn(len(persons))], 0)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	v := s.CurrentView()
+	kinds := []ids.Kind{ids.KindPost, ids.KindComment}
+	sum := 0
+	b.Run("by-id", func(b *testing.B) {
+		k, list, j := 0, v.NodesOfKind(kinds[0]), 0
+		for i := 0; i < b.N; i++ {
+			id := list[j]
+			sum += len(v.Out(id, EdgeHasCreator)) + int(v.Prop(id, PropCreationDate).Int()&1)
+			if j++; j == len(list) {
+				k = (k + 1) % len(kinds)
+				list, j = v.NodesOfKind(kinds[k]), 0
+			}
+		}
+	})
+	b.Run("by-node", func(b *testing.B) {
+		k, scan, j := 0, v.ScanKind(kinds[0]), 0
+		for i := 0; i < b.N; i++ {
+			n := scan.At(j)
+			sum += len(v.OutOf(n, EdgeHasCreator)) + int(v.PropOf(n, PropCreationDate).Int()&1)
+			if j++; j == scan.Len() {
+				k = (k + 1) % len(kinds)
+				scan, j = v.ScanKind(kinds[k]), 0
+			}
+		}
+	})
+	if sum == 0 {
+		b.Fatal("the scans read nothing")
+	}
+}

@@ -16,11 +16,33 @@ import "ldbcsnb/internal/ids"
 // (func Q9[R Reader](r R, ...)) rather than the interface itself, so the
 // concrete read path is fixed at each call site. Per-traversal state
 // (visited sets, path distances) lives outside the reader, in
-// workload.Scratch, keyed by node ID, so these eight methods are the whole
+// workload.Scratch, keyed by node ID, so these methods are the whole
 // contract between the store and the query layers.
 //
-// Slices returned by Out, In and NodesOfKind (and Props on the view path)
-// alias reader-owned memory and must not be mutated by callers.
+// # Nodes
+//
+// A view finds a node's rows by its ordinal, so every read by ID first
+// looks the ID up (SnapshotView.ord). A Node is a resolved handle: the ID
+// plus, when a view resolved it, its ordinal and the low 32 bits of the
+// view's era, 16 bytes in all. Resolve makes one, a KindScan yields one per
+// scanned node, and the Node-keyed reads (OutOf, InOf, PropOf, OutDegreeOf,
+// InDegreeOf) skip the lookup. A read and its Node form share one
+// implementation and differ only in how they find the ordinal: on a Txn the
+// ID form is Resolve plus the Node form; on a view it looks the ID up
+// directly, since a Node built only to be read once would add a call and a
+// check to every read by ID.
+//
+// A Node is valid on every reader: on a Txn it is just the ID. On a view it
+// is used as resolved only when it comes from a view of the same era
+// (ordinals are stable within an era, and a refresh only appends) and its
+// ordinal is below the reading view's NumNodes. Any other Node — one from
+// another era, from a later view of the era holding a node this view does
+// not see, from a Txn, or for a node its reader did not see — is resolved
+// again by ID: never wrong, only as slow as a read by ID.
+//
+// Slices returned by Out, In, OutOf, InOf, NodesOfKind and KindScan.IDs
+// (and Props on the view path) alias reader-owned memory and must not be
+// mutated by callers.
 type Reader interface {
 	// Exists reports whether a node is visible to the reader.
 	Exists(id ids.ID) bool
@@ -41,9 +63,75 @@ type Reader interface {
 	InDegree(id ids.ID, t EdgeType) int
 	// NodesOfKind returns the visible nodes of a kind in insertion order.
 	NodesOfKind(kind ids.Kind) []ids.ID
+
+	// Resolve returns the handle of a node, resolved once for the reads
+	// that follow.
+	Resolve(id ids.ID) Node
+	// ScanKind returns the scan of a kind's visible nodes, NodesOfKind's
+	// list obtained once, yielding element i as a Node.
+	ScanKind(kind ids.Kind) KindScan
+	// PropOf is Prop of a resolved node.
+	PropOf(n Node, key PropKey) Value
+	// OutOf is Out of a resolved node.
+	OutOf(n Node, t EdgeType) []Edge
+	// InOf is In of a resolved node.
+	InOf(n Node, t EdgeType) []Edge
+	// OutDegreeOf is OutDegree of a resolved node.
+	OutDegreeOf(n Node, t EdgeType) int
+	// InDegreeOf is InDegree of a resolved node.
+	InDegreeOf(n Node, t EdgeType) int
 }
 
 var (
 	_ Reader = (*Txn)(nil)
 	_ Reader = (*SnapshotView)(nil)
 )
+
+// Node is a resolved node handle (see "Nodes" on Reader). The zero-cost
+// path is a view of the resolving era; everywhere else it is the ID.
+type Node struct {
+	id  ids.ID
+	ord int32  // ordinal in the resolving view's era; -1 when unresolved
+	era uint32 // low 32 bits of the resolving view's era
+}
+
+// unresolved is the handle of an ID no view resolved: every view reads it
+// by ID, since -1 is never below a view's NumNodes.
+func unresolved(id ids.ID) Node { return Node{id: id, ord: -1} }
+
+// ID returns the node's ID.
+func (n Node) ID() ids.ID { return n.id }
+
+// KindScan is one kind's visible nodes, read once per scan (ScanKind), that
+// yields each as a Node. On a view it also holds the kind's run of the
+// base's ID-sorted ordinals: a base node whose list position equals its
+// ordinal within that run — every node of a kind whose nodes were created
+// in ID order, as a bulk load's are — resolves with one compare. Any other
+// node (appended after the base was compacted, or listed out of ID order)
+// is yielded unresolved, so each read of it looks its ID up as a read by ID
+// does; that keeps At small enough to inline into the scan loops. On a Txn
+// every Node is the ID.
+type KindScan struct {
+	nodes []ids.ID // the kind's visible nodes, insertion order
+	base  []ids.ID // the kind's run of the view's base nodes; nil on a Txn
+	off   int32    // ordinal of base[0]
+	era   uint32   // low 32 bits of the view's era
+}
+
+// Len returns the number of nodes the scan yields.
+func (s KindScan) Len() int { return len(s.nodes) }
+
+// IDs returns the scanned node IDs, NodesOfKind's list: element i is
+// At(i).ID(). The slice aliases the reader's list and must not be mutated.
+func (s KindScan) IDs() []ids.ID { return s.nodes }
+
+// At returns the i-th scanned node, resolved.
+//
+//snb:noalloc
+func (s KindScan) At(i int) Node {
+	id := s.nodes[i]
+	if i < len(s.base) && s.base[i] == id {
+		return Node{id: id, ord: s.off + int32(i), era: s.era}
+	}
+	return unresolved(id)
+}

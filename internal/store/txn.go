@@ -120,10 +120,21 @@ func (tx *Txn) Exists(id ids.ID) bool {
 	return tx.s.visibleAt(id, tx.snapshot)
 }
 
+// Resolve returns the handle of a node. On a Txn a Node is just the ID:
+// every read finds the node record by ID under its shard's lock.
+func (tx *Txn) Resolve(id ids.ID) Node { return unresolved(id) }
+
+// ScanKind returns the scan of a kind's visible nodes, taking the kind
+// list's lock once for the whole scan.
+func (tx *Txn) ScanKind(kind ids.Kind) KindScan { return KindScan{nodes: tx.NodesOfKind(kind)} }
+
 // Prop returns one property of a node (zero Value if the node or property
 // is absent).
-func (tx *Txn) Prop(id ids.ID, key PropKey) Value {
-	ps, _ := tx.props(id)
+func (tx *Txn) Prop(id ids.ID, key PropKey) Value { return tx.PropOf(tx.Resolve(id), key) }
+
+// PropOf is Prop of a resolved node.
+func (tx *Txn) PropOf(n Node, key PropKey) Value {
+	ps, _ := tx.props(n.id)
 	return ps.Get(key)
 }
 
@@ -148,26 +159,30 @@ func (tx *Txn) props(id ids.ID) (Props, bool) {
 // Out returns the visible outgoing edges of a node for one edge type, in
 // insertion order. The slice is materialised at this call; it does not
 // observe later commits.
-func (tx *Txn) Out(id ids.ID, t EdgeType) []Edge {
-	return tx.neighbours(id, t, false)
-}
+func (tx *Txn) Out(id ids.ID, t EdgeType) []Edge { return tx.OutOf(tx.Resolve(id), t) }
+
+// OutOf is Out of a resolved node.
+func (tx *Txn) OutOf(n Node, t EdgeType) []Edge { return tx.neighbours(n.id, t, false) }
 
 // In returns the visible incoming edges of a node for one edge type.
-func (tx *Txn) In(id ids.ID, t EdgeType) []Edge {
-	return tx.neighbours(id, t, true)
-}
+func (tx *Txn) In(id ids.ID, t EdgeType) []Edge { return tx.InOf(tx.Resolve(id), t) }
+
+// InOf is In of a resolved node.
+func (tx *Txn) InOf(n Node, t EdgeType) []Edge { return tx.neighbours(n.id, t, true) }
 
 // OutDegree returns the number of visible outgoing edges without
 // materialising them.
-func (tx *Txn) OutDegree(id ids.ID, t EdgeType) int {
-	return tx.degree(id, t, false)
-}
+func (tx *Txn) OutDegree(id ids.ID, t EdgeType) int { return tx.OutDegreeOf(tx.Resolve(id), t) }
+
+// OutDegreeOf is OutDegree of a resolved node.
+func (tx *Txn) OutDegreeOf(n Node, t EdgeType) int { return tx.degree(n.id, t, false) }
 
 // InDegree returns the number of visible incoming edges without
 // materialising them.
-func (tx *Txn) InDegree(id ids.ID, t EdgeType) int {
-	return tx.degree(id, t, true)
-}
+func (tx *Txn) InDegree(id ids.ID, t EdgeType) int { return tx.InDegreeOf(tx.Resolve(id), t) }
+
+// InDegreeOf is InDegree of a resolved node.
+func (tx *Txn) InDegreeOf(n Node, t EdgeType) int { return tx.degree(n.id, t, true) }
 
 func (tx *Txn) degree(id ids.ID, t EdgeType, in bool) int {
 	sh := tx.s.shardFor(id)

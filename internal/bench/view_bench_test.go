@@ -174,14 +174,19 @@ func BenchmarkViewVsTxnQ3(b *testing.B) {
 		func(v *store.SnapshotView, sc *workload.Scratch) { workload.Q3(v, sc, p, 0, 1, datagen.SimStart, span) })
 }
 
+// BenchmarkViewVsTxnQ4 cycles over the curated persons with the pools'
+// window, so each binding reads the tags of its friends' posts.
 func BenchmarkViewVsTxnQ4(b *testing.B) {
 	env := testEnv(b)
-	p := benchPerson(b, env)
-	mid := datagen.SimStart + (datagen.SimEnd-datagen.SimStart)/2
-	const window = int64(90 * 24 * 3600 * 1000)
+	pools := benchPools(env)
+	txnNext, viewNext := poolCycle(pools.Persons), poolCycle(pools.Persons)
 	benchPaths(b, env,
-		func(tx *store.Txn, sc *workload.Scratch) { workload.Q4(tx, sc, p, mid, window) },
-		func(v *store.SnapshotView, sc *workload.Scratch) { workload.Q4(v, sc, p, mid, window) })
+		func(tx *store.Txn, sc *workload.Scratch) {
+			workload.Q4(tx, sc, txnNext(), pools.StartDate, pools.WindowMillis)
+		},
+		func(v *store.SnapshotView, sc *workload.Scratch) {
+			workload.Q4(v, sc, viewNext(), pools.StartDate, pools.WindowMillis)
+		})
 }
 
 // BenchmarkViewVsTxnQ5 cycles over the curated Q5 persons with the pools'
@@ -236,12 +241,28 @@ func BenchmarkViewVsTxnQ9(b *testing.B) {
 		func(v *store.SnapshotView, sc *workload.Scratch) { workload.Q9(v, sc, p, maxDate) })
 }
 
+// BenchmarkViewVsTxnQ10 cycles over every (person, sign) binding of the
+// curated persons and the twelve signs.
 func BenchmarkViewVsTxnQ10(b *testing.B) {
 	env := testEnv(b)
-	p := benchPerson(b, env)
+	pools := benchPools(env)
+	type binding struct {
+		person ids.ID
+		sign   int
+	}
+	var bindings []binding
+	for _, p := range pools.Persons {
+		for sign := range 12 {
+			bindings = append(bindings, binding{p, sign})
+		}
+	}
+	txnNext, viewNext := poolCycle(bindings), poolCycle(bindings)
 	benchPaths(b, env,
-		func(tx *store.Txn, sc *workload.Scratch) { workload.Q10(tx, sc, p, 3) },
-		func(v *store.SnapshotView, sc *workload.Scratch) { workload.Q10(v, sc, p, 3) })
+		func(tx *store.Txn, sc *workload.Scratch) { p := txnNext(); workload.Q10(tx, sc, p.person, p.sign) },
+		func(v *store.SnapshotView, sc *workload.Scratch) {
+			p := viewNext()
+			workload.Q10(v, sc, p.person, p.sign)
+		})
 }
 
 func BenchmarkViewVsTxnQ11(b *testing.B) {
@@ -273,13 +294,21 @@ func BenchmarkViewVsTxnQ13(b *testing.B) {
 		func(v *store.SnapshotView, sc *workload.Scratch) { workload.Q13(v, sc, p, other) })
 }
 
+// BenchmarkViewVsTxnQ14 cycles over every pair of distinct curated
+// persons.
 func BenchmarkViewVsTxnQ14(b *testing.B) {
 	env := testEnv(b)
-	p := benchPerson(b, env)
-	other := benchPartner(b, env, p)
+	pools := benchPools(env)
+	var bindings [][2]ids.ID
+	for _, p := range pairs(pools.Persons, pools.Persons) {
+		if p[0] != p[1] {
+			bindings = append(bindings, p)
+		}
+	}
+	txnNext, viewNext := poolCycle(bindings), poolCycle(bindings)
 	benchPaths(b, env,
-		func(tx *store.Txn, sc *workload.Scratch) { workload.Q14(tx, sc, p, other) },
-		func(v *store.SnapshotView, sc *workload.Scratch) { workload.Q14(v, sc, p, other) })
+		func(tx *store.Txn, sc *workload.Scratch) { p := txnNext(); workload.Q14(tx, sc, p[0], p[1]) },
+		func(v *store.SnapshotView, sc *workload.Scratch) { p := viewNext(); workload.Q14(v, sc, p[0], p[1]) })
 }
 
 // BenchmarkViewVsTxnShortWalk measures the short-read family S1-S3 on one
@@ -486,7 +515,8 @@ func (s *refreshStore) commit(b *testing.B) {
 // freshly compacted view AND on a delta-refreshed view whose hot rows live
 // in the era's overlay. Warm Q4, Q6 and Q7 allocate as often for
 // the best-connected person as for a least-connected one. A kind scan and
-// every read through the Nodes it yields allocate nothing on either view.
+// every read through the Nodes it yields allocate nothing on either view,
+// nor do hops through the Nodes of a row.
 func TestViewAdjacencyZeroAlloc(t *testing.T) {
 	env := testEnv(t)
 	var p ids.ID
@@ -549,7 +579,8 @@ func TestViewAdjacencyZeroAlloc(t *testing.T) {
 // assertNodeAllocs requires the Node read path to allocate nothing once the
 // decode cache is warm: scans of the message and person kinds reading every
 // scanned node's rows, degrees and a property through its Node (the BI
-// kernels' reads), and the reads of p through a Node resolved once.
+// kernels' reads), the reads of p through a Node resolved once, and p's
+// hops through the Nodes of its rows (OutNodes, InNodes, NodeRow.Node).
 func assertNodeAllocs(t *testing.T, name string, v *store.SnapshotView, p ids.ID) {
 	t.Helper()
 	sum := 0
@@ -575,6 +606,29 @@ func assertNodeAllocs(t *testing.T, name string, v *store.SnapshotView, p ids.ID
 	point()
 	if allocs := minAllocs(50, point); allocs != 0 {
 		t.Fatalf("%s: reads of a resolved Node allocate %.1f times per run, want 0", name, allocs)
+	}
+	// p's hops as Q4, Q10 and Q12 take them: its messages' tags and
+	// parents, its friends' degrees, each through the Nodes a row hands
+	// over.
+	hop := func() {
+		n := v.Resolve(p)
+		msgs := v.InNodes(n, store.EdgeHasCreator)
+		for i := range msgs.Len() {
+			m := msgs.Node(i)
+			tags := v.OutNodes(m, store.EdgeHasTag)
+			for j := range tags.Len() {
+				sum += v.InDegreeOf(tags.Node(j), store.EdgeHasInterest)
+			}
+			sum += len(v.OutNodes(m, store.EdgeReplyOf).Edges())
+		}
+		friends := v.OutNodes(n, store.EdgeKnows)
+		for i := range friends.Len() {
+			sum += len(v.InNodes(friends.Node(i), store.EdgeHasCreator).Edges())
+		}
+	}
+	hop()
+	if allocs := minAllocs(50, hop); allocs != 0 {
+		t.Fatalf("%s: hops through NodeRows allocate %.1f times per run, want 0", name, allocs)
 	}
 	if sum == 0 {
 		t.Fatalf("%s: the Node reads saw nothing", name)

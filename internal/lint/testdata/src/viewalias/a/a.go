@@ -45,6 +45,25 @@ func bad(v *store.SnapshotView, h *holder, ch chan []store.Edge) {
 	inSub[0] = store.Edge{} // want `write into inSub`
 	scanned := scan.IDs()
 	scanned[0] = 9 // want `write into scanned`
+
+	// A NodeRow's entries are the row OutOf returns.
+	row := v.OutNodes(n)
+	edges := row.Edges()
+	edges[0].Stamp = 2                  // want `write into edges`
+	edges = append(edges, store.Edge{}) // want `append to edges`
+	h.rows = row.Edges()                // want `stored into field rows`
+
+	// A call's result stored, written or grown without a variable of its
+	// own, and a re-slice of a call.
+	h.rows = v.InOf(n)     // want `stored into field rows`
+	global = v.OutOf(n)[:] // want `package variable global`
+	x := v.InOf(n)[1:]
+	x[0] = store.Edge{} // want `write into x`
+	y := (v.Out(1))[1:][:1]
+	y[0].Stamp = 3                            // want `write into y`
+	_ = append(v.Out(1), store.Edge{})        // want `append to v.Out\(1\)`
+	_ = append(row.Edges()[:1], store.Edge{}) // want `append to row.Edges\(\)\[:1\]`
+	ch <- v.In(1)[2:]                         // want `sent on a channel`
 }
 
 func good(v *store.SnapshotView) []store.Edge {
@@ -71,6 +90,16 @@ func good(v *store.SnapshotView) []store.Edge {
 	for i := range scan.IDs() {
 		cp = append(cp, v.OutOf(scan.At(i))...)
 	}
+
+	// So is ranging a NodeRow's entries and copying them or a call's
+	// re-slice out.
+	row := v.OutNodes(scan.At(0))
+	for i, e := range row.Edges() {
+		_ = row.Node(i)
+		sum += int64(e.Dst)
+	}
+	cp = append(cp, row.Edges()[1:]...)
+	copy(cp, v.In(1)[1:])
 
 	// Multi-value form: the slice result is tainted, reads stay legal.
 	ps, ok := v.Props(1)

@@ -1,6 +1,6 @@
 // Package store is a fixture stand-in for ldbcsnb/internal/store: the
 // viewalias analyzer keys on methods named Out/In/OutOf/InOf/Props/
-// NodesOfKind/IDs declared in a package named "store".
+// NodesOfKind/IDs/Edges declared in a package named "store".
 package store
 
 // NodeID is a node identifier.
@@ -48,3 +48,15 @@ func (s KindScan) IDs() []NodeID { return s.nodes }
 
 // At returns the i-th scanned node.
 func (s KindScan) At(i int) Node { return Node{id: s.nodes[i]} }
+
+// NodeRow is one row read for a hop.
+type NodeRow struct{ row []Edge }
+
+// OutNodes is OutOf as a NodeRow.
+func (v *SnapshotView) OutNodes(n Node) NodeRow { return NodeRow{} }
+
+// Edges returns the row's entries; the slice aliases shared view memory.
+func (r NodeRow) Edges() []Edge { return r.row }
+
+// Node returns entry i's neighbour.
+func (r NodeRow) Node(i int) Node { return Node{id: r.row[i].Dst} }

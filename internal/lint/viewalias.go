@@ -6,15 +6,18 @@ import (
 )
 
 // ViewAlias enforces the Reader scratch-aliasing contract: slices
-// returned by Out, In and Props on the store's reader surface, and by
-// OutOf and InOf, their forms keyed by a resolved Node, alias view-owned
-// shared memory — the per-row decode cache, the CSR overlay rows, the
-// property rows shared with the store's node records — so a caller-side
-// write corrupts every concurrent reader of the same view. NodesOfKind
-// rows, and a KindScan's IDs (the same list), share the same contract.
+// returned by Out, In and Props on the store's reader surface, by OutOf
+// and InOf, their forms keyed by a resolved Node, and by NodeRow.Edges
+// (the row OutNodes and InNodes read) alias view-owned shared memory — the
+// per-row decode cache, the CSR overlay rows, the property rows shared
+// with the store's node records — so a caller-side write corrupts every
+// concurrent reader of the same view. NodesOfKind rows, and a KindScan's
+// IDs (the same list), share the same contract.
 //
 // Within each function the pass taints values returned by those methods
-// (propagating through plain copies and re-slices) and flags:
+// (propagating through plain copies and re-slices) and flags, on a tainted
+// variable and equally on such a call or a re-slice of one used directly
+// (h.rows = v.InOf(n), x := v.InOf(n)[1:]):
 //
 //   - element writes:     row[i] = e, row[i].Stamp = 0, row[i]++
 //   - growth:             append(row, ...) with the tainted slice as base
@@ -43,6 +46,7 @@ var readerAliasMethods = map[string]bool{
 	"Props":       true,
 	"NodesOfKind": true,
 	"IDs":         true,
+	"Edges":       true,
 }
 
 // isAliasCall reports whether call returns view-aliased memory.
@@ -52,6 +56,21 @@ func isAliasCall(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	return readerAliasMethods[fn.Name()] && fn.Type().(*types.Signature).Recv() != nil
+}
+
+// isAliasSlice reports whether e is an alias call or a re-slice of one
+// (v.InOf(n)[1:]).
+func isAliasSlice(info *types.Info, e ast.Expr) bool {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.CallExpr:
+			return isAliasCall(info, x)
+		default:
+			return false
+		}
+	}
 }
 
 func runViewAlias(pass *Pass) {
@@ -67,8 +86,8 @@ func viewAliasFunc(pass *Pass, decl *ast.FuncDecl) {
 	// flow-insensitive: once tainted in this function, always suspect.
 	tainted := make(map[types.Object]bool)
 	taintOf := func(e ast.Expr) bool {
-		if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
-			return isAliasCall(pass.Info, call)
+		if isAliasSlice(pass.Info, e) {
+			return true
 		}
 		if id, _ := rootIdent(e); id != nil {
 			if obj := pass.Info.Uses[id]; obj != nil && tainted[obj] {
@@ -127,23 +146,28 @@ func viewAliasFunc(pass *Pass, decl *ast.FuncDecl) {
 	// Also taint range value vars? Ranging a tainted slice yields element
 	// copies, which are safe. Nothing to do.
 
-	taintedExpr := func(e ast.Expr) (types.Object, bool) {
+	// taintedExpr reports whether e is a view-aliased slice — a tainted
+	// variable, an alias call, or a re-slice of either — and names it.
+	taintedExpr := func(e ast.Expr) (string, bool) {
 		e = ast.Unparen(e)
+		if isAliasSlice(pass.Info, e) {
+			return types.ExprString(e), true
+		}
 		id, _ := rootIdent(e)
 		if id == nil {
-			return nil, false
+			return "", false
 		}
 		o := pass.Info.Uses[id]
 		if o == nil || !tainted[o] {
-			return nil, false
+			return "", false
 		}
 		// Only the slice itself (or a re-slice of it), not fields read
 		// off its elements.
 		switch e.(type) {
 		case *ast.Ident, *ast.SliceExpr:
-			return o, true
+			return o.Name(), true
 		}
-		return nil, false
+		return "", false
 	}
 
 	// Pass 2: flag violations.
@@ -195,15 +219,15 @@ func viewAliasFunc(pass *Pass, decl *ast.FuncDecl) {
 }
 
 // viewAliasCall flags append-with-tainted-base and in-place sorts.
-func viewAliasCall(pass *Pass, call *ast.CallExpr, taintedExpr func(ast.Expr) (types.Object, bool)) {
+func viewAliasCall(pass *Pass, call *ast.CallExpr, taintedExpr func(ast.Expr) (string, bool)) {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, isB := pass.Info.Uses[id].(*types.Builtin); isB && b.Name() == "append" && len(call.Args) > 0 {
 			// append(row, ...) may write into row's spare capacity — the
 			// decode cache row every other reader shares. Spreading a
 			// tainted slice as the *source* (append(dst, row...)) is the
 			// sanctioned copy-out and only the base argument is checked.
-			if obj, tainted := taintedExpr(call.Args[0]); tainted {
-				pass.Reportf(call.Args[0].Pos(), "append to %s, which aliases shared view memory; copy into caller-owned scratch instead", obj.Name())
+			if name, tainted := taintedExpr(call.Args[0]); tainted {
+				pass.Reportf(call.Args[0].Pos(), "append to %s, which aliases shared view memory; copy into caller-owned scratch instead", name)
 			}
 		}
 		return
@@ -215,8 +239,8 @@ func viewAliasCall(pass *Pass, call *ast.CallExpr, taintedExpr func(ast.Expr) (t
 	switch fn.Name() {
 	case "Slice", "SliceStable", "Sort", "Stable":
 		if len(call.Args) > 0 {
-			if obj, tainted := taintedExpr(call.Args[0]); tainted {
-				pass.Reportf(call.Args[0].Pos(), "in-place sort of %s, which aliases shared view memory; sort a copy", obj.Name())
+			if name, tainted := taintedExpr(call.Args[0]); tainted {
+				pass.Reportf(call.Args[0].Pos(), "in-place sort of %s, which aliases shared view memory; sort a copy", name)
 			}
 		}
 	}

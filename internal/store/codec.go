@@ -82,8 +82,21 @@ type csr struct {
 // decoded bytes grow with the touched working set, never past the raw size
 // of the relation. ViewMem.AdjCacheBytes reports the current footprint.
 //
+// A row read as Nodes (SnapshotView.OutNodes/InNodes) also carries its
+// neighbours' ordinals, the deltas the slab already encodes, in a packed
+// tail inside the row's own allocation: after the row's last entry, four
+// int32 per Edge-sized slot (ordSlots), entry i's ordinal in slot i/4 —
+// entries 4k and 4k+1 in the low and high half of the slot's To, 4k+2 and
+// 4k+3 in those of its Stamp. The published slice is the entries, with the
+// tail as its spare capacity: cap > len marks a row that has ordinals. A
+// row gets them the first time it is read as Nodes; one that Out or In
+// decoded first is decoded again with ordinals and republished. Out and In
+// return every row capped at its length, so a caller's append can never
+// write into the tail.
+//
 // Publication is a benign race: two readers may decode the same row
-// concurrently, both results are identical, and the losing slice is
+// concurrently, both results are identical (or one has ordinals and the
+// other not, and either serves every read), and the losing slice is
 // garbage. Serialisation paths (checkpoint, delta refresh) use appendRow,
 // which never populates the cache — a full-store walk must not inflate it.
 type decCache struct {
@@ -91,31 +104,52 @@ type decCache struct {
 	rows atomic.Pointer[[]atomic.Pointer[[]Edge]]
 }
 
-// rowAt returns one ordinal's row. nodes is the owning view's ordinal
-// table. The hot path — row already published — is a handful of loads and
-// one bounds check (checked against the cache table, which has exactly one
-// slot per offsets row), chosen small enough for the compiler to inline
-// into Out/In; everything else falls through to decodeRowAt.
-//
-//snb:noalloc
-func (c *csr) rowAt(ord int32, nodes []ids.ID) []Edge {
+// cached returns one ordinal's published row, nil when it has none yet.
+// It is small enough for the compiler to inline into rowAt and
+// rowNodesAt: a handful of loads and one bounds check (against the cache
+// table, which has exactly one slot per offsets row).
+func (c *csr) cached(ord int32) *[]Edge {
 	if d := c.dec; d != nil {
 		if tbl := d.rows.Load(); tbl != nil {
 			if i := int(ord) - int(c.lo); uint(i) < uint(len(*tbl)) {
-				if p := (*tbl)[i].Load(); p != nil {
-					return *p
-				}
+				return (*tbl)[i].Load()
 			}
 		}
 	}
-	return c.decodeRowAt(ord, nodes)
+	return nil
 }
 
-// decodeRowAt decodes one row off the slab and publishes it to the decode
-// cache (when the csr has one — hand-built test csrs may not). Empty rows
-// publish too: a nil-slice entry is one pointer that spares every later
-// read of that row the slab round trip.
-func (c *csr) decodeRowAt(ord int32, nodes []ids.ID) []Edge {
+// rowAt returns one ordinal's row, capped at its length. nodes is the
+// owning view's ordinal table. A published row is served as it is;
+// everything else falls through to decodeRowAt.
+//
+//snb:noalloc
+func (c *csr) rowAt(ord int32, nodes []ids.ID) []Edge {
+	if p := c.cached(ord); p != nil {
+		r := *p
+		return r[:len(r):len(r)]
+	}
+	return c.decodeRowAt(ord, nodes, false)
+}
+
+// rowNodesAt returns one ordinal's row with its packed ordinal tail as the
+// spare capacity (empty rows have none). A published row without the tail
+// is decoded again with it.
+//
+//snb:noalloc
+func (c *csr) rowNodesAt(ord int32, nodes []ids.ID) []Edge {
+	if p := c.cached(ord); p != nil && (cap(*p) > len(*p) || len(*p) == 0) {
+		return *p
+	}
+	return c.decodeRowAt(ord, nodes, true)
+}
+
+// decodeRowAt decodes one row off the slab, with its ordinal tail when
+// withOrds, and publishes it to the decode cache (when the csr has one —
+// hand-built test csrs may not). Empty rows publish too: a nil-slice entry
+// is one pointer that spares every later read of that row the slab round
+// trip.
+func (c *csr) decodeRowAt(ord int32, nodes []ids.ID, withOrds bool) []Edge {
 	i := int(ord) - int(c.lo)
 	if i < 0 || i+1 >= len(c.offsets) {
 		return nil
@@ -123,7 +157,13 @@ func (c *csr) decodeRowAt(ord int32, nodes []ids.ID) []Edge {
 	var row []Edge
 	if b := c.data[c.offsets[i]:c.offsets[i+1]]; len(b) > 0 {
 		count, n := binary.Uvarint(b)
-		row = decodeRow(make([]Edge, 0, count), b[n:], int(count), nodes)
+		if withOrds {
+			row = make([]Edge, count+uint64(ordSlots(int(count))))
+			decodeRowNodes(row, b[n:], int(count), nodes)
+			row = row[:count]
+		} else {
+			row = decodeRow(make([]Edge, 0, count), b[n:], int(count), nodes)
+		}
 	}
 	if d := c.dec; d != nil {
 		tbl := d.rows.Load()
@@ -139,6 +179,22 @@ func (c *csr) decodeRowAt(ord int32, nodes []ids.ID) []Edge {
 		(*tbl)[i].Store(&row)
 	}
 	return row
+}
+
+// ordSlots is the number of Edge-sized slots the packed ordinals of a
+// count-entry row take: four int32 to a slot.
+func ordSlots(count int) int { return (count + 3) / 4 }
+
+// ordAt returns entry i's ordinal out of a row's packed tail.
+//
+//snb:noalloc
+func ordAt(tail []Edge, i int) int32 {
+	s := &tail[i>>2]
+	w := uint64(s.To)
+	if i&2 != 0 {
+		w = uint64(s.Stamp)
+	}
+	return int32(w >> (uint(i&1) << 5))
 }
 
 // decodeEntry decodes one (ordinal delta, stamp delta) entry off the front
@@ -166,6 +222,24 @@ func decodeRow(dst []Edge, b []byte, count int, nodes []ids.ID) []Edge {
 	return dst
 }
 
+// decodeRowNodes decodes count entries of b into dst[:count] and their
+// ordinals into the packed tail dst[count:], which must be zeroed and
+// ordSlots(count) long.
+func decodeRowNodes(dst []Edge, b []byte, count int, nodes []ids.ID) {
+	tail := dst[count:]
+	var o, st int64
+	for j := 0; j < count; j++ {
+		b, o, st = decodeEntry(b, o, st)
+		dst[j] = Edge{To: nodes[o], Stamp: st}
+		w := uint64(uint32(o)) << (uint(j&1) << 5)
+		if s := &tail[j>>2]; j&2 == 0 {
+			s.To |= ids.ID(w)
+		} else {
+			s.Stamp |= int64(w)
+		}
+	}
+}
+
 // appendRow appends one ordinal's decoded row onto dst without touching
 // the decode cache: the materialisation path for full-store walks
 // (checkpoint serialisation, delta refresh copy-out) that must not
@@ -184,8 +258,10 @@ func (c *csr) appendRow(dst []Edge, ord int32, nodes []ids.ID) []Edge {
 }
 
 // cacheBytes reports the decode cache's current heap footprint: the row
-// table plus every published row. Approximate (slice headers and
-// allocator rounding excluded) but monotonic and race-safe.
+// table plus every published row, 16 bytes an entry and 4 more for each
+// ordinal of a row read as Nodes. Approximate (slice headers, allocator
+// rounding and the padding of a tail's last slot excluded) but monotonic
+// and race-safe.
 func (c *csr) cacheBytes() int64 {
 	if c.dec == nil {
 		return 0
@@ -198,6 +274,9 @@ func (c *csr) cacheBytes() int64 {
 	for i := range *tbl {
 		if p := (*tbl)[i].Load(); p != nil {
 			total += int64(len(*p)) * 16
+			if cap(*p) > len(*p) {
+				total += int64(len(*p)) * 4 // the packed ordinals
+			}
 		}
 	}
 	return total

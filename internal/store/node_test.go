@@ -3,6 +3,8 @@ package store
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"ldbcsnb/internal/ids"
@@ -94,12 +96,81 @@ func assertScanMatchesID(t *testing.T, name string, r Reader, probes []ids.ID) (
 	return resolved
 }
 
+// rowCounts tallies the neighbours assertRowsMatch met: handed over
+// resolved (from a row carrying ordinals) or unresolved, and the longest
+// row.
+type rowCounts struct{ resolved, unresolved, longest int }
+
+// assertRowsMatch reads every row of every visible node of r as a NodeRow
+// and by ID, the ID read first unless nodesFirst, and requires them to
+// agree: Edges() equals Out or In and is capped at its length, each
+// Node(i) is entry i's neighbour, and every Node read of it equals its
+// ID-keyed twin. Then it appends to the row Out or In returned and requires
+// the next NodeRow of the row to hand over the same Nodes.
+func assertRowsMatch(t *testing.T, name string, r Reader, nodesFirst bool) (c rowCounts) {
+	t.Helper()
+	var nodes []Node
+	for kind := ids.Kind(0); kind < ids.KindLimit; kind++ {
+		for _, id := range r.NodesOfKind(kind) {
+			n := r.Resolve(id)
+			for _, et := range viewEdgeTypes {
+				for _, in := range []bool{false, true} {
+					byID, byNodes := r.Out, r.OutNodes
+					if in {
+						byID, byNodes = r.In, r.InNodes
+					}
+					var want []Edge
+					var row NodeRow
+					if nodesFirst {
+						row = byNodes(n, et)
+						want = byID(id, et)
+					} else {
+						want = byID(id, et)
+						row = byNodes(n, et)
+					}
+					got := row.Edges()
+					if !edgesEqual(got, want) || row.Len() != len(want) || cap(got) != len(got) || cap(want) != len(want) {
+						t.Fatalf("%s: %v type %v in=%v: Nodes row %v (len %d, cap %d), by ID %v (cap %d)",
+							name, id, et, in, got, row.Len(), cap(got), want, cap(want))
+					}
+					c.longest = max(c.longest, len(want))
+					nodes = nodes[:0]
+					for i, e := range want {
+						nb := row.Node(i)
+						if nb.ID() != e.To {
+							t.Fatalf("%s: %v type %v in=%v: Node(%d) is %v, entry %v", name, id, et, in, i, nb.ID(), e.To)
+						}
+						if nb.ord >= 0 {
+							c.resolved++
+						} else {
+							c.unresolved++
+						}
+						assertNodeMatchesID(t, name+", a row's Node", r, nb)
+						nodes = append(nodes, nb)
+					}
+					_ = append(byID(id, et), Edge{})
+					again := byNodes(n, et)
+					for i, nb := range nodes {
+						if again.Node(i) != nb {
+							t.Fatalf("%s: %v type %v in=%v: after an append to its row, Node(%d) is %+v, was %+v",
+								name, id, et, in, i, again.Node(i), nb)
+						}
+					}
+				}
+			}
+		}
+	}
+	return c
+}
+
 // TestNodeReadsMatchIDReads pins the Node contract (Reader, "Nodes") on
 // every reader a Node meets: a Txn, a fresh view, a refreshed view with
 // appended nodes, the view an inline rebuild makes after commits out of ID
 // order (where scan positions no longer match ordinals), a WithCancel view,
 // and views handed Nodes resolved on another view — of the same era with
 // more nodes, and of an older era whose ordinals the rebuild reassigned.
+// On each of them every row read as Nodes must agree with its read by ID
+// (assertRowsMatch).
 func TestNodeReadsMatchIDReads(t *testing.T) {
 	r := xrand.New(43)
 	s := New()
@@ -110,12 +181,24 @@ func TestNodeReadsMatchIDReads(t *testing.T) {
 		pop = nodeGraphCommit(t, s, r, pop,
 			ids.Compose(ids.KindPerson, 10*step, 0), ids.Compose(ids.KindPost, 10*step, 0))
 	}
+	// A hub whose likes rows fill more than two packed ordinal slots.
+	tx := s.Begin()
+	for i := 1; i <= 9; i++ {
+		_ = tx.AddEdge(pop[0], EdgeLikes, pop[2*i], int64(i))
+		_ = tx.AddEdge(pop[2*i+1], EdgeLikes, pop[0], int64(i))
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	never := ids.Compose(ids.KindPerson, 1<<30, 0)
 	probes := append([]ids.ID{never}, pop...)
 
 	s.View(func(tx *Txn) {
 		if got := assertScanMatchesID(t, "txn", tx, probes); got != 0 {
 			t.Fatalf("txn: %d scanned nodes carry an ordinal", got)
+		}
+		if c := assertRowsMatch(t, "txn", tx, false); c.resolved != 0 {
+			t.Fatalf("txn: %d row neighbours carry an ordinal", c.resolved)
 		}
 	})
 
@@ -125,6 +208,18 @@ func TestNodeReadsMatchIDReads(t *testing.T) {
 	}
 	if got := assertScanMatchesID(t, "fresh view", fresh, probes); got != len(pop) {
 		t.Fatalf("fresh view: %d of %d scanned nodes resolved by position", got, len(pop))
+	}
+	// Every row of a fresh view is a base row: each neighbour comes
+	// resolved, whether the row was read by ID first or as Nodes first (a
+	// second view at the same timestamp has a decode cache of its own).
+	for _, c := range []struct {
+		v          *SnapshotView
+		nodesFirst bool
+	}{{fresh, false}, {s.ViewAt(fresh.Timestamp()), true}} {
+		got := assertRowsMatch(t, "fresh view", c.v, c.nodesFirst)
+		if got.resolved == 0 || got.unresolved != 0 || got.longest < 9 {
+			t.Fatalf("fresh view (Nodes first: %v): %+v, want every neighbour resolved and a row of 9", c.nodesFirst, got)
+		}
 	}
 
 	// Appended nodes land in the overlay: the scan yields them unresolved.
@@ -137,6 +232,9 @@ func TestNodeReadsMatchIDReads(t *testing.T) {
 		t.Fatalf("after appends: %v, era %d -> %d", ev, fresh.Era(), refreshed.Era())
 	}
 	assertScanMatchesID(t, "refreshed view", refreshed, probes)
+	if c := assertRowsMatch(t, "refreshed view", refreshed, true); c.resolved == 0 || c.unresolved == 0 {
+		t.Fatalf("refreshed view: %+v, want base rows and overlay rows", c)
+	}
 
 	// The same era's fresh view holds fewer ordinals: Nodes of the appended
 	// nodes are past its NumNodes and read as absent, by ID.
@@ -164,6 +262,15 @@ func TestNodeReadsMatchIDReads(t *testing.T) {
 		t.Fatalf("rebuilt view: %d of %d scanned nodes resolved by position, want some but not all", got, len(pop))
 	}
 
+	for _, c := range []struct {
+		v          *SnapshotView
+		nodesFirst bool
+	}{{rebuilt, true}, {s.ViewAt(rebuilt.Timestamp()), false}} {
+		if got := assertRowsMatch(t, "rebuilt view", c.v, c.nodesFirst); got.resolved == 0 || got.unresolved != 0 {
+			t.Fatalf("rebuilt view (Nodes first: %v): %+v, want every neighbour resolved", c.nodesFirst, got)
+		}
+	}
+
 	// Nodes of the older era carry ordinals the rebuild reassigned.
 	for _, n := range newer {
 		assertNodeMatchesID(t, "rebuilt view, Nodes of an older era", rebuilt, n)
@@ -180,12 +287,15 @@ func TestNodeReadsMatchIDReads(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cv := rebuilt.WithCancel(ctx)
 	assertScanMatchesID(t, "cancellable view", cv, probes)
+	assertRowsMatch(t, "cancellable view", cv, true)
 	cancel()
 	n := cv.ScanKind(ids.KindPerson).At(0)
 	for name, read := range map[string]func(){
-		"OutOf":  func() { cv.OutOf(n, EdgeKnows) },
-		"InOf":   func() { cv.InOf(n, EdgeKnows) },
-		"PropOf": func() { cv.PropOf(n, PropFirstName) },
+		"OutOf":    func() { cv.OutOf(n, EdgeKnows) },
+		"InOf":     func() { cv.InOf(n, EdgeKnows) },
+		"PropOf":   func() { cv.PropOf(n, PropFirstName) },
+		"OutNodes": func() { cv.OutNodes(n, EdgeKnows) },
+		"InNodes":  func() { cv.InNodes(n, EdgeKnows) },
 	} {
 		err := func() (err error) {
 			defer CatchCanceled(&err)
@@ -197,5 +307,124 @@ func TestNodeReadsMatchIDReads(t *testing.T) {
 		if !errors.Is(err, ErrQueryCanceled) {
 			t.Fatalf("%s on a canceled view: %v, want ErrQueryCanceled", name, err)
 		}
+	}
+}
+
+// TestAdjCacheBytesCountsOrdinals requires ViewMem.AdjCacheBytes to grow by
+// 16 bytes an entry for a row decoded by ID and by 4 more an entry once the
+// row is read as Nodes, and by nothing for a row read again either way.
+func TestAdjCacheBytesCountsOrdinals(t *testing.T) {
+	s := New()
+	tx := s.Begin()
+	var ps []ids.ID
+	for i := int64(1); i <= 10; i++ {
+		ps = append(ps, ids.Compose(ids.KindPerson, i, 0))
+		if err := tx.CreateNode(ps[len(ps)-1], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, to := range ps[1:] {
+		_ = tx.AddEdge(ps[0], EdgeLikes, to, 1)
+	}
+	for _, to := range ps[2:5] {
+		_ = tx.AddEdge(ps[1], EdgeLikes, to, 1)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	v := s.CurrentView()
+	cached := func() int64 { return v.MemStats().AdjCacheBytes }
+	a, b := v.Resolve(ps[0]), v.Resolve(ps[1])
+	v.Out(ps[0], EdgeLikes) // allocates the csr's row table
+	for _, step := range []struct {
+		name string
+		read func()
+		grow int64
+	}{
+		{"row a as Nodes", func() { v.OutNodes(a, EdgeLikes) }, 9 * 4},
+		{"row a by ID again", func() { v.Out(ps[0], EdgeLikes) }, 0},
+		{"row b by ID", func() { v.OutOf(b, EdgeLikes) }, 3 * 16},
+		{"row b as Nodes", func() { v.OutNodes(b, EdgeLikes) }, 3 * 4},
+		{"row b as Nodes again", func() { v.OutNodes(b, EdgeLikes) }, 0},
+		{"row a as Nodes again", func() { v.OutNodes(a, EdgeLikes) }, 0},
+	} {
+		before := cached()
+		step.read()
+		if got := cached() - before; got != step.grow {
+			t.Fatalf("%s: AdjCacheBytes grew by %d, want %d", step.name, got, step.grow)
+		}
+	}
+}
+
+// TestNodeRowsUnderConcurrentReaders races readers over cold views, half
+// of them reading each row by ID and half as Nodes, so a row's decode and
+// its redecode with ordinals publish concurrently. Every read must match
+// the Txn's row, and every Node a row hands over must read its own
+// properties.
+func TestNodeRowsUnderConcurrentReaders(t *testing.T) {
+	const readers = 4
+	r := xrand.New(44)
+	s := New()
+	var pop []ids.ID
+	for step := int64(1); step <= 30; step++ {
+		pop = nodeGraphCommit(t, s, r, pop,
+			ids.Compose(ids.KindPerson, 10*step, 0), ids.Compose(ids.KindPost, 10*step, 0))
+	}
+	type rowKey struct {
+		id ids.ID
+		et EdgeType
+		in bool
+	}
+	want := map[rowKey][]Edge{}
+	s.View(func(tx *Txn) {
+		for _, id := range pop {
+			for _, et := range viewEdgeTypes {
+				want[rowKey{id, et, false}] = tx.Out(id, et)
+				want[rowKey{id, et, true}] = tx.In(id, et)
+			}
+		}
+	})
+	for round := 0; round < 5; round++ {
+		v := s.ViewAt(s.clock.Load())
+		var wg sync.WaitGroup
+		for g := 0; g < readers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k, id := range pop {
+					n := v.Resolve(id)
+					for _, et := range viewEdgeTypes {
+						for _, in := range []bool{false, true} {
+							var got []Edge
+							var err error
+							byID, byNodes := v.Out, v.OutNodes
+							if in {
+								byID, byNodes = v.In, v.InNodes
+							}
+							if (g+k)%2 == 0 {
+								got = byID(id, et)
+							} else {
+								row := byNodes(n, et)
+								got = row.Edges()
+								for i := range row.Len() {
+									nb := row.Node(i)
+									if d := v.PropOf(nb, PropCreationDate).Int(); nb.ID() != got[i].To || d != int64(got[i].To) {
+										err = fmt.Errorf("Node(%d) = %v reads creation date %d, entry %v", i, nb.ID(), d, got[i].To)
+									}
+								}
+							}
+							if !edgesEqual(got, want[rowKey{id, et, in}]) {
+								err = fmt.Errorf("row %v", got)
+							}
+							if err != nil {
+								t.Errorf("round %d reader %d: %v type %v in=%v: %v", round, g, id, et, in, err)
+								return
+							}
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
 }

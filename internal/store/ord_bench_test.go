@@ -100,20 +100,21 @@ func BenchmarkOrdLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkKindScan times one scanned node of a kind scan over a view of
-// ordPopulation (one hasCreator edge from every message to a person, a
-// creation date on every node): reading the node's creator row and its
-// creation date by ID, each read paying an ID -> ordinal lookup, and through
-// the Node the scan yields, which pays none.
-func BenchmarkKindScan(b *testing.B) {
+// ordView returns a view over ordPopulation: a creation date on every
+// node, one hasCreator edge from every message to a person and one to
+// three hasTag edges from every message to a tag.
+func ordView(b *testing.B) *SnapshotView {
 	nodes, _ := ordPopulation()
 	s := New()
 	tx := s.Begin()
-	r := xrand.New(7)
-	persons := make([]ids.ID, 0, 1000)
+	r, rt := xrand.New(7), xrand.New(8)
+	var persons, tags []ids.ID
 	for _, id := range nodes {
-		if id.Kind() == ids.KindPerson {
+		switch id.Kind() {
+		case ids.KindPerson:
 			persons = append(persons, id)
+		case ids.KindTag:
+			tags = append(tags, id)
 		}
 	}
 	for _, id := range nodes {
@@ -122,12 +123,23 @@ func BenchmarkKindScan(b *testing.B) {
 		}
 		if k := id.Kind(); k == ids.KindPost || k == ids.KindComment {
 			_ = tx.AddEdge(id, EdgeHasCreator, persons[r.Intn(len(persons))], 0)
+			for range 1 + rt.Intn(3) {
+				_ = tx.AddEdge(id, EdgeHasTag, tags[rt.Intn(len(tags))], 0)
+			}
 		}
 	}
 	if err := tx.Commit(); err != nil {
 		b.Fatal(err)
 	}
-	v := s.CurrentView()
+	return s.CurrentView()
+}
+
+// BenchmarkKindScan times one scanned node of a kind scan over ordView:
+// reading the node's creator row and its creation date by ID, each read
+// paying an ID -> ordinal lookup, and through the Node the scan yields,
+// which pays none.
+func BenchmarkKindScan(b *testing.B) {
+	v := ordView(b)
 	kinds := []ids.Kind{ids.KindPost, ids.KindComment}
 	sum := 0
 	b.Run("by-id", func(b *testing.B) {
@@ -154,5 +166,43 @@ func BenchmarkKindScan(b *testing.B) {
 	})
 	if sum == 0 {
 		b.Fatal("the scans read nothing")
+	}
+}
+
+// BenchmarkHop times the hop from a person to its messages' tags over
+// ordView, the shape of Q4's and Q10's inner loops: one op reads one
+// person's hasCreator row and the hasTag row of every message on it, by ID
+// (each message's read pays an ID -> ordinal lookup) and through the
+// row's Nodes (which pays none). ns/msg is the time per message read.
+func BenchmarkHop(b *testing.B) {
+	v := ordView(b)
+	persons := v.NodesOfKind(ids.KindPerson)
+	msgs := 0
+	for _, p := range persons {
+		msgs += len(v.In(p, EdgeHasCreator))
+	}
+	sum := 0
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(msgs)/float64(len(persons))), "ns/msg")
+	}
+	b.Run("by-id", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, m := range v.In(persons[i%len(persons)], EdgeHasCreator) {
+				sum += len(v.Out(m.To, EdgeHasTag))
+			}
+		}
+		report(b)
+	})
+	b.Run("by-node", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			row := v.InNodes(v.Resolve(persons[i%len(persons)]), EdgeHasCreator)
+			for j := range row.Len() {
+				sum += len(v.OutOf(row.Node(j), EdgeHasTag))
+			}
+		}
+		report(b)
+	})
+	if sum == 0 {
+		b.Fatal("the hops read nothing")
 	}
 }

@@ -32,6 +32,22 @@ import "ldbcsnb/internal/ids"
 // directly, since a Node built only to be read once would add a call and a
 // check to every read by ID.
 //
+// A hop reads a row and then the neighbours it lists. OutNodes and InNodes
+// read the row as a NodeRow: Edges() is the row OutOf or InOf returns, and
+// Node(i) hands neighbour i over as a Node, so the reads of the neighbour
+// skip the lookup too. On a view, a row of the base carries its
+// neighbours' ordinals: the slab encodes each entry as an ordinal delta,
+// and the decode cache keeps the ordinals, in the row's own allocation,
+// for every row read as Nodes (codec.go, decCache). A row of the overlay
+// or the spill, and every row of a Txn, yields unresolved Nodes: correct,
+// and read as fast as by ID. A row read as Nodes costs 4 more bytes an
+// entry in the decode cache, so a read that does not touch the neighbours
+// again (their IDs and stamps are all it needs) reads by Out or In.
+//
+// The ordinals lie past the end of the row, in its spare capacity: Out,
+// In, OutOf, InOf and Edges return every row capped at its length
+// (row[:n:n]), so an append by a caller can never write into them.
+//
 // A Node is valid on every reader: on a Txn it is just the ID. On a view it
 // is used as resolved only when it comes from a view of the same era
 // (ordinals are stable within an era, and a refresh only appends) and its
@@ -40,9 +56,9 @@ import "ldbcsnb/internal/ids"
 // not see, from a Txn, or for a node its reader did not see — is resolved
 // again by ID: never wrong, only as slow as a read by ID.
 //
-// Slices returned by Out, In, OutOf, InOf, NodesOfKind and KindScan.IDs
-// (and Props on the view path) alias reader-owned memory and must not be
-// mutated by callers.
+// Slices returned by Out, In, OutOf, InOf, NodeRow.Edges, NodesOfKind and
+// KindScan.IDs (and Props on the view path) alias reader-owned memory and
+// must not be mutated by callers.
 type Reader interface {
 	// Exists reports whether a node is visible to the reader.
 	Exists(id ids.ID) bool
@@ -80,6 +96,10 @@ type Reader interface {
 	OutDegreeOf(n Node, t EdgeType) int
 	// InDegreeOf is InDegree of a resolved node.
 	InDegreeOf(n Node, t EdgeType) int
+	// OutNodes is OutOf as a NodeRow, for a hop that reads the neighbours.
+	OutNodes(n Node, t EdgeType) NodeRow
+	// InNodes is InOf as a NodeRow.
+	InNodes(n Node, t EdgeType) NodeRow
 }
 
 var (
@@ -134,4 +154,37 @@ func (s KindScan) At(i int) Node {
 		return Node{id: id, ord: s.off + int32(i), era: s.era}
 	}
 	return unresolved(id)
+}
+
+// NodeRow is one adjacency row read for a hop (OutNodes, InNodes): its
+// entries, and each neighbour as a Node. When the row carries its
+// neighbours' ordinals, they follow the entries in row's spare capacity
+// (packed as codec.go's decCache describes); a row without them has
+// cap(row) == len(row) and yields unresolved Nodes.
+type NodeRow struct {
+	row []Edge
+	era uint32 // low 32 bits of the reading view's era
+}
+
+// idRow is the NodeRow of a row without ordinals, capped so that nothing
+// past its end is taken for them.
+func idRow(row []Edge) NodeRow { return NodeRow{row: row[:len(row):len(row)]} }
+
+// Len returns the number of entries.
+func (r NodeRow) Len() int { return len(r.row) }
+
+// Edges returns the entries: the slice OutOf or InOf returns, capped at
+// its length. It aliases reader-owned memory and must not be mutated.
+func (r NodeRow) Edges() []Edge { return r.row[:len(r.row):len(r.row)] }
+
+// Node returns entry i's neighbour, resolved when the row carries
+// ordinals.
+//
+//snb:noalloc
+func (r NodeRow) Node(i int) Node {
+	n := Node{id: r.row[i].To, ord: -1, era: r.era} // an ord of -1 is never held
+	if tail := r.row[len(r.row):cap(r.row)]; len(tail) > 0 {
+		n.ord = ordAt(tail, i)
+	}
+	return n
 }

@@ -170,6 +170,12 @@ func (tx *Txn) In(id ids.ID, t EdgeType) []Edge { return tx.InOf(tx.Resolve(id),
 // InOf is In of a resolved node.
 func (tx *Txn) InOf(n Node, t EdgeType) []Edge { return tx.neighbours(n.id, t, true) }
 
+// OutNodes is OutOf as a NodeRow; on a Txn its Nodes are the IDs.
+func (tx *Txn) OutNodes(n Node, t EdgeType) NodeRow { return idRow(tx.OutOf(n, t)) }
+
+// InNodes is InOf as a NodeRow.
+func (tx *Txn) InNodes(n Node, t EdgeType) NodeRow { return idRow(tx.InOf(n, t)) }
+
 // OutDegree returns the number of visible outgoing edges without
 // materialising them.
 func (tx *Txn) OutDegree(id ids.ID, t EdgeType) int { return tx.OutDegreeOf(tx.Resolve(id), t) }

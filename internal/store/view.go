@@ -197,14 +197,15 @@ func (t overTable) load(ord int32) *rowHdr {
 	return nil
 }
 
-// at returns the row as a view frozen at ts sees it. A header stored at or
+// at returns the row as a view frozen at ts sees it, capped at its length
+// (later refreshes append into the spare capacity). A header stored at or
 // before ts is the row's state at ts, as it is; one stored after ts keeps
 // the base part and the entries committed by ts, which precede the others.
 //
 //snb:noalloc
 func (h *rowHdr) at(ts int64) []Edge {
 	if h.ts <= ts {
-		return h.edges
+		return h.edges[:len(h.edges):len(h.edges)]
 	}
 	lo, hi := 0, len(h.commits)
 	for lo < hi {
@@ -214,7 +215,8 @@ func (h *rowHdr) at(ts int64) []Edge {
 			hi = mid
 		}
 	}
-	return h.edges[:len(h.edges)-len(h.commits)+lo]
+	n := len(h.edges) - len(h.commits) + lo
+	return h.edges[:n:n]
 }
 
 // overHdr returns the era's current header of one (ordinal, type,
@@ -482,6 +484,30 @@ func (v *SnapshotView) edgesAt(ord int32, t EdgeType, in bool) []Edge {
 	return b.out[t].rowAt(ord, b.nodes)
 }
 
+// nodesAt is edgesAt as a NodeRow: a base row carries its neighbours'
+// ordinals and the view's era; an overlay or spill row yields unresolved
+// Nodes.
+//
+//snb:noalloc
+func (v *SnapshotView) nodesAt(ord int32, t EdgeType, in bool) NodeRow {
+	if v.over != nil {
+		if h := v.overHdr(ord, t, in); h != nil {
+			return idRow(h.at(v.ts))
+		}
+	}
+	b := v.base
+	if b.spill != nil {
+		if row, ok := b.spill[makeEdgeKey(ord, t, in)]; ok {
+			return idRow(row)
+		}
+	}
+	c := &b.out[t]
+	if in {
+		c = &b.in[t]
+	}
+	return NodeRow{row: c.rowNodesAt(ord, b.nodes), era: uint32(v.era)}
+}
+
 // appendEdges appends one (ordinal, type, direction) row onto dst without
 // touching the decode cache: the row-materialisation path for full-store
 // walks (checkpoint serialisation) that must not inflate the cache.
@@ -604,6 +630,41 @@ func (v *SnapshotView) InOf(n Node, t EdgeType) []Edge {
 		return nil
 	}
 	return v.edgesAt(o, t, true)
+}
+
+// OutNodes is OutOf as a NodeRow, whose Nodes a base row hands over
+// resolved.
+//
+//snb:noalloc
+func (v *SnapshotView) OutNodes(n Node, t EdgeType) NodeRow {
+	if v.cancel != nil {
+		v.cancel.tick()
+	}
+	o, ok := n.ord, v.holds(n)
+	if !ok {
+		o, ok = v.ord(n.id)
+	}
+	if !ok {
+		return NodeRow{}
+	}
+	return v.nodesAt(o, t, false)
+}
+
+// InNodes is InOf as a NodeRow.
+//
+//snb:noalloc
+func (v *SnapshotView) InNodes(n Node, t EdgeType) NodeRow {
+	if v.cancel != nil {
+		v.cancel.tick()
+	}
+	o, ok := n.ord, v.holds(n)
+	if !ok {
+		o, ok = v.ord(n.id)
+	}
+	if !ok {
+		return NodeRow{}
+	}
+	return v.nodesAt(o, t, true)
 }
 
 // degree returns the row's entry count without decoding it (one uvarint

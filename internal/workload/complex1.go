@@ -133,11 +133,12 @@ func Q3[R store.Reader](r R, sc *Scratch, start ids.ID, countryX, countryY int, 
 			continue
 		}
 		var cx, cy int
-		for _, m := range messagesOf(r, p) {
+		msgs := messageNodes(r, r.Resolve(p))
+		for i, m := range msgs.Edges() {
 			if m.Stamp < startDate || m.Stamp >= end {
 				continue
 			}
-			switch int(r.Prop(m.To, store.PropCountry).Int()) {
+			switch int(r.PropOf(msgs.Node(i), store.PropCountry).Int()) {
 			case countryX:
 				cx++
 			case countryY:
@@ -170,14 +171,15 @@ func Q4[R store.Reader](r R, sc *Scratch, start ids.ID, startDate, durationMilli
 	counts.Reset()
 	old := sc.newSeen()
 	for _, f := range friendsOf(r, sc, start) {
-		for _, m := range messagesOf(r, f) {
+		msgs := messageNodes(r, r.Resolve(f))
+		for i, m := range msgs.Edges() {
 			if m.To.Kind() != ids.KindPost {
 				continue
 			}
 			if m.Stamp >= end {
 				continue
 			}
-			for _, te := range r.Out(m.To, store.EdgeHasTag) {
+			for _, te := range r.OutOf(msgs.Node(i), store.EdgeHasTag) {
 				if m.Stamp < startDate {
 					old.tryMark(te.To)
 				} else {
@@ -240,8 +242,9 @@ func Q5[R store.Reader](r R, sc *Scratch, start ids.ID, minDate int64) []Q5Row {
 	})
 	for _, forum := range sc.aux {
 		count := 0
-		for _, pe := range r.Out(forum, store.EdgeContainerOf) {
-			for _, ce := range r.Out(pe.To, store.EdgeHasCreator) {
+		posts := r.OutNodes(r.Resolve(forum), store.EdgeContainerOf)
+		for i := range posts.Len() {
+			for _, ce := range r.OutOf(posts.Node(i), store.EdgeHasCreator) {
 				// inEnv also contains start, which is not part of the
 				// environment — exclude it explicitly.
 				if ce.To != start && inEnv.has(ce.To) {
@@ -319,11 +322,12 @@ func q6[R store.Reader](r R, sc *Scratch, env []ids.ID, inEnv *seenSet, start, t
 // hasTag edges to sc.tags.
 func q6FromEnv[R store.Reader](r R, sc *Scratch, env []ids.ID, tag ids.ID) {
 	for _, p := range env {
-		for _, m := range messagesOf(r, p) {
+		msgs := messageNodes(r, r.Resolve(p))
+		for i, m := range msgs.Edges() {
 			if m.To.Kind() != ids.KindPost {
 				continue
 			}
-			tags := r.Out(m.To, store.EdgeHasTag)
+			tags := r.OutOf(msgs.Node(i), store.EdgeHasTag)
 			if q6Listings(tags, tag) == 0 {
 				continue
 			}
@@ -344,13 +348,15 @@ func q6FromEnv[R store.Reader](r R, sc *Scratch, env []ids.ID, tag ids.ID) {
 // is listed that many times by In, and is counted at its first listing.
 func q6FromTag[R store.Reader](r R, sc *Scratch, inEnv *seenSet, start, tag ids.ID) {
 	var counted *seenSet
-	for _, pe := range r.In(tag, store.EdgeHasTag) {
+	posts := r.InNodes(r.Resolve(tag), store.EdgeHasTag)
+	for i, pe := range posts.Edges() {
 		m := pe.To
 		if m.Kind() != ids.KindPost {
 			continue
 		}
+		mn := posts.Node(i)
 		creators := 0
-		for _, ce := range r.Out(m, store.EdgeHasCreator) {
+		for _, ce := range r.OutOf(mn, store.EdgeHasCreator) {
 			if ce.To != start && inEnv.has(ce.To) {
 				creators++
 			}
@@ -358,7 +364,7 @@ func q6FromTag[R store.Reader](r R, sc *Scratch, inEnv *seenSet, start, tag ids.
 		if creators == 0 {
 			continue
 		}
-		tags := r.Out(m, store.EdgeHasTag)
+		tags := r.OutOf(mn, store.EdgeHasTag)
 		if q6Listings(tags, tag) > 1 {
 			if counted == nil {
 				counted = sc.newSeen()
@@ -413,8 +419,9 @@ func Q7[R store.Reader](r R, sc *Scratch, start ids.ID) []Q7Row {
 	// Most recent like per liker.
 	best := &sc.likes
 	best.Reset()
-	for _, m := range messagesOf(r, start) {
-		for _, le := range r.In(m.To, store.EdgeLikes) {
+	msgs := messageNodes(r, r.Resolve(start))
+	for i, m := range msgs.Edges() {
+		for _, le := range r.InOf(msgs.Node(i), store.EdgeLikes) {
 			row := Q7Row{
 				Liker:         le.To,
 				Message:       m.To,

@@ -27,10 +27,12 @@ func Q8[R store.Reader](r R, sc *Scratch, start ids.ID) []Q8Row {
 	top := newTopK(20, func(a, b Q8Row) int {
 		return cmp.Or(cmp.Compare(b.CreationDate, a.CreationDate), cmp.Compare(a.Comment, b.Comment))
 	})
-	for _, m := range messagesOf(r, start) {
-		for _, re := range r.In(m.To, store.EdgeReplyOf) {
+	msgs := messageNodes(r, r.Resolve(start))
+	for i := range msgs.Len() {
+		replies := r.InNodes(msgs.Node(i), store.EdgeReplyOf)
+		for j, re := range replies.Edges() {
 			var replier ids.ID
-			if cs := r.Out(re.To, store.EdgeHasCreator); len(cs) > 0 {
+			if cs := r.OutOf(replies.Node(j), store.EdgeHasCreator); len(cs) > 0 {
 				replier = cs[0].To
 			}
 			top.Push(Q8Row{Comment: re.To, Replier: replier, CreationDate: re.Stamp})
@@ -87,21 +89,23 @@ func Q10[R store.Reader](r R, sc *Scratch, start ids.ID, sign int) []Q10Row {
 		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.Person, b.Person))
 	})
 	for _, f := range sc.env {
-		for _, e := range r.Out(f, store.EdgeKnows) {
-			c := e.To
-			if direct.has(c) || !cand.tryMark(c) {
+		friends := r.OutNodes(r.Resolve(f), store.EdgeKnows)
+		for i, e := range friends.Edges() {
+			if direct.has(e.To) || !cand.tryMark(e.To) {
 				continue
 			}
-			if ZodiacSign(r.Prop(c, store.PropBirthday).Int()) != sign {
+			c := friends.Node(i)
+			if ZodiacSign(r.PropOf(c, store.PropBirthday).Int()) != sign {
 				continue
 			}
 			common, uncommon, commonTags := 0, 0, 0
-			for _, m := range messagesOf(r, c) {
+			msgs := messageNodes(r, c)
+			for j, m := range msgs.Edges() {
 				if m.To.Kind() != ids.KindPost {
 					continue
 				}
 				about := false
-				for _, te := range r.Out(m.To, store.EdgeHasTag) {
+				for _, te := range r.OutOf(msgs.Node(j), store.EdgeHasTag) {
 					if interests.has(te.To) {
 						about = true
 						break
@@ -113,12 +117,12 @@ func Q10[R store.Reader](r R, sc *Scratch, start ids.ID, sign int) []Q10Row {
 					uncommon++
 				}
 			}
-			for _, te := range r.Out(c, store.EdgeHasInterest) {
+			for _, te := range r.OutOf(c, store.EdgeHasInterest) {
 				if interests.has(te.To) {
 					commonTags++
 				}
 			}
-			top.Push(Q10Row{Person: c, Score: common - uncommon, CommonTags: commonTags})
+			top.Push(Q10Row{Person: e.To, Score: common - uncommon, CommonTags: commonTags})
 		}
 	}
 	return top.Sorted()
@@ -208,8 +212,9 @@ func Q12[R store.Reader](r R, sc *Scratch, start ids.ID, tagClass ids.ID) []Q12R
 	}
 	classTags := sc.newSeen()
 	for _, class := range sc.aux {
-		for _, te := range r.In(class, store.EdgeHasType) {
-			if r.Out(te.To, store.EdgeHasType)[0].To == class {
+		tags := r.InNodes(r.Resolve(class), store.EdgeHasType)
+		for i, te := range tags.Edges() {
+			if r.OutOf(tags.Node(i), store.EdgeHasType)[0].To == class {
 				classTags.tryMark(te.To)
 			}
 		}
@@ -219,15 +224,16 @@ func Q12[R store.Reader](r R, sc *Scratch, start ids.ID, tagClass ids.ID) []Q12R
 	})
 	for _, f := range friendsOf(r, sc, start) {
 		replies := 0
-		for _, m := range messagesOf(r, f) {
+		msgs := messageNodes(r, r.Resolve(f))
+		for i, m := range msgs.Edges() {
 			if m.To.Kind() != ids.KindComment {
 				continue
 			}
-			parents := r.Out(m.To, store.EdgeReplyOf)
-			if len(parents) == 0 || parents[0].To.Kind() != ids.KindPost {
+			parents := r.OutNodes(msgs.Node(i), store.EdgeReplyOf)
+			if parents.Len() == 0 || parents.Edges()[0].To.Kind() != ids.KindPost {
 				continue
 			}
-			for _, te := range r.Out(parents[0].To, store.EdgeHasTag) {
+			for _, te := range r.OutOf(parents.Node(0), store.EdgeHasTag) {
 				if classTags.has(te.To) {
 					replies++
 					break
@@ -328,15 +334,17 @@ func Q14[R store.Reader](r R, sc *Scratch, a, b ids.ID) []Q14Row {
 	k.credits = k.credits[:0]
 	for _, x := range k.nodes {
 		px := k.position(x, n)
-		for _, m := range messagesOf(r, x) {
+		msgs := messageNodes(r, r.Resolve(x))
+		for i, m := range msgs.Edges() {
 			if m.To.Kind() != ids.KindComment {
 				continue
 			}
-			parents := r.Out(m.To, store.EdgeReplyOf)
-			if len(parents) == 0 {
+			parents := r.OutNodes(msgs.Node(i), store.EdgeReplyOf)
+			if parents.Len() == 0 {
 				continue
 			}
-			creators := r.Out(parents[0].To, store.EdgeHasCreator)
+			parent := parents.Edges()[0].To
+			creators := r.OutOf(parents.Node(0), store.EdgeHasCreator)
 			if len(creators) == 0 || !kept.has(creators[0].To) {
 				continue
 			}
@@ -344,7 +352,7 @@ func Q14[R store.Reader](r R, sc *Scratch, a, b ids.ID) []Q14Row {
 				continue
 			}
 			w := 0.5
-			if parents[0].To.Kind() == ids.KindPost {
+			if parent.Kind() == ids.KindPost {
 				w = 1.0
 			}
 			k.credits = append(k.credits, newPairCredit(x, creators[0].To, w))

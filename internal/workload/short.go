@@ -102,14 +102,15 @@ type S5Result struct {
 
 // S5 returns the creator of a message.
 func S5[R store.Reader](r R, m ids.ID) (S5Result, bool) {
-	cs := r.Out(m, store.EdgeHasCreator)
-	if len(cs) == 0 {
+	cs := r.OutNodes(r.Resolve(m), store.EdgeHasCreator)
+	if cs.Len() == 0 {
 		return S5Result{}, false
 	}
+	c := cs.Node(0)
 	return S5Result{
-		Creator:   cs[0].To,
-		FirstName: r.Prop(cs[0].To, store.PropFirstName).Str(),
-		LastName:  r.Prop(cs[0].To, store.PropLastName).Str(),
+		Creator:   c.ID(),
+		FirstName: r.PropOf(c, store.PropFirstName).Str(),
+		LastName:  r.PropOf(c, store.PropLastName).Str(),
 	}, true
 }
 
@@ -123,26 +124,26 @@ type S6Result struct {
 // S6 returns the forum containing a message (walking replyOf up to the
 // root post for comments).
 func S6[R store.Reader](r R, m ids.ID) (S6Result, bool) {
-	cur := m
-	for i := 0; i < 64 && cur.Kind() == ids.KindComment; i++ {
-		parents := r.Out(cur, store.EdgeReplyOf)
-		if len(parents) == 0 {
+	cur := r.Resolve(m)
+	for i := 0; i < 64 && cur.ID().Kind() == ids.KindComment; i++ {
+		parents := r.OutNodes(cur, store.EdgeReplyOf)
+		if parents.Len() == 0 {
 			return S6Result{}, false
 		}
-		cur = parents[0].To
+		cur = parents.Node(0)
 	}
-	containers := r.In(cur, store.EdgeContainerOf)
-	if len(containers) == 0 {
+	containers := r.InNodes(cur, store.EdgeContainerOf)
+	if containers.Len() == 0 {
 		return S6Result{}, false
 	}
-	forum := containers[0].To
+	forum := containers.Node(0)
 	var moderator ids.ID
-	if ms := r.Out(forum, store.EdgeHasModerator); len(ms) > 0 {
+	if ms := r.OutOf(forum, store.EdgeHasModerator); len(ms) > 0 {
 		moderator = ms[0].To
 	}
 	return S6Result{
-		Forum:     forum,
-		Title:     r.Prop(forum, store.PropTitle).Str(),
+		Forum:     forum.ID(),
+		Title:     r.PropOf(forum, store.PropTitle).Str(),
 		Moderator: moderator,
 	}, true
 }
@@ -158,15 +159,16 @@ type S7Row struct {
 // S7 returns the direct replies to a message, newest first. S7 has no
 // LIMIT, so the result is sorted in full.
 func S7[R store.Reader](r R, m ids.ID) []S7Row {
+	mn := r.Resolve(m)
 	var origAuthor ids.ID
-	if cs := r.Out(m, store.EdgeHasCreator); len(cs) > 0 {
+	if cs := r.OutOf(mn, store.EdgeHasCreator); len(cs) > 0 {
 		origAuthor = cs[0].To
 	}
-	replies := r.In(m, store.EdgeReplyOf)
-	rows := make([]S7Row, 0, len(replies))
-	for _, re := range replies {
+	replies := r.InNodes(mn, store.EdgeReplyOf)
+	rows := make([]S7Row, 0, replies.Len())
+	for i, re := range replies.Edges() {
 		var author ids.ID
-		if cs := r.Out(re.To, store.EdgeHasCreator); len(cs) > 0 {
+		if cs := r.OutOf(replies.Node(i), store.EdgeHasCreator); len(cs) > 0 {
 			author = cs[0].To
 		}
 		rows = append(rows, S7Row{

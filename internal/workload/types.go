@@ -20,6 +20,25 @@
 // selection and order are deterministic; the equivalence property tests
 // (view_test.go) pin this for all queries and the short-read chain.
 //
+// # Hops
+//
+// A hop whose neighbours the query reads again goes through a Node row
+// (store.Reader's OutNodes and InNodes): a person's messages to their
+// tags, parents, likes or replies (messageNodes), a forum's posts to their
+// creators, a reply's parent to its tags or creator, a message's creator,
+// and a Q10 candidate to its birthday, messages and interests. On a view a
+// base row hands each neighbour over resolved, so reading it again pays no
+// ID -> ordinal lookup; everywhere else the Node is the ID. Messages are
+// the large kinds, whose lookups miss cache. A hop whose neighbours are
+// only listed (their IDs and stamps, as in Q2 and Q9) reads by ID: a row
+// read as Nodes costs its decode-cache entry 4 more bytes per neighbour.
+// So do the knows walks among persons (Q1, Q13, Q14's path walks) and the
+// hops into organisations (Q1, Q11): persons and dimensions are small
+// kinds whose lookups hit cache, and reading Q1's and Q11's hops through
+// Nodes gained nothing (1000 persons: Q1 p50 191 -> 192 us, Q11 34 -> 37
+// us). Visited sets, frontiers and path distances over persons stay keyed
+// by ID for the same reason: an ordinal-keyed set gained nothing on Q1.
+//
 // The queries are graph-navigation programs (the Sparksee style of §5);
 // Query 9 additionally has an explicit join-operator formulation (Q9Join)
 // used for the Figure 4 join-type ablation.
@@ -176,6 +195,13 @@ func TwoHopEnv[R store.Reader](r R, sc *Scratch, p ids.ID) []ids.ID {
 // subslice.
 func messagesOf[R store.Reader](r R, p ids.ID) []store.Edge {
 	return r.In(p, store.EdgeHasCreator)
+}
+
+// messageNodes is messagesOf as a NodeRow, for the queries that read each
+// message again (its tags, parent, likes, replies): on a view the row hands
+// each message over resolved, so those reads pay no lookup.
+func messageNodes[R store.Reader](r R, p store.Node) store.NodeRow {
+	return r.InNodes(p, store.EdgeHasCreator)
 }
 
 // isFriend reports whether a and b are directly connected.

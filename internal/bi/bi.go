@@ -34,17 +34,24 @@
 // node takes (PropOf, OutOf, InDegreeOf, ...). On a view a Node carries the
 // node's ordinal, so the kernel's reads of it cost no ID -> ordinal lookup;
 // BI4 reads each message three times, BI1 and BI3 twice. On a Txn a Node is
-// the ID. Hops off the scanned node (a message's creator, a member's
-// friends) still read by ID.
+// the ID. Hops off the scanned node read the row as Nodes
+// (store.Reader.OutNodes), so each neighbour comes resolved too: a
+// message's creator (BI4), a member whose friends BI7 reads, a comment's
+// reply parent (BI8).
 //
 // Workers own their partial (and, for BI7, their scratch) for the
 // duration of one Scan: never share either across workers, and never
 // retain them past the merge.
 //
-// Partials and finalizes keep their keyed state in workload.KeyTable, the
-// query layers' one hashed table, and no Go map: a row pays a multiply and
-// a probe, and a merge walks the tables' first-seen key order, so no
-// finalize depends on a randomised iteration order.
+// Partials count into plain slices indexed by a dense slot per grouped
+// key (slots.go): a tag by its dimension sequence, a country by its value,
+// a creator or a comment by its scan position (store.KindScan.Index).
+// Keys outside those ranges — every node on a Txn, nodes created after the
+// view's base, IDs outside the DimensionID scheme — are numbered on first
+// sight in a workload.KeyTable, past the dense range. A finalize merges
+// the partials into the first by key and walks slices; BI1's months and
+// BI5's classes stay in KeyTables. No state is a Go map, so no finalize
+// depends on a randomised iteration order.
 package bi
 
 import (
@@ -217,12 +224,13 @@ type BI2Row struct {
 }
 
 type bi2Partial struct {
-	counts workload.KeyTable[[2]int] // tag ID -> messages in window A, B
+	tags   slots
+	counts [][2]int // per tag slot: messages in window A, B
 }
 
 // bi2Add is the BI2 kernel: one scan classifies a message into window A or
 // B (or neither) and counts its tags there. A tag's two window counts share
-// one entry, so the tag union of the two windows is the table's key list.
+// one slot, so the tag union of the two windows is the slots counted.
 //
 //snb:deterministic
 func bi2Add[R store.Reader](r R, p *bi2Partial, m store.Node, windowStart, windowLen int64) {
@@ -237,24 +245,33 @@ func bi2Add[R store.Reader](r R, p *bi2Partial, m store.Node, windowStart, windo
 		return
 	}
 	for _, te := range r.OutOf(m, store.EdgeHasTag) {
-		c, _ := p.counts.At(uint64(te.To))
-		c[w]++
+		s := p.tags.keyed(uint64(te.To))
+		if s >= len(p.counts) {
+			p.counts = grow(p.counts, s)
+		}
+		p.counts[s][w]++
 	}
 }
 
 //snb:deterministic
 func bi2Finalize[R store.Reader](r R, parts []bi2Partial, limit int) []BI2Row {
-	merged := &parts[0].counts
+	merged := &parts[0]
 	for _, part := range parts[1:] {
-		for i, t := range part.counts.Keys() {
-			c, _ := merged.At(t)
-			c[0] += part.counts.Vals()[i][0]
-			c[1] += part.counts.Vals()[i][1]
+		for s, c := range part.counts {
+			if c != [2]int{} {
+				d := merged.tags.from(&part.tags, s)
+				merged.counts = grow(merged.counts, d)
+				merged.counts[d][0] += c[0]
+				merged.counts[d][1] += c[1]
+			}
 		}
 	}
-	out := make([]BI2Row, 0, len(merged.Keys()))
-	for i, k := range merged.Keys() {
-		t, c := ids.ID(k), merged.Vals()[i]
+	var out []BI2Row
+	for s, c := range merged.counts {
+		if c == [2]int{} {
+			continue
+		}
+		t := ids.ID(merged.tags.key(s))
 		out = append(out, BI2Row{
 			Tag: t, Name: r.Prop(t, store.PropName).Str(),
 			CountA: c[0], CountB: c[1], Difference: max(c[0]-c[1], c[1]-c[0]),
@@ -279,7 +296,11 @@ func bi2Finalize[R store.Reader](r R, parts []bi2Partial, limit int) []BI2Row {
 // and rank by absolute change (trending topics at BI granularity). One
 // message scan feeds both windows.
 func BI2[R store.Reader](r R, par exec.Config, windowStart, windowLen int64, limit int) []BI2Row {
+	tags := dimSlots(r, ids.KindTag)
 	parts := make([]bi2Partial, par.NumWorkers())
+	for w := range parts {
+		parts[w] = bi2Partial{tags: tags, counts: make([][2]int, tags.dense)}
+	}
 	for _, kind := range messageKinds {
 		scan := r.ScanKind(kind)
 		par.Scan(scan.Len(), func(w, lo, hi int) {
@@ -301,21 +322,12 @@ type BI3Row struct {
 	Count   int
 }
 
-// bi3Partial counts messages per (country, tag) in one flat table keyed by
-// country<<32 | tag position, where the position numbers the partial's
-// distinct tags in first-seen order.
+// bi3Partial counts messages per (country, tag): one row per country slot,
+// indexed by tag slot. A country value inside the place dimension's range
+// is its own slot.
 type bi3Partial struct {
-	tags   workload.KeyTable[uint32] // tag ID -> its position
-	counts workload.KeyTable[int]    // country<<32 | tag position -> messages
-}
-
-// tagPos returns the tag's position, numbering it on first sight.
-func (p *bi3Partial) tagPos(tag uint64) uint64 {
-	pos, added := p.tags.At(tag)
-	if added {
-		*pos = uint32(len(p.tags.Keys()) - 1)
-	}
-	return uint64(*pos)
+	countries, tags slots
+	counts          [][]int // [country slot][tag slot] -> messages
 }
 
 // bi3Add is the BI3 kernel: count one message's tags under its country
@@ -327,41 +339,67 @@ func bi3Add[R store.Reader](r R, p *bi3Partial, m store.Node) {
 	if len(tags) == 0 {
 		return
 	}
-	country := uint64(uint32(r.PropOf(m, store.PropCountry).Int())) << 32
+	c := p.countries.keyed(uint64(r.PropOf(m, store.PropCountry).Int()))
+	if c >= len(p.counts) {
+		p.counts = grow(p.counts, c)
+	}
+	if p.counts[c] == nil {
+		p.counts[c] = make([]int, p.tags.dense)
+	}
+	row := p.counts[c]
 	for _, te := range tags {
-		n, _ := p.counts.At(country | p.tagPos(uint64(te.To)))
-		*n++
+		s := p.tags.keyed(uint64(te.To))
+		if s >= len(row) {
+			row = grow(row, s)
+			p.counts[c] = row
+		}
+		row[s]++
 	}
 }
 
 // bi3Finalize merges the partials into the first, mapping each other
-// partial's tag positions to tag IDs and those to the first's positions,
-// then takes each country's top tag.
+// partial's country and tag slots to the first's, then takes each
+// country's top tag.
 //
 //snb:deterministic
 func bi3Finalize(parts []bi3Partial) []BI3Row {
 	merged := &parts[0]
 	for _, part := range parts[1:] {
-		for i, k := range part.counts.Keys() {
-			tag := part.tags.Keys()[uint32(k)]
-			n, _ := merged.counts.At(k&^(1<<32-1) | merged.tagPos(tag))
-			*n += part.counts.Vals()[i]
+		for c, row := range part.counts {
+			if row == nil {
+				continue
+			}
+			dc := merged.countries.from(&part.countries, c)
+			merged.counts = grow(merged.counts, dc)
+			dst := merged.counts[dc]
+			for s, n := range row {
+				if n > 0 {
+					ds := merged.tags.from(&part.tags, s)
+					dst = grow(dst, ds)
+					dst[ds] += n
+				}
+			}
+			merged.counts[dc] = dst
 		}
 	}
-	var best workload.KeyTable[BI3Row] // country -> its top tag
-	for i, k := range merged.counts.Keys() {
-		tag, c := ids.ID(merged.tags.Keys()[uint32(k)]), merged.counts.Vals()[i]
-		row, added := best.At(k >> 32)
-		if added {
-			row.Country = int(int32(k >> 32))
+	var out []BI3Row
+	for c, row := range merged.counts {
+		if row == nil {
+			continue
 		}
-		// Argmax with a total tie-break (count, then tag): the winner does
-		// not depend on first-seen order.
-		if c > row.Count || (c == row.Count && tag < row.Tag) {
-			row.Tag, row.Count = tag, c
+		best := BI3Row{Country: int(int64(merged.countries.key(c)))}
+		for s, n := range row {
+			// Argmax with a total tie-break (count, then tag): the winner
+			// does not depend on slot order.
+			if n == 0 || n < best.Count {
+				continue
+			}
+			if tag := ids.ID(merged.tags.key(s)); n > best.Count || tag < best.Tag {
+				best.Tag, best.Count = tag, n
+			}
 		}
+		out = append(out, best)
 	}
-	out := best.Vals()
 	sort.Slice(out, func(i, j int) bool { return out[i].Country < out[j].Country })
 	return out
 }
@@ -369,7 +407,12 @@ func bi3Finalize(parts []bi3Partial) []BI3Row {
 // BI3 — popular topics by country: group message tags by the message's
 // country dimension; top tag per country.
 func BI3[R store.Reader](r R, par exec.Config) []BI3Row {
+	// A country value is the sequence of its place.
+	countries, tags := slots{dense: dimSlots(r, ids.KindPlace).dense}, dimSlots(r, ids.KindTag)
 	parts := make([]bi3Partial, par.NumWorkers())
+	for w := range parts {
+		parts[w] = bi3Partial{countries: countries, tags: tags}
+	}
 	for _, kind := range messageKinds {
 		scan := r.ScanKind(kind)
 		par.Scan(scan.Len(), func(w, lo, hi int) {
@@ -398,7 +441,8 @@ type bi4Agg struct {
 }
 
 type bi4Partial struct {
-	byCreator workload.KeyTable[bi4Agg] // creator ID -> aggregate
+	persons slots
+	aggs    []bi4Agg // per creator slot
 }
 
 // bi4Add is the BI4 kernel: credit one message (and the likes/replies it
@@ -406,11 +450,15 @@ type bi4Partial struct {
 //
 //snb:deterministic
 func bi4Add[R store.Reader](r R, p *bi4Partial, m store.Node) {
-	creators := r.OutOf(m, store.EdgeHasCreator)
-	if len(creators) == 0 {
+	creators := r.OutNodes(m, store.EdgeHasCreator)
+	if creators.Len() == 0 {
 		return
 	}
-	agg, _ := p.byCreator.At(uint64(creators[0].To))
+	s := nodeSlot(r, &p.persons, creators.Node(0))
+	if s >= len(p.aggs) {
+		p.aggs = grow(p.aggs, s)
+	}
+	agg := &p.aggs[s]
 	agg.messages++
 	agg.likes += r.InDegreeOf(m, store.EdgeLikes)
 	agg.replies += r.InDegreeOf(m, store.EdgeReplyOf)
@@ -418,23 +466,27 @@ func bi4Add[R store.Reader](r R, p *bi4Partial, m store.Node) {
 
 //snb:deterministic
 func bi4Finalize(parts []bi4Partial, limit int) []BI4Row {
-	merged := &parts[0].byCreator
+	merged := &parts[0]
 	for _, part := range parts[1:] {
-		for i, person := range part.byCreator.Keys() {
-			a := part.byCreator.Vals()[i]
-			agg, _ := merged.At(person)
-			agg.messages += a.messages
-			agg.likes += a.likes
-			agg.replies += a.replies
+		for s, a := range part.aggs {
+			if a.messages > 0 {
+				d := merged.persons.from(&part.persons, s)
+				merged.aggs = grow(merged.aggs, d)
+				agg := &merged.aggs[d]
+				agg.messages += a.messages
+				agg.likes += a.likes
+				agg.replies += a.replies
+			}
 		}
 	}
-	out := make([]BI4Row, 0, len(merged.Keys()))
-	for i, person := range merged.Keys() {
-		a := merged.Vals()[i]
-		out = append(out, BI4Row{
-			Person: ids.ID(person), Messages: a.messages, Likes: a.likes, Replies: a.replies,
-			Score: a.messages + 2*a.likes + 2*a.replies,
-		})
+	var out []BI4Row
+	for s, a := range merged.aggs {
+		if a.messages > 0 {
+			out = append(out, BI4Row{
+				Person: ids.ID(merged.persons.key(s)), Messages: a.messages, Likes: a.likes, Replies: a.replies,
+				Score: a.messages + 2*a.likes + 2*a.replies,
+			})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {
@@ -452,7 +504,11 @@ func bi4Finalize(parts []bi4Partial, limit int) []BI4Row {
 // likes received and replies received; score = messages + 2*likes +
 // 2*replies. A whole-graph aggregation joining three fact relations.
 func BI4[R store.Reader](r R, par exec.Config, limit int) []BI4Row {
+	persons := scanSlots(r.ScanKind(ids.KindPerson))
 	parts := make([]bi4Partial, par.NumWorkers())
+	for w := range parts {
+		parts[w] = bi4Partial{persons: persons, aggs: make([]bi4Agg, persons.dense)}
+	}
 	for _, kind := range messageKinds {
 		scan := r.ScanKind(kind)
 		par.Scan(scan.Len(), func(w, lo, hi int) {
@@ -475,7 +531,8 @@ type BI5Row struct {
 }
 
 type bi5Partial struct {
-	tags workload.KeyTable[int] // tag ID -> messages carrying it
+	tags   slots
+	counts []int // per tag slot: messages carrying the tag
 }
 
 // bi5Add is the BI5 kernel: count one message under each of its tags. The
@@ -484,8 +541,11 @@ type bi5Partial struct {
 //snb:deterministic
 func bi5Add[R store.Reader](r R, p *bi5Partial, m store.Node) {
 	for _, te := range r.OutOf(m, store.EdgeHasTag) {
-		n, _ := p.tags.At(uint64(te.To))
-		*n++
+		s := p.tags.keyed(uint64(te.To))
+		if s >= len(p.counts) {
+			p.counts = grow(p.counts, s)
+		}
+		p.counts[s]++
 	}
 }
 
@@ -496,18 +556,24 @@ func bi5Add[R store.Reader](r R, p *bi5Partial, m store.Node) {
 //
 //snb:deterministic
 func bi5Finalize[R store.Reader](r R, parts []bi5Partial) []BI5Row {
-	tags := &parts[0].tags
+	merged := &parts[0]
 	for _, part := range parts[1:] {
-		for i, tag := range part.tags.Keys() {
-			n, _ := tags.At(tag)
-			*n += part.tags.Vals()[i]
+		for s, n := range part.counts {
+			if n > 0 {
+				d := merged.tags.from(&part.tags, s)
+				merged.counts = grow(merged.counts, d)
+				merged.counts[d] += n
+			}
 		}
 	}
 	var direct, total workload.KeyTable[int] // class ID -> messages
-	for i, tag := range tags.Keys() {
-		if types := r.Out(ids.ID(tag), store.EdgeHasType); len(types) > 0 {
+	for s, c := range merged.counts {
+		if c == 0 {
+			continue
+		}
+		if types := r.Out(ids.ID(merged.tags.key(s)), store.EdgeHasType); len(types) > 0 {
 			n, _ := direct.At(uint64(types[0].To))
-			*n += tags.Vals()[i]
+			*n += c
 		}
 	}
 	for _, cls := range r.NodesOfKind(ids.KindTagClass) {
@@ -547,7 +613,11 @@ func bi5Finalize[R store.Reader](r R, parts []bi5Partial) []BI5Row {
 // the isSubclassOf hierarchy to the roots. Only the message scan fans
 // out; the rollup over the dimension-sized class hierarchy is serial.
 func BI5[R store.Reader](r R, par exec.Config) []BI5Row {
+	tags := dimSlots(r, ids.KindTag)
 	parts := make([]bi5Partial, par.NumWorkers())
+	for w := range parts {
+		parts[w] = bi5Partial{tags: tags, counts: make([]int, tags.dense)}
+	}
 	for _, kind := range messageKinds {
 		scan := r.ScanKind(kind)
 		par.Scan(scan.Len(), func(w, lo, hi int) {
@@ -668,11 +738,13 @@ func bi7Reach[R store.Reader](r R, sc *workload.Scratch, f store.Node) int {
 	sc.Begin()
 	seen := sc.Seen()
 	reach := 0
-	for _, m := range r.OutOf(f, store.EdgeHasMember) {
-		if seen.TryMark(m.To) {
+	members := r.OutNodes(f, store.EdgeHasMember)
+	for i := range members.Len() {
+		m := members.Node(i)
+		if seen.TryMark(m.ID()) {
 			reach++
 		}
-		for _, e := range r.Out(m.To, store.EdgeKnows) {
+		for _, e := range r.OutOf(m, store.EdgeKnows) {
 			if seen.TryMark(e.To) {
 				reach++
 			}
@@ -731,62 +803,80 @@ type BI8Row struct {
 }
 
 type bi8Partial struct {
-	memo workload.KeyTable[int] // replied-to comment ID -> reply depth
-	hist []int                  // comments per depth
+	comments slots
+	memo     []int32 // per comment slot: depth+1; 0 unresolved, onClimb while the climb is on it
+	climb    []int   // the comment slots the climb in progress passed, in climb order
+	hist     []int   // comments per depth
 }
 
+// onClimb marks a memo entry of a comment the climb in progress passed.
+const onClimb = -1
+
 // bi8Depth resolves one comment's reply depth by climbing the replyOf
-// chain until a post, a memoised ancestor or a dangling parent (a root,
-// like a post). Only the climbed ancestors are memoised — comments some
-// reply climbs through — so the leaves of the reply trees never enter the
-// memo. An ancestor enters it at depth 0 when the climb first reaches it; a
-// dangling one keeps that depth, the others, added side by side in climb
-// order at the end of the memo, get theirs once the climb resolves. Depth
-// is a pure function of the graph, so independent memos (one per worker)
-// resolve identical values.
+// chain until a post (depth 0), a dangling comment (a root, also depth 0),
+// a memoised comment or a comment the climb already passed, then memoises
+// every comment it passed. A comment that closes a reply cycle ends the
+// climb as a root would: each comment on the cycle gets the cycle's
+// length less one, and every comment leading into it one more than its
+// parent. So depth is a pure function of the graph wherever a climb
+// starts, and independent memos (one per worker) resolve identical
+// values.
 func bi8Depth[R store.Reader](r R, p *bi8Partial, c store.Node) int {
-	if d := p.memo.Find(uint64(c.ID())); d != nil {
-		return *d
-	}
-	parents := r.OutOf(c, store.EdgeReplyOf)
-	if len(parents) == 0 {
-		return 0
-	}
-	first := len(p.memo.Keys())
-	cur, n, base := parents[0].To, 0, 0
-	for cur.Kind() != ids.KindPost {
-		d, added := p.memo.At(uint64(cur))
-		if !added {
-			base = *d
+	first := nodeSlot(r, &p.comments, c)
+	p.climb = p.climb[:0]
+	parent := -1 // depth of the node the climb stops at; -1 for none
+	for n, s := c, first; ; s = nodeSlot(r, &p.comments, n) {
+		if s >= len(p.memo) {
+			p.memo = grow(p.memo, s)
+		}
+		if d := p.memo[s]; d == onClimb {
+			cycle := len(p.climb) - 1
+			for p.climb[cycle] != s {
+				cycle--
+			}
+			depth := int32(len(p.climb) - cycle - 1)
+			for _, t := range p.climb[cycle:] {
+				p.memo[t] = depth + 1
+			}
+			p.climb, parent = p.climb[:cycle], int(depth)
+			break
+		} else if d > 0 {
+			parent = int(d - 1)
 			break
 		}
-		parents := r.Out(cur, store.EdgeReplyOf)
-		if len(parents) == 0 {
+		p.memo[s] = onClimb
+		p.climb = append(p.climb, s)
+		parents := r.OutNodes(n, store.EdgeReplyOf)
+		if parents.Len() == 0 {
 			break
 		}
-		n++
-		cur = parents[0].To
+		if n = parents.Node(0); n.ID().Kind() != ids.KindComment {
+			parent = 0
+			break
+		}
 	}
-	for i, depths := 0, p.memo.Vals()[first:first+n]; i < n; i++ {
-		depths[i] = base + n - i
+	for i := len(p.climb) - 1; i >= 0; i-- {
+		parent++
+		p.memo[p.climb[i]] = int32(parent) + 1
 	}
-	return base + n + 1
+	return int(p.memo[first] - 1)
 }
 
 // bi8Add is the BI8 kernel: histogram one comment's depth.
 func bi8Add[R store.Reader](r R, p *bi8Partial, c store.Node) {
 	d := bi8Depth(r, p, c)
 	if d >= len(p.hist) {
-		p.hist = append(p.hist, make([]int, d+1-len(p.hist))...)
+		p.hist = grow(p.hist, d)
 	}
 	p.hist[d]++
 }
 
+//snb:deterministic
 func bi8Finalize(parts []bi8Partial) []BI8Row {
 	hist := parts[0].hist
 	for _, part := range parts[1:] {
-		if n := len(part.hist) - len(hist); n > 0 {
-			hist = append(hist, make([]int, n)...)
+		if len(part.hist) > len(hist) {
+			hist = grow(hist, len(part.hist)-1)
 		}
 		for d, n := range part.hist {
 			hist[d] += n
@@ -804,11 +894,15 @@ func bi8Finalize(parts []bi8Partial) []BI8Row {
 // BI8 — thread depth histogram: the distribution of reply depths over all
 // comments (recursive traversal of the reply trees; "trees made by replies
 // to posts" is a §3 choke point). Workers memoise reply depths
-// independently; depth is a pure function of the graph, so private memos
-// resolve identical values without sharing.
+// independently, per comment slot; depth is a pure function of the graph,
+// so private memos resolve identical values without sharing.
 func BI8[R store.Reader](r R, par exec.Config) []BI8Row {
-	parts := make([]bi8Partial, par.NumWorkers())
 	comments := r.ScanKind(ids.KindComment)
+	cs := scanSlots(comments)
+	parts := make([]bi8Partial, par.NumWorkers())
+	for w := range parts {
+		parts[w] = bi8Partial{comments: cs, memo: make([]int32, cs.dense)}
+	}
 	par.Scan(comments.Len(), func(w, lo, hi int) {
 		part := &parts[w]
 		for i := lo; i < hi; i++ {

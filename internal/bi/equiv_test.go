@@ -25,11 +25,13 @@ import (
 
 // parConfigs are the worker fan-outs the view is swept with; the small
 // morsel size forces real multi-morsel scheduling even on the small test
-// graphs.
+// graphs, and one morsel per claim interleaves the workers' partials node
+// by node.
 var parConfigs = []exec.Config{
 	{Workers: 1, MorselSize: 64},
 	{Workers: 2, MorselSize: 64},
 	{Workers: 8, MorselSize: 64},
+	{Workers: 4, MorselSize: 1},
 }
 
 // biRuns returns, per query, a closure running it on r with par's fan-out;
@@ -347,4 +349,172 @@ func TestBIParallelOnHeldViewUnderRefresh(t *testing.T) {
 	if after.EraBumps != before.EraBumps {
 		t.Fatalf("era bumped %d times: the held view no longer shares the writer's overlay", after.EraBumps-before.EraBumps)
 	}
+}
+
+// TestBISlotTiersOnRefreshedView pins the partials' three slot tiers
+// (slots.go) on a refreshed view, where all three meet: the view's base
+// holds a reply cycle, messages of countries -1, 3 and 1<<32|3 (3 inside
+// the place dimension, the others not) and a tag whose ID is outside the
+// DimensionID scheme but shares a sequence with a tag inside it; its
+// overlay adds a person, messages by base persons (their hasCreator rows
+// are overlay rows, which hand the creator over unresolved) and by the new
+// person, reply chains that climb from overlay comments into base ones, a
+// reply into the base cycle and a cycle of its own. Every query must agree
+// on the txn, on the view serially and at every fan-out; BI2's counts must
+// match each tag's hasTag in-degree, BI3 must keep the three countries
+// apart, and BI4 must report each person once.
+func TestBISlotTiersOnRefreshedView(t *testing.T) {
+	r := xrand.New(5)
+	st := store.New()
+	st.SetViewCompactThreshold(math.MaxInt32)
+	g := &biRandGraph{}
+	loadBIRandomDimensions(t, st, g)
+	for step := 1; step <= 4; step++ {
+		if err := biRandomStep(st, r, g, step); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const bucket = 50 // past every step's minute bucket
+	odd := ids.Compose(ids.KindTag, 1, 3)
+	commit := func(build func(tx *store.Txn, add func(from ids.ID, et store.EdgeType, to ids.ID))) {
+		t.Helper()
+		tx := st.Begin()
+		add := func(from ids.ID, et store.EdgeType, to ids.ID) {
+			if err := tx.AddEdge(from, et, to, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		build(tx, add)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// message creates a message with its creator, country and tags.
+	message := func(tx *store.Txn, add func(ids.ID, store.EdgeType, ids.ID), id, creator ids.ID, country int64, tags ...ids.ID) {
+		t.Helper()
+		if err := tx.CreateNode(id, store.Props{
+			store.NewProp(store.PropCreationDate, store.Int64(int64(id.MinuteBucket())*100000)),
+			store.NewProp(store.PropLength, store.Int64(50)),
+			store.NewProp(store.PropCountry, store.Int64(country)),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		add(id, store.EdgeHasCreator, creator)
+		for _, tag := range tags {
+			add(id, store.EdgeHasTag, tag)
+		}
+	}
+	post := func(b int64, seq uint32) ids.ID { return ids.Compose(ids.KindPost, b, seq) }
+	comment := func(b int64, seq uint32) ids.ID { return ids.Compose(ids.KindComment, b, seq) }
+	far := int64(1) << 32
+
+	commit(func(tx *store.Txn, add func(ids.ID, store.EdgeType, ids.ID)) {
+		for i := uint32(0); i < 5; i++ {
+			if err := tx.CreateNode(ids.DimensionID(ids.KindPlace, i), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.CreateNode(odd, store.Props{store.NewProp(store.PropName, store.String("odd"))}); err != nil {
+			t.Fatal(err)
+		}
+		add(odd, store.EdgeHasType, ids.DimensionID(ids.KindTagClass, 2))
+		a, b := g.persons[0], g.persons[1]
+		message(tx, add, post(bucket, 0), a, 3, g.tags[0], odd)
+		message(tx, add, post(bucket, 1), b, far|3, g.tags[1], g.tags[3])
+		message(tx, add, post(bucket, 2), a, -1, g.tags[2])
+		// A chain onto a post, and a two-comment cycle with a lead-in.
+		message(tx, add, comment(bucket, 0), b, 3, odd)
+		add(comment(bucket, 0), store.EdgeReplyOf, post(bucket, 0))
+		for seq := uint32(1); seq <= 3; seq++ {
+			message(tx, add, comment(bucket, seq), a, far|3, g.tags[3])
+		}
+		add(comment(bucket, 1), store.EdgeReplyOf, comment(bucket, 2))
+		add(comment(bucket, 2), store.EdgeReplyOf, comment(bucket, 1))
+		add(comment(bucket, 3), store.EdgeReplyOf, comment(bucket, 1))
+	})
+	base := st.CurrentView()
+
+	newcomer := ids.Compose(ids.KindPerson, bucket+10, 0)
+	commit(func(tx *store.Txn, add func(ids.ID, store.EdgeType, ids.ID)) {
+		if err := tx.CreateNode(newcomer, nil); err != nil {
+			t.Fatal(err)
+		}
+		a, b := g.persons[0], g.persons[1]
+		message(tx, add, post(bucket+10, 0), a, 3, odd, g.tags[3])
+		message(tx, add, post(bucket+10, 1), newcomer, far|3, g.tags[3])
+		// Overlay comments climbing into base ones, one into the base cycle.
+		message(tx, add, comment(bucket+10, 0), b, -1, odd)
+		add(comment(bucket+10, 0), store.EdgeReplyOf, comment(bucket, 0))
+		message(tx, add, comment(bucket+10, 1), newcomer, 3)
+		add(comment(bucket+10, 1), store.EdgeReplyOf, comment(bucket+10, 0))
+		message(tx, add, comment(bucket+10, 2), a, 3)
+		add(comment(bucket+10, 2), store.EdgeReplyOf, comment(bucket, 3))
+		// A three-comment cycle of the overlay, with a lead-in.
+		for seq := uint32(3); seq <= 6; seq++ {
+			message(tx, add, comment(bucket+10, seq), newcomer, 0, g.tags[seq-3])
+		}
+		add(comment(bucket+10, 3), store.EdgeReplyOf, comment(bucket+10, 5))
+		add(comment(bucket+10, 4), store.EdgeReplyOf, comment(bucket+10, 3))
+		add(comment(bucket+10, 5), store.EdgeReplyOf, comment(bucket+10, 4))
+		add(comment(bucket+10, 6), store.EdgeReplyOf, comment(bucket+10, 4))
+	})
+	v, ev := st.AcquireView()
+	if ev != store.ViewRefreshed || v.Era() != base.Era() {
+		t.Fatalf("after the overlay commit: %v, era %d -> %d", ev, base.Era(), v.Era())
+	}
+
+	const windowLen, createdBefore = 1 << 40, 1 << 40
+	assertBIAgree(t, st, 0, windowLen, createdBefore)
+
+	st.View(func(tx *store.Txn) {
+		for _, c := range []struct {
+			path string
+			rows func() ([]BI2Row, []BI3Row, []BI4Row)
+		}{
+			{"txn", func() ([]BI2Row, []BI3Row, []BI4Row) {
+				return BI2(tx, serial, 0, windowLen, 1<<20), BI3(tx, serial), BI4(tx, serial, 1<<20)
+			}},
+			{"view", func() ([]BI2Row, []BI3Row, []BI4Row) {
+				par := exec.Config{Workers: 4, MorselSize: 1}
+				return BI2(v, par, 0, windowLen, 1<<20), BI3(v, par), BI4(v, par, 1<<20)
+			}},
+		} {
+			bi2, bi3, bi4 := c.rows()
+			tagged := 0
+			for _, tag := range tx.NodesOfKind(ids.KindTag) {
+				if tx.InDegree(tag, store.EdgeHasTag) > 0 {
+					tagged++
+				}
+			}
+			if len(bi2) != tagged {
+				t.Errorf("%s: BI2 reports %d tags, %d are tagged: %+v", c.path, len(bi2), tagged, bi2)
+			}
+			for _, row := range bi2 {
+				if want := tx.InDegree(row.Tag, store.EdgeHasTag); row.CountA != want || row.CountB != 0 {
+					t.Errorf("%s: BI2 counts %v (%s) %d/%d, its hasTag in-degree is %d", c.path, row.Tag, row.Name, row.CountA, row.CountB, want)
+				}
+			}
+			var countries []int
+			for _, row := range bi3 {
+				countries = append(countries, row.Country)
+			}
+			if want := []int{-1, 0, 1, 2, 3, int(far | 3)}; !reflect.DeepEqual(countries, want) {
+				t.Errorf("%s: BI3 countries %v, want %v", c.path, countries, want)
+			}
+			messages := 0
+			for _, row := range bi4 {
+				messages += row.Messages
+			}
+			for i := 1; i < len(bi4); i++ {
+				for j := 0; j < i; j++ {
+					if bi4[i].Person == bi4[j].Person {
+						t.Fatalf("%s: BI4 reports %v twice: %+v", c.path, bi4[i].Person, bi4)
+					}
+				}
+			}
+			if want := len(tx.NodesOfKind(ids.KindPost)) + len(tx.NodesOfKind(ids.KindComment)); messages != want {
+				t.Errorf("%s: BI4 credits %d messages, %d exist", c.path, messages, want)
+			}
+		}
+	})
 }

@@ -428,3 +428,160 @@ func TestNodeRowsUnderConcurrentReaders(t *testing.T) {
 		wg.Wait()
 	}
 }
+
+// assertIndexes requires every kind's scan on r to take each Node back to
+// where At yields it: Index(At(i)) is i when At(i) is resolved and -1 when
+// it is not, the node Resolve makes lands at the same place, and every
+// other kind's scan answers -1. Every neighbour a row hands over resolved
+// must map to its position in its kind's scan when At resolves that
+// position. It returns the resolved positions and mapped neighbours.
+func assertIndexes(t *testing.T, name string, r Reader) (resolved, neighbours int) {
+	t.Helper()
+	var scans [ids.KindLimit]KindScan
+	pos := map[ids.ID]int{}
+	for kind := range scans {
+		scans[kind] = r.ScanKind(ids.Kind(kind))
+		for i, id := range scans[kind].IDs() {
+			pos[id] = i
+		}
+	}
+	for kind, scan := range scans {
+		for i := range scan.Len() {
+			n, want := scan.At(i), -1
+			if n.ord >= 0 {
+				want = i
+				resolved++
+			}
+			if got := scan.Index(n); got != want {
+				t.Fatalf("%s: kind %d: Index(At(%d)) = %d, want %d (%+v)", name, kind, i, got, want, n)
+			}
+			if got := scan.Index(r.Resolve(n.ID())); got != want {
+				t.Fatalf("%s: kind %d: Index(Resolve(%v)) = %d, want %d", name, kind, n.ID(), got, want)
+			}
+			for other, s := range scans {
+				if other != kind && s.Index(n) != -1 {
+					t.Fatalf("%s: kind %d's scan finds %v of kind %d at %d", name, other, n.ID(), kind, s.Index(n))
+				}
+			}
+			for _, et := range viewEdgeTypes {
+				row := r.OutNodes(n, et)
+				for j := range row.Len() {
+					nb := row.Node(j)
+					s, p := scans[nb.ID().Kind()], pos[nb.ID()]
+					want := -1
+					if nb.ord >= 0 && s.At(p).ord >= 0 {
+						want = p
+						neighbours++
+					}
+					if got := s.Index(nb); got != want {
+						t.Fatalf("%s: neighbour %v of %v (%v): Index %d, want %d", name, nb.ID(), n.ID(), et, got, want)
+					}
+				}
+			}
+		}
+	}
+	return resolved, neighbours
+}
+
+// TestKindScanIndex pins KindScan.Index as At's inverse on a bulk view, a
+// refreshed view, a view rebuilt inline after appends (every base node
+// keeps its ordinal, so only the era tells the old Nodes apart) and one
+// rebuilt after commits out of ID order, and as -1 for overlay nodes,
+// Nodes of the previous era, Nodes of another kind, every Node on a Txn,
+// and Nodes of another store's view that happens to carry the same era.
+func TestKindScanIndex(t *testing.T) {
+	r := xrand.New(47)
+	s := New()
+	s.SetViewCompactThreshold(1 << 30)
+	var pop []ids.ID
+	for step := int64(1); step <= 20; step++ {
+		pop = nodeGraphCommit(t, s, r, pop,
+			ids.Compose(ids.KindPerson, 10*step, 0), ids.Compose(ids.KindPost, 10*step, 0))
+	}
+	s.View(func(tx *Txn) {
+		if res, _ := assertIndexes(t, "txn", tx); res != 0 {
+			t.Fatalf("txn: %d positions resolved", res)
+		}
+	})
+	bulk := s.CurrentView()
+	if res, nb := assertIndexes(t, "bulk view", bulk); res != len(pop) || nb == 0 {
+		t.Fatalf("bulk view: %d of %d positions resolved, %d neighbours mapped", res, len(pop), nb)
+	}
+
+	// Posts appended after the base: the overlay's nodes have no position.
+	for step := int64(21); step <= 24; step++ {
+		pop = nodeGraphCommit(t, s, r, pop, ids.Compose(ids.KindPost, 10*step, 0))
+	}
+	refreshed, ev := s.AcquireView()
+	if ev != ViewRefreshed {
+		t.Fatalf("after appends: %v", ev)
+	}
+	if res, nb := assertIndexes(t, "refreshed view", refreshed); res != len(pop)-4 || nb == 0 {
+		t.Fatalf("refreshed view: %d of %d positions resolved, %d neighbours mapped", res, len(pop)-4, nb)
+	}
+	for _, id := range pop[len(pop)-4:] {
+		if i := refreshed.ScanKind(ids.KindPost).Index(refreshed.Resolve(id)); i != -1 {
+			t.Fatalf("refreshed view: overlay node %v at %d", id, i)
+		}
+	}
+
+	// The newest posts have the largest IDs of the last kind, so the
+	// rebuild keeps every ordinal: the old era's Nodes carry the very
+	// ordinals the new scan resolves, and only their era sets them apart.
+	s.SetViewCompactThreshold(1)
+	pop = nodeGraphCommit(t, s, r, pop, ids.Compose(ids.KindPost, 250, 0))
+	appended, ev := s.AcquireView()
+	if ev != ViewRebuilt || appended.Era() == refreshed.Era() {
+		t.Fatalf("after the trigger: %v, era %d -> %d", ev, refreshed.Era(), appended.Era())
+	}
+	if res, _ := assertIndexes(t, "rebuilt view", appended); res != len(pop) {
+		t.Fatalf("rebuilt view: %d of %d positions resolved", res, len(pop))
+	}
+	same := 0
+	for kind := ids.Kind(0); kind < ids.KindLimit; kind++ {
+		old, cur := refreshed.ScanKind(kind), appended.ScanKind(kind)
+		for i := range old.Len() {
+			n := old.At(i)
+			if n.ord >= 0 && cur.At(i).ord == n.ord {
+				same++
+			}
+			if got := cur.Index(n); got != -1 {
+				t.Fatalf("rebuilt view: a Node of the previous era (%v) at %d", n.ID(), got)
+			}
+		}
+	}
+	if same == 0 {
+		t.Fatal("the rebuild kept no ordinal: the previous era's Nodes test nothing but their ordinals")
+	}
+
+	// Persons committed out of ID order: the rebuilt base reassigns the
+	// ordinals after each, and the person list no longer runs in ID order.
+	for step := int64(20); step >= 1; step-- {
+		pop = nodeGraphCommit(t, s, r, pop, ids.Compose(ids.KindPerson, 10*step+5, 0))
+	}
+	shuffled, ev := s.AcquireView()
+	if ev != ViewRebuilt {
+		t.Fatalf("after out-of-order commits: %v", ev)
+	}
+	if res, nb := assertIndexes(t, "view rebuilt out of ID order", shuffled); res == 0 || res == len(pop) || nb == 0 {
+		t.Fatalf("view rebuilt out of ID order: %d of %d positions resolved, %d neighbours mapped", res, len(pop), nb)
+	}
+
+	// Another store's first view has the same era number as bulk, and its
+	// persons the same ordinals as bulk's, but other IDs.
+	other := New()
+	var otherPop []ids.ID
+	for step := int64(1); step <= 20; step++ {
+		otherPop = nodeGraphCommit(t, other, r, otherPop, ids.Compose(ids.KindPerson, 10*step+7, 0))
+	}
+	ov := other.CurrentView()
+	if ov.Era() != bulk.Era() {
+		t.Fatalf("eras %d and %d: the foreign Nodes test nothing but their era", ov.Era(), bulk.Era())
+	}
+	persons, foreign := bulk.ScanKind(ids.KindPerson), ov.ScanKind(ids.KindPerson)
+	for i := range foreign.Len() {
+		if got := persons.Index(foreign.At(i)); got != -1 {
+			t.Fatalf("bulk view: another store's person %v at %d", foreign.At(i).ID(), got)
+		}
+	}
+}

@@ -131,6 +131,13 @@ func (n Node) ID() ids.ID { return n.id }
 // is yielded unresolved, so each read of it looks its ID up as a read by ID
 // does; that keeps At small enough to inline into the scan loops. On a Txn
 // every Node is the ID.
+//
+// Index is At's inverse: it takes a Node back to its scan position with a
+// compare, so a partial over a whole-kind scan can group by position in a
+// scan-sized array instead of hashing IDs. It finds the positions At
+// resolves and no other: a Node an overlay, a Txn, another era or another
+// kind yielded has none, and a caller that still wants a slot for it
+// retries with the node Resolve makes or numbers it itself.
 type KindScan struct {
 	nodes []ids.ID // the kind's visible nodes, insertion order
 	base  []ids.ID // the kind's run of the view's base nodes; nil on a Txn
@@ -154,6 +161,20 @@ func (s KindScan) At(i int) Node {
 		return Node{id: id, ord: s.off + int32(i), era: s.era}
 	}
 	return unresolved(id)
+}
+
+// Index returns i when At(i) is n: n was resolved in the scan's era, its
+// ordinal is base position i, and At resolves position i (the kind lists
+// it in ID order). It returns -1 for any other Node, every Node on a Txn
+// among them.
+//
+//snb:noalloc
+func (s KindScan) Index(n Node) int {
+	i := int(n.ord - s.off)
+	if n.era != s.era || uint(i) >= uint(len(s.base)) || s.base[i] != n.id || s.nodes[i] != s.base[i] {
+		return -1
+	}
+	return i
 }
 
 // NodeRow is one adjacency row read for a hop (OutNodes, InNodes): its

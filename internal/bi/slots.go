@@ -47,8 +47,15 @@ func dimSlots[R store.Reader](r R, kind ids.Kind) slots {
 	return slots{lo: uint64(lo), dense: int(n)}
 }
 
-// scanSlots returns the slots of a scanned kind's nodes.
-func scanSlots(scan store.KindScan) slots { return slots{scan: scan, dense: scan.Len()} }
+// scanSlots returns the slots of a scanned kind's nodes. A scan that
+// resolves no position (every scan on a Txn) has no dense range: all its
+// nodes are tier 3, and no scan-sized array stays empty.
+func scanSlots(scan store.KindScan) slots {
+	if !scan.Indexes() {
+		return slots{scan: scan}
+	}
+	return slots{scan: scan, dense: scan.Len()}
+}
 
 // keyed returns a dimension key's slot (tiers 1 and 3).
 func (s *slots) keyed(k uint64) int {

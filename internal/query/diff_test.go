@@ -127,34 +127,25 @@ func (ev *refEvaluator) enumerate(v int) {
 }
 
 // nodeCandidates enumerates the values worth trying for node variable v:
-// neighbours via the first pattern that connects v to an already-assigned
-// endpoint, or every node when no such pattern exists. This is a pruning of
-// the all-nodes loop, not a join order: every atom is still checked at its
-// own level.
+// the nodes an Out row of an already-assigned endpoint lists, via the first
+// pattern that has v at its arrow's head, or every node when no such
+// pattern exists. Against the arrow it does not prune: an edge is an Out
+// entry of its tail, and the In rows list only the directed ones (a knows
+// edge is an Out entry at both ends), so every node is tried there. This
+// is a pruning of the all-nodes loop, not a join order: every atom is
+// still checked at its own level.
 func (ev *refEvaluator) nodeCandidates(v int) []ids.ID {
 	for i := range ev.q.Atoms {
 		a := &ev.q.Atoms[i]
-		if a.Kind != AtomEdge {
+		if a.Kind != AtomEdge || a.Dst.Kind != TermVar || a.Dst.Var != v || !termAssigned(a.Src, v) {
 			continue
 		}
-		srcIsV := a.Src.Kind == TermVar && a.Src.Var == v
-		dstIsV := a.Dst.Kind == TermVar && a.Dst.Var == v
-		var other Term
-		var out bool // expanding over Out edges from the assigned endpoint
-		switch {
-		case dstIsV && termAssigned(a.Src, v):
-			other, out = a.Src, true
-		case srcIsV && termAssigned(a.Dst, v):
-			other, out = a.Dst, false
-		default:
-			continue
-		}
-		from := ids.ID(uint64(ev.termValue(other)))
+		from := ids.ID(uint64(ev.termValue(a.Src)))
 		if !a.VarLen() {
-			return distinctPeers(ev.edges(from, a.Edge, out))
+			return distinctPeers(ev.r.Out(from, a.Edge))
 		}
 		// Variable-length: every node whose minimal distance is in range.
-		dist := ev.minDistMap(from, a.Edge, out, a.MaxHops)
+		dist := ev.minDistMap(from, a.Edge, a.MaxHops)
 		var cand []ids.ID
 		for id, d := range dist {
 			if d >= a.MinHops && d <= a.MaxHops {
@@ -210,13 +201,6 @@ func termAssigned(tm Term, level int) bool {
 	return tm.Kind != TermVar || tm.Var < level
 }
 
-func (ev *refEvaluator) edges(from ids.ID, et store.EdgeType, out bool) []store.Edge {
-	if out {
-		return ev.r.Out(from, et)
-	}
-	return ev.r.In(from, et)
-}
-
 func distinctPeers(es []store.Edge) []ids.ID {
 	var peers []ids.ID
 	seen := map[ids.ID]bool{}
@@ -229,15 +213,15 @@ func distinctPeers(es []store.Edge) []ids.ID {
 	return peers
 }
 
-// minDistMap is a plain map-based BFS: minimal hop distance to every node
-// reachable within maxHops.
-func (ev *refEvaluator) minDistMap(from ids.ID, et store.EdgeType, out bool, maxHops int) map[ids.ID]int {
+// minDistMap is a plain map-based BFS over Out rows: minimal hop distance
+// to every node reachable within maxHops.
+func (ev *refEvaluator) minDistMap(from ids.ID, et store.EdgeType, maxHops int) map[ids.ID]int {
 	dist := map[ids.ID]int{from: 0}
 	frontier := []ids.ID{from}
 	for d := 1; d <= maxHops && len(frontier) > 0; d++ {
 		var next []ids.ID
 		for _, n := range frontier {
-			for _, e := range ev.edges(n, et, out) {
+			for _, e := range ev.r.Out(n, et) {
 				if _, ok := dist[e.To]; !ok {
 					dist[e.To] = d
 					next = append(next, e.To)
@@ -250,7 +234,7 @@ func (ev *refEvaluator) minDistMap(from ids.ID, et store.EdgeType, out bool, max
 }
 
 func (ev *refEvaluator) minDist(src, dst ids.ID, et store.EdgeType, maxHops int) int {
-	if d, ok := ev.minDistMap(src, et, true, maxHops)[dst]; ok {
+	if d, ok := ev.minDistMap(src, et, maxHops)[dst]; ok {
 		return d
 	}
 	return -1
@@ -482,6 +466,13 @@ var diffCorpus = []string{
 	`match $person -knows-> ?f, ?f -knows-> ?g where ?g != $person return ?g, ?f`,
 	`match $person -knows*1..2-> ?f @ ?dist return ?f, ?dist`,
 	`match $person -knows*2..3-> ?f return ?f`,
+	`match ?f -knows-> $person return ?f`,
+	`match ?f -knows-> $person @ ?d, ?g -knows-> ?f where ?g != $person return ?g, ?f, ?d`,
+	// A BFS whose last layer may come from the candidates of its filter.
+	`match $person -knows*1..1-> ?f where ?f.firstName = $name return ?f`,
+	`match $person -knows*2..3-> ?f @ ?dist where ?f.firstName = $name return ?f, ?dist`,
+	`match $person -knows*3..3-> ?f where $name = ?f.firstName return ?f, ?f.lastName`,
+	`match $person -knows*1..3-> ?f @ ?dist where ?f.firstName = "Ada" return ?f, ?dist`,
 	// Message streams.
 	`match ?m -hasCreator-> $person @ ?d where ?d <= $maxDate return ?m, ?d order by ?d desc, ?m asc limit 10`,
 	`match ?m -hasCreator-> $person return count(*)`,
@@ -512,8 +503,10 @@ var diffCorpus = []string{
 }
 
 // checkAgainstRef compiles text (with and without cardinality hints — both
-// plans must produce identical results), runs it on the MVCC and view paths
-// and compares both against the reference evaluator.
+// plans must produce identical results), runs it on the MVCC and view paths,
+// and on the view once more with every BFS's last layer read from the
+// candidates where the plan allows it, and compares each against the
+// reference evaluator.
 func checkAgainstRef(t *testing.T, st *store.Store, scT, scV *Scratch, text string, params Params) {
 	t.Helper()
 	q, err := Parse(text)
@@ -564,6 +557,16 @@ func checkAgainstRef(t *testing.T, st *store.Store, scT, scV *Scratch, text stri
 	}
 	if !rowsEqual(want, res.Rows) {
 		t.Fatalf("view hinted plan disagrees with reference on %q:\n ref %s\n got %s", text, fmtRows(want), fmtRows(res.Rows))
+	}
+	// A BFS's last layer from the candidates, wherever a plan allows it.
+	scV.lastHop = hopCandidates
+	res, err = runView(v, scV, plain, params)
+	scV.lastHop = hopChoose
+	if err != nil {
+		t.Fatalf("view run from the candidates of %q: %v", text, err)
+	}
+	if !rowsEqual(want, res.Rows) {
+		t.Fatalf("view path from the candidates disagrees with reference on %q:\n ref %s\n got %s", text, fmtRows(want), fmtRows(res.Rows))
 	}
 }
 

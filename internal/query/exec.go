@@ -72,7 +72,20 @@ type Scratch struct {
 	ff    []fusedFilter // runtime filters of the fused tail loop
 	iback []int64       // int-sink row arena
 	iheap []int32       // int-sink heap of arena slots
+
+	lastHop        hopSide // which side execBFS reads a last layer from; tests force one
+	fromCandidates int     // last layers read from the candidates, for tests
 }
+
+// hopSide picks the side execBFS reads a BFS's last layer from: hopChoose
+// decides per binding; the others force a side where both are possible.
+type hopSide uint8
+
+const (
+	hopChoose hopSide = iota
+	hopForward
+	hopCandidates
+)
 
 // NewScratch returns an empty query scratch with its own workload scratch.
 func NewScratch() *Scratch { return WrapScratch(workload.NewScratch()) }
@@ -93,7 +106,9 @@ type opState struct {
 	seen   workload.KeyTable[int64] // node ID -> first emitted stamp
 	over   []overEntry
 	queue  []ids.ID
+	ends   []int // BFS: queue[ends[d-1]:ends[d]] is depth d
 	stamps []int64
+	into   []store.Edge // edgesInto's row
 }
 
 type overEntry struct {
@@ -394,7 +409,7 @@ func (ec *execCtx[R]) execExpand(i int, op planOp) error {
 	if op.out {
 		edges = ec.r.Out(ids.ID(uint64(from)), a.Edge)
 	} else {
-		edges = ec.r.In(ids.ID(uint64(from)), a.Edge)
+		edges = ec.edgesInto(st, ids.ID(uint64(from)), a.Edge)
 	}
 	for _, e := range edges {
 		if a.Stamp >= 0 {
@@ -435,7 +450,7 @@ func (ec *execCtx[R]) execFused(i int, op planOp) error {
 	if op.out {
 		edges = ec.r.Out(ids.ID(uint64(from)), a.Edge)
 	} else {
-		edges = ec.r.In(ids.ID(uint64(from)), a.Edge)
+		edges = ec.edgesInto(st, ids.ID(uint64(from)), a.Edge)
 	}
 	row := ec.row
 outer:
@@ -512,85 +527,226 @@ func (ec *execCtx[R]) execCheckEdge(i int, op planOp) error {
 	return nil
 }
 
+// edgesInto returns one entry (x, stamp) per edge x -t-> n: n's In row, or
+// for knows, whose edges are symmetric and listed at both ends' Out rows,
+// store.Into's row in st's buffer.
+func (ec *execCtx[R]) edgesInto(st *opState, n ids.ID, t store.EdgeType) []store.Edge {
+	if t != store.EdgeKnows {
+		return ec.r.In(n, t)
+	}
+	st.into = store.Into(ec.r, ec.r.Resolve(n), t, st.into)
+	return st.into
+}
+
 // execBFS evaluates a variable-length atom: layered BFS from the bound
-// endpoint; a node's discovery depth is its minimal hop distance. In bind
-// mode every node at depth in [min, max] binds the free endpoint; in check
+// endpoint; a node's discovery depth is its minimal hop distance. In check
 // mode the search stops when the (bound) target is discovered, which is
-// satisfied only if that minimal depth lies in the range.
+// satisfied only if that minimal depth lies in the range. In bind mode
+// every node at depth in [min, max] binds the free endpoint: the BFS walks
+// the ball of radius max-1, and the last layer comes either forward, from
+// the ball's outer layer, or from the candidates (bfsFromCandidates).
 func (ec *execCtx[R]) execBFS(i int, op planOp) error {
 	a := &ec.q.Atoms[op.atom]
 	st := &ec.sc.states[i]
 	st.beginPrefix()
-
-	var from, target int64
-	var toVar int
+	if op.check {
+		return ec.execBFSCheck(i, op, a, st)
+	}
+	from, toVar := ec.termVal(a.Dst), a.Src.Var
 	if op.out {
-		from = ec.termVal(a.Src)
-		if op.check {
-			target = ec.termVal(a.Dst)
-		} else {
-			toVar = a.Dst.Var
-		}
-	} else {
-		from = ec.termVal(a.Dst)
-		if op.check {
-			target = ec.termVal(a.Src)
-		} else {
-			toVar = a.Src.Var
-		}
+		from, toVar = ec.termVal(a.Src), a.Dst.Var
 	}
 
 	queue := st.queue[:0]
 	start := ids.ID(uint64(from))
-	if st.tryMark(start) {
-		queue = append(queue, start)
-	}
-	lo, depth := 0, 0
-	var err error
-loop:
-	for depth < a.MaxHops && lo < len(queue) {
-		hi := len(queue)
-		depth++
-		for ; lo < hi; lo++ {
-			n := queue[lo]
-			var edges []store.Edge
-			if op.out {
-				edges = ec.r.Out(n, a.Edge)
-			} else {
-				edges = ec.r.In(n, a.Edge)
-			}
-			for _, e := range edges {
-				if !st.tryMark(e.To) {
-					continue
-				}
-				queue = append(queue, e.To)
-				if op.check {
-					if int64(uint64(e.To)) == target {
-						if depth >= a.MinHops {
-							if a.Stamp >= 0 {
-								ec.row[a.Stamp] = int64(depth)
-							}
-							err = ec.exec(i + 1)
-						}
-						break loop
-					}
-					continue
-				}
-				if depth < a.MinHops {
-					continue
-				}
-				ec.row[toVar] = int64(uint64(e.To))
-				if a.Stamp >= 0 {
-					ec.row[a.Stamp] = int64(depth)
-				}
-				if err = ec.exec(i + 1); err != nil {
-					break loop
+	st.tryMark(start)
+	queue = append(queue, start)
+	st.ends = append(st.ends[:0], 1)
+	for lo := 0; len(st.ends) < a.MaxHops && lo < len(queue); {
+		for hi := len(queue); lo < hi; lo++ {
+			for _, e := range ec.hop(st, queue[lo], a.Edge, op.out) {
+				if st.tryMark(e.To) {
+					queue = append(queue, e.To)
 				}
 			}
 		}
+		st.ends = append(st.ends, len(queue))
 	}
 	st.queue = queue
-	return err
+
+	if done, err := ec.bfsFromCandidates(i, op, a, st, toVar); done {
+		return err
+	}
+	for d := a.MinHops; d < len(st.ends); d++ {
+		for _, n := range queue[st.ends[d-1]:st.ends[d]] {
+			if err := ec.bindBFS(i, a, toVar, n, d); err != nil {
+				return err
+			}
+		}
+	}
+	if len(st.ends) < a.MaxHops {
+		return nil
+	}
+	for _, n := range st.outer() {
+		for _, e := range ec.hop(st, n, a.Edge, op.out) {
+			if !st.tryMark(e.To) {
+				continue
+			}
+			if err := ec.bindBFS(i, a, toVar, e.To, a.MaxHops); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// hop returns a BFS node's row in the search's direction.
+func (ec *execCtx[R]) hop(st *opState, n ids.ID, t store.EdgeType, out bool) []store.Edge {
+	if out {
+		return ec.r.Out(n, t)
+	}
+	return ec.edgesInto(st, n, t)
+}
+
+// bindBFS binds the BFS's free endpoint to n at distance d and runs the
+// rest of the pipeline.
+func (ec *execCtx[R]) bindBFS(i int, a *Atom, toVar int, n ids.ID, d int) error {
+	ec.row[toVar] = int64(uint64(n))
+	if a.Stamp >= 0 {
+		ec.row[a.Stamp] = int64(d)
+	}
+	return ec.exec(i + 1)
+}
+
+// bfsFromCandidates binds the nodes a forward BFS in bind mode reaches
+// from the candidates of the filter ?v.prop = value that follows it
+// (planOp.eqFilter): the nodes of every kind that may carry prop
+// (SnapshotView.KindHasProp), since a node without prop fails = against a
+// concrete value. A candidate in the ball has the depth of its layer; one
+// outside it is at distance max iff some node of the ball has an edge to
+// it (store.IntoFrom; that node is at depth max-1, or the candidate would
+// be in the ball).
+// It runs on a view, when scanning the candidates reads fewer nodes than
+// expanding the ball's outer layer reads entries, and reports whether it
+// ran.
+func (ec *execCtx[R]) bfsFromCandidates(i int, op planOp, a *Atom, st *opState, toVar int) (bool, error) {
+	v, ok := any(ec.r).(*store.SnapshotView)
+	if !ok || op.eqFilter < 0 || ec.sc.lastHop == hopForward {
+		return false, nil
+	}
+	prop, value, _ := eqPropFilter(&ec.q.Filters[op.eqFilter], toVar)
+	want := ec.evalExpr(value)
+	if want.IsZero() {
+		return false, nil
+	}
+	n := 0
+	for k := range ids.KindLimit {
+		if v.KindHasProp(k, prop.Prop) {
+			n += v.NumOfKind(k)
+		}
+	}
+	if ec.sc.lastHop == hopChoose && !layerReadsMore(v, st.outer(), a.Edge, n) {
+		return false, nil
+	}
+	ec.sc.fromCandidates++
+	for k := range ids.KindLimit {
+		if !v.KindHasProp(k, prop.Prop) {
+			continue
+		}
+		scan := v.ScanKind(k)
+		for j := range scan.Len() {
+			c := scan.At(j)
+			if v.PropOf(c, prop.Prop) != want {
+				continue
+			}
+			d := st.depth(c.ID())
+			if d < 0 && len(st.ends) == a.MaxHops && store.IntoFrom(v, c, a.Edge, st.holds) {
+				d = a.MaxHops
+			}
+			if d < a.MinHops {
+				continue
+			}
+			if err := ec.bindBFS(i, a, toVar, c.ID(), d); err != nil {
+				return true, err
+			}
+		}
+	}
+	return true, nil
+}
+
+// outer returns the BFS's outer layer: the nodes at the ball's radius.
+//
+//snb:noalloc
+func (st *opState) outer() []ids.ID {
+	lo, n := 0, len(st.ends)
+	if n > 1 {
+		lo = st.ends[n-2]
+	}
+	return st.queue[lo:st.ends[n-1]]
+}
+
+// depth returns a node's depth in the BFS's ball, -1 outside it.
+//
+//snb:noalloc
+func (st *opState) depth(id ids.ID) int {
+	pos := st.seen.Pos(uint64(id))
+	if pos < 0 {
+		return -1
+	}
+	d := 0
+	for pos >= st.ends[d] {
+		d++
+	}
+	return d
+}
+
+// holds reports whether a node is in the BFS's ball.
+func (st *opState) holds(id ids.ID) bool { return st.seen.Find(uint64(id)) != nil }
+
+// layerReadsMore reports whether expanding a layer reads more entries than
+// n: the layer's out-degrees summed, stopping once the sum passes n.
+//
+//snb:noalloc
+func layerReadsMore(v *store.SnapshotView, layer []ids.ID, t store.EdgeType, n int) bool {
+	sum := 0
+	for _, x := range layer {
+		if sum += v.OutDegree(x, t); sum > n {
+			return true
+		}
+	}
+	return false
+}
+
+// execBFSCheck is execBFS in check mode: the BFS stops at the target.
+func (ec *execCtx[R]) execBFSCheck(i int, op planOp, a *Atom, st *opState) error {
+	from, target := ec.termVal(a.Dst), ec.termVal(a.Src)
+	if op.out {
+		from, target = ec.termVal(a.Src), ec.termVal(a.Dst)
+	}
+	start := ids.ID(uint64(from))
+	st.tryMark(start)
+	st.queue = append(st.queue[:0], start)
+	for lo, depth := 0, 1; depth <= a.MaxHops && lo < len(st.queue); depth++ {
+		for hi := len(st.queue); lo < hi; lo++ {
+			for _, e := range ec.hop(st, st.queue[lo], a.Edge, op.out) {
+				if !st.tryMark(e.To) {
+					continue
+				}
+				if int64(uint64(e.To)) != target {
+					st.queue = append(st.queue, e.To)
+					continue
+				}
+				if depth < a.MinHops {
+					return nil
+				}
+				if a.Stamp >= 0 {
+					ec.row[a.Stamp] = int64(depth)
+				}
+				return ec.exec(i + 1)
+			}
+		}
+	}
+	return nil
 }
 
 // emit projects the current full assignment into the sink.

@@ -44,6 +44,11 @@ type planOp struct {
 	scanVar  int      // opScan: variable slot being bound
 	scanKind ids.Kind // opScan: 0 = all kinds
 	filter   int      // opFilter: index into Q.Filters
+	// eqFilter (opBFS, bind mode, out) is the filter ?v.prop = value on
+	// the node the BFS binds among the ops that follow it, -1 for none:
+	// with it the executor may read the last layer from the candidates
+	// (execBFS). Set by analyze; not part of the plan's string.
+	eqFilter int
 }
 
 // Plan is a compiled query: a deterministic op sequence feeding the sink
@@ -92,6 +97,9 @@ func (p *Plan) analyze() {
 	for i := range q.Orders {
 		p.keys[i] = sortKey{col: q.Orders[i].Col, desc: q.Orders[i].Desc}
 	}
+	for i := range p.ops {
+		p.ops[i].eqFilter = p.bfsEqFilter(i)
+	}
 	if q.HasAggregates() || q.Limit <= 0 {
 		return
 	}
@@ -123,6 +131,43 @@ func (p *Plan) analyze() {
 		fused = append(fused, p.ops[i].filter)
 	}
 	p.fuseAt, p.fuseFilters = last, fused
+}
+
+// bfsEqFilter returns the filter ?v.prop = value (value a parameter or a
+// literal) on the node v a forward BFS in bind mode at op i binds, among
+// the kind checks and filters settled right after it, or -1.
+func (p *Plan) bfsEqFilter(i int) int {
+	op := p.ops[i]
+	if op.kind != opBFS || op.check || !op.out {
+		return -1
+	}
+	v := p.Q.Atoms[op.atom].Dst.Var
+	for _, next := range p.ops[i+1:] {
+		if next.kind == opCheckKind {
+			continue
+		}
+		if next.kind != opFilter {
+			break
+		}
+		if f := &p.Q.Filters[next.filter]; f.Op == CmpEq {
+			if _, _, ok := eqPropFilter(f, v); ok {
+				return next.filter
+			}
+		}
+	}
+	return -1
+}
+
+// eqPropFilter splits an equality filter into the property of v it reads
+// and the parameter or literal it compares it with.
+func eqPropFilter(f *Filter, v int) (prop Expr, value Expr, ok bool) {
+	prop, value = f.Lhs, f.Rhs
+	if prop.Kind != ExprProp {
+		prop, value = value, prop
+	}
+	ok = prop.Kind == ExprProp && prop.Var == v &&
+		(value.Kind == ExprParam || value.Kind == ExprStr || value.Kind == ExprInt)
+	return prop, value, ok
 }
 
 // intFilterShape reports whether one comparison side can be evaluated as a

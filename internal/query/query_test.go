@@ -223,6 +223,18 @@ func TestExecTinyGraph(t *testing.T) {
 			[][]store.Value{row(iv(n["p2"]), nv(1)), row(iv(n["p3"]), nv(2)), row(iv(n["p4"]), nv(3))},
 		},
 		{
+			// Against the arrow: a knows edge is an Out entry at both
+			// ends and in no In row, and still has p2 at its head.
+			`match ?f -knows-> $p @ ?d return ?f, ?d order by ?f asc`,
+			Params{"p": iv(n["p2"])},
+			[][]store.Value{row(iv(n["p1"]), nv(10)), row(iv(n["p3"]), nv(20))},
+		},
+		{
+			`match ?f -knows*1..2-> $p return ?f`,
+			Params{"p": iv(n["p1"])},
+			[][]store.Value{row(iv(n["p2"])), row(iv(n["p3"]))},
+		},
+		{
 			// min hops excludes the 1-hop neighbour.
 			`match $p -knows*2..3-> ?f return ?f`,
 			Params{"p": iv(n["p1"])},

@@ -221,6 +221,7 @@ func applyDeltas(old *SnapshotView, ds []*CommitDelta, ts int64, w *rowWork) *Sn
 		ordOver:   old.ordOver,
 		over:      old.over,
 		byKind:    old.byKind,
+		keys:      old.keys,
 	}
 	r := refresher{nv: nv, w: w}
 	for _, d := range ds {
@@ -228,6 +229,7 @@ func applyDeltas(old *SnapshotView, ds []*CommitDelta, ts int64, w *rowWork) *Sn
 			r.appendNode(n.id, n.props)
 			k := n.id.Kind()
 			nv.byKind[k] = append(nv.byKind[k], n.id)
+			nv.keys[k].add(n.props)
 		}
 		for _, e := range d.edges {
 			from, to := r.ord(e.from), r.ord(e.to)

@@ -567,21 +567,145 @@ func TestKindScanIndex(t *testing.T) {
 		t.Fatalf("view rebuilt out of ID order: %d of %d positions resolved, %d neighbours mapped", res, len(pop), nb)
 	}
 
-	// Another store's first view has the same era number as bulk, and its
-	// persons the same ordinals as bulk's, but other IDs.
+	// Another store's views never share an era with this store's (eras are
+	// process-wide), and its persons have other IDs. A Node that carries
+	// bulk's era and one of its persons' ordinals but another store's
+	// person's ID is rejected by that ID.
 	other := New()
 	var otherPop []ids.ID
 	for step := int64(1); step <= 20; step++ {
 		otherPop = nodeGraphCommit(t, other, r, otherPop, ids.Compose(ids.KindPerson, 10*step+7, 0))
 	}
 	ov := other.CurrentView()
-	if ov.Era() != bulk.Era() {
-		t.Fatalf("eras %d and %d: the foreign Nodes test nothing but their era", ov.Era(), bulk.Era())
+	if ov.Era() == bulk.Era() {
+		t.Fatalf("two stores' views share era %d", ov.Era())
 	}
 	persons, foreign := bulk.ScanKind(ids.KindPerson), ov.ScanKind(ids.KindPerson)
 	for i := range foreign.Len() {
-		if got := persons.Index(foreign.At(i)); got != -1 {
-			t.Fatalf("bulk view: another store's person %v at %d", foreign.At(i).ID(), got)
+		n := foreign.At(i)
+		forged := Node{id: n.id, ord: persons.At(i).ord, era: uint32(bulk.Era())}
+		if got := persons.Index(n); got != -1 {
+			t.Fatalf("bulk view: another store's person %v at %d", n.ID(), got)
+		}
+		if got := persons.Index(forged); got != -1 {
+			t.Fatalf("bulk view: another store's person %v, carrying bulk's era and ordinal %d, at %d", n.ID(), forged.ord, got)
 		}
 	}
+}
+
+// TestNodeOfAnotherStore reads Nodes resolved on one store's views on
+// another store's views, whose first views are built in step: each must
+// read as its ID does there, never as the node the other store keeps at
+// its ordinal.
+func TestNodeOfAnotherStore(t *testing.T) {
+	person := func(s *Store, seq uint32, first string) ids.ID {
+		id := ids.Compose(ids.KindPerson, 0, seq)
+		tx := s.Begin()
+		if err := tx.CreateNode(id, Props{NewProp(PropFirstName, String(first))}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	a, b := New(), New()
+	ada, bob := person(a, 1, "ada"), person(b, 2, "bob")
+	va, vb := a.CurrentView(), b.CurrentView()
+	for _, c := range []struct {
+		name   string
+		on     *SnapshotView
+		n      Node
+		exists bool
+	}{
+		{"bob's Node on a's view", va, vb.Resolve(bob), false},
+		{"ada's Node on b's view", vb, va.Resolve(ada), false},
+		{"ada's Node on a's view", va, va.Resolve(ada), true},
+	} {
+		byNode, byID := c.on.PropOf(c.n, PropFirstName), c.on.Prop(c.n.ID(), PropFirstName)
+		if byNode != byID || c.on.Exists(c.n.ID()) != c.exists || byNode.IsZero() == c.exists {
+			t.Errorf("%s: PropOf %q, Prop %q, Exists %v; want equal reads and a node that exists: %v",
+				c.name, byNode.Str(), byID.Str(), c.on.Exists(c.n.ID()), c.exists)
+		}
+	}
+}
+
+// TestIntoListsEveryEdgeIntoANode checks Into against its definition, the
+// Out entries of every node that name n, on a graph whose knows edges are
+// symmetric, directed, directed both ways with one stamp, and repeated: on
+// a Txn, a fresh view, and a refreshed view whose later edges are the
+// overlay's, from resolved and unresolved Nodes.
+func TestIntoListsEveryEdgeIntoANode(t *testing.T) {
+	r := xrand.New(11)
+	s := New()
+	s.SetViewCompactThreshold(1 << 30)
+	var pop []ids.ID
+	knows := func(tx *Txn, a, b ids.ID, stamp int64, sym bool) {
+		if sym {
+			_ = tx.AddKnows(a, b, stamp)
+		} else {
+			_ = tx.AddEdge(a, EdgeKnows, b, stamp)
+		}
+	}
+	shapes := func() {
+		tx := s.Begin()
+		for i := 0; i < 6; i++ {
+			a, b := pop[r.Intn(len(pop))], pop[r.Intn(len(pop))]
+			stamp := int64(r.Intn(3))
+			switch i % 3 {
+			case 0: // directed, sometimes twice
+				knows(tx, a, b, stamp, false)
+				if r.Intn(2) == 0 {
+					knows(tx, a, b, stamp, false)
+				}
+			case 1: // directed both ways with one stamp, beside a symmetric edge
+				knows(tx, a, b, stamp, false)
+				knows(tx, b, a, stamp, false)
+				knows(tx, a, b, stamp, true)
+			default: // symmetric twice
+				knows(tx, a, b, stamp, true)
+				knows(tx, a, b, stamp, true)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var views []*SnapshotView
+	for step := int64(1); step <= 16; step++ {
+		pop = nodeGraphCommit(t, s, r, pop, ids.Compose(ids.KindPerson, step, 0), ids.Compose(ids.KindPost, step, 0))
+		shapes()
+		if step == 8 || step == 16 {
+			views = append(views, s.CurrentView())
+		}
+	}
+	if views[1].Era() != views[0].Era() {
+		t.Fatal("the second view is no refresh of the first")
+	}
+	check := func(name string, rd Reader) {
+		for _, et := range []EdgeType{EdgeKnows, EdgeHasCreator} {
+			for _, n := range pop {
+				want := map[Edge]int{}
+				for _, x := range pop {
+					for _, e := range rd.Out(x, et) {
+						if e.To == n {
+							want[Edge{To: x, Stamp: e.Stamp}]++
+						}
+					}
+				}
+				for _, node := range []Node{rd.Resolve(n), unresolved(n)} {
+					got := map[Edge]int{}
+					for _, e := range Into(rd, node, et, nil) {
+						got[e]++
+					}
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("%s: Into(%v, %v) = %v, want %v", name, n, et, got, want)
+					}
+				}
+			}
+		}
+	}
+	s.View(func(tx *Txn) { check("txn", tx) })
+	check("fresh view", views[0])
+	check("refreshed view", views[1])
 }

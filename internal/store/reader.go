@@ -56,6 +56,14 @@ import "ldbcsnb/internal/ids"
 // not see, from a Txn, or for a node its reader did not see — is resolved
 // again by ID: never wrong, only as slow as a read by ID.
 //
+// # Edges into a node
+//
+// A directed edge x -t-> y is an entry y in x's Out row and an entry x in
+// y's In row. A knows edge (Txn.AddKnows) is symmetric: it is an entry at
+// each end's Out row, x in y's and y in x's, and in no In row. So In lists
+// the directed edges into a node only; Into lists every edge into it, the
+// knows edges among them, as Out lists every edge out of it.
+//
 // Slices returned by Out, In, OutOf, InOf, NodeRow.Edges, NodesOfKind and
 // KindScan.IDs (and Props on the view path) alias reader-owned memory and
 // must not be mutated by callers.
@@ -163,6 +171,10 @@ func (s KindScan) At(i int) Node {
 	return unresolved(id)
 }
 
+// Indexes reports whether Index can return a position at all: false on a
+// Txn, and for a kind the view's base holds no node of.
+func (s KindScan) Indexes() bool { return len(s.base) > 0 }
+
 // Index returns i when At(i) is n: n was resolved in the scan's era, its
 // ordinal is base position i, and At resolves position i (the kind lists
 // it in ID order). It returns -1 for any other Node, every Node on a Txn
@@ -208,4 +220,71 @@ func (r NodeRow) Node(i int) Node {
 		n.ord = ordAt(tail, i)
 	}
 	return n
+}
+
+// Into appends to buf[:0] one entry (x, stamp) per edge x -t-> n, the
+// edges a read against the arrow walks: n's In row, and for knows the
+// entries of n's Out row that are symmetric (mutual).
+func Into[R Reader](r R, n Node, t EdgeType, buf []Edge) []Edge {
+	buf = append(buf[:0], r.InOf(n, t)...)
+	if t != EdgeKnows {
+		return buf
+	}
+	out := r.OutOf(n, t)
+	for i := range out {
+		if mutual(r, n.ID(), t, out, i) {
+			buf = append(buf, out[i])
+		}
+	}
+	return buf
+}
+
+// IntoFrom reports whether some edge x -t-> n has a tail x that in holds:
+// Into's test, with in asked first, so that an entry of n's Out row is
+// checked for symmetry only when its neighbour is one the caller wants.
+//
+//snb:noalloc
+func IntoFrom[R Reader](r R, n Node, t EdgeType, in func(ids.ID) bool) bool {
+	for _, e := range r.InOf(n, t) {
+		if in(e.To) {
+			return true
+		}
+	}
+	if t != EdgeKnows {
+		return false
+	}
+	out := r.OutOf(n, t)
+	for i, e := range out {
+		if in(e.To) && mutual(r, n.ID(), t, out, i) {
+			return true
+		}
+	}
+	return false
+}
+
+// mutual reports whether entry i of out, n's Out row of type t, is also an
+// edge into n: true for a symmetric edge, false for a directed n -> x one.
+// The directed entries (x, stamp) of out are the ones x's In row lists as
+// (n, stamp), so an entry is symmetric when fewer of them are listed there
+// than out repeats it up to i. Only knows edges are written symmetric; on
+// an SNB graph x's In row is empty and the answer is one row header away.
+//
+//snb:noalloc
+func mutual[R Reader](r R, n ids.ID, t EdgeType, out []Edge, i int) bool {
+	e := out[i]
+	directed := 0
+	for _, b := range r.In(e.To, t) {
+		if b.To == n && b.Stamp == e.Stamp {
+			directed++
+		}
+	}
+	if directed == 0 {
+		return true
+	}
+	for _, a := range out[:i] {
+		if a == e {
+			directed--
+		}
+	}
+	return directed <= 0
 }

@@ -46,7 +46,6 @@ type Store struct {
 
 	compactThreshold atomic.Int64 // explicit compaction trigger, or autoCompactThreshold
 
-	viewEra       atomic.Uint64
 	viewRefreshes atomic.Int64
 	viewRebuilds  atomic.Int64
 	viewEraBumps  atomic.Int64

@@ -85,6 +85,10 @@ type SnapshotView struct {
 	// byKind is per-view (not per-era): a refresh that creates nodes appends
 	// to the touched kinds' lists and publishes the longer headers here.
 	byKind [ids.KindLimit][]ids.ID
+	// keys is, per kind, the set of property keys some node of byKind's
+	// list carries: the build ORs in every node's row, a refresh the rows
+	// of the nodes it creates (KindHasProp).
+	keys [ids.KindLimit]keySet
 
 	// cancel, when non-nil, makes Out/In/Prop poll a request context and
 	// unwind past-deadline scans (cancel.go). Only views derived with
@@ -421,8 +425,40 @@ func (v *SnapshotView) Timestamp() int64 { return v.ts }
 
 // Era identifies the view's compaction lineage. Views of the same era share
 // one ordinal assignment (delta refreshes append, never reassign); a full
-// rebuild starts a new era and reassigns ordinals.
+// rebuild starts a new era and reassigns ordinals. Eras are drawn from one
+// counter for the whole process (viewEras), so two stores never share one:
+// a Node of another store's view carries an era no view of this store has,
+// and is read by ID.
 func (v *SnapshotView) Era() uint64 { return v.era }
+
+// viewEras numbers every view build in the process. A Node keeps the low
+// 32 bits of its era, so it could be taken for a Node of another lineage
+// only after 2^32 builds.
+var viewEras atomic.Uint64
+
+// keySet is a set of property keys, one bit per key; the keys from 63 up
+// share the top bit, so the set may name a key no node carries, never the
+// reverse.
+type keySet uint64
+
+func keyBit(k PropKey) keySet { return 1 << min(k, 63) }
+
+// add ORs in the keys of one property row.
+func (s *keySet) add(ps Props) {
+	for _, p := range ps {
+		*s |= keyBit(p.Key)
+	}
+}
+
+// KindHasProp reports whether some node of the kind that the view lists
+// (NodesOfKind) may carry the property key: false means none does, so a
+// kind scan for a node with a given value of key can skip the kind. It is
+// the view's alone: a Txn keeps no such set.
+//
+//snb:noalloc
+func (v *SnapshotView) KindHasProp(kind ids.Kind, key PropKey) bool {
+	return kind < ids.KindLimit && v.keys[kind]&keyBit(key) != 0
+}
 
 // NumNodes returns the number of visible nodes; ordinals range over
 // [0, NumNodes()).
@@ -932,7 +968,7 @@ func (s *Store) ViewAt(ts int64) *SnapshotView {
 // only the compact one.
 func (s *Store) buildView(ts int64) *SnapshotView {
 	b := &viewBase{}
-	v := &SnapshotView{ts: ts, era: s.viewEra.Add(1), base: b}
+	v := &SnapshotView{ts: ts, era: viewEras.Add(1), base: b}
 
 	// Collect visible node IDs from every shard.
 	for i := range s.shards {
@@ -976,8 +1012,12 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 		sh := &s.shards[si]
 		sh.mu.RLock()
 		for _, ord := range ordsByShard[si] {
-			rec := sh.nodes[b.nodes[ord]]
+			id := b.nodes[ord]
+			rec := sh.nodes[id]
 			b.props[ord] = rec.props
+			if k := id.Kind(); k < ids.KindLimit {
+				v.keys[k].add(rec.props)
+			}
 			for _, r := range rec.adj.rows {
 				raw[r.key].offsets[ord+1] = int32(countVisible(r.list, ts))
 			}

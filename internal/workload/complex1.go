@@ -22,39 +22,126 @@ type Q1Row struct {
 	Companies    []string
 }
 
-// Q1 runs the query for (start person, first name): a layered BFS to
-// distance 3 with candidates streaming through a bounded top-20 heap;
-// university/company lookups run only for the rows that survive the limit.
+// Q1 runs the query for (start person, first name). It walks the ball of
+// radius 2 around start over knows, then finds the namesakes from whichever
+// side reads less (q1NamesakesCheaper): forward, reading each ball node's
+// name and expanding the ball's depth-2 layer to distance 3, or from the
+// namesakes, scanning the persons' names: a namesake in the ball has the
+// depth of its layer, and one outside it is at distance 3 iff some node the
+// ball holds knows it (that node is at depth 2, or the namesake would be in
+// the ball). Q1 is over persons, so neither side returns a node of another
+// kind. Rows stream through a bounded top-20 heap, whose order is total, so
+// both sides return the same rows; university/company lookups run only for
+// the rows that survive the limit.
 func Q1[R store.Reader](r R, sc *Scratch, start ids.ID, firstName string) []Q1Row {
+	sc.begin()
+	b := q1Walk(r, sc, start)
+	persons := r.ScanKind(ids.KindPerson)
+	return q1(r, sc, b, persons, firstName, q1NamesakesCheaper(r, b.layer(sc, 2), persons.Len()))
+}
+
+// q1Ball is the ball of radius 2 around Q1's start: every node within two
+// knows hops, marked in seen in discovery order, which is their order in
+// sc.env: env[0] is the start and env[ends[d-1]:ends[d]] is depth d.
+type q1Ball struct {
+	seen *seenSet
+	ends [3]int
+}
+
+// q1Walk returns the ball of radius 2 around start, in sc.env.
+func q1Walk[R store.Reader](r R, sc *Scratch, start ids.ID) q1Ball {
+	b := q1Ball{seen: sc.newSeen()}
+	b.seen.tryMark(start)
+	sc.env = append(sc.env[:0], start)
+	b.ends[0] = 1
+	head := 0
+	for d := 1; d <= 2; d++ {
+		for ; head < b.ends[d-1]; head++ {
+			for _, e := range r.Out(sc.env[head], store.EdgeKnows) {
+				if b.seen.tryMark(e.To) {
+					sc.env = append(sc.env, e.To)
+				}
+			}
+		}
+		b.ends[d] = len(sc.env)
+	}
+	return b
+}
+
+// layer returns the ball's nodes at depth d.
+func (b q1Ball) layer(sc *Scratch, d int) []ids.ID { return sc.env[b.ends[d-1]:b.ends[d]] }
+
+// depth returns the depth of a node in the ball, -1 for a node outside it.
+//
+//snb:noalloc
+func (b q1Ball) depth(id ids.ID) int {
+	pos := b.seen.pos(id)
+	switch {
+	case pos < 0:
+		return -1
+	case pos < b.ends[0]:
+		return 0
+	case pos < b.ends[1]:
+		return 1
+	}
+	return 2
+}
+
+// q1NamesakesCheaper reports whether scanning n persons reads less than
+// expanding the depth-2 layer: its knows out-degrees summed, stopping once
+// the sum passes n.
+//
+//snb:noalloc
+func q1NamesakesCheaper[R store.Reader](r R, layer []ids.ID, n int) bool {
+	sum := 0
+	for _, x := range layer {
+		if sum += r.OutDegree(x, store.EdgeKnows); sum > n {
+			return true
+		}
+	}
+	return false
+}
+
+// q1 finds the namesakes of b's start from the side fromNamesakes names and
+// returns the top 20 with their enrichment.
+func q1[R store.Reader](r R, sc *Scratch, b q1Ball, persons store.KindScan, firstName string, fromNamesakes bool) []Q1Row {
 	top := newTopK(20, func(a, b Q1Row) int {
 		return cmp.Or(cmp.Compare(a.Distance, b.Distance),
 			strings.Compare(a.LastName, b.LastName), cmp.Compare(a.Person, b.Person))
 	})
-
-	// Layered BFS in one growing buffer: sc.env[head:layerEnd] is the
-	// frontier of the current depth, discoveries append behind it.
-	sc.begin()
-	seen := sc.newSeen()
-	seen.tryMark(start)
-	sc.env = append(sc.env[:0], start)
-	head, layerEnd := 0, 1
-	for d := 1; d <= 3; d++ {
-		for ; head < layerEnd; head++ {
-			for _, e := range r.Out(sc.env[head], store.EdgeKnows) {
-				if !seen.tryMark(e.To) {
-					continue
-				}
-				sc.env = append(sc.env, e.To)
-				if r.Prop(e.To, store.PropFirstName).Str() == firstName {
-					top.Push(Q1Row{
-						Person:   e.To,
-						Distance: d,
-						LastName: r.Prop(e.To, store.PropLastName).Str(),
-					})
+	if fromNamesakes {
+		for i := range persons.Len() {
+			c := persons.At(i)
+			if r.PropOf(c, store.PropFirstName).Str() != firstName {
+				continue
+			}
+			d := b.depth(c.ID())
+			if d < 0 && store.IntoFrom(r, c, store.EdgeKnows, b.seen.has) {
+				d = 3
+			}
+			if d <= 0 {
+				continue
+			}
+			top.Push(Q1Row{Person: c.ID(), Distance: d, LastName: r.PropOf(c, store.PropLastName).Str()})
+		}
+	} else {
+		push := func(p ids.ID, d int) {
+			if p.Kind() == ids.KindPerson && r.Prop(p, store.PropFirstName).Str() == firstName {
+				top.Push(Q1Row{Person: p, Distance: d, LastName: r.Prop(p, store.PropLastName).Str()})
+			}
+		}
+		for d := 1; d <= 2; d++ {
+			for _, p := range b.layer(sc, d) {
+				push(p, d)
+			}
+		}
+		for _, x := range b.layer(sc, 2) {
+			for _, e := range r.Out(x, store.EdgeKnows) {
+				if b.seen.tryMark(e.To) {
+					push(e.To, 3)
 				}
 			}
 		}
-		layerEnd = len(sc.env)
 	}
 
 	rows := top.Sorted()

@@ -57,6 +57,18 @@ func (t *KeyTable[V]) Find(k uint64) *V {
 	return nil
 }
 
+// Pos returns k's position in Keys, or -1 if k was not added since the
+// last Reset. A table that keys a BFS's visited nodes in discovery order
+// answers a node's layer with it.
+//
+//snb:noalloc
+func (t *KeyTable[V]) Pos(k uint64) int {
+	if h, found := t.probe(k); found {
+		return int(t.slots[h].pos)
+	}
+	return -1
+}
+
 // Keys returns the keys in first-seen order, valid until the next add or
 // Reset. Callers must not append to it.
 func (t *KeyTable[V]) Keys() []uint64 { return t.keys }

@@ -190,11 +190,56 @@ func q6SideTags(d *schema.Dataset) [3]ids.ID {
 	}
 }
 
+// wantQ1Digest is the digest of printQ1 with Q1's rows, and with each of
+// its sides forced (TestQ1SidesAgreeOnFixture).
+const wantQ1Digest = "c18dc9d3e27de60497f2ce49d6e54cca6a228c79c44d41c9399091bf59d96c90"
+
+// printQ1 prints the rows q1 returns for every pool person and the
+// isolated person with each of q1DigestNames, and for each pool person
+// with the name of the first person more than 3 knows hops away, if any:
+// a namesake Q1 must not return.
+func printQ1(f *pathFixture, w io.Writer, q1 func(p ids.ID, name string) []Q1Row) {
+	g := newRefGraph(f.data)
+	for _, p := range append(slices.Clip(f.pool), f.isolated) {
+		names := q1DigestNames(f.data)
+		dist := g.dist(p)
+		for i := range f.data.Persons {
+			if d, ok := dist[f.data.Persons[i].ID]; ok && d > 3 {
+				names = append(names, f.data.Persons[i].FirstName)
+				break
+			}
+		}
+		for _, name := range names {
+			fmt.Fprintf(w, "%v %s %+v\n", p, name, q1(p, name))
+		}
+	}
+}
+
+// q1DigestNames returns Q1's name bindings: the fixture's four most
+// common first names (ties to the earlier name), so that most bindings
+// have namesakes at every distance, and the isolated person's.
+func q1DigestNames(d *schema.Dataset) []string {
+	count := map[string]int{}
+	var names []string
+	for i := range d.Persons {
+		if n := d.Persons[i].FirstName; count[n] == 0 {
+			names = append(names, n)
+		}
+		count[d.Persons[i].FirstName]++
+	}
+	slices.SortStableFunc(names, func(a, b string) int { return count[b] - count[a] })
+	return append(names[:4:4], "Isolde")
+}
+
 // rowDigests pins the queries whose keyed scratch state (counts, visited
 // sets, path distances, hash-join tables) has been rebuilt at least once, on
 // the pool bindings of pathSetup's fixture. No Q13/Q14 pool pair there has
 // more than q14PathCap shortest paths, so every Q14 row is the full answer.
 var rowDigests = []digestQuery{
+	{"Q1", wantQ1Digest,
+		func(r store.Reader, sc *Scratch, f *pathFixture, w io.Writer) {
+			printQ1(f, w, func(p ids.ID, name string) []Q1Row { return Q1(r, sc, p, name) })
+		}},
 	{"Q4", "4f4ace066889fae86ec26b1f9005d2b41836540233c3fd7085d85d93f38e5e75",
 		func(r store.Reader, sc *Scratch, f *pathFixture, w io.Writer) {
 			start, window := digestWindow(f)

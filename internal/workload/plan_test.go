@@ -3,6 +3,7 @@ package workload
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"testing"
 
 	"ldbcsnb/internal/dict"
@@ -140,5 +141,149 @@ func TestQ6SidesAgreeOnRandomGraphs(t *testing.T) {
 	}
 	if planned[0] == 0 || planned[1] == 0 {
 		t.Errorf("bindings with rows planned down the environment side %d, the tag side %d; want both", planned[0], planned[1])
+	}
+}
+
+// Q1 chooses its side per binding too: forward, expanding the ball's
+// depth-2 layer, or from the namesakes. These tests force each side and
+// require identical rows on the path fixture and on random graphs with
+// directed and doubled knows edges and persons created after the base.
+
+// q1BothSides runs Q1 for one binding forward and from the namesakes. The
+// forward side marks the last layer in the ball's visited set, so the
+// namesakes' side runs first.
+func q1BothSides(r store.Reader, sc *Scratch, start ids.ID, name string) (forward, fromNamesakes []Q1Row) {
+	sc.begin()
+	b := q1Walk(r, sc, start)
+	persons := r.ScanKind(ids.KindPerson)
+	fromNamesakes = q1(r, sc, b, persons, name, true)
+	return q1(r, sc, b, persons, name, false), fromNamesakes
+}
+
+// q1PicksNamesakes reports the side Q1 plans for one start person.
+func q1PicksNamesakes(r store.Reader, sc *Scratch, start ids.ID) bool {
+	sc.begin()
+	b := q1Walk(r, sc, start)
+	return q1NamesakesCheaper(r, b.layer(sc, 2), r.ScanKind(ids.KindPerson).Len())
+}
+
+// TestQ1SidesAgreeOnFixture forces each side on the txn path, a fresh
+// view, a delta-refreshed view and its recompaction: over printQ1's
+// bindings each side must print the rows recorded in wantQ1Digest. The
+// bindings must plan down both sides.
+func TestQ1SidesAgreeOnFixture(t *testing.T) {
+	f := pathSetup(t)
+	sc := NewScratch()
+	refreshed := f.refreshed.CurrentView()
+	var planned [2]int // start persons planned forward, from the namesakes
+	check := func(name string, r store.Reader) {
+		for i, side := range []string{"forward", "from the namesakes"} {
+			h := sha256.New()
+			printQ1(f, h, func(p ids.ID, first string) []Q1Row {
+				fwd, nsk := q1BothSides(r, sc, p, first)
+				return [][]Q1Row{fwd, nsk}[i]
+			})
+			if got := hex.EncodeToString(h.Sum(nil)); got != wantQ1Digest {
+				t.Errorf("%s, %s: digest %s, want %s", name, side, got, wantQ1Digest)
+			}
+		}
+		for _, p := range append(slices.Clip(f.pool), f.isolated) {
+			if q1PicksNamesakes(r, sc, p) {
+				planned[1]++
+			} else {
+				planned[0]++
+			}
+		}
+	}
+	f.fresh.View(func(tx *store.Txn) { check("txn", tx) })
+	check("fresh view", f.fresh.CurrentView())
+	check("refreshed view", refreshed)
+	check("recompacted view", f.refreshed.ViewAt(refreshed.Timestamp()))
+	if planned[0] == 0 || planned[1] == 0 {
+		t.Errorf("start persons planned forward %d, from the namesakes %d; want both", planned[0], planned[1])
+	}
+}
+
+// addQ1Shapes commits the knows shapes where Q1's sides could part: a
+// directed knows edge, a pair of directed edges both ways with one stamp,
+// a doubled symmetric edge, and a new person with a common first name and
+// no edge yet.
+func addQ1Shapes(t *testing.T, st *store.Store, r *xrand.Rand, g *randGraph, step int) {
+	t.Helper()
+	tx := st.Begin()
+	now := int64(step)*100000 + 95
+	person := func() ids.ID { return g.persons[r.Intn(len(g.persons))] }
+	a, b, c, d := person(), person(), person(), person()
+	if err := tx.AddEdge(a, store.EdgeKnows, b, now); err != nil {
+		t.Fatal(err)
+	}
+	_ = tx.AddEdge(c, store.EdgeKnows, d, now+1)
+	_ = tx.AddEdge(d, store.EdgeKnows, c, now+1)
+	x, y := person(), person()
+	_ = tx.AddKnows(x, y, now+2)
+	_ = tx.AddKnows(x, y, now+2)
+	p := ids.Compose(ids.KindPerson, int64(step), 90)
+	if err := tx.CreateNode(p, store.Props{
+		store.NewProp(store.PropFirstName, store.String(randFirstNames[0])),
+		store.NewProp(store.PropLastName, store.String("Lonely")),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	g.persons = append(g.persons, p)
+}
+
+// TestQ1SidesAgreeOnRandomGraphs checks both sides against each other on
+// every person and first name, on the txn path, a delta-refreshed view
+// holding the persons created after its base and its recompaction. Between
+// them the rows must hold namesakes at every distance.
+func TestQ1SidesAgreeOnRandomGraphs(t *testing.T) {
+	var dists [4]int
+	for seed := uint64(1); seed <= 3; seed++ {
+		r := xrand.New(seed, 7)
+		st := store.New()
+		st.SetViewCompactThreshold(1 << 30)
+		g := &randGraph{}
+		loadRandomDimensions(t, st, r, g)
+		var base *store.SnapshotView
+		for step := 1; step <= 12; step++ {
+			randomWorkloadStep(t, st, r, g, step)
+			if step == 4 {
+				base = st.CurrentView() // the persons after it are the overlay's
+			}
+			if step%3 == 0 {
+				addQ1Shapes(t, st, r, g, step)
+			}
+		}
+		v := st.CurrentView()
+		if v.Era() != base.Era() || v.NumOfKind(ids.KindPerson) <= base.NumOfKind(ids.KindPerson) {
+			t.Fatalf("seed %d: the last view is no refresh of the base holding later persons", seed)
+		}
+		readers := map[string]store.Reader{"refreshed view": v, "recompacted view": st.ViewAt(v.Timestamp())}
+		st.View(func(tx *store.Txn) {
+			readers["txn"] = tx
+			sc := NewScratch()
+			for name, rd := range readers {
+				for _, p := range g.persons {
+					for _, first := range randFirstNames {
+						fwd, nsk := q1BothSides(rd, sc, p, first)
+						if !rowsEqual(t, fwd, nsk) {
+							t.Fatalf("seed %d %s Q1(%v, %s): forward %+v, from the namesakes %+v", seed, name, p, first, fwd, nsk)
+						}
+						if got := Q1(rd, sc, p, first); !rowsEqual(t, got, fwd) {
+							t.Fatalf("seed %d %s Q1(%v, %s): %+v, forced sides %+v", seed, name, p, first, got, fwd)
+						}
+						for _, row := range fwd {
+							dists[row.Distance]++
+						}
+					}
+				}
+			}
+		})
+	}
+	if dists[1] == 0 || dists[2] == 0 || dists[3] == 0 {
+		t.Errorf("rows at distance 1, 2, 3: %d, %d, %d; want some at each", dists[1], dists[2], dists[3])
 	}
 }

@@ -32,12 +32,15 @@
 // the large kinds, whose lookups miss cache. A hop whose neighbours are
 // only listed (their IDs and stamps, as in Q2 and Q9) reads by ID: a row
 // read as Nodes costs its decode-cache entry 4 more bytes per neighbour.
-// So do the knows walks among persons (Q1, Q13, Q14's path walks) and the
-// hops into organisations (Q1, Q11): persons and dimensions are small
-// kinds whose lookups hit cache, and reading Q1's and Q11's hops through
-// Nodes gained nothing (1000 persons: Q1 p50 191 -> 192 us, Q11 34 -> 37
-// us). Visited sets, frontiers and path distances over persons stay keyed
-// by ID for the same reason: an ordinal-keyed set gained nothing on Q1.
+// So do the knows walks among persons (Q1's ball, Q13, Q14's path walks)
+// and the hops into organisations (Q1, Q11): persons and dimensions are
+// small kinds whose lookups hit cache, and reading Q1's and Q11's hops
+// through Nodes gained nothing (1000 persons: Q1 p50 191 -> 192 us, Q11 34
+// -> 37 us). That Q1 expanded its third layer, some 7,200 knows entries;
+// Q1 now walks the radius-2 ball, about 500, and scans the persons' names
+// for the rest, reading each through the scan's Node. Visited sets,
+// frontiers and path distances over persons stay keyed by ID for the same
+// reason: an ordinal-keyed set gained nothing on Q1.
 //
 // The queries are graph-navigation programs (the Sparksee style of §5);
 // Query 9 additionally has an explicit join-operator formulation (Q9Join)
@@ -138,6 +141,9 @@ func (s *seenSet) tryMark(id ids.ID) bool {
 
 // has reports whether a node is marked.
 func (s *seenSet) has(id ids.ID) bool { return s.marked.Find(uint64(id)) != nil }
+
+// pos returns how many nodes were marked before id, -1 for an unmarked id.
+func (s *seenSet) pos(id ids.ID) int { return s.marked.Pos(uint64(id)) }
 
 // friendsOf fills sc.env with the distinct direct friends of p (excluding
 // p), in edge insertion order. The result aliases sc.env.

@@ -35,10 +35,10 @@ func main() {
 	fmt.Println("top-5 persons by PageRank:")
 	st.View(func(tx *store.Txn) {
 		for rank, v := range algo.TopK(pr, 5) {
-			id := g.IDs[v]
+			n := tx.Resolve(g.IDs[v])
 			fmt.Printf("  %d. %s %s  rank %.5f  degree %d\n", rank+1,
-				tx.Prop(id, store.PropFirstName).Str(),
-				tx.Prop(id, store.PropLastName).Str(),
+				tx.PropOf(n, store.PropFirstName).Str(),
+				tx.PropOf(n, store.PropLastName).Str(),
 				pr[v], g.Degree(int32(v)))
 		}
 	})

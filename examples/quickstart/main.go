@@ -39,7 +39,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 3. Pick the best-connected person.
+	// 3. Pick the best-connected person, the lowest ID among equals (map
+	// order is random).
 	deg := map[ids.ID]int{}
 	for _, k := range out.Data.Knows {
 		deg[k.A]++
@@ -48,7 +49,7 @@ func main() {
 	var start ids.ID
 	best := -1
 	for p, d := range deg {
-		if d > best {
+		if d > best || d == best && p < start {
 			start, best = p, d
 		}
 	}
@@ -59,14 +60,15 @@ func main() {
 	v := st.CurrentView()
 	sc := workload.NewScratch()
 
-	name := v.Prop(start, store.PropFirstName).Str() + " " +
-		v.Prop(start, store.PropLastName).Str()
+	s := v.Resolve(start)
+	name := v.PropOf(s, store.PropFirstName).Str() + " " +
+		v.PropOf(s, store.PropLastName).Str()
 	fmt.Printf("\nstart person: %s (%d friends)\n\n", name, best)
 
 	q2 := workload.Q2(v, sc, start, datagen.SimEnd)
 	fmt.Println("Q2 — newest messages from direct friends (view path):")
 	for i, row := range q2 {
-		who := v.Prop(row.Creator, store.PropFirstName).Str()
+		who := v.PropOf(store.ByID(row.Creator), store.PropFirstName).Str()
 		fmt.Printf("  %2d. %s at %s (%v)\n", i+1, who,
 			time.UnixMilli(row.CreationDate).UTC().Format("2006-01-02 15:04"),
 			row.Message.Kind())
@@ -78,7 +80,7 @@ func main() {
 	q9 := workload.Q9(v, sc, start, datagen.SimEnd)
 	fmt.Println("\nQ9 — latest posts from friends and friends-of-friends (view path):")
 	for i, row := range q9 {
-		who := v.Prop(row.Creator, store.PropFirstName).Str()
+		who := v.PropOf(store.ByID(row.Creator), store.PropFirstName).Str()
 		fmt.Printf("  %2d. %s at %s\n", i+1, who,
 			time.UnixMilli(row.CreationDate).UTC().Format("2006-01-02 15:04"))
 		if i == 4 {

@@ -42,13 +42,15 @@ func main() {
 
 	for _, pid := range curated {
 		p := ids.ID(pid)
-		name := v.Prop(p, store.PropFirstName).Str() + " " + v.Prop(p, store.PropLastName).Str()
+		pn := v.Resolve(p)
+		name := v.PropOf(pn, store.PropFirstName).Str() + " " + v.PropOf(pn, store.PropLastName).Str()
 		fmt.Printf("recommendations for %s:\n", name)
 		found := 0
 		for sign := 0; sign < 12 && found < 5; sign++ {
 			for _, rec := range workload.Q10(v, sc, p, sign) {
-				who := v.Prop(rec.Person, store.PropFirstName).Str() + " " +
-					v.Prop(rec.Person, store.PropLastName).Str()
+				rn := v.Resolve(rec.Person)
+				who := v.PropOf(rn, store.PropFirstName).Str() + " " +
+					v.PropOf(rn, store.PropLastName).Str()
 				dist := workload.Q13(v, sc, p, rec.Person)
 				fmt.Printf("  %-24s score %4d  common interests %d  distance %d\n",
 					who, rec.Score, rec.CommonTags, dist)
@@ -66,7 +68,7 @@ func main() {
 
 	// Q1: find namesakes near the first curated person.
 	p := ids.ID(curated[0])
-	first := v.Prop(p, store.PropFirstName).Str()
+	first := v.PropOf(store.ByID(p), store.PropFirstName).Str()
 	rows := workload.Q1(v, sc, p, first)
 	fmt.Printf("Q1 — persons named %q within 3 hops of the first person: %d\n", first, len(rows))
 	for i, r := range rows {

@@ -48,7 +48,7 @@ func ExtractKnows(st *store.Store) *Graph {
 // ExtractKnowsView builds the algorithm graph from an existing view.
 func ExtractKnowsView(v *store.SnapshotView) *Graph {
 	g := &Graph{Index: make(map[ids.ID]int32)}
-	persons := v.NodesOfKind(ids.KindPerson)
+	persons := v.ScanKind(ids.KindPerson).IDs()
 	g.IDs = make([]ids.ID, len(persons))
 	copy(g.IDs, persons)
 	sort.Slice(g.IDs, func(i, j int) bool { return g.IDs[i] < g.IDs[j] })
@@ -60,7 +60,7 @@ func ExtractKnowsView(v *store.SnapshotView) *Graph {
 	total := int32(0)
 	for i, id := range g.IDs {
 		g.Offsets[i] = total
-		for _, e := range v.Out(id, store.EdgeKnows) {
+		for _, e := range v.OutOf(store.ByID(id), store.EdgeKnows) {
 			if _, ok := g.Index[e.To]; ok {
 				total++
 			}
@@ -70,7 +70,7 @@ func ExtractKnowsView(v *store.SnapshotView) *Graph {
 	// Second pass: fill targets.
 	g.Targets = make([]int32, 0, total)
 	for _, id := range g.IDs {
-		for _, e := range v.Out(id, store.EdgeKnows) {
+		for _, e := range v.OutOf(store.ByID(id), store.EdgeKnows) {
 			if j, ok := g.Index[e.To]; ok {
 				g.Targets = append(g.Targets, j)
 			}

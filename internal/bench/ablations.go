@@ -79,7 +79,7 @@ func AblationTimeOrderedIDs(env *Env, reps int) *Result {
 		t0 := time.Now()
 		for r := 0; r < reps; r++ {
 			for i := 0; i < n; i++ {
-				msgs := tx.In(persons[i].ID, store.EdgeHasCreator)
+				msgs := tx.InOf(store.ByID(persons[i].ID), store.EdgeHasCreator)
 				rows := make([]store.Edge, 0, len(msgs))
 				for _, m := range msgs {
 					if m.Stamp <= maxDate {
@@ -100,14 +100,14 @@ func AblationTimeOrderedIDs(env *Env, reps int) *Result {
 		t0 = time.Now()
 		for r := 0; r < reps; r++ {
 			for i := 0; i < n; i++ {
-				msgs := tx.In(persons[i].ID, store.EdgeHasCreator)
+				msgs := tx.InOf(store.ByID(persons[i].ID), store.EdgeHasCreator)
 				type row struct {
 					id ids.ID
 					d  int64
 				}
 				rows := make([]row, 0, len(msgs))
 				for _, m := range msgs {
-					d := tx.Prop(m.To, store.PropCreationDate).Int()
+					d := tx.PropOf(store.ByID(m.To), store.PropCreationDate).Int()
 					if d <= maxDate {
 						rows = append(rows, row{m.To, d})
 					}

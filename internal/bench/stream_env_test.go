@@ -52,13 +52,13 @@ func TestStreamedEnvMatchesNewEnv(t *testing.T) {
 	}
 	var rbuf, gbuf []store.Edge
 	for _, k := range []ids.Kind{ids.KindPerson, ids.KindForum, ids.KindPost, ids.KindComment} {
-		rk, gk := rv.NodesOfKind(k), gv.NodesOfKind(k)
+		rk, gk := rv.ScanKind(k).IDs(), gv.ScanKind(k).IDs()
 		if !reflect.DeepEqual(rk, gk) {
 			t.Fatalf("kind %v node lists diverge (order matters)", k)
 		}
 		for _, id := range rk {
-			rp, _ := rv.Props(id)
-			gp, _ := gv.Props(id)
+			rp, _ := rv.PropsOf(store.ByID(id))
+			gp, _ := gv.PropsOf(store.ByID(id))
 			if !reflect.DeepEqual(rp, gp) {
 				t.Fatalf("node %v props diverge", id)
 			}

@@ -29,8 +29,8 @@ func benchPerson(tb testing.TB, env *Env) ids.ID {
 	var best ids.ID
 	bestDeg := -1
 	env.Store.View(func(tx *store.Txn) {
-		for _, p := range tx.NodesOfKind(ids.KindPerson) {
-			if d := tx.OutDegree(p, store.EdgeKnows); d > bestDeg {
+		for _, p := range tx.ScanKind(ids.KindPerson).IDs() {
+			if d := tx.OutDegreeOf(store.ByID(p), store.EdgeKnows); d > bestDeg {
 				best, bestDeg = p, d
 			}
 		}
@@ -47,8 +47,8 @@ func benchPartner(b testing.TB, env *Env, p ids.ID) ids.ID {
 	b.Helper()
 	var partner ids.ID
 	env.Store.View(func(tx *store.Txn) {
-		for _, q := range tx.NodesOfKind(ids.KindPerson) {
-			if q != p && tx.OutDegree(q, store.EdgeKnows) > 0 {
+		for _, q := range tx.ScanKind(ids.KindPerson).IDs() {
+			if q != p && tx.OutDegreeOf(store.ByID(q), store.EdgeKnows) > 0 {
 				partner = q
 				break
 			}
@@ -522,8 +522,8 @@ func TestViewAdjacencyZeroAlloc(t *testing.T) {
 	var p ids.ID
 	bestDeg := -1
 	env.Store.View(func(tx *store.Txn) {
-		for _, q := range tx.NodesOfKind(ids.KindPerson) {
-			if d := tx.OutDegree(q, store.EdgeKnows); d > bestDeg {
+		for _, q := range tx.ScanKind(ids.KindPerson).IDs() {
+			if d := tx.OutDegreeOf(store.ByID(q), store.EdgeKnows); d > bestDeg {
 				p, bestDeg = q, d
 			}
 		}
@@ -672,14 +672,14 @@ func assertKeyedAllocs(t *testing.T, env *Env, v *store.SnapshotView, sc *worklo
 	var lo, tag ids.ID
 	env.Store.View(func(tx *store.Txn) {
 		loDeg := -1
-		for _, q := range tx.NodesOfKind(ids.KindPerson) {
-			if d := tx.OutDegree(q, store.EdgeKnows); d > 0 && (loDeg < 0 || d < loDeg) {
+		for _, q := range tx.ScanKind(ids.KindPerson).IDs() {
+			if d := tx.OutDegreeOf(store.ByID(q), store.EdgeKnows); d > 0 && (loDeg < 0 || d < loDeg) {
 				lo, loDeg = q, d
 			}
 		}
 		// A tag of a friend's post, so hi's Q6 counts co-occurring tags.
 		for _, f := range tx.Out(hi, store.EdgeKnows) {
-			for _, m := range tx.In(f.To, store.EdgeHasCreator) {
+			for _, m := range tx.InOf(store.ByID(f.To), store.EdgeHasCreator) {
 				if tags := tx.Out(m.To, store.EdgeHasTag); tag == 0 && len(tags) > 0 {
 					tag = tags[0].To
 				}

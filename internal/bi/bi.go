@@ -273,7 +273,7 @@ func bi2Finalize[R store.Reader](r R, parts []bi2Partial, limit int) []BI2Row {
 		}
 		t := ids.ID(merged.tags.key(s))
 		out = append(out, BI2Row{
-			Tag: t, Name: r.Prop(t, store.PropName).Str(),
+			Tag: t, Name: r.PropOf(store.ByID(t), store.PropName).Str(),
 			CountA: c[0], CountB: c[1], Difference: max(c[0]-c[1], c[1]-c[0]),
 		})
 	}
@@ -571,12 +571,12 @@ func bi5Finalize[R store.Reader](r R, parts []bi5Partial) []BI5Row {
 		if c == 0 {
 			continue
 		}
-		if types := r.Out(ids.ID(merged.tags.key(s)), store.EdgeHasType); len(types) > 0 {
+		if types := r.OutOf(store.ByID(ids.ID(merged.tags.key(s))), store.EdgeHasType); len(types) > 0 {
 			n, _ := direct.At(uint64(types[0].To))
 			*n += c
 		}
 	}
-	for _, cls := range r.NodesOfKind(ids.KindTagClass) {
+	for _, cls := range r.ScanKind(ids.KindTagClass).IDs() {
 		n := direct.Find(uint64(cls))
 		if n == nil {
 			continue // no message to roll up
@@ -585,7 +585,7 @@ func bi5Finalize[R store.Reader](r R, parts []bi5Partial) []BI5Row {
 		for depth := 0; depth < 32; depth++ {
 			n, _ := total.At(uint64(cur))
 			*n += c
-			parents := r.Out(cur, store.EdgeIsSubclassOf)
+			parents := r.OutOf(store.ByID(cur), store.EdgeIsSubclassOf)
 			if len(parents) == 0 {
 				break
 			}
@@ -595,7 +595,7 @@ func bi5Finalize[R store.Reader](r R, parts []bi5Partial) []BI5Row {
 	out := make([]BI5Row, 0, len(total.Keys()))
 	for i, k := range total.Keys() {
 		cls := ids.ID(k)
-		out = append(out, BI5Row{Class: cls, Name: r.Prop(cls, store.PropName).Str(), Messages: total.Vals()[i]})
+		out = append(out, BI5Row{Class: cls, Name: r.PropOf(store.ByID(cls), store.PropName).Str(), Messages: total.Vals()[i]})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Messages != out[j].Messages {

@@ -481,8 +481,8 @@ func TestBISlotTiersOnRefreshedView(t *testing.T) {
 		} {
 			bi2, bi3, bi4 := c.rows()
 			tagged := 0
-			for _, tag := range tx.NodesOfKind(ids.KindTag) {
-				if tx.InDegree(tag, store.EdgeHasTag) > 0 {
+			for _, tag := range tx.ScanKind(ids.KindTag).IDs() {
+				if tx.InDegreeOf(store.ByID(tag), store.EdgeHasTag) > 0 {
 					tagged++
 				}
 			}
@@ -490,7 +490,7 @@ func TestBISlotTiersOnRefreshedView(t *testing.T) {
 				t.Errorf("%s: BI2 reports %d tags, %d are tagged: %+v", c.path, len(bi2), tagged, bi2)
 			}
 			for _, row := range bi2 {
-				if want := tx.InDegree(row.Tag, store.EdgeHasTag); row.CountA != want || row.CountB != 0 {
+				if want := tx.InDegreeOf(store.ByID(row.Tag), store.EdgeHasTag); row.CountA != want || row.CountB != 0 {
 					t.Errorf("%s: BI2 counts %v (%s) %d/%d, its hasTag in-degree is %d", c.path, row.Tag, row.Name, row.CountA, row.CountB, want)
 				}
 			}
@@ -512,7 +512,7 @@ func TestBISlotTiersOnRefreshedView(t *testing.T) {
 					}
 				}
 			}
-			if want := len(tx.NodesOfKind(ids.KindPost)) + len(tx.NodesOfKind(ids.KindComment)); messages != want {
+			if want := len(tx.ScanKind(ids.KindPost).IDs()) + len(tx.ScanKind(ids.KindComment).IDs()); messages != want {
 				t.Errorf("%s: BI4 credits %d messages, %d exist", c.path, messages, want)
 			}
 		}

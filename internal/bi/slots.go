@@ -39,7 +39,7 @@ type slots struct {
 // dimSlots returns the slots of a dimension kind's IDs.
 func dimSlots[R store.Reader](r R, kind ids.Kind) slots {
 	lo, n := ids.DimensionID(kind, 0), uint64(0)
-	for _, id := range r.NodesOfKind(kind) {
+	for _, id := range r.ScanKind(kind).IDs() {
 		if d := uint64(id - lo); d < 1<<ids.SeqBits {
 			n = max(n, d+1)
 		}

@@ -217,7 +217,7 @@ func TestRunAgainstStore(t *testing.T) {
 		t.Fatalf("store errors: %d", rep.Errors)
 	}
 	st.View(func(tx *store.Txn) {
-		if got := len(tx.NodesOfKind(1)); got != len(full.Persons) { // ids.KindPerson
+		if got := len(tx.ScanKind(1).IDs()); got != len(full.Persons) { // ids.KindPerson
 			t.Fatalf("persons after driver replay: %d want %d", got, len(full.Persons))
 		}
 	})

@@ -29,10 +29,13 @@ func bad(v *store.SnapshotView, h *holder, ch chan []store.Edge) {
 	sub := out[1:]
 	sub[0] = store.Edge{} // want `write into sub`
 
-	kinds := v.NodesOfKind(3)
-	kinds[0] = 9 // want `write into kinds`
+	// A row read through ByID, and a property row, alias the same memory.
+	byID := v.OutOf(store.ByID(1))
+	byID[0].Stamp = 4 // want `write into byID`
+	props, _ := v.PropsOf(store.ByID(1))
+	props[0] = "x" // want `write into props`
 
-	// The Node-keyed rows alias the same memory as the ID-keyed ones.
+	// So do the rows of a resolved node.
 	scan := v.ScanKind(3)
 	n := scan.At(0)
 	of := v.OutOf(n)
@@ -63,7 +66,7 @@ func bad(v *store.SnapshotView, h *holder, ch chan []store.Edge) {
 	y[0].Stamp = 3                            // want `write into y`
 	_ = append(v.Out(1), store.Edge{})        // want `append to v.Out\(1\)`
 	_ = append(row.Edges()[:1], store.Edge{}) // want `append to row.Edges\(\)\[:1\]`
-	ch <- v.In(1)[2:]                         // want `sent on a channel`
+	ch <- v.InOf(store.ByID(1))[2:]           // want `sent on a channel`
 }
 
 func good(v *store.SnapshotView) []store.Edge {
@@ -99,10 +102,10 @@ func good(v *store.SnapshotView) []store.Edge {
 		sum += int64(e.Dst)
 	}
 	cp = append(cp, row.Edges()[1:]...)
-	copy(cp, v.In(1)[1:])
+	copy(cp, v.InOf(store.ByID(1))[1:])
 
 	// Multi-value form: the slice result is tainted, reads stay legal.
-	ps, ok := v.Props(1)
+	ps, ok := v.PropsOf(store.ByID(1))
 	if ok && len(ps) > 0 {
 		_ = ps[0]
 	}

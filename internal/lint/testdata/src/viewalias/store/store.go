@@ -1,6 +1,6 @@
 // Package store is a fixture stand-in for ldbcsnb/internal/store: the
-// viewalias analyzer keys on methods named Out/In/OutOf/InOf/Props/
-// NodesOfKind/IDs/Edges declared in a package named "store".
+// viewalias analyzer keys on methods named Out/OutOf/InOf/PropsOf/IDs/
+// Edges declared in a package named "store".
 package store
 
 // NodeID is a node identifier.
@@ -15,27 +15,25 @@ type Edge struct {
 // SnapshotView mimics the real read surface.
 type SnapshotView struct{}
 
-// Out returns the outgoing adjacency of id. The slice aliases shared
-// view memory and must not be mutated.
+// Out is OutOf(ByID(id)). The slice aliases shared view memory and must
+// not be mutated.
 func (v *SnapshotView) Out(id NodeID) []Edge { return nil }
 
-// In returns the incoming adjacency of id.
-func (v *SnapshotView) In(id NodeID) []Edge { return nil }
-
-// Props returns the property row of id.
-func (v *SnapshotView) Props(id NodeID) ([]string, bool) { return nil, false }
-
-// NodesOfKind returns the ids of one node kind.
-func (v *SnapshotView) NodesOfKind(kind int) []NodeID { return nil }
-
-// Node is a resolved node handle.
+// Node is a node handle.
 type Node struct{ id NodeID }
 
-// OutOf is Out of a resolved node.
+// ByID returns the handle of a node read once.
+func ByID(id NodeID) Node { return Node{id: id} }
+
+// OutOf returns the outgoing adjacency of n. The slice aliases shared
+// view memory and must not be mutated.
 func (v *SnapshotView) OutOf(n Node) []Edge { return nil }
 
-// InOf is In of a resolved node.
+// InOf returns the incoming adjacency of n.
 func (v *SnapshotView) InOf(n Node) []Edge { return nil }
+
+// PropsOf returns the property row of n.
+func (v *SnapshotView) PropsOf(n Node) ([]string, bool) { return nil, false }
 
 // KindScan is one kind's node list, yielding each as a Node.
 type KindScan struct{ nodes []NodeID }
@@ -43,7 +41,7 @@ type KindScan struct{ nodes []NodeID }
 // ScanKind returns the scan of one node kind.
 func (v *SnapshotView) ScanKind(kind int) KindScan { return KindScan{} }
 
-// IDs returns the scanned ids; the slice is the NodesOfKind list.
+// IDs returns the scanned ids; the slice is the view's kind list.
 func (s KindScan) IDs() []NodeID { return s.nodes }
 
 // At returns the i-th scanned node.

@@ -6,13 +6,13 @@ import (
 )
 
 // ViewAlias enforces the Reader scratch-aliasing contract: slices
-// returned by Out, In and Props on the store's reader surface, by OutOf
-// and InOf, their forms keyed by a resolved Node, and by NodeRow.Edges
-// (the row OutNodes and InNodes read) alias view-owned shared memory — the
-// per-row decode cache, the CSR overlay rows, the property rows shared
-// with the store's node records — so a caller-side write corrupts every
-// concurrent reader of the same view. NodesOfKind rows, and a KindScan's
-// IDs (the same list), share the same contract.
+// returned by OutOf, InOf and PropsOf on the store's reader surface (and
+// the harness's Out), and by NodeRow.Edges (the row OutNodes and InNodes
+// read) alias view-owned shared memory — the per-row decode cache, the
+// CSR overlay rows, the property rows shared with the store's node
+// records — so a caller-side write corrupts every concurrent reader of the
+// same view. A KindScan's IDs, the reader's per-kind list, share the same
+// contract.
 //
 // Within each function the pass taints values returned by those methods
 // (propagating through plain copies and re-slices) and flags, on a tainted
@@ -28,7 +28,7 @@ import (
 // sanctioned idiom and is not flagged.
 var ViewAlias = &Analyzer{
 	Name: "viewalias",
-	Doc:  "flag mutation or escape of slices returned by Reader.Out/In/OutOf/InOf/Props (shared view memory)",
+	Doc:  "flag mutation or escape of slices returned by Reader.Out/OutOf/InOf/PropsOf, KindScan.IDs and NodeRow.Edges (shared view memory)",
 	Run:  runViewAlias,
 }
 
@@ -39,14 +39,12 @@ var ViewAlias = &Analyzer{
 // generic code calling through a type parameter constrained by
 // store.Reader resolves to the interface methods).
 var readerAliasMethods = map[string]bool{
-	"Out":         true,
-	"In":          true,
-	"OutOf":       true,
-	"InOf":        true,
-	"Props":       true,
-	"NodesOfKind": true,
-	"IDs":         true,
-	"Edges":       true,
+	"Out":     true,
+	"OutOf":   true,
+	"InOf":    true,
+	"PropsOf": true,
+	"IDs":     true,
+	"Edges":   true,
 }
 
 // isAliasCall reports whether call returns view-aliased memory.
@@ -81,7 +79,7 @@ func runViewAlias(pass *Pass) {
 
 func viewAliasFunc(pass *Pass, decl *ast.FuncDecl) {
 	// Pass 1 (to fixpoint): the set of objects holding tainted slices.
-	// x := r.Out(...) taints x; y := x and y := x[1:] propagate; any
+	// x := r.OutOf(...) taints x; y := x and y := x[1:] propagate; any
 	// other assignment to the object clears it conservatively? No —
 	// flow-insensitive: once tainted in this function, always suspect.
 	tainted := make(map[types.Object]bool)
@@ -114,7 +112,7 @@ func viewAliasFunc(pass *Pass, decl *ast.FuncDecl) {
 			if !ok {
 				return true
 			}
-			// Multi-value call assigns (ps, ok := r.Props(id)) taint LHS[0];
+			// Multi-value call assigns (ps, ok := r.PropsOf(n)) taint LHS[0];
 			// one-to-one assigns taint positionally.
 			if len(as.Rhs) == 1 && len(as.Lhs) > 1 {
 				if call, isCall := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); isCall && isAliasCall(pass.Info, call) {
@@ -179,7 +177,7 @@ func viewAliasFunc(pass *Pass, decl *ast.FuncDecl) {
 				// indexes into it (row[i] = ..., row[i].Stamp = ...).
 				if id, via := rootIdent(lhs); id != nil && via {
 					if o := pass.Info.Uses[id]; o != nil && tainted[o] {
-						pass.Reportf(lhs.Pos(), "write into %s, which aliases shared view memory returned by Reader.%s", id.Name, "Out/In/OutOf/InOf/Props")
+						pass.Reportf(lhs.Pos(), "write into %s, which aliases shared view memory returned by Reader.%s", id.Name, "Out/OutOf/InOf/PropsOf")
 						continue
 					}
 				}

@@ -40,7 +40,7 @@ func refEval(t *testing.T, r store.Reader, q *Query, params Params) [][]store.Va
 	t.Helper()
 	ev := &refEvaluator{r: r, q: q, params: params}
 	for k := ids.KindPerson; k <= ids.KindPhoto; k++ {
-		ev.all = append(ev.all, r.NodesOfKind(k)...)
+		ev.all = append(ev.all, r.ScanKind(k).IDs()...)
 	}
 	ev.assign = make([]int64, len(q.Vars))
 	// Constraints with no variables hold or fail for the whole query.
@@ -293,7 +293,7 @@ func (ev *refEvaluator) evalExpr(e Expr) store.Value {
 	case ExprVar:
 		return store.Int64(ev.assign[e.Var])
 	case ExprProp:
-		return ev.r.Prop(ids.ID(uint64(ev.assign[e.Var])), e.Prop)
+		return ev.r.PropOf(store.ByID(ids.ID(uint64(ev.assign[e.Var]))), e.Prop)
 	case ExprParam:
 		return ev.paramVal(e.Param)
 	case ExprInt:

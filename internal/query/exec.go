@@ -331,7 +331,7 @@ func (ec *execCtx[R]) evalExpr(e Expr) store.Value {
 	case ExprVar:
 		return store.Int64(ec.row[e.Var])
 	case ExprProp:
-		return ec.r.Prop(ids.ID(uint64(ec.row[e.Var])), e.Prop)
+		return ec.r.PropOf(store.ByID(ids.ID(uint64(ec.row[e.Var]))), e.Prop)
 	case ExprParam:
 		return ec.pv[e.Param]
 	case ExprInt:
@@ -384,7 +384,7 @@ func (ec *execCtx[R]) execScan(i int, op planOp) error {
 		lo, hi = ids.KindPerson, ids.KindPhoto
 	}
 	for k := lo; k <= hi; k++ {
-		for _, id := range ec.r.NodesOfKind(k) {
+		for _, id := range ec.r.ScanKind(k).IDs() {
 			ec.row[op.scanVar] = int64(uint64(id))
 			if err := ec.exec(i + 1); err != nil {
 				return err
@@ -407,7 +407,7 @@ func (ec *execCtx[R]) execExpand(i int, op planOp) error {
 	}
 	var edges []store.Edge
 	if op.out {
-		edges = ec.r.Out(ids.ID(uint64(from)), a.Edge)
+		edges = ec.r.OutOf(store.ByID(ids.ID(uint64(from))), a.Edge)
 	} else {
 		edges = ec.edgesInto(st, ids.ID(uint64(from)), a.Edge)
 	}
@@ -448,7 +448,7 @@ func (ec *execCtx[R]) execFused(i int, op planOp) error {
 	}
 	var edges []store.Edge
 	if op.out {
-		edges = ec.r.Out(ids.ID(uint64(from)), a.Edge)
+		edges = ec.r.OutOf(store.ByID(ids.ID(uint64(from))), a.Edge)
 	} else {
 		edges = ec.edgesInto(st, ids.ID(uint64(from)), a.Edge)
 	}
@@ -493,7 +493,7 @@ func (ec *execCtx[R]) execCheckEdge(i int, op planOp) error {
 	a := &ec.q.Atoms[op.atom]
 	src := ids.ID(uint64(ec.termVal(a.Src)))
 	dst := ec.termVal(a.Dst)
-	edges := ec.r.Out(src, a.Edge)
+	edges := ec.r.OutOf(store.ByID(src), a.Edge)
 	if a.Stamp < 0 {
 		for _, e := range edges {
 			if int64(uint64(e.To)) == dst {
@@ -532,7 +532,7 @@ func (ec *execCtx[R]) execCheckEdge(i int, op planOp) error {
 // store.Into's row in st's buffer.
 func (ec *execCtx[R]) edgesInto(st *opState, n ids.ID, t store.EdgeType) []store.Edge {
 	if t != store.EdgeKnows {
-		return ec.r.In(n, t)
+		return ec.r.InOf(store.ByID(n), t)
 	}
 	st.into = store.Into(ec.r, ec.r.Resolve(n), t, st.into)
 	return st.into
@@ -603,7 +603,7 @@ func (ec *execCtx[R]) execBFS(i int, op planOp) error {
 // hop returns a BFS node's row in the search's direction.
 func (ec *execCtx[R]) hop(st *opState, n ids.ID, t store.EdgeType, out bool) []store.Edge {
 	if out {
-		return ec.r.Out(n, t)
+		return ec.r.OutOf(store.ByID(n), t)
 	}
 	return ec.edgesInto(st, n, t)
 }
@@ -710,7 +710,7 @@ func (st *opState) holds(id ids.ID) bool { return st.seen.Find(uint64(id)) != ni
 func layerReadsMore(v *store.SnapshotView, layer []ids.ID, t store.EdgeType, n int) bool {
 	sum := 0
 	for _, x := range layer {
-		if sum += v.OutDegree(x, t); sum > n {
+		if sum += v.OutDegreeOf(store.ByID(x), t); sum > n {
 			return true
 		}
 	}

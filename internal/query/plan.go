@@ -10,7 +10,7 @@ import (
 type opKind uint8
 
 const (
-	// opScan binds a node variable by enumerating NodesOfKind (all kinds
+	// opScan binds a node variable by enumerating ScanKind's IDs (all kinds
 	// when ScanKind is zero). A scan after the first op is a cross product:
 	// it runs once per input row.
 	opScan opKind = iota
@@ -180,7 +180,7 @@ func intFilterShape(e Expr) bool {
 // Opts tunes planning.
 type Opts struct {
 	// Card returns an (approximate) node count for a kind, used to pick
-	// the cheapest NodesOfKind-rooted scan (e.g. SnapshotView.NumOfKind
+	// the cheapest ScanKind-rooted scan (e.g. SnapshotView.NumOfKind
 	// via Stats.View). Nil is fine: the planner is statistics-free and
 	// falls back to structural tie-breaks only.
 	Card func(k ids.Kind) int

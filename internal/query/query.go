@@ -3,7 +3,7 @@
 // with variables, kind constraints, comparison filters, ordering, limits
 // and count/sum aggregates) parsed from a string form, planned by a greedy
 // statistics-free planner into a streaming iterator plan over
-// Out/In/Prop/Exists/NodesOfKind, and executed on either Reader
+// OutOf/InOf/PropOf/ScanKind, and executed on either Reader
 // instantiation (*store.Txn or *store.SnapshotView).
 //
 // # Language

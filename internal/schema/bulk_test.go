@@ -184,13 +184,13 @@ func assertSameGraph(t *testing.T, want, got *store.Store, probe []ids.ID) {
 		got.View(func(gtx *store.Txn) {
 			all := append([]ids.ID(nil), probe...)
 			for k := ids.Kind(0); k < ids.KindLimit; k++ {
-				if w, g := wtx.NodesOfKind(k), gtx.NodesOfKind(k); !reflect.DeepEqual(w, g) {
+				if w, g := wtx.ScanKind(k).IDs(), gtx.ScanKind(k).IDs(); !reflect.DeepEqual(w, g) {
 					t.Fatalf("kind %v lists diverge (order matters):\ncommits %v\nbulk    %v", k, w, g)
 				}
-				if w, g := wv.NodesOfKind(k), gv.NodesOfKind(k); !reflect.DeepEqual(w, g) {
+				if w, g := wv.ScanKind(k).IDs(), gv.ScanKind(k).IDs(); !reflect.DeepEqual(w, g) {
 					t.Fatalf("kind %v view lists diverge", k)
 				}
-				all = append(all, wtx.NodesOfKind(k)...)
+				all = append(all, wtx.ScanKind(k).IDs()...)
 			}
 			slices.Sort(all)
 			all = slices.Compact(all)
@@ -198,9 +198,9 @@ func assertSameGraph(t *testing.T, want, got *store.Store, probe []ids.ID) {
 				if w, g := wtx.Exists(id), gtx.Exists(id); w != g || wv.Exists(id) != w || gv.Exists(id) != w {
 					t.Fatalf("node %v: exists %v in the commit-loaded store, %v in the bulk-loaded one", id, w, g)
 				}
-				wp, _ := wtx.Props(id)
-				gp, _ := gtx.Props(id)
-				vp, _ := gv.Props(id)
+				wp, _ := wtx.PropsOf(store.ByID(id))
+				gp, _ := gtx.PropsOf(store.ByID(id))
+				vp, _ := gv.PropsOf(store.ByID(id))
 				if !reflect.DeepEqual(wp, gp) || len(gp) > 0 && !reflect.DeepEqual(gp, vp) {
 					t.Fatalf("node %v props diverge", id)
 				}
@@ -208,7 +208,7 @@ func assertSameGraph(t *testing.T, want, got *store.Store, probe []ids.ID) {
 					for _, in := range []bool{false, true} {
 						w, g, v := wtx.Out(id, et), gtx.Out(id, et), gv.Out(id, et)
 						if in {
-							w, g, v = wtx.In(id, et), gtx.In(id, et), gv.In(id, et)
+							w, g, v = wtx.InOf(store.ByID(id), et), gtx.InOf(store.ByID(id), et), gv.InOf(store.ByID(id), et)
 						}
 						if !reflect.DeepEqual(w, g) || len(g) != len(v) || len(v) > 0 && !reflect.DeepEqual(g, v) {
 							t.Fatalf("node %v %v (in=%v) diverges:\ncommits %v\nbulk    %v\nview    %v", id, et, in, w, g, v)
@@ -315,7 +315,7 @@ func TestBulkCreatedTwice(t *testing.T) {
 		if got.LastCommit() != wantClock {
 			t.Fatalf("%s: a failed bulk load moved the clock to %d, want %d", name, got.LastCommit(), wantClock)
 		}
-		if name == "in one load" && len(got.CurrentView().NodesOfKind(ids.KindPerson)) != 0 {
+		if name == "in one load" && len(got.CurrentView().ScanKind(ids.KindPerson).IDs()) != 0 {
 			t.Fatalf("%s: a failed bulk load installed nodes", name)
 		}
 	}

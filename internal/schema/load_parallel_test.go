@@ -48,7 +48,7 @@ func assertSameLoadedStore(t *testing.T, want, got *store.Store, workers int) {
 	}
 	var all []ids.ID
 	for _, k := range []ids.Kind{ids.KindPerson, ids.KindForum, ids.KindPost, ids.KindComment} {
-		wk, gk := wv.NodesOfKind(k), gv.NodesOfKind(k)
+		wk, gk := wv.ScanKind(k).IDs(), gv.ScanKind(k).IDs()
 		if !reflect.DeepEqual(wk, gk) {
 			t.Fatalf("workers=%d: kind %v node list diverges (order matters)", workers, k)
 		}
@@ -56,8 +56,8 @@ func assertSameLoadedStore(t *testing.T, want, got *store.Store, workers int) {
 	}
 	var wbuf, gbuf []store.Edge
 	for _, id := range all {
-		wp, _ := wv.Props(id)
-		gp, _ := gv.Props(id)
+		wp, _ := wv.PropsOf(store.ByID(id))
+		gp, _ := gv.PropsOf(store.ByID(id))
 		if !reflect.DeepEqual(wp, gp) {
 			t.Fatalf("workers=%d: node %v props diverge", workers, id)
 		}
@@ -67,8 +67,8 @@ func assertSameLoadedStore(t *testing.T, want, got *store.Store, workers int) {
 			if !reflect.DeepEqual(wbuf, gbuf) {
 				t.Fatalf("workers=%d: node %v out-%v adjacency diverges", workers, id, et)
 			}
-			wbuf = append(wbuf[:0], wv.In(id, et)...)
-			gbuf = append(gbuf[:0], gv.In(id, et)...)
+			wbuf = append(wbuf[:0], wv.InOf(store.ByID(id), et)...)
+			gbuf = append(gbuf[:0], gv.InOf(store.ByID(id), et)...)
 			if !reflect.DeepEqual(wbuf, gbuf) {
 				t.Fatalf("workers=%d: node %v in-%v adjacency diverges", workers, id, et)
 			}

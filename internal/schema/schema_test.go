@@ -71,7 +71,7 @@ func TestLoadTinyDataset(t *testing.T) {
 	p1, p2 := d.Persons[0].ID, d.Persons[1].ID
 	st.View(func(tx *store.Txn) {
 		// Persons and properties.
-		if got := tx.Prop(p1, store.PropFirstName).Str(); got != "Karl" {
+		if got := tx.PropOf(store.ByID(p1), store.PropFirstName).Str(); got != "Karl" {
 			t.Fatalf("p1 name %q", got)
 		}
 		// Symmetric knows.
@@ -93,17 +93,17 @@ func TestLoadTinyDataset(t *testing.T) {
 			t.Fatalf("containerOf = %v", posts)
 		}
 		// Message graph: creator stamps carry message creationDate.
-		msgs := tx.In(p1, store.EdgeHasCreator)
+		msgs := tx.InOf(store.ByID(p1), store.EdgeHasCreator)
 		if len(msgs) != 1 || msgs[0].Stamp != 2000000 {
 			t.Fatalf("p1 messages = %v", msgs)
 		}
 		// Reply chain.
-		replies := tx.In(d.Posts[0].ID, store.EdgeReplyOf)
+		replies := tx.InOf(store.ByID(d.Posts[0].ID), store.EdgeReplyOf)
 		if len(replies) != 1 || replies[0].To != d.Comments[0].ID {
 			t.Fatalf("replies = %v", replies)
 		}
 		// Likes.
-		likes := tx.In(d.Posts[0].ID, store.EdgeLikes)
+		likes := tx.InOf(store.ByID(d.Posts[0].ID), store.EdgeLikes)
 		if len(likes) != 1 || likes[0].To != p2 || likes[0].Stamp != 2200000 {
 			t.Fatalf("likes = %v", likes)
 		}
@@ -134,11 +134,11 @@ func TestLoadDimensions(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.View(func(tx *store.Txn) {
-		tags := tx.NodesOfKind(ids.KindTag)
+		tags := tx.ScanKind(ids.KindTag).IDs()
 		if len(tags) != dict.NumTags {
 			t.Fatalf("tags loaded: %d", len(tags))
 		}
-		orgs := tx.NodesOfKind(ids.KindOrganisation)
+		orgs := tx.ScanKind(ids.KindOrganisation).IDs()
 		if len(orgs) != len(dict.Universities)+len(dict.Companies) {
 			t.Fatalf("orgs loaded: %d", len(orgs))
 		}
@@ -148,7 +148,7 @@ func TestLoadDimensions(t *testing.T) {
 		if len(cls) != 1 {
 			t.Fatalf("tag class edges: %v", cls)
 		}
-		if got := tx.Prop(cls[0].To, store.PropName).Str(); got != dict.TagClasses[dict.Tags[0].Class].Name {
+		if got := tx.PropOf(store.ByID(cls[0].To), store.PropName).Str(); got != dict.TagClasses[dict.Tags[0].Class].Name {
 			t.Fatalf("class name %q", got)
 		}
 	})

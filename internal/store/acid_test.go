@@ -72,7 +72,7 @@ func dirtyWrite() anomalyOutcome {
 	err2 := t2.Commit()
 	var final int64
 	st.View(func(tx *Txn) {
-		final = tx.Prop(id, PropLength).Int()
+		final = tx.PropOf(ByID(id), PropLength).Int()
 	})
 	return anomalyOutcome{
 		name:      "G0 dirty write",
@@ -94,7 +94,7 @@ func dirtyRead() anomalyOutcome {
 		var out string
 		st.View(func(tx *Txn) {
 			out = fmt.Sprintf("exists=%v length=%d degree=%d",
-				tx.Exists(pending), tx.Prop(pending, PropLength).Int(), tx.OutDegree(id, EdgeKnows))
+				tx.Exists(pending), tx.PropOf(ByID(pending), PropLength).Int(), tx.OutDegreeOf(ByID(id), EdgeKnows))
 		})
 		return out
 	}
@@ -116,13 +116,13 @@ func nonRepeatableRead() anomalyOutcome {
 	st, id := freshRow()
 	peer := ids.Compose(ids.KindPost, 1, 0)
 	reader := st.Begin()
-	firstDeg, firstOut := reader.OutDegree(id, EdgeLikes), len(reader.Out(id, EdgeLikes))
+	firstDeg, firstOut := reader.OutDegreeOf(ByID(id), EdgeLikes), len(reader.Out(id, EdgeLikes))
 	w := st.Begin()
 	_ = w.AddEdge(id, EdgeLikes, peer, 7)
 	if err := w.Commit(); err != nil {
 		return anomalyOutcome{name: "fuzzy read", detail: err.Error()}
 	}
-	secondDeg, secondOut := reader.OutDegree(id, EdgeLikes), len(reader.Out(id, EdgeLikes))
+	secondDeg, secondOut := reader.OutDegreeOf(ByID(id), EdgeLikes), len(reader.Out(id, EdgeLikes))
 	return anomalyOutcome{
 		name:      "fuzzy (non-repeatable) read",
 		prevented: firstDeg == secondDeg && firstOut == secondOut,
@@ -150,7 +150,7 @@ func lostAppend() anomalyOutcome {
 	wg.Wait()
 	var final int
 	st.View(func(tx *Txn) {
-		final = tx.OutDegree(id, EdgeLikes)
+		final = tx.OutDegreeOf(ByID(id), EdgeLikes)
 	})
 	return anomalyOutcome{
 		name:      "lost append (8 racing appends to one row)",
@@ -164,13 +164,13 @@ func lostAppend() anomalyOutcome {
 func phantomInsert() anomalyOutcome {
 	st, _ := freshRow()
 	reader := st.Begin()
-	before := len(reader.NodesOfKind(ids.KindPerson))
+	before := len(reader.ScanKind(ids.KindPerson).IDs())
 	w := st.Begin()
 	_ = w.CreateNode(ids.Compose(ids.KindPerson, 2, 0), nil)
 	if err := w.Commit(); err != nil {
 		return anomalyOutcome{name: "phantom", detail: err.Error()}
 	}
-	after := len(reader.NodesOfKind(ids.KindPerson))
+	after := len(reader.ScanKind(ids.KindPerson).IDs())
 	return anomalyOutcome{
 		name:      "phantom insert under repeated scan",
 		prevented: before == after,
@@ -224,7 +224,7 @@ func atomicity() anomalyOutcome {
 	}
 	var allOrNothing bool
 	st.View(func(tx *Txn) {
-		allOrNothing = tx.Exists(p) && tx.Exists(m) && tx.OutDegree(m, EdgeHasCreator) == 1
+		allOrNothing = tx.Exists(p) && tx.Exists(m) && tx.OutDegreeOf(ByID(m), EdgeHasCreator) == 1
 	})
 	// Aborted multi-write leaves nothing.
 	tx2 := st.Begin()
@@ -233,7 +233,7 @@ func atomicity() anomalyOutcome {
 	_ = tx2.AddEdge(p2, EdgeKnows, p, 2)
 	tx2.Abort()
 	st.View(func(tx *Txn) {
-		if tx.Exists(p2) || tx.OutDegree(p, EdgeKnows) != 0 {
+		if tx.Exists(p2) || tx.OutDegreeOf(ByID(p), EdgeKnows) != 0 {
 			allOrNothing = false
 		}
 	})

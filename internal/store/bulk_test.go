@@ -203,7 +203,7 @@ func TestBulkLoadRacesCommitters(t *testing.T) {
 		var pop []ids.ID
 		s.View(func(tx *Txn) {
 			for _, k := range []ids.Kind{ids.KindPerson, ids.KindComment} {
-				pop = append(pop, tx.NodesOfKind(k)...)
+				pop = append(pop, tx.ScanKind(k).IDs()...)
 			}
 		})
 		assertStoresEqual(t, s, re.Store, pop)

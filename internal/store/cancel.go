@@ -10,11 +10,11 @@ import (
 // Queries are plain Go functions over the Reader contract — they return
 // results, not errors, and their hot loops are allocation-free. Deadline
 // enforcement therefore cannot thread a ctx parameter through every
-// Out/In/Prop call without taxing the fast path and rewriting every
+// row or property read without taxing the fast path and rewriting every
 // query. Instead, a serving layer derives a per-request view with
 // WithCancel: a shallow copy of the shared SnapshotView carrying a
-// cancellation hook that the Reader scan-loop entry points (Out, In,
-// Prop) poll every cancelEvery calls. When the request's context is done
+// cancellation hook that the Reader's row and property reads (OutOf,
+// InOf, OutNodes, InNodes, PropOf, PropsOf) poll every cancelEvery calls. When the request's context is done
 // the hook unwinds the query with a private panic sentinel, which
 // CatchCanceled converts back into ErrQueryCanceled at the dispatch
 // boundary — the registries' RunViewCtx hooks wrap exactly this pattern.
@@ -66,8 +66,9 @@ func (c *cancelHook) tick() {
 }
 
 // WithCancel returns a view that cooperatively aborts reads once ctx is
-// done: Out, In and Prop poll the context every cancelEvery calls and
-// unwind with a panic that CatchCanceled translates to ErrQueryCanceled.
+// done: its row and property reads poll the context every cancelEvery
+// calls and unwind with a panic that CatchCanceled translates to
+// ErrQueryCanceled.
 // The derived view shares all data with v (same timestamp, era and
 // ordinals) and is intended for one request on one goroutine; v itself is
 // untouched and stays shareable. A context that can never be canceled

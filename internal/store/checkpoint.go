@@ -293,7 +293,7 @@ func encodeCheckpoint(w io.Writer, v *SnapshotView) error {
 		return err
 	}
 
-	// Per-kind scan lists, in live (commit) order — NodesOfKind's contract.
+	// Per-kind scan lists, in live (commit) order — ScanKind's contract.
 	var kinds []ids.Kind
 	for k, list := range v.byKind {
 		if len(list) > 0 {

@@ -86,19 +86,19 @@ func TestCheckpointDictionaryRoundTrip(t *testing.T) {
 	v := re.CurrentView()
 	for i := 1; i <= nPersons; i++ {
 		id := personID(uint32(i))
-		if got := v.Prop(id, PropBrowserUsed).Str(); got != shared {
+		if got := v.PropOf(ByID(id), PropBrowserUsed).Str(); got != shared {
 			t.Fatalf("person %d: BrowserUsed = %q, want %q", i, got, shared)
 		}
-		if got, want := v.Prop(id, PropLastName).Str(), fmt.Sprintf("zz-dict-unique-%03d", i); got != want {
+		if got, want := v.PropOf(ByID(id), PropLastName).Str(), fmt.Sprintf("zz-dict-unique-%03d", i); got != want {
 			t.Fatalf("person %d: LastName = %q, want %q", i, got, want)
 		}
-		if got := v.Prop(id, PropLength).Int(); got != int64(1000+i) {
+		if got := v.PropOf(ByID(id), PropLength).Int(); got != int64(1000+i) {
 			t.Fatalf("person %d: Length = %d", i, got)
 		}
 		// Same process, same string -> the restored Value must compare equal
 		// to a freshly built one (symbol identity, the equivalence-suite
 		// contract).
-		if v.Prop(id, PropBrowserUsed) != String(shared) {
+		if v.PropOf(ByID(id), PropBrowserUsed) != String(shared) {
 			t.Fatalf("person %d: restored Value not symbol-identical to String(%q)", i, shared)
 		}
 	}

@@ -89,9 +89,9 @@ type csr struct {
 // entries 4k and 4k+1 in the low and high half of the slot's To, 4k+2 and
 // 4k+3 in those of its Stamp. The published slice is the entries, with the
 // tail as its spare capacity: cap > len marks a row that has ordinals. A
-// row gets them the first time it is read as Nodes; one that Out or In
-// decoded first is decoded again with ordinals and republished. Out and In
-// return every row capped at its length, so a caller's append can never
+// row gets them the first time it is read as Nodes; one that OutOf or InOf
+// decoded first is decoded again with ordinals and republished. OutOf and
+// InOf return every row capped at its length, so a caller's append can never
 // write into the tail.
 //
 // Publication is a benign race: two readers may decode the same row

@@ -45,21 +45,21 @@ func viewDiff(v, ref *SnapshotView) error {
 			if got, want := v.Out(id, et), ref.Out(id, et); !edgesEqual(got, want) {
 				return fmt.Errorf("ts %d: Out(%v, %v): refreshed %v rebuild %v", ts, id, et, got, want)
 			}
-			if got, want := v.In(id, et), ref.In(id, et); !edgesEqual(got, want) {
+			if got, want := v.InOf(ByID(id), et), ref.InOf(ByID(id), et); !edgesEqual(got, want) {
 				return fmt.Errorf("ts %d: In(%v, %v): refreshed %v rebuild %v", ts, id, et, got, want)
 			}
-			if got, want := v.InDegree(id, et), len(ref.In(id, et)); got != want {
+			if got, want := v.InDegreeOf(ByID(id), et), len(ref.InOf(ByID(id), et)); got != want {
 				return fmt.Errorf("ts %d: InDegree(%v, %v): refreshed %d rebuild %d", ts, id, et, got, want)
 			}
 		}
-		gotPs, _ := v.Props(id)
-		wantPs, _ := ref.Props(id)
+		gotPs, _ := v.PropsOf(ByID(id))
+		wantPs, _ := ref.PropsOf(ByID(id))
 		if !propsEqual(gotPs, wantPs) {
 			return fmt.Errorf("ts %d: Props(%v): refreshed %v rebuild %v", ts, id, gotPs, wantPs)
 		}
 	}
 	for _, kind := range []ids.Kind{ids.KindPerson, ids.KindPost, ids.KindComment} {
-		got, want := v.NodesOfKind(kind), ref.NodesOfKind(kind)
+		got, want := v.ScanKind(kind).IDs(), ref.ScanKind(kind).IDs()
 		if len(got) != len(want) {
 			return fmt.Errorf("ts %d: NodesOfKind(%v): refreshed %d rebuild %d", ts, kind, len(got), len(want))
 		}
@@ -422,7 +422,7 @@ func TestHeldViewsReadTheirStamps(t *testing.T) {
 	}
 	cur := views[len(views)-1].v
 	for n, want := range map[uint32]string{next - 3: "a", next - 2: "b", next - 1: "c"} {
-		if got := cur.Prop(personID(n), PropLastName).Str(); got != want {
+		if got := cur.PropOf(ByID(personID(n)), PropLastName).Str(); got != want {
 			t.Fatalf("person %d's lastName: %q, want %q", n, got, want)
 		}
 		if o, _ := cur.ord(personID(n)); int(o) < len(cur.base.nodes) {
@@ -549,7 +549,7 @@ func TestRefreshCostIndependentOfOverlay(t *testing.T) {
 		t.Fatalf("a one-commit refresh allocates %d B / %d objects, ceiling %d B / %d objects",
 			max(smallBytes, bigBytes), max(smallObjs, bigObjs), maxBytes, maxObjs)
 	}
-	if got := len(s.CurrentView().In(hub, EdgeIsLocatedIn)); got != fans+seq {
+	if got := len(s.CurrentView().InOf(ByID(hub), EdgeIsLocatedIn)); got != fans+seq {
 		t.Fatalf("hub row has %d entries, want %d", got, fans+seq)
 	}
 	if st := s.ViewStats(); st.EraBumps != 0 || st.Rebuilds != 1 {

@@ -42,41 +42,48 @@ func nodeGraphCommit(t *testing.T, s *Store, r *xrand.Rand, pop []ids.ID, create
 	return pop
 }
 
-// assertNodeMatchesID requires every Node read of n on r to equal its
-// ID-keyed twin.
+// assertNodeMatchesID requires every read through n on r to equal the
+// same read through ByID(n.ID()), the handle of a node read once.
 func assertNodeMatchesID(t *testing.T, name string, r Reader, n Node) {
 	t.Helper()
 	id := n.ID()
+	byID := ByID(id)
 	for _, et := range viewEdgeTypes {
-		if got, want := r.OutOf(n, et), r.Out(id, et); !edgesEqual(got, want) {
-			t.Fatalf("%s: OutOf(%v, %v) = %v, Out = %v", name, id, et, got, want)
+		if got, want := r.OutOf(n, et), r.OutOf(byID, et); !edgesEqual(got, want) {
+			t.Fatalf("%s: OutOf(%v, %v) = %v, by ID %v", name, id, et, got, want)
 		}
-		if got, want := r.InOf(n, et), r.In(id, et); !edgesEqual(got, want) {
-			t.Fatalf("%s: InOf(%v, %v) = %v, In = %v", name, id, et, got, want)
+		if got, want := r.InOf(n, et), r.InOf(byID, et); !edgesEqual(got, want) {
+			t.Fatalf("%s: InOf(%v, %v) = %v, by ID %v", name, id, et, got, want)
 		}
-		if got, want := r.OutDegreeOf(n, et), r.OutDegree(id, et); got != want {
-			t.Fatalf("%s: OutDegreeOf(%v, %v) = %d, OutDegree = %d", name, id, et, got, want)
+		if got, want := r.OutDegreeOf(n, et), r.OutDegreeOf(byID, et); got != want {
+			t.Fatalf("%s: OutDegreeOf(%v, %v) = %d, by ID %d", name, id, et, got, want)
 		}
-		if got, want := r.InDegreeOf(n, et), r.InDegree(id, et); got != want {
-			t.Fatalf("%s: InDegreeOf(%v, %v) = %d, InDegree = %d", name, id, et, got, want)
+		if got, want := r.InDegreeOf(n, et), r.InDegreeOf(byID, et); got != want {
+			t.Fatalf("%s: InDegreeOf(%v, %v) = %d, by ID %d", name, id, et, got, want)
 		}
 	}
 	for _, key := range []PropKey{PropFirstName, PropCreationDate} {
-		if got, want := r.PropOf(n, key), r.Prop(id, key); got != want {
-			t.Fatalf("%s: PropOf(%v, %v) = %#v, Prop = %#v", name, id, key, got, want)
+		if got, want := r.PropOf(n, key), r.PropOf(byID, key); got != want {
+			t.Fatalf("%s: PropOf(%v, %v) = %#v, by ID %#v", name, id, key, got, want)
 		}
+	}
+	got, gotOK := r.PropsOf(n)
+	want, wantOK := r.PropsOf(byID)
+	if gotOK != wantOK || !propsEqual(got, want) {
+		t.Fatalf("%s: PropsOf(%v) = %v/%v, by ID %v/%v", name, id, got, gotOK, want, wantOK)
 	}
 }
 
 // assertScanMatchesID walks every kind's scan on r: element i must be
-// NodesOfKind(kind)[i], and every read of it must equal its ID-keyed twin.
-// A Node resolved on r from a probe ID (one never created among them) must
-// too. It returns how many scanned nodes came out resolved to an ordinal.
+// IDs()[i], and every read of it must equal its read through ByID. A Node
+// resolved on r from a probe ID (one never created among them) must too.
+// It returns how many scanned nodes came out resolved to an ordinal.
 func assertScanMatchesID(t *testing.T, name string, r Reader, probes []ids.ID) (resolved int) {
 	t.Helper()
 	for kind := ids.Kind(0); kind < ids.KindLimit; kind++ {
-		list, scan := r.NodesOfKind(kind), r.ScanKind(kind)
-		if scan.Len() != len(list) || len(scan.IDs()) != len(list) {
+		scan := r.ScanKind(kind)
+		list := scan.IDs()
+		if scan.Len() != len(list) {
 			t.Fatalf("%s: kind %d scans %d nodes, lists %d", name, kind, scan.Len(), len(list))
 		}
 		for i, id := range list {
@@ -102,30 +109,30 @@ func assertScanMatchesID(t *testing.T, name string, r Reader, probes []ids.ID) (
 type rowCounts struct{ resolved, unresolved, longest int }
 
 // assertRowsMatch reads every row of every visible node of r as a NodeRow
-// and by ID, the ID read first unless nodesFirst, and requires them to
-// agree: Edges() equals Out or In and is capped at its length, each
-// Node(i) is entry i's neighbour, and every Node read of it equals its
-// ID-keyed twin. Then it appends to the row Out or In returned and requires
-// the next NodeRow of the row to hand over the same Nodes.
+// and through ByID, the ByID read first unless nodesFirst, and requires
+// them to agree: Edges() equals OutOf or InOf and is capped at its length,
+// each Node(i) is entry i's neighbour, and every read of it equals its
+// read through ByID. Then it appends to the row OutOf or InOf returned and
+// requires the next NodeRow of the row to hand over the same Nodes.
 func assertRowsMatch(t *testing.T, name string, r Reader, nodesFirst bool) (c rowCounts) {
 	t.Helper()
 	var nodes []Node
 	for kind := ids.Kind(0); kind < ids.KindLimit; kind++ {
-		for _, id := range r.NodesOfKind(kind) {
+		for _, id := range r.ScanKind(kind).IDs() {
 			n := r.Resolve(id)
 			for _, et := range viewEdgeTypes {
 				for _, in := range []bool{false, true} {
-					byID, byNodes := r.Out, r.OutNodes
+					byID, byNodes := r.OutOf, r.OutNodes
 					if in {
-						byID, byNodes = r.In, r.InNodes
+						byID, byNodes = r.InOf, r.InNodes
 					}
 					var want []Edge
 					var row NodeRow
 					if nodesFirst {
 						row = byNodes(n, et)
-						want = byID(id, et)
+						want = byID(ByID(id), et)
 					} else {
-						want = byID(id, et)
+						want = byID(ByID(id), et)
 						row = byNodes(n, et)
 					}
 					got := row.Edges()
@@ -148,7 +155,7 @@ func assertRowsMatch(t *testing.T, name string, r Reader, nodesFirst bool) (c ro
 						assertNodeMatchesID(t, name+", a row's Node", r, nb)
 						nodes = append(nodes, nb)
 					}
-					_ = append(byID(id, et), Edge{})
+					_ = append(byID(ByID(id), et), Edge{})
 					again := byNodes(n, et)
 					for i, nb := range nodes {
 						if again.Node(i) != nb {
@@ -164,12 +171,14 @@ func assertRowsMatch(t *testing.T, name string, r Reader, nodesFirst bool) (c ro
 }
 
 // TestNodeReadsMatchIDReads pins the Node contract (Reader, "Nodes") on
-// every reader a Node meets: a Txn, a fresh view, a refreshed view with
-// appended nodes, the view an inline rebuild makes after commits out of ID
-// order (where scan positions no longer match ordinals), a WithCancel view,
-// and views handed Nodes resolved on another view — of the same era with
-// more nodes, and of an older era whose ordinals the rebuild reassigned.
-// On each of them every row read as Nodes must agree with its read by ID
+// every reader a Node meets: a read through a resolved handle (Resolve,
+// KindScan.At, NodeRow.Node) equals the same read through ByID on a Txn, a
+// fresh view, a refreshed view with appended nodes, the view an inline
+// rebuild makes after commits out of ID order (where scan positions no
+// longer match ordinals), a WithCancel view, and views handed Nodes
+// resolved on another view — of the same era with more nodes, of an older
+// era whose ordinals the rebuild reassigned, and of another store. On each
+// of them every row read as Nodes must agree with its read through ByID
 // (assertRowsMatch).
 func TestNodeReadsMatchIDReads(t *testing.T) {
 	r := xrand.New(43)
@@ -282,6 +291,18 @@ func TestNodeReadsMatchIDReads(t *testing.T) {
 		}
 	}
 
+	// Nodes of another store's view, whose nodes share these IDs at other
+	// ordinals.
+	other := New()
+	var otherPop []ids.ID
+	for i := len(pop) - 1; i >= 0; i -= 2 {
+		otherPop = nodeGraphCommit(t, other, r, otherPop, pop[i])
+	}
+	ov := other.CurrentView()
+	for _, id := range probes {
+		assertNodeMatchesID(t, "rebuilt view, Nodes of another store", rebuilt, ov.Resolve(id))
+	}
+
 	// A WithCancel view reads Nodes like its parent, and its Node reads
 	// still poll the request's context.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -294,6 +315,7 @@ func TestNodeReadsMatchIDReads(t *testing.T) {
 		"OutOf":    func() { cv.OutOf(n, EdgeKnows) },
 		"InOf":     func() { cv.InOf(n, EdgeKnows) },
 		"PropOf":   func() { cv.PropOf(n, PropFirstName) },
+		"PropsOf":  func() { cv.PropsOf(n) },
 		"OutNodes": func() { cv.OutNodes(n, EdgeKnows) },
 		"InNodes":  func() { cv.InNodes(n, EdgeKnows) },
 	} {
@@ -335,14 +357,14 @@ func TestAdjCacheBytesCountsOrdinals(t *testing.T) {
 	v := s.CurrentView()
 	cached := func() int64 { return v.MemStats().AdjCacheBytes }
 	a, b := v.Resolve(ps[0]), v.Resolve(ps[1])
-	v.Out(ps[0], EdgeLikes) // allocates the csr's row table
+	v.OutOf(ByID(ps[0]), EdgeLikes) // allocates the csr's row table
 	for _, step := range []struct {
 		name string
 		read func()
 		grow int64
 	}{
 		{"row a as Nodes", func() { v.OutNodes(a, EdgeLikes) }, 9 * 4},
-		{"row a by ID again", func() { v.Out(ps[0], EdgeLikes) }, 0},
+		{"row a by ID again", func() { v.OutOf(ByID(ps[0]), EdgeLikes) }, 0},
 		{"row b by ID", func() { v.OutOf(b, EdgeLikes) }, 3 * 16},
 		{"row b as Nodes", func() { v.OutNodes(b, EdgeLikes) }, 3 * 4},
 		{"row b as Nodes again", func() { v.OutNodes(b, EdgeLikes) }, 0},
@@ -379,8 +401,8 @@ func TestNodeRowsUnderConcurrentReaders(t *testing.T) {
 	s.View(func(tx *Txn) {
 		for _, id := range pop {
 			for _, et := range viewEdgeTypes {
-				want[rowKey{id, et, false}] = tx.Out(id, et)
-				want[rowKey{id, et, true}] = tx.In(id, et)
+				want[rowKey{id, et, false}] = tx.OutOf(ByID(id), et)
+				want[rowKey{id, et, true}] = tx.InOf(ByID(id), et)
 			}
 		}
 	})
@@ -397,12 +419,12 @@ func TestNodeRowsUnderConcurrentReaders(t *testing.T) {
 						for _, in := range []bool{false, true} {
 							var got []Edge
 							var err error
-							byID, byNodes := v.Out, v.OutNodes
+							byID, byNodes := v.OutOf, v.OutNodes
 							if in {
-								byID, byNodes = v.In, v.InNodes
+								byID, byNodes = v.InOf, v.InNodes
 							}
 							if (g+k)%2 == 0 {
-								got = byID(id, et)
+								got = byID(ByID(id), et)
 							} else {
 								row := byNodes(n, et)
 								got = row.Edges()
@@ -622,9 +644,9 @@ func TestNodeOfAnotherStore(t *testing.T) {
 		{"ada's Node on b's view", vb, va.Resolve(ada), false},
 		{"ada's Node on a's view", va, va.Resolve(ada), true},
 	} {
-		byNode, byID := c.on.PropOf(c.n, PropFirstName), c.on.Prop(c.n.ID(), PropFirstName)
+		byNode, byID := c.on.PropOf(c.n, PropFirstName), c.on.PropOf(ByID(c.n.ID()), PropFirstName)
 		if byNode != byID || c.on.Exists(c.n.ID()) != c.exists || byNode.IsZero() == c.exists {
-			t.Errorf("%s: PropOf %q, Prop %q, Exists %v; want equal reads and a node that exists: %v",
+			t.Errorf("%s: PropOf %q, by ID %q, Exists %v; want equal reads and a node that exists: %v",
 				c.name, byNode.Str(), byID.Str(), c.on.Exists(c.n.ID()), c.exists)
 		}
 	}
@@ -687,13 +709,13 @@ func TestIntoListsEveryEdgeIntoANode(t *testing.T) {
 			for _, n := range pop {
 				want := map[Edge]int{}
 				for _, x := range pop {
-					for _, e := range rd.Out(x, et) {
+					for _, e := range rd.OutOf(ByID(x), et) {
 						if e.To == n {
 							want[Edge{To: x, Stamp: e.Stamp}]++
 						}
 					}
 				}
-				for _, node := range []Node{rd.Resolve(n), unresolved(n)} {
+				for _, node := range []Node{rd.Resolve(n), ByID(n)} {
 					got := map[Edge]int{}
 					for _, e := range Into(rd, node, et, nil) {
 						got[e]++

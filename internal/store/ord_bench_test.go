@@ -135,21 +135,21 @@ func ordView(b *testing.B) *SnapshotView {
 }
 
 // BenchmarkKindScan times one scanned node of a kind scan over ordView:
-// reading the node's creator row and its creation date by ID, each read
-// paying an ID -> ordinal lookup, and through the Node the scan yields,
-// which pays none.
+// reading the node's creator row and its creation date through ByID, each
+// read paying an ID -> ordinal lookup, and through the Node the scan
+// yields, which pays none.
 func BenchmarkKindScan(b *testing.B) {
 	v := ordView(b)
 	kinds := []ids.Kind{ids.KindPost, ids.KindComment}
 	sum := 0
 	b.Run("by-id", func(b *testing.B) {
-		k, list, j := 0, v.NodesOfKind(kinds[0]), 0
+		k, list, j := 0, v.ScanKind(kinds[0]).IDs(), 0
 		for i := 0; i < b.N; i++ {
-			id := list[j]
-			sum += len(v.Out(id, EdgeHasCreator)) + int(v.Prop(id, PropCreationDate).Int()&1)
+			n := ByID(list[j])
+			sum += len(v.OutOf(n, EdgeHasCreator)) + int(v.PropOf(n, PropCreationDate).Int()&1)
 			if j++; j == len(list) {
 				k = (k + 1) % len(kinds)
-				list, j = v.NodesOfKind(kinds[k]), 0
+				list, j = v.ScanKind(kinds[k]).IDs(), 0
 			}
 		}
 	})
@@ -171,15 +171,15 @@ func BenchmarkKindScan(b *testing.B) {
 
 // BenchmarkHop times the hop from a person to its messages' tags over
 // ordView, the shape of Q4's and Q10's inner loops: one op reads one
-// person's hasCreator row and the hasTag row of every message on it, by ID
-// (each message's read pays an ID -> ordinal lookup) and through the
-// row's Nodes (which pays none). ns/msg is the time per message read.
+// person's hasCreator row and the hasTag row of every message on it,
+// through ByID (each message's read pays an ID -> ordinal lookup) and
+// through the row's Nodes (which pays none). ns/msg is the time per message read.
 func BenchmarkHop(b *testing.B) {
 	v := ordView(b)
-	persons := v.NodesOfKind(ids.KindPerson)
+	persons := v.ScanKind(ids.KindPerson).IDs()
 	msgs := 0
 	for _, p := range persons {
-		msgs += len(v.In(p, EdgeHasCreator))
+		msgs += len(v.InOf(ByID(p), EdgeHasCreator))
 	}
 	sum := 0
 	report := func(b *testing.B) {
@@ -187,8 +187,8 @@ func BenchmarkHop(b *testing.B) {
 	}
 	b.Run("by-id", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			for _, m := range v.In(persons[i%len(persons)], EdgeHasCreator) {
-				sum += len(v.Out(m.To, EdgeHasTag))
+			for _, m := range v.InOf(ByID(persons[i%len(persons)]), EdgeHasCreator) {
+				sum += len(v.OutOf(ByID(m.To), EdgeHasTag))
 			}
 		}
 		report(b)

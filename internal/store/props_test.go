@@ -73,10 +73,10 @@ func TestCreateOverBareEndpointFails(t *testing.T) {
 		"current view":   s.CurrentView(),
 		"ViewAt":         s.ViewAt(s.LastCommit()),
 	} {
-		if ps, _ := v.Props(bare); ps != nil {
+		if ps, _ := v.PropsOf(ByID(bare)); ps != nil {
 			t.Errorf("%s: Props(bare) = %#v, want nil", name, ps)
 		}
-		if got := v.Prop(bare, PropFirstName); !got.IsZero() {
+		if got := v.PropOf(ByID(bare), PropFirstName); !got.IsZero() {
 			t.Errorf("%s: Prop(bare, firstName) = %#v, want absent", name, got)
 		}
 	}
@@ -84,7 +84,7 @@ func TestCreateOverBareEndpointFails(t *testing.T) {
 		t.Fatalf("bare endpoint visibility: held %v, refreshed %v", held.Exists(bare), refreshed.Exists(bare))
 	}
 	s.View(func(tx *Txn) {
-		if ps, ok := tx.Props(bare); !ok || ps != nil {
+		if ps, ok := tx.PropsOf(ByID(bare)); !ok || ps != nil {
 			t.Errorf("txn: Props(bare) = %#v, %v, want nil, true", ps, ok)
 		}
 	})
@@ -115,7 +115,7 @@ func TestTxnAndViewPropsEqual(t *testing.T) {
 	refreshed, fresh := s.CurrentView(), s.ViewAt(s.LastCommit())
 	s.View(func(tx *Txn) {
 		for _, id := range nodes {
-			want, ok := tx.Props(id)
+			want, ok := tx.PropsOf(ByID(id))
 			if !ok {
 				t.Fatalf("txn: %v missing", id)
 			}
@@ -123,7 +123,7 @@ func TestTxnAndViewPropsEqual(t *testing.T) {
 				t.Errorf("txn: Props(%v) has cap %d, len %d", id, cap(want), len(want))
 			}
 			for name, v := range map[string]*SnapshotView{"refreshed": refreshed, "compacted": fresh} {
-				got, ok := v.Props(id)
+				got, ok := v.PropsOf(ByID(id))
 				if !ok || !reflect.DeepEqual(got, want) {
 					t.Errorf("%s view: Props(%v) = %#v, txn %#v", name, id, got, want)
 				}
@@ -152,8 +152,8 @@ func TestHeldViewKindListsStable(t *testing.T) {
 	commitPersons(0, 5)
 	v1 := s.CurrentView()
 	mid := s.Begin()
-	want1 := append([]ids.ID(nil), v1.NodesOfKind(ids.KindPerson)...)
-	wantMid := append([]ids.ID(nil), mid.NodesOfKind(ids.KindPerson)...)
+	want1 := append([]ids.ID(nil), v1.ScanKind(ids.KindPerson).IDs()...)
+	wantMid := append([]ids.ID(nil), mid.ScanKind(ids.KindPerson).IDs()...)
 	if len(want1) != 5 || !reflect.DeepEqual(want1, wantMid) {
 		t.Fatalf("view %v, txn %v", want1, wantMid)
 	}
@@ -163,7 +163,7 @@ func TestHeldViewKindListsStable(t *testing.T) {
 	if ev != ViewRefreshed {
 		t.Fatalf("second view: %v, want a delta refresh", ev)
 	}
-	want2 := append([]ids.ID(nil), v2.NodesOfKind(ids.KindPerson)...)
+	want2 := append([]ids.ID(nil), v2.ScanKind(ids.KindPerson).IDs()...)
 	if len(want2) != 8 {
 		t.Fatalf("refreshed view sees %d persons, want 8", len(want2))
 	}
@@ -172,7 +172,7 @@ func TestHeldViewKindListsStable(t *testing.T) {
 	s.kindMu.RLock()
 	storeList := s.byKind[ids.KindPerson]
 	s.kindMu.RUnlock()
-	if &v2.NodesOfKind(ids.KindPerson)[0] == &storeList[0] {
+	if &v2.ScanKind(ids.KindPerson).IDs()[0] == &storeList[0] {
 		t.Fatal("refreshed view's kind list shares the store's array")
 	}
 
@@ -182,9 +182,9 @@ func TestHeldViewKindListsStable(t *testing.T) {
 	s.CurrentView()
 
 	for name, got := range map[string][]ids.ID{
-		"held compacted view": v1.NodesOfKind(ids.KindPerson),
-		"held refreshed view": v2.NodesOfKind(ids.KindPerson),
-		"held transaction":    mid.NodesOfKind(ids.KindPerson),
+		"held compacted view": v1.ScanKind(ids.KindPerson).IDs(),
+		"held refreshed view": v2.ScanKind(ids.KindPerson).IDs(),
+		"held transaction":    mid.ScanKind(ids.KindPerson).IDs(),
 	} {
 		want := want1
 		if name == "held refreshed view" {
@@ -194,7 +194,7 @@ func TestHeldViewKindListsStable(t *testing.T) {
 			t.Errorf("%s: NodesOfKind = %v, want %v", name, got, want)
 		}
 	}
-	if got := len(s.CurrentView().NodesOfKind(ids.KindPerson)); got != 21 {
+	if got := len(s.CurrentView().ScanKind(ids.KindPerson).IDs()); got != 21 {
 		t.Fatalf("current view sees %d persons, want 21", got)
 	}
 }

@@ -9,7 +9,7 @@ import "ldbcsnb/internal/ids"
 //   - *Txn — MVCC snapshot filtering under shard read locks; a write
 //     transaction reads its snapshot, not its own buffered writes;
 //   - *SnapshotView — a frozen compact CSR image of one commit epoch,
-//     lock-free and steady-state allocation-free (Out/In serve rows out of
+//     lock-free and steady-state allocation-free (OutOf/InOf serve rows out of
 //     the view's decode cache over the varint/delta slab).
 //
 // Queries take a type parameter constrained by Reader
@@ -21,16 +21,27 @@ import "ldbcsnb/internal/ids"
 //
 // # Nodes
 //
-// A view finds a node's rows by its ordinal, so every read by ID first
-// looks the ID up (SnapshotView.ord). A Node is a resolved handle: the ID
-// plus, when a view resolved it, its ordinal and the low 32 bits of the
-// view's era, 16 bytes in all. Resolve makes one, a KindScan yields one per
-// scanned node, and the Node-keyed reads (OutOf, InOf, PropOf, OutDegreeOf,
-// InDegreeOf) skip the lookup. A read and its Node form share one
-// implementation and differ only in how they find the ordinal: on a Txn the
-// ID form is Resolve plus the Node form; on a view it looks the ID up
-// directly, since a Node built only to be read once would add a call and a
-// check to every read by ID.
+// Every read names its node by a Node. A view finds a node's rows by its
+// ordinal, so a read by a bare ID first looks the ID up
+// (SnapshotView.ord). A Node is a handle: the ID plus, when a view resolved
+// it, its ordinal and the low 32 bits of the view's era, 16 bytes in all.
+// ByID makes the handle of a node read once: unresolved, so each read
+// through it looks the ID up. Resolve makes a resolved one, a KindScan
+// yields one per scanned node, and a NodeRow one per neighbour; the reads
+// through them skip the lookup. One rule picks the handle at every site:
+//
+//   - a node read twice or more is resolved once with Resolve (a query's
+//     parameters at bind);
+//   - a neighbour comes from the NodeRow or KindScan the site already
+//     holds;
+//   - any other node is read through ByID.
+//
+// A probe on a view of the 1000-person shape (BenchmarkKindScan's ordView,
+// 2-core Xeon) reads one scanned post or comment twice, its creator row
+// and then its creation date, in ns/op: both reads through ByID 29.2–29.7,
+// Resolve before each read 32.7–34.2, Resolve once and then both reads
+// 25.9–26.3. A Resolve pays for itself from a node's second read, and a
+// Resolve per read costs more than ByID.
 //
 // A hop reads a row and then the neighbours it lists. OutNodes and InNodes
 // read the row as a NodeRow: Edges() is the row OutOf or InOf returns, and
@@ -40,69 +51,64 @@ import "ldbcsnb/internal/ids"
 // and the decode cache keeps the ordinals, in the row's own allocation,
 // for every row read as Nodes (codec.go, decCache). A row of the overlay
 // or the spill, and every row of a Txn, yields unresolved Nodes: correct,
-// and read as fast as by ID. A row read as Nodes costs 4 more bytes an
-// entry in the decode cache, so a read that does not touch the neighbours
-// again (their IDs and stamps are all it needs) reads by Out or In.
+// and read as fast as through ByID. A row read as Nodes costs 4 more bytes
+// an entry in the decode cache, so a read that does not touch the
+// neighbours again (their IDs and stamps are all it needs) reads by OutOf
+// or InOf.
 //
-// The ordinals lie past the end of the row, in its spare capacity: Out,
-// In, OutOf, InOf and Edges return every row capped at its length
-// (row[:n:n]), so an append by a caller can never write into them.
+// The ordinals lie past the end of the row, in its spare capacity: OutOf,
+// InOf and Edges return every row capped at its length (row[:n:n]), so an
+// append by a caller can never write into them.
 //
 // A Node is valid on every reader: on a Txn it is just the ID. On a view it
 // is used as resolved only when it comes from a view of the same era
 // (ordinals are stable within an era, and a refresh only appends) and its
 // ordinal is below the reading view's NumNodes. Any other Node — one from
-// another era, from a later view of the era holding a node this view does
-// not see, from a Txn, or for a node its reader did not see — is resolved
-// again by ID: never wrong, only as slow as a read by ID.
+// ByID, from another era, from a later view of the era holding a node this
+// view does not see, from a Txn, or for a node its reader did not see — is
+// resolved again by ID: never wrong, only as slow as a read through ByID.
 //
 // # Edges into a node
 //
 // A directed edge x -t-> y is an entry y in x's Out row and an entry x in
 // y's In row. A knows edge (Txn.AddKnows) is symmetric: it is an entry at
-// each end's Out row, x in y's and y in x's, and in no In row. So In lists
-// the directed edges into a node only; Into lists every edge into it, the
-// knows edges among them, as Out lists every edge out of it.
+// each end's Out row, x in y's and y in x's, and in no In row. So InOf
+// lists the directed edges into a node only; Into lists every edge into
+// it, the knows edges among them, as OutOf lists every edge out of it.
 //
-// Slices returned by Out, In, OutOf, InOf, NodeRow.Edges, NodesOfKind and
-// KindScan.IDs (and Props on the view path) alias reader-owned memory and
-// must not be mutated by callers.
+// Slices returned by OutOf, InOf, NodeRow.Edges, PropsOf and KindScan.IDs
+// alias reader-owned memory and must not be mutated by callers.
 type Reader interface {
-	// Exists reports whether a node is visible to the reader.
+	// Exists reports whether a node is visible to the reader. It is kept
+	// for the benchmark harness's replay check only; a query reads a node
+	// through a Node.
 	Exists(id ids.ID) bool
-	// Prop returns one property of a node (zero Value if the node or
-	// property is absent).
-	Prop(id ids.ID, key PropKey) Value
-	// Props returns the visible property list of a node.
-	Props(id ids.ID) (Props, bool)
-	// Out returns the visible outgoing edges of one type, in insertion
-	// order.
+	// Out is OutOf(ByID(id), t), kept for the benchmark harness's replay
+	// check only.
 	Out(id ids.ID, t EdgeType) []Edge
-	// In returns the visible incoming edges of one type.
-	In(id ids.ID, t EdgeType) []Edge
-	// OutDegree returns len(Out(id, t)) without materialising the edges:
-	// the Txn path counts in place, the view path reads the row header.
-	OutDegree(id ids.ID, t EdgeType) int
-	// InDegree returns len(In(id, t)) without materialising the edges.
-	InDegree(id ids.ID, t EdgeType) int
-	// NodesOfKind returns the visible nodes of a kind in insertion order.
-	NodesOfKind(kind ids.Kind) []ids.ID
 
 	// Resolve returns the handle of a node, resolved once for the reads
 	// that follow.
 	Resolve(id ids.ID) Node
-	// ScanKind returns the scan of a kind's visible nodes, NodesOfKind's
-	// list obtained once, yielding element i as a Node.
+	// ScanKind returns the scan of a kind's visible nodes, the list
+	// obtained once, yielding element i as a Node.
 	ScanKind(kind ids.Kind) KindScan
-	// PropOf is Prop of a resolved node.
+	// PropOf returns one property of a node (zero Value if the node or
+	// property is absent).
 	PropOf(n Node, key PropKey) Value
-	// OutOf is Out of a resolved node.
+	// PropsOf returns the visible property list of a node: the committed
+	// row, shared by every reader that sees the node.
+	PropsOf(n Node) (Props, bool)
+	// OutOf returns the visible outgoing edges of one type, in insertion
+	// order.
 	OutOf(n Node, t EdgeType) []Edge
-	// InOf is In of a resolved node.
+	// InOf returns the visible incoming edges of one type.
 	InOf(n Node, t EdgeType) []Edge
-	// OutDegreeOf is OutDegree of a resolved node.
+	// OutDegreeOf returns len(OutOf(n, t)) without materialising the
+	// edges: the Txn path counts in place, the view path reads the row
+	// header.
 	OutDegreeOf(n Node, t EdgeType) int
-	// InDegreeOf is InDegree of a resolved node.
+	// InDegreeOf returns len(InOf(n, t)) without materialising the edges.
 	InDegreeOf(n Node, t EdgeType) int
 	// OutNodes is OutOf as a NodeRow, for a hop that reads the neighbours.
 	OutNodes(n Node, t EdgeType) NodeRow
@@ -115,17 +121,19 @@ var (
 	_ Reader = (*SnapshotView)(nil)
 )
 
-// Node is a resolved node handle (see "Nodes" on Reader). The zero-cost
-// path is a view of the resolving era; everywhere else it is the ID.
+// Node is a node handle (see "Nodes" on Reader). The zero-cost path is a
+// view of the resolving era; everywhere else it is the ID.
 type Node struct {
 	id  ids.ID
 	ord int32  // ordinal in the resolving view's era; -1 when unresolved
 	era uint32 // low 32 bits of the resolving view's era
 }
 
-// unresolved is the handle of an ID no view resolved: every view reads it
-// by ID, since -1 is never below a view's NumNodes.
-func unresolved(id ids.ID) Node { return Node{id: id, ord: -1} }
+// ByID returns the handle of a node read once: unresolved, so every view
+// looks its ID up, since -1 is never below a view's NumNodes.
+//
+//snb:noalloc
+func ByID(id ids.ID) Node { return Node{id: id, ord: -1} }
 
 // ID returns the node's ID.
 func (n Node) ID() ids.ID { return n.id }
@@ -156,7 +164,7 @@ type KindScan struct {
 // Len returns the number of nodes the scan yields.
 func (s KindScan) Len() int { return len(s.nodes) }
 
-// IDs returns the scanned node IDs, NodesOfKind's list: element i is
+// IDs returns the scanned node IDs in insertion order: element i is
 // At(i).ID(). The slice aliases the reader's list and must not be mutated.
 func (s KindScan) IDs() []ids.ID { return s.nodes }
 
@@ -168,7 +176,7 @@ func (s KindScan) At(i int) Node {
 	if i < len(s.base) && s.base[i] == id {
 		return Node{id: id, ord: s.off + int32(i), era: s.era}
 	}
-	return unresolved(id)
+	return ByID(id)
 }
 
 // Indexes reports whether Index can return a position at all: false on a
@@ -273,7 +281,7 @@ func IntoFrom[R Reader](r R, n Node, t EdgeType, in func(ids.ID) bool) bool {
 func mutual[R Reader](r R, n ids.ID, t EdgeType, out []Edge, i int) bool {
 	e := out[i]
 	directed := 0
-	for _, b := range r.In(e.To, t) {
+	for _, b := range r.InOf(ByID(e.To), t) {
 		if b.To == n && b.Stamp == e.Stamp {
 			directed++
 		}

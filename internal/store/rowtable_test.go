@@ -63,22 +63,14 @@ func (m denseModel) visible(id ids.ID, t EdgeType, in bool, ts int64) []Edge {
 	return out
 }
 
-// adjReader is the read surface Txn and SnapshotView share.
-type adjReader interface {
-	Out(ids.ID, EdgeType) []Edge
-	In(ids.ID, EdgeType) []Edge
-	OutDegree(ids.ID, EdgeType) int
-	InDegree(ids.ID, EdgeType) int
-}
-
-func (m denseModel) check(t *testing.T, what string, r adjReader, pool []ids.ID, ts int64) {
+func (m denseModel) check(t *testing.T, what string, r Reader, pool []ids.ID, ts int64) {
 	t.Helper()
 	for _, id := range pool {
 		for et := EdgeType(1); et < edgeTypeMax; et++ {
 			for _, in := range []bool{false, true} {
-				got, deg := r.Out(id, et), r.OutDegree(id, et)
+				got, deg := r.OutOf(ByID(id), et), r.OutDegreeOf(ByID(id), et)
 				if in {
-					got, deg = r.In(id, et), r.InDegree(id, et)
+					got, deg = r.InOf(ByID(id), et), r.InDegreeOf(ByID(id), et)
 				}
 				want := m.visible(id, et, in, ts)
 				if deg != len(want) {

@@ -19,7 +19,7 @@ func TestCreateAndRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A write transaction reads its snapshot: its own writes show at commit.
-	if tx.Exists(id) || !tx.Prop(id, PropFirstName).IsZero() {
+	if tx.Exists(id) || !tx.PropOf(ByID(id), PropFirstName).IsZero() {
 		t.Fatal("own write visible before commit")
 	}
 	if err := tx.Commit(); err != nil {
@@ -29,13 +29,13 @@ func TestCreateAndRead(t *testing.T) {
 		if !tx.Exists(id) {
 			t.Fatal("node missing after commit")
 		}
-		if got := tx.Prop(id, PropFirstName).Str(); got != "Karl" {
+		if got := tx.PropOf(ByID(id), PropFirstName).Str(); got != "Karl" {
 			t.Fatalf("got %q", got)
 		}
-		if got := tx.Prop(id, PropCreationDate).Int(); got != 100 {
+		if got := tx.PropOf(ByID(id), PropCreationDate).Int(); got != 100 {
 			t.Fatalf("got %d", got)
 		}
-		if !tx.Prop(id, PropContent).IsZero() {
+		if !tx.PropOf(ByID(id), PropContent).IsZero() {
 			t.Fatal("absent property should be zero")
 		}
 	})
@@ -100,11 +100,11 @@ func TestEdgesDirectedAndReverse(t *testing.T) {
 		if len(out) != 1 || out[0].To != p || out[0].Stamp != 777 {
 			t.Fatalf("out = %v", out)
 		}
-		in := tx.In(p, EdgeHasCreator)
+		in := tx.InOf(ByID(p), EdgeHasCreator)
 		if len(in) != 1 || in[0].To != m {
 			t.Fatalf("in = %v", in)
 		}
-		if tx.OutDegree(m, EdgeHasCreator) != 1 {
+		if tx.OutDegreeOf(ByID(m), EdgeHasCreator) != 1 {
 			t.Fatal("OutDegree")
 		}
 	})
@@ -118,7 +118,7 @@ func TestKnowsSymmetric(t *testing.T) {
 	tx.CreateNode(b, nil)
 	tx.AddKnows(a, b, 123)
 	// Neither direction shows before commit: reads see the snapshot only.
-	if tx.OutDegree(a, EdgeKnows) != 0 || tx.OutDegree(b, EdgeKnows) != 0 {
+	if tx.OutDegreeOf(ByID(a), EdgeKnows) != 0 || tx.OutDegreeOf(ByID(b), EdgeKnows) != 0 {
 		t.Fatal("own knows edges visible before commit")
 	}
 	if err := tx.Commit(); err != nil {
@@ -178,11 +178,11 @@ func TestNodesOfKindVisibility(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(mid.NodesOfKind(ids.KindPerson)); got != 10 {
+	if got := len(mid.ScanKind(ids.KindPerson).IDs()); got != 10 {
 		t.Fatalf("mid snapshot sees %d persons", got)
 	}
 	s.View(func(tx *Txn) {
-		if got := len(tx.NodesOfKind(ids.KindPerson)); got != 11 {
+		if got := len(tx.ScanKind(ids.KindPerson).IDs()); got != 11 {
 			t.Fatalf("late snapshot sees %d persons", got)
 		}
 	})
@@ -226,7 +226,7 @@ func TestConcurrentInsertersAndReaders(t *testing.T) {
 				s.View(func(tx *Txn) {
 					// Snapshot must be internally consistent: every listed
 					// node must be visible.
-					for _, id := range tx.NodesOfKind(ids.KindPost) {
+					for _, id := range tx.ScanKind(ids.KindPost).IDs() {
 						if !tx.Exists(id) {
 							t.Error("listed node invisible")
 							return
@@ -240,7 +240,7 @@ func TestConcurrentInsertersAndReaders(t *testing.T) {
 	close(stop)
 	rg.Wait()
 	s.View(func(tx *Txn) {
-		if got := len(tx.NodesOfKind(ids.KindPost)); got != writers*perWriter {
+		if got := len(tx.ScanKind(ids.KindPost).IDs()); got != writers*perWriter {
 			t.Fatalf("got %d posts, want %d", got, writers*perWriter)
 		}
 	})
@@ -343,19 +343,19 @@ func TestWriteTxnReadsItsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []ids.ID{b, m} {
-		if _, ok := tx.Props(id); ok || tx.Exists(id) || !tx.Prop(id, PropCreationDate).IsZero() {
+		if _, ok := tx.PropsOf(ByID(id)); ok || tx.Exists(id) || !tx.PropOf(ByID(id), PropCreationDate).IsZero() {
 			t.Errorf("own creation %v visible before commit", id)
 		}
 	}
-	if got := tx.NodesOfKind(ids.KindPerson); len(got) != 1 || len(tx.NodesOfKind(ids.KindPost)) != 0 {
+	if got := tx.ScanKind(ids.KindPerson).IDs(); len(got) != 1 || len(tx.ScanKind(ids.KindPost).IDs()) != 0 {
 		t.Errorf("own creations in NodesOfKind before commit: persons %v", got)
 	}
 	for _, r := range []struct {
 		id ids.ID
 		et EdgeType
 	}{{a, EdgeLikes}, {m, EdgeLikes}, {a, EdgeKnows}, {b, EdgeKnows}} {
-		if len(tx.Out(r.id, r.et)) != 0 || len(tx.In(r.id, r.et)) != 0 ||
-			tx.OutDegree(r.id, r.et) != 0 || tx.InDegree(r.id, r.et) != 0 {
+		if len(tx.Out(r.id, r.et)) != 0 || len(tx.InOf(ByID(r.id), r.et)) != 0 ||
+			tx.OutDegreeOf(ByID(r.id), r.et) != 0 || tx.InDegreeOf(ByID(r.id), r.et) != 0 {
 			t.Errorf("own %v edge at %v visible before commit", r.et, r.id)
 		}
 	}
@@ -368,19 +368,19 @@ func TestWriteTxnReadsItsSnapshot(t *testing.T) {
 	check := func(name string, r Reader) {
 		t.Helper()
 		for _, id := range []ids.ID{b, m} {
-			if !r.Exists(id) || r.Prop(id, PropCreationDate).Int() != 1 {
+			if !r.Exists(id) || r.PropOf(ByID(id), PropCreationDate).Int() != 1 {
 				t.Errorf("%s: created %v missing", name, id)
 			}
 		}
-		if len(r.NodesOfKind(ids.KindPerson)) != 2 || len(r.NodesOfKind(ids.KindPost)) != 1 {
-			t.Errorf("%s: kind lists %v %v", name, r.NodesOfKind(ids.KindPerson), r.NodesOfKind(ids.KindPost))
+		if len(r.ScanKind(ids.KindPerson).IDs()) != 2 || len(r.ScanKind(ids.KindPost).IDs()) != 1 {
+			t.Errorf("%s: kind lists %v %v", name, r.ScanKind(ids.KindPerson).IDs(), r.ScanKind(ids.KindPost).IDs())
 		}
 		want := map[string][]Edge{
 			"likes out a": {{To: m, Stamp: 5}}, "likes in m": {{To: a, Stamp: 5}},
 			"knows out a": {{To: b, Stamp: 6}}, "knows out b": {{To: a, Stamp: 6}},
 		}
 		got := map[string][]Edge{
-			"likes out a": r.Out(a, EdgeLikes), "likes in m": r.In(m, EdgeLikes),
+			"likes out a": r.Out(a, EdgeLikes), "likes in m": r.InOf(ByID(m), EdgeLikes),
 			"knows out a": r.Out(a, EdgeKnows), "knows out b": r.Out(b, EdgeKnows),
 		}
 		for k, w := range want {
@@ -388,7 +388,7 @@ func TestWriteTxnReadsItsSnapshot(t *testing.T) {
 				t.Errorf("%s: %s = %v, want %v", name, k, got[k], w)
 			}
 		}
-		if r.InDegree(m, EdgeLikes) != 1 || r.OutDegree(a, EdgeLikes) != 1 || r.InDegree(a, EdgeLikes) != 0 {
+		if r.InDegreeOf(ByID(m), EdgeLikes) != 1 || r.OutDegreeOf(ByID(a), EdgeLikes) != 1 || r.InDegreeOf(ByID(a), EdgeLikes) != 0 {
 			t.Errorf("%s: likes degrees wrong", name)
 		}
 	}
@@ -420,7 +420,7 @@ func TestFinishedTxnRejectsWrites(t *testing.T) {
 		}
 	}
 	v := s.CurrentView()
-	if v.Exists(personID(51)) || v.OutDegree(personID(50), EdgeLikes) != 0 || v.NumNodes() != 1 {
+	if v.Exists(personID(51)) || v.OutDegreeOf(ByID(personID(50)), EdgeLikes) != 0 || v.NumNodes() != 1 {
 		t.Fatal("a write after commit reached the view")
 	}
 }
@@ -493,7 +493,10 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestPropsCopyIsolated(t *testing.T) {
+// TestPropsOfIsTheCommittedRow pins PropsOf's one aliasing contract: a Txn
+// and a view both hand over the node record's committed row, not a copy
+// (properties are write-once; viewalias flags a caller's write into it).
+func TestPropsOfIsTheCommittedRow(t *testing.T) {
 	s := New()
 	id := personID(40)
 	tx := s.Begin()
@@ -501,16 +504,15 @@ func TestPropsCopyIsolated(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	v := s.CurrentView()
 	s.View(func(tx *Txn) {
-		ps, ok := tx.Props(id)
-		if !ok {
-			t.Fatal("missing")
+		ps, ok := tx.PropsOf(ByID(id))
+		vs, vok := v.PropsOf(v.Resolve(id))
+		if !ok || !vok || len(ps) != 1 || len(vs) != 1 || ps.Get(PropFirstName).Str() != "a" {
+			t.Fatalf("txn %v/%v, view %v/%v, want one property", ps, ok, vs, vok)
 		}
-		ps[0] = NewProp(PropFirstName, String("mutated"))
-	})
-	s.View(func(tx *Txn) {
-		if got := tx.Prop(id, PropFirstName).Str(); got != "a" {
-			t.Fatalf("caller mutation leaked into store: %q", got)
+		if &ps[0] != &vs[0] {
+			t.Fatal("the txn's row is not the row the view reads")
 		}
 	})
 }

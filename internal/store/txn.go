@@ -115,59 +115,50 @@ func (tx *Txn) addEdge(from ids.ID, t EdgeType, to ids.ID, stamp int64, sym bool
 	return nil
 }
 
-// Exists reports whether a node is visible.
+// Exists reports whether a node is visible (Reader: harness-only).
 func (tx *Txn) Exists(id ids.ID) bool {
 	return tx.s.visibleAt(id, tx.snapshot)
 }
 
 // Resolve returns the handle of a node. On a Txn a Node is just the ID:
 // every read finds the node record by ID under its shard's lock.
-func (tx *Txn) Resolve(id ids.ID) Node { return unresolved(id) }
+func (tx *Txn) Resolve(id ids.ID) Node { return ByID(id) }
 
 // ScanKind returns the scan of a kind's visible nodes, taking the kind
-// list's lock once for the whole scan.
-func (tx *Txn) ScanKind(kind ids.Kind) KindScan { return KindScan{nodes: tx.NodesOfKind(kind)} }
+// list's lock once for the whole scan. The list shares the store's kind
+// list and must not be mutated.
+func (tx *Txn) ScanKind(kind ids.Kind) KindScan {
+	return KindScan{nodes: tx.s.nodesOfKind(kind, tx.snapshot)}
+}
 
-// Prop returns one property of a node (zero Value if the node or property
-// is absent).
-func (tx *Txn) Prop(id ids.ID, key PropKey) Value { return tx.PropOf(tx.Resolve(id), key) }
-
-// PropOf is Prop of a resolved node.
+// PropOf returns one property of a node (zero Value if the node or
+// property is absent).
 func (tx *Txn) PropOf(n Node, key PropKey) Value {
-	ps, _ := tx.props(n.id)
+	ps, _ := tx.PropsOf(n)
 	return ps.Get(key)
 }
 
-// Props returns an exactly sized copy of all visible properties of a node.
-func (tx *Txn) Props(id ids.ID) (Props, bool) {
-	ps, ok := tx.props(id)
-	return ps.clone(), ok
-}
-
-// props returns the committed row of a node visible at the snapshot. The
-// row is shared and must not be written.
-func (tx *Txn) props(id ids.ID) (Props, bool) {
-	sh := tx.s.shardFor(id)
+// PropsOf returns the committed property row of a node visible at the
+// snapshot. The row is shared and must not be written.
+func (tx *Txn) PropsOf(n Node) (Props, bool) {
+	sh := tx.s.shardFor(n.id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if rec := sh.nodes[id]; rec != nil && rec.commit <= tx.snapshot {
+	if rec := sh.nodes[n.id]; rec != nil && rec.commit <= tx.snapshot {
 		return rec.props, true
 	}
 	return nil, false
 }
 
-// Out returns the visible outgoing edges of a node for one edge type, in
+// Out is OutOf(ByID(id), t) (Reader: harness-only).
+func (tx *Txn) Out(id ids.ID, t EdgeType) []Edge { return tx.OutOf(ByID(id), t) }
+
+// OutOf returns the visible outgoing edges of a node for one edge type, in
 // insertion order. The slice is materialised at this call; it does not
 // observe later commits.
-func (tx *Txn) Out(id ids.ID, t EdgeType) []Edge { return tx.OutOf(tx.Resolve(id), t) }
-
-// OutOf is Out of a resolved node.
 func (tx *Txn) OutOf(n Node, t EdgeType) []Edge { return tx.neighbours(n.id, t, false) }
 
-// In returns the visible incoming edges of a node for one edge type.
-func (tx *Txn) In(id ids.ID, t EdgeType) []Edge { return tx.InOf(tx.Resolve(id), t) }
-
-// InOf is In of a resolved node.
+// InOf returns the visible incoming edges of a node for one edge type.
 func (tx *Txn) InOf(n Node, t EdgeType) []Edge { return tx.neighbours(n.id, t, true) }
 
 // OutNodes is OutOf as a NodeRow; on a Txn its Nodes are the IDs.
@@ -176,18 +167,12 @@ func (tx *Txn) OutNodes(n Node, t EdgeType) NodeRow { return idRow(tx.OutOf(n, t
 // InNodes is InOf as a NodeRow.
 func (tx *Txn) InNodes(n Node, t EdgeType) NodeRow { return idRow(tx.InOf(n, t)) }
 
-// OutDegree returns the number of visible outgoing edges without
+// OutDegreeOf returns the number of visible outgoing edges without
 // materialising them.
-func (tx *Txn) OutDegree(id ids.ID, t EdgeType) int { return tx.OutDegreeOf(tx.Resolve(id), t) }
-
-// OutDegreeOf is OutDegree of a resolved node.
 func (tx *Txn) OutDegreeOf(n Node, t EdgeType) int { return tx.degree(n.id, t, false) }
 
-// InDegree returns the number of visible incoming edges without
+// InDegreeOf returns the number of visible incoming edges without
 // materialising them.
-func (tx *Txn) InDegree(id ids.ID, t EdgeType) int { return tx.InDegreeOf(tx.Resolve(id), t) }
-
-// InDegreeOf is InDegree of a resolved node.
 func (tx *Txn) InDegreeOf(n Node, t EdgeType) int { return tx.degree(n.id, t, true) }
 
 func (tx *Txn) degree(id ids.ID, t EdgeType, in bool) int {
@@ -217,13 +202,6 @@ func (tx *Txn) neighbours(id ids.ID, t EdgeType, in bool) []Edge {
 		}
 	}
 	return out
-}
-
-// NodesOfKind returns the IDs of all nodes of a kind visible to the
-// transaction. The slice shares the store's kind list and must not be
-// mutated.
-func (tx *Txn) NodesOfKind(kind ids.Kind) []ids.ID {
-	return tx.s.nodesOfKind(kind, tx.snapshot)
 }
 
 // Abort discards the transaction.

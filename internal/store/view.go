@@ -90,10 +90,10 @@ type SnapshotView struct {
 	// of the nodes it creates (KindHasProp).
 	keys [ids.KindLimit]keySet
 
-	// cancel, when non-nil, makes Out/In/Prop poll a request context and
-	// unwind past-deadline scans (cancel.go). Only views derived with
-	// WithCancel carry one; the shared cached view never does, keeping the
-	// common read path at a single nil check.
+	// cancel, when non-nil, makes the row and property reads poll a
+	// request context and unwind past-deadline scans (cancel.go). Only
+	// views derived with WithCancel carry one; the shared cached view never
+	// does, keeping the common read path at a single nil check.
 	cancel *cancelHook
 }
 
@@ -451,7 +451,7 @@ func (s *keySet) add(ps Props) {
 }
 
 // KindHasProp reports whether some node of the kind that the view lists
-// (NodesOfKind) may carry the property key: false means none does, so a
+// (ScanKind) may carry the property key: false means none does, so a
 // kind scan for a node with a given value of key can skip the kind. It is
 // the view's alone: a Txn keeps no such set.
 //
@@ -492,7 +492,8 @@ func (v *SnapshotView) idAt(ord int32) ids.ID {
 	return v.base.nodes[ord]
 }
 
-// Exists reports whether a node is visible in the view.
+// Exists reports whether a node is visible in the view (Reader:
+// harness-only).
 func (v *SnapshotView) Exists(id ids.ID) bool {
 	_, ok := v.ord(id)
 	return ok
@@ -587,13 +588,17 @@ func (v *SnapshotView) holds(n Node) bool {
 	return n.era == uint32(v.era) && int(uint32(n.ord)) < v.NumNodes()
 }
 
-// ScanKind returns the scan of a kind's visible nodes: NodesOfKind's list
-// and the kind's run of the base's ordinals, which the list's base nodes
-// match position for position when they were created in ID order.
+// ScanKind returns the scan of a kind's visible nodes: the view's list of
+// the kind, in insertion order and shared by every caller of the view, and
+// the kind's run of the base's ordinals, which the list's base nodes match
+// position for position when they were created in ID order.
 //
 //snb:noalloc
 func (v *SnapshotView) ScanKind(kind ids.Kind) KindScan {
-	s := KindScan{nodes: v.NodesOfKind(kind), era: uint32(v.era)}
+	if kind >= ids.KindLimit {
+		return KindScan{}
+	}
+	s := KindScan{nodes: v.byKind[kind], era: uint32(v.era)}
 	if d := &v.base.ord; int(kind) < len(d.kinds) {
 		if k := &d.kinds[kind]; len(k.dir) > 0 {
 			lo, hi := k.dir[0], k.dir[len(k.dir)-1]
@@ -603,24 +608,13 @@ func (v *SnapshotView) ScanKind(kind ids.Kind) KindScan {
 	return s
 }
 
-// Out returns the visible outgoing edges of a node for one edge type, in
+// Out is OutOf(ByID(id), t) (Reader: harness-only).
+func (v *SnapshotView) Out(id ids.ID, t EdgeType) []Edge { return v.OutOf(ByID(id), t) }
+
+// OutOf returns the visible outgoing edges of a node for one edge type, in
 // insertion order. The slice aliases the view's decode cache (or an
 // overlay row): lock-free, allocation-free once the row is hot, and the
 // caller must not mutate it.
-//
-//snb:noalloc
-func (v *SnapshotView) Out(id ids.ID, t EdgeType) []Edge {
-	if v.cancel != nil {
-		v.cancel.tick()
-	}
-	o, ok := v.ord(id)
-	if !ok {
-		return nil
-	}
-	return v.edgesAt(o, t, false)
-}
-
-// OutOf is Out of a resolved node.
 //
 //snb:noalloc
 func (v *SnapshotView) OutOf(n Node, t EdgeType) []Edge {
@@ -637,21 +631,7 @@ func (v *SnapshotView) OutOf(n Node, t EdgeType) []Edge {
 	return v.edgesAt(o, t, false)
 }
 
-// In returns the visible incoming edges of a node for one edge type.
-//
-//snb:noalloc
-func (v *SnapshotView) In(id ids.ID, t EdgeType) []Edge {
-	if v.cancel != nil {
-		v.cancel.tick()
-	}
-	o, ok := v.ord(id)
-	if !ok {
-		return nil
-	}
-	return v.edgesAt(o, t, true)
-}
-
-// InOf is In of a resolved node.
+// InOf returns the visible incoming edges of a node for one edge type.
 //
 //snb:noalloc
 func (v *SnapshotView) InOf(n Node, t EdgeType) []Edge {
@@ -703,17 +683,8 @@ func (v *SnapshotView) InNodes(n Node, t EdgeType) NodeRow {
 	return v.nodesAt(o, t, true)
 }
 
-// degree returns the row's entry count without decoding it (one uvarint
+// degreeOf returns the row's entry count without decoding it (one uvarint
 // read for slab rows).
-func (v *SnapshotView) degree(id ids.ID, t EdgeType, in bool) int {
-	o, ok := v.ord(id)
-	if !ok {
-		return 0
-	}
-	return v.degreeAt(o, t, in)
-}
-
-// degreeOf is degree of a resolved node.
 //
 //snb:noalloc
 func (v *SnapshotView) degreeOf(n Node, t EdgeType, in bool) int {
@@ -746,18 +717,12 @@ func (v *SnapshotView) degreeAt(o int32, t EdgeType, in bool) int {
 	return b.out[t].degreeAt(o)
 }
 
-// OutDegree returns the number of visible outgoing edges of a node.
-func (v *SnapshotView) OutDegree(id ids.ID, t EdgeType) int { return v.degree(id, t, false) }
-
-// OutDegreeOf is OutDegree of a resolved node.
+// OutDegreeOf returns the number of visible outgoing edges of a node.
 //
 //snb:noalloc
 func (v *SnapshotView) OutDegreeOf(n Node, t EdgeType) int { return v.degreeOf(n, t, false) }
 
-// InDegree returns the number of visible incoming edges of a node.
-func (v *SnapshotView) InDegree(id ids.ID, t EdgeType) int { return v.degree(id, t, true) }
-
-// InDegreeOf is InDegree of a resolved node.
+// InDegreeOf returns the number of visible incoming edges of a node.
 //
 //snb:noalloc
 func (v *SnapshotView) InDegreeOf(n Node, t EdgeType) int { return v.degreeOf(n, t, true) }
@@ -770,22 +735,8 @@ func (v *SnapshotView) propsAt(ord int32) Props {
 	return v.base.props[ord]
 }
 
-// Prop returns one property of a node (zero Value if the node or property
-// is absent).
-//
-//snb:noalloc
-func (v *SnapshotView) Prop(id ids.ID, key PropKey) Value {
-	if v.cancel != nil {
-		v.cancel.tick()
-	}
-	o, ok := v.ord(id)
-	if !ok {
-		return Value{}
-	}
-	return v.propsAt(o).Get(key)
-}
-
-// PropOf is Prop of a resolved node.
+// PropOf returns one property of a node (zero Value if the node or
+// property is absent).
 //
 //snb:noalloc
 func (v *SnapshotView) PropOf(n Node, key PropKey) Value {
@@ -802,32 +753,26 @@ func (v *SnapshotView) PropOf(n Node, key PropKey) Value {
 	return v.propsAt(o).Get(key)
 }
 
-// Props returns the visible property list of a node. The slice is the
+// PropsOf returns the visible property list of a node. The slice is the
 // stored row the node record and every view that sees it share, and must
 // not be mutated.
-func (v *SnapshotView) Props(id ids.ID) (Props, bool) {
-	o, ok := v.ord(id)
+func (v *SnapshotView) PropsOf(n Node) (Props, bool) {
+	if v.cancel != nil {
+		v.cancel.tick()
+	}
+	o, ok := n.ord, v.holds(n)
+	if !ok {
+		o, ok = v.ord(n.id)
+	}
 	if !ok {
 		return nil, false
 	}
 	return v.propsAt(o), true
 }
 
-// NodesOfKind returns the IDs of all visible nodes of a kind in insertion
-// order. The slice is shared by all callers of the view and must not be
-// mutated.
-//
-//snb:noalloc
-func (v *SnapshotView) NodesOfKind(kind ids.Kind) []ids.ID {
-	if kind >= ids.KindLimit {
-		return nil
-	}
-	return v.byKind[kind]
-}
-
 // NumOfKind returns the number of visible nodes of a kind: the
 // cardinality the query planner orders its scans by.
-func (v *SnapshotView) NumOfKind(kind ids.Kind) int { return len(v.NodesOfKind(kind)) }
+func (v *SnapshotView) NumOfKind(kind ids.Kind) int { return v.ScanKind(kind).Len() }
 
 // ViewEvent reports how an AcquireView call obtained its view.
 type ViewEvent uint8
@@ -1129,7 +1074,7 @@ func (s *Store) buildView(ts int64) *SnapshotView {
 		b.entries += b.out[t].entries + b.in[t].entries
 	}
 
-	// Per-kind scan lists, matching Txn.NodesOfKind's visible-prefix
+	// Per-kind scan lists, matching Txn.ScanKind's visible-prefix
 	// semantics over the commit-ordered kind lists.
 	for k := range v.byKind {
 		v.byKind[k] = s.nodesOfKind(ids.Kind(k), ts)

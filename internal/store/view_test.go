@@ -59,25 +59,25 @@ func assertViewMatchesTxn(t *testing.T, s *Store, v *SnapshotView, tx *Txn, pop 
 			if got, want := v.Out(id, et), tx.Out(id, et); !edgesEqual(got, want) {
 				t.Fatalf("Out(%v, %v): view %v txn %v", id, et, got, want)
 			}
-			if got, want := v.In(id, et), tx.In(id, et); !edgesEqual(got, want) {
+			if got, want := v.InOf(ByID(id), et), tx.InOf(ByID(id), et); !edgesEqual(got, want) {
 				t.Fatalf("In(%v, %v): view %v txn %v", id, et, got, want)
 			}
-			if got, want := v.OutDegree(id, et), tx.OutDegree(id, et); got != want {
+			if got, want := v.OutDegreeOf(ByID(id), et), tx.OutDegreeOf(ByID(id), et); got != want {
 				t.Fatalf("OutDegree(%v, %v): view %d txn %d", id, et, got, want)
 			}
 		}
 		for _, key := range []PropKey{PropFirstName, PropLastName, PropCreationDate} {
-			if got, want := v.Prop(id, key), tx.Prop(id, key); got != want {
+			if got, want := v.PropOf(ByID(id), key), tx.PropOf(ByID(id), key); got != want {
 				t.Fatalf("Prop(%v, %v): view %#v txn %#v", id, key, got, want)
 			}
 		}
-		gotPs, gotOK := v.Props(id)
-		wantPs, wantOK := tx.Props(id)
+		gotPs, gotOK := v.PropsOf(ByID(id))
+		wantPs, wantOK := tx.PropsOf(ByID(id))
 		if gotOK != wantOK || !propsEqual(gotPs, wantPs) {
 			t.Fatalf("Props(%v): view %v/%v txn %v/%v", id, gotPs, gotOK, wantPs, wantOK)
 		}
 	}
-	if got, want := v.NodesOfKind(ids.KindPerson), tx.NodesOfKind(ids.KindPerson); !reflect.DeepEqual(got, want) {
+	if got, want := v.ScanKind(ids.KindPerson).IDs(), tx.ScanKind(ids.KindPerson).IDs(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("NodesOfKind: view %d txn %d nodes", len(got), len(want))
 	}
 }
@@ -160,7 +160,7 @@ func TestViewFrozenUnderLaterCommits(t *testing.T) {
 	if got := len(old.Out(a, EdgeKnows)); got != 1 {
 		t.Fatalf("old view mutated: degree = %d", got)
 	}
-	if got := old.Prop(c, PropFirstName).Str(); got != "" {
+	if got := old.PropOf(ByID(c), PropFirstName).Str(); got != "" {
 		t.Fatalf("old view sees a later node's prop %q", got)
 	}
 	if old.Exists(c) {
@@ -175,10 +175,10 @@ func TestViewFrozenUnderLaterCommits(t *testing.T) {
 	if got := len(cur.Out(a, EdgeKnows)); got != 2 {
 		t.Fatalf("new view degree = %d", got)
 	}
-	if got := cur.Prop(c, PropFirstName).Str(); got != "cy" {
+	if got := cur.PropOf(ByID(c), PropFirstName).Str(); got != "cy" {
 		t.Fatalf("new view prop %q", got)
 	}
-	if got := cur.Prop(a, PropFirstName).Str(); got != "ada" {
+	if got := cur.PropOf(ByID(a), PropFirstName).Str(); got != "ada" {
 		t.Fatalf("new view prop of an older node %q", got)
 	}
 }

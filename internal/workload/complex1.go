@@ -57,7 +57,7 @@ func q1Walk[R store.Reader](r R, sc *Scratch, start ids.ID) q1Ball {
 	head := 0
 	for d := 1; d <= 2; d++ {
 		for ; head < b.ends[d-1]; head++ {
-			for _, e := range r.Out(sc.env[head], store.EdgeKnows) {
+			for _, e := range r.OutOf(store.ByID(sc.env[head]), store.EdgeKnows) {
 				if b.seen.tryMark(e.To) {
 					sc.env = append(sc.env, e.To)
 				}
@@ -95,7 +95,7 @@ func (b q1Ball) depth(id ids.ID) int {
 func q1NamesakesCheaper[R store.Reader](r R, layer []ids.ID, n int) bool {
 	sum := 0
 	for _, x := range layer {
-		if sum += r.OutDegree(x, store.EdgeKnows); sum > n {
+		if sum += r.OutDegreeOf(store.ByID(x), store.EdgeKnows); sum > n {
 			return true
 		}
 	}
@@ -126,8 +126,8 @@ func q1[R store.Reader](r R, sc *Scratch, b q1Ball, persons store.KindScan, firs
 		}
 	} else {
 		push := func(p ids.ID, d int) {
-			if p.Kind() == ids.KindPerson && r.Prop(p, store.PropFirstName).Str() == firstName {
-				top.Push(Q1Row{Person: p, Distance: d, LastName: r.Prop(p, store.PropLastName).Str()})
+			if n := store.ByID(p); p.Kind() == ids.KindPerson && r.PropOf(n, store.PropFirstName).Str() == firstName {
+				top.Push(Q1Row{Person: p, Distance: d, LastName: r.PropOf(n, store.PropLastName).Str()})
 			}
 		}
 		for d := 1; d <= 2; d++ {
@@ -136,7 +136,7 @@ func q1[R store.Reader](r R, sc *Scratch, b q1Ball, persons store.KindScan, firs
 			}
 		}
 		for _, x := range b.layer(sc, 2) {
-			for _, e := range r.Out(x, store.EdgeKnows) {
+			for _, e := range r.OutOf(store.ByID(x), store.EdgeKnows) {
 				if b.seen.tryMark(e.To) {
 					push(e.To, 3)
 				}
@@ -146,11 +146,12 @@ func q1[R store.Reader](r R, sc *Scratch, b q1Ball, persons store.KindScan, firs
 
 	rows := top.Sorted()
 	for i := range rows {
-		for _, s := range r.Out(rows[i].Person, store.EdgeStudyAt) {
-			rows[i].Universities = append(rows[i].Universities, r.Prop(s.To, store.PropName).Str())
+		p := r.Resolve(rows[i].Person)
+		for _, s := range r.OutOf(p, store.EdgeStudyAt) {
+			rows[i].Universities = append(rows[i].Universities, r.PropOf(store.ByID(s.To), store.PropName).Str())
 		}
-		for _, w := range r.Out(rows[i].Person, store.EdgeWorkAt) {
-			rows[i].Companies = append(rows[i].Companies, r.Prop(w.To, store.PropName).Str())
+		for _, w := range r.OutOf(p, store.EdgeWorkAt) {
+			rows[i].Companies = append(rows[i].Companies, r.PropOf(store.ByID(w.To), store.PropName).Str())
 		}
 	}
 	return rows
@@ -215,12 +216,13 @@ func Q3[R store.Reader](r R, sc *Scratch, start ids.ID, countryX, countryY int, 
 	})
 	env, _ := friendsAndFoF(r, sc, start)
 	for _, p := range env {
-		home := int(r.Prop(p, store.PropCountry).Int())
+		pn := r.Resolve(p)
+		home := int(r.PropOf(pn, store.PropCountry).Int())
 		if home == countryX || home == countryY {
 			continue
 		}
 		var cx, cy int
-		msgs := messageNodes(r, r.Resolve(p))
+		msgs := messageNodes(r, pn)
 		for i, m := range msgs.Edges() {
 			if m.Stamp < startDate || m.Stamp >= end {
 				continue
@@ -258,7 +260,7 @@ func Q4[R store.Reader](r R, sc *Scratch, start ids.ID, startDate, durationMilli
 	counts.Reset()
 	old := sc.newSeen()
 	for _, f := range friendsOf(r, sc, start) {
-		msgs := messageNodes(r, r.Resolve(f))
+		msgs := messageNodes(r, store.ByID(f))
 		for i, m := range msgs.Edges() {
 			if m.To.Kind() != ids.KindPost {
 				continue
@@ -286,7 +288,7 @@ func Q4[R store.Reader](r R, sc *Scratch, start ids.ID, startDate, durationMilli
 		if old.has(tag) {
 			continue
 		}
-		top.Push(Q4Row{Tag: tag, Name: r.Prop(tag, store.PropName).Str(), Count: counts.Vals()[i]})
+		top.Push(Q4Row{Tag: tag, Name: r.PropOf(store.ByID(tag), store.PropName).Str(), Count: counts.Vals()[i]})
 	}
 	return top.Sorted()
 }
@@ -318,7 +320,7 @@ func Q5[R store.Reader](r R, sc *Scratch, start ids.ID, minDate int64) []Q5Row {
 	joined := sc.newSeen()
 	sc.aux = sc.aux[:0]
 	for _, p := range env {
-		for _, fe := range r.In(p, store.EdgeHasMember) {
+		for _, fe := range r.InOf(store.ByID(p), store.EdgeHasMember) {
 			if fe.Stamp > minDate && joined.tryMark(fe.To) {
 				sc.aux = append(sc.aux, fe.To)
 			}
@@ -329,7 +331,7 @@ func Q5[R store.Reader](r R, sc *Scratch, start ids.ID, minDate int64) []Q5Row {
 	})
 	for _, forum := range sc.aux {
 		count := 0
-		posts := r.OutNodes(r.Resolve(forum), store.EdgeContainerOf)
+		posts := r.OutNodes(store.ByID(forum), store.EdgeContainerOf)
 		for i := range posts.Len() {
 			for _, ce := range r.OutOf(posts.Node(i), store.EdgeHasCreator) {
 				// inEnv also contains start, which is not part of the
@@ -343,7 +345,7 @@ func Q5[R store.Reader](r R, sc *Scratch, start ids.ID, minDate int64) []Q5Row {
 	}
 	rows := top.Sorted()
 	for i := range rows {
-		rows[i].Title = r.Prop(rows[i].Forum, store.PropTitle).Str()
+		rows[i].Title = r.PropOf(store.ByID(rows[i].Forum), store.PropTitle).Str()
 	}
 	return rows
 }
@@ -375,10 +377,10 @@ func Q6[R store.Reader](r R, sc *Scratch, start ids.ID, tag ids.ID) []Q6Row {
 // read than the environment's messages. The sum stops once it passes the
 // tag's degree, so a rare tag costs a few degree reads.
 func q6TagSideCheaper[R store.Reader](r R, env []ids.ID, tag ids.ID) bool {
-	tagSide := r.InDegree(tag, store.EdgeHasTag)
+	tagSide := r.InDegreeOf(store.ByID(tag), store.EdgeHasTag)
 	envSide := 0
 	for _, p := range env {
-		if envSide += r.InDegree(p, store.EdgeHasCreator); envSide > tagSide {
+		if envSide += r.InDegreeOf(store.ByID(p), store.EdgeHasCreator); envSide > tagSide {
 			return true
 		}
 	}
@@ -399,7 +401,7 @@ func q6[R store.Reader](r R, sc *Scratch, env []ids.ID, inEnv *seenSet, start, t
 	})
 	for i, k := range sc.tags.Keys() {
 		t := ids.ID(k)
-		top.Push(Q6Row{Tag: t, Name: r.Prop(t, store.PropName).Str(), Count: sc.tags.Vals()[i]})
+		top.Push(Q6Row{Tag: t, Name: r.PropOf(store.ByID(t), store.PropName).Str(), Count: sc.tags.Vals()[i]})
 	}
 	return top.Sorted()
 }
@@ -409,7 +411,7 @@ func q6[R store.Reader](r R, sc *Scratch, env []ids.ID, inEnv *seenSet, start, t
 // hasTag edges to sc.tags.
 func q6FromEnv[R store.Reader](r R, sc *Scratch, env []ids.ID, tag ids.ID) {
 	for _, p := range env {
-		msgs := messageNodes(r, r.Resolve(p))
+		msgs := messageNodes(r, store.ByID(p))
 		for i, m := range msgs.Edges() {
 			if m.To.Kind() != ids.KindPost {
 				continue
@@ -435,7 +437,7 @@ func q6FromEnv[R store.Reader](r R, sc *Scratch, env []ids.ID, tag ids.ID) {
 // is listed that many times by In, and is counted at its first listing.
 func q6FromTag[R store.Reader](r R, sc *Scratch, inEnv *seenSet, start, tag ids.ID) {
 	var counted *seenSet
-	posts := r.InNodes(r.Resolve(tag), store.EdgeHasTag)
+	posts := r.InNodes(store.ByID(tag), store.EdgeHasTag)
 	for i, pe := range posts.Edges() {
 		m := pe.To
 		if m.Kind() != ids.KindPost {
@@ -498,7 +500,8 @@ type Q7Row struct {
 func Q7[R store.Reader](r R, sc *Scratch, start ids.ID) []Q7Row {
 	sc.begin()
 	friends := sc.newSeen()
-	for _, e := range r.Out(start, store.EdgeKnows) {
+	s := r.Resolve(start)
+	for _, e := range r.OutOf(s, store.EdgeKnows) {
 		if e.To != start {
 			friends.tryMark(e.To)
 		}
@@ -506,7 +509,7 @@ func Q7[R store.Reader](r R, sc *Scratch, start ids.ID) []Q7Row {
 	// Most recent like per liker.
 	best := &sc.likes
 	best.Reset()
-	msgs := messageNodes(r, r.Resolve(start))
+	msgs := messageNodes(r, s)
 	for i, m := range msgs.Edges() {
 		for _, le := range r.InOf(msgs.Node(i), store.EdgeLikes) {
 			row := Q7Row{

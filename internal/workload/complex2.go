@@ -27,7 +27,7 @@ func Q8[R store.Reader](r R, sc *Scratch, start ids.ID) []Q8Row {
 	top := newTopK(20, func(a, b Q8Row) int {
 		return cmp.Or(cmp.Compare(b.CreationDate, a.CreationDate), cmp.Compare(a.Comment, b.Comment))
 	})
-	msgs := messageNodes(r, r.Resolve(start))
+	msgs := messageNodes(r, store.ByID(start))
 	for i := range msgs.Len() {
 		replies := r.InNodes(msgs.Node(i), store.EdgeReplyOf)
 		for j, re := range replies.Edges() {
@@ -72,14 +72,15 @@ type Q10Row struct {
 func Q10[R store.Reader](r R, sc *Scratch, start ids.ID, sign int) []Q10Row {
 	sc.begin()
 	interests := sc.newSeen()
-	for _, e := range r.Out(start, store.EdgeHasInterest) {
+	s := r.Resolve(start)
+	for _, e := range r.OutOf(s, store.EdgeHasInterest) {
 		interests.tryMark(e.To)
 	}
 	// Direct friends (plus start) in one set, the friend list in sc.env.
 	direct := sc.newSeen()
 	direct.tryMark(start)
 	sc.env = sc.env[:0]
-	for _, e := range r.Out(start, store.EdgeKnows) {
+	for _, e := range r.OutOf(s, store.EdgeKnows) {
 		if direct.tryMark(e.To) {
 			sc.env = append(sc.env, e.To)
 		}
@@ -89,7 +90,7 @@ func Q10[R store.Reader](r R, sc *Scratch, start ids.ID, sign int) []Q10Row {
 		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.Person, b.Person))
 	})
 	for _, f := range sc.env {
-		friends := r.OutNodes(r.Resolve(f), store.EdgeKnows)
+		friends := r.OutNodes(store.ByID(f), store.EdgeKnows)
 		for i, e := range friends.Edges() {
 			if direct.has(e.To) || !cand.tryMark(e.To) {
 				continue
@@ -163,17 +164,18 @@ func Q11[R store.Reader](r R, sc *Scratch, start ids.ID, country int, beforeYear
 	})
 	env, _ := friendsAndFoF(r, sc, start)
 	for _, p := range env {
-		for _, we := range r.Out(p, store.EdgeWorkAt) {
+		for _, we := range r.OutOf(store.ByID(p), store.EdgeWorkAt) {
 			if int(we.Stamp) >= beforeYear {
 				continue
 			}
-			located := r.Out(we.To, store.EdgeIsLocatedIn)
+			company := store.ByID(we.To)
+			located := r.OutOf(company, store.EdgeIsLocatedIn)
 			if len(located) == 0 || located[0].To != countryNode {
 				continue
 			}
 			top.Push(Q11Row{
 				Person:   p,
-				Company:  r.Prop(we.To, store.PropName).Str(),
+				Company:  r.PropOf(company, store.PropName).Str(),
 				WorkFrom: int(we.Stamp),
 			})
 		}
@@ -204,7 +206,7 @@ func Q12[R store.Reader](r R, sc *Scratch, start ids.ID, tagClass ids.ID) []Q12R
 	inClass.tryMark(tagClass)
 	sc.aux = append(sc.aux[:0], tagClass)
 	for head := 0; head < len(sc.aux); head++ {
-		for _, sub := range r.In(sc.aux[head], store.EdgeIsSubclassOf) {
+		for _, sub := range r.InOf(store.ByID(sc.aux[head]), store.EdgeIsSubclassOf) {
 			if inClass.tryMark(sub.To) {
 				sc.aux = append(sc.aux, sub.To)
 			}
@@ -212,7 +214,7 @@ func Q12[R store.Reader](r R, sc *Scratch, start ids.ID, tagClass ids.ID) []Q12R
 	}
 	classTags := sc.newSeen()
 	for _, class := range sc.aux {
-		tags := r.InNodes(r.Resolve(class), store.EdgeHasType)
+		tags := r.InNodes(store.ByID(class), store.EdgeHasType)
 		for i, te := range tags.Edges() {
 			if r.OutOf(tags.Node(i), store.EdgeHasType)[0].To == class {
 				classTags.tryMark(te.To)
@@ -224,7 +226,7 @@ func Q12[R store.Reader](r R, sc *Scratch, start ids.ID, tagClass ids.ID) []Q12R
 	})
 	for _, f := range friendsOf(r, sc, start) {
 		replies := 0
-		msgs := messageNodes(r, r.Resolve(f))
+		msgs := messageNodes(r, store.ByID(f))
 		for i, m := range msgs.Edges() {
 			if m.To.Kind() != ids.KindComment {
 				continue
@@ -334,7 +336,7 @@ func Q14[R store.Reader](r R, sc *Scratch, a, b ids.ID) []Q14Row {
 	k.credits = k.credits[:0]
 	for _, x := range k.nodes {
 		px := k.position(x, n)
-		msgs := messageNodes(r, r.Resolve(x))
+		msgs := messageNodes(r, store.ByID(x))
 		for i, m := range msgs.Edges() {
 			if m.To.Kind() != ids.KindComment {
 				continue
@@ -394,7 +396,7 @@ func walksToRoot[R store.Reader](r R, k *pathBFS, s int, x ids.ID, d int, walk, 
 		return append(out, walk...)
 	}
 	i := len(walk) - d
-	for _, e := range r.Out(x, store.EdgeKnows) {
+	for _, e := range r.OutOf(store.ByID(x), store.EdgeKnows) {
 		if len(out) == limit*len(walk) {
 			break
 		}
@@ -503,7 +505,7 @@ func searchPaths[R store.Reader](r R, k *pathBFS, a, b ids.ID) int {
 		d := k.depth[s] + 1
 		k.next = k.next[:0]
 		for _, p := range k.front[s] {
-			for _, e := range r.Out(p, store.EdgeKnows) {
+			for _, e := range r.OutOf(store.ByID(p), store.EdgeKnows) {
 				if fresh, meet := k.visit(s, e.To, d); fresh {
 					k.next = append(k.next, e.To)
 					if meet {

@@ -57,9 +57,11 @@ func Q9Join[R store.Reader](r R, sc *Scratch, start ids.ID, maxDate int64, plan 
 		// Wrong plan: build a hash table over the full knows relation
 		// (scan every person), then probe with the friend list.
 		var build KeyTable[[]ids.ID]
-		for _, p := range r.NodesOfKind(ids.KindPerson) {
-			for _, e := range r.Out(p, store.EdgeKnows) {
-				knows, _ := build.At(uint64(p))
+		persons := r.ScanKind(ids.KindPerson)
+		for i := range persons.Len() {
+			p := persons.At(i)
+			for _, e := range r.OutOf(p, store.EdgeKnows) {
+				knows, _ := build.At(uint64(p.ID()))
 				*knows = append(*knows, e.To)
 			}
 		}
@@ -99,16 +101,18 @@ func Q9Join[R store.Reader](r R, sc *Scratch, start ids.ID, maxDate int64, plan 
 		}
 		top := newTopK(20, compareMessageRows)
 		scan := func(kind ids.Kind) {
-			for _, m := range r.NodesOfKind(kind) {
-				created := r.Prop(m, store.PropCreationDate).Int()
+			msgs := r.ScanKind(kind)
+			for i := range msgs.Len() {
+				m := msgs.At(i)
+				created := r.PropOf(m, store.PropCreationDate).Int()
 				if created > maxDate {
 					continue
 				}
-				cs := r.Out(m, store.EdgeHasCreator)
+				cs := r.OutOf(m, store.EdgeHasCreator)
 				if len(cs) == 0 || inEnv.Find(uint64(cs[0].To)) == nil {
 					continue
 				}
-				top.Push(MessageRow{Message: m, Creator: cs[0].To, CreationDate: created})
+				top.Push(MessageRow{Message: m.ID(), Creator: cs[0].To, CreationDate: created})
 			}
 		}
 		scan(ids.KindPost)

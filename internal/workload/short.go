@@ -28,7 +28,7 @@ type S1Result struct {
 
 // S1 returns the basic profile of a person.
 func S1[R store.Reader](r R, p ids.ID) (S1Result, bool) {
-	props, ok := r.Props(p)
+	props, ok := r.PropsOf(store.ByID(p))
 	if !ok {
 		return S1Result{}, false
 	}
@@ -65,7 +65,7 @@ func S3[R store.Reader](r R, p ids.ID) []S3Row {
 	top := newTopK(20, func(a, b S3Row) int {
 		return cmp.Or(cmp.Compare(b.CreationDate, a.CreationDate), cmp.Compare(a.Friend, b.Friend))
 	})
-	for _, e := range r.Out(p, store.EdgeKnows) {
+	for _, e := range r.OutOf(store.ByID(p), store.EdgeKnows) {
 		top.Push(S3Row{Friend: e.To, CreationDate: e.Stamp})
 	}
 	return top.Sorted()
@@ -79,7 +79,7 @@ type S4Result struct {
 
 // S4 returns a message's content and creation date.
 func S4[R store.Reader](r R, m ids.ID) (S4Result, bool) {
-	props, ok := r.Props(m)
+	props, ok := r.PropsOf(store.ByID(m))
 	if !ok {
 		return S4Result{}, false
 	}
@@ -102,7 +102,7 @@ type S5Result struct {
 
 // S5 returns the creator of a message.
 func S5[R store.Reader](r R, m ids.ID) (S5Result, bool) {
-	cs := r.OutNodes(r.Resolve(m), store.EdgeHasCreator)
+	cs := r.OutNodes(store.ByID(m), store.EdgeHasCreator)
 	if cs.Len() == 0 {
 		return S5Result{}, false
 	}
@@ -124,7 +124,7 @@ type S6Result struct {
 // S6 returns the forum containing a message (walking replyOf up to the
 // root post for comments).
 func S6[R store.Reader](r R, m ids.ID) (S6Result, bool) {
-	cur := r.Resolve(m)
+	cur := store.ByID(m)
 	for i := 0; i < 64 && cur.ID().Kind() == ids.KindComment; i++ {
 		parents := r.OutNodes(cur, store.EdgeReplyOf)
 		if parents.Len() == 0 {

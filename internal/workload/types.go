@@ -30,17 +30,22 @@
 // base row hands each neighbour over resolved, so reading it again pays no
 // ID -> ordinal lookup; everywhere else the Node is the ID. Messages are
 // the large kinds, whose lookups miss cache. A hop whose neighbours are
-// only listed (their IDs and stamps, as in Q2 and Q9) reads by ID: a row
-// read as Nodes costs its decode-cache entry 4 more bytes per neighbour.
-// So do the knows walks among persons (Q1's ball, Q13, Q14's path walks)
-// and the hops into organisations (Q1, Q11): persons and dimensions are
-// small kinds whose lookups hit cache, and reading Q1's and Q11's hops
-// through Nodes gained nothing (1000 persons: Q1 p50 191 -> 192 us, Q11 34
-// -> 37 us). That Q1 expanded its third layer, some 7,200 knows entries;
-// Q1 now walks the radius-2 ball, about 500, and scans the persons' names
-// for the rest, reading each through the scan's Node. Visited sets,
-// frontiers and path distances over persons stay keyed by ID for the same
-// reason: an ordinal-keyed set gained nothing on Q1.
+// only listed (their IDs and stamps, as in Q2 and Q9) reads OutOf or InOf:
+// a row read as Nodes costs its decode-cache entry 4 more bytes per
+// neighbour. So do the knows walks among persons (Q1's ball, Q13, Q14's
+// path walks) and the hops into organisations (Q1, Q11): persons and
+// dimensions are small kinds whose lookups hit cache, and reading Q1's and
+// Q11's hops through Nodes gained nothing (1000 persons: Q1 p50 191 -> 192
+// us, Q11 34 -> 37 us). That Q1 expanded its third layer, some 7,200
+// knows entries; Q1 now walks the radius-2 ball, about 500, and scans the
+// persons' names for the rest, reading each through the scan's Node.
+// Visited sets, frontiers and path distances over persons stay keyed by ID
+// for the same reason: an ordinal-keyed set gained nothing on Q1.
+//
+// Every other read follows store.Reader's one rule: a node a query reads
+// twice or more (Q7's and Q10's start, a Q3 environment person, a Q1 row's
+// person) is resolved once with Resolve, and any other node, an ID held in
+// a frontier or a result row, is read through store.ByID.
 //
 // The queries are graph-navigation programs (the Sparksee style of §5);
 // Query 9 additionally has an explicit join-operator formulation (Q9Join)
@@ -151,7 +156,7 @@ func friendsOf[R store.Reader](r R, sc *Scratch, p ids.ID) []ids.ID {
 	seen := sc.newSeen()
 	seen.tryMark(p)
 	sc.env = sc.env[:0]
-	for _, e := range r.Out(p, store.EdgeKnows) {
+	for _, e := range r.OutOf(store.ByID(p), store.EdgeKnows) {
 		if seen.tryMark(e.To) {
 			sc.env = append(sc.env, e.To)
 		}
@@ -168,14 +173,14 @@ func friendsAndFoF[R store.Reader](r R, sc *Scratch, p ids.ID) ([]ids.ID, *seenS
 	seen := sc.newSeen()
 	seen.tryMark(p)
 	sc.env = sc.env[:0]
-	for _, e := range r.Out(p, store.EdgeKnows) {
+	for _, e := range r.OutOf(store.ByID(p), store.EdgeKnows) {
 		if seen.tryMark(e.To) {
 			sc.env = append(sc.env, e.To)
 		}
 	}
 	direct := len(sc.env)
 	for i := 0; i < direct; i++ {
-		for _, e := range r.Out(sc.env[i], store.EdgeKnows) {
+		for _, e := range r.OutOf(store.ByID(sc.env[i]), store.EdgeKnows) {
 			if seen.tryMark(e.To) {
 				sc.env = append(sc.env, e.To)
 			}
@@ -200,7 +205,7 @@ func TwoHopEnv[R store.Reader](r R, sc *Scratch, p ids.ID) []ids.ID {
 // message creation dates. On the view path this is a zero-copy slab
 // subslice.
 func messagesOf[R store.Reader](r R, p ids.ID) []store.Edge {
-	return r.In(p, store.EdgeHasCreator)
+	return r.InOf(store.ByID(p), store.EdgeHasCreator)
 }
 
 // messageNodes is messagesOf as a NodeRow, for the queries that read each
@@ -212,7 +217,7 @@ func messageNodes[R store.Reader](r R, p store.Node) store.NodeRow {
 
 // isFriend reports whether a and b are directly connected.
 func isFriend[R store.Reader](r R, a, b ids.ID) bool {
-	for _, e := range r.Out(a, store.EdgeKnows) {
+	for _, e := range r.OutOf(store.ByID(a), store.EdgeKnows) {
 		if e.To == b {
 			return true
 		}

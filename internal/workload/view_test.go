@@ -20,7 +20,7 @@ import (
 // findCoTag returns a tag that appears on some tagged post (zero if none),
 // giving Q6 a parameter with hits on both generated and random graphs.
 func findCoTag(tx *store.Txn) ids.ID {
-	for _, m := range tx.NodesOfKind(ids.KindPost) {
+	for _, m := range tx.ScanKind(ids.KindPost).IDs() {
 		if tags := tx.Out(m, store.EdgeHasTag); len(tags) > 0 {
 			return tags[0].To
 		}
@@ -193,16 +193,16 @@ func rowsEqual[T any](t *testing.T, a, b []T) bool {
 func sampleEntities(t *testing.T, st *store.Store) (persons, messages []ids.ID) {
 	t.Helper()
 	st.View(func(tx *store.Txn) {
-		all := tx.NodesOfKind(ids.KindPerson)
+		all := tx.ScanKind(ids.KindPerson).IDs()
 		for i, p := range all {
-			if i%17 == 0 || tx.OutDegree(p, store.EdgeKnows) >= 8 {
+			if i%17 == 0 || tx.OutDegreeOf(store.ByID(p), store.EdgeKnows) >= 8 {
 				persons = append(persons, p)
 			}
 			if len(persons) >= 25 {
 				break
 			}
 		}
-		for i, m := range tx.NodesOfKind(ids.KindPost) {
+		for i, m := range tx.ScanKind(ids.KindPost).IDs() {
 			if i%29 == 0 {
 				messages = append(messages, m)
 			}
@@ -210,7 +210,7 @@ func sampleEntities(t *testing.T, st *store.Store) (persons, messages []ids.ID) 
 				break
 			}
 		}
-		for i, m := range tx.NodesOfKind(ids.KindComment) {
+		for i, m := range tx.ScanKind(ids.KindComment).IDs() {
 			if i%31 == 0 {
 				messages = append(messages, m)
 			}

@@ -122,7 +122,7 @@ func TestQ1FindsNamesakesInOrder(t *testing.T) {
 			t.Skip("no namesakes within 3 hops of test person")
 		}
 		for i, r := range rows {
-			if tx.Prop(r.Person, store.PropFirstName).Str() != name {
+			if tx.PropOf(store.ByID(r.Person), store.PropFirstName).Str() != name {
 				t.Fatal("Q1 returned wrong name")
 			}
 			if r.Distance < 1 || r.Distance > 3 {
@@ -244,7 +244,7 @@ func TestQ3TravelersExcludeLocals(t *testing.T) {
 		// Use the two most common countries as X and Y to maximise hits.
 		rows := Q3(tx, NewScratch(), p, 0, 1, datagen.SimStart, datagen.SimEnd-datagen.SimStart)
 		for _, r := range rows {
-			home := int(tx.Prop(r.Person, store.PropCountry).Int())
+			home := int(tx.PropOf(store.ByID(r.Person), store.PropCountry).Int())
 			if home == 0 || home == 1 {
 				t.Fatal("Q3 returned a local person")
 			}
@@ -451,7 +451,7 @@ func TestQ10Recommendation(t *testing.T) {
 				if direct[r.Person] {
 					t.Fatal("Q10 recommended a direct friend or self")
 				}
-				if ZodiacSign(tx.Prop(r.Person, store.PropBirthday).Int()) != sign {
+				if ZodiacSign(tx.PropOf(store.ByID(r.Person), store.PropBirthday).Int()) != sign {
 					t.Fatal("Q10 sign filter broken")
 				}
 				if i > 0 && r.Score > rows[i-1].Score {
@@ -769,13 +769,13 @@ func TestApplyUpdates(t *testing.T) {
 	}
 	// After replay the store must contain the full dataset cardinalities.
 	st.View(func(tx *store.Txn) {
-		if got := len(tx.NodesOfKind(ids.KindPerson)); got != len(d.Persons) {
+		if got := len(tx.ScanKind(ids.KindPerson).IDs()); got != len(d.Persons) {
 			t.Fatalf("persons after replay: %d want %d", got, len(d.Persons))
 		}
-		if got := len(tx.NodesOfKind(ids.KindPost)); got != len(d.Posts) {
+		if got := len(tx.ScanKind(ids.KindPost).IDs()); got != len(d.Posts) {
 			t.Fatalf("posts after replay: %d want %d", got, len(d.Posts))
 		}
-		if got := len(tx.NodesOfKind(ids.KindComment)); got != len(d.Comments) {
+		if got := len(tx.ScanKind(ids.KindComment).IDs()); got != len(d.Comments) {
 			t.Fatalf("comments after replay: %d want %d", got, len(d.Comments))
 		}
 	})
